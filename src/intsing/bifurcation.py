@@ -26,7 +26,8 @@ import numpy as np
 from .classify import (
     DEFAULT_TOL,
     ClassifyError,
-    leaf_frame,
+    PointAnalysis,
+    analyze_point,
     linearize,
     rank_at,
     reduce_at,
@@ -177,27 +178,17 @@ def _rank0_residual(model: IntegrableModel, z: np.ndarray):
     return res, J
 
 
-def _kernel_vector(model: IntegrableModel, p: np.ndarray, tol: float):
+def _kernel_vector(a: PointAnalysis):
     """Left null vector of dF on the leaf plus least-squares multipliers."""
-    frame = leaf_frame(model, p, tol, check_leaf=False)
-    jets = model.component_jets(p)
-    G = np.array([j.gradient for j in jets]) @ frame.basis
-    U, sv, _ = np.linalg.svd(G)
-    v = U[:, -1]
-    grad = sum(vi * j.gradient for vi, j in zip(v, jets))
-    cjets = model.casimir_jets(p)
+    v = a.U[:, -1]
+    grad = sum(vi * j.gradient for vi, j in zip(v, a.jets))
+    cjets = a.frame.casimir_jets
     if cjets:
         Q = np.array([j.gradient for j in cjets]).T
         mu, *_ = np.linalg.lstsq(Q, -grad, rcond=None)
     else:
         mu = np.zeros(0)
     return v, mu
-
-
-def _singular_values_on_leaf(model: IntegrableModel, p: np.ndarray, tol: float):
-    frame = leaf_frame(model, p, tol, check_leaf=False)
-    G = np.array([j.gradient for j in model.component_jets(p)]) @ frame.basis
-    return np.linalg.svd(G, compute_uv=False)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +222,7 @@ def refine_singular_point(
         residual_fn = _rank0_residual
     elif target_rank == n - 1:
         p0 = _leaf_project(model, p0)
-        v, mu = _kernel_vector(model, p0, rank_tol)
+        v, mu = _kernel_vector(analyze_point(model, p0, rank_tol, check_leaf=False))
         z = np.concatenate([p0, v, mu])
         residual_fn = _rank1_residual
     else:
@@ -267,7 +258,6 @@ def refine_singular_point(
 
 @dataclass
 class ScanParams:
-    resolution: int = 7
     candidate_fraction: float = 0.05
     max_candidates: int = 120
     rank0_candidates: int = 40
@@ -296,10 +286,9 @@ def scan_singular_points(
 ) -> list[SingularSeed]:
     """Locate singular points in a box: sample, filter by the smallest
     singular value of dF on the leaf, refine, certify, deduplicate."""
-    sp = params or ScanParams(resolution=resolution)
-    sp.resolution = resolution
+    sp = params or ScanParams()
     rng = np.random.default_rng(sp.seed)
-    samples = _sample_box(box, sp.resolution, rng)
+    samples = _sample_box(box, resolution, rng)
 
     scored = []
     for raw in samples:
@@ -308,7 +297,7 @@ def scan_singular_points(
         except RefineDivergence:
             continue
         try:
-            sv = _singular_values_on_leaf(model, p, tol)
+            sv = analyze_point(model, p, tol, check_leaf=False).sv
         except ClassifyError:
             continue
         scale = max(float(sv[0]), 1.0)
@@ -388,11 +377,9 @@ def _corrector(model, z, tangent, z_pred, params: TraceParams):
     return None, params.corrector_iters
 
 
-def _value_speed(model, z, direction) -> float:
-    N = model.dim
-    G = np.array([j.gradient for j in model.component_jets(z[:N])])
-    dp = direction[:N]
-    return float(np.linalg.norm(G @ dp))
+def _value_speed(a: PointAnalysis, direction) -> float:
+    G = np.array([j.gradient for j in a.jets])
+    return float(np.linalg.norm(G @ direction[: len(a.point)]))
 
 
 @dataclass
@@ -404,8 +391,8 @@ class _BranchResult:
     reason: str
 
 
-def _trace_branch(model, z0, direction, params: TraceParams, tol) -> _BranchResult:
-    """One continuation run from z0 along the given tangent direction."""
+def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, tol) -> _BranchResult:
+    """One continuation run from z0 (its point analysed in a0) along direction."""
     N = model.dim
     values = [model.momentum_value(z0[:N])]
     phases = [z0[:N].copy()]
@@ -416,7 +403,7 @@ def _trace_branch(model, z0, direction, params: TraceParams, tol) -> _BranchResu
     h = params.step
     steps = 0
 
-    sig_prev = float(_singular_values_on_leaf(model, z0[:N], tol)[0])
+    sig_prev = float(a0.sv[0])
     sig_falling = False
     attempt_sigma = max(10.0 * params.step, 0.5)
 
@@ -472,11 +459,11 @@ def _trace_branch(model, z0, direction, params: TraceParams, tol) -> _BranchResu
             if np.any(val < lo) or np.any(val > hi):
                 return _BranchResult(values, phases, cusps, verts, "value-box")
 
-        speed = _value_speed(model, z_new, t)
-        if speed < params.cusp_speed and len(values) > 2:
+        a = analyze_point(model, p, tol, check_leaf=False)
+        if _value_speed(a, t) < params.cusp_speed and len(values) > 2:
             cusps.append(len(values))
 
-        sig = float(_singular_values_on_leaf(model, p, tol)[0])
+        sig = float(a.sv[0])
         if sig < params.vertex_sigma:
             # landed (numerically) on a rank-0 point
             if try_vertex(len(values) - 1, p):
@@ -608,19 +595,20 @@ def trace_diagram(
     for s in rank1:
         try:
             p = refine_singular_point(model, s.point, model.n - 1, rank_tol=tol)
-            v, mu = _kernel_vector(model, p, tol)
         except TraceError:
             continue
+        a = analyze_point(model, p, tol, check_leaf=False)
+        v, mu = _kernel_vector(a)
         z0 = np.concatenate([p, v, mu])
         _, J = _rank1_residual(model, z0)
         T = _null_space(J)
         if T.shape[1] == 0:
             continue
-        speeds = [_value_speed(model, z0, T[:, i]) for i in range(T.shape[1])]
+        speeds = [_value_speed(a, T[:, i]) for i in range(T.shape[1])]
         t0 = T[:, int(np.argmax(speeds))]
 
-        fwd = _trace_branch(model, z0, t0, params, tol)
-        bwd = _trace_branch(model, z0, -t0, params, tol)
+        fwd = _trace_branch(model, z0, a, t0, params, tol)
+        bwd = _trace_branch(model, z0, a, -t0, params, tol)
         reason_f, reason_b = fwd.reason, bwd.reason
         values = list(reversed(bwd.values)) + fwd.values[1:]
         phases = list(reversed(bwd.phases)) + fwd.phases[1:]

@@ -1,6 +1,9 @@
 """Rank, linearization and Williamson type of singular points.
 
-Pipeline for a point p of an integrable model:
+Pipeline for a point p of an integrable model.  Steps 1-2 build the one
+record per point that every later step reads (`analyze_point`: leaf frame,
+component and Casimir jets, SVD of dF on the leaf, rank); the public
+functions take that record wherever they take a point.
 
 1. the leaf tangent space at p is the kernel of the Casimir differentials
    (the bivector annihilates exactly the Casimir gradients there, so this
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expr import Jet2
 from .phasespace import IntegrableModel, PhasePoint
 
 DEFAULT_TOL = 1e-8
@@ -52,6 +56,8 @@ class LeafFrame:
     basis: np.ndarray          # N x 2n_leaf, orthonormal columns
     omega: np.ndarray          # symplectic form matrix on the basis
     pi_restricted: np.ndarray  # bivector on the basis
+    bivector: np.ndarray       # ambient N x N bivector at the point
+    casimir_jets: list[Jet2]   # Casimir jets at the point
 
 
 def leaf_frame(model: IntegrableModel, p, tol: float = DEFAULT_TOL, check_leaf: bool = True) -> LeafFrame:
@@ -80,23 +86,40 @@ def leaf_frame(model: IntegrableModel, p, tol: float = DEFAULT_TOL, check_leaf: 
             f"bivector rank degenerates at this point (leaf dimension {dim_leaf})"
         )
     omega = np.linalg.inv(PiB)  # omega(v, X_f) = df forces Omega = Pi^-1 on the leaf
-    return LeafFrame(B, omega, PiB)
+    return LeafFrame(B, omega, PiB, Pi, cas)
 
 
-def _leaf_differential(model: IntegrableModel, pt, frame: LeafFrame, jets=None) -> np.ndarray:
-    jets = jets or model.component_jets(pt)
-    G = np.array([j.gradient for j in jets])
-    return G @ frame.basis
+def _numerical_rank(sv: np.ndarray, tol: float) -> int:
+    return int(np.sum(sv > tol * max(float(sv[0]), 1.0)))
+
+
+@dataclass
+class PointAnalysis:
+    """Everything the pipeline reads at one phase point, evaluated once."""
+
+    point: np.ndarray
+    frame: LeafFrame
+    jets: list[Jet2]   # component jets
+    U: np.ndarray      # full SVD of dF on the leaf basis: U diag(sv) Vt
+    sv: np.ndarray
+    Vt: np.ndarray
+    rank: int          # numerical rank of dF on the leaf tangent
+
+
+def analyze_point(model: IntegrableModel, p, tol: float = DEFAULT_TOL, check_leaf: bool = True) -> PointAnalysis:
+    """The record of p; a PointAnalysis passed as p is returned as it was built."""
+    if isinstance(p, PointAnalysis):
+        return p
+    pt = _as_array(p)
+    frame = leaf_frame(model, pt, tol, check_leaf)
+    jets = model.component_jets(pt)
+    U, sv, Vt = np.linalg.svd(np.array([j.gradient for j in jets]) @ frame.basis)
+    return PointAnalysis(pt, frame, jets, U, sv, Vt, _numerical_rank(sv, tol))
 
 
 def rank_at(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank of dF restricted to the leaf tangent space at p."""
-    pt = _as_array(p)
-    frame = leaf_frame(model, pt, tol)
-    G = _leaf_differential(model, pt, frame)
-    sv = np.linalg.svd(G, compute_uv=False)
-    scale = max(float(sv[0]), 1.0)
-    return int(np.sum(sv > tol * scale))
+    return analyze_point(model, p, tol).rank
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +140,15 @@ class Linearization:
     combo: np.ndarray | None = None  # rows: combinations of f_i used
 
 
-def _field_jacobians(model: IntegrableModel, pt, jets) -> list[np.ndarray]:
-    """Ambient Jacobians of the Hamiltonian fields X_{f_j} at pt.
+def _field_jacobians(model: IntegrableModel, a: PointAnalysis) -> list[np.ndarray]:
+    """Ambient Jacobians of the Hamiltonian fields X_{f_j} at the point.
 
     d(X_f)_k/dc_m = sum_l [ pi_kl d2f/dl dm + (d pi_kl/dc_m) df/dl ].
     """
-    Pi = model.structure.bivector_at(pt, model.params)
-    dPi = model.structure.bivector_gradients_at(pt, model.params)
+    Pi = a.frame.bivector
+    dPi = model.structure.bivector_gradients_at(a.point, model.params)
     out = []
-    for j in jets:
+    for j in a.jets:
         M = Pi @ j.hessian
         if dPi.any():
             M = M + np.einsum("klm,l->km", dPi, j.gradient)
@@ -146,20 +169,15 @@ def _invariant_residuals(mats, omega) -> tuple[float, float]:
 
 def linearize(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearization:
     """Linearizations A_j of the fields X_{f_j} on the leaf tangent basis."""
-    pt = _as_array(p)
-    frame = leaf_frame(model, pt, tol)
-    jets = model.component_jets(pt)
-    B = frame.basis
-    mats = [B.T @ M @ B for M in _field_jacobians(model, pt, jets)]
-    G = _leaf_differential(model, pt, frame, jets)
-    sv = np.linalg.svd(G, compute_uv=False)
-    r = int(np.sum(sv > tol * max(float(sv[0]), 1.0)))
-    comm, symp = _invariant_residuals(mats, frame.omega)
+    a = analyze_point(model, p, tol)
+    B = a.frame.basis
+    mats = [B.T @ M @ B for M in _field_jacobians(model, a)]
+    comm, symp = _invariant_residuals(mats, a.frame.omega)
     return Linearization(
         matrices=mats,
-        omega=frame.omega,
+        omega=a.frame.omega,
         basis=B,
-        rank=r,
+        rank=a.rank,
         n=model.n,
         reduced=False,
         commutator_norm=comm,
@@ -174,32 +192,24 @@ def reduce_at(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearizat
     leaf differential at p; their linearizations descend to ker dF / span
     of the Hamiltonian field values.
     """
-    pt = _as_array(p)
-    frame = leaf_frame(model, pt, tol)
-    jets = model.component_jets(pt)
-    B = frame.basis
-    dim = B.shape[1]
+    a = analyze_point(model, p, tol)
+    B = a.frame.basis
     n = model.n
-
-    G = _leaf_differential(model, pt, frame, jets)
-    U, sv, Vt = np.linalg.svd(G)
-    scale = max(float(sv[0]), 1.0)
-    r = int(np.sum(sv > tol * scale))
+    r = a.rank
     if r == n:
         raise ClassifyError("point is regular: nothing to reduce")
     if r == 0:
         raise ClassifyError("rank-0 point: use linearize directly")
 
     # combinations with vanishing leaf differential at p
-    U2 = U[:, r:]  # n x (n - r)
-    K = Vt[r:].T   # kernel of dF on the leaf tangent, dim - r columns
+    U2 = a.U[:, r:]  # n x (n - r)
+    K = a.Vt[r:].T   # kernel of dF on the leaf tangent, dim - r columns
 
     # span of the Hamiltonian field values (projected to the leaf basis)
-    Pi = model.structure.bivector_at(pt, model.params)
-    fields = np.array([Pi @ j.gradient for j in jets]).T  # N x n
+    fields = np.array([a.frame.bivector @ j.gradient for j in a.jets]).T  # N x n
     T = B.T @ fields
     Ut, svt, _ = np.linalg.svd(T, full_matrices=False)
-    rt = int(np.sum(svt > tol * max(float(svt[0]), 1.0)))
+    rt = _numerical_rank(svt, tol)
     if rt != r:
         raise ClassifyError(
             f"inconsistent rank: dF has rank {r} but fields span {rt} directions"
@@ -219,12 +229,12 @@ def reduce_at(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearizat
     if svw[dim_w - 1] < 0.5:
         raise ClassifyError("quotient construction failed: complement is degenerate")
 
-    mats_full = [B.T @ M @ B for M in _field_jacobians(model, pt, jets)]
+    mats_full = [B.T @ M @ B for M in _field_jacobians(model, a)]
     reduced = []
-    for a in range(n - r):
-        Ma = sum(U2[i, a] * mats_full[i] for i in range(n))
-        reduced.append(W.T @ Ma @ W)
-    omega_w = W.T @ frame.omega @ W
+    for k in range(n - r):
+        Mk = sum(U2[i, k] * mats_full[i] for i in range(n))
+        reduced.append(W.T @ Mk @ W)
+    omega_w = W.T @ a.frame.omega @ W
     comm, symp = _invariant_residuals(reduced, omega_w)
     return Linearization(
         matrices=reduced,
@@ -378,14 +388,14 @@ def is_nondegenerate(
     Nondegenerate iff the (reduced) linearizations commute, span a space
     of dimension n - r, and some combination has simple spectrum.
     """
-    pt = _as_array(p)
     diag: dict = {}
     try:
-        r = rank_at(model, pt, tol)
+        a = analyze_point(model, p, tol)
+        r = a.rank
         diag["rank"] = r
         if r == model.n:
             return NonDegeneracyVerdict("inconclusive", None, {**diag, "note": "point is regular"})
-        L = linearize(model, pt, tol) if r == 0 else reduce_at(model, pt, tol)
+        L = linearize(model, a, tol) if r == 0 else reduce_at(model, a, tol)
     except ClassifyError as exc:
         diag["error"] = str(exc)
         return NonDegeneracyVerdict("inconclusive", None, diag)
@@ -420,14 +430,12 @@ def classify_point(
     seed: int = DEFAULT_SEED,
 ) -> dict:
     """One-stop classification used by the CLI: rank plus type or verdict."""
-    pt = _as_array(p)
-    out: dict = {"point": [float(v) for v in pt], "tol": tol, "seed": seed}
-    r = rank_at(model, pt, tol)
-    out["rank"] = r
-    if r == model.n:
+    a = analyze_point(model, p, tol)
+    out: dict = {"point": [float(v) for v in a.point], "tol": tol, "seed": seed, "rank": a.rank}
+    if a.rank == model.n:
         out["status"] = "regular"
         return out
-    verdict = is_nondegenerate(model, pt, tol, attempts, seed)
+    verdict = is_nondegenerate(model, a, tol, attempts, seed)
     out["status"] = verdict.verdict
     out["diagnostics"] = {
         k: (float(v) if isinstance(v, (int, float, np.floating)) and k != "rank" else v)

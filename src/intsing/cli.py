@@ -3,7 +3,8 @@
 Subcommands: verify, classify, trace, atoms, kovalevskaya.  Every output
 is JSON with sorted keys and repr floats, so identical configurations and
 seeds produce byte-identical files; the seed and tolerances used are
-echoed into each report.
+echoed into each report.  An input file that is missing, is not JSON or
+lacks a required field gives a JSON {"error": ...} report and exit 1.
 """
 
 from __future__ import annotations
@@ -36,6 +37,23 @@ COMMUTATION_TOL = 1e-9
 JACOBI_TOL = 1e-10
 
 
+class InputError(ValueError):
+    pass
+
+
+def _read_input(path: str, load):
+    """load(path), with a missing, non-JSON or incomplete file as InputError."""
+    try:
+        return load(path)
+    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _load_product(path: str):
+    with open(path) as fh:
+        return product_from_dict(json.load(fh))
+
+
 def _emit(obj: dict, path: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if path:
@@ -55,7 +73,7 @@ def resolve_model(spec: str, g: float | None = None) -> IntegrableModel:
             raise SystemExit(f"bad canonical spec {spec!r}; want canonical:r,ke,kh,kf")
         r, ke, kh, kf = (int(x) for x in parts)
         return build_canonical(CanonicalSpec(r, ke, kh, kf))
-    return load_model(spec)
+    return _read_input(spec, load_model)
 
 
 def _parse_point(text: str, model: IntegrableModel) -> np.ndarray:
@@ -173,33 +191,28 @@ def cmd_trace(args) -> int:
 
 
 def cmd_atoms_check(args) -> int:
-    try:
-        if args.name:
-            entry = named_product(args.name)
-            if isinstance(entry, dict):
-                _emit({"name": args.name, "exception": entry, "seed": args.seed}, args.out)
-                return 0
-            product = entry
-        else:
-            with open(args.product) as fh:
-                product = product_from_dict(json.load(fh))
-        report = cross_check_criteria(product)
-        out = {
-            "name": product.name,
-            "components": [c.name for c in product.components],
-            "group": product.group.name,
-            "complexity": complexity(product),
-            "iv": report.iv,
-            "vi": report.vi,
-            "verdict": stability_verdict(product),
-            "ki_components": [k.connected_components for k in report.ki_sets],
-            "seed": args.seed,
-        }
-        _emit(out, args.out)
-        return 0
-    except AtomsError as exc:
-        _emit({"error": str(exc), "seed": args.seed}, args.out)
-        return 1
+    if args.name:
+        entry = named_product(args.name)
+        if isinstance(entry, dict):
+            _emit({"name": args.name, "exception": entry, "seed": args.seed}, args.out)
+            return 0
+        product = entry
+    else:
+        product = _read_input(args.product, _load_product)
+    report = cross_check_criteria(product)
+    out = {
+        "name": product.name,
+        "components": [c.name for c in product.components],
+        "group": product.group.name,
+        "complexity": complexity(product),
+        "iv": report.iv,
+        "vi": report.vi,
+        "verdict": stability_verdict(product),
+        "ki_components": [k.connected_components for k in report.ki_sets],
+        "seed": args.seed,
+    }
+    _emit(out, args.out)
+    return 0
 
 
 def cmd_atoms_list(args) -> int:
@@ -214,11 +227,9 @@ def cmd_atoms_list(args) -> int:
 
 
 def cmd_kovalevskaya_report(args) -> int:
-    rep = kovalevskaya_report(
-        args.g, tol=args.tol, attempts=args.attempts, seed=args.seed, with_diagram=args.diagram or bool(args.svg)
-    )
+    diagram = kovalevskaya_diagram(args.g, tol=args.tol) if args.diagram or args.svg else None
+    rep = kovalevskaya_report(args.g, tol=args.tol, attempts=args.attempts, seed=args.seed, diagram=diagram)
     if args.svg:
-        diagram = kovalevskaya_diagram(args.g, tol=args.tol)
         export_diagram(diagram, "svg", args.svg)
         rep["svg"] = args.svg
     _emit(rep, args.out)
@@ -299,7 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InputError, AtomsError) as exc:
+        _emit({"error": str(exc), "seed": args.seed}, args.out)
+        return 1
 
 
 if __name__ == "__main__":

@@ -57,8 +57,8 @@ class FiniteGroup:
 
     def homomorphisms_to_sym(self, k: int) -> list[list[tuple[int, ...]]]:
         """All homomorphisms into Sym(k), each as a list of permutation
-        tuples indexed by group element.  Exhaustive (order, k small)."""
-        return _enumerate_homs(self, k)
+        tuples indexed by group element.  Exhaustive, cached per table: do not mutate."""
+        return _enumerate_homs(tuple(map(tuple, self.table)), self.identity, k)
 
 
 def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -71,36 +71,31 @@ def _sym_elements(k: int):
     return [tuple(p) for p in permutations(range(k))]
 
 
-def _is_hom(group: FiniteGroup, images: dict[int, tuple[int, ...]]) -> bool:
-    n = group.order
+def _is_hom(table: tuple[tuple[int, ...], ...], images: dict[int, tuple[int, ...]]) -> bool:
+    n = len(table)
     return all(
-        _perm_mul(images[a], images[b]) == images[group.mul(a, b)]
+        _perm_mul(images[a], images[b]) == images[table[a][b]]
         for a in range(n)
         for b in range(n)
     )
 
 
-def _enumerate_homs(group: FiniteGroup, k: int):
-    cache = getattr(group, "_hom_cache", None)
-    if cache is None:
-        cache = {}
-        group._hom_cache = cache
-    if k in cache:
-        return cache[k]
+@lru_cache(maxsize=None)
+def _enumerate_homs(table: tuple[tuple[int, ...], ...], identity: int, k: int):
     syms = _sym_elements(k)
-    n = group.order
+    n = len(table)
     homs = []
 
     def forced_image(g: int, assigned: dict[int, tuple[int, ...]]):
         for a in assigned:
             for b in assigned:
-                if group.mul(a, b) == g:
+                if table[a][b] == g:
                     return _perm_mul(assigned[a], assigned[b])
         return None
 
     def backtrack(assigned: dict[int, tuple[int, ...]], todo: list[int]):
         if not todo:
-            if _is_hom(group, assigned):
+            if _is_hom(table, assigned):
                 homs.append([assigned[i] for i in range(n)])
             return
         g, rest = todo[0], todo[1:]
@@ -110,11 +105,11 @@ def _enumerate_homs(group: FiniteGroup, k: int):
             assigned[g] = img
             ok = True
             for a in list(assigned):
-                ab = group.mul(a, g)
+                ab = table[a][g]
                 if ab in assigned and _perm_mul(assigned[a], img) != assigned[ab]:
                     ok = False
                     break
-                ba = group.mul(g, a)
+                ba = table[g][a]
                 if ba in assigned and _perm_mul(img, assigned[a]) != assigned[ba]:
                     ok = False
                     break
@@ -122,9 +117,8 @@ def _enumerate_homs(group: FiniteGroup, k: int):
                 backtrack(assigned, rest)
             del assigned[g]
 
-    others = [g for g in range(n) if g != group.identity]
-    backtrack({group.identity: tuple(range(k))}, others)
-    cache[k] = homs
+    others = [g for g in range(n) if g != identity]
+    backtrack({identity: tuple(range(k))}, others)
     return homs
 
 

@@ -19,11 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bifurcation import BifurcationDiagram, TraceParams, diagram_to_dict
+from .bifurcation import scan_singular_points, seed_arcs_near_vertex, trace_diagram
 from .classify import (
     DEFAULT_ATTEMPTS,
     DEFAULT_SEED,
     DEFAULT_TOL,
     ClassifyError,
+    analyze_point,
     is_nondegenerate,
     linearize,
     rank_at,
@@ -157,20 +160,17 @@ def classify_vertices(
         reg = None
     entries = []
     for p in involution_fixed_points(g, certify=False):
-        r = rank_at(model, p, tol)
-        verdict = is_nondegenerate(model, p, tol=tol, attempts=attempts, seed=seed)
-        value = (
-            model.components[0].evaluate(p),
-            model.components[1].evaluate(p),
-        )
+        a = analyze_point(model, p, tol)
+        verdict = is_nondegenerate(model, a, tol=tol, attempts=attempts, seed=seed)
+        value = (a.jets[0].value, a.jets[1].value)
         if verdict.williamson is not None:
             w = verdict.williamson
             entries.append(
-                VertexEntry(p, value, r, w.triple, _TYPE_LABELS.get(w.triple, w.label()), w.gap, verdict.verdict)
+                VertexEntry(p, value, a.rank, w.triple, _TYPE_LABELS.get(w.triple, w.label()), w.gap, verdict.verdict)
             )
         else:
             gap = float(verdict.diagnostics.get("best_gap", 0.0))
-            entries.append(VertexEntry(p, value, r, None, "unclassified", gap, verdict.verdict))
+            entries.append(VertexEntry(p, value, a.rank, None, "unclassified", gap, verdict.verdict))
 
     expected = expected_vertex_types(g)
     got = sorted(e.triple for e in entries if e.triple is not None)
@@ -206,8 +206,6 @@ def kovalevskaya_diagram(
     """Bifurcation diagram of (H, K) on the leaf, seeded by the involution
     fixed points (whose arcs are traced first so vertex-adjacent branches
     survive deduplication) plus a leaf scan."""
-    from .bifurcation import TraceParams, scan_singular_points, seed_arcs_near_vertex, trace_diagram
-
     model = build_kovalevskaya(g)
     if box is None:
         box = [(-1.2, 1.2)] * 3 + [(-4.0, 4.0)] * 3
@@ -225,9 +223,10 @@ def report(
     tol: float = DEFAULT_TOL,
     attempts: int = DEFAULT_ATTEMPTS,
     seed: int = DEFAULT_SEED,
-    with_diagram: bool = False,
+    diagram: BifurcationDiagram | None = None,
 ) -> dict:
-    """Machine-readable summary: fixed points, types, regime, diagram."""
+    """Machine-readable summary: fixed points, types, regime, and the given
+    traced diagram when there is one."""
     vr = classify_vertices(g, tol=tol, attempts=attempts, seed=seed, enforce=False)
     out = {
         "g": float(g),
@@ -249,16 +248,12 @@ def report(
         "expected_types": [list(t) for t in vr.expected] if vr.expected else None,
         "matches_expected": vr.matches_expected,
     }
-    if with_diagram:
-        from .bifurcation import diagram_to_dict
-
-        d = kovalevskaya_diagram(g, tol=tol)
-        dd = diagram_to_dict(d)
-        out["diagram"] = dd
+    if diagram is not None:
+        out["diagram"] = diagram_to_dict(diagram)
         out["diagram_summary"] = {
-            "arcs": len(d.arcs),
-            "labels": sorted({a.label for a in d.arcs}),
-            "vertices": len(d.vertices),
+            "arcs": len(diagram.arcs),
+            "labels": sorted({a.label for a in diagram.arcs}),
+            "vertices": len(diagram.vertices),
         }
     return out
 

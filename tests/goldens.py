@@ -1,0 +1,152 @@
+"""Golden reports: what "same behaviour" means for a refactor.
+
+Each entry of ``SOURCES`` computes one report from the current program.  The
+files under ``tests/golden/`` hold those reports as captured at a reference
+commit; ``assert_matches`` compares a fresh report with its file.  Discrete
+fields (ints, bools, strings, None, dict keys and list lengths) must be
+identical; floats must agree to ``FLOAT_TOL``, relative or absolute.
+
+Rewrite the files only when a change is meant to alter an output:
+
+    PYTHONPATH=src python tests/goldens.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from intsing import cli
+from intsing.atoms import named_products
+from intsing.bifurcation import TraceParams, diagram_to_dict
+from intsing.canonical import build_canonical, randomized_disguise
+from intsing.classify import classify_point
+from intsing.kovalevskaya import kovalevskaya_diagram
+
+from test_classify import all_specs
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+FLOAT_TOL = 1e-9
+DISGUISES_PER_TYPE = 2
+
+
+def _cli_json(argv: list[str]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return {"exit": code, "report": json.loads(buf.getvalue())}
+
+
+def classify_disguised() -> list[dict]:
+    """`classify_point` at the marked point of seeded disguises of all 45
+    canonical types with n <= 4."""
+    out = []
+    for index, spec in enumerate(all_specs(4)):
+        model = build_canonical(spec)
+        for j in range(DISGUISES_PER_TYPE):
+            seed = DISGUISES_PER_TYPE * index + j
+            d = randomized_disguise(model, seed=seed)
+            out.append(
+                {
+                    "spec": [spec.r, spec.k_e, spec.k_h, spec.k_f],
+                    "seed": seed,
+                    "result": classify_point(d.model, d.point.coordinates),
+                }
+            )
+    return out
+
+
+def trace_canonical_1010() -> dict:
+    """`trace --model canonical:1,0,1,0 --json FILE`: the summary without the
+    file name, and the diagram the file holds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "diagram.json")
+        summary = _cli_json(["trace", "--model", "canonical:1,0,1,0", "--json", path])
+        with open(path) as fh:
+            diagram = json.load(fh)
+    del summary["report"]["files"]
+    return {"summary": summary, "diagram": diagram}
+
+
+def atoms_check_catalog() -> dict:
+    return {name: _cli_json(["atoms", "check", "--name", name]) for name in sorted(named_products())}
+
+
+def coarse_kovalevskaya_diagram():
+    """The coarse g=0.5 diagram of `test_diagram_contains_vertices`."""
+    return kovalevskaya_diagram(
+        0.5,
+        resolution=5,
+        trace_params=TraceParams(step=0.1, max_steps=120, value_box=(-6, 8), phase_bound=12.0),
+    )
+
+
+SOURCES = {
+    "classify_disguised": classify_disguised,
+    "kovalevskaya_report_g0.5": lambda: _cli_json(["kovalevskaya", "report", "--g", "0.5"]),
+    "kovalevskaya_report_g1.6": lambda: _cli_json(["kovalevskaya", "report", "--g", "1.6"]),
+    "trace_canonical_1010": trace_canonical_1010,
+    "atoms_list": lambda: _cli_json(["atoms", "list"]),
+    "atoms_check_catalog": atoms_check_catalog,
+    "kovalevskaya_diagram_coarse": lambda: diagram_to_dict(coarse_kovalevskaya_diagram()),
+}
+
+
+def _path(name: str) -> Path:
+    return GOLDEN_DIR / f"{name}.json"
+
+
+def _plain(obj):
+    """The report as JSON would carry it: tuples become lists, and so on."""
+    return json.loads(json.dumps(obj))
+
+
+def _floats_agree(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    diff = abs(a - b)
+    return diff <= FLOAT_TOL or diff <= FLOAT_TOL * max(abs(a), abs(b))
+
+
+def mismatches(got, want, path: str = "$") -> list[str]:
+    """Every difference between two JSON values that the tolerance rules reject."""
+    if isinstance(want, float) and isinstance(got, float):
+        return [] if _floats_agree(got, want) else [f"{path}: {got!r} != {want!r}"]
+    if type(got) is not type(want):
+        return [f"{path}: type {type(got).__name__} != {type(want).__name__} ({got!r} vs {want!r})"]
+    if isinstance(want, dict):
+        if set(got) != set(want):
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in sorted(want) for m in mismatches(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{path}: length {len(got)} != {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want)) for m in mismatches(g, w, f"{path}[{i}]")]
+    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+
+
+def assert_matches(got, name: str) -> None:
+    with open(_path(name)) as fh:
+        want = json.load(fh)
+    problems = mismatches(_plain(got), want)
+    assert not problems, f"{name}: {len(problems)} differences from the golden\n" + "\n".join(problems[:20])
+
+
+def capture(names=None) -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in names or SOURCES:
+        with open(_path(name), "w") as fh:
+            json.dump(_plain(SOURCES[name]()), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+
+
+if __name__ == "__main__":
+    capture(sys.argv[1:] or None)

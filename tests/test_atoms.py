@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from intsing import groups
 from intsing.atoms import (
     PAPER_COMPLEXITY_1,
     PAPER_COMPLEXITY_2_FOCUS,
@@ -177,3 +178,19 @@ def test_fiber_free_requires_vertex_free():
     g = cyclic(2)
     with pytest.raises(AtomsError, match="free on the fiber"):
         GroupAction(g, [[(0, 1), (0, 1)]], [[False, True]]).validate(comps)
+
+
+def test_homomorphisms_enumerated_once_per_table(monkeypatch):
+    calls = []
+    original = groups._perm_mul
+
+    def counting(p, q):
+        calls.append(1)
+        return original(p, q)
+
+    monkeypatch.setattr(groups, "_perm_mul", counting)
+    first = groups.group_by_name("D4").homomorphisms_to_sym(4)
+    enumerated = len(calls)
+    second = groups.group_by_name("D4").homomorphisms_to_sym(4)
+    assert second == first
+    assert len(calls) == enumerated

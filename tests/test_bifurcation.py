@@ -33,6 +33,13 @@ def test_scan_two_elliptic_has_single_rank0_seed():
     assert np.linalg.norm(rank0[0].point) <= 1e-9
 
 
+def test_scan_leaves_params_unchanged():
+    m = build_canonical(CanonicalSpec(1, 0, 1, 0))
+    params = ScanParams(seed=3)
+    scan_singular_points(m, [(-1, 1)] * 4, resolution=3, params=params)
+    assert params == ScanParams(seed=3)
+
+
 def test_scan_finds_rank1_family_on_axis():
     m = build_canonical(CanonicalSpec(1, 0, 1, 0))
     seeds = scan_singular_points(m, [(-1, 1)] * 4, resolution=7)

@@ -5,6 +5,7 @@ from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguis
 from intsing.classify import (
     ClassifyError,
     DegenerateReport,
+    classify_point,
     is_nondegenerate,
     linearize,
     rank_at,
@@ -205,3 +206,19 @@ def test_round_trip_small(spec):
         w = williamson_type(L)
         assert hasattr(w, "triple"), f"degenerate report for {spec}"
         assert w.triple == (spec.k_e, spec.k_h, spec.k_f)
+
+
+@pytest.mark.parametrize("spec", [CanonicalSpec(0, 1, 0, 1), CanonicalSpec(1, 1, 1, 0)])
+def test_classify_point_evaluates_jets_once(spec, monkeypatch):
+    d = randomized_disguise(build_canonical(spec), seed=5)
+    calls = []
+    original = IntegrableModel.component_jets
+
+    def counting(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(IntegrableModel, "component_jets", counting)
+    out = classify_point(d.model, d.point)
+    assert out["rank"] == spec.r
+    assert len(calls) == 1

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from intsing import bifurcation, kovalevskaya
 from intsing.cli import main
 
 
@@ -183,3 +184,54 @@ def test_reports_are_byte_identical(capsys):
     _, v1 = run_cli(["verify", "--model", "kovalevskaya", "--g", "0.5", "--samples", "100"], capsys)
     _, v2 = run_cli(["verify", "--model", "kovalevskaya", "--g", "0.5", "--samples", "100"], capsys)
     assert v1 == v2
+
+
+def test_kovalevskaya_report_svg_traces_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(kovalevskaya, "scan_singular_points", lambda *a, **k: [])
+    monkeypatch.setattr(kovalevskaya, "seed_arcs_near_vertex", lambda *a, **k: [])
+    traced = []
+
+    def counting(*args, **kwargs):
+        traced.append(1)
+        return bifurcation.trace_diagram(*args, **kwargs)
+
+    monkeypatch.setattr(kovalevskaya, "trace_diagram", counting)
+    svg = tmp_path / "d.svg"
+    code, out = run_cli(["kovalevskaya", "report", "--g", "0.5", "--svg", str(svg)], capsys)
+    assert code == 0
+    assert len(traced) == 1
+    report = json.loads(out)
+    assert report["svg"] == str(svg) and report["diagram_summary"]["arcs"] == 0
+    assert svg.read_text().startswith("<svg")
+
+
+MODEL_FAULTS = {
+    "missing": None,
+    "not-json": "{coordinates: [x, y]",
+    "no-components": json.dumps(
+        {"coordinates": ["x", "y"], "parameters": {}, "structure": "canonical", "casimirs": []}
+    ),
+}
+MODEL_COMMANDS = {
+    "verify": ["verify", "--samples", "5"],
+    "classify": ["classify", "--point", ""],
+    "trace": ["trace", "--resolution", "3"],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MODEL_FAULTS))
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+def test_bad_model_file_is_a_json_error(command, fault, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    if MODEL_FAULTS[fault] is not None:
+        path.write_text(MODEL_FAULTS[fault])
+    code, out = run_cli(MODEL_COMMANDS[command] + ["--model", str(path)], capsys)
+    assert code == 1
+    assert str(path) in json.loads(out)["error"]
+
+
+def test_missing_product_file_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    code, out = run_cli(["atoms", "check", "--product", str(path)], capsys)
+    assert code == 1
+    assert str(path) in json.loads(out)["error"]

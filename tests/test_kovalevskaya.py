@@ -18,6 +18,8 @@ from intsing.kovalevskaya import (
 )
 from intsing.phasespace import check_commutation
 
+import goldens
+
 
 def test_bracket_convention():
     m = build_kovalevskaya(0.5)
@@ -141,14 +143,10 @@ def test_degenerate_at_threshold_with_coarse_tol():
 
 
 def test_diagram_contains_vertices():
-    from intsing.bifurcation import TraceParams
-    from intsing.kovalevskaya import kovalevskaya_diagram
+    from intsing.bifurcation import diagram_to_dict
 
-    d = kovalevskaya_diagram(
-        0.5,
-        resolution=5,
-        trace_params=TraceParams(step=0.1, max_steps=120, value_box=(-6, 8), phase_bound=12.0),
-    )
+    d = goldens.coarse_kovalevskaya_diagram()
+    goldens.assert_matches(diagram_to_dict(d), "kovalevskaya_diagram_coarse")
     pts = d.all_arc_values()
     for target in vertex_values(0.5):
         assert np.min(np.linalg.norm(pts - np.array(target), axis=1)) <= 0.1
