@@ -580,29 +580,33 @@ def consistency_suite() -> dict:
 
 
 def product_from_dict(d: dict) -> AlmostDirectProduct:
-    comps = [atom(n) for n in d["components"]]
-    group = group_from_dict(d["group"])
-    label_index = {lab: i for i, lab in enumerate(group.labels)}
-    perms: list[list[tuple[int, ...]]] = []
-    fiber_free: list[list[bool] | None] = []
-    for c, comp in enumerate(comps):
-        centry = d["action"][c]
-        row = [None] * group.order
-        for lab, perm in centry["perms"].items():
-            row[label_index[lab]] = tuple(perm)
-        if any(p is None for p in row):
-            raise AtomsError(f"component {comp.name}: permutation missing for some element")
-        perms.append(row)
-        ff = centry.get("fiber_free")
-        if ff is None:
-            fiber_free.append(None)
-        else:
-            flags = [False] * group.order
-            for lab, val in ff.items():
-                flags[label_index[lab]] = bool(val)
-            fiber_free.append(flags)
-    action = make_action(group, comps, perms, fiber_free)
-    return AlmostDirectProduct(comps, action, d.get("name", ""))
+    """The product of a `product_to_dict` document; AtomsError when it has another shape."""
+    try:
+        comps = [atom(n) for n in d["components"]]
+        group = group_from_dict(d["group"])
+        label_index = {lab: i for i, lab in enumerate(group.labels)}
+        perms: list[list[tuple[int, ...]]] = []
+        fiber_free: list[list[bool] | None] = []
+        for c, comp in enumerate(comps):
+            centry = d["action"][c]
+            row = [None] * group.order
+            for lab, perm in centry["perms"].items():
+                row[label_index[lab]] = tuple(perm)
+            if any(p is None for p in row):
+                raise AtomsError(f"component {comp.name}: permutation missing for some element")
+            perms.append(row)
+            ff = centry.get("fiber_free")
+            if ff is None:
+                fiber_free.append(None)
+            else:
+                flags = [False] * group.order
+                for lab, val in ff.items():
+                    flags[label_index[lab]] = bool(val)
+                fiber_free.append(flags)
+        action = make_action(group, comps, perms, fiber_free)
+        return AlmostDirectProduct(comps, action, d.get("name", ""))
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise AtomsError(f"not a product document: {exc}") from exc
 
 
 def product_to_dict(p: AlmostDirectProduct) -> dict:

@@ -91,32 +91,29 @@ class BifurcationDiagram:
 # ---------------------------------------------------------------------------
 
 
-def _leaf_project(model: IntegrableModel, p0: np.ndarray, tol: float = 1e-12, max_iter: int = 30):
-    """Gauss-Newton projection onto the Casimir constraint levels."""
+def _leaf_project(model: IntegrableModel, p0, tol: float = DEFAULT_TOL) -> PointAnalysis:
+    """Gauss-Newton projection onto the Casimir levels: the last iterate's record."""
+    a = p0 if isinstance(p0, PointAnalysis) else PointAnalysis(model, p0, tol)
     if not model.structure.casimirs:
-        return np.asarray(p0, dtype=float)
-    p = np.asarray(p0, dtype=float).copy()
-    targets = np.asarray(model.leaf_values)
-    for _ in range(max_iter):
-        jets = model.casimir_jets(p)
-        res = np.array([j.value for j in jets]) - targets
-        if np.max(np.abs(res)) < tol:
-            return p
-        J = np.array([j.gradient for j in jets])
+        return a
+    for _ in range(30):
+        res = np.array([j.value for j in a.cjets]) - np.asarray(model.leaf_values)
+        if np.max(np.abs(res)) < 1e-12:
+            return a
+        J = np.array([j.gradient for j in a.cjets])
         step, *_ = np.linalg.lstsq(J, -res, rcond=None)
-        p = p + step
+        p = a.point + step
         if not np.all(np.isfinite(p)):
             raise RefineDivergence("leaf projection blew up")
+        a = PointAnalysis(model, p, tol)
     raise RefineDivergence("leaf projection did not converge")
 
 
-def _rank1_residual(model: IntegrableModel, z: np.ndarray):
-    """Residual and Jacobian of the kernel-augmented rank-1 system."""
-    N, n = model.dim, model.n
-    nc = len(model.structure.casimirs)
-    p, v, mu = z[:N], z[N : N + n], z[N + n :]
-    jets = model.component_jets(p)
-    cjets = model.casimir_jets(p)
+def _rank1_residual(a: PointAnalysis, z: np.ndarray):
+    """Residual and Jacobian of the kernel-augmented rank-1 system at z = (a.point, v, mu)."""
+    model, jets, cjets = a.model, a.jets, a.cjets
+    N, n, nc = model.dim, model.n, len(cjets)
+    v, mu = z[N : N + n], z[N + n :]
 
     grad_rows = np.zeros(N)
     hess_sum = np.zeros((N, N))
@@ -145,17 +142,14 @@ def _rank1_residual(model: IntegrableModel, z: np.ndarray):
     return res, J
 
 
-def _rank0_residual(model: IntegrableModel, z: np.ndarray):
+def _rank0_residual(a: PointAnalysis, z: np.ndarray):
     """Residual/Jacobian for all momentum differentials vanishing on the leaf.
 
-    Unknowns: point p plus one multiplier row per (component, Casimir).
+    Unknowns z: the point a.point plus one multiplier row per (component, Casimir).
     """
-    N, n = model.dim, model.n
-    nc = len(model.structure.casimirs)
-    p = z[:N]
-    mus = z[N:].reshape(n, nc) if nc else np.zeros((n, 0))
-    jets = model.component_jets(p)
-    cjets = model.casimir_jets(p)
+    model, jets, cjets = a.model, a.jets, a.cjets
+    N, n, nc = model.dim, model.n, len(cjets)
+    mus = z[N:].reshape(n, nc)
 
     rows = []
     for i, j in enumerate(jets):
@@ -178,17 +172,18 @@ def _rank0_residual(model: IntegrableModel, z: np.ndarray):
     return res, J
 
 
+def _multipliers(a: PointAnalysis, grad: np.ndarray) -> np.ndarray:
+    """Least-squares mu with grad + sum_j mu_j grad C_j = 0 on the Casimirs of a."""
+    if not a.cjets:
+        return np.zeros(0)
+    mu, *_ = np.linalg.lstsq(np.array([j.gradient for j in a.cjets]).T, -grad, rcond=None)
+    return mu
+
+
 def _kernel_vector(a: PointAnalysis):
     """Left null vector of dF on the leaf plus least-squares multipliers."""
     v = a.U[:, -1]
-    grad = sum(vi * j.gradient for vi, j in zip(v, a.jets))
-    cjets = a.frame.casimir_jets
-    if cjets:
-        Q = np.array([j.gradient for j in cjets]).T
-        mu, *_ = np.linalg.lstsq(Q, -grad, rcond=None)
-    else:
-        mu = np.zeros(0)
-    return v, mu
+    return v, _multipliers(a, sum(vi * j.gradient for vi, j in zip(v, a.jets)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,33 +199,27 @@ def refine_singular_point(
     rank_tol: float = DEFAULT_TOL,
     max_iter: int = 60,
 ) -> np.ndarray:
-    """Newton-polish a seed onto the rank-`target_rank` locus and certify it."""
-    p0 = seed.point if isinstance(seed, SingularSeed) else np.asarray(seed, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
+    """Newton-polish a seed (a point, SingularSeed or PointAnalysis) onto the
+    rank-`target_rank` locus and certify the rank on the last iterate's record
+    (the residual holds the Casimir rows, so that point is on its leaf)."""
+    p0 = seed.point if isinstance(seed, SingularSeed) else seed
+    a = p0 if isinstance(p0, PointAnalysis) else PointAnalysis(model, p0, rank_tol)
     N, n = model.dim, model.n
-    nc = len(model.structure.casimirs)
 
     if target_rank == 0:
-        z = np.concatenate([p0, np.zeros(n * nc)])
-        if nc:
-            jets = model.component_jets(p0)
-            cjets = model.casimir_jets(p0)
-            Q = np.array([j.gradient for j in cjets]).T
-            for i, j in enumerate(jets):
-                mu, *_ = np.linalg.lstsq(Q, -j.gradient, rcond=None)
-                z[N + i * nc : N + (i + 1) * nc] = mu
+        z = np.concatenate([a.point] + [_multipliers(a, j.gradient) for j in a.jets])
         residual_fn = _rank0_residual
     elif target_rank == n - 1:
-        p0 = _leaf_project(model, p0)
-        v, mu = _kernel_vector(analyze_point(model, p0, rank_tol, check_leaf=False))
-        z = np.concatenate([p0, v, mu])
+        a = _leaf_project(model, a, rank_tol)
+        v, mu = _kernel_vector(a)
+        z = np.concatenate([a.point, v, mu])
         residual_fn = _rank1_residual
     else:
         raise ValueError("refinement supports target rank 0 or n-1 only")
 
     best = np.inf
     for _ in range(max_iter):
-        res, J = residual_fn(model, z)
+        res, J = residual_fn(a, z)
         norm = float(np.linalg.norm(res))
         if norm <= tol:
             break
@@ -241,14 +230,15 @@ def refine_singular_point(
             raise RefineDivergence(f"Newton diverged (residual {norm:.3e})")
         best = min(best, norm)
         z = z + step
+        if not np.array_equal(z[:N], a.point):  # a step that moves only v, mu keeps the record
+            a = PointAnalysis(model, z[:N], rank_tol)
     else:
         raise RefineDivergence(f"no convergence after {max_iter} iterations (residual {best:.3e})")
 
-    p = z[:N]
-    r = rank_at(model, p, rank_tol)
+    r = rank_at(model, a, rank_tol)
     if r != target_rank:
         raise RankCertificationError(f"refined point has rank {r}, wanted {target_rank}")
-    return p
+    return z[:N]
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +283,12 @@ def scan_singular_points(
     scored = []
     for raw in samples:
         try:
-            p = _leaf_project(model, raw)
-        except RefineDivergence:
-            continue
-        try:
-            sv = analyze_point(model, p, tol, check_leaf=False).sv
-        except ClassifyError:
+            a = _leaf_project(model, raw, tol)
+            sv = a.sv
+        except (RefineDivergence, ClassifyError):
             continue
         scale = max(float(sv[0]), 1.0)
-        scored.append((float(sv[-1]) / scale, float(sv[0]), p))
+        scored.append((float(sv[-1]) / scale, float(sv[0]), a.point))  # a record holds ~5 kB
     seeds: list[SingularSeed] = []
 
     def push(point: np.ndarray, r: int):
@@ -360,26 +347,28 @@ def _null_space(J: np.ndarray, rel: float = 1e-7) -> np.ndarray:
     return Vt[small].T
 
 
-def _corrector(model, z, tangent, z_pred, params: TraceParams):
+def _corrector(model, z, tangent, z_pred, params: TraceParams, tol):
+    """Newton onto the rank-1 system and the arclength condition: (z, z's record, iterations)."""
     for it in range(params.corrector_iters):
-        res, J = _rank1_residual(model, z)
+        a = PointAnalysis(model, z[: model.dim], tol)
+        res, J = _rank1_residual(a, z)
         aug = np.concatenate([res, [tangent @ (z - z_pred)]])
         if np.linalg.norm(aug) <= params.corrector_tol:
-            return z, it
+            return z, a, it
         Jaug = np.vstack([J, tangent[None, :]])
         step, *_ = np.linalg.lstsq(Jaug, -aug, rcond=None)
         z = z + step
         if not np.all(np.isfinite(z)):
-            return None, it
-    res, _ = _rank1_residual(model, z)
+            return None, None, it
+    a = PointAnalysis(model, z[: model.dim], tol)
+    res, _ = _rank1_residual(a, z)
     if np.linalg.norm(res) <= 10 * params.corrector_tol:
-        return z, params.corrector_iters
-    return None, params.corrector_iters
+        return z, a, params.corrector_iters
+    return None, None, params.corrector_iters
 
 
 def _value_speed(a: PointAnalysis, direction) -> float:
-    G = np.array([j.gradient for j in a.jets])
-    return float(np.linalg.norm(G @ direction[: len(a.point)]))
+    return float(np.linalg.norm(np.array([j.gradient for j in a.jets]) @ direction[: len(a.point)]))
 
 
 @dataclass
@@ -394,11 +383,11 @@ class _BranchResult:
 def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, tol) -> _BranchResult:
     """One continuation run from z0 (its point analysed in a0) along direction."""
     N = model.dim
-    values = [model.momentum_value(z0[:N])]
+    values = [a0.value]
     phases = [z0[:N].copy()]
     cusps: list[int] = []
     verts: list[tuple[int, np.ndarray]] = []
-    z = z0.copy()
+    z, a = z0.copy(), a0
     t_prev = direction
     h = params.step
     steps = 0
@@ -407,18 +396,15 @@ def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, 
     sig_falling = False
     attempt_sigma = max(10.0 * params.step, 0.5)
 
-    def near_known_vertex(p):
-        return any(np.linalg.norm(p - vp) < 3.0 * params.step for _, vp in verts)
-
-    def try_vertex(idx: int, p_near: np.ndarray) -> bool:
+    def try_vertex(idx: int, near: PointAnalysis) -> bool:
         """Polish a sigma-minimum onto the rank-0 locus and stitch it in."""
-        if near_known_vertex(p_near):
-            return False
+        if any(np.linalg.norm(near.point - vp) < 3.0 * params.step for _, vp in verts):
+            return False  # near a known vertex
         try:
-            pv = refine_singular_point(model, p_near, 0, rank_tol=tol, max_iter=30)
+            pv = refine_singular_point(model, near, 0, rank_tol=tol, max_iter=30)
         except TraceError:
             return False
-        if np.linalg.norm(pv - p_near) > max(4.0 * params.step, 0.4):
+        if np.linalg.norm(pv - near.point) > max(4.0 * params.step, 0.4):
             return False  # converged to a faraway vertex, not a local pass
         pos = idx + 1
         values.insert(pos, model.momentum_value(pv))
@@ -430,7 +416,7 @@ def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, 
         return True
 
     while steps < params.max_steps:
-        _, J = _rank1_residual(model, z)
+        _, J = _rank1_residual(a, z)
         T = _null_space(J)
         coeff = T.T @ t_prev
         if np.linalg.norm(coeff) < 1e-10:
@@ -439,7 +425,7 @@ def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, 
             t = T @ coeff
             t /= np.linalg.norm(t)
         z_pred = z + h * t
-        z_new, iters = _corrector(model, z_pred.copy(), t, z_pred, params)
+        z_new, a_new, iters = _corrector(model, z_pred.copy(), t, z_pred, params, tol)
         if z_new is not None and np.linalg.norm(z_new - z_pred) > 2.0 * h:
             z_new = None  # corrector hopped onto a different branch
         if z_new is None:
@@ -453,25 +439,24 @@ def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, 
         p = z_new[:N]
         if np.linalg.norm(p) > params.phase_bound:
             return _BranchResult(values, phases, cusps, verts, "phase-bound")
-        val = model.momentum_value(p)
+        val = a_new.value
         if params.value_box is not None:
             lo, hi = params.value_box
             if np.any(val < lo) or np.any(val > hi):
                 return _BranchResult(values, phases, cusps, verts, "value-box")
 
-        a = analyze_point(model, p, tol, check_leaf=False)
-        if _value_speed(a, t) < params.cusp_speed and len(values) > 2:
+        if _value_speed(a_new, t) < params.cusp_speed and len(values) > 2:
             cusps.append(len(values))
 
-        sig = float(a.sv[0])
+        sig = float(a_new.sv[0])
         if sig < params.vertex_sigma:
             # landed (numerically) on a rank-0 point
-            if try_vertex(len(values) - 1, p):
+            if try_vertex(len(values) - 1, a_new):
                 return _BranchResult(values, phases, cusps, verts, "vertex")
             return _BranchResult(values, phases, cusps, verts, "rank-collapse")
         if sig_falling and sig > sig_prev and sig_prev < attempt_sigma:
-            # passed a local minimum of |dF| one step ago: likely a vertex
-            try_vertex(len(values) - 1, phases[-1])
+            # passed a local minimum of |dF| one step ago (at a's point): likely a vertex
+            try_vertex(len(values) - 1, a)
         sig_falling = sig < sig_prev
         sig_prev = sig
 
@@ -480,7 +465,7 @@ def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, 
         if steps > 10 and np.linalg.norm(p - z0[:N]) < 0.5 * params.step:
             return _BranchResult(values, phases, cusps, verts, "closed-loop")
         t_prev = t
-        z = z_new
+        z, a = z_new, a_new
         steps += 1
     return _BranchResult(values, phases, cusps, verts, "max-steps")
 
@@ -567,8 +552,6 @@ def trace_diagram(
     params = params or TraceParams()
     rank1 = [s for s in seeds if s.rank == model.n - 1]
     rank0 = [s for s in seeds if s.rank == 0]
-    if not rank1 and not rank0:
-        return BifurcationDiagram([], [], [])
 
     vertices: list[Vertex] = []
 
@@ -600,10 +583,8 @@ def trace_diagram(
         a = analyze_point(model, p, tol, check_leaf=False)
         v, mu = _kernel_vector(a)
         z0 = np.concatenate([p, v, mu])
-        _, J = _rank1_residual(model, z0)
-        T = _null_space(J)
-        if T.shape[1] == 0:
-            continue
+        _, J = _rank1_residual(a, z0)
+        T = _null_space(J)  # at least one column
         speeds = [_value_speed(a, T[:, i]) for i in range(T.shape[1])]
         t0 = T[:, int(np.argmax(speeds))]
 
@@ -711,7 +692,6 @@ def seed_arcs_near_vertex(
             for sign in (1.0, -1.0):
                 probe = vertex_point + sign * delta * (L.basis @ (u / nu))
                 try:
-                    probe = _leaf_project(model, probe)
                     p1 = refine_singular_point(model, probe, model.n - 1, rank_tol=tol)
                 except TraceError:
                     continue

@@ -1,9 +1,11 @@
 """Rank, linearization and Williamson type of singular points.
 
-Pipeline for a point p of an integrable model.  Steps 1-2 build the one
-record per point that every later step reads (`analyze_point`: leaf frame,
-component and Casimir jets, SVD of dF on the leaf, rank); the public
-functions take that record wherever they take a point.
+Pipeline for a point p of an integrable model.  Every step reads one record
+per point, `PointAnalysis`, which evaluates each part once, on first use: the
+component and Casimir jets, the leaf frame built from those Casimir jets, the
+SVD of dF on the leaf and the rank.  The public functions take the record
+wherever they take a point, and scan, refinement and continuation in
+`bifurcation` hand each iterate's record on to the next step.
 
 1. the leaf tangent space at p is the kernel of the Casimir differentials
    (the bivector annihilates exactly the Casimir gradients there, so this
@@ -23,6 +25,7 @@ evidence of degeneracy and is reported as such, never as a crash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,10 +45,6 @@ class OffLeafError(ClassifyError):
     pass
 
 
-def _as_array(p) -> np.ndarray:
-    return p.coordinates if isinstance(p, PhasePoint) else np.asarray(p, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Leaf tangent geometry
 # ---------------------------------------------------------------------------
@@ -61,23 +60,22 @@ class LeafFrame:
 
 
 def leaf_frame(model: IntegrableModel, p, tol: float = DEFAULT_TOL, check_leaf: bool = True) -> LeafFrame:
-    pt = _as_array(p)
-    if check_leaf and model.leaf_residual(pt) > 1e-6:
-        raise OffLeafError(
-            f"point is off the leaf: max Casimir residual {model.leaf_residual(pt):.3e}"
-        )
-    N = model.dim
-    cas = model.casimir_jets(pt)
+    """Leaf tangent frame at p, built from the Casimir jets of p's record."""
+    a = p if isinstance(p, PointAnalysis) else PointAnalysis(model, p, tol)
+    if check_leaf:
+        residual = max((abs(j.value - c) for j, c in zip(a.cjets, model.leaf_values)), default=0.0)
+        if residual > 1e-6:
+            raise OffLeafError(f"point is off the leaf: max Casimir residual {residual:.3e}")
+    cas = a.cjets
     if cas:
         Q = np.array([j.gradient for j in cas])
         _, sv, Vt = np.linalg.svd(Q)
-        ncas = len(cas)
         if sv[-1] <= tol * max(sv[0], 1.0):
             raise ClassifyError("Casimir differentials are dependent at this point")
-        B = Vt[ncas:].T
+        B = Vt[len(cas):].T
     else:
-        B = np.eye(N)
-    Pi = model.structure.bivector_at(pt, model.params)
+        B = np.eye(model.dim)
+    Pi = model.structure.bivector_at(a.point, model.params)
     PiB = B.T @ Pi @ B
     dim_leaf = B.shape[1]
     sv = np.linalg.svd(PiB, compute_uv=False)
@@ -93,28 +91,33 @@ def _numerical_rank(sv: np.ndarray, tol: float) -> int:
     return int(np.sum(sv > tol * max(float(sv[0]), 1.0)))
 
 
-@dataclass
 class PointAnalysis:
-    """Everything the pipeline reads at one phase point, evaluated once."""
+    """Everything the pipeline reads at one phase point, each part evaluated
+    once, on first use: a Newton iterate that reads only jets builds no frame."""
 
-    point: np.ndarray
-    frame: LeafFrame
-    jets: list[Jet2]   # component jets
-    U: np.ndarray      # full SVD of dF on the leaf basis: U diag(sv) Vt
-    sv: np.ndarray
-    Vt: np.ndarray
-    rank: int          # numerical rank of dF on the leaf tangent
+    def __init__(self, model: IntegrableModel, p, tol: float = DEFAULT_TOL):
+        self.model, self.tol = model, tol  # tol: rank tolerance of the frame and of `rank`
+        self.point = p.coordinates if isinstance(p, PhasePoint) else np.asarray(p, dtype=float)
+
+    jets = cached_property(lambda self: self.model.component_jets(self.point))
+    cjets = cached_property(lambda self: self.model.casimir_jets(self.point))  # Casimir jets
+    frame = cached_property(lambda self: leaf_frame(self.model, self, self.tol, check_leaf=False))
+    # full SVD of dF on the leaf basis: U diag(sv) Vt
+    svd = cached_property(lambda self: np.linalg.svd(np.array([j.gradient for j in self.jets]) @ self.frame.basis))
+    U = property(lambda self: self.svd[0])
+    sv = property(lambda self: self.svd[1])
+    Vt = property(lambda self: self.svd[2])
+    rank = property(lambda self: _numerical_rank(self.sv, self.tol))  # of dF on the leaf tangent
+    value = property(lambda self: np.array([j.value for j in self.jets]))  # momentum_value's bits on polynomials
 
 
 def analyze_point(model: IntegrableModel, p, tol: float = DEFAULT_TOL, check_leaf: bool = True) -> PointAnalysis:
-    """The record of p; a PointAnalysis passed as p is returned as it was built."""
+    """The record of p, its frame built here (an off-leaf or degenerate p raises); a record is returned as is."""
     if isinstance(p, PointAnalysis):
         return p
-    pt = _as_array(p)
-    frame = leaf_frame(model, pt, tol, check_leaf)
-    jets = model.component_jets(pt)
-    U, sv, Vt = np.linalg.svd(np.array([j.gradient for j in jets]) @ frame.basis)
-    return PointAnalysis(pt, frame, jets, U, sv, Vt, _numerical_rank(sv, tol))
+    a = PointAnalysis(model, p, tol)
+    a.frame = leaf_frame(model, a, tol, check_leaf)
+    return a
 
 
 def rank_at(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> int:

@@ -3,8 +3,8 @@
 Subcommands: verify, classify, trace, atoms, kovalevskaya.  Every output
 is JSON with sorted keys and repr floats, so identical configurations and
 seeds produce byte-identical files; the seed and tolerances used are
-echoed into each report.  An input file that is missing, is not JSON or
-lacks a required field gives a JSON {"error": ...} report and exit 1.
+echoed into each report.  A malformed input file or option value gives a
+JSON {"error": ...} report and exit 1.
 """
 
 from __future__ import annotations
@@ -42,11 +42,19 @@ class InputError(ValueError):
 
 
 def _read_input(path: str, load):
-    """load(path), with a missing, non-JSON or incomplete file as InputError."""
+    """load(path), with a file that is missing, not JSON or not a model or product
+    (KeyError, or ValueError: JSONDecodeError, ModelError, ParseError, AtomsError) as InputError."""
     try:
         return load(path)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _number(text: str, option: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InputError(f"{option}: {text!r} is not a number") from None
 
 
 def _load_product(path: str):
@@ -68,11 +76,11 @@ def resolve_model(spec: str, g: float | None = None) -> IntegrableModel:
     if spec == "kovalevskaya":
         return build_kovalevskaya(0.0 if g is None else g)
     if spec.startswith("canonical:"):
-        parts = spec.split(":", 1)[1].split(",")
-        if len(parts) != 4:
-            raise SystemExit(f"bad canonical spec {spec!r}; want canonical:r,ke,kh,kf")
-        r, ke, kh, kf = (int(x) for x in parts)
-        return build_canonical(CanonicalSpec(r, ke, kh, kf))
+        try:
+            counts = CanonicalSpec(*(int(x) for x in spec.split(":", 1)[1].split(",")))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad canonical spec {spec!r}; want canonical:r,ke,kh,kf ({exc})") from None
+        return build_canonical(counts)
     return _read_input(spec, load_model)
 
 
@@ -83,8 +91,8 @@ def _parse_point(text: str, model: IntegrableModel) -> np.ndarray:
             name, _, valtext = item.partition("=")
             name = name.strip()
             if name not in model.coords:
-                raise SystemExit(f"unknown coordinate {name!r}; model has {model.coords}")
-            out[model.coords.index(name)] = float(valtext)
+                raise InputError(f"unknown coordinate {name!r}; model has {model.coords}")
+            out[model.coords.index(name)] = _number(valtext, "--point")
     return out
 
 
@@ -101,11 +109,11 @@ def _parse_box(text: str | None, model: IntegrableModel):
     pairs = []
     for part in text.split(","):
         lo, _, hi = part.partition(":")
-        pairs.append((float(lo), float(hi)))
+        pairs.append((_number(lo, "--box"), _number(hi, "--box")))
     if len(pairs) == 1:
         return pairs * model.dim
     if len(pairs) != model.dim:
-        raise SystemExit(f"--box needs 1 or {model.dim} lo:hi pairs, got {len(pairs)}")
+        raise InputError(f"--box needs 1 or {model.dim} lo:hi pairs, got {len(pairs)}")
     return pairs
 
 

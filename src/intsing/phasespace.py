@@ -391,46 +391,50 @@ def model_to_dict(model: IntegrableModel) -> dict:
 
 
 def model_from_dict(d: dict) -> IntegrableModel:
-    coords = tuple(d["coordinates"])
-    params = dict(d.get("parameters", {}))
-    pnames = tuple(sorted(params))
-    casimir_entries = d.get("casimirs", [])
-    casimirs = [parse(c["expr"], coords, pnames) for c in casimir_entries]
-    leaf_values = [float(c["value"]) for c in casimir_entries]
+    """The model of a `model_to_dict` document; ModelError when it has another shape."""
+    try:
+        coords = tuple(d["coordinates"])
+        params = dict(d.get("parameters", {}))
+        pnames = tuple(sorted(params))
+        casimir_entries = d.get("casimirs", [])
+        casimirs = [parse(c["expr"], coords, pnames) for c in casimir_entries]
+        leaf_values = [float(c["value"]) for c in casimir_entries]
 
-    structure_spec = d.get("structure", "canonical")
-    if structure_spec == "canonical":
-        if len(coords) % 2:
-            raise ModelError("canonical chart needs an even number of coordinates")
-        pairs = [(coords[2 * k], coords[2 * k + 1]) for k in range(len(coords) // 2)]
-        st = PoissonStructure.canonical_chart(pairs, pnames)
-        st = PoissonStructure(coords, st.entries, casimirs=casimirs, canonical=True)
-    else:
-        zero = constant(0, coords, pnames)
-        entries = [[zero] * len(coords) for _ in range(len(coords))]
-        index = {c: i for i, c in enumerate(coords)}
-        for item in structure_spec["bivector"]:
-            i, j = index[item["i"]], index[item["j"]]
-            e = parse(item["expr"], coords, pnames)
-            entries[i][j] = e
-            entries[j][i] = -e
-        st = PoissonStructure(coords, entries, casimirs=casimirs)
+        structure_spec = d.get("structure", "canonical")
+        if structure_spec == "canonical":
+            if len(coords) % 2:
+                raise ModelError("canonical chart needs an even number of coordinates")
+            pairs = [(coords[2 * k], coords[2 * k + 1]) for k in range(len(coords) // 2)]
+            st = PoissonStructure.canonical_chart(pairs, pnames)
+            st = PoissonStructure(coords, st.entries, casimirs=casimirs, canonical=True)
+        else:
+            zero = constant(0, coords, pnames)
+            entries = [[zero] * len(coords) for _ in range(len(coords))]
+            index = {c: i for i, c in enumerate(coords)}
+            for item in structure_spec["bivector"]:
+                i, j = index[item["i"]], index[item["j"]]
+                e = parse(item["expr"], coords, pnames)
+                entries[i][j] = e
+                entries[j][i] = -e
+            st = PoissonStructure(coords, entries, casimirs=casimirs)
 
-    canonical_spec = None
-    if "canonical" in d:
-        from .canonical import CanonicalSpec
+        canonical_spec = None
+        if "canonical" in d:
+            from .canonical import CanonicalSpec
 
-        cs = d["canonical"]
-        canonical_spec = CanonicalSpec(cs["r"], cs["ke"], cs["kh"], cs["kf"])
+            cs = d["canonical"]
+            canonical_spec = CanonicalSpec(cs["r"], cs["ke"], cs["kh"], cs["kf"])
 
-    return IntegrableModel(
-        st,
-        [parse(src, coords, pnames) for src in d["components"]],
-        leaf_values=leaf_values,
-        params=params,
-        name=d.get("name", ""),
-        canonical_spec=canonical_spec,
-    )
+        return IntegrableModel(
+            st,
+            [parse(src, coords, pnames) for src in d["components"]],
+            leaf_values=leaf_values,
+            params=params,
+            name=d.get("name", ""),
+            canonical_spec=canonical_spec,
+        )
+    except (TypeError, AttributeError) as exc:  # a list, or a number where a list belongs
+        raise ModelError(f"not a model document: {exc}") from exc
 
 
 def save_model(model: IntegrableModel, path: str) -> None:

@@ -87,6 +87,18 @@ def coarse_kovalevskaya_diagram():
     )
 
 
+CRITERION_3_STEP = 0.08
+
+
+def criterion_3_kovalevskaya_diagram(g: float):
+    """A resolution-6 diagram of `test_criterion_3_vertex_values_on_diagram`."""
+    return kovalevskaya_diagram(
+        g,
+        resolution=6,
+        trace_params=TraceParams(step=CRITERION_3_STEP, max_steps=200, value_box=(-6, 8), phase_bound=12.0),
+    )
+
+
 SOURCES = {
     "classify_disguised": classify_disguised,
     "kovalevskaya_report_g0.5": lambda: _cli_json(["kovalevskaya", "report", "--g", "0.5"]),
@@ -95,6 +107,8 @@ SOURCES = {
     "atoms_list": lambda: _cli_json(["atoms", "list"]),
     "atoms_check_catalog": atoms_check_catalog,
     "kovalevskaya_diagram_coarse": lambda: diagram_to_dict(coarse_kovalevskaya_diagram()),
+    "kovalevskaya_diagram_res6_g0": lambda: diagram_to_dict(criterion_3_kovalevskaya_diagram(0.0)),
+    "kovalevskaya_diagram_res6_g0.5": lambda: diagram_to_dict(criterion_3_kovalevskaya_diagram(0.5)),
 }
 
 

@@ -28,18 +28,19 @@ from intsing.atoms import (
     random_product,
     stability_verdict,
 )
-from intsing.bifurcation import TraceParams
+from intsing.bifurcation import diagram_to_dict
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise, verify_periodicity
 from intsing.classify import linearize, rank_at, reduce_at, williamson_type
 from intsing.cli import main as cli_main
 from intsing.kovalevskaya import (
     build_kovalevskaya,
     classify_vertices,
-    kovalevskaya_diagram,
     regime,
     vertex_values,
 )
 from intsing.phasespace import check_commutation
+
+import goldens
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -125,15 +126,12 @@ def test_criterion_3_vertex_values_on_diagram():
             if abs(m.components[1].evaluate(pt) - want_k) > 1e-12:
                 closed_form_ok = False
 
-    step = 0.08
+    step = goldens.CRITERION_3_STEP
     on_diagram = True
     dists = []
-    for g in (0.0, 0.5):
-        d = kovalevskaya_diagram(
-            g,
-            resolution=6,
-            trace_params=TraceParams(step=step, max_steps=200, value_box=(-6, 8), phase_bound=12.0),
-        )
+    for g, name in ((0.0, "kovalevskaya_diagram_res6_g0"), (0.5, "kovalevskaya_diagram_res6_g0.5")):
+        d = goldens.criterion_3_kovalevskaya_diagram(g)
+        goldens.assert_matches(diagram_to_dict(d), name)
         pts = d.all_arc_values()
         for target in vertex_values(g):
             dist = float(np.min(np.linalg.norm(pts - np.array(target), axis=1)))

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from intsing import bifurcation
 from intsing.bifurcation import (
     BifurcationDiagram,
     RankCertificationError,
@@ -21,6 +22,7 @@ from intsing.bifurcation import (
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
 from intsing.classify import rank_at
 from intsing.kovalevskaya import build_kovalevskaya, involution_fixed_points
+from intsing.phasespace import IntegrableModel
 
 KOV_BOX = [(-1.2, 1.2)] * 3 + [(-4.0, 4.0)] * 3
 
@@ -102,6 +104,75 @@ def test_refine_kovalevskaya_fixed_point():
     seed = np.array([0.9, 0.05, -0.02, 0.45, 0.03, 0.01])
     p = refine_singular_point(m, seed, 0)
     assert np.linalg.norm(p - [1, 0, 0, g, 0, 0]) <= 1e-9
+
+
+JET_EVALUATORS = ("component_jets", "casimir_jets")
+
+
+# Each call starts a new pass over points: a refinement from its seed, a
+# labelling over the stored phase points of a branch pair.
+NEW_PASSES = ("refine_singular_point", "_transition_cuts")
+
+
+def _record_jet_calls(monkeypatch) -> list:
+    """Log (evaluator, point bytes) for every jet set, and None for each new pass."""
+    calls = []
+    for name in JET_EVALUATORS:
+        original = getattr(IntegrableModel, name)
+
+        def logged(self, point, _original=original, _name=name):
+            calls.append((_name, np.asarray(point, dtype=float).tobytes()))
+            return _original(self, point)
+
+        monkeypatch.setattr(IntegrableModel, name, logged)
+    for name in NEW_PASSES:
+        original = getattr(bifurcation, name)
+
+        def marking(*args, _original=original, **kwargs):
+            calls.append(None)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bifurcation, name, marking)
+    return calls
+
+
+def _repeats(calls: list, evaluator: str) -> int:
+    """Calls of evaluator at a point one of its previous four calls in the same
+    pass evaluated.  Two refinements from different seeds that converge onto
+    one point evaluate it once each, and the labelling analyses phase points
+    again (a record per stored point would hold ~5 kB).
+    """
+    window: list[bytes] = []
+    count = 0
+    for call in calls:
+        if call is None:
+            window = []
+        elif call[0] == evaluator:
+            count += call[1] in window[-4:]
+            window.append(call[1])
+    return count
+
+
+def test_scan_and_trace_repeat_only_the_seed_reanalysis(monkeypatch):
+    m = build_canonical(CanonicalSpec(1, 0, 1, 0))
+    calls = _record_jet_calls(monkeypatch)
+    seeds = scan_singular_points(m, [(-1, 1)] * 4)
+    trace_diagram(m, seeds, TraceParams(value_box=(-4.0, 4.0)))
+    rank1 = sum(s.rank == m.n - 1 for s in seeds)
+    assert rank1 > 0
+    # trace_diagram analyses each refined rank-1 seed once more: the
+    # refinement returns a bare point
+    for name in JET_EVALUATORS:
+        assert _repeats(calls, name) <= rank1
+
+
+def test_refine_evaluates_each_iterate_once(monkeypatch):
+    m = build_kovalevskaya(0.5)
+    calls = _record_jet_calls(monkeypatch)
+    refine_singular_point(m, np.array([0.9, 0.05, -0.02, 0.45, 0.03, 0.01]), 0)
+    assert calls
+    for name in JET_EVALUATORS:
+        assert _repeats(calls, name) == 0
 
 
 def test_refine_divergence_when_no_solution():

@@ -205,12 +205,15 @@ def test_kovalevskaya_report_svg_traces_once(tmp_path, monkeypatch, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+PLANE = {"coordinates": ["x", "y"], "parameters": {}, "structure": "canonical", "casimirs": []}
 MODEL_FAULTS = {
     "missing": None,
     "not-json": "{coordinates: [x, y]",
-    "no-components": json.dumps(
-        {"coordinates": ["x", "y"], "parameters": {}, "structure": "canonical", "casimirs": []}
-    ),
+    "no-components": json.dumps(PLANE),
+    "list": "[1, 2]",
+    "components-not-a-list": json.dumps({**PLANE, "components": 5}),
+    "unparsable-component": json.dumps({**PLANE, "components": ["x*"]}),
+    "odd-canonical-chart": json.dumps({**PLANE, "coordinates": ["x", "y", "z"], "components": ["x"]}),
 }
 MODEL_COMMANDS = {
     "verify": ["verify", "--samples", "5"],
@@ -235,3 +238,36 @@ def test_missing_product_file_is_a_json_error(tmp_path, capsys):
     code, out = run_cli(["atoms", "check", "--product", str(path)], capsys)
     assert code == 1
     assert str(path) in json.loads(out)["error"]
+
+
+PRODUCT_FAULTS = {
+    "list": "[1]",
+    "unknown-group": json.dumps({"components": ["B"], "group": "Z9", "action": [{"perms": {"e": [0]}}]}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PRODUCT_FAULTS))
+def test_bad_product_file_is_a_json_error(fault, tmp_path, capsys):
+    path = tmp_path / "product.json"
+    path.write_text(PRODUCT_FAULTS[fault])
+    code, out = run_cli(["atoms", "check", "--product", str(path)], capsys)
+    assert code == 1
+    assert str(path) in json.loads(out)["error"]
+
+
+ARGUMENT_FAULTS = {
+    "canonical-count": ["classify", "--model", "canonical:a,1,0,0", "--point", ""],
+    "canonical-arity": ["classify", "--model", "canonical:1,0,0", "--point", ""],
+    "point-value": ["classify", "--model", "canonical:0,1,0,0", "--point", "x1=abc"],
+    "point-coordinate": ["classify", "--model", "canonical:0,1,0,0", "--point", "q=1"],
+    "box-value": ["trace", "--model", "canonical:1,0,1,0", "--box", "1:x"],
+    "box-pairs": ["trace", "--model", "canonical:1,0,1,0", "--box", "0:1,0:1"],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ARGUMENT_FAULTS))
+def test_bad_argument_is_a_json_error(fault, capsys):
+    code, out = run_cli(ARGUMENT_FAULTS[fault], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] and report["seed"] == 0
