@@ -36,6 +36,17 @@ from .classify import (
 from .phasespace import IntegrableModel
 
 DEFAULT_SEED = 0
+CANDIDATE_FRACTION = 0.05  # share of the scored scan samples refined onto the rank-(n-1) locus
+MAX_CANDIDATES = 120  # at most this many of them
+RANK0_CANDIDATES = 40  # scan samples with the smallest sigma_max, refined onto rank 0
+SEED_DEDUP_RADIUS = 0.05  # seeds of one rank closer than this are one
+MIN_STEP = 1e-6  # continuation step bounds
+MAX_STEP = 0.2
+CORRECTOR_TOL = 1e-10
+CORRECTOR_ITERS = 12
+VERTEX_SIGMA = 5e-3  # sigma_max of dF under which a branch has landed on a rank-0 point
+CUSP_SPEED = 1e-4  # momentum-image speed under which a step is a cusp candidate
+ARC_DEDUP_FACTOR = 2.0  # arcs within this many steps of a kept arc are duplicates
 
 
 class TraceError(RuntimeError):
@@ -229,7 +240,9 @@ def refine_singular_point(
         if norm > 1e3 * max(best, 1.0):
             raise RefineDivergence(f"Newton diverged (residual {norm:.3e})")
         best = min(best, norm)
-        z = z + step
+        z, z_prev = z + step, z
+        if z.tobytes() == z_prev.tobytes():  # every later iterate would repeat this one
+            raise RefineDivergence(f"Newton stalled (residual {norm:.3e})")
         if not np.array_equal(z[:N], a.point):  # a step that moves only v, mu keeps the record
             a = PointAnalysis(model, z[:N], rank_tol)
     else:
@@ -248,10 +261,6 @@ def refine_singular_point(
 
 @dataclass
 class ScanParams:
-    candidate_fraction: float = 0.05
-    max_candidates: int = 120
-    rank0_candidates: int = 40
-    dedup_radius: float = 0.05
     seed: int = DEFAULT_SEED
 
 
@@ -276,8 +285,7 @@ def scan_singular_points(
 ) -> list[SingularSeed]:
     """Locate singular points in a box: sample, filter by the smallest
     singular value of dF on the leaf, refine, certify, deduplicate."""
-    sp = params or ScanParams()
-    rng = np.random.default_rng(sp.seed)
+    rng = np.random.default_rng((params or ScanParams()).seed)
     samples = _sample_box(box, resolution, rng)
 
     scored = []
@@ -293,20 +301,20 @@ def scan_singular_points(
 
     def push(point: np.ndarray, r: int):
         for s in seeds:
-            if s.rank == r and np.linalg.norm(s.point - point) < sp.dedup_radius:
+            if s.rank == r and np.linalg.norm(s.point - point) < SEED_DEDUP_RADIUS:
                 return
         seeds.append(SingularSeed(point, r, model.momentum_value(point)))
 
     # rank-0 attempts from the points where the whole differential is smallest
     by_sigma_max = sorted(scored, key=lambda t: t[1])
-    for _, _, p in by_sigma_max[: sp.rank0_candidates]:
+    for _, _, p in by_sigma_max[:RANK0_CANDIDATES]:
         try:
             push(refine_singular_point(model, p, 0, rank_tol=tol, max_iter=30), 0)
         except TraceError:
             continue
 
     scored.sort(key=lambda t: t[0])
-    keep = max(1, min(sp.max_candidates, int(len(scored) * sp.candidate_fraction)))
+    keep = max(1, min(MAX_CANDIDATES, int(len(scored) * CANDIDATE_FRACTION)))
     for _, _, p in scored[:keep]:
         try:
             push(refine_singular_point(model, p, model.n - 1, rank_tol=tol), model.n - 1)
@@ -323,17 +331,9 @@ def scan_singular_points(
 @dataclass
 class TraceParams:
     step: float = 0.05
-    min_step: float = 1e-6
-    max_step: float = 0.2
     max_steps: int = 400
-    corrector_tol: float = 1e-10
-    corrector_iters: int = 12
-    vertex_sigma: float = 5e-3
-    cusp_speed: float = 1e-4
-    dedup_factor: float = 2.0
     value_box: tuple[float, float] | None = None  # (lo, hi) applied per value axis
     phase_bound: float = 25.0
-    label_samples: int = 3
     seed: int = DEFAULT_SEED
 
 
@@ -347,13 +347,13 @@ def _null_space(J: np.ndarray, rel: float = 1e-7) -> np.ndarray:
     return Vt[small].T
 
 
-def _corrector(model, z, tangent, z_pred, params: TraceParams, tol):
+def _corrector(model, z, tangent, z_pred, tol):
     """Newton onto the rank-1 system and the arclength condition: (z, z's record, iterations)."""
-    for it in range(params.corrector_iters):
+    for it in range(CORRECTOR_ITERS):
         a = PointAnalysis(model, z[: model.dim], tol)
         res, J = _rank1_residual(a, z)
         aug = np.concatenate([res, [tangent @ (z - z_pred)]])
-        if np.linalg.norm(aug) <= params.corrector_tol:
+        if np.linalg.norm(aug) <= CORRECTOR_TOL:
             return z, a, it
         Jaug = np.vstack([J, tangent[None, :]])
         step, *_ = np.linalg.lstsq(Jaug, -aug, rcond=None)
@@ -362,9 +362,9 @@ def _corrector(model, z, tangent, z_pred, params: TraceParams, tol):
             return None, None, it
     a = PointAnalysis(model, z[: model.dim], tol)
     res, _ = _rank1_residual(a, z)
-    if np.linalg.norm(res) <= 10 * params.corrector_tol:
-        return z, a, params.corrector_iters
-    return None, None, params.corrector_iters
+    if np.linalg.norm(res) <= 10 * CORRECTOR_TOL:
+        return z, a, CORRECTOR_ITERS
+    return None, None, CORRECTOR_ITERS
 
 
 def _value_speed(a: PointAnalysis, direction) -> float:
@@ -425,16 +425,16 @@ def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, 
             t = T @ coeff
             t /= np.linalg.norm(t)
         z_pred = z + h * t
-        z_new, a_new, iters = _corrector(model, z_pred.copy(), t, z_pred, params, tol)
+        z_new, a_new, iters = _corrector(model, z_pred.copy(), t, z_pred, tol)
         if z_new is not None and np.linalg.norm(z_new - z_pred) > 2.0 * h:
             z_new = None  # corrector hopped onto a different branch
         if z_new is None:
             h *= 0.5
-            if h < params.min_step:
+            if h < MIN_STEP:
                 return _BranchResult(values, phases, cusps, verts, "step-failure")
             continue
-        if iters <= 2 and h < params.max_step:
-            h = min(params.max_step, 1.5 * h)
+        if iters <= 2 and h < MAX_STEP:
+            h = min(MAX_STEP, 1.5 * h)
 
         p = z_new[:N]
         if np.linalg.norm(p) > params.phase_bound:
@@ -445,11 +445,11 @@ def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, 
             if np.any(val < lo) or np.any(val > hi):
                 return _BranchResult(values, phases, cusps, verts, "value-box")
 
-        if _value_speed(a_new, t) < params.cusp_speed and len(values) > 2:
+        if _value_speed(a_new, t) < CUSP_SPEED and len(values) > 2:
             cusps.append(len(values))
 
         sig = float(a_new.sv[0])
-        if sig < params.vertex_sigma:
+        if sig < VERTEX_SIGMA:
             # landed (numerically) on a rank-0 point
             if try_vertex(len(values) - 1, a_new):
                 return _BranchResult(values, phases, cusps, verts, "vertex")
@@ -573,7 +573,7 @@ def trace_diagram(
         add_vertex(s.point)
 
     arcs: list[Arc] = []
-    dedup_radius = params.dedup_factor * params.step
+    dedup_radius = ARC_DEDUP_FACTOR * params.step
     arc_id = 0
     for s in rank1:
         try:

@@ -2,9 +2,9 @@
 
 Expressions are immutable ASTs built from rational constants, named symbols
 and the operators + - * / ^ (non-negative integer exponent).  Partial
-derivatives are exact AST transformations; second-order jets (value,
-gradient, Hessian) are evaluated in a single post-order pass so that rank
-tests downstream see no finite-difference noise.
+derivatives are exact AST transformations.  One post-order walker evaluates
+a tree at a point, over a batch of points and on second-order jets (value,
+gradient, Hessian), so rank tests downstream see no finite-difference noise.
 
 Grammar::
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -217,6 +218,9 @@ def _div(a: Node, b: Node) -> Node:
     return Div(a, b)
 
 
+_BUILD = {Add: _add, Sub: _sub, Mul: _mul, Div: _div}
+
+
 def _pow(a: Node, k: int) -> Node:
     if k < 0:
         raise ValueError("exponent must be a non-negative integer")
@@ -385,10 +389,8 @@ def _diff(node: Node, var: int) -> Node:
         return _ZERO
     if isinstance(node, Sym):
         return _ONE if node.index == var else _ZERO
-    if isinstance(node, Add):
-        return _add(_diff(node.a, var), _diff(node.b, var))
-    if isinstance(node, Sub):
-        return _sub(_diff(node.a, var), _diff(node.b, var))
+    if isinstance(node, (Add, Sub)):
+        return _BUILD[type(node)](_diff(node.a, var), _diff(node.b, var))
     if isinstance(node, Neg):
         return _neg(_diff(node.a, var))
     if isinstance(node, Mul):
@@ -402,120 +404,112 @@ def _diff(node: Node, var: int) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: scalar value and second-order jet in one post-order pass.
-# Gradients/Hessians use None as a structural zero to keep constants cheap.
+# Evaluation: one post-order walker, generic over its leaf numbers: a float
+# at one point, an array over a batch of points, or a _Jet for second-order
+# jets.  Constants are plain floats, and so are parameters in a jet.
 # ---------------------------------------------------------------------------
 
 
-def _value(node: Node, vals: Sequence[float]) -> float:
-    if isinstance(node, Const):
-        return node.fvalue
+def _value(node: Node, vals: Sequence):
     if isinstance(node, Sym):
         return vals[node.index]
+    if isinstance(node, Const):
+        return node.fvalue
+    if isinstance(node, Mul):
+        return _value(node.a, vals) * _value(node.b, vals)
     if isinstance(node, Add):
         return _value(node.a, vals) + _value(node.b, vals)
     if isinstance(node, Sub):
         return _value(node.a, vals) - _value(node.b, vals)
+    if isinstance(node, Pow):
+        base = _value(node.a, vals)
+        if isinstance(base, np.ndarray):  # libm pow per entry, the bits of one-point evaluation
+            return np.array([b ** node.k for b in base])
+        return base ** node.k
     if isinstance(node, Neg):
         return -_value(node.a, vals)
-    if isinstance(node, Mul):
-        return _value(node.a, vals) * _value(node.b, vals)
     if isinstance(node, Div):
         den = _value(node.b, vals)
-        if den == 0.0:
+        if np.any(den == 0.0) if isinstance(den, np.ndarray) else den == 0.0:
             raise EvalError("division by zero")
         return _value(node.a, vals) / den
-    if isinstance(node, Pow):
-        return _value(node.a, vals) ** node.k
     raise TypeError(f"unknown node {node!r}")
 
 
-def _gadd(g1, g2):
-    if g1 is None:
-        return g2
-    if g2 is None:
-        return g1
-    return g1 + g2
+# In a jet's gradient or Hessian slot a plain float is a structural zero.  It
+# is never added into an array, and a zero factor never scales one (c * x if c
+# else 0.0), so every array term that is kept keeps its bits, signed zeros too.
 
 
-def _gsub(g1, g2):
-    if g2 is None:
-        return g1
-    if g1 is None:
-        return -g2
-    return g1 - g2
+def _plus(x, y):
+    return y if isinstance(x, float) else x if isinstance(y, float) else x + y
 
 
-def _gscale(c, g):
-    if g is None or c == 0.0:
-        return None
-    return c * g
+def _outer(x, y, sym: bool = False):
+    """x y^T (the products of np.outer), plus its transpose with sym."""
+    if isinstance(x, float) or isinstance(y, float):
+        return 0.0
+    m = x[:, None] * y
+    return m + m.T if sym else m
 
 
-def _gneg(g):
-    return None if g is None else -g
+class _Jet:
+    """Value v, gradient g and Hessian h (not yet symmetrised) along the coordinates,
+    in forward mode (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008);
+    each rule keeps the arithmetic order in which intsing has always formed jets."""
 
+    __slots__ = ("v", "g", "h")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected methods
 
-def _outer2(g1, g2):
-    if g1 is None or g2 is None:
-        return None
-    m = np.outer(g1, g2)
-    return m + m.T
+    def __init__(self, v, g, h):
+        self.v, self.g, self.h = v, g, h
 
+    def __eq__(self, other):  # by value: the walker's zero-divisor test
+        return self.v == other
 
-def _jet(node: Node, vals: np.ndarray, n: int):
-    """Return (value, gradient-or-None, hessian-or-None) over n directions."""
-    if isinstance(node, Const):
-        return node.fvalue, None, None
-    if isinstance(node, Sym):
-        if node.index >= n:  # parameter: constant direction
-            return vals[node.index], None, None
-        g = np.zeros(n)
-        g[node.index] = 1.0
-        return vals[node.index], g, None
-    if isinstance(node, Add):
-        va, ga, ha = _jet(node.a, vals, n)
-        vb, gb, hb = _jet(node.b, vals, n)
-        return va + vb, _gadd(ga, gb), _gadd(ha, hb)
-    if isinstance(node, Sub):
-        va, ga, ha = _jet(node.a, vals, n)
-        vb, gb, hb = _jet(node.b, vals, n)
-        return va - vb, _gsub(ga, gb), _gsub(ha, hb)
-    if isinstance(node, Neg):
-        va, ga, ha = _jet(node.a, vals, n)
-        return -va, _gneg(ga), _gneg(ha)
-    if isinstance(node, Mul):
-        va, ga, ha = _jet(node.a, vals, n)
-        vb, gb, hb = _jet(node.b, vals, n)
-        g = _gadd(_gscale(vb, ga), _gscale(va, gb))
-        h = _gadd(_gadd(_gscale(vb, ha), _gscale(va, hb)), _outer2(ga, gb))
-        return va * vb, g, h
-    if isinstance(node, Div):
-        va, ga, ha = _jet(node.a, vals, n)
-        vb, gb, hb = _jet(node.b, vals, n)
-        if vb == 0.0:
-            raise EvalError("division by zero")
-        inv = 1.0 / vb
-        v = va * inv
-        g = _gsub(_gscale(inv, ga), _gscale(v * inv, gb))
-        # f'' = a''/b - (a' b'^T + b' a'^T)/b^2 - a b''/b^2 + 2 a b' b'^T / b^3
-        h = _gscale(inv, ha)
-        h = _gsub(h, _gscale(inv * inv, _outer2(ga, gb) if ga is not None and gb is not None else None))
-        h = _gsub(h, _gscale(va * inv * inv, hb))
-        if gb is not None:
-            h = _gadd(h, _gscale(2.0 * va * inv ** 3, np.outer(gb, gb)))
-        return v, g, h
-    if isinstance(node, Pow):
-        va, ga, ha = _jet(node.a, vals, n)
-        k = node.k
-        v = va ** k
-        dk = k * va ** (k - 1)
-        g = _gscale(dk, ga)
-        h = _gscale(dk, ha)
-        if ga is not None and k >= 2:
-            h = _gadd(h, _gscale(k * (k - 1) * va ** (k - 2), np.outer(ga, ga)))
-        return v, g, h
-    raise TypeError(f"unknown node {node!r}")
+    def __neg__(self):
+        return _Jet(-self.v, -self.g, -self.h)
+
+    def __add__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(self.v + o.v, _plus(self.g, o.g), _plus(self.h, o.h))
+        return _Jet(self.v + o, self.g, self.h)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):  # x - y and x + (-y) round alike
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if not isinstance(o, _Jet):
+            return _Jet(self.v * o, o * self.g if o else 0.0, o * self.h if o else 0.0)
+        va, ga, vb, gb = self.v, self.g, o.v, o.g
+        h = _plus(_plus(vb * self.h if vb else 0.0, va * o.h if va else 0.0), _outer(ga, gb, sym=True))
+        return _Jet(va * vb, _plus(vb * ga if vb else 0.0, va * gb if va else 0.0), h)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        return o.__rtruediv__(self) if isinstance(o, _Jet) else self * (1.0 / o)
+
+    def __rtruediv__(self, o):
+        """o / self: f'' = a''/b - (a' b'^T + b' a'^T)/b^2 - a b''/b^2 + 2 a b' b'^T / b^3."""
+        va, ga, ha = (o.v, o.g, o.h) if isinstance(o, _Jet) else (o, 0.0, 0.0)
+        gb, inv = self.g, 1.0 / self.v
+        v, c = va * inv, 2.0 * va * inv ** 3
+        h = _plus(inv * ha if inv else 0.0, -(inv * inv) * _outer(ga, gb, sym=True) if inv * inv else 0.0)
+        h = _plus(h, -(va * inv * inv) * self.h if va * inv * inv else 0.0)
+        h = _plus(h, c * _outer(gb, gb) if c else 0.0)
+        return _Jet(v, _plus(inv * ga if inv else 0.0, -(v * inv) * gb if v * inv else 0.0), h)
+
+    def __pow__(self, k: int):  # k >= 2, as _pow builds it
+        va, ga = self.v, self.g
+        dk, c = k * va ** (k - 1), k * (k - 1) * va ** (k - 2)
+        h = _plus(dk * self.h if dk else 0.0, c * _outer(ga, ga) if c else 0.0)
+        return _Jet(va ** k, dk * ga if dk else 0.0, h)
 
 
 # ---------------------------------------------------------------------------
@@ -683,29 +677,20 @@ class Expression:
             return Const(other)
         return NotImplemented
 
-    def __add__(self, other):
-        n = self._coerce(other)
-        return NotImplemented if n is NotImplemented else self._wrap(_add(self.node, n))
+    def _operator(build, reflected=False):
+        def op(self, other):
+            n = self._coerce(other)
+            if n is NotImplemented:
+                return n
+            return self._wrap(build(n, self.node) if reflected else build(self.node, n))
 
-    __radd__ = __add__
+        return op
 
-    def __sub__(self, other):
-        n = self._coerce(other)
-        return NotImplemented if n is NotImplemented else self._wrap(_sub(self.node, n))
-
-    def __rsub__(self, other):
-        n = self._coerce(other)
-        return NotImplemented if n is NotImplemented else self._wrap(_sub(n, self.node))
-
-    def __mul__(self, other):
-        n = self._coerce(other)
-        return NotImplemented if n is NotImplemented else self._wrap(_mul(self.node, n))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        n = self._coerce(other)
-        return NotImplemented if n is NotImplemented else self._wrap(_div(self.node, n))
+    __add__ = __radd__ = _operator(_add)
+    __sub__, __rsub__ = _operator(_sub), _operator(_sub, reflected=True)
+    __mul__ = __rmul__ = _operator(_mul)
+    __truediv__ = _operator(_div)
+    del _operator
 
     def __pow__(self, k: int):
         return self._wrap(_pow(self.node, k))
@@ -788,14 +773,8 @@ class Expression:
                 except ValueError:
                     raise ValueError(f"symbol {n.name!r} missing from substitution") from None
                 return Sym(idx, n.name)
-            if isinstance(n, Add):
-                return _add(go(n.a), go(n.b))
-            if isinstance(n, Sub):
-                return _sub(go(n.a), go(n.b))
-            if isinstance(n, Mul):
-                return _mul(go(n.a), go(n.b))
-            if isinstance(n, Div):
-                return _div(go(n.a), go(n.b))
+            if isinstance(n, _Binary):
+                return _BUILD[type(n)](go(n.a), go(n.b))
             if isinstance(n, Neg):
                 return _neg(go(n.a))
             if isinstance(n, Pow):
@@ -807,15 +786,12 @@ class Expression:
     # -- evaluation ----------------------------------------------------------
 
     def _values(self, point, params: Mapping[str, float] | None) -> np.ndarray:
-        vals = np.zeros(len(self.symbols))
-        if isinstance(point, Mapping):
-            for name, v in point.items():
-                vals[self.symbols.index(name)] = v
-        else:
-            pt = np.asarray(point, dtype=float)
-            if pt.shape != (len(self.coords),):
-                raise ValueError(f"expected {len(self.coords)} coordinate values")
-            vals[: len(self.coords)] = pt
+        """One row per symbol: shape (nsym,) at a point, (nsym, m) at the rows of an (m, dim) array."""
+        pt = np.asarray(point, dtype=float)
+        if pt.shape[pt.ndim == 2 :] != (len(self.coords),):
+            raise ValueError(f"expected {len(self.coords)} coordinate values")
+        vals = np.zeros((len(self.symbols),) + pt.shape[:-1])
+        vals[: len(self.coords)] = pt.T
         if params:
             for name, v in params.items():
                 if name not in self.params:
@@ -823,15 +799,38 @@ class Expression:
                 vals[self.symbols.index(name)] = v
         return vals
 
-    def evaluate(self, point, params: Mapping[str, float] | None = None) -> float:
-        return _value(self.node, self._values(point, params))
+    def evaluate(self, point, params: Mapping[str, float] | None = None):
+        """The value at one point, or the m values at the rows of an (m, dim) array."""
+        vals = self._values(point, params)
+        out = _value(self.node, vals)
+        return out if vals.ndim == 1 else np.full(vals.shape[1], out)
 
     def jet2(self, point, params: Mapping[str, float] | None = None) -> Jet2:
-        n = len(self.coords)
-        v, g, h = _jet(self.node, self._values(point, params), n)
-        grad = np.zeros(n) if g is None else g
-        hess = np.zeros((n, n)) if h is None else h
-        return Jet2(v, grad, 0.5 * (hess + hess.T))
+        return field_jets([self], point, params)[0]
+
+
+@cache
+def _unit_vectors(n: int) -> tuple[np.ndarray, ...]:
+    """The coordinate seeds' gradients, read-only: a jet's gradient may be one of them."""
+    e = np.eye(n)
+    e.setflags(write=False)
+    return tuple(e)
+
+
+def field_jets(fields: Sequence[Expression], point, params: Mapping[str, float] | None = None) -> list[Jet2]:
+    """Value, gradient and Hessian of each field at one point: the value walker on
+    _Jet leaves, the coordinate seeds built once per run of fields over one symbol table."""
+    out, table, leaves = [], None, None
+    for f in fields:
+        n = len(f.coords)
+        if (f.coords, f.params) != table:
+            table, vals = (f.coords, f.params), f._values(point, params)
+            leaves = [_Jet(v, e, 0.0) for v, e in zip(vals, _unit_vectors(n))] + list(vals[n:])
+        j = _value(f.node, leaves)
+        v, g, h = (j.v, j.g, j.h) if isinstance(j, _Jet) else (j, 0.0, 0.0)
+        h = np.zeros((n, n)) if isinstance(h, float) else h
+        out.append(Jet2(v, np.zeros(n) if isinstance(g, float) else g, 0.5 * (h + h.T)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -864,5 +863,5 @@ def differentiate(e: Expression, var: str) -> Expression:
 
 
 def evaluate_jet2(e: Expression, point, params: Mapping[str, float] | None = None) -> Jet2:
-    """Value, gradient and Hessian of e at a point, one post-order pass."""
+    """Value, gradient and Hessian of e at a point, by the value walker on jets."""
     return e.jet2(point, params)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .expr import Expression, Jet2, constant, parse
+from .expr import Expression, Jet2, constant, field_jets, parse
 
 DEFAULT_SEED = 0
 
@@ -129,11 +129,10 @@ class PoissonStructure:
         out = np.zeros((self.dim, self.dim, self.dim))
         if self._const_matrix is not None:
             return out
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                g = self.entries[i][j].jet2(point, params).gradient
-                out[i, j] = g
-                out[j, i] = -g
+        pairs = [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim)]
+        for (i, j), jet in zip(pairs, field_jets([self.entries[i][j] for i, j in pairs], point, params)):
+            out[i, j] = jet.gradient
+            out[j, i] = -jet.gradient
         return out
 
     # -- brackets and fields -----------------------------------------------------
@@ -186,8 +185,7 @@ class PoissonStructure:
         worst = 0.0
         for cas in self.casimirs:
             for fx in self.ham_field(cas):
-                for p in pts:
-                    worst = max(worst, abs(fx.evaluate(p)))
+                worst = np.fmax.reduce(np.abs(fx.evaluate(pts)), initial=worst)  # NaN skipped
         return worst
 
 
@@ -235,10 +233,10 @@ class IntegrableModel:
         return len(self.components)
 
     def component_jets(self, point) -> list[Jet2]:
-        return [c.jet2(point, self.params) for c in self.components]
+        return field_jets(self.components, point, self.params)
 
     def casimir_jets(self, point) -> list[Jet2]:
-        return [c.jet2(point, self.params) for c in self.structure.casimirs]
+        return field_jets(self.structure.casimirs, point, self.params)
 
     def leaf_residual(self, point) -> float:
         if not self.structure.casimirs:
@@ -294,14 +292,12 @@ def check_commutation(
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-box, box, size=(samples, model.dim))
     worst, worst_pair = 0.0, None
-    n = model.n
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(model.n):
+        for j in range(i + 1, model.n):
             br = model.structure.bracket(model.components[i], model.components[j])
-            for p in pts:
-                r = abs(br.evaluate(p, model.params))
-                if r > worst:
-                    worst, worst_pair = r, (i, j)
+            top = np.fmax.reduce(np.abs(br.evaluate(pts, model.params)), initial=worst)  # NaN skipped
+            if top > worst:
+                worst, worst_pair = top, (i, j)
     return CommutationReport(worst, worst_pair, tol, samples, seed, worst <= tol)
 
 
@@ -394,7 +390,10 @@ def model_from_dict(d: dict) -> IntegrableModel:
     """The model of a `model_to_dict` document; ModelError when it has another shape."""
     try:
         coords = tuple(d["coordinates"])
-        params = dict(d.get("parameters", {}))
+        params, name = dict(d.get("parameters", {})), d.get("name", "")
+        real = all(isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v) for v in params.values())
+        if not (real and isinstance(name, str)):
+            raise ModelError(f"the name ({name!r}) must be a string and the parameters ({params}) finite numbers")
         pnames = tuple(sorted(params))
         casimir_entries = d.get("casimirs", [])
         casimirs = [parse(c["expr"], coords, pnames) for c in casimir_entries]
@@ -430,7 +429,7 @@ def model_from_dict(d: dict) -> IntegrableModel:
             [parse(src, coords, pnames) for src in d["components"]],
             leaf_values=leaf_values,
             params=params,
-            name=d.get("name", ""),
+            name=name,
             canonical_spec=canonical_spec,
         )
     except (TypeError, AttributeError) as exc:  # a list, or a number where a list belongs

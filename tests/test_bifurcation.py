@@ -181,6 +181,18 @@ def test_refine_divergence_when_no_solution():
         refine_singular_point(m, np.array([0.3, 0.2, 0.4, 0.1]), 0)
 
 
+def test_stalled_newton_run_stops_at_once(monkeypatch):
+    # The scan's first rank-0 candidate on canonical:1,0,1,0: the Newton step
+    # leaves z unchanged, so every later iterate would repeat it.
+    m = build_canonical(CanonicalSpec(1, 0, 1, 0))
+    solves = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))
+    with pytest.raises(RefineDivergence, match="stalled"):
+        refine_singular_point(m, np.array([-1.0, -1.0, -1.0, -1.0]), 0, max_iter=30)
+    assert len(solves) <= 2
+
+
 def test_refine_divergence_for_regular_model():
     from intsing.expr import parse
     from intsing.phasespace import IntegrableModel, PoissonStructure

@@ -4,6 +4,8 @@ import pytest
 
 from intsing import bifurcation, kovalevskaya
 from intsing.cli import main
+from intsing.kovalevskaya import build_kovalevskaya
+from intsing.phasespace import model_to_dict
 
 
 def run_cli(args, capsys):
@@ -214,6 +216,11 @@ MODEL_FAULTS = {
     "components-not-a-list": json.dumps({**PLANE, "components": 5}),
     "unparsable-component": json.dumps({**PLANE, "components": ["x*"]}),
     "odd-canonical-chart": json.dumps({**PLANE, "coordinates": ["x", "y", "z"], "components": ["x"]}),
+    "name-not-a-string": json.dumps({**PLANE, "components": ["x*y"], "name": 5}),
+    "parameter-not-a-number": json.dumps(
+        {**model_to_dict(build_kovalevskaya(0.5)), "parameters": {"g": "a"}}
+    ),
+    "parameter-not-finite": json.dumps({**PLANE, "parameters": {"g": float("nan")}, "components": ["g*x", "y"]}),
 }
 MODEL_COMMANDS = {
     "verify": ["verify", "--samples", "5"],

@@ -93,6 +93,10 @@ def test_division_by_zero_raises():
     e = parse("1/x", ("x",))
     with pytest.raises(EvalError):
         e.evaluate([0.0])
+    with pytest.raises(EvalError):
+        e.evaluate(np.array([[1.0], [0.0], [2.0]]))
+    with pytest.raises(EvalError):
+        e.jet2([0.0])
 
 
 def _random_poly(rng, coords, degree=4, terms=6):
@@ -136,8 +140,11 @@ def test_second_derivatives_commute():
 def test_jet_agrees_with_symbolic_derivatives():
     rng = np.random.default_rng(13)
     coords = ("a", "b", "c", "d")
-    for _ in range(10):
+    den = parse("1+a^2", coords)
+    for k in range(20):
         e = _random_poly(rng, coords)
+        if k % 2:  # rational fields: the quotient rule of the jet
+            e = e / (den + _random_poly(rng, coords, degree=2, terms=2) ** 2)
         p = rng.uniform(-1, 1, size=4)
         jet = e.jet2(p)
         for i, u in enumerate(coords):
@@ -147,6 +154,21 @@ def test_jet_agrees_with_symbolic_derivatives():
             for j, v in enumerate(coords):
                 dd = du.diff(v).evaluate(p)
                 assert abs(jet.hessian[i, j] - dd) <= 1e-12 * (1.0 + abs(dd))
+
+
+def test_batch_and_jet_values_match_pointwise():
+    rng = np.random.default_rng(19)
+    coords = ("a", "b", "c")
+    fields = [_random_poly(rng, coords) for _ in range(10)]
+    fields += [parse("7/2", coords), parse("a", coords), parse("(a-b)^5/(2+c^2)+a^3*b^7-c^4", coords)]
+    pts = rng.uniform(-1.5, 1.5, size=(200, 3))
+    for e in fields:
+        batch = e.evaluate(pts)
+        assert batch.shape == (200,)
+        assert batch.tobytes() == np.array([e.evaluate(p) for p in pts]).tobytes()
+    for e in fields[:10]:  # polynomials: the jet's value is the walker's value
+        for p in pts[:5]:
+            assert e.jet2(p).value == e.evaluate(p)
 
 
 def test_hessian_symmetric():

@@ -108,6 +108,23 @@ def test_commutation_adversarial():
     assert report.worst_pair == (0, 1)
 
 
+def test_sampled_checks_evaluate_each_expression_once(e3, kov_exprs, monkeypatch):
+    from intsing.expr import Expression
+
+    h, k = kov_exprs
+    model = IntegrableModel(e3, [h, k], leaf_values=[1.0, 0.5])
+    calls = []
+    evaluate = Expression.evaluate
+    monkeypatch.setattr(Expression, "evaluate", lambda self, *a, **kw: calls.append(1) or evaluate(self, *a, **kw))
+    report = check_commutation(model, samples=100, box=2.0)
+    assert len(calls) == 1  # the one bracket, over all samples at once
+    pts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(100, 6))
+    assert report.max_residual == max(abs(evaluate(e3.bracket(h, k), p)) for p in pts)
+    calls.clear()
+    e3.casimir_residual(samples=20)
+    assert len(calls) == 2 * 6  # one per Casimir and field component
+
+
 def test_jacobi_identity_e3(e3):
     assert e3.jacobi_residual(samples=1000, box=2.0) <= 1e-10
 
