@@ -18,19 +18,16 @@ annulus factor can carry freeness via a nontrivial torus translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
 
 import numpy as np
 
 from .groups import (
     FiniteGroup,
-    cyclic,
-    dihedral,
-    direct_product,
     group_by_name,
     group_from_dict,
     group_to_dict,
-    klein_four,
     orbits,
     permutation_is_free,
     trivial,
@@ -119,7 +116,10 @@ class GroupAction:
                         f"component {comp.name}: {g.labels[a]} declared free on the fiber "
                         "but fixes a singular point"
                     )
-                for b in g.elements():
+                # The law on (element, generator) pairs implies it on all pairs
+                # when the table is associative: built-in tables are by
+                # construction, and group_from_dict checks a file's table.
+                for b in g.generators:
                     ab = g.mul(a, b)
                     composed = tuple(pa[self.perms[c][b][x]] for x in range(k))
                     if composed != self.perms[c][ab]:
@@ -332,132 +332,9 @@ def trivial_product(names: list[str], label: str = "") -> AlmostDirectProduct:
     return AlmostDirectProduct(comps, action, label or "x".join(names))
 
 
-def _perm_id(k):
-    return tuple(range(k))
-
-
-def _swap2():
-    return (1, 0)
-
-
-def _cycle4():
-    return (1, 2, 3, 0)
-
-
 # ---------------------------------------------------------------------------
 # The named products from the structural-stability catalog
 # ---------------------------------------------------------------------------
-
-
-def _product_z2_diag(n1: str, n2: str, name: str) -> AlmostDirectProduct:
-    """Z2 acting by the vertex swap on both (2-vertex or matching) atoms."""
-    comps = [atom(n1), atom(n2)]
-    g = cyclic(2)
-
-    def flip(c: Atom):
-        k = c.singular_points
-        if k == 1:
-            return _perm_id(1)
-        if k == 2:
-            return _swap2()
-        raise AtomsError(f"no default involution for {c.name}")
-
-    perms = [[_perm_id(c.singular_points), flip(c)] for c in comps]
-    return AlmostDirectProduct(comps, make_action(g, comps, perms), name)
-
-
-def _product_c1_z4(other: str, name: str) -> AlmostDirectProduct:
-    """Z4 acting by the swap on C1 and a free 4-cycle on the other atom."""
-    comps = [atom("C1"), atom(other)]
-    g = cyclic(4)
-    sw = _swap2()
-    idc = _perm_id(2)
-    cyc = _cycle4()
-    c2 = tuple(cyc[cyc[i]] for i in range(4))
-    c3 = tuple(cyc[c2[i]] for i in range(4))
-    perms = [
-        [idc, sw, idc, sw],
-        [_perm_id(4), cyc, c2, c3],
-    ]
-    return AlmostDirectProduct(comps, make_action(g, comps, perms), name)
-
-
-def _product_c2c2_klein() -> AlmostDirectProduct:
-    comps = [atom("C2"), atom("C2")]
-    g = klein_four()  # elements (e,e), (e,g), (g,e), (g,g) in product order
-    idp, sw = _perm_id(2), _swap2()
-    # label order from direct_product(cyclic(2), cyclic(2))
-    perms = [
-        [idp, idp, sw, sw],  # first factor acts via the first Z2
-        [idp, sw, idp, sw],  # second factor via the second Z2
-    ]
-    return AlmostDirectProduct(comps, make_action(g, comps, perms), "(C2*C2)/(Z2+Z2)")
-
-
-def _product_c2p4_klein() -> AlmostDirectProduct:
-    comps = [atom("C2"), atom("P4")]
-    g = klein_four()
-    idp, sw = _perm_id(2), _swap2()
-    a4 = (1, 0, 3, 2)  # (01)(23)
-    b4 = (2, 3, 0, 1)  # (02)(13)
-    ab4 = (3, 2, 1, 0)  # (03)(12)
-    perms = [
-        [idp, idp, sw, sw],
-        [_perm_id(4), b4, a4, ab4],
-    ]
-    return AlmostDirectProduct(comps, make_action(g, comps, perms), "(C2*P4)/(Z2+Z2)")
-
-
-def _product_p4p4_d4() -> AlmostDirectProduct:
-    """D4 on two P4 atoms through the two conjugacy classes of the square
-    action, so every reflection is vertex-free on one of the factors."""
-    comps = [atom("P4"), atom("P4")]
-    g = dihedral(4)  # elements r0..r3, r0s..r3s
-    r = _cycle4()
-    s_vertex = (0, 3, 2, 1)  # reflection fixing vertices 0 and 2
-    s_edge = (1, 0, 3, 2)    # reflection through edge midpoints, free
-
-    def rep(gen_s):
-        imgs = {}
-        cur = _perm_id(4)
-        for a in range(4):
-            imgs[f"r{a}" if a else "e"] = cur
-            cur = tuple(r[cur[i]] for i in range(4))
-        cur = gen_s
-        for a in range(4):
-            label = f"r{a}s" if a else "r0s"
-            imgs[label] = cur
-            cur = tuple(r[cur[i]] for i in range(4))
-        return [imgs[lab if lab != "r0" else "e"] for lab in g.labels]
-
-    perms = [rep(s_vertex), rep(s_edge)]
-    return AlmostDirectProduct(comps, make_action(g, comps, perms), "(P4*P4)/D4")
-
-
-def _product_bwreg_z2() -> AlmostDirectProduct:
-    """A* = (B x Wreg)/Z2: the flip on B with freeness carried by the
-    half-turn translation on the regular annulus."""
-    comps = [atom("B"), atom("Wreg")]
-    g = cyclic(2)
-    perms = [[_perm_id(1), _perm_id(1)], [(), ()]]
-    fiber_free = [[False, False], [False, True]]
-    return AlmostDirectProduct(comps, make_action(g, comps, perms, fiber_free), "(B*Wreg)/Z2")
-
-
-def _exceptional(name: str, components: list[str], group_name: str, note: str) -> dict:
-    counts = [atom(c).singular_points for c in components]
-    order = {"Z4+Z2": 8, "Z4": 4}[group_name]
-    return {
-        "name": name,
-        "components": components,
-        "group": group_name,
-        "status": "exception",
-        "expected_complexity": 2,
-        "vertex_counts": counts,
-        "note": note,
-        "resolves_with_count": 4,
-        "resolved_arithmetic": f"{4 * counts[0] if components[0] != 'K3' else 16}/{order}",
-    }
 
 
 _K3_NOTE = (
@@ -468,62 +345,75 @@ _K3_NOTE = (
 )
 
 
-def _registry() -> dict:
-    reg: dict[str, object] = {}
+def _exceptional(name: str, components: list[str], group_name: str) -> dict:
+    counts = [atom(c).singular_points for c in components]
+    order = group_by_name(group_name).order
+    return {
+        "name": name,
+        "components": components,
+        "group": group_name,
+        "status": "exception",
+        "expected_complexity": 2,
+        "vertex_counts": counts,
+        "note": _K3_NOTE.format(order=order, prod="*".join(map(str, counts))),
+        "resolves_with_count": 4,
+        "resolved_arithmetic": f"{4 * counts[0] if components[0] != 'K3' else 16}/{order}",
+    }
 
+
+# name: (components, group, the images of the group's generators on each
+# component's singular points[, product name, fiber-freeness flags]).  The
+# generators are FiniteGroup.generators: g for Z2 and Z4, (e,g) and (g,e) for
+# Z2+Z2, the rotation r1 and the reflection r0s for D4.  The K3 entries have
+# no images: they are carried as exceptions (see exceptions_report).
+_NAMED = {
     # complexity 1 (four saddle-saddle + two saddle-focus)
-    reg["B*B"] = trivial_product(["B", "B"], "B*B")
-    reg["(B*C2)/Z2"] = _product_z2_diag("B", "C2", "(B*C2)/Z2")
-    reg["(B*D1)/Z2"] = _product_z2_diag("B", "D1", "(B*D1)/Z2")
-    reg["(C2*C2)/(Z2+Z2)"] = _product_c2c2_klein()
-    reg["B*F1"] = trivial_product(["B", "F1"], "B*F1")
-    reg["(B*F2)/Z2"] = _product_z2_diag("B", "F2", "(B*F2)/Z2")
-
-    # complexity 2, saddle-saddle
-    reg["(D1*D1)/Z2"] = _product_z2_diag("D1", "D1", "(D1*D1)/Z2")
-    reg["(P4*P4)/D4"] = _product_p4p4_d4()
-    reg["(C2*C2)/Z2"] = _product_z2_diag("C2", "C2", "(C2*C2)/Z2")
-    reg["(C1*I1)/Z4"] = _product_c1_z4("I1", "(C1*I1)/Z4")
-    reg["(K3*K3)/(Z4+Z2)"] = _exceptional(
-        "(K3*K3)/(Z4+Z2)",
-        ["K3", "K3"],
-        "Z4+Z2",
-        _K3_NOTE.format(order=8, prod="3*3"),
-    )
-    reg["(C1*J1)/Z4"] = _product_c1_z4("J1", "(C1*J1)/Z4")
-    reg["(C1*K3)/Z4"] = _exceptional(
-        "(C1*K3)/Z4",
-        ["C1", "K3"],
-        "Z4",
-        _K3_NOTE.format(order=4, prod="2*3"),
-    )
-    reg["(C1*P4)/Z4"] = _product_c1_z4("P4", "(C1*P4)/Z4")
-    reg["(D1*C2)/Z2"] = _product_z2_diag("D1", "C2", "(D1*C2)/Z2")
-    reg["(C2*P4)/(Z2+Z2)"] = _product_c2p4_klein()
-
+    "B*B": (["B", "B"], "1", [[], []]),
+    "(B*C2)/Z2": (["B", "C2"], "Z2", [[(0,)], [(1, 0)]]),
+    "(B*D1)/Z2": (["B", "D1"], "Z2", [[(0,)], [(1, 0)]]),
+    "(C2*C2)/(Z2+Z2)": (["C2", "C2"], "Z2+Z2", [[(0, 1), (1, 0)], [(1, 0), (0, 1)]]),
+    "B*F1": (["B", "F1"], "1", [[], []]),
+    "(B*F2)/Z2": (["B", "F2"], "Z2", [[(0,)], [(1, 0)]]),
+    # complexity 2, saddle-saddle; D4 acts on the two P4 through the two
+    # classes of reflections of the square, so each reflection is
+    # vertex-free on one factor
+    "(D1*D1)/Z2": (["D1", "D1"], "Z2", [[(1, 0)], [(1, 0)]]),
+    "(P4*P4)/D4": (["P4", "P4"], "D4", [[(1, 2, 3, 0), (0, 3, 2, 1)], [(1, 2, 3, 0), (1, 0, 3, 2)]]),
+    "(C2*C2)/Z2": (["C2", "C2"], "Z2", [[(1, 0)], [(1, 0)]]),
+    "(C1*I1)/Z4": (["C1", "I1"], "Z4", [[(1, 0)], [(1, 2, 3, 0)]]),
+    "(K3*K3)/(Z4+Z2)": (["K3", "K3"], "Z4+Z2", None),
+    "(C1*J1)/Z4": (["C1", "J1"], "Z4", [[(1, 0)], [(1, 2, 3, 0)]]),
+    "(C1*K3)/Z4": (["C1", "K3"], "Z4", None),
+    "(C1*P4)/Z4": (["C1", "P4"], "Z4", [[(1, 0)], [(1, 2, 3, 0)]]),
+    "(D1*C2)/Z2": (["D1", "C2"], "Z2", [[(1, 0)], [(1, 0)]]),
+    "(C2*P4)/(Z2+Z2)": (["C2", "P4"], "Z2+Z2", [[(0, 1), (1, 0)], [(2, 3, 0, 1), (1, 0, 3, 2)]]),
     # complexity 2, saddle-focus and focus
-    reg["(D1*F2)/Z2"] = _product_z2_diag("D1", "F2", "(D1*F2)/Z2")
-    reg["(C1*F4)/Z4"] = _product_c1_z4("F4", "(C1*F4)/Z4")
-    reg["(C2*F2)/Z2"] = _product_z2_diag("C2", "F2", "(C2*F2)/Z2")
-    reg["(F2*F2)/Z2"] = _product_z2_diag("F2", "F2", "(F2*F2)/Z2")
-
-    # simple singularities and the Kovalevskaya negative example
-    reg["A"] = trivial_product(["A"], "A")
-    reg["B"] = trivial_product(["B"], "B")
-    reg["A*"] = _product_bwreg_z2()
-    reg["C2"] = trivial_product(["C2"], "C2")
-
-    return reg
-
-
-_REGISTRY = None
+    "(D1*F2)/Z2": (["D1", "F2"], "Z2", [[(1, 0)], [(1, 0)]]),
+    "(C1*F4)/Z4": (["C1", "F4"], "Z4", [[(1, 0)], [(1, 2, 3, 0)]]),
+    "(C2*F2)/Z2": (["C2", "F2"], "Z2", [[(1, 0)], [(1, 0)]]),
+    "(F2*F2)/Z2": (["F2", "F2"], "Z2", [[(1, 0)], [(1, 0)]]),
+    # simple singularities and the Kovalevskaya negative example; A* is the
+    # flip on B with freeness carried by the half-turn translation on the
+    # regular annulus
+    "A": (["A"], "1", [[]]),
+    "B": (["B"], "1", [[]]),
+    "A*": (["B", "Wreg"], "Z2", [[(0,)], [()]], "(B*Wreg)/Z2", [[False, False], [False, True]]),
+    "C2": (["C2"], "1", [[]]),
+}
 
 
+def _named(key: str, components: list[str], group_name: str, images, name: str = "", fiber_free=None):
+    if images is None:
+        return _exceptional(key, components, group_name)
+    comps = [atom(n) for n in components]
+    g = group_by_name(group_name)
+    perms = [g.extend(imgs, comp.singular_points) for comp, imgs in zip(comps, images)]
+    return AlmostDirectProduct(comps, make_action(g, comps, perms, fiber_free), name or key)
+
+
+@cache
 def named_products() -> dict:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _registry()
-    return _REGISTRY
+    return {key: _named(key, *entry) for key, entry in _NAMED.items()}
 
 
 def named_product(name: str):
@@ -582,7 +472,10 @@ def consistency_suite() -> dict:
 def product_from_dict(d: dict) -> AlmostDirectProduct:
     """The product of a `product_to_dict` document; AtomsError when it has another shape."""
     try:
-        comps = [atom(n) for n in d["components"]]
+        names = d["components"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise AtomsError(f"components must be a list of atom names, not {names!r}")
+        comps = [atom(n) for n in names]
         group = group_from_dict(d["group"])
         label_index = {lab: i for i, lab in enumerate(group.labels)}
         perms: list[list[tuple[int, ...]]] = []
@@ -601,7 +494,9 @@ def product_from_dict(d: dict) -> AlmostDirectProduct:
             else:
                 flags = [False] * group.order
                 for lab, val in ff.items():
-                    flags[label_index[lab]] = bool(val)
+                    if not isinstance(val, bool):
+                        raise AtomsError(f"component {comp.name}: fiber_free of {lab} is {val!r}, not true or false")
+                    flags[label_index[lab]] = val
                 fiber_free.append(flags)
         action = make_action(group, comps, perms, fiber_free)
         return AlmostDirectProduct(comps, action, d.get("name", ""))

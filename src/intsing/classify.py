@@ -29,7 +29,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Jet2
 from .phasespace import IntegrableModel, PhasePoint
 
 DEFAULT_TOL = 1e-8
@@ -54,9 +53,7 @@ class OffLeafError(ClassifyError):
 class LeafFrame:
     basis: np.ndarray          # N x 2n_leaf, orthonormal columns
     omega: np.ndarray          # symplectic form matrix on the basis
-    pi_restricted: np.ndarray  # bivector on the basis
     bivector: np.ndarray       # ambient N x N bivector at the point
-    casimir_jets: list[Jet2]   # Casimir jets at the point
 
 
 def leaf_frame(model: IntegrableModel, p, tol: float = DEFAULT_TOL, check_leaf: bool = True) -> LeafFrame:
@@ -84,7 +81,7 @@ def leaf_frame(model: IntegrableModel, p, tol: float = DEFAULT_TOL, check_leaf: 
             f"bivector rank degenerates at this point (leaf dimension {dim_leaf})"
         )
     omega = np.linalg.inv(PiB)  # omega(v, X_f) = df forces Omega = Pi^-1 on the leaf
-    return LeafFrame(B, omega, PiB, Pi, cas)
+    return LeafFrame(B, omega, Pi)
 
 
 def _numerical_rank(sv: np.ndarray, tol: float) -> int:

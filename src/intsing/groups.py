@@ -1,13 +1,14 @@
 """Small finite groups as explicit element tables.
 
 Every group appearing in the atom catalog has order <= 8, so groups are
-stored as label lists plus an index multiplication table; homomorphisms
-into symmetric groups are found by exhaustive enumeration.
+stored as label lists plus an index multiplication table.  A group action
+is given by the images of a generating set; homomorphisms into symmetric
+groups are enumerated by extending every choice of generator images.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
 from itertools import permutations, product
 
 
@@ -55,71 +56,59 @@ class FiniteGroup:
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set chosen greedily in element order: each generator
+        is the first element outside the subgroup the earlier ones generate."""
+        gens, span = [], {self.identity}
+        for x in self.elements():
+            if x not in span:
+                gens.append(x)
+                while True:
+                    grown = span | {self.table[a][s] for a in span for s in gens}
+                    if grown == span:
+                        break
+                    span = grown
+        return tuple(gens)
+
+    def extend(self, images, k: int) -> list[tuple[int, ...]] | None:
+        """The homomorphism into Sym(k) sending the i-th generator to images[i],
+        as permutation tuples indexed by group element; None if there is none.
+
+        Every element is reached as a*s from an element a reached before, and
+        every (element, generator) product is checked: on an associative table
+        that is the whole homomorphism law.
+        """
+        perms: list = [None] * self.order
+        perms[self.identity] = tuple(range(k))
+        reached = [self.identity]
+        for a in reached:  # grows while it is walked
+            for s, image in zip(self.generators, images):
+                b, p = self.table[a][s], _perm_mul(perms[a], image)
+                if perms[b] is None:
+                    perms[b] = p
+                    reached.append(b)
+                elif perms[b] != p:
+                    return None
+        return perms
+
     def homomorphisms_to_sym(self, k: int) -> list[list[tuple[int, ...]]]:
-        """All homomorphisms into Sym(k), each as a list of permutation
-        tuples indexed by group element.  Exhaustive, cached per table: do not mutate."""
-        return _enumerate_homs(tuple(map(tuple, self.table)), self.identity, k)
+        """All homomorphisms into Sym(k), each as a list of permutation tuples
+        indexed by group element, in lexicographic order of the generator
+        images.  Cached per table: do not mutate."""
+        key = (tuple(map(tuple, self.table)), k)
+        if key not in _HOMS:
+            candidates = product(permutations(range(k)), repeat=len(self.generators))
+            _HOMS[key] = [h for images in candidates if (h := self.extend(images, k)) is not None]
+        return _HOMS[key]
+
+
+_HOMS: dict = {}
 
 
 def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     # (p*q)(x) = p(q(x))
     return tuple(p[q[x]] for x in range(len(p)))
-
-
-@lru_cache(maxsize=None)
-def _sym_elements(k: int):
-    return [tuple(p) for p in permutations(range(k))]
-
-
-def _is_hom(table: tuple[tuple[int, ...], ...], images: dict[int, tuple[int, ...]]) -> bool:
-    n = len(table)
-    return all(
-        _perm_mul(images[a], images[b]) == images[table[a][b]]
-        for a in range(n)
-        for b in range(n)
-    )
-
-
-@lru_cache(maxsize=None)
-def _enumerate_homs(table: tuple[tuple[int, ...], ...], identity: int, k: int):
-    syms = _sym_elements(k)
-    n = len(table)
-    homs = []
-
-    def forced_image(g: int, assigned: dict[int, tuple[int, ...]]):
-        for a in assigned:
-            for b in assigned:
-                if table[a][b] == g:
-                    return _perm_mul(assigned[a], assigned[b])
-        return None
-
-    def backtrack(assigned: dict[int, tuple[int, ...]], todo: list[int]):
-        if not todo:
-            if _is_hom(table, assigned):
-                homs.append([assigned[i] for i in range(n)])
-            return
-        g, rest = todo[0], todo[1:]
-        forced = forced_image(g, assigned)
-        candidates = [forced] if forced is not None else syms
-        for img in candidates:
-            assigned[g] = img
-            ok = True
-            for a in list(assigned):
-                ab = table[a][g]
-                if ab in assigned and _perm_mul(assigned[a], img) != assigned[ab]:
-                    ok = False
-                    break
-                ba = table[g][a]
-                if ba in assigned and _perm_mul(img, assigned[a]) != assigned[ba]:
-                    ok = False
-                    break
-            if ok:
-                backtrack(assigned, rest)
-            del assigned[g]
-
-    others = [g for g in range(n) if g != identity]
-    backtrack({identity: tuple(range(k))}, others)
-    return homs
 
 
 def cyclic(n: int, name: str | None = None) -> FiniteGroup:
@@ -168,16 +157,12 @@ def trivial() -> FiniteGroup:
     return FiniteGroup(["e"], [[0]], "1")
 
 
-def klein_four() -> FiniteGroup:
-    return direct_product(cyclic(2), cyclic(2), "Z2+Z2")
-
-
 BUILTIN_GROUPS = {
     "1": trivial,
     "Z2": lambda: cyclic(2),
     "Z3": lambda: cyclic(3),
     "Z4": lambda: cyclic(4),
-    "Z2+Z2": klein_four,
+    "Z2+Z2": lambda: direct_product(cyclic(2), cyclic(2), "Z2+Z2"),
     "Z4+Z2": lambda: direct_product(cyclic(4), cyclic(2), "Z4+Z2"),
     "D4": lambda: dihedral(4),
 }

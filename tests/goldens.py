@@ -23,10 +23,11 @@ import tempfile
 from pathlib import Path
 
 from intsing import cli
-from intsing.atoms import named_products
+from intsing.atoms import named_products, product_to_dict
 from intsing.bifurcation import TraceParams, diagram_to_dict
 from intsing.canonical import build_canonical, randomized_disguise
 from intsing.classify import classify_point
+from intsing.groups import BUILTIN_GROUPS, group_by_name
 from intsing.kovalevskaya import kovalevskaya_diagram
 
 from test_classify import all_specs
@@ -78,6 +79,17 @@ def atoms_check_catalog() -> dict:
     return {name: _cli_json(["atoms", "check", "--name", name]) for name in sorted(named_products())}
 
 
+def named_products_and_homomorphisms() -> dict:
+    """`product_to_dict` of every named product, and `homomorphisms_to_sym(k)`
+    of every built-in group for k <= 4 (the list order included)."""
+    return {
+        "products": {name: product_to_dict(p) for name, p in named_products().items() if not isinstance(p, dict)},
+        "homomorphisms": {
+            name: {str(k): group_by_name(name).homomorphisms_to_sym(k) for k in range(5)} for name in BUILTIN_GROUPS
+        },
+    }
+
+
 def coarse_kovalevskaya_diagram():
     """The coarse g=0.5 diagram of `test_diagram_contains_vertices`."""
     return kovalevskaya_diagram(
@@ -106,6 +118,7 @@ SOURCES = {
     "trace_canonical_1010": trace_canonical_1010,
     "atoms_list": lambda: _cli_json(["atoms", "list"]),
     "atoms_check_catalog": atoms_check_catalog,
+    "named_products": named_products_and_homomorphisms,
     "kovalevskaya_diagram_coarse": lambda: diagram_to_dict(coarse_kovalevskaya_diagram()),
     "kovalevskaya_diagram_res6_g0": lambda: diagram_to_dict(criterion_3_kovalevskaya_diagram(0.0)),
     "kovalevskaya_diagram_res6_g0.5": lambda: diagram_to_dict(criterion_3_kovalevskaya_diagram(0.5)),

@@ -1,5 +1,9 @@
+from itertools import permutations, product
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intsing import groups
 from intsing.atoms import (
@@ -7,6 +11,7 @@ from intsing.atoms import (
     PAPER_COMPLEXITY_2_FOCUS,
     PAPER_COMPLEXITY_2_SADDLE,
     AlmostDirectProduct,
+    Atom,
     AtomsError,
     GroupAction,
     atom,
@@ -194,3 +199,64 @@ def test_homomorphisms_enumerated_once_per_table(monkeypatch):
     second = groups.group_by_name("D4").homomorphisms_to_sym(4)
     assert second == first
     assert len(calls) == enumerated
+
+
+def test_generators_and_extend():
+    d4 = groups.group_by_name("D4")
+    assert [d4.labels[s] for s in d4.generators] == ["r1", "r0s"]
+    assert groups.trivial().generators == ()
+    z3 = groups.cyclic(3)
+    assert z3.extend([(1, 2, 0)], 3) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    assert z3.extend([(1, 0)], 2) is None  # g^3 = g cannot be the identity
+
+
+def _compose(p, q):
+    return tuple(p[x] for x in q)
+
+
+@st.composite
+def element_wise_actions(draw):
+    """A built-in group, k <= 4 and one permutation of range(k) per element,
+    the identity fixed.  Either an enumerated homomorphism, possibly with a
+    few non-identity images redrawn, or random generator images walked
+    breadth-first through the group in a random generator order: that map
+    keeps the law along the edges of the walk and may break it elsewhere."""
+    g = groups.group_by_name(draw(st.sampled_from(sorted(groups.BUILTIN_GROUPS))))
+    k = draw(st.integers(0, 4))
+    syms = list(permutations(range(k)))
+    if draw(st.booleans()):
+        perms = list(draw(st.sampled_from(g.homomorphisms_to_sym(k))))
+        others = [a for a in g.elements() if a != g.identity]
+        if others:
+            for a, p in draw(st.lists(st.tuples(st.sampled_from(others), st.sampled_from(syms)), max_size=3)):
+                perms[a] = p
+        return g, k, perms
+    images = {s: draw(st.sampled_from(syms)) for s in g.generators}
+    walked = {g.identity: tuple(range(k))}
+    queue = [g.identity]
+    order = draw(st.permutations(g.generators))
+    for a in queue:
+        for s in order:
+            b = g.mul(a, s)
+            if b not in walked:
+                walked[b] = _compose(walked[a], images[s])
+                queue.append(b)
+    return g, k, [walked[a] for a in g.elements()]
+
+
+@given(element_wise_actions())
+def test_validate_accepts_exactly_the_homomorphisms(drawn):
+    g, k, perms = drawn
+    is_hom = all(
+        _compose(perms[a], perms[b]) == perms[g.mul(a, b)] for a, b in product(g.elements(), repeat=2)
+    )
+    action = GroupAction(g, [perms], [[False] * g.order])
+    try:
+        action.validate([Atom("X", "hyperbolic", k)])
+        accepted = True
+    except AtomsError as exc:
+        assert "homomorphism" in str(exc)
+        accepted = False
+    assert accepted == is_hom
+    if accepted:
+        assert perms in g.homomorphisms_to_sym(k)

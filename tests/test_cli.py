@@ -250,6 +250,16 @@ def test_missing_product_file_is_a_json_error(tmp_path, capsys):
 PRODUCT_FAULTS = {
     "list": "[1]",
     "unknown-group": json.dumps({"components": ["B"], "group": "Z9", "action": [{"perms": {"e": [0]}}]}),
+    "fiber-free-not-a-boolean": json.dumps(
+        {
+            "components": ["C2"],
+            "group": "Z2",
+            "action": [{"perms": {"e": [0, 1], "g": [1, 0]}, "fiber_free": {"g": "false"}}],
+        }
+    ),
+    "components-not-a-list": json.dumps(
+        {"components": "BB", "group": "1", "action": [{"perms": {"e": [0]}}, {"perms": {"e": [0]}}]}
+    ),
 }
 
 

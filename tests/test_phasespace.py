@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from intsing.expr import parse
+from intsing.expr import Expression, parse
 from intsing.phasespace import (
     IntegrableModel,
     PhasePoint,
@@ -109,8 +109,6 @@ def test_commutation_adversarial():
 
 
 def test_sampled_checks_evaluate_each_expression_once(e3, kov_exprs, monkeypatch):
-    from intsing.expr import Expression
-
     h, k = kov_exprs
     model = IntegrableModel(e3, [h, k], leaf_values=[1.0, 0.5])
     calls = []
@@ -132,6 +130,26 @@ def test_jacobi_identity_e3(e3):
 def test_jacobi_identity_canonical():
     st = PoissonStructure.canonical_chart([("x1", "y1"), ("x2", "y2")])
     assert st.jacobi_residual(samples=20) == 0.0
+
+
+def test_jacobi_residual_matches_pointwise_jacobiator(monkeypatch):
+    # pi_xy = x, pi_yz = y, pi_zx = z: v = (y, z, x) has v . curl v = -(x+y+z),
+    # so the Jacobi identity fails away from that plane
+    xyz = ("x", "y", "z")
+    E = {src: parse(src, xyz) for src in ("0", "x", "-x", "y", "-y", "z", "-z")}
+    st = PoissonStructure(xyz, [[E["0"], E["x"], E["-z"]], [E["-x"], E["0"], E["y"]], [E["z"], E["-y"], E["0"]]])
+    calls = []
+    evaluate = Expression.evaluate
+    monkeypatch.setattr(Expression, "evaluate", lambda self, *a, **kw: calls.append(1) or evaluate(self, *a, **kw))
+    residual = st.jacobi_residual(samples=50, box=2.0, seed=3)
+    assert len(calls) == 1  # the one triple i < j < k, over all samples at once
+    monkeypatch.undo()
+    worst = 0.0
+    for p in np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 3)):
+        term = np.einsum("il,jkl->ijk", st.bivector_at(p), st.bivector_gradients_at(p))
+        worst = max(worst, float(np.abs(term + term.transpose(1, 2, 0) + term.transpose(2, 0, 1)).max()))
+    assert worst > 1.0
+    assert abs(residual - worst) <= 1e-12 * worst
 
 
 def test_casimirs_commute_with_coordinates(e3):
