@@ -478,10 +478,12 @@ def product_from_dict(d: dict) -> AlmostDirectProduct:
         comps = [atom(n) for n in names]
         group = group_from_dict(d["group"])
         label_index = {lab: i for i, lab in enumerate(group.labels)}
+        entries = d["action"]
+        if not isinstance(entries, list) or len(entries) != len(comps):
+            raise AtomsError(f"action must be a list of one entry per component ({len(comps)}), not {entries!r}")
         perms: list[list[tuple[int, ...]]] = []
         fiber_free: list[list[bool] | None] = []
-        for c, comp in enumerate(comps):
-            centry = d["action"][c]
+        for comp, centry in zip(comps, entries):
             row = [None] * group.order
             for lab, perm in centry["perms"].items():
                 row[label_index[lab]] = tuple(perm)

@@ -2,9 +2,13 @@
 
 Expressions are immutable ASTs built from rational constants, named symbols
 and the operators + - * / ^ (non-negative integer exponent).  Partial
-derivatives are exact AST transformations.  One post-order walker evaluates
-a tree at a point, over a batch of points and on second-order jets (value,
-gradient, Hessian), so rank tests downstream see no finite-difference noise.
+derivatives are exact AST transformations.  Numeric evaluation compiles one
+or more fields into a `Tape`: straight-line code with one instruction per
+structurally distinct node, built without recursion, so a subtree shared by
+several fields (or repeated in one) is computed once and a tree of any depth
+evaluates.  One loop runs the tape at a point, over a batch of points and on
+second-order jets (value, gradient, Hessian), so rank tests downstream see no
+finite-difference noise.
 
 Grammar::
 
@@ -20,6 +24,9 @@ float literal ("2", "0.5", "1e-3").
 
 from __future__ import annotations
 
+import operator
+import struct
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -404,36 +411,162 @@ def _diff(node: Node, var: int) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: one post-order walker, generic over its leaf numbers: a float
-# at one point, an array over a batch of points, or a _Jet for second-order
-# jets.  Constants are plain floats, and so are parameters in a jet.
+# Evaluation: a tape (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008,
+# ch. 2-3) run by one loop over any leaf numbers: a float at one point, an array
+# per coordinate over a batch of points, or a _Jet for second-order jets.
+# Constants are plain floats, and so are parameters in a jet.
 # ---------------------------------------------------------------------------
 
 
-def _value(node: Node, vals: Sequence):
-    if isinstance(node, Sym):
-        return vals[node.index]
-    if isinstance(node, Const):
-        return node.fvalue
-    if isinstance(node, Mul):
-        return _value(node.a, vals) * _value(node.b, vals)
-    if isinstance(node, Add):
-        return _value(node.a, vals) + _value(node.b, vals)
-    if isinstance(node, Sub):
-        return _value(node.a, vals) - _value(node.b, vals)
-    if isinstance(node, Pow):
-        base = _value(node.a, vals)
-        if isinstance(base, np.ndarray):  # libm pow per entry, the bits of one-point evaluation
-            return np.array([b ** node.k for b in base])
-        return base ** node.k
-    if isinstance(node, Neg):
-        return -_value(node.a, vals)
-    if isinstance(node, Div):
-        den = _value(node.b, vals)
-        if np.any(den == 0.0) if isinstance(den, np.ndarray) else den == 0.0:
-            raise EvalError("division by zero")
-        return _value(node.a, vals) / den
-    raise TypeError(f"unknown node {node!r}")
+def _negate(x, _):  # every instruction takes two operands; a unary one ignores its second
+    return -x
+
+
+def _quotient(x, y):
+    if np.any(y == 0.0) if isinstance(y, np.ndarray) else y == 0.0:
+        raise EvalError("division by zero")
+    return x / y
+
+
+@cache
+def _power(k: int):
+    def power(x, _):
+        if isinstance(x, np.ndarray):  # libm pow per entry, the bits of one-point evaluation
+            return np.array([b ** k for b in x])
+        return x ** k
+
+    return power
+
+
+_INSTRUCTION = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _quotient}
+
+
+class Tape:
+    """Straight-line code for fields over one symbol table.
+
+    Each distinct node is one slot, computed once per run: an operation is
+    keyed on its op, its operand slots and its exponent, a constant on its
+    float bits (so 0.0 and -0.0 stay apart) and a symbol on its index.  The
+    build walks the trees with an explicit stack, so a tree of any depth
+    compiles, and visits a subtree object shared between fields once.
+    """
+
+    __slots__ = ("coords", "params", "_init", "_fns", "_a", "_b", "_out", "_roots")
+
+    def __init__(self, fields: Sequence[Expression]):
+        self.coords, self.params = (fields[0].coords, fields[0].params) if fields else ((), ())
+        if any((f.coords, f.params) != (self.coords, self.params) for f in fields):
+            raise ValueError("mixing expressions over different symbol tables")
+        nsym = len(self.symbols)
+        consts, fns, args = [], [], []  # operation k is slot -(k + 1)
+        slot, keyed = {}, {}  # id(node) -> slot; key -> slot
+        for root in (f.node for f in fields):
+            stack = [root]
+            while stack:
+                node = stack[-1]
+                if id(node) in slot:
+                    stack.pop()
+                    continue
+                kind = type(node)
+                if kind is Sym:
+                    slot[id(node)] = node.index
+                elif kind is Const:
+                    key = struct.pack("<d", node.fvalue)
+                    if key not in keyed:
+                        keyed[key] = nsym + len(consts)
+                        consts.append(node.fvalue)
+                    slot[id(node)] = keyed[key]
+                else:
+                    operands = (node.a, node.b) if isinstance(node, _Binary) else (node.a,)
+                    todo = [n for n in operands if id(n) not in slot]
+                    if todo:
+                        stack.extend(reversed(todo))
+                        continue
+                    a = slot[id(node.a)]
+                    b = a if len(operands) == 1 else slot[id(node.b)]
+                    fn = _power(node.k) if kind is Pow else _negate if kind is Neg else _INSTRUCTION[kind]
+                    key = (fn, a, b)
+                    if key not in keyed:
+                        fns.append(fn)
+                        args.append((a, b))
+                        keyed[key] = -len(fns)
+                    slot[id(node)] = keyed[key]
+                stack.pop()
+        # Registers: a symbol or constant keeps its slot.  An operation's value
+        # holds a register until its last reader has run, then the register is
+        # reused, so a batch keeps few arrays alive at once; a root's is kept.
+        roots = [slot[id(f.node)] for f in fields]
+        last = {s: k for k, operands in enumerate(args) for s in operands}
+        last.update((s, len(args)) for s in roots)
+        register, free, top = {}, [], nsym + len(consts)
+        for k, operands in enumerate(args):
+            free += [register[s] for s in set(operands) if s < 0 and last[s] == k]
+            if free:
+                register[-(k + 1)] = free.pop()
+            else:
+                register[-(k + 1)], top = top, top + 1
+
+        def reg(s: int) -> int:
+            return s if s >= 0 else register[s]
+
+        self._init = tuple(consts) + (None,) * (top - nsym - len(consts))
+        self._fns = tuple(fns)
+        self._a = array("i", [reg(a) for a, _ in args])
+        self._b = array("i", [reg(b) for _, b in args])
+        self._out = array("i", [reg(-(k + 1)) for k in range(len(args))])
+        self._roots = array("i", [reg(s) for s in roots])
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        return self.coords + self.params
+
+    def _run(self, leaves) -> list:
+        r = [*leaves, *self._init]
+        for fn, a, b, o in zip(self._fns, self._a, self._b, self._out):
+            r[o] = fn(r[a], r[b])
+        return [r[s] for s in self._roots]
+
+    def _values(self, point, params: Mapping[str, float] | None) -> np.ndarray:
+        """One row per symbol: shape (nsym,) at a point, (nsym, m) at the rows of an (m, dim) array."""
+        pt = np.asarray(point, dtype=float)
+        if pt.shape[pt.ndim == 2 :] != (len(self.coords),):
+            raise ValueError(f"expected {len(self.coords)} coordinate values")
+        vals = np.zeros((len(self.symbols),) + pt.shape[:-1])
+        vals[: len(self.coords)] = pt.T
+        if params:
+            for name, v in params.items():
+                if name not in self.params:
+                    continue  # models may carry parameters this field never uses
+                vals[self.symbols.index(name)] = v
+        return vals
+
+    def values(self, point, params: Mapping[str, float] | None = None) -> list:
+        """Each field's value at one point, or its m values at the rows of an (m, dim) array."""
+        if not self._roots:
+            return []
+        vals = self._values(point, params)
+        out = self._run(vals)
+        return out if vals.ndim == 1 else [np.full(vals.shape[1], v) for v in out]
+
+    def jets(self, point, params: Mapping[str, float] | None = None) -> list[Jet2]:
+        """Value, gradient and Hessian of each field at one point: the tape on _Jet leaves."""
+        if not self._roots:
+            return []
+        vals, n = self._values(point, params), len(self.coords)
+        out = []
+        for j in self._run([_Jet(v, e, 0.0) for v, e in zip(vals, _unit_vectors(n))] + list(vals[n:])):
+            v, g, h = (j.v, j.g, j.h) if isinstance(j, _Jet) else (j, 0.0, 0.0)
+            h = np.zeros((n, n)) if isinstance(h, float) else h
+            out.append(Jet2(v, np.zeros(n) if isinstance(g, float) else g, 0.5 * (h + h.T)))
+        return out
+
+
+@cache
+def _unit_vectors(n: int) -> tuple[np.ndarray, ...]:
+    """The coordinate seeds' gradients, read-only: a jet's gradient may be one of them."""
+    e = np.eye(n)
+    e.setflags(write=False)
+    return tuple(e)
 
 
 # In a jet's gradient or Hessian slot a plain float is a structural zero.  It
@@ -464,7 +597,7 @@ class _Jet:
     def __init__(self, v, g, h):
         self.v, self.g, self.h = v, g, h
 
-    def __eq__(self, other):  # by value: the walker's zero-divisor test
+    def __eq__(self, other):  # by value: the zero-divisor test of _quotient
         return self.v == other
 
     def __neg__(self):
@@ -651,13 +784,14 @@ class Jet2:
 class Expression:
     """Immutable scalar field over a fixed symbol table (coords + params)."""
 
-    __slots__ = ("node", "coords", "params", "_dcache")
+    __slots__ = ("node", "coords", "params", "_dcache", "_tape")
 
     def __init__(self, node: Node, coords: Sequence[str], params: Sequence[str] = ()):
         self.node = node
         self.coords = tuple(coords)
         self.params = tuple(params)
         self._dcache: dict[int, "Expression"] = {}
+        self._tape: Tape | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -785,52 +919,23 @@ class Expression:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _values(self, point, params: Mapping[str, float] | None) -> np.ndarray:
-        """One row per symbol: shape (nsym,) at a point, (nsym, m) at the rows of an (m, dim) array."""
-        pt = np.asarray(point, dtype=float)
-        if pt.shape[pt.ndim == 2 :] != (len(self.coords),):
-            raise ValueError(f"expected {len(self.coords)} coordinate values")
-        vals = np.zeros((len(self.symbols),) + pt.shape[:-1])
-        vals[: len(self.coords)] = pt.T
-        if params:
-            for name, v in params.items():
-                if name not in self.params:
-                    continue  # models may carry parameters this field never uses
-                vals[self.symbols.index(name)] = v
-        return vals
+    def _compiled(self) -> Tape:
+        """This field's one-root tape, compiled on first use."""
+        if self._tape is None:
+            self._tape = Tape([self])
+        return self._tape
 
     def evaluate(self, point, params: Mapping[str, float] | None = None):
         """The value at one point, or the m values at the rows of an (m, dim) array."""
-        vals = self._values(point, params)
-        out = _value(self.node, vals)
-        return out if vals.ndim == 1 else np.full(vals.shape[1], out)
+        return self._compiled().values(point, params)[0]
 
     def jet2(self, point, params: Mapping[str, float] | None = None) -> Jet2:
-        return field_jets([self], point, params)[0]
-
-
-@cache
-def _unit_vectors(n: int) -> tuple[np.ndarray, ...]:
-    """The coordinate seeds' gradients, read-only: a jet's gradient may be one of them."""
-    e = np.eye(n)
-    e.setflags(write=False)
-    return tuple(e)
+        return self._compiled().jets(point, params)[0]
 
 
 def field_jets(fields: Sequence[Expression], point, params: Mapping[str, float] | None = None) -> list[Jet2]:
-    """Value, gradient and Hessian of each field at one point: the value walker on
-    _Jet leaves, the coordinate seeds built once per run of fields over one symbol table."""
-    out, table, leaves = [], None, None
-    for f in fields:
-        n = len(f.coords)
-        if (f.coords, f.params) != table:
-            table, vals = (f.coords, f.params), f._values(point, params)
-            leaves = [_Jet(v, e, 0.0) for v, e in zip(vals, _unit_vectors(n))] + list(vals[n:])
-        j = _value(f.node, leaves)
-        v, g, h = (j.v, j.g, j.h) if isinstance(j, _Jet) else (j, 0.0, 0.0)
-        h = np.zeros((n, n)) if isinstance(h, float) else h
-        out.append(Jet2(v, np.zeros(n) if isinstance(g, float) else g, 0.5 * (h + h.T)))
-    return out
+    """Value, gradient and Hessian of each field at one point, from one tape over the fields."""
+    return Tape(fields).jets(point, params)
 
 
 # ---------------------------------------------------------------------------
@@ -863,5 +968,5 @@ def differentiate(e: Expression, var: str) -> Expression:
 
 
 def evaluate_jet2(e: Expression, point, params: Mapping[str, float] | None = None) -> Jet2:
-    """Value, gradient and Hessian of e at a point, by the value walker on jets."""
+    """Value, gradient and Hessian of e at a point, by its tape on jets."""
     return e.jet2(point, params)

@@ -8,7 +8,7 @@ groups are enumerated by extending every choice of generator images.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations, product
 
 
@@ -168,7 +168,9 @@ BUILTIN_GROUPS = {
 }
 
 
+@cache
 def group_by_name(name: str) -> FiniteGroup:
+    """The built-in group of that name, one shared instance per name: do not mutate."""
     try:
         return BUILTIN_GROUPS[name]()
     except KeyError:

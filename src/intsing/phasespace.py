@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .expr import Expression, Jet2, constant, field_jets, parse
+from .expr import Expression, Jet2, Tape, constant, parse
 
 DEFAULT_SEED = 0
 
@@ -114,15 +115,17 @@ class PoissonStructure:
                 vals[i, j] = float(poly[key])
         return vals
 
+    # The index pairs above the diagonal, and their entries' tape, compiled on first use.
+    _upper = cached_property(lambda self: [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim)])
+    _upper_tape = cached_property(lambda self: Tape([self.entries[i][j] for i, j in self._upper]))
+
     def bivector_at(self, point, params=None) -> np.ndarray:
         if self._const_matrix is not None:
             return self._const_matrix
         out = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                v = self.entries[i][j].evaluate(point, params)
-                out[i, j] = v
-                out[j, i] = -v
+        for (i, j), v in zip(self._upper, self._upper_tape.values(point, params)):
+            out[i, j] = v
+            out[j, i] = -v
         return out
 
     def bivector_gradients_at(self, point, params=None) -> np.ndarray:
@@ -130,8 +133,7 @@ class PoissonStructure:
         out = np.zeros((self.dim, self.dim, self.dim))
         if self._const_matrix is not None:
             return out
-        pairs = [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim)]
-        for (i, j), jet in zip(pairs, field_jets([self.entries[i][j] for i, j in pairs], point, params)):
+        for (i, j), jet in zip(self._upper, self._upper_tape.jets(point, params)):
             out[i, j] = jet.gradient
             out[j, i] = -jet.gradient
         return out
@@ -233,22 +235,23 @@ class IntegrableModel:
     def n(self) -> int:
         return len(self.components)
 
+    # One tape per field set evaluated together, compiled on first use.
+    _component_tape = cached_property(lambda self: Tape(self.components))
+    _casimir_tape = cached_property(lambda self: Tape(self.structure.casimirs))
+
     def component_jets(self, point) -> list[Jet2]:
-        return field_jets(self.components, point, self.params)
+        return self._component_tape.jets(point, self.params)
 
     def casimir_jets(self, point) -> list[Jet2]:
-        return field_jets(self.structure.casimirs, point, self.params)
+        return self._casimir_tape.jets(point, self.params)
 
     def leaf_residual(self, point) -> float:
         if not self.structure.casimirs:
             return 0.0
-        return max(
-            abs(c.evaluate(point, self.params) - v)
-            for c, v in zip(self.structure.casimirs, self.leaf_values)
-        )
+        return max(abs(c - v) for c, v in zip(self._casimir_tape.values(point, self.params), self.leaf_values))
 
     def momentum_value(self, point) -> np.ndarray:
-        return np.array([c.evaluate(point, self.params) for c in self.components])
+        return np.array(self._component_tape.values(point, self.params))
 
     def field_exprs(self, index: int) -> list[Expression]:
         return self.structure.ham_field(self.components[index])

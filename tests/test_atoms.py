@@ -201,6 +201,10 @@ def test_homomorphisms_enumerated_once_per_table(monkeypatch):
     assert len(calls) == enumerated
 
 
+def test_group_by_name_shares_one_instance():
+    assert all(groups.group_by_name(name) is groups.group_by_name(name) for name in groups.BUILTIN_GROUPS)
+
+
 def test_generators_and_extend():
     d4 = groups.group_by_name("D4")
     assert [d4.labels[s] for s in d4.generators] == ["r1", "r0s"]

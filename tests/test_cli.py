@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -240,6 +241,21 @@ def test_bad_model_file_is_a_json_error(command, fault, tmp_path, capsys):
     assert str(path) in json.loads(out)["error"]
 
 
+def test_deep_model_classifies_and_traces(tmp_path, capsys):
+    """One component of 1,499 terms: its tree is deeper than the interpreter's
+    recursion limit, and the tape compiles and runs it without recursion."""
+    terms = ["x^2", "y^2"] + [f"{k % 5 + 1}/1000000*x^{k % 4}*y^{k // 4 % 4}" for k in range(1497)]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"coordinates": ["x", "y"], "components": ["+".join(terms)]}))
+    t0 = time.perf_counter()
+    code, out = run_cli(["classify", "--model", str(path), "--point", "x=0.1,y=0.2"], capsys)
+    assert code == 0 and json.loads(out)["status"] == "regular"
+    code, out = run_cli(["trace", "--model", str(path)], capsys)
+    assert code == 0
+    assert [v["williamson"] for v in json.loads(out)["vertices"]] == [[1, 0, 0]]  # the minimum near the origin
+    assert time.perf_counter() - t0 < 10.0
+
+
 def test_missing_product_file_is_a_json_error(tmp_path, capsys):
     path = tmp_path / "absent.json"
     code, out = run_cli(["atoms", "check", "--product", str(path)], capsys)
@@ -259,6 +275,13 @@ PRODUCT_FAULTS = {
     ),
     "components-not-a-list": json.dumps(
         {"components": "BB", "group": "1", "action": [{"perms": {"e": [0]}}, {"perms": {"e": [0]}}]}
+    ),
+    "extra-action-entry": json.dumps(
+        {
+            "components": ["C2"],
+            "group": "Z2",
+            "action": [{"perms": {"e": [0, 1], "g": [1, 0]}}, {"perms": {"e": [0, 1, 2]}}],
+        }
     ),
 }
 

@@ -1,11 +1,27 @@
+import operator
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intsing.expr import (
+    Add,
+    Const,
+    Div,
     EvalError,
+    Expression,
+    Mul,
+    Neg,
     ParseError,
+    Pow,
+    Sub,
+    Sym,
+    Tape,
     differentiate,
     evaluate_jet2,
+    field_jets,
     parse,
 )
 
@@ -213,3 +229,120 @@ def test_substitute_linear_map():
     }
     image = e.substitute(sub)
     assert image.normalized_equal(parse("(u+2*v)*(u-v)", new))
+
+
+# ---------------------------------------------------------------------------
+# Properties on random ASTs, built from the node classes directly (so shapes
+# the smart constructors would fold, such as x*(-0.0), occur too).  Division
+# is by nonzero constants only, so every tree is a polynomial.
+# ---------------------------------------------------------------------------
+
+ABC = ("a", "b", "c")
+_CONSTANTS = [0, 1, -2, 3, Fraction(1, 3), Fraction(-5, 7), 0.5, 1.25, 0.0, -0.0]
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _grow_pairs(kids):
+    """A node and its magnitude tree: constants and symbols taken absolute,
+    Sub and Neg turned into Add and identity.  Its jet at |p| bounds the sum
+    of the absolute values of every term in the node's value, gradient and
+    Hessian at p, the scale of their rounding error."""
+    return st.one_of(
+        st.tuples(st.sampled_from([Add, Sub, Mul]), kids, kids).map(
+            lambda t: (t[0](t[1][0], t[2][0]), (Mul if t[0] is Mul else Add)(t[1][1], t[2][1]))
+        ),
+        kids.map(lambda k: (Neg(k[0]), k[1])),
+        st.tuples(kids, st.integers(2, 3)).map(lambda t: (Pow(t[0][0], t[1]), Pow(t[0][1], t[1]))),
+        st.tuples(kids, st.sampled_from([2, Fraction(-3, 4), 0.25])).map(
+            lambda t: (Div(t[0][0], Const(t[1])), Div(t[0][1], Const(abs(t[1]))))
+        ),
+    )
+
+
+_LEAF_PAIRS = st.one_of(
+    st.integers(0, 2).map(lambda i: (Sym(i, ABC[i]), Sym(i, ABC[i]))),
+    st.sampled_from(_CONSTANTS).map(lambda c: (Const(c), Const(abs(c)))),
+)
+NODE_PAIRS = st.recursive(_LEAF_PAIRS, _grow_pairs, max_leaves=10)
+NODES = NODE_PAIRS.map(lambda pair: pair[0])
+POINTS = st.lists(st.floats(-2, 2, allow_nan=False), min_size=3, max_size=3).map(np.array)
+
+
+def _poly_value(poly, p):
+    return sum((c * np.prod([Fraction(x) ** m for x, m in zip(p, mono)]) for mono, c in poly.items()), Fraction(0))
+
+
+def _poly_diff(poly, i):
+    return {mono[:i] + (mono[i] - 1,) + mono[i + 1 :]: c * mono[i] for mono, c in poly.items() if mono[i]}
+
+
+@given(NODE_PAIRS, POINTS)
+def test_jets_match_exact_polynomial_derivatives(pair, p):
+    e, magnitude = Expression(pair[0], ABC), Expression(pair[1], ABC)
+    poly = e.as_polynomial()
+    jet, bound = e.jet2(p), magnitude.jet2(np.abs(p))
+    assert abs(jet.value - _poly_value(poly, p)) <= 1e-9 * bound.value
+    for i in range(3):
+        di = _poly_diff(poly, i)
+        assert abs(jet.gradient[i] - _poly_value(di, p)) <= 1e-9 * bound.gradient[i]
+        for j in range(3):
+            assert abs(jet.hessian[i, j] - _poly_value(_poly_diff(di, j), p)) <= 1e-9 * bound.hessian[i, j]
+
+
+def _unshared(n):
+    """A structurally equal copy that shares no node object."""
+    if isinstance(n, Sym):
+        return Sym(n.index, n.name)
+    if isinstance(n, Const):
+        return Const(n.value)
+    if isinstance(n, Neg):
+        return Neg(_unshared(n.a))
+    if isinstance(n, Pow):
+        return Pow(_unshared(n.a), n.k)
+    return type(n)(_unshared(n.a), _unshared(n.b))
+
+
+def _walk(n, x):
+    """The recursive reference at one point: every tree node evaluated at each visit."""
+    if isinstance(n, Sym):
+        return x[n.index]
+    if isinstance(n, Const):
+        return n.fvalue
+    if isinstance(n, Neg):
+        return -_walk(n.a, x)
+    if isinstance(n, Pow):
+        return _walk(n.a, x) ** n.k
+    return _BINARY[type(n)](_walk(n.a, x), _walk(n.b, x))
+
+
+def _bytes(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@given(
+    st.lists(NODES, min_size=1, max_size=4),
+    st.lists(st.tuples(st.sampled_from([Add, Sub, Mul]), st.integers(0, 9), st.integers(0, 9)), max_size=6),
+    POINTS,
+)
+def test_shared_subtrees_evaluate_like_unshared_copies(pool, recipe, p):
+    nodes = list(pool)
+    for op, i, j in recipe:  # later fields hold earlier ones' objects
+        nodes.append(op(nodes[i % len(nodes)], nodes[j % len(nodes)]))
+    first = nodes[0]  # and fields whose hash-cons keys differ in one part only
+    nodes += [
+        v
+        for n in list(nodes)
+        for v in (Pow(n, 2), Pow(n, 3), Mul(n, Const(0.0)), Mul(n, Const(-0.0)), Sub(n, first), Sub(first, n))
+    ]
+    shared = [Expression(n, ABC) for n in nodes]
+    copies = [Expression(_unshared(n), ABC) for n in nodes]
+    batch = np.vstack([p, np.random.default_rng(0).uniform(-2, 2, size=(5, 3))])
+    tape = Tape(shared)
+    for got, want in zip(field_jets(shared, p), [c.jet2(p) for c in copies]):
+        assert [_bytes(got.value), _bytes(got.gradient), _bytes(got.hessian)] == [
+            _bytes(want.value), _bytes(want.gradient), _bytes(want.hessian)
+        ]
+    values = tape.values(p)
+    assert [_bytes(v) for v in values] == [_bytes(c.evaluate(p)) for c in copies]
+    assert [_bytes(v) for v in values] == [_bytes(_walk(c.node, p)) for c in copies]
+    assert [_bytes(v) for v in tape.values(batch)] == [_bytes(c.evaluate(batch)) for c in copies]
