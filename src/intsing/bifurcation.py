@@ -92,9 +92,15 @@ class BifurcationDiagram:
     vertices: list[Vertex]
     cusp_candidates: list[np.ndarray]
 
+    @property
+    def value_width(self) -> int:
+        """The number of momentum components; 2 for a diagram without values."""
+        values = [v.value for v in self.vertices] + [p for arc in self.arcs for p in arc.values[:1]]
+        return len(values[0]) if values else 2
+
     def all_arc_values(self) -> np.ndarray:
         pts = [v for arc in self.arcs for v in arc.values]
-        return np.array(pts) if pts else np.zeros((0, 2))
+        return np.array(pts) if pts else np.zeros((0, self.value_width))
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +742,10 @@ def diagram_to_dict(d: BifurcationDiagram) -> dict:
 
 
 def _svg_text(d: BifurcationDiagram, width: int = 640, height: int = 480) -> str:
-    pts = d.all_arc_values()
-    vs = np.array([v.value for v in d.vertices]) if d.vertices else np.zeros((0, 2))
-    allpts = np.vstack([pts, vs]) if pts.size or vs.size else np.zeros((0, 2))
+    vs = np.array([v.value for v in d.vertices]) if d.vertices else np.zeros((0, d.value_width))
+    allpts = np.vstack([d.all_arc_values(), vs])
+    if allpts.shape[1] == 1:  # one component: the values plot on the horizontal axis
+        allpts = np.hstack([allpts, np.zeros_like(allpts)])
     if allpts.size:
         lo = allpts.min(axis=0)
         hi = allpts.max(axis=0)
@@ -752,7 +759,7 @@ def _svg_text(d: BifurcationDiagram, width: int = 640, height: int = 480) -> str
 
     def xy(v):
         x = (v[0] - lo[0]) / span[0] * (width - 20) + 10
-        y = height - ((v[1] - lo[1]) / span[1] * (height - 20) + 10)
+        y = height - (((v[1] if len(v) > 1 else 0.0) - lo[1]) / span[1] * (height - 20) + 10)
         return f"{x:.2f},{y:.2f}"
 
     lines = [

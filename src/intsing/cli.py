@@ -251,10 +251,10 @@ def cmd_kovalevskaya_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, out_help: str = "write JSON report here (default: stdout)"):
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None, help="write JSON report here (default: stdout)")
+    p.add_argument("--out", default=None, help=out_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value-bound", type=float, default=4.0)
     p.add_argument("--csv", default=None)
     p.add_argument("--json", dest="json_out", default=None)
-    _add_common(p)
+    _add_common(p, out_help="write the diagram as SVG here")
     p.set_defaults(func=cmd_trace)
 
     atoms = sub.add_parser("atoms", help="atom-combinatorics checks")

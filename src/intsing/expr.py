@@ -1,14 +1,14 @@
 """Polynomial/rational scalar fields over named phase-space coordinates.
 
 Expressions are immutable ASTs built from rational constants, named symbols
-and the operators + - * / ^ (non-negative integer exponent).  Partial
-derivatives are exact AST transformations.  Numeric evaluation compiles one
-or more fields into a `Tape`: straight-line code with one instruction per
-structurally distinct node, built without recursion, so a subtree shared by
-several fields (or repeated in one) is computed once and a tree of any depth
-evaluates.  One loop runs the tape at a point, over a batch of points and on
-second-order jets (value, gradient, Hessian), so rank tests downstream see no
-finite-difference noise.
+and the operators + - * / ^ (non-negative integer exponent).  Every transform
+(exact partial derivatives, normal form, source text, substitution, equality
+and the `Tape`) is one rule per node type over one post-order walk without
+recursion, so a tree of any depth is handled.  A `Tape` is straight-line code
+with one instruction per structurally distinct node: a subtree shared by
+several fields (or repeated in one) is computed once.  One loop runs the tape
+at a point, over a batch of points and on second-order jets (value, gradient,
+Hessian), so rank tests downstream see no finite-difference noise.
 
 Grammar::
 
@@ -18,18 +18,19 @@ Grammar::
     power  := atom ("^" INTEGER)?
     atom   := NUMBER | IDENT | "(" expr ")"
 
-IDENT is ``[A-Za-z][A-Za-z0-9]*``; NUMBER is an integer, decimal or
-float literal ("2", "0.5", "1e-3").
+IDENT is ``[A-Za-z][A-Za-z0-9]*``; NUMBER is an integer, decimal or float
+literal ("2", "0.5", "1e-3").  Parentheses nest at most MAX_PAREN_DEPTH deep.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 import struct
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -72,12 +73,6 @@ class Const(Node):
         self.value = value
         self.fvalue = float(value)
 
-    def __eq__(self, other):
-        return isinstance(other, Const) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("Const", self.value))
-
 
 class Sym(Node):
     __slots__ = ("index", "name")
@@ -86,12 +81,6 @@ class Sym(Node):
         self.index = index
         self.name = name
 
-    def __eq__(self, other):
-        return isinstance(other, Sym) and self.index == other.index and self.name == other.name
-
-    def __hash__(self):
-        return hash(("Sym", self.index, self.name))
-
 
 class _Binary(Node):
     __slots__ = ("a", "b")
@@ -99,12 +88,6 @@ class _Binary(Node):
     def __init__(self, a: Node, b: Node):
         self.a = a
         self.b = b
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.a, self.b))
 
 
 class Add(_Binary):
@@ -129,12 +112,6 @@ class Neg(Node):
     def __init__(self, a: Node):
         self.a = a
 
-    def __eq__(self, other):
-        return isinstance(other, Neg) and self.a == other.a
-
-    def __hash__(self):
-        return hash(("Neg", self.a))
-
 
 class Pow(Node):
     __slots__ = ("a", "k")
@@ -142,12 +119,6 @@ class Pow(Node):
     def __init__(self, a: Node, k: int):
         self.a = a
         self.k = k
-
-    def __eq__(self, other):
-        return isinstance(other, Pow) and self.k == other.k and self.a == other.a
-
-    def __hash__(self):
-        return hash(("Pow", self.a, self.k))
 
 
 _ZERO = Const(0)
@@ -241,62 +212,84 @@ def _pow(a: Node, k: int) -> Node:
 
 
 # ---------------------------------------------------------------------------
+# Traversal.  Nodes compare by identity; every transform below (tape,
+# derivatives, polynomial, source text, substitution, structural equality) is
+# one rule per node type, run by _fold over one post-order walk.
+# ---------------------------------------------------------------------------
+
+
+def _operands(node: Node) -> tuple[Node, ...]:
+    if isinstance(node, _Binary):
+        return node.a, node.b
+    return (node.a,) if isinstance(node, (Neg, Pow)) else ()
+
+
+def _postorder(roots: Sequence[Node]) -> tuple[list[Node], set[Node]]:
+    """Each distinct node object under the roots once, operands first, and the
+    nodes reached more than once (shared, or a root that is also an operand).
+    The walk keeps an explicit stack, so a tree of any depth is walked."""
+    order, seen, again = [], set(), set()
+    stack = [(r, False) for r in reversed(roots)]
+    while stack:
+        node, operands_listed = stack.pop()
+        if operands_listed:
+            order.append(node)
+        elif node in seen:
+            again.add(node)
+        else:
+            seen.add(node)
+            operands = _operands(node)
+            if operands:
+                stack.append((node, True))
+                for n in reversed(operands):
+                    stack.append((n, False))
+            else:
+                order.append(node)
+    return order, again
+
+
+def _fold(roots: Sequence[Node], rule) -> list:
+    """The roots' values, where a node's value is rule(node, *its operands' values).
+
+    The rule runs once per distinct node object.  The value of a node with
+    one reader is dropped when it is read, so a long sum never holds the text
+    or polynomial of every partial sum at once.
+    """
+    order, again = _postorder(roots)
+    values = {}
+
+    def read(n: Node):
+        return values[n] if n in again else values.pop(n)
+
+    for node in order:
+        values[node] = rule(node, *map(read, _operands(node)))
+    return [values[r] for r in roots]
+
+
+# ---------------------------------------------------------------------------
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_DIGITS = set("0123456789")
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_CONT = _IDENT_START | _DIGITS
+# The parser recurses once per open parenthesis (five frames per level), so
+# nesting is bounded well inside the interpreter's recursion limit.
+MAX_PAREN_DEPTH = 100
+_SPACE = re.compile(r"[ \t\n\r]*")
+_TOKEN = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[A-Za-z][A-Za-z0-9]*|[-+*/^()]")
 
 
 def _tokenize(src: str):
-    tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\n\r":
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c in _DIGITS or (c == "." and i + 1 < n and src[i + 1] in _DIGITS):
-            j = i
-            seen_dot = seen_exp = False
-            while j < n:
-                cj = src[j]
-                if cj in _DIGITS:
-                    j += 1
-                elif cj == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif cj in "eE" and not seen_exp and j > i:
-                    # exponent only if followed by digits (optional sign)
-                    k = j + 1
-                    if k < n and src[k] in "+-":
-                        k += 1
-                    if k < n and src[k] in _DIGITS:
-                        seen_exp = True
-                        j = k + 1
-                        while j < n and src[j] in _DIGITS:
-                            j += 1
-                    else:
-                        break
-                else:
-                    break
-            tokens.append(("num", src[i:j], i))
-            i = j
-            continue
-        if c in _IDENT_START:
-            j = i + 1
-            while j < n and src[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(("ident", src[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", src, i)
-    tokens.append(("end", "", n))
+    """(kind, text, position) per token: kind is "num", "ident" or the operator
+    character itself, and a last ("end", "", len(src))."""
+    tokens, i = [], _SPACE.match(src).end()
+    while i < len(src):
+        token = _TOKEN.match(src, i)
+        if token is None:
+            raise ParseError(f"unexpected character {src[i]!r}", src, i)
+        text = token.group()
+        kind = "num" if text[0] in "0123456789." else "ident" if text[0].isalpha() else text
+        tokens.append((kind, text, i))
+        i = _SPACE.match(src, token.end()).end()
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
@@ -313,6 +306,7 @@ class _Parser:
         self.symbols = symbols
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0  # open parentheses
 
     def peek(self):
         return self.tokens[self.pos]
@@ -355,10 +349,14 @@ class _Parser:
         return node
 
     def factor(self) -> Node:
-        if self.peek()[0] == "-":
+        signs = 0
+        while self.peek()[0] == "-":
             self.next()
-            return _neg(self.factor())
-        return self.power()
+            signs += 1
+        node = self.power()
+        for _ in range(signs):
+            node = _neg(node)
+        return node
 
     def power(self) -> Node:
         base = self.atom()
@@ -371,8 +369,7 @@ class _Parser:
         return base
 
     def atom(self) -> Node:
-        tok = self.next()
-        kind, text, pos = tok
+        kind, text, pos = self.next()
         if kind == "num":
             return Const(_number_value(text))
         if kind == "ident":
@@ -380,8 +377,12 @@ class _Parser:
                 raise ParseError(f"unknown symbol {text!r}", self.src, pos)
             return Sym(self.symbols[text], text)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", self.src, pos)
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         raise ParseError(f"unexpected token {text!r}", self.src, pos)
 
@@ -391,23 +392,25 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _diff(node: Node, var: int) -> Node:
-    if isinstance(node, Const):
-        return _ZERO
-    if isinstance(node, Sym):
-        return _ONE if node.index == var else _ZERO
-    if isinstance(node, (Add, Sub)):
-        return _BUILD[type(node)](_diff(node.a, var), _diff(node.b, var))
-    if isinstance(node, Neg):
-        return _neg(_diff(node.a, var))
-    if isinstance(node, Mul):
-        return _add(_mul(_diff(node.a, var), node.b), _mul(node.a, _diff(node.b, var)))
-    if isinstance(node, Div):
-        num = _sub(_mul(_diff(node.a, var), node.b), _mul(node.a, _diff(node.b, var)))
-        return _div(num, _pow(node.b, 2))
-    if isinstance(node, Pow):
-        return _mul(_mul(Const(node.k), _pow(node.a, node.k - 1)), _diff(node.a, var))
-    raise TypeError(f"unknown node {node!r}")
+def _partials(nsym: int, node: Node, *d: tuple[Node, ...]) -> tuple[Node, ...]:
+    """The _fold rule of differentiation, over nsym symbols: a node's partial
+    by each symbol, from its operands' partials d."""
+    kind = type(node)
+    if kind is Const:
+        return (_ZERO,) * nsym
+    if kind is Sym:
+        return tuple(_ONE if i == node.index else _ZERO for i in range(nsym))
+    if kind is Neg:
+        return tuple(map(_neg, d[0]))
+    if kind is Pow:
+        outer = _mul(Const(node.k), _pow(node.a, node.k - 1))
+        return tuple(_mul(outer, da) for da in d[0])
+    a, b = node.a, node.b
+    if kind is Mul:
+        return tuple(_add(_mul(da, b), _mul(a, db)) for da, db in zip(*d))
+    if kind is Div:
+        return tuple(_div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2)) for da, db in zip(*d))
+    return tuple(map(_BUILD[kind], *d))  # Add, Sub
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +450,8 @@ class Tape:
     Each distinct node is one slot, computed once per run: an operation is
     keyed on its op, its operand slots and its exponent, a constant on its
     float bits (so 0.0 and -0.0 stay apart) and a symbol on its index.  The
-    build walks the trees with an explicit stack, so a tree of any depth
-    compiles, and visits a subtree object shared between fields once.
+    build is one _fold over the fields' nodes: a tree of any depth compiles,
+    and a subtree object shared between fields is visited once.
     """
 
     __slots__ = ("coords", "params", "_init", "_fns", "_a", "_b", "_out", "_roots")
@@ -458,44 +461,30 @@ class Tape:
         if any((f.coords, f.params) != (self.coords, self.params) for f in fields):
             raise ValueError("mixing expressions over different symbol tables")
         nsym = len(self.symbols)
-        consts, fns, args = [], [], []  # operation k is slot -(k + 1)
-        slot, keyed = {}, {}  # id(node) -> slot; key -> slot
-        for root in (f.node for f in fields):
-            stack = [root]
-            while stack:
-                node = stack[-1]
-                if id(node) in slot:
-                    stack.pop()
-                    continue
-                kind = type(node)
-                if kind is Sym:
-                    slot[id(node)] = node.index
-                elif kind is Const:
-                    key = struct.pack("<d", node.fvalue)
-                    if key not in keyed:
-                        keyed[key] = nsym + len(consts)
-                        consts.append(node.fvalue)
-                    slot[id(node)] = keyed[key]
-                else:
-                    operands = (node.a, node.b) if isinstance(node, _Binary) else (node.a,)
-                    todo = [n for n in operands if id(n) not in slot]
-                    if todo:
-                        stack.extend(reversed(todo))
-                        continue
-                    a = slot[id(node.a)]
-                    b = a if len(operands) == 1 else slot[id(node.b)]
-                    fn = _power(node.k) if kind is Pow else _negate if kind is Neg else _INSTRUCTION[kind]
-                    key = (fn, a, b)
-                    if key not in keyed:
-                        fns.append(fn)
-                        args.append((a, b))
-                        keyed[key] = -len(fns)
-                    slot[id(node)] = keyed[key]
-                stack.pop()
+        consts, fns, args, keyed = [], [], [], {}  # operation k is slot -(k + 1); key -> slot
+
+        def slot(node: Node, *operands: int) -> int:
+            kind = type(node)
+            if kind is Sym:
+                return node.index
+            if kind is Const:
+                key = struct.pack("<d", node.fvalue)
+                if key not in keyed:
+                    keyed[key] = nsym + len(consts)
+                    consts.append(node.fvalue)
+                return keyed[key]
+            fn = _power(node.k) if kind is Pow else _negate if kind is Neg else _INSTRUCTION[kind]
+            key = (fn, operands[0], operands[-1])  # a unary operation reads its operand twice
+            if key not in keyed:
+                fns.append(fn)
+                args.append(key[1:])
+                keyed[key] = -len(fns)
+            return keyed[key]
+
+        roots = _fold([f.node for f in fields], slot)
         # Registers: a symbol or constant keeps its slot.  An operation's value
         # holds a register until its last reader has run, then the register is
         # reused, so a batch keeps few arrays alive at once; a root's is kept.
-        roots = [slot[id(f.node)] for f in fields]
         last = {s: k for k, operands in enumerate(args) for s in operands}
         last.update((s, len(args)) for s in roots)
         register, free, top = {}, [], nsym + len(consts)
@@ -652,9 +641,7 @@ class _Jet:
 
 
 def _poly_const(c: Number, nsym: int):
-    if isinstance(c, float):
-        c = Fraction(c)  # exact binary expansion
-    c = Fraction(c)
+    c = Fraction(c)  # a float's exact binary expansion
     if c == 0:
         return {}
     return {(0,) * nsym: c}
@@ -684,34 +671,29 @@ def _poly_add(p1, p2):
     return out
 
 
-def _poly(node: Node, nsym: int):
-    if isinstance(node, Const):
+def _polynomial(nsym: int, node: Node, *p: dict) -> dict:
+    """The _fold rule of the normal form over nsym symbols."""
+    kind = type(node)
+    if kind is Const:
         return _poly_const(node.value, nsym)
-    if isinstance(node, Sym):
-        m = [0] * nsym
-        m[node.index] = 1
-        return {tuple(m): Fraction(1)}
-    if isinstance(node, Add):
-        return _poly_add(_poly(node.a, nsym), _poly(node.b, nsym))
-    if isinstance(node, Sub):
-        return _poly_add(_poly(node.a, nsym), {m: -c for m, c in _poly(node.b, nsym).items()})
-    if isinstance(node, Neg):
-        return {m: -c for m, c in _poly(node.a, nsym).items()}
-    if isinstance(node, Mul):
-        return _poly_mul(_poly(node.a, nsym), _poly(node.b, nsym), nsym)
-    if isinstance(node, Div):
-        pb = _poly(node.b, nsym)
-        if len(pb) == 1 and (0,) * nsym in pb:
-            c = pb[(0,) * nsym]
-            return {m: v / c for m, v in _poly(node.a, nsym).items()}
+    if kind is Sym:
+        return {tuple(int(i == node.index) for i in range(nsym)): Fraction(1)}
+    if kind is Add:
+        return _poly_add(*p)
+    if kind is Sub:
+        return _poly_add(p[0], {m: -c for m, c in p[1].items()})
+    if kind is Neg:
+        return {m: -c for m, c in p[0].items()}
+    if kind is Mul:
+        return _poly_mul(*p, nsym)
+    if kind is Div:
+        if len(p[1]) == 1 and (0,) * nsym in p[1]:
+            return {m: v / p[1][(0,) * nsym] for m, v in p[0].items()}
         raise NotPolynomialError("division by a non-constant expression")
-    if isinstance(node, Pow):
-        p = _poly_const(1, nsym)
-        base = _poly(node.a, nsym)
-        for _ in range(node.k):
-            p = _poly_mul(p, base, nsym)
-        return p
-    raise TypeError(f"unknown node {node!r}")
+    out = _poly_const(1, nsym)  # Pow
+    for _ in range(node.k):
+        out = _poly_mul(out, p[0], nsym)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -722,49 +704,35 @@ def _poly(node: Node, nsym: int):
 def _const_source(c: Number) -> tuple[str, int]:
     if isinstance(c, float):
         text = repr(c)
-        prec = 1 if text.startswith("-") else 4
-        return text, prec
+        return text, 1 if text.startswith("-") else 4
     if isinstance(c, Fraction):
         text = f"{c.numerator}/{c.denominator}"
         return text, 1 if c < 0 else 2
     return str(c), 1 if c < 0 else 4
 
 
-def _source(node: Node) -> tuple[str, int]:
-    """Return (text, precedence): Add/Sub/Neg=1, Mul/Div=2, Pow=3, atom=4."""
-    if isinstance(node, Const):
+_INFIX = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
+
+
+def _parens(operand: tuple[str, int], below: int) -> str:
+    text, prec = operand
+    return f"({text})" if prec < below else text
+
+
+def _source(node: Node, *operands: tuple[str, int]) -> tuple[str, int]:
+    """The _fold rule of serialization: (text, precedence), where
+    Add/Sub/Neg=1, Mul/Div=2, Pow=3, atom=4."""
+    kind = type(node)
+    if kind is Const:
         return _const_source(node.value)
-    if isinstance(node, Sym):
+    if kind is Sym:
         return node.name, 4
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        lt, lp = _source(node.a)
-        rt, rp = _source(node.b)
-        if lp < 1:
-            lt = f"({lt})"
-        if rp <= 1:
-            rt = f"({rt})"
-        return f"{lt}{op}{rt}", 1
-    if isinstance(node, Neg):
-        t, p = _source(node.a)
-        if p <= 1:
-            t = f"({t})"
-        return f"-{t}", 1
-    if isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        lt, lp = _source(node.a)
-        rt, rp = _source(node.b)
-        if lp < 2:
-            lt = f"({lt})"
-        if rp <= 2:
-            rt = f"({rt})"
-        return f"{lt}{op}{rt}", 2
-    if isinstance(node, Pow):
-        bt, bp = _source(node.a)
-        if bp < 4:
-            bt = f"({bt})"
-        return f"{bt}^{node.k}", 3
-    raise TypeError(f"unknown node {node!r}")
+    if kind is Neg:
+        return "-" + _parens(operands[0], 2), 1
+    if kind is Pow:
+        return f"{_parens(operands[0], 4)}^{node.k}", 3
+    op, prec = _INFIX[kind]  # a left operand of equal precedence needs no parentheses
+    return _parens(operands[0], prec) + op + _parens(operands[1], prec + 1), prec
 
 
 # ---------------------------------------------------------------------------
@@ -784,14 +752,15 @@ class Jet2:
 class Expression:
     """Immutable scalar field over a fixed symbol table (coords + params)."""
 
-    __slots__ = ("node", "coords", "params", "_dcache", "_tape")
+    __slots__ = ("node", "coords", "params", "_gradient", "_tape", "_shape")
 
     def __init__(self, node: Node, coords: Sequence[str], params: Sequence[str] = ()):
         self.node = node
         self.coords = tuple(coords)
         self.params = tuple(params)
-        self._dcache: dict[int, "Expression"] = {}
+        self._gradient: tuple[Expression, ...] | None = None
         self._tape: Tape | None = None
+        self._shape: tuple | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -832,15 +801,33 @@ class Expression:
     def __neg__(self):
         return self._wrap(_neg(self.node))
 
+    def _structure(self) -> tuple:
+        """The symbol table and the tree hash-consed: each structurally distinct
+        subtree once, in order of first appearance, as its type and its
+        operands' numbers (a constant by value, a symbol by index and name).
+        Shared and unshared copies of a tree give the same structure."""
+        if self._shape is None:
+            number: dict = {}
+
+            def intern(node: Node, *operands: int) -> int:
+                kind = type(node).__name__  # a name, so hashes vary only with PYTHONHASHSEED
+                if kind == "Const":
+                    key = (kind, node.value)
+                elif kind == "Sym":
+                    key = (kind, node.index, node.name)
+                else:
+                    key = (kind, *operands, getattr(node, "k", 0))  # a power's exponent (>= 2)
+                return number.setdefault(key, len(number))
+
+            _fold([self.node], intern)
+            self._shape = (self.symbols, tuple(number))
+        return self._shape
+
     def __eq__(self, other):
-        return (
-            isinstance(other, Expression)
-            and self.symbols == other.symbols
-            and self.node == other.node
-        )
+        return isinstance(other, Expression) and self._structure() == other._structure()
 
     def __hash__(self):
-        return hash((self.node, self.symbols))
+        return hash(self._structure())
 
     def __repr__(self):
         return f"Expression({self.to_source()!r})"
@@ -848,33 +835,24 @@ class Expression:
     # -- queries -------------------------------------------------------------
 
     def free_symbols(self) -> set[str]:
-        out: set[str] = set()
-        stack = [self.node]
-        while stack:
-            n = stack.pop()
-            if isinstance(n, Sym):
-                out.add(n.name)
-            elif isinstance(n, (Add, Sub, Mul, Div)):
-                stack.extend((n.a, n.b))
-            elif isinstance(n, (Neg, Pow)):
-                stack.append(n.a)
-        return out
+        return {n.name for n in _postorder([self.node])[0] if type(n) is Sym}
 
     def is_zero(self) -> bool:
         """Exact zero test via polynomial normal form."""
-        return not _poly(self.node, len(self.symbols))
+        return not self.as_polynomial()
 
     def to_source(self) -> str:
-        return _source(self.node)[0]
+        return _fold([self.node], _source)[0][0]
 
     def as_polynomial(self):
         """Monomial dict {exponent tuple: Fraction} over the symbol table."""
-        return _poly(self.node, len(self.symbols))
+        return _fold([self.node], partial(_polynomial, len(self.symbols)))[0]
 
     def normalized_equal(self, other: "Expression") -> bool:
         if self.symbols != other.symbols:
             return False
-        return _poly(self.node, len(self.symbols)) == _poly(other.node, len(other.symbols))
+        mine, theirs = _fold([self.node, other.node], partial(_polynomial, len(self.symbols)))
+        return mine == theirs
 
     # -- calculus ------------------------------------------------------------
 
@@ -883,39 +861,35 @@ class Expression:
             idx = self.symbols.index(var)
         except ValueError:
             raise ValueError(f"undeclared variable {var!r}") from None
-        cached = self._dcache.get(idx)
-        if cached is None:
-            cached = self._wrap(_diff(self.node, idx))
-            self._dcache[idx] = cached
-        return cached
+        if self._gradient is None:  # every partial from one walk
+            partials = _fold([self.node], partial(_partials, len(self.symbols)))[0]
+            self._gradient = tuple(map(self._wrap, partials))
+        return self._gradient[idx]
 
     def substitute(self, mapping: Mapping[str, "Expression"]) -> "Expression":
         """Replace symbols by expressions (all over the target symbol table)."""
-        targets = {e.symbols for e in mapping.values()}
-        if len(targets) != 1:
+        if len({e.symbols for e in mapping.values()}) != 1:
             raise ValueError("substitution images must share one symbol table")
         tmpl = next(iter(mapping.values()))
 
-        def go(n: Node) -> Node:
-            if isinstance(n, Const):
+        def image(n: Node, *operands: Node) -> Node:
+            kind = type(n)
+            if kind is Const:
                 return n
-            if isinstance(n, Sym):
-                if n.name in mapping:
-                    return mapping[n.name].node
-                try:
-                    idx = tmpl.symbols.index(n.name)
-                except ValueError:
-                    raise ValueError(f"symbol {n.name!r} missing from substitution") from None
-                return Sym(idx, n.name)
-            if isinstance(n, _Binary):
-                return _BUILD[type(n)](go(n.a), go(n.b))
-            if isinstance(n, Neg):
-                return _neg(go(n.a))
-            if isinstance(n, Pow):
-                return _pow(go(n.a), n.k)
-            raise TypeError(n)
+            if kind is Neg:
+                return _neg(*operands)
+            if kind is Pow:
+                return _pow(*operands, n.k)
+            if kind is not Sym:
+                return _BUILD[kind](*operands)
+            if n.name in mapping:
+                return mapping[n.name].node
+            try:
+                return Sym(tmpl.symbols.index(n.name), n.name)
+            except ValueError:
+                raise ValueError(f"symbol {n.name!r} missing from substitution") from None
 
-        return Expression(go(self.node), tmpl.coords, tmpl.params)
+        return Expression(_fold([self.node], image)[0], tmpl.coords, tmpl.params)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -949,8 +923,7 @@ def parse(source: str, coords: Sequence[str], params: Sequence[str] = ()) -> Exp
     if len(set(names)) != len(names):
         raise ValueError("duplicate symbol names")
     table = {name: i for i, name in enumerate(names)}
-    node = _Parser(source, table).parse()
-    return Expression(node, coords, params)
+    return Expression(_Parser(source, table).parse(), coords, params)
 
 
 def constant(value: Number, coords: Sequence[str], params: Sequence[str] = ()) -> Expression:

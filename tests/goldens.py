@@ -20,15 +20,17 @@ import math
 import os
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 from intsing import cli
 from intsing.atoms import named_products, product_to_dict
 from intsing.bifurcation import TraceParams, diagram_to_dict
-from intsing.canonical import build_canonical, randomized_disguise
+from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
 from intsing.classify import classify_point
 from intsing.groups import BUILTIN_GROUPS, group_by_name
-from intsing.kovalevskaya import kovalevskaya_diagram
+from intsing.kovalevskaya import build_kovalevskaya, kovalevskaya_diagram
+from intsing.phasespace import model_to_dict, save_model
 
 from test_classify import all_specs
 
@@ -111,6 +113,44 @@ def criterion_3_kovalevskaya_diagram(g: float):
     )
 
 
+WALKER_SEED = 1
+
+
+def _walker_outputs(model) -> dict:
+    """What the expression walkers make of a model: its file form, and the
+    source text of every component partial, bracket of two components and
+    Casimir Hamiltonian field."""
+    st = model.structure
+    return {
+        "model": model_to_dict(model),
+        "partials": [[c.diff(x).to_source() for x in model.coords] for c in model.components],
+        "brackets": [st.bracket(f, g).to_source() for f, g in combinations(model.components, 2)],
+        "casimir_fields": [[e.to_source() for e in st.ham_field(c)] for c in st.casimirs],
+    }
+
+
+def expression_walkers() -> dict:
+    """`_walker_outputs` of Kovalevskaya at g=0.5 and of seeded disguises of
+    canonical:0,1,1,1 and 1,1,1,1, and the `verify` reports of the
+    `verify-disguised` benchmark workload (without the model file's name)."""
+    disguises = {
+        spec: randomized_disguise(build_canonical(CanonicalSpec(*spec)), seed=WALKER_SEED).model
+        for spec in ((0, 1, 1, 1), (1, 1, 1, 1))
+    }
+    out = {"kovalevskaya_g0.5": _walker_outputs(build_kovalevskaya(0.5))}
+    out.update((",".join(map(str, spec)), _walker_outputs(m)) for spec, m in disguises.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "disguise.json")
+        save_model(disguises[(0, 1, 1, 1)], path)
+        reports = [
+            _cli_json(["verify", "--model", "kovalevskaya", "--g", "0.5", "--seed", str(WALKER_SEED)]),
+            _cli_json(["verify", "--model", path, "--seed", str(WALKER_SEED)]),
+        ]
+    del reports[1]["report"]["model"]
+    out["verify"] = reports
+    return out
+
+
 SOURCES = {
     "classify_disguised": classify_disguised,
     "kovalevskaya_report_g0.5": lambda: _cli_json(["kovalevskaya", "report", "--g", "0.5"]),
@@ -122,6 +162,7 @@ SOURCES = {
     "kovalevskaya_diagram_coarse": lambda: diagram_to_dict(coarse_kovalevskaya_diagram()),
     "kovalevskaya_diagram_res6_g0": lambda: diagram_to_dict(criterion_3_kovalevskaya_diagram(0.0)),
     "kovalevskaya_diagram_res6_g0.5": lambda: diagram_to_dict(criterion_3_kovalevskaya_diagram(0.5)),
+    "expression_walkers": expression_walkers,
 }
 
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intsing.canonical import (
     CanonicalSpec,
@@ -13,7 +15,7 @@ from intsing.canonical import (
 )
 from intsing.classify import is_nondegenerate, rank_at
 from intsing.expr import parse
-from intsing.groups import cyclic, trivial
+from intsing.groups import BUILTIN_GROUPS, cyclic, group_by_name, trivial
 from intsing.phasespace import check_commutation
 
 
@@ -181,3 +183,58 @@ def test_quotient_homomorphism_enforced():
     res = validate_quotient_spec(q)
     assert not res.passed
     assert any("homomorphism" in v for v in res.violations)
+
+
+def _passes_on_all_pairs(q: QuotientModelSpec) -> bool:
+    """The axioms of validate_quotient_spec, with the homomorphism law checked
+    on every pair of elements."""
+    g = q.group
+    n_hyp = q.disk_roles.count("hyperbolic")
+    trans = {a: tuple(Fraction(t) % 1 for t in q.translations.get(a, (0,) * q.r_c)) for a in g.elements()}
+    signs = {a: tuple(q.signs.get(a, (1,) * n_hyp)) for a in g.elements()}
+    if any(len(trans[a]) != q.r_c or len(signs[a]) != n_hyp for a in g.elements()):
+        return False
+    if any(s not in (1, -1) for a in g.elements() for s in signs[a]):
+        return False
+    for a in g.elements():
+        for b in g.elements():
+            if tuple((x + y) % 1 for x, y in zip(trans[a], trans[b])) != trans[g.mul(a, b)]:
+                return False
+            if tuple(x * y for x, y in zip(signs[a], signs[b])) != signs[g.mul(a, b)]:
+                return False
+    others = [a for a in g.elements() if a != g.identity]
+    trivial_at_identity = not any(trans[g.identity]) and set(signs[g.identity]) <= {1}
+    free = all(any(trans[a]) for a in others)
+    effective = all(-1 in signs[a] for a in others)
+    return trivial_at_identity and free and effective
+
+
+def _rotation_homomorphisms(g, k: int) -> list[list[int]]:
+    """The homomorphisms into the rotations of k points in cyclic order, as
+    the rotation amount per element; the trivial one last."""
+    rotations = {tuple((x + j) % k for x in range(k)) for j in range(k)}
+    return [[p[0] for p in h] for h in reversed(g.homomorphisms_to_sym(k)) if set(h) <= rotations]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(BUILTIN_GROUPS)), st.integers(0, 2), st.integers(0, 2), st.data())
+def test_quotient_checks_on_generators_match_all_pairs(name, r_c, n_hyp, data):
+    """Translation columns in quarter turns and sign columns, each a
+    homomorphism, then perhaps one entry of each kind changed."""
+    g = group_by_name(name)
+    quarter_turns, flips = st.sampled_from(_rotation_homomorphisms(g, 4)), st.sampled_from(_rotation_homomorphisms(g, 2))
+    t_columns = [[Fraction(j, 4) for j in data.draw(quarter_turns)] for _ in range(r_c)]
+    s_columns = [[(-1) ** j for j in data.draw(flips)] for _ in range(n_hyp)]
+    for columns, values in ((t_columns, [Fraction(j, 4) for j in range(4)]), (s_columns, [1, -1])):
+        if columns and data.draw(st.booleans()):
+            column = data.draw(st.sampled_from(columns))
+            column[data.draw(st.sampled_from(g.elements()))] = data.draw(st.sampled_from(values))
+    q = QuotientModelSpec(
+        r_o=0,
+        r_c=r_c,
+        disk_roles=["elliptic"] + ["hyperbolic"] * n_hyp,
+        group=g,
+        translations={a: tuple(c[a] for c in t_columns) for a in g.elements()},
+        signs={a: tuple(c[a] for c in s_columns) for a in g.elements()},
+    )
+    assert validate_quotient_spec(q).passed == _passes_on_all_pairs(q)

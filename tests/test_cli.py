@@ -159,6 +159,15 @@ def test_trace_canonical_svg(tmp_path, capsys):
     assert "hyperbolic-family" in text
 
 
+def test_trace_one_component_svg(tmp_path, capsys):
+    """A one-component model has 1-D values: the vertex plots on the horizontal axis."""
+    svg = tmp_path / "d.svg"
+    code, out = run_cli(["trace", "--model", "canonical:0,1,0,0", "--out", str(svg)], capsys)
+    assert code == 0
+    assert json.loads(out)["vertices"] == 1
+    assert '<circle class="vertex" cx="320.00" cy="240.00" r="4"/>' in svg.read_text()
+
+
 def test_kovalevskaya_report_g0(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(["kovalevskaya", "report", "--g", "0", "--out", str(out_path)], capsys)
@@ -222,6 +231,7 @@ MODEL_FAULTS = {
         {**model_to_dict(build_kovalevskaya(0.5)), "parameters": {"g": "a"}}
     ),
     "parameter-not-finite": json.dumps({**PLANE, "parameters": {"g": float("nan")}, "components": ["g*x", "y"]}),
+    "deep-parentheses": json.dumps({**PLANE, "components": ["(" * 1200 + "x" + ")" * 1200]}),
 }
 MODEL_COMMANDS = {
     "verify": ["verify", "--samples", "5"],
@@ -254,6 +264,17 @@ def test_deep_model_classifies_and_traces(tmp_path, capsys):
     assert code == 0
     assert [v["williamson"] for v in json.loads(out)["vertices"]] == [[1, 0, 0]]  # the minimum near the origin
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_deep_model_verifies(tmp_path, capsys):
+    """A 1,499-term component and a second one: the bracket differentiates a
+    tree deeper than the interpreter's recursion limit."""
+    terms = ["x1^2", "y1^2"] + [f"{k % 5 + 1}/1000000*x1^{k % 4}*y1^{k // 4 % 4}" for k in range(1497)]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"coordinates": ["x1", "y1", "x2", "y2"], "components": ["+".join(terms), "x2^2+y2^2"]}))
+    code, out = run_cli(["verify", "--model", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
 
 
 def test_missing_product_file_is_a_json_error(tmp_path, capsys):

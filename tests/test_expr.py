@@ -1,5 +1,9 @@
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from intsing.expr import (
+    MAX_PAREN_DEPTH,
     Add,
     Const,
     Div,
@@ -24,6 +29,8 @@ from intsing.expr import (
     field_jets,
     parse,
 )
+import intsing
+from intsing.phasespace import IntegrableModel, PoissonStructure, load_model, save_model
 
 KOV = ("R1", "R2", "R3", "S1", "S2", "S3")
 
@@ -56,6 +63,19 @@ def test_parse_syntax_error_position():
 def test_parse_unknown_symbol():
     with pytest.raises(ParseError, match="unknown symbol"):
         parse("x1*z9", ("x1", "y1"))
+
+
+def test_minus_chain_parses_without_recursion():
+    assert parse("-" * 1200 + "x1", ("x1",)) == parse("x1", ("x1",))
+    assert parse("-" * 1201 + "x1", ("x1",)) == parse("-x1", ("x1",))
+
+
+def test_parenthesis_depth_is_bounded():
+    deep = "(" * MAX_PAREN_DEPTH + "x1" + ")" * MAX_PAREN_DEPTH
+    assert parse(deep, ("x1",)) == parse("x1", ("x1",))
+    with pytest.raises(ParseError, match="nested deeper") as exc:
+        parse("(" * 1200 + "x1" + ")" * 1200, ("x1",))
+    assert exc.value.pos == MAX_PAREN_DEPTH
 
 
 def test_differentiate_power_rule():
@@ -210,6 +230,31 @@ def test_source_round_trip():
         assert e2.to_source() == text1
 
 
+def test_sum_deeper_than_the_recursion_limit(tmp_path):
+    """Every walk over a left-deep sum of 3,000 terms."""
+    coords = ("x", "y")
+    src = "+".join(f"{k % 7 + 1}*x^{k % 3}*y^{k // 3 % 3}" for k in range(3000))
+    e, again = parse(src, coords), parse(src, coords)
+    assert e == again and hash(e) == hash(again) and e != e + 1
+    assert e.diff("x") == again.diff("x") and e.diff("x") != e.diff("y")
+    assert (e - again).is_zero() and not e.diff("y").is_zero()
+    swap = {"x": parse("y", coords), "y": parse("x", coords)}
+    assert e.substitute(swap).substitute(swap) == e
+    assert e.free_symbols() == {"x", "y"}
+    assert parse(e.to_source(), coords) == e
+    path = tmp_path / "deep.json"
+    save_model(IntegrableModel(PoissonStructure.canonical_chart([coords]), [e]), str(path))
+    assert load_model(str(path)).components == [e]
+
+
+def test_hash_repeats_across_processes():
+    """A hash depends on PYTHONHASHSEED only, as a string's does."""
+    code = "from intsing.expr import parse; print(hash(parse('x*y+2*x^3-1/3', ('x', 'y'))))"
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(Path(intsing.__file__).parents[1])}
+    runs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True) for _ in range(2)]
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_operator_building_matches_parse():
     from intsing.expr import symbol
 
@@ -346,3 +391,55 @@ def test_shared_subtrees_evaluate_like_unshared_copies(pool, recipe, p):
     assert [_bytes(v) for v in values] == [_bytes(c.evaluate(p)) for c in copies]
     assert [_bytes(v) for v in values] == [_bytes(_walk(c.node, p)) for c in copies]
     assert [_bytes(v) for v in tape.values(batch)] == [_bytes(c.evaluate(batch)) for c in copies]
+
+
+def _same(a, b):
+    """The recursive reference for structural equality: same node types and
+    exponents, symbols by index and name, constants by value."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Const):
+        return a.value == b.value
+    if isinstance(a, Sym):
+        return (a.index, a.name) == (b.index, b.name)
+    if isinstance(a, Pow) and a.k != b.k:
+        return False
+    return all(_same(getattr(a, f), getattr(b, f)) for f in ("a", "b") if hasattr(a, f))
+
+
+@given(NODES, NODES)
+def test_equality_matches_the_recursive_reference(m, n):
+    for a, b in ((m, n), (m, _unshared(m)), (Add(m, n), Add(m, _unshared(n)))):
+        e, f = Expression(a, ABC), Expression(b, ABC)
+        assert (e == f) == _same(a, b)
+        if e == f:
+            assert hash(e) == hash(f)
+
+
+@given(NODES)
+def test_source_round_trip_after_one_save(node):
+    """A parsed expression written and read back keeps its value exactly, and
+    from then on its tree, hash and text.  The first trip may change the
+    tree: -(-1*a) is written -(-1)*a, which parses as a."""
+    e = parse(Expression(node, ABC).to_source(), ABC)
+    saved = parse(e.to_source(), ABC)
+    assert saved.normalized_equal(e)
+    again = parse(saved.to_source(), ABC)
+    assert again == saved and hash(again) == hash(saved)
+    assert again.to_source() == saved.to_source()
+
+
+@given(
+    st.lists(NODES, min_size=1, max_size=3),
+    st.lists(st.tuples(st.sampled_from([Add, Sub, Mul]), st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=5),
+)
+def test_shared_and_unshared_copies_agree(pool, recipe):
+    nodes = list(pool)
+    for op, i, j in recipe:  # later nodes hold earlier ones' objects
+        nodes.append(op(nodes[i % len(nodes)], nodes[j % len(nodes)]))
+    shared, copy = Expression(nodes[-1], ABC), Expression(_unshared(nodes[-1]), ABC)
+    assert shared == copy and hash(shared) == hash(copy)
+    assert shared.to_source() == copy.to_source()
+    for x in ABC:
+        assert shared.diff(x) == copy.diff(x)
+        assert shared.diff(x).to_source() == copy.diff(x).to_source()
