@@ -20,6 +20,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -95,8 +96,8 @@ class BifurcationDiagram:
     @property
     def value_width(self) -> int:
         """The number of momentum components; 2 for a diagram without values."""
-        values = [v.value for v in self.vertices] + [p for arc in self.arcs for p in arc.values[:1]]
-        return len(values[0]) if values else 2
+        first = next(chain((v.value for v in self.vertices), (p for arc in self.arcs for p in arc.values)), None)
+        return 2 if first is None else len(first)
 
     def all_arc_values(self) -> np.ndarray:
         pts = [v for arc in self.arcs for v in arc.values]
@@ -741,11 +742,17 @@ def diagram_to_dict(d: BifurcationDiagram) -> dict:
     }
 
 
+def _plane(values: list[np.ndarray], width: int) -> np.ndarray:
+    """Values as (m, 2) points of the drawing plane: one component plots on the horizontal axis."""
+    pts = np.array(values, dtype=float).reshape(len(values), width)
+    return np.hstack([pts, np.zeros_like(pts)]) if width == 1 else pts
+
+
 def _svg_text(d: BifurcationDiagram, width: int = 640, height: int = 480) -> str:
-    vs = np.array([v.value for v in d.vertices]) if d.vertices else np.zeros((0, d.value_width))
-    allpts = np.vstack([d.all_arc_values(), vs])
-    if allpts.shape[1] == 1:  # one component: the values plot on the horizontal axis
-        allpts = np.hstack([allpts, np.zeros_like(allpts)])
+    w = d.value_width
+    arcs = [_plane(arc.values, w) for arc in d.arcs]
+    vertices = _plane([v.value for v in d.vertices], w)
+    allpts = np.vstack([*arcs, vertices])
     if allpts.size:
         lo = allpts.min(axis=0)
         hi = allpts.max(axis=0)
@@ -759,7 +766,7 @@ def _svg_text(d: BifurcationDiagram, width: int = 640, height: int = 480) -> str
 
     def xy(v):
         x = (v[0] - lo[0]) / span[0] * (width - 20) + 10
-        y = height - (((v[1] if len(v) > 1 else 0.0) - lo[1]) / span[1] * (height - 20) + 10)
+        y = height - ((v[1] - lo[1]) / span[1] * (height - 20) + 10)
         return f"{x:.2f},{y:.2f}"
 
     lines = [
@@ -773,14 +780,14 @@ def _svg_text(d: BifurcationDiagram, width: int = 640, height: int = 480) -> str
     lines.append(".vertex {fill:#000}")
     lines.append(".cusp {fill:none;stroke:#ff7f0e;stroke-width:1}")
     lines.append("</style>")
-    for arc in d.arcs:
+    for arc, pts in zip(d.arcs, arcs):
         cls = arc.label.replace("/", "-")
-        path = " ".join(xy(v) for v in arc.values)
+        path = " ".join(xy(v) for v in pts)
         lines.append(f'<polyline class="{cls}" data-arc="{arc.arc_id}" points="{path}"/>')
-    for v in d.vertices:
-        x, y = xy(v.value).split(",")
+    for v in vertices:
+        x, y = xy(v).split(",")
         lines.append(f'<circle class="vertex" cx="{x}" cy="{y}" r="4"/>')
-    for c in d.cusp_candidates:
+    for c in _plane(d.cusp_candidates, w):
         x, y = xy(c).split(",")
         lines.append(f'<circle class="cusp" cx="{x}" cy="{y}" r="3"/>')
     lines.append("</svg>")

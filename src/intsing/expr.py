@@ -238,13 +238,9 @@ def _postorder(roots: Sequence[Node]) -> tuple[list[Node], set[Node]]:
             again.add(node)
         else:
             seen.add(node)
-            operands = _operands(node)
-            if operands:
-                stack.append((node, True))
-                for n in reversed(operands):
-                    stack.append((n, False))
-            else:
-                order.append(node)
+            stack.append((node, True))
+            for n in reversed(_operands(node)):
+                stack.append((n, False))
     return order, again
 
 
@@ -320,7 +316,6 @@ class _Parser:
         tok = self.next()
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, got {tok[1]!r}", self.src, tok[2])
-        return tok
 
     def parse(self) -> Node:
         node = self.expr()
@@ -369,7 +364,8 @@ class _Parser:
         return base
 
     def atom(self) -> Node:
-        kind, text, pos = self.next()
+        tok = self.next()
+        kind, text, pos = tok
         if kind == "num":
             return Const(_number_value(text))
         if kind == "ident":
@@ -677,7 +673,9 @@ def _polynomial(nsym: int, node: Node, *p: dict) -> dict:
     if kind is Const:
         return _poly_const(node.value, nsym)
     if kind is Sym:
-        return {tuple(int(i == node.index) for i in range(nsym)): Fraction(1)}
+        m = [0] * nsym
+        m[node.index] = 1
+        return {tuple(m): Fraction(1)}
     if kind is Add:
         return _poly_add(*p)
     if kind is Sub:
@@ -704,7 +702,8 @@ def _polynomial(nsym: int, node: Node, *p: dict) -> dict:
 def _const_source(c: Number) -> tuple[str, int]:
     if isinstance(c, float):
         text = repr(c)
-        return text, 1 if text.startswith("-") else 4
+        prec = 1 if text.startswith("-") else 4
+        return text, prec
     if isinstance(c, Fraction):
         text = f"{c.numerator}/{c.denominator}"
         return text, 1 if c < 0 else 2
@@ -752,7 +751,7 @@ class Jet2:
 class Expression:
     """Immutable scalar field over a fixed symbol table (coords + params)."""
 
-    __slots__ = ("node", "coords", "params", "_gradient", "_tape", "_shape")
+    __slots__ = ("node", "coords", "params", "_gradient", "_tape")
 
     def __init__(self, node: Node, coords: Sequence[str], params: Sequence[str] = ()):
         self.node = node
@@ -760,7 +759,6 @@ class Expression:
         self.params = tuple(params)
         self._gradient: tuple[Expression, ...] | None = None
         self._tape: Tape | None = None
-        self._shape: tuple | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -806,22 +804,20 @@ class Expression:
         subtree once, in order of first appearance, as its type and its
         operands' numbers (a constant by value, a symbol by index and name).
         Shared and unshared copies of a tree give the same structure."""
-        if self._shape is None:
-            number: dict = {}
+        number: dict = {}
 
-            def intern(node: Node, *operands: int) -> int:
-                kind = type(node).__name__  # a name, so hashes vary only with PYTHONHASHSEED
-                if kind == "Const":
-                    key = (kind, node.value)
-                elif kind == "Sym":
-                    key = (kind, node.index, node.name)
-                else:
-                    key = (kind, *operands, getattr(node, "k", 0))  # a power's exponent (>= 2)
-                return number.setdefault(key, len(number))
+        def intern(node: Node, *operands: int) -> int:
+            kind = type(node).__name__  # a name, so hashes vary only with PYTHONHASHSEED
+            if kind == "Const":
+                key = (kind, node.value)
+            elif kind == "Sym":
+                key = (kind, node.index, node.name)
+            else:
+                key = (kind, *operands, getattr(node, "k", 0))  # a power's exponent (>= 2)
+            return number.setdefault(key, len(number))
 
-            _fold([self.node], intern)
-            self._shape = (self.symbols, tuple(number))
-        return self._shape
+        _fold([self.node], intern)
+        return self.symbols, tuple(number)
 
     def __eq__(self, other):
         return isinstance(other, Expression) and self._structure() == other._structure()
@@ -868,7 +864,8 @@ class Expression:
 
     def substitute(self, mapping: Mapping[str, "Expression"]) -> "Expression":
         """Replace symbols by expressions (all over the target symbol table)."""
-        if len({e.symbols for e in mapping.values()}) != 1:
+        targets = {e.symbols for e in mapping.values()}
+        if len(targets) != 1:
             raise ValueError("substitution images must share one symbol table")
         tmpl = next(iter(mapping.values()))
 
@@ -923,7 +920,8 @@ def parse(source: str, coords: Sequence[str], params: Sequence[str] = ()) -> Exp
     if len(set(names)) != len(names):
         raise ValueError("duplicate symbol names")
     table = {name: i for i, name in enumerate(names)}
-    return Expression(_Parser(source, table).parse(), coords, params)
+    node = _Parser(source, table).parse()
+    return Expression(node, coords, params)
 
 
 def constant(value: Number, coords: Sequence[str], params: Sequence[str] = ()) -> Expression:

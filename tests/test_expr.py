@@ -24,6 +24,7 @@ from intsing.expr import (
     Sub,
     Sym,
     Tape,
+    _tokenize,
     differentiate,
     evaluate_jet2,
     field_jets,
@@ -63,6 +64,33 @@ def test_parse_syntax_error_position():
 def test_parse_unknown_symbol():
     with pytest.raises(ParseError, match="unknown symbol"):
         parse("x1*z9", ("x1", "y1"))
+
+
+@pytest.mark.parametrize(
+    "src, tokens",
+    [
+        ("1.e5", [("num", "1.e5")]),
+        (".5e-3", [("num", ".5e-3")]),
+        ("1e", [("num", "1"), ("ident", "e")]),
+        ("2E+", [("num", "2"), ("ident", "E"), ("+", "+")]),
+        ("1.2.3", [("num", "1.2"), ("num", ".3")]),
+        ("1..2", [("num", "1."), ("num", ".2")]),
+        ("x1e2", [("ident", "x1e2")]),
+        ("1e+5x", [("num", "1e+5"), ("ident", "x")]),
+        (" \t\n\r(a^2) ", [("(", "("), ("ident", "a"), ("^", "^"), ("num", "2"), (")", ")")]),
+    ],
+)
+def test_tokenizer_boundaries(src, tokens):
+    *body, end = _tokenize(src)
+    assert [t[:2] for t in body] == tokens
+    assert end == ("end", "", len(src))
+
+
+@pytest.mark.parametrize("src, pos", [("a_b", 1), ("é", 0), ("٣", 0), (".", 0), (".e5", 0), ("\x0b1", 0)])
+def test_tokenizer_rejects_unexpected_characters(src, pos):
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        _tokenize(src)
+    assert exc.value.pos == pos
 
 
 def test_minus_chain_parses_without_recursion():
