@@ -4,6 +4,12 @@ The singular-value set of the momentum map is traced in three stages:
 grid scanning for low-rank candidates, Newton refinement onto the
 rank-1 locus (or rank-0 points), and pseudo-arclength continuation of
 the rank-1 condition with the momentum image recorded along the way.
+Refinement returns its last iterate's `PointAnalysis` record.  Each rank-1
+seed is continued both ways, and a branch is one list of (value, phase
+point, mark) entries, mark "cusp", "vertex" or None.  The glued branches
+are cut into arcs at the marks and where the reduced type changes; an arc
+end is its branch's stop reason at the glued list's ends, else "cusp".  An
+arc with 90 % of its values near one kept arc is a duplicate.
 
 The rank-1 locus is parametrized by the kernel-vector augmentation
 
@@ -28,7 +34,6 @@ from .classify import (
     DEFAULT_TOL,
     ClassifyError,
     PointAnalysis,
-    analyze_point,
     linearize,
     rank_at,
     reduce_at,
@@ -48,6 +53,8 @@ CORRECTOR_ITERS = 12
 VERTEX_SIGMA = 5e-3  # sigma_max of dF under which a branch has landed on a rank-0 point
 CUSP_SPEED = 1e-4  # momentum-image speed under which a step is a cusp candidate
 ARC_DEDUP_FACTOR = 2.0  # arcs within this many steps of a kept arc are duplicates
+REFINE_TOL = 1e-11  # residual norm at which refinement stops
+DIRECTIONS_PER_PLANE = 2  # probe directions per invariant 2-plane at a vertex
 
 
 class TraceError(RuntimeError):
@@ -213,13 +220,12 @@ def refine_singular_point(
     model: IntegrableModel,
     seed,
     target_rank: int,
-    tol: float = 1e-11,
     rank_tol: float = DEFAULT_TOL,
     max_iter: int = 60,
-) -> np.ndarray:
+) -> PointAnalysis:
     """Newton-polish a seed (a point, SingularSeed or PointAnalysis) onto the
-    rank-`target_rank` locus and certify the rank on the last iterate's record
-    (the residual holds the Casimir rows, so that point is on its leaf)."""
+    rank-`target_rank` locus, certify the rank and return the last iterate's
+    record (the residual holds the Casimir rows, so that point is on its leaf)."""
     p0 = seed.point if isinstance(seed, SingularSeed) else seed
     a = p0 if isinstance(p0, PointAnalysis) else PointAnalysis(model, p0, rank_tol)
     N, n = model.dim, model.n
@@ -239,7 +245,7 @@ def refine_singular_point(
     for _ in range(max_iter):
         res, J = residual_fn(a, z)
         norm = float(np.linalg.norm(res))
-        if norm <= tol:
+        if norm <= REFINE_TOL:
             break
         if not math.isfinite(norm):
             raise RefineDivergence("residual became non-finite")
@@ -250,7 +256,7 @@ def refine_singular_point(
         z, z_prev = z + step, z
         if z.tobytes() == z_prev.tobytes():  # every later iterate would repeat this one
             raise RefineDivergence(f"Newton stalled (residual {norm:.3e})")
-        if not np.array_equal(z[:N], a.point):  # a step that moves only v, mu keeps the record
+        if z[:N].tobytes() != a.point.tobytes():  # a step that moves only v, mu keeps the record
             a = PointAnalysis(model, z[:N], rank_tol)
     else:
         raise RefineDivergence(f"no convergence after {max_iter} iterations (residual {best:.3e})")
@@ -258,7 +264,7 @@ def refine_singular_point(
     r = rank_at(model, a, rank_tol)
     if r != target_rank:
         raise RankCertificationError(f"refined point has rank {r}, wanted {target_rank}")
-    return z[:N]
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +318,17 @@ def scan_singular_points(
                 return
         seeds.append(SingularSeed(point, r, model.momentum_value(point)))
 
-    # rank-0 attempts from the points where the whole differential is smallest
-    by_sigma_max = sorted(scored, key=lambda t: t[1])
-    for _, _, p in by_sigma_max[:RANK0_CANDIDATES]:
-        try:
-            push(refine_singular_point(model, p, 0, rank_tol=tol, max_iter=30), 0)
-        except TraceError:
-            continue
-
+    # rank 0 from the points where the whole differential is smallest, then
+    # rank n-1 from those where its smallest singular value is
+    by_sigma_max = sorted(scored, key=lambda t: t[1])[:RANK0_CANDIDATES]
     scored.sort(key=lambda t: t[0])
     keep = max(1, min(MAX_CANDIDATES, int(len(scored) * CANDIDATE_FRACTION)))
-    for _, _, p in scored[:keep]:
-        try:
-            push(refine_singular_point(model, p, model.n - 1, rank_tol=tol), model.n - 1)
-        except TraceError:
-            continue
+    for r, candidates, max_iter in ((0, by_sigma_max, 30), (model.n - 1, scored[:keep], 60)):
+        for _, _, p in candidates:
+            try:
+                push(refine_singular_point(model, p, r, rank_tol=tol, max_iter=max_iter).point, r)
+            except TraceError:
+                continue
     return seeds
 
 
@@ -378,22 +380,11 @@ def _value_speed(a: PointAnalysis, direction) -> float:
     return float(np.linalg.norm(np.array([j.gradient for j in a.jets]) @ direction[: len(a.point)]))
 
 
-@dataclass
-class _BranchResult:
-    values: list
-    phases: list
-    cusp_indices: list
-    vertex_indices: list  # (index into values, refined rank-0 point)
-    reason: str
-
-
-def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, tol) -> _BranchResult:
-    """One continuation run from z0 (its point analysed in a0) along direction."""
+def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, tol) -> tuple[list, str]:
+    """One continuation run from z0 (its point analysed in a0) along direction:
+    its (value, phase point, mark) entries in tracing order and why it stopped."""
     N = model.dim
-    values = [a0.value]
-    phases = [z0[:N].copy()]
-    cusps: list[int] = []
-    verts: list[tuple[int, np.ndarray]] = []
+    branch = [(a0.value, z0[:N].copy(), None)]
     z, a = z0.copy(), a0
     t_prev = direction
     h = params.step
@@ -403,23 +394,17 @@ def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, 
     sig_falling = False
     attempt_sigma = max(10.0 * params.step, 0.5)
 
-    def try_vertex(idx: int, near: PointAnalysis) -> bool:
-        """Polish a sigma-minimum onto the rank-0 locus and stitch it in."""
-        if any(np.linalg.norm(near.point - vp) < 3.0 * params.step for _, vp in verts):
+    def try_vertex(near: PointAnalysis) -> bool:
+        """Polish a sigma-minimum onto the rank-0 locus and append it to the branch."""
+        if any(mark == "vertex" and np.linalg.norm(near.point - p) < 3.0 * params.step for _, p, mark in branch):
             return False  # near a known vertex
         try:
-            pv = refine_singular_point(model, near, 0, rank_tol=tol, max_iter=30)
+            pv = refine_singular_point(model, near, 0, rank_tol=tol, max_iter=30).point
         except TraceError:
             return False
         if np.linalg.norm(pv - near.point) > max(4.0 * params.step, 0.4):
             return False  # converged to a faraway vertex, not a local pass
-        pos = idx + 1
-        values.insert(pos, model.momentum_value(pv))
-        phases.insert(pos, pv.copy())
-        for i, c in enumerate(cusps):
-            if c >= pos:
-                cusps[i] = c + 1
-        verts.append((pos, pv))
+        branch.append((model.momentum_value(pv), pv.copy(), "vertex"))
         return True
 
     while steps < params.max_steps:
@@ -438,59 +423,56 @@ def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, 
         if z_new is None:
             h *= 0.5
             if h < MIN_STEP:
-                return _BranchResult(values, phases, cusps, verts, "step-failure")
+                return branch, "step-failure"
             continue
         if iters <= 2 and h < MAX_STEP:
             h = min(MAX_STEP, 1.5 * h)
 
         p = z_new[:N]
         if np.linalg.norm(p) > params.phase_bound:
-            return _BranchResult(values, phases, cusps, verts, "phase-bound")
+            return branch, "phase-bound"
         val = a_new.value
         if params.value_box is not None:
             lo, hi = params.value_box
             if np.any(val < lo) or np.any(val > hi):
-                return _BranchResult(values, phases, cusps, verts, "value-box")
+                return branch, "value-box"
 
-        if _value_speed(a_new, t) < CUSP_SPEED and len(values) > 2:
-            cusps.append(len(values))
-
+        cusp = _value_speed(a_new, t) < CUSP_SPEED and len(branch) > 2
         sig = float(a_new.sv[0])
         if sig < VERTEX_SIGMA:
             # landed (numerically) on a rank-0 point
-            if try_vertex(len(values) - 1, a_new):
-                return _BranchResult(values, phases, cusps, verts, "vertex")
-            return _BranchResult(values, phases, cusps, verts, "rank-collapse")
+            return branch, "vertex" if try_vertex(a_new) else "rank-collapse"
         if sig_falling and sig > sig_prev and sig_prev < attempt_sigma:
             # passed a local minimum of |dF| one step ago (at a's point): likely a vertex
-            try_vertex(len(values) - 1, a)
+            try_vertex(a)
         sig_falling = sig < sig_prev
         sig_prev = sig
 
-        values.append(val)
-        phases.append(p.copy())
+        branch.append((val, p.copy(), "cusp" if cusp else None))
         if steps > 10 and np.linalg.norm(p - z0[:N]) < 0.5 * params.step:
-            return _BranchResult(values, phases, cusps, verts, "closed-loop")
+            return branch, "closed-loop"
         t_prev = t
         z, a = z_new, a_new
         steps += 1
-    return _BranchResult(values, phases, cusps, verts, "max-steps")
+    return branch, "max-steps"
+
+
+def _triple(linearization, model, p, tol, seed) -> tuple[int, int, int] | None:
+    """Williamson triple of linearization(model, p, tol) (linearize or
+    reduce_at), None when unclassifiable."""
+    try:
+        w = williamson_type(linearization(model, p, tol), tol=tol, seed=seed)
+    except ClassifyError:
+        return None
+    return getattr(w, "triple", None)
+
+
+_FAMILY_LABELS = {(1, 0, 0): "elliptic-family", (0, 1, 0): "hyperbolic-family"}
 
 
 def _point_label(model, p, tol, seed) -> str | None:
     """Reduced 1-d.f. type at a rank-1 point, None when unclassifiable."""
-    try:
-        L = reduce_at(model, p, tol)
-        w = williamson_type(L, tol=tol, seed=seed)
-    except ClassifyError:
-        return None
-    if not hasattr(w, "triple"):
-        return None
-    if w.triple == (1, 0, 0):
-        return "elliptic-family"
-    if w.triple == (0, 1, 0):
-        return "hyperbolic-family"
-    return None
+    return _FAMILY_LABELS.get(_triple(reduce_at, model, p, tol, seed))
 
 
 def _transition_cuts(model, phases, tol, params: TraceParams):
@@ -534,17 +516,11 @@ def _segment_label(model, phases, labels: dict, lo: int, hi: int, tol, seed) -> 
 
 
 def _arc_duplicates(arc_vals: list[np.ndarray], existing: list[Arc], radius: float) -> bool:
-    if not existing:
-        return False
+    """Whether 90 % of arc_vals lie within radius of one kept arc's values."""
+    vals = np.array(arc_vals)
     for other in existing:
-        pts = np.array(other.values)
-        if pts.size == 0:
-            continue
-        close = 0
-        for v in arc_vals:
-            if np.min(np.linalg.norm(pts - v, axis=1)) <= radius:
-                close += 1
-        if close >= 0.9 * len(arc_vals):
+        dist = np.linalg.norm(vals[:, None, :] - np.array(other.values)[None, :, :], axis=2)
+        if np.count_nonzero(dist.min(axis=1) <= radius) >= 0.9 * len(arc_vals):
             return True
     return False
 
@@ -563,86 +539,59 @@ def trace_diagram(
     vertices: list[Vertex] = []
 
     def add_vertex(point: np.ndarray):
-        for v in vertices:
-            if np.linalg.norm(v.point - point) < 1e-6:
-                return
-        wt = None
-        try:
-            L = linearize(model, point, tol)
-            w = williamson_type(L, tol=tol, seed=params.seed)
-            if hasattr(w, "triple"):
-                wt = w.triple
-        except ClassifyError:
-            pass
-        vertices.append(Vertex(point, model.momentum_value(point), 0, wt))
+        if all(np.linalg.norm(v.point - point) >= 1e-6 for v in vertices):
+            wt = _triple(linearize, model, point, tol, params.seed)
+            vertices.append(Vertex(point, model.momentum_value(point), 0, wt))
 
     for s in rank0:
         add_vertex(s.point)
 
     arcs: list[Arc] = []
     dedup_radius = ARC_DEDUP_FACTOR * params.step
-    arc_id = 0
     for s in rank1:
         try:
-            p = refine_singular_point(model, s.point, model.n - 1, rank_tol=tol)
+            a = refine_singular_point(model, s.point, model.n - 1, rank_tol=tol)
         except TraceError:
             continue
-        a = analyze_point(model, p, tol, check_leaf=False)
         v, mu = _kernel_vector(a)
-        z0 = np.concatenate([p, v, mu])
+        z0 = np.concatenate([a.point, v, mu])
         _, J = _rank1_residual(a, z0)
         T = _null_space(J)  # at least one column
         speeds = [_value_speed(a, T[:, i]) for i in range(T.shape[1])]
         t0 = T[:, int(np.argmax(speeds))]
 
-        fwd = _trace_branch(model, z0, a, t0, params, tol)
-        bwd = _trace_branch(model, z0, a, -t0, params, tol)
-        reason_f, reason_b = fwd.reason, bwd.reason
-        values = list(reversed(bwd.values)) + fwd.values[1:]
-        phases = list(reversed(bwd.phases)) + fwd.phases[1:]
-        if len(values) < 3:
+        fwd, reason_f = _trace_branch(model, z0, a, t0, params, tol)
+        bwd, reason_b = _trace_branch(model, z0, a, -t0, params, tol)
+        entries = bwd[::-1] + fwd[1:]  # both branches start at the seed
+        if len(entries) < 3:
             continue
-        nb = len(bwd.values)
-        vertex_cuts = set()
-        for i, pv in bwd.vertex_indices:
-            add_vertex(pv)
-            vertex_cuts.add(nb - 1 - i)
-        for i, pv in fwd.vertex_indices:
-            add_vertex(pv)
-            vertex_cuts.add(nb - 1 + i)
+        for _, p, mark in bwd + fwd:
+            if mark == "vertex":
+                add_vertex(p)
+        values = [val for val, _, _ in entries]
+        phases = [p for _, p, _ in entries]
         if _arc_duplicates(values, arcs, dedup_radius):
             continue
-        speed_cuts = {nb - 1 - i for i in bwd.cusp_indices} | {
-            nb - 1 + i for i in fwd.cusp_indices
-        }
         type_cuts, labels = _transition_cuts(model, phases, tol, params)
-        cut_indices = sorted(
-            c for c in speed_cuts | vertex_cuts | set(type_cuts) if 2 <= c <= len(values) - 3
-        )
-        segments = []
-        start = 0
-        for cut in cut_indices:
-            if cut - start >= 2:
-                segments.append((start, cut + 1, reason_b if start == 0 else "cusp", "cusp"))
-                start = cut
-        segments.append((start, len(values), reason_b if start == 0 else "cusp", reason_f))
-        for lo, hi, end_lo, end_hi in segments:
-            seg_vals = values[lo:hi]
-            seg_phases = phases[lo:hi]
-            if len(seg_vals) < 3 or _arc_duplicates(seg_vals, arcs, dedup_radius):
+        marked = {i for i, (_, _, mark) in enumerate(entries) if mark}
+        cuts = sorted(c for c in marked | set(type_cuts) if 2 <= c <= len(entries) - 3)
+        starts = [0]
+        for cut in cuts:
+            if cut - starts[-1] >= 2:
+                starts.append(cut)
+        for lo, hi in zip(starts, [c + 1 for c in starts[1:]] + [len(entries)]):
+            if hi - lo < 3 or _arc_duplicates(values[lo:hi], arcs, dedup_radius):
                 continue
-            cusp_vals = [values[c] for c in cut_indices if lo <= c < hi]
             arcs.append(
                 Arc(
-                    arc_id,
-                    seg_vals,
-                    seg_phases,
+                    len(arcs),
+                    values[lo:hi],
+                    phases[lo:hi],
                     label=_segment_label(model, phases, labels, lo, hi, tol, params.seed),
-                    cusp_candidates=cusp_vals,
-                    endpoints=[end_lo, end_hi],
+                    cusp_candidates=[values[c] for c in cuts if lo <= c < hi],
+                    endpoints=[reason_b if lo == 0 else "cusp", reason_f if hi == len(entries) else "cusp"],
                 )
             )
-            arc_id += 1
 
     all_cusps = [c for arc in arcs for c in arc.cusp_candidates]
     return BifurcationDiagram(arcs, vertices, all_cusps)
@@ -652,7 +601,6 @@ def seed_arcs_near_vertex(
     model: IntegrableModel,
     vertex_point: np.ndarray,
     delta: float = 1e-2,
-    directions_per_plane: int = 2,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> list[SingularSeed]:
@@ -690,8 +638,8 @@ def seed_arcs_near_vertex(
 
     seeds = []
     for plane in planes:
-        for kdir in range(directions_per_plane):
-            theta = math.pi * kdir / directions_per_plane
+        for kdir in range(DIRECTIONS_PER_PLANE):
+            theta = math.pi * kdir / DIRECTIONS_PER_PLANE
             u = math.cos(theta) * plane[0] + math.sin(theta) * plane[1]
             nu = np.linalg.norm(u)
             if nu < 1e-12:
@@ -699,7 +647,7 @@ def seed_arcs_near_vertex(
             for sign in (1.0, -1.0):
                 probe = vertex_point + sign * delta * (L.basis @ (u / nu))
                 try:
-                    p1 = refine_singular_point(model, probe, model.n - 1, rank_tol=tol)
+                    p1 = refine_singular_point(model, probe, model.n - 1, rank_tol=tol).point
                 except TraceError:
                     continue
                 seeds.append(SingularSeed(p1, model.n - 1, model.momentum_value(p1)))
@@ -795,17 +743,19 @@ def _svg_text(d: BifurcationDiagram, width: int = 640, height: int = 480) -> str
 
 
 def export_diagram(d: BifurcationDiagram, fmt: str, path: str) -> None:
-    """Write the diagram as svg, csv (arc_id,h,k) or json."""
+    """Write the diagram as svg, csv (arc_id,h,k for two components, else
+    arc_id,f1,...,fn) or json."""
     if fmt == "svg":
         with open(path, "w") as fh:
             fh.write(_svg_text(d))
     elif fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["arc_id", "h", "k"])
+            w = d.value_width
+            writer.writerow(["arc_id", "h", "k"] if w == 2 else ["arc_id"] + [f"f{i + 1}" for i in range(w)])
             for arc in d.arcs:
                 for v in arc.values:
-                    writer.writerow([arc.arc_id, repr(float(v[0])), repr(float(v[1]))])
+                    writer.writerow([arc.arc_id] + [repr(float(x)) for x in v])
     elif fmt == "json":
         with open(path, "w") as fh:
             json.dump(diagram_to_dict(d), fh, indent=2, sort_keys=True)

@@ -108,12 +108,12 @@ class PointAnalysis:
     value = property(lambda self: np.array([j.value for j in self.jets]))  # momentum_value's bits on polynomials
 
 
-def analyze_point(model: IntegrableModel, p, tol: float = DEFAULT_TOL, check_leaf: bool = True) -> PointAnalysis:
+def analyze_point(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> PointAnalysis:
     """The record of p, its frame built here (an off-leaf or degenerate p raises); a record is returned as is."""
     if isinstance(p, PointAnalysis):
         return p
     a = PointAnalysis(model, p, tol)
-    a.frame = leaf_frame(model, a, tol, check_leaf)
+    a.frame = leaf_frame(model, a, tol)
     return a
 
 

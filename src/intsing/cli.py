@@ -28,11 +28,13 @@ from .atoms import (
 from .bifurcation import ScanParams, TraceParams, export_diagram, diagram_to_dict, scan_singular_points, trace_diagram
 from .canonical import CanonicalSpec, build_canonical
 from .classify import DEFAULT_ATTEMPTS, DEFAULT_SEED, DEFAULT_TOL, classify_point
-from .kovalevskaya import build_kovalevskaya, kovalevskaya_diagram
+from .kovalevskaya import DIAGRAM_PARAMS, build_kovalevskaya, kovalevskaya_diagram
 from .kovalevskaya import report as kovalevskaya_report
 from .phasespace import IntegrableModel, check_commutation, load_model
 
 DEFAULT_SAMPLES = 1000
+TRACE_STEP = 0.05
+TRACE_VALUE_BOUND = 4.0
 COMMUTATION_TOL = 1e-9
 JACOBI_TOL = 1e-10
 
@@ -164,6 +166,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.model == "kovalevskaya" and (args.step, args.value_bound, args.seed) != (None, None, DIAGRAM_PARAMS.seed):
+        p = DIAGRAM_PARAMS
+        raise InputError(
+            f"trace --model kovalevskaya follows a fixed recipe (step {p.step}, value box {p.value_box}, "
+            f"seed {p.seed}); drop --step, --value-bound and --seed"
+        )
     model = resolve_model(args.model, args.g)
     if args.model == "kovalevskaya":
         box = _parse_box(args.box, model) if args.box else None
@@ -175,10 +183,12 @@ def cmd_trace(args) -> int:
         seeds = scan_singular_points(
             model, box, resolution=args.resolution, tol=args.tol, params=ScanParams(seed=args.seed)
         )
-        params = TraceParams(step=args.step, value_box=(-args.value_bound, args.value_bound), seed=args.seed)
+        step = TRACE_STEP if args.step is None else args.step
+        bound = TRACE_VALUE_BOUND if args.value_bound is None else args.value_bound
+        params = TraceParams(step=step, value_box=(-bound, bound), seed=args.seed)
         diagram = trace_diagram(model, seeds, params, tol=args.tol)
     wrote = []
-    for fmt, path in (("svg", args.out), ("csv", args.csv), ("json", args.json_out)):
+    for fmt, path in (("svg", args.svg), ("csv", args.csv), ("json", args.json_out)):
         if path:
             export_diagram(diagram, fmt, path)
             wrote.append(path)
@@ -251,10 +261,12 @@ def cmd_kovalevskaya_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, out_help: str = "write JSON report here (default: stdout)"):
+def _add_common(
+    p: argparse.ArgumentParser, out_help: str = "write JSON report here (default: stdout)", out_dest: str = "out"
+):
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None, help=out_help)
+    p.add_argument("--out", dest=out_dest, default=None, help=out_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,12 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=None)
     p.add_argument("--box", default=None, help='scan box "lo:hi" or one pair per coordinate')
     p.add_argument("--resolution", type=int, default=7)
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--value-bound", type=float, default=4.0)
+    fixed = "; kovalevskaya follows its own recipe"
+    p.add_argument("--step", type=float, default=None, help=f"default {TRACE_STEP}{fixed}")
+    p.add_argument("--value-bound", type=float, default=None, help=f"default {TRACE_VALUE_BOUND}{fixed}")
     p.add_argument("--csv", default=None)
     p.add_argument("--json", dest="json_out", default=None)
-    _add_common(p, out_help="write the diagram as SVG here")
-    p.set_defaults(func=cmd_trace)
+    _add_common(p, out_help="write the diagram as SVG here", out_dest="svg")
+    p.set_defaults(func=cmd_trace, out=None)  # reports and errors go to stdout
 
     atoms = sub.add_parser("atoms", help="atom-combinatorics checks")
     asub = atoms.add_subparsers(dest="atoms_command", required=True)

@@ -20,10 +20,12 @@ Grammar::
 
 IDENT is ``[A-Za-z][A-Za-z0-9]*``; NUMBER is an integer, decimal or float
 literal ("2", "0.5", "1e-3").  Parentheses nest at most MAX_PAREN_DEPTH deep.
+A literal or a constant folded from literals must fit a float.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import struct
@@ -317,6 +319,19 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, got {tok[1]!r}", self.src, tok[2])
 
+    def fold(self, pos: int, build, *args) -> Node:
+        """build(*args), with a constant that no float holds (or a division by
+        zero) as a ParseError at pos."""
+        try:
+            node = build(*args)
+        except ZeroDivisionError:
+            raise ParseError("division by zero constant", self.src, pos) from None
+        except OverflowError:
+            node = None
+        if node is None or (isinstance(node, Const) and not math.isfinite(node.fvalue)):
+            raise ParseError("constant does not fit a float", self.src, pos)
+        return node
+
     def parse(self) -> Node:
         node = self.expr()
         tok = self.peek()
@@ -327,9 +342,9 @@ class _Parser:
     def expr(self) -> Node:
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
+            op, _, pos = self.next()
             rhs = self.term()
-            node = _add(node, rhs) if op == "+" else _sub(node, rhs)
+            node = self.fold(pos, _add if op == "+" else _sub, node, rhs)
         return node
 
     def term(self) -> Node:
@@ -337,10 +352,7 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.next()
             rhs = self.factor()
-            try:
-                node = _mul(node, rhs) if op == "*" else _div(node, rhs)
-            except ZeroDivisionError:
-                raise ParseError("division by zero constant", self.src, pos) from None
+            node = self.fold(pos, _mul if op == "*" else _div, node, rhs)
         return node
 
     def factor(self) -> Node:
@@ -360,14 +372,14 @@ class _Parser:
             tok = self.next()
             if tok[0] != "num" or not tok[1].isdigit():
                 raise ParseError("exponent must be a non-negative integer literal", self.src, tok[2])
-            base = _pow(base, int(tok[1]))
+            base = self.fold(pos, _pow, base, self.fold(tok[2], Const, int(tok[1])).value)
         return base
 
     def atom(self) -> Node:
         tok = self.next()
         kind, text, pos = tok
         if kind == "num":
-            return Const(_number_value(text))
+            return self.fold(pos, Const, _number_value(text))
         if kind == "ident":
             if text not in self.symbols:
                 raise ParseError(f"unknown symbol {text!r}", self.src, pos)

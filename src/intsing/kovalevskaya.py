@@ -41,6 +41,8 @@ H_SRC = "(1/2)*(S1^2+S2^2+2*S3^2)+R1"
 K_SRC = "((1/2)*S1^2-(1/2)*S2^2-R1)^2+(S1*S2-R2)^2"
 
 REGIME_SPLIT = 8.0 / (3.0 * np.sqrt(3.0))  # ~ 1.539600717839002
+# the diagram's continuation recipe; its scan and labels use seed 0
+DIAGRAM_PARAMS = TraceParams(step=0.08, max_steps=250, value_box=(-6.0, 8.0), phase_bound=12.0)
 
 
 class RegimeBoundaryError(ValueError):
@@ -209,8 +211,7 @@ def kovalevskaya_diagram(
     model = build_kovalevskaya(g)
     if box is None:
         box = [(-1.2, 1.2)] * 3 + [(-4.0, 4.0)] * 3
-    if trace_params is None:
-        trace_params = TraceParams(step=0.08, max_steps=250, value_box=(-6.0, 8.0), phase_bound=12.0)
+    trace_params = trace_params or DIAGRAM_PARAMS
     vertex_seeds = []
     for p in involution_fixed_points(g, certify=True, tol=tol):
         vertex_seeds += seed_arcs_near_vertex(model, p, delta=1e-2, tol=tol)

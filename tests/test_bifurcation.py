@@ -1,11 +1,15 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intsing import bifurcation
 from intsing.bifurcation import (
+    Arc,
     BifurcationDiagram,
     RankCertificationError,
     RefineDivergence,
@@ -94,7 +98,7 @@ def test_scan_seeds_satisfy_rank_condition():
 
 def test_refine_perturbed_origin():
     m = build_canonical(CanonicalSpec(0, 1, 1, 0))
-    p = refine_singular_point(m, np.full(4, 1e-3), 0)
+    p = refine_singular_point(m, np.full(4, 1e-3), 0).point
     assert np.abs(p).max() <= 1e-11
 
 
@@ -102,7 +106,7 @@ def test_refine_kovalevskaya_fixed_point():
     g = 0.5
     m = build_kovalevskaya(g)
     seed = np.array([0.9, 0.05, -0.02, 0.45, 0.03, 0.01])
-    p = refine_singular_point(m, seed, 0)
+    p = refine_singular_point(m, seed, 0).point
     assert np.linalg.norm(p - [1, 0, 0, g, 0, 0]) <= 1e-9
 
 
@@ -153,17 +157,15 @@ def _repeats(calls: list, evaluator: str) -> int:
     return count
 
 
-def test_scan_and_trace_repeat_only_the_seed_reanalysis(monkeypatch):
+def test_scan_and_trace_repeat_no_jet_set(monkeypatch):
     m = build_canonical(CanonicalSpec(1, 0, 1, 0))
     calls = _record_jet_calls(monkeypatch)
     seeds = scan_singular_points(m, [(-1, 1)] * 4)
     trace_diagram(m, seeds, TraceParams(value_box=(-4.0, 4.0)))
-    rank1 = sum(s.rank == m.n - 1 for s in seeds)
-    assert rank1 > 0
-    # trace_diagram analyses each refined rank-1 seed once more: the
-    # refinement returns a bare point
+    assert sum(s.rank == m.n - 1 for s in seeds) > 0
+    # continuation starts from the record the refinement of each seed returns
     for name in JET_EVALUATORS:
-        assert _repeats(calls, name) <= rank1
+        assert _repeats(calls, name) == 0
 
 
 def test_refine_evaluates_each_iterate_once(monkeypatch):
@@ -335,6 +337,61 @@ def test_export_single_arc_svg_and_csv(tmp_path):
     data = json.loads(json_path.read_text())
     assert set(data) == {"arcs", "vertices", "cusp_candidates"}
     assert data["arcs"][0]["label"] == "hyperbolic-family"
+
+
+def test_csv_has_one_column_per_component(tmp_path):
+    values = [np.array([0.5, -1.0, 2.0, 1e-33]), np.array([0.25, 3.0, -2.0, 4.0])]
+    d = BifurcationDiagram([Arc(0, values, [np.zeros(8)] * 2), Arc(1, values[:1], [np.zeros(8)])], [], [])
+    path = tmp_path / "four.csv"
+    export_diagram(d, "csv", str(path))
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["arc_id", "f1", "f2", "f3", "f4"]
+    points = [(0, values[0]), (0, values[1]), (1, values[0])]
+    assert rows[1:] == [[str(i)] + [repr(float(x)) for x in v] for i, v in points]
+
+
+def _arc_duplicates_reference(arc_vals, existing, radius) -> bool:
+    """The per-point loop: an arc is a duplicate when 90 % of its values lie
+    within radius of one existing arc's values."""
+    for other in existing:
+        pts = np.array(other.values)
+        close = sum(np.min(np.linalg.norm(pts - v, axis=1)) <= radius for v in arc_vals)
+        if close >= 0.9 * len(arc_vals):
+            return True
+    return False
+
+
+@st.composite
+def dedup_cases(draw):
+    """Kept arcs on a quarter grid, and an arc whose values are copies of one
+    kept arc's values moved by exactly 0 or radius along an axis (close) or
+    by 100 (far), with the close count at or next to the 90 % threshold."""
+    width = draw(st.integers(1, 3))
+    radius = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    point = st.lists(st.integers(-8, 8), min_size=width, max_size=width).map(lambda c: np.array(c) / 4)
+    existing = [Arc(i, draw(st.lists(point, min_size=1, max_size=6)), []) for i in range(draw(st.integers(0, 3)))]
+    n = draw(st.sampled_from([1, 2, 9, 10, 11, 20, 21]))  # 0.9 n is whole at 10 and 20
+    if not existing:
+        return [draw(point) for _ in range(n)], existing, radius
+    target = draw(st.sampled_from(existing)).values
+    threshold = math.ceil(0.9 * n)
+    close = draw(st.sampled_from([threshold - 1, threshold, threshold, n]) | st.integers(0, n))
+    arc = []
+    for k in range(n):
+        shift = np.zeros(width)
+        axis = draw(st.integers(0, width - 1))
+        shift[axis] = draw(st.sampled_from([0.0, radius, -radius])) if k < close else 100.0
+        arc.append(draw(st.sampled_from(target)) + shift)
+    return draw(st.permutations(arc)), existing, radius
+
+
+@given(dedup_cases())
+def test_arc_duplicates_matches_per_point_loop(case):
+    arc_vals, existing, radius = case
+    assert bifurcation._arc_duplicates(arc_vals, existing, radius) == _arc_duplicates_reference(
+        arc_vals, existing, radius
+    )
 
 
 def test_export_kovalevskaya_g0_vertices(tmp_path):

@@ -168,6 +168,24 @@ def test_trace_one_component_svg(tmp_path, capsys):
     assert '<circle class="vertex" cx="320.00" cy="240.00" r="4"/>' in svg.read_text()
 
 
+def test_trace_error_goes_to_stdout_not_the_svg(tmp_path, capsys):
+    svg = tmp_path / "d.svg"
+    code, out = run_cli(["trace", "--model", str(tmp_path / "absent.json"), "--out", str(svg)], capsys)
+    assert code == 1
+    assert "absent.json" in json.loads(out)["error"]
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize(
+    "options", [["--step", "0.3"], ["--value-bound", "1"], ["--seed", "5"], ["--step", "0.3", "--value-bound", "1"]]
+)
+def test_trace_kovalevskaya_refuses_recipe_options(options, capsys):
+    code, out = run_cli(["trace", "--model", "kovalevskaya", "--g", "0.5"] + options, capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert "step 0.08" in error and "value box (-6.0, 8.0)" in error and "seed 0" in error
+
+
 def test_kovalevskaya_report_g0(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(["kovalevskaya", "report", "--g", "0", "--out", str(out_path)], capsys)
@@ -232,6 +250,8 @@ MODEL_FAULTS = {
     ),
     "parameter-not-finite": json.dumps({**PLANE, "parameters": {"g": float("nan")}, "components": ["g*x", "y"]}),
     "deep-parentheses": json.dumps({**PLANE, "components": ["(" * 1200 + "x" + ")" * 1200]}),
+    "folded-constant-overflow": json.dumps({**PLANE, "components": ["2^2000*x"]}),
+    "literal-overflow": json.dumps({**PLANE, "components": ["1" * 400 + "*x"]}),
 }
 MODEL_COMMANDS = {
     "verify": ["verify", "--samples", "5"],

@@ -106,6 +106,20 @@ def test_parenthesis_depth_is_bounded():
     assert exc.value.pos == MAX_PAREN_DEPTH
 
 
+@pytest.mark.parametrize(
+    "source, pos",
+    [("1" * 400 + "*x", 0), ("1e400*x", 0), ("2^2000*x", 1), ("10^200*10^200+x", 6), ("x-1e308*10", 7),
+     ("1e308+1e308", 5), ("x^" + "9" * 400, 2)],
+    ids=["long-literal", "float-literal", "folded-power", "folded-product", "folded-float-product", "folded-sum",
+         "long-exponent"],
+)
+def test_constant_that_no_float_holds_is_a_parse_error(source, pos):
+    with pytest.raises(ParseError, match="does not fit a float") as exc:
+        parse(source, ("x",))
+    assert exc.value.pos == pos
+    assert parse("2^1000*x", ("x",)).evaluate([1.0]) == 2.0**1000
+
+
 def test_differentiate_power_rule():
     e = parse("R1^2+R2^2+R3^2", KOV)
     assert differentiate(e, "R1").normalized_equal(parse("2*R1", KOV))
