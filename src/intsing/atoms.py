@@ -44,27 +44,26 @@ class Atom:
     kind: str  # "regular" | "elliptic" | "hyperbolic" | "focus"
     singular_points: int
     fiber_connected: bool = True
-    symmetry_hooks: tuple[str, ...] = ()
 
 
 # Vertex counts: validated by the consistency suite against the catalog's
 # complexity values; the K3 count is kept at 3 and its products are carried
 # as documented exceptions (see exceptions_report).
 _CATALOG = [
-    Atom("A", "elliptic", 1, symmetry_hooks=("trivial",)),
-    Atom("B", "hyperbolic", 1, symmetry_hooks=("Z2-flip",)),
-    Atom("C1", "hyperbolic", 2, symmetry_hooks=("Z2-swap",)),
-    Atom("C2", "hyperbolic", 2, symmetry_hooks=("Z2-swap",)),
-    Atom("D1", "hyperbolic", 2, symmetry_hooks=("Z2-swap",)),
-    Atom("I1", "hyperbolic", 4, symmetry_hooks=("Z4-cycle",)),
-    Atom("J1", "hyperbolic", 4, symmetry_hooks=("Z4-cycle",)),
-    Atom("K3", "hyperbolic", 3, symmetry_hooks=()),
-    Atom("P4", "hyperbolic", 4, symmetry_hooks=("D4",)),
-    Atom("F1", "focus", 1, symmetry_hooks=("trivial",)),
-    Atom("F2", "focus", 2, symmetry_hooks=("Z2-rotation",)),
-    Atom("F3", "focus", 3, symmetry_hooks=("Z3-rotation",)),
-    Atom("F4", "focus", 4, symmetry_hooks=("Z4-rotation",)),
-    Atom("Wreg", "regular", 0, symmetry_hooks=("S1-translation",)),
+    Atom("A", "elliptic", 1),
+    Atom("B", "hyperbolic", 1),
+    Atom("C1", "hyperbolic", 2),
+    Atom("C2", "hyperbolic", 2),
+    Atom("D1", "hyperbolic", 2),
+    Atom("I1", "hyperbolic", 4),
+    Atom("J1", "hyperbolic", 4),
+    Atom("K3", "hyperbolic", 3),
+    Atom("P4", "hyperbolic", 4),
+    Atom("F1", "focus", 1),
+    Atom("F2", "focus", 2),
+    Atom("F3", "focus", 3),
+    Atom("F4", "focus", 4),
+    Atom("Wreg", "regular", 0),
 ]
 
 _BY_NAME = {a.name: a for a in _CATALOG}
@@ -141,12 +140,6 @@ class AlmostDirectProduct:
     @property
     def group(self) -> FiniteGroup:
         return self.action.group
-
-    def williamson_profile(self) -> tuple[int, int, int]:
-        k_e = sum(1 for c in self.components if c.kind == "elliptic")
-        k_h = sum(1 for c in self.components if c.kind == "hyperbolic")
-        k_f = sum(1 for c in self.components if c.kind == "focus")
-        return (k_e, k_h, k_f)
 
     def nonregular_indices(self) -> list[int]:
         return [i for i, c in enumerate(self.components) if c.kind != "regular"]
@@ -268,14 +261,15 @@ class CrossCheckReport:
 
 def cross_check_criteria(p: AlmostDirectProduct) -> CrossCheckReport:
     """Criteria (iv) and (vi) must agree on every product model."""
-    iv = check_connectedness_iv(p)
+    ki_sets = build_Ki_sets(p)
+    iv = all(k.connected_components == 1 for k in ki_sets)  # check_connectedness_iv on these sets
     vi, witnesses = check_connectedness_vi(p)
     if iv != vi:
         raise AtomsError(
             f"criteria disagree on {p.name or 'product'}: (iv)={iv}, (vi)={vi} "
             "- implementation bug, the criteria are equivalent on product models"
         )
-    return CrossCheckReport(iv, vi, True, build_Ki_sets(p), witnesses)
+    return CrossCheckReport(iv, vi, True, ki_sets, witnesses)
 
 
 def stability_verdict(p: AlmostDirectProduct) -> str:

@@ -4,12 +4,14 @@ The singular-value set of the momentum map is traced in three stages:
 grid scanning for low-rank candidates, Newton refinement onto the
 rank-1 locus (or rank-0 points), and pseudo-arclength continuation of
 the rank-1 condition with the momentum image recorded along the way.
-Refinement returns its last iterate's `PointAnalysis` record.  Each rank-1
-seed is continued both ways, and a branch is one list of (value, phase
-point, mark) entries, mark "cusp", "vertex" or None.  The glued branches
-are cut into arcs at the marks and where the reduced type changes; an arc
-end is its branch's stop reason at the glued list's ends, else "cusp".  An
-arc with 90 % of its values near one kept arc is a duplicate.
+Refinement returns its last iterate's `PointAnalysis` record, and every seed
+is such a record.  Each rank-1 seed is continued both ways, and a branch is one
+list of (value, phase point, mark) entries, mark "cusp", "vertex" or None.  A
+vertex's value is `momentum_value` at its point (on a model with a division the
+jet values can differ from it in the last bit).  The glued branches are cut
+into arcs at the marks and where the reduced type changes; an arc end is its
+branch's stop reason at the glued list's ends, else "cusp".  An arc with 90 %
+of its values near one kept arc is a duplicate.
 
 The rank-1 locus is parametrized by the kernel-vector augmentation
 
@@ -67,13 +69,6 @@ class RefineDivergence(TraceError):
 
 class RankCertificationError(TraceError):
     pass
-
-
-@dataclass
-class SingularSeed:
-    point: np.ndarray
-    rank: int
-    value: np.ndarray
 
 
 @dataclass
@@ -223,11 +218,10 @@ def refine_singular_point(
     rank_tol: float = DEFAULT_TOL,
     max_iter: int = 60,
 ) -> PointAnalysis:
-    """Newton-polish a seed (a point, SingularSeed or PointAnalysis) onto the
+    """Newton-polish a seed (a point or PointAnalysis) onto the
     rank-`target_rank` locus, certify the rank and return the last iterate's
     record (the residual holds the Casimir rows, so that point is on its leaf)."""
-    p0 = seed.point if isinstance(seed, SingularSeed) else seed
-    a = p0 if isinstance(p0, PointAnalysis) else PointAnalysis(model, p0, rank_tol)
+    a = seed if isinstance(seed, PointAnalysis) else PointAnalysis(model, seed, rank_tol)
     N, n = model.dim, model.n
 
     if target_rank == 0:
@@ -295,9 +289,10 @@ def scan_singular_points(
     resolution: int = 7,
     tol: float = DEFAULT_TOL,
     params: ScanParams | None = None,
-) -> list[SingularSeed]:
+) -> list[PointAnalysis]:
     """Locate singular points in a box: sample, filter by the smallest
-    singular value of dF on the leaf, refine, certify, deduplicate."""
+    singular value of dF on the leaf, refine, certify, deduplicate.  Each
+    seed is the record `refine_singular_point` returned, its rank certified."""
     rng = np.random.default_rng((params or ScanParams()).seed)
     samples = _sample_box(box, resolution, rng)
 
@@ -310,14 +305,7 @@ def scan_singular_points(
             continue
         scale = max(float(sv[0]), 1.0)
         scored.append((float(sv[-1]) / scale, float(sv[0]), a.point))  # a record holds ~5 kB
-    seeds: list[SingularSeed] = []
-
-    def push(point: np.ndarray, r: int):
-        for s in seeds:
-            if s.rank == r and np.linalg.norm(s.point - point) < SEED_DEDUP_RADIUS:
-                return
-        seeds.append(SingularSeed(point, r, model.momentum_value(point)))
-
+    seeds: list[PointAnalysis] = []
     # rank 0 from the points where the whole differential is smallest, then
     # rank n-1 from those where its smallest singular value is
     by_sigma_max = sorted(scored, key=lambda t: t[1])[:RANK0_CANDIDATES]
@@ -326,9 +314,11 @@ def scan_singular_points(
     for r, candidates, max_iter in ((0, by_sigma_max, 30), (model.n - 1, scored[:keep], 60)):
         for _, _, p in candidates:
             try:
-                push(refine_singular_point(model, p, r, rank_tol=tol, max_iter=max_iter).point, r)
+                a = refine_singular_point(model, p, r, rank_tol=tol, max_iter=max_iter)
             except TraceError:
                 continue
+            if all(s.rank != r or np.linalg.norm(s.point - a.point) >= SEED_DEDUP_RADIUS for s in seeds):
+                seeds.append(a)
     return seeds
 
 
@@ -527,7 +517,7 @@ def _arc_duplicates(arc_vals: list[np.ndarray], existing: list[Arc], radius: flo
 
 def trace_diagram(
     model: IntegrableModel,
-    seeds: list[SingularSeed],
+    seeds: list[PointAnalysis],
     params: TraceParams | None = None,
     tol: float = DEFAULT_TOL,
 ) -> BifurcationDiagram:
@@ -550,7 +540,7 @@ def trace_diagram(
     dedup_radius = ARC_DEDUP_FACTOR * params.step
     for s in rank1:
         try:
-            a = refine_singular_point(model, s.point, model.n - 1, rank_tol=tol)
+            a = refine_singular_point(model, s, model.n - 1, rank_tol=tol)
         except TraceError:
             continue
         v, mu = _kernel_vector(a)
@@ -603,8 +593,9 @@ def seed_arcs_near_vertex(
     delta: float = 1e-2,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
-) -> list[SingularSeed]:
-    """Rank-1 seeds on the singular leaves emanating from a rank-0 point.
+) -> list[PointAnalysis]:
+    """Rank-1 seeds on the singular leaves emanating from a rank-0 point, as
+    the records `refine_singular_point` returns.
 
     The invariant 2-planes of a generic combination of the linearized
     fields are tangent to the local critical submanifolds; perturbing
@@ -647,10 +638,9 @@ def seed_arcs_near_vertex(
             for sign in (1.0, -1.0):
                 probe = vertex_point + sign * delta * (L.basis @ (u / nu))
                 try:
-                    p1 = refine_singular_point(model, probe, model.n - 1, rank_tol=tol).point
+                    seeds.append(refine_singular_point(model, probe, model.n - 1, rank_tol=tol))
                 except TraceError:
                     continue
-                seeds.append(SingularSeed(p1, model.n - 1, model.momentum_value(p1)))
     return seeds
 
 

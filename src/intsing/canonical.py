@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import Expression, parse
+from .expr import Expression, constant, parse, symbol
 from .groups import FiniteGroup
 from .phasespace import IntegrableModel, PhasePoint, PoissonStructure, flow_integrate
 
@@ -154,11 +154,11 @@ def randomized_disguise(
     # substitution old_coord -> row of S^{-1} applied to new coords
     images = {}
     for i, name in enumerate(coords):
-        e = parse("0", coords)
+        e = constant(0, coords)
         for j, cname in enumerate(coords):
             cij = Sinv[i, j]
             if cij != 0.0:
-                e = e + cij * parse(cname, coords)
+                e = e + cij * symbol(cname, coords)
         images[name] = e
     base = [c.substitute(images) for c in model.components]
 
@@ -170,7 +170,7 @@ def randomized_disguise(
         shift = rng.uniform(-1.0, 1.0, size=model.n)
         comps = []
         for i in range(model.n):
-            e = parse("0", coords) + float(shift[i])
+            e = constant(0, coords) + float(shift[i])
             for j in range(model.n):
                 e = e + float(J[i, j]) * base[j]
             comps.append(e)

@@ -3,9 +3,10 @@
 Pipeline for a point p of an integrable model.  Every step reads one record
 per point, `PointAnalysis`, which evaluates each part once, on first use: the
 component and Casimir jets, the leaf frame built from those Casimir jets, the
-SVD of dF on the leaf and the rank.  The public functions take the record
-wherever they take a point, and scan, refinement and continuation in
-`bifurcation` hand each iterate's record on to the next step.
+SVD of dF on the leaf and the rank.  `analyze_point` makes the record of a
+bare point and is the one place that refuses a point off its leaf.  The public
+functions take the record wherever they take a point, and scan, refinement and
+continuation in `bifurcation` hand each iterate's record on to the next step.
 
 1. the leaf tangent space at p is the kernel of the Casimir differentials
    (the bivector annihilates exactly the Casimir gradients there, so this
@@ -56,13 +57,8 @@ class LeafFrame:
     bivector: np.ndarray       # ambient N x N bivector at the point
 
 
-def leaf_frame(model: IntegrableModel, p, tol: float = DEFAULT_TOL, check_leaf: bool = True) -> LeafFrame:
-    """Leaf tangent frame at p, built from the Casimir jets of p's record."""
-    a = p if isinstance(p, PointAnalysis) else PointAnalysis(model, p, tol)
-    if check_leaf:
-        residual = max((abs(j.value - c) for j, c in zip(a.cjets, model.leaf_values)), default=0.0)
-        if residual > 1e-6:
-            raise OffLeafError(f"point is off the leaf: max Casimir residual {residual:.3e}")
+def leaf_frame(model: IntegrableModel, a: PointAnalysis, tol: float = DEFAULT_TOL) -> LeafFrame:
+    """Leaf tangent frame at the point of record a, built from its Casimir jets."""
     cas = a.cjets
     if cas:
         Q = np.array([j.gradient for j in cas])
@@ -98,7 +94,7 @@ class PointAnalysis:
 
     jets = cached_property(lambda self: self.model.component_jets(self.point))
     cjets = cached_property(lambda self: self.model.casimir_jets(self.point))  # Casimir jets
-    frame = cached_property(lambda self: leaf_frame(self.model, self, self.tol, check_leaf=False))
+    frame = cached_property(lambda self: leaf_frame(self.model, self, self.tol))
     # full SVD of dF on the leaf basis: U diag(sv) Vt
     svd = cached_property(lambda self: np.linalg.svd(np.array([j.gradient for j in self.jets]) @ self.frame.basis))
     U = property(lambda self: self.svd[0])
@@ -113,6 +109,9 @@ def analyze_point(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> PointA
     if isinstance(p, PointAnalysis):
         return p
     a = PointAnalysis(model, p, tol)
+    residual = max((abs(j.value - c) for j, c in zip(a.cjets, model.leaf_values)), default=0.0)
+    if residual > 1e-6:
+        raise OffLeafError(f"point is off the leaf: max Casimir residual {residual:.3e}")
     a.frame = leaf_frame(model, a, tol)
     return a
 
@@ -140,49 +139,39 @@ class Linearization:
     combo: np.ndarray | None = None  # rows: combinations of f_i used
 
 
-def _field_jacobians(model: IntegrableModel, a: PointAnalysis) -> list[np.ndarray]:
-    """Ambient Jacobians of the Hamiltonian fields X_{f_j} at the point.
+def _leaf_linearizations(model: IntegrableModel, a: PointAnalysis) -> list[np.ndarray]:
+    """Jacobians of the Hamiltonian fields X_{f_j} at the point, on the leaf basis B.
 
     d(X_f)_k/dc_m = sum_l [ pi_kl d2f/dl dm + (d pi_kl/dc_m) df/dl ].
     """
-    Pi = a.frame.bivector
+    B, Pi = a.frame.basis, a.frame.bivector
     dPi = model.structure.bivector_gradients_at(a.point, model.params)
     out = []
     for j in a.jets:
         M = Pi @ j.hessian
         if dPi.any():
             M = M + np.einsum("klm,l->km", dPi, j.gradient)
-        out.append(M)
+        out.append(B.T @ M @ B)
     return out
 
 
-def _invariant_residuals(mats, omega) -> tuple[float, float]:
-    comm = 0.0
-    symp = 0.0
+def _linearization(mats, omega, basis, rank: int, n: int, combo=None) -> Linearization:
+    """The Linearization of mats with its commutator and symplectic residuals;
+    reduced to a symplectic quotient exactly when the combination rows are given."""
+    comm = symp = 0.0
     scale = max(max((np.linalg.norm(A) for A in mats), default=0.0), 1.0)
     for i, A in enumerate(mats):
         symp = max(symp, np.linalg.norm(A.T @ omega + omega @ A))
         for Bm in mats[i + 1 :]:
             comm = max(comm, np.linalg.norm(A @ Bm - Bm @ A))
-    return comm / scale, symp / (scale * max(np.linalg.norm(omega), 1.0))
+    symp /= scale * max(np.linalg.norm(omega), 1.0)
+    return Linearization(mats, omega, basis, rank, n, combo is not None, comm / scale, symp, combo)
 
 
 def linearize(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearization:
     """Linearizations A_j of the fields X_{f_j} on the leaf tangent basis."""
     a = analyze_point(model, p, tol)
-    B = a.frame.basis
-    mats = [B.T @ M @ B for M in _field_jacobians(model, a)]
-    comm, symp = _invariant_residuals(mats, a.frame.omega)
-    return Linearization(
-        matrices=mats,
-        omega=a.frame.omega,
-        basis=B,
-        rank=a.rank,
-        n=model.n,
-        reduced=False,
-        commutator_norm=comm,
-        symplectic_residual=symp,
-    )
+    return _linearization(_leaf_linearizations(model, a), a.frame.omega, a.frame.basis, a.rank, model.n)
 
 
 def reduce_at(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearization:
@@ -229,24 +218,9 @@ def reduce_at(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearizat
     if svw[dim_w - 1] < 0.5:
         raise ClassifyError("quotient construction failed: complement is degenerate")
 
-    mats_full = [B.T @ M @ B for M in _field_jacobians(model, a)]
-    reduced = []
-    for k in range(n - r):
-        Mk = sum(U2[i, k] * mats_full[i] for i in range(n))
-        reduced.append(W.T @ Mk @ W)
-    omega_w = W.T @ a.frame.omega @ W
-    comm, symp = _invariant_residuals(reduced, omega_w)
-    return Linearization(
-        matrices=reduced,
-        omega=omega_w,
-        basis=B @ W,
-        rank=r,
-        n=n,
-        reduced=True,
-        commutator_norm=comm,
-        symplectic_residual=symp,
-        combo=U2.T,
-    )
+    mats = _leaf_linearizations(model, a)
+    reduced = [W.T @ sum(U2[i, k] * mats[i] for i in range(n)) @ W for k in range(n - r)]
+    return _linearization(reduced, W.T @ a.frame.omega @ W, B @ W, r, n, combo=U2.T)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ Grammar::
 
 IDENT is ``[A-Za-z][A-Za-z0-9]*``; NUMBER is an integer, decimal or float
 literal ("2", "0.5", "1e-3").  Parentheses nest at most MAX_PAREN_DEPTH deep.
-A literal or a constant folded from literals must fit a float.
+A literal or a constant folded from literals must fit a float: a finite float,
+0.0 only for zero.  A constant power is checked against the float range first.
 """
 
 from __future__ import annotations
@@ -298,6 +299,17 @@ def _number_value(text: str) -> Number:
     return int(text)
 
 
+def _fits_float(c: Const, build, operands) -> bool:
+    """Whether c, the constant that build(*operands) folded to, fits a float:
+    finite, and 0.0 only for zero.  A float sum is 0.0 only when exact, so a float
+    product, quotient or power of nonzero constants that is 0.0 has underflowed."""
+    if c.fvalue != 0.0:
+        return math.isfinite(c.fvalue)
+    if not isinstance(c.value, float):
+        return c.value == 0
+    return build not in (_mul, _div, _pow) or any(_is_const(x, 0) for x in operands)
+
+
 class _Parser:
     def __init__(self, src: str, symbols: Mapping[str, int]):
         self.src = src
@@ -328,7 +340,7 @@ class _Parser:
             raise ParseError("division by zero constant", self.src, pos) from None
         except OverflowError:
             node = None
-        if node is None or (isinstance(node, Const) and not math.isfinite(node.fvalue)):
+        if node is None or (isinstance(node, Const) and not _fits_float(node, build, args)):
             raise ParseError("constant does not fit a float", self.src, pos)
         return node
 
@@ -372,14 +384,21 @@ class _Parser:
             tok = self.next()
             if tok[0] != "num" or not tok[1].isdigit():
                 raise ParseError("exponent must be a non-negative integer literal", self.src, tok[2])
-            base = self.fold(pos, _pow, base, self.fold(tok[2], Const, int(tok[1])).value)
+            k = self.fold(tok[2], Const, int(tok[1])).value
+            # a nonzero float holds |base|^k only within [2^-1075, 2^1024): refuse what is surely outside
+            if _is_const(base) and base.fvalue != 0.0 and not -1076 < k * math.log2(abs(base.fvalue)) < 1025:
+                raise ParseError("constant does not fit a float", self.src, pos)
+            base = self.fold(pos, _pow, base, k)
         return base
 
     def atom(self) -> Node:
         tok = self.next()
         kind, text, pos = tok
         if kind == "num":
-            return self.fold(pos, Const, _number_value(text))
+            node = self.fold(pos, Const, _number_value(text))
+            if node.fvalue == 0.0 and re.search("[1-9]", re.split("[eE]", text)[0]):
+                raise ParseError("constant does not fit a float", self.src, pos)  # a nonzero literal underflowed
+            return node
         if kind == "ident":
             if text not in self.symbols:
                 raise ParseError(f"unknown symbol {text!r}", self.src, pos)

@@ -21,7 +21,9 @@ class FiniteGroup:
         if any(len(row) != self.order for row in self.table):
             raise ValueError("multiplication table must be square")
         self.identity = self._find_identity()
-        self._inverses = [self._find_inverse(i) for i in range(self.order)]
+        for a in range(self.order):
+            if self.identity not in self.table[a]:
+                raise ValueError(f"element {self.labels[a]} has no inverse")
 
     def _find_identity(self) -> int:
         for e in range(self.order):
@@ -29,17 +31,8 @@ class FiniteGroup:
                 return e
         raise ValueError("table has no identity element")
 
-    def _find_inverse(self, a: int) -> int:
-        for b in range(self.order):
-            if self.table[a][b] == self.identity:
-                return b
-        raise ValueError(f"element {self.labels[a]} has no inverse")
-
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inverses[a]
 
     def elements(self):
         return range(self.order)

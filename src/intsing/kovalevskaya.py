@@ -110,21 +110,10 @@ def regime(g: float) -> str:
 
 
 @dataclass
-class VertexEntry:
-    point: np.ndarray
-    value: tuple[float, float]
-    rank: int
-    triple: tuple[int, int, int] | None
-    label: str
-    spectral_gap: float
-    verdict: str
-
-
-@dataclass
 class VertexReport:
     g: float
     regime: str | None
-    vertices: list[VertexEntry]
+    vertices: list[dict]  # as `report` prints them
     expected: list[tuple[int, int, int]] | None
     matches_expected: bool
 
@@ -154,7 +143,9 @@ def classify_vertices(
     seed: int = DEFAULT_SEED,
     enforce: bool = True,
 ) -> VertexReport:
-    """Classify both involution fixed points and check the regime's types."""
+    """Classify both involution fixed points and check the regime's types.  Each
+    vertex is the dict `report` prints; an unclassified one has type None and
+    its best spectral gap."""
     model = build_kovalevskaya(g)
     try:
         reg = regime(g)
@@ -164,18 +155,21 @@ def classify_vertices(
     for p in involution_fixed_points(g, certify=False):
         a = analyze_point(model, p, tol)
         verdict = is_nondegenerate(model, a, tol=tol, attempts=attempts, seed=seed)
-        value = (a.jets[0].value, a.jets[1].value)
-        if verdict.williamson is not None:
-            w = verdict.williamson
-            entries.append(
-                VertexEntry(p, value, a.rank, w.triple, _TYPE_LABELS.get(w.triple, w.label()), w.gap, verdict.verdict)
-            )
-        else:
-            gap = float(verdict.diagnostics.get("best_gap", 0.0))
-            entries.append(VertexEntry(p, value, a.rank, None, "unclassified", gap, verdict.verdict))
+        w = verdict.williamson
+        entries.append(
+            {
+                "point": [float(x) for x in p],
+                "value": [float(x) for x in a.value],
+                "rank": a.rank,
+                "type": list(w.triple) if w is not None else None,
+                "label": _TYPE_LABELS.get(w.triple, w.label()) if w is not None else "unclassified",
+                "spectral_gap": float(w.gap if w is not None else verdict.diagnostics.get("best_gap", 0.0)),
+                "verdict": verdict.verdict,
+            }
+        )
 
     expected = expected_vertex_types(g)
-    got = sorted(e.triple for e in entries if e.triple is not None)
+    got = sorted(tuple(e["type"]) for e in entries if e["type"] is not None)
     matches = expected is not None and len(got) == 2 and got == expected
     if enforce and expected is not None and not matches:
         raise VertexTypeMismatch(
@@ -234,18 +228,7 @@ def report(
         "seed": seed,
         "tol": tol,
         "regime": vr.regime,
-        "vertices": [
-            {
-                "point": [float(x) for x in e.point],
-                "value": [float(x) for x in e.value],
-                "rank": e.rank,
-                "type": list(e.triple) if e.triple else None,
-                "label": e.label,
-                "spectral_gap": float(e.spectral_gap),
-                "verdict": e.verdict,
-            }
-            for e in vr.vertices
-        ],
+        "vertices": vr.vertices,
         "expected_types": [list(t) for t in vr.expected] if vr.expected else None,
         "matches_expected": vr.matches_expected,
     }

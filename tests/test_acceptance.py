@@ -103,7 +103,7 @@ def test_criterion_2_vertex_type_table():
     bad = []
     for g, want in expected_by_regime.items():
         rep = classify_vertices(g, enforce=False)
-        got = sorted(e.triple for e in rep.vertices if e.triple is not None)
+        got = sorted(tuple(e["type"]) for e in rep.vertices if e["type"] is not None)
         if got != sorted(want):
             bad.append((g, got))
     elapsed = time.time() - start

@@ -30,6 +30,7 @@ from intsing.atoms import (
     random_product,
     stability_verdict,
     trivial_product,
+    tuple_action_free,
 )
 from intsing.groups import cyclic, direct_product, trivial
 
@@ -264,3 +265,27 @@ def test_validate_accepts_exactly_the_homomorphisms(drawn):
     assert accepted == is_hom
     if accepted:
         assert perms in g.homomorphisms_to_sym(k)
+
+
+@st.composite
+def relabelled_products(draw):
+    """Up to three catalog atoms acted on by a built-in group whose table is
+    reordered and relabelled, loaded through group_from_dict, each atom by a
+    drawn homomorphism."""
+    base = groups.group_by_name(draw(st.sampled_from(sorted(groups.BUILTIN_GROUPS))))
+    order = draw(st.permutations(range(base.order)))  # element i of the new table is base element order[i]
+    new = {a: i for i, a in enumerate(order)}
+    table = [[f"u{new[base.mul(a, b)]}" for b in order] for a in order]
+    g = groups.group_from_dict({"name": "relabelled", "elements": [f"u{i}" for i in range(base.order)], "table": table})
+    comps = [atom(n) for n in draw(st.lists(st.sampled_from([a.name for a in catalog()]), min_size=1, max_size=3))]
+    perms = [draw(st.sampled_from(g.homomorphisms_to_sym(c.singular_points))) for c in comps]
+    return AlmostDirectProduct(comps, make_action(g, comps, perms), "relabelled")
+
+
+@given(relabelled_products())
+def test_criteria_agree_on_relabelled_tables(p):
+    rep = cross_check_criteria(p)  # raises when (iv) and (vi) disagree
+    assert rep.iv == rep.vi == check_connectedness_iv(p)
+    assert stability_verdict(p) == ("stable-analytic-strong-sense" if rep.iv else "criterion-not-satisfied")
+    if tuple_action_free(p):
+        assert complexity(p) * p.group.order == len(p.vertex_tuples())

@@ -14,7 +14,6 @@ from intsing.bifurcation import (
     RankCertificationError,
     RefineDivergence,
     ScanParams,
-    SingularSeed,
     TraceError,
     TraceParams,
     export_diagram,
@@ -24,7 +23,7 @@ from intsing.bifurcation import (
     trace_diagram,
 )
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
-from intsing.classify import rank_at
+from intsing.classify import PointAnalysis, rank_at
 from intsing.kovalevskaya import build_kovalevskaya, involution_fixed_points
 from intsing.phasespace import IntegrableModel
 
@@ -166,6 +165,23 @@ def test_scan_and_trace_repeat_no_jet_set(monkeypatch):
     # continuation starts from the record the refinement of each seed returns
     for name in JET_EVALUATORS:
         assert _repeats(calls, name) == 0
+
+
+def test_scan_seeds_are_refined_records(monkeypatch):
+    """The `intsing trace` default scan on canonical:1,0,1,0: every seed is the
+    record refinement returned, its rank certified, and neither the scan nor
+    the trace takes a momentum value of its own."""
+    m = build_canonical(CanonicalSpec(1, 0, 1, 0))
+    values = []
+    original = IntegrableModel.momentum_value
+    monkeypatch.setattr(IntegrableModel, "momentum_value", lambda self, p: values.append(1) or original(self, p))
+    seeds = scan_singular_points(m, [(-1, 1)] * 4)
+    trace_diagram(m, seeds, TraceParams(value_box=(-4.0, 4.0)))
+    assert values == []
+    assert seeds
+    for s in seeds:
+        assert isinstance(s, PointAnalysis) and s.rank == rank_at(m, s.point)
+        assert np.array_equal(s.value, m.momentum_value(s.point))
 
 
 def test_refine_evaluates_each_iterate_once(monkeypatch):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
 from intsing.classify import (
     ClassifyError,
     DegenerateReport,
+    OffLeafError,
+    analyze_point,
     classify_point,
     is_nondegenerate,
     linearize,
@@ -222,3 +226,23 @@ def test_classify_point_evaluates_jets_once(spec, monkeypatch):
     out = classify_point(d.model, d.point)
     assert out["rank"] == spec.r
     assert len(calls) == 1
+
+
+def test_off_leaf_point_is_refused():
+    from intsing.kovalevskaya import build_kovalevskaya
+
+    m = build_kovalevskaya(0.5)
+    with pytest.raises(OffLeafError, match="off the leaf"):
+        analyze_point(m, np.array([2.0, 0, 0, 0, 0, 0]))
+    with pytest.raises(OffLeafError):
+        classify_point(m, np.array([1.0, 0, 0, 0.7, 0, 0]))  # f2 = 0.7, not g
+
+
+@given(st.sampled_from([s for s in all_specs(5) if s.n == 5]), st.integers(0, 2**31 - 1))
+def test_type_survives_random_disguise_n5(spec, seed):
+    d = randomized_disguise(build_canonical(spec), seed=seed)
+    out = classify_point(d.model, d.point)
+    assert out["rank"] == spec.r
+    if spec.r < spec.n:
+        w = out["williamson"]
+        assert (w["k_e"], w["k_h"], w["k_f"]) == (spec.k_e, spec.k_h, spec.k_f)

@@ -60,6 +60,12 @@ def test_classify_kovalevskaya_vertex(capsys):
     assert (w["k_e"], w["k_h"], w["k_f"]) == (0, 2, 0)
 
 
+def test_classify_off_leaf_point_is_a_json_error(capsys):
+    code, out = run_cli(["classify", "--model", "kovalevskaya", "--point", "R1=2"], capsys)
+    assert code == 1
+    assert "off the leaf" in json.loads(out)["error"]
+
+
 def test_classify_canonical_focus(capsys):
     code, out = run_cli(["classify", "--model", "canonical:0,0,0,1", "--point", ""], capsys)
     assert code == 0
@@ -252,6 +258,8 @@ MODEL_FAULTS = {
     "deep-parentheses": json.dumps({**PLANE, "components": ["(" * 1200 + "x" + ")" * 1200]}),
     "folded-constant-overflow": json.dumps({**PLANE, "components": ["2^2000*x"]}),
     "literal-overflow": json.dumps({**PLANE, "components": ["1" * 400 + "*x"]}),
+    "literal-underflow": json.dumps({**PLANE, "components": ["1e-400*x"]}),
+    "folded-constant-underflow": json.dumps({**PLANE, "components": ["1e-200*1e-200*x"]}),
 }
 MODEL_COMMANDS = {
     "verify": ["verify", "--samples", "5"],

@@ -2,6 +2,7 @@ import operator
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,15 +110,28 @@ def test_parenthesis_depth_is_bounded():
 @pytest.mark.parametrize(
     "source, pos",
     [("1" * 400 + "*x", 0), ("1e400*x", 0), ("2^2000*x", 1), ("10^200*10^200+x", 6), ("x-1e308*10", 7),
-     ("1e308+1e308", 5), ("x^" + "9" * 400, 2)],
+     ("1e308+1e308", 5), ("x^" + "9" * 400, 2), ("1e-400*x", 0), ("1e-200*1e-200*x", 6), ("(1/3)^1000*x", 5),
+     ("0.5^1075*x", 3)],
     ids=["long-literal", "float-literal", "folded-power", "folded-product", "folded-float-product", "folded-sum",
-         "long-exponent"],
+         "long-exponent", "literal-underflow", "folded-product-underflow", "folded-fraction-underflow",
+         "folded-float-power-underflow"],
 )
 def test_constant_that_no_float_holds_is_a_parse_error(source, pos):
     with pytest.raises(ParseError, match="does not fit a float") as exc:
         parse(source, ("x",))
     assert exc.value.pos == pos
     assert parse("2^1000*x", ("x",)).evaluate([1.0]) == 2.0**1000
+
+
+def test_zero_constants_fit_and_huge_powers_are_refused_before_computing():
+    for zero in ("0", "0.0", "0e5", "1e-200-1e-200", "0*1e-200", "0^7"):
+        assert parse(zero + "+x", ("x",)).evaluate([1.0]) == 1.0
+    assert parse("0.5^1074*x", ("x",)).evaluate([1.0]) == 5e-324  # the smallest subnormal
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match="does not fit a float") as exc:
+        parse("3^10000000*x", ("x",))
+    assert time.perf_counter() - t0 < 0.5
+    assert exc.value.pos == 1
 
 
 def test_differentiate_power_rule():

@@ -91,12 +91,12 @@ def test_involution_preserves_leaf():
 def test_classify_vertices(g, expected):
     rep = classify_vertices(g)
     assert rep.matches_expected
-    assert sorted(e.triple for e in rep.vertices) == sorted(expected)
+    assert sorted(tuple(e["type"]) for e in rep.vertices) == sorted(expected)
 
 
 def test_classify_vertices_labels():
     rep = classify_vertices(0.5)
-    labels = {e.label for e in rep.vertices}
+    labels = {e["label"] for e in rep.vertices}
     assert labels == {"hyperbolic-hyperbolic", "elliptic-elliptic"}
 
 
