@@ -9,9 +9,10 @@ and on which elements act freely on which component fibers.
 
 Freeness of the product action is evaluated from declared per-component
 "free on fiber" flags: an element acts freely on the product iff it acts
-freely on at least one factor.  For hyperbolic and focus catalog actions
-the flag defaults to "the vertex permutation has no fixed point", which
-is how the quotient constructions in the catalog are built; a regular
+freely on at least one factor.  The flag defaults to "the vertex
+permutation has no fixed point" (never so on the one-point elliptic atom
+or the pointless regular annulus), which is how the quotient
+constructions in the catalog are built; a regular
 annulus factor can carry freeness via a nontrivial torus translation.
 """
 
@@ -288,14 +289,6 @@ def stability_verdict(p: AlmostDirectProduct) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _default_fiber_free(comp: Atom, perm: tuple[int, ...], is_identity: bool) -> bool:
-    if is_identity or comp.kind == "elliptic":
-        return False
-    if comp.kind == "regular":
-        return False  # regular factors must declare translations explicitly
-    return permutation_is_free(perm)
-
-
 def make_action(
     group: FiniteGroup,
     components: list[Atom],
@@ -304,17 +297,12 @@ def make_action(
 ) -> GroupAction:
     """Assemble a GroupAction, defaulting fiber-freeness from the perms."""
     ff = []
-    for c, comp in enumerate(components):
+    for c in range(len(components)):
         given = fiber_free[c] if fiber_free is not None else None
         if given is not None:
             ff.append(list(given))
         else:
-            ff.append(
-                [
-                    _default_fiber_free(comp, perms[c][a], a == group.identity)
-                    for a in group.elements()
-                ]
-            )
+            ff.append([permutation_is_free(perms[c][a]) for a in group.elements()])
     return GroupAction(group, [list(map(tuple, ps)) for ps in perms], ff)
 
 

@@ -41,9 +41,7 @@ from .classify import (
     reduce_at,
     williamson_type,
 )
-from .phasespace import IntegrableModel
-
-DEFAULT_SEED = 0
+from .phasespace import DEFAULT_SEED, IntegrableModel
 CANDIDATE_FRACTION = 0.05  # share of the scored scan samples refined onto the rank-(n-1) locus
 MAX_CANDIDATES = 120  # at most this many of them
 RANK0_CANDIDATES = 40  # scan samples with the smallest sigma_max, refined onto rank 0

@@ -27,9 +27,7 @@ import numpy as np
 
 from .expr import Expression, constant, parse, symbol
 from .groups import FiniteGroup
-from .phasespace import IntegrableModel, PhasePoint, PoissonStructure, flow_integrate
-
-DEFAULT_SEED = 0
+from .phasespace import DEFAULT_SEED, IntegrableModel, PhasePoint, PoissonStructure, flow_integrate
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .phasespace import IntegrableModel, PhasePoint
+from .phasespace import DEFAULT_SEED, IntegrableModel, PhasePoint
 
 DEFAULT_TOL = 1e-8
 DEFAULT_ATTEMPTS = 32
-DEFAULT_SEED = 0
 
 
 class ClassifyError(RuntimeError):
@@ -136,7 +135,6 @@ class Linearization:
     reduced: bool
     commutator_norm: float
     symplectic_residual: float
-    combo: np.ndarray | None = None  # rows: combinations of f_i used
 
 
 def _leaf_linearizations(model: IntegrableModel, a: PointAnalysis) -> list[np.ndarray]:
@@ -155,9 +153,8 @@ def _leaf_linearizations(model: IntegrableModel, a: PointAnalysis) -> list[np.nd
     return out
 
 
-def _linearization(mats, omega, basis, rank: int, n: int, combo=None) -> Linearization:
-    """The Linearization of mats with its commutator and symplectic residuals;
-    reduced to a symplectic quotient exactly when the combination rows are given."""
+def _linearization(mats, omega, basis, rank: int, n: int, reduced: bool = False) -> Linearization:
+    """The Linearization of mats with its commutator and symplectic residuals."""
     comm = symp = 0.0
     scale = max(max((np.linalg.norm(A) for A in mats), default=0.0), 1.0)
     for i, A in enumerate(mats):
@@ -165,7 +162,7 @@ def _linearization(mats, omega, basis, rank: int, n: int, combo=None) -> Lineari
         for Bm in mats[i + 1 :]:
             comm = max(comm, np.linalg.norm(A @ Bm - Bm @ A))
     symp /= scale * max(np.linalg.norm(omega), 1.0)
-    return Linearization(mats, omega, basis, rank, n, combo is not None, comm / scale, symp, combo)
+    return Linearization(mats, omega, basis, rank, n, reduced, comm / scale, symp)
 
 
 def linearize(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearization:
@@ -219,8 +216,8 @@ def reduce_at(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearizat
         raise ClassifyError("quotient construction failed: complement is degenerate")
 
     mats = _leaf_linearizations(model, a)
-    reduced = [W.T @ sum(U2[i, k] * mats[i] for i in range(n)) @ W for k in range(n - r)]
-    return _linearization(reduced, W.T @ a.frame.omega @ W, B @ W, r, n, combo=U2.T)
+    on_quotient = [W.T @ sum(U2[i, k] * mats[i] for i in range(n)) @ W for k in range(n - r)]
+    return _linearization(on_quotient, W.T @ a.frame.omega @ W, B @ W, r, n, reduced=True)
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,9 @@ def cmd_verify(args) -> int:
     model = resolve_model(args.model, args.g)
     box = 2.0 if model.structure.casimirs else 1.0
     comm = check_commutation(model, samples=args.samples, tol=COMMUTATION_TOL, box=box, seed=args.seed)
-    jacobi = model.structure.jacobi_residual(samples=min(args.samples, 1000), box=box, seed=args.seed)
-    casimir = model.structure.casimir_residual(samples=min(args.samples, 200), box=box, seed=args.seed)
+    st, params = model.structure, model.params
+    jacobi = st.jacobi_residual(samples=min(args.samples, 1000), box=box, seed=args.seed, params=params)
+    casimir = st.casimir_residual(samples=min(args.samples, 200), box=box, seed=args.seed, params=params)
     passed = comm.passed and jacobi <= JACOBI_TOL and casimir <= COMMUTATION_TOL
     report = {
         "model": args.model,
@@ -264,7 +265,6 @@ def cmd_kovalevskaya_report(args) -> int:
 def _add_common(
     p: argparse.ArgumentParser, out_help: str = "write JSON report here (default: stdout)", out_dest: str = "out"
 ):
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", dest=out_dest, default=None, help=out_help)
 
@@ -288,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=None)
     p.add_argument("--point", required=True, help='e.g. "R1=1,S1=0.5" (missing coords are 0)')
     p.add_argument("--attempts", type=int, default=DEFAULT_ATTEMPTS)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 
@@ -301,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value-bound", type=float, default=None, help=f"default {TRACE_VALUE_BOUND}{fixed}")
     p.add_argument("--csv", default=None)
     p.add_argument("--json", dest="json_out", default=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(p, out_help="write the diagram as SVG here", out_dest="svg")
     p.set_defaults(func=cmd_trace, out=None)  # reports and errors go to stdout
 
@@ -323,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attempts", type=int, default=DEFAULT_ATTEMPTS)
     p.add_argument("--diagram", action="store_true", help="include the traced diagram in the JSON")
     p.add_argument("--svg", default=None, help="also render the diagram to this SVG file")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_kovalevskaya_report)
 

@@ -21,7 +21,10 @@ Grammar::
 IDENT is ``[A-Za-z][A-Za-z0-9]*``; NUMBER is an integer, decimal or float
 literal ("2", "0.5", "1e-3").  Parentheses nest at most MAX_PAREN_DEPTH deep.
 A literal or a constant folded from literals must fit a float: a finite float,
-0.0 only for zero.  A constant power is checked against the float range first.
+0.0 only for zero, and an exact one has at most MAX_CONSTANT_DIGITS digits
+above and below its fraction bar, so its source text parses back to it.  A
+constant power is checked against both bounds before it is computed, and an
+integer literal's length before it is read.
 """
 
 from __future__ import annotations
@@ -272,6 +275,11 @@ def _fold(roots: Sequence[Node], rule) -> list:
 # The parser recurses once per open parenthesis (five frames per level), so
 # nesting is bounded well inside the interpreter's recursion limit.
 MAX_PAREN_DEPTH = 100
+# An exact constant's numerator and denominator are integer literals that fit a
+# float, so its source text parses back to it (and str() prints them).
+MAX_CONSTANT_DIGITS = 308
+_MAX_EXACT_BITS = int(MAX_CONSTANT_DIGITS * math.log2(10))  # 2^1023 < 10^308
+_TOO_LONG = f"constant does not fit a float: an exact one has at most {MAX_CONSTANT_DIGITS} digits in each part"
 _SPACE = re.compile(r"[ \t\n\r]*")
 _TOKEN = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[A-Za-z][A-Za-z0-9]*|[-+*/^()]")
 
@@ -297,6 +305,16 @@ def _number_value(text: str) -> Number:
     if "e" in text or "E" in text or "." in text:
         return float(text)
     return int(text)
+
+
+def _exact_bits(value: Number) -> int:
+    """The bit length of an exact constant's numerator or denominator, whichever is longer; 0 for a float."""
+    return 0 if isinstance(value, float) else max(value.numerator.bit_length(), value.denominator.bit_length())
+
+
+def _too_long(value: Number) -> bool:
+    """Whether an exact constant's numerator or denominator has more than MAX_CONSTANT_DIGITS digits."""
+    return not isinstance(value, float) and max(abs(value.numerator), value.denominator) >= 10**MAX_CONSTANT_DIGITS
 
 
 def _fits_float(c: Const, build, operands) -> bool:
@@ -332,8 +350,8 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, got {tok[1]!r}", self.src, tok[2])
 
     def fold(self, pos: int, build, *args) -> Node:
-        """build(*args), with a constant that no float holds (or a division by
-        zero) as a ParseError at pos."""
+        """build(*args), with a constant that no float holds (or an exact one
+        longer than MAX_CONSTANT_DIGITS, or a division by zero) as a ParseError at pos."""
         try:
             node = build(*args)
         except ZeroDivisionError:
@@ -342,7 +360,15 @@ class _Parser:
             node = None
         if node is None or (isinstance(node, Const) and not _fits_float(node, build, args)):
             raise ParseError("constant does not fit a float", self.src, pos)
+        if isinstance(node, Const) and _too_long(node.value):
+            raise ParseError(_TOO_LONG, self.src, pos)
         return node
+
+    def literal(self, text: str, pos: int) -> Const:
+        """The constant a number token writes; an integer literal's length is checked before it is read."""
+        if text.isdigit() and len(text) > MAX_CONSTANT_DIGITS:
+            raise ParseError(_TOO_LONG, self.src, pos)
+        return self.fold(pos, Const, _number_value(text))
 
     def parse(self) -> Node:
         node = self.expr()
@@ -384,10 +410,13 @@ class _Parser:
             tok = self.next()
             if tok[0] != "num" or not tok[1].isdigit():
                 raise ParseError("exponent must be a non-negative integer literal", self.src, tok[2])
-            k = self.fold(tok[2], Const, int(tok[1])).value
+            k = self.literal(tok[1], tok[2]).value
             # a nonzero float holds |base|^k only within [2^-1075, 2^1024): refuse what is surely outside
             if _is_const(base) and base.fvalue != 0.0 and not -1076 < k * math.log2(abs(base.fvalue)) < 1025:
                 raise ParseError("constant does not fit a float", self.src, pos)
+            # n^k >= 2^(k * (bits(n) - 1)): refuse what is surely longer than 10^MAX_CONSTANT_DIGITS
+            if _is_const(base) and k * (_exact_bits(base.value) - 1) > _MAX_EXACT_BITS:
+                raise ParseError(_TOO_LONG, self.src, pos)
             base = self.fold(pos, _pow, base, k)
         return base
 
@@ -395,7 +424,7 @@ class _Parser:
         tok = self.next()
         kind, text, pos = tok
         if kind == "num":
-            node = self.fold(pos, Const, _number_value(text))
+            node = self.literal(text, pos)
             if node.fvalue == 0.0 and re.search("[1-9]", re.split("[eE]", text)[0]):
                 raise ParseError("constant does not fit a float", self.src, pos)  # a nonzero literal underflowed
             return node

@@ -5,6 +5,10 @@ Sign convention, fixed once: the Hamiltonian field of f is defined by
 one has X_f = (-df/dy, df/dx) and the bivector entry pi[x][y] = -1.
 Component k of X_f is the bracket {x_k, f} = sum_l pi[k][l] d_l f.
 
+A bivector is its entries above the diagonal: pi_ji = -pi_ij and the zero
+diagonal hold by construction.  A model file gives each pair once, in either
+orientation, never on the diagonal, and finite numbers as Casimir values.
+
 Lie-Poisson spaces are handled in the ambient flat space; symplectic
 leaves are selected by Casimir constraint values, never by leaf charts.
 """
@@ -12,15 +16,16 @@ leaves are selected by Casimir constraint values, never by leaf charts.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .expr import Expression, Jet2, Tape, constant, parse
+from .expr import Expression, Jet2, NotPolynomialError, Tape, constant, parse
 
 DEFAULT_SEED = 0
 
@@ -36,109 +41,101 @@ class FlowError(RuntimeError):
 class PoissonStructure:
     """Poisson bivector over named coordinates, with declared Casimirs.
 
-    Entries are stored as a full antisymmetric matrix of expressions;
-    ``canonical`` marks charts whose bivector is the constant block form
-    of omega_can so serialization can use the shorthand flag.
+    The bivector is its entries above the diagonal, ``{(i, j): pi_ij}`` with
+    i < j; a pair left out is zero, and pi_ji = -pi_ij.  ``canonical`` marks
+    charts whose bivector is the constant block form of omega_can so
+    serialization can use the shorthand flag.
     """
 
     def __init__(
         self,
         coords: Sequence[str],
-        entries: Sequence[Sequence[Expression]],
+        upper: Mapping[tuple[int, int], Expression],
         casimirs: Sequence[Expression] = (),
         canonical: bool = False,
     ):
         self.coords = tuple(coords)
         self.dim = len(self.coords)
-        self.entries = [list(row) for row in entries]
+        if any(not 0 <= i < j < self.dim for i, j in upper):
+            raise ModelError("bivector entries are given above the diagonal, as (i, j) with i < j")
+        self.upper = dict(sorted(upper.items()))
         self.casimirs = list(casimirs)
         self.canonical = canonical
-        if len(self.entries) != self.dim or any(len(r) != self.dim for r in self.entries):
-            raise ModelError("bivector must be a square matrix over the coordinates")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if not self.entries[i][j].normalized_equal(-self.entries[j][i]):
-                    raise ModelError(f"bivector not antisymmetric at ({i},{j})")
         self._const_matrix = self._as_constant()
 
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def canonical_chart(cls, pairs: Sequence[tuple[str, str]], params: Sequence[str] = ()):
+    def canonical_chart(cls, pairs: Sequence[tuple[str, str]], params: Sequence[str] = (), casimirs=()):
         """Chart with omega = sum dq^dp over the given (q, p) pairs."""
         coords = tuple(c for pair in pairs for c in pair)
-        zero = constant(0, coords, params)
-        n = len(coords)
-        entries = [[zero] * n for _ in range(n)]
-        for k in range(len(pairs)):
-            q, p = 2 * k, 2 * k + 1
-            entries[q][p] = constant(-1, coords, params)
-            entries[p][q] = constant(1, coords, params)
-        return cls(coords, entries, canonical=True)
+        upper = {(2 * k, 2 * k + 1): constant(-1, coords, params) for k in range(len(pairs))}
+        return cls(coords, upper, casimirs, canonical=True)
 
     @classmethod
     def lie_poisson_e3(cls):
         """e(3)* bracket: {S_i,S_j}=eps_ijk S_k, {R_i,R_j}=0, {S_i,R_j}=eps_ijk R_k."""
         coords = ("R1", "R2", "R3", "S1", "S2", "S3")
-
-        def E(src):
-            return parse(src, coords)
-
-        z = E("0")
-        entries = [[z] * 6 for _ in range(6)]
-        eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
-        for (i, j, k), sign in eps.items():
-            rk = E(f"R{k + 1}") if sign > 0 else E(f"-R{k + 1}")
-            sk = E(f"S{k + 1}") if sign > 0 else E(f"-S{k + 1}")
-            entries[3 + i][3 + j] = sk       # {S_i, S_j}
-            entries[3 + i][j] = rk           # {S_i, R_j}
-            entries[i][3 + j] = rk           # {R_i, S_j}
-        casimirs = [E("R1^2+R2^2+R3^2"), E("S1*R1+S2*R2+S3*R3")]
-        return cls(coords, entries, casimirs=casimirs)
+        upper = {  # {R_i, S_j} = eps_ijk R_k, then {S_i, S_j} = eps_ijk S_k
+            (0, 4): "R3", (0, 5): "-R2", (1, 3): "-R3", (1, 5): "R1", (2, 3): "R2", (2, 4): "-R1",
+            (3, 4): "S3", (3, 5): "-S2", (4, 5): "S1",
+        }
+        casimirs = [parse("R1^2+R2^2+R3^2", coords), parse("S1*R1+S2*R2+S3*R3", coords)]
+        return cls(coords, {ij: parse(src, coords) for ij, src in upper.items()}, casimirs)
 
     # -- evaluation helpers ----------------------------------------------------
 
     def _as_constant(self):
         vals = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                node = self.entries[i][j]
-                try:
-                    poly = node.as_polynomial()
-                except Exception:
-                    return None
-                if not poly:
-                    continue
-                key = (0,) * len(node.symbols)
-                if set(poly) != {key}:
-                    return None
-                vals[i, j] = float(poly[key])
-        return vals
+        for (i, j), e in self.upper.items():
+            try:
+                poly = e.as_polynomial()
+            except NotPolynomialError:
+                return None
+            if not poly:
+                continue
+            key = (0,) * len(e.symbols)
+            if set(poly) != {key}:
+                return None
+            vals[i, j] = float(poly[key])
+        return vals - vals.T
 
-    # The index pairs above the diagonal, and their entries' tape, compiled on first use.
-    _upper = cached_property(lambda self: [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim)])
-    _upper_tape = cached_property(lambda self: Tape([self.entries[i][j] for i, j in self._upper]))
+    # The given entries' tape, compiled on first use.
+    _upper_tape = cached_property(lambda self: Tape(list(self.upper.values())))
+
+    @cached_property
+    def _places(self):
+        """Flat indices: of the given entries, of each place below the diagonal, and of its mirror above."""
+        n, (rows, cols) = self.dim, np.tril_indices(self.dim, -1)
+        return np.array([i * n + j for i, j in self.upper], dtype=int), rows * n + cols, cols * n + rows
+
+    def _antisymmetric(self, given: list, shape: tuple) -> np.ndarray:
+        """The given entries above the diagonal and their negations below it (-0.0 below a zero)."""
+        at, below, mirror = self._places
+        out = np.zeros((self.dim * self.dim,) + shape)
+        out[at] = given
+        out[below] = -out[mirror]
+        return out.reshape((self.dim, self.dim) + shape)
 
     def bivector_at(self, point, params=None) -> np.ndarray:
         if self._const_matrix is not None:
             return self._const_matrix
-        out = np.zeros((self.dim, self.dim))
-        for (i, j), v in zip(self._upper, self._upper_tape.values(point, params)):
-            out[i, j] = v
-            out[j, i] = -v
-        return out
+        return self._antisymmetric(self._upper_tape.values(point, params), ())
 
     def bivector_gradients_at(self, point, params=None) -> np.ndarray:
         """d pi[i][j] / d c_m as a (dim, dim, dim) array."""
-        out = np.zeros((self.dim, self.dim, self.dim))
         if self._const_matrix is not None:
-            return out
-        for (i, j), jet in zip(self._upper, self._upper_tape.jets(point, params)):
-            out[i, j] = jet.gradient
-            out[j, i] = -jet.gradient
-        return out
+            return np.zeros((self.dim, self.dim, self.dim))
+        return self._antisymmetric([jet.gradient for jet in self._upper_tape.jets(point, params)], (self.dim,))
 
     # -- brackets and fields -----------------------------------------------------
+
+    def pi(self, k: int, l: int) -> Expression | None:
+        """The entry pi_kl, or None where it is zero: on the diagonal and at a pair left out."""
+        if k > l:
+            e = self.upper.get((l, k))
+            return None if e is None else -e
+        return self.upper.get((k, l))
 
     def bracket(self, f: Expression, g: Expression) -> Expression:
         """Poisson bracket {f, g} = sum_ij pi_ij d_i f d_j g.
@@ -148,48 +145,50 @@ class PoissonStructure:
         bracket vanishes pairwise, e.g. for canonical focus pairs.
         """
         out = constant(0, f.coords, f.params)
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                pij = self.entries[i][j]
-                term = pij * f.diff(self.coords[i]) * g.diff(self.coords[j]) + (
-                    -pij
-                ) * f.diff(self.coords[j]) * g.diff(self.coords[i])
-                out = out + term
+        for (i, j), pij in self.upper.items():
+            ci, cj = self.coords[i], self.coords[j]
+            out = out + (pij * f.diff(ci) * g.diff(cj) + (-pij) * f.diff(cj) * g.diff(ci))
         return out
+
+    def field_component(self, k: int, f: Expression) -> Expression:
+        """{c_k, f} = sum_l pi_kl d_l f, component k of the Hamiltonian field of f."""
+        entries = ((self.pi(k, l), c) for l, c in enumerate(self.coords))
+        return sum((pkl * f.diff(c) for pkl, c in entries if pkl is not None), constant(0, f.coords, f.params))
 
     def ham_field(self, f: Expression) -> list[Expression]:
         """Components {c_k, f} of the Hamiltonian vector field of f."""
-        return [
-            sum(
-                (self.entries[k][l] * f.diff(self.coords[l]) for l in range(self.dim)),
-                constant(0, f.coords, f.params),
-            )
-            for k in range(self.dim)
-        ]
+        return [self.field_component(k, f) for k in range(self.dim)]
 
-    def jacobi_residual(self, samples: int, box: float = 1.0, seed: int = DEFAULT_SEED) -> float:
+    def jacobi_residual(self, samples: int, box: float = 1.0, seed: int = DEFAULT_SEED, params=None) -> float:
         """Max |{x_i, pi_jk} + {x_j, pi_ki} + {x_k, pi_ij}| over sampled points
         and i < j < k (the Jacobiator is totally antisymmetric)."""
         if self._const_matrix is not None:
             return 0.0  # a constant bivector satisfies the Jacobi identity
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-box, box, size=(samples, self.dim))
-        pi = self.entries
-        worst = 0.0
-        for i, j, k in combinations(range(self.dim), 3):
-            jacobiator = self.ham_field(pi[j][k])[i] + self.ham_field(pi[k][i])[j] + self.ham_field(pi[i][j])[k]
-            worst = np.fmax.reduce(np.abs(jacobiator.evaluate(pts)), initial=worst)  # NaN skipped
-        return worst
 
-    def casimir_residual(self, samples: int, box: float = 1.0, seed: int = DEFAULT_SEED) -> float:
+        def jacobiator(i: int, j: int, k: int) -> Expression | None:
+            cyclic = ((i, self.pi(j, k)), (j, self.pi(k, i)), (k, self.pi(i, j)))
+            terms = [self.field_component(a, e) for a, e in cyclic if e is not None]
+            return sum(terms[1:], terms[0]) if terms else None
+
+        jacobiators = (jacobiator(*ijk) for ijk in combinations(range(self.dim), 3))
+        return _sampled_max((e for e in jacobiators if e is not None), samples, box, seed, self.dim, params)[0]
+
+    def casimir_residual(self, samples: int, box: float = 1.0, seed: int = DEFAULT_SEED, params=None) -> float:
         """Max |{C, c_k}| over Casimirs, coordinates and sampled points."""
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-box, box, size=(samples, self.dim))
-        worst = 0.0
-        for cas in self.casimirs:
-            for fx in self.ham_field(cas):
-                worst = np.fmax.reduce(np.abs(fx.evaluate(pts)), initial=worst)  # NaN skipped
-        return worst
+        fields = (fx for cas in self.casimirs for fx in self.ham_field(cas))
+        return _sampled_max(fields, samples, box, seed, self.dim, params)[0]
+
+
+def _sampled_max(fields: Iterable[Expression], samples: int, box: float, seed: int, dim: int, params=None):
+    """Max |f| over the fields at seeded uniform points of [-box, box]^dim, NaN skipped, and the
+    index of the first field that reaches it (None for 0): each field is evaluated once, on all points."""
+    pts = np.random.default_rng(seed).uniform(-box, box, size=(samples, dim))
+    worst, at = 0.0, None
+    for index, f in enumerate(fields):
+        top = np.fmax.reduce(np.abs(f.evaluate(pts, params)), initial=worst)
+        if top > worst:
+            worst, at = top, index
+    return worst, at
 
 
 @dataclass
@@ -293,15 +292,10 @@ def check_commutation(
     """Sample |{f_i, f_j}| over a box for all component pairs."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-box, box, size=(samples, model.dim))
-    worst, worst_pair = 0.0, None
-    for i in range(model.n):
-        for j in range(i + 1, model.n):
-            br = model.structure.bracket(model.components[i], model.components[j])
-            top = np.fmax.reduce(np.abs(br.evaluate(pts, model.params)), initial=worst)  # NaN skipped
-            if top > worst:
-                worst, worst_pair = top, (i, j)
+    pairs = list(combinations(range(model.n), 2))
+    brackets = (model.structure.bracket(model.components[i], model.components[j]) for i, j in pairs)
+    worst, at = _sampled_max(brackets, samples, box, seed, model.dim, model.params)
+    worst_pair = None if at is None else pairs[at]
     return CommutationReport(worst, worst_pair, tol, samples, seed, worst <= tol)
 
 
@@ -372,10 +366,9 @@ def model_to_dict(model: IntegrableModel) -> dict:
     else:
         d["structure"] = {
             "bivector": [
-                {"i": st.coords[i], "j": st.coords[j], "expr": st.entries[i][j].to_source()}
-                for i in range(st.dim)
-                for j in range(i + 1, st.dim)
-                if not st.entries[i][j].is_zero()
+                {"i": st.coords[i], "j": st.coords[j], "expr": e.to_source()}
+                for (i, j), e in st.upper.items()
+                if not e.is_zero()
             ]
         }
     if model.name:
@@ -390,36 +383,41 @@ def model_to_dict(model: IntegrableModel) -> dict:
     return d
 
 
+def _finite_number(v) -> bool:
+    """Whether a JSON value is a number a float holds: not a boolean, a string, NaN or an infinity."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def model_from_dict(d: dict) -> IntegrableModel:
     """The model of a `model_to_dict` document; ModelError when it has another shape."""
     try:
         coords = tuple(d["coordinates"])
         params, name = dict(d.get("parameters", {})), d.get("name", "")
-        real = all(isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v) for v in params.values())
-        if not (real and isinstance(name, str)):
+        if not (all(map(_finite_number, params.values())) and isinstance(name, str)):
             raise ModelError(f"the name ({name!r}) must be a string and the parameters ({params}) finite numbers")
         pnames = tuple(sorted(params))
         casimir_entries = d.get("casimirs", [])
         casimirs = [parse(c["expr"], coords, pnames) for c in casimir_entries]
-        leaf_values = [float(c["value"]) for c in casimir_entries]
+        leaf_values = [c["value"] for c in casimir_entries]
+        if not all(map(_finite_number, leaf_values)):
+            raise ModelError(f"the Casimir values ({leaf_values}) must be finite numbers")
 
         structure_spec = d.get("structure", "canonical")
         if structure_spec == "canonical":
             if len(coords) % 2:
                 raise ModelError("canonical chart needs an even number of coordinates")
             pairs = [(coords[2 * k], coords[2 * k + 1]) for k in range(len(coords) // 2)]
-            st = PoissonStructure.canonical_chart(pairs, pnames)
-            st = PoissonStructure(coords, st.entries, casimirs=casimirs, canonical=True)
-        else:
-            zero = constant(0, coords, pnames)
-            entries = [[zero] * len(coords) for _ in range(len(coords))]
-            index = {c: i for i, c in enumerate(coords)}
+            st = PoissonStructure.canonical_chart(pairs, pnames, casimirs)
+        else:  # each item gives one pair i != j, in either orientation, and no pair twice
+            index, upper = {c: k for k, c in enumerate(coords)}, {}
             for item in structure_spec["bivector"]:
                 i, j = index[item["i"]], index[item["j"]]
+                if i == j or (min(i, j), max(i, j)) in upper:
+                    why = "is on the diagonal" if i == j else f"gives the pair ({coords[i]}, {coords[j]}) a second time"
+                    raise ModelError(f"bivector item {item} {why}")
                 e = parse(item["expr"], coords, pnames)
-                entries[i][j] = e
-                entries[j][i] = -e
-            st = PoissonStructure(coords, entries, casimirs=casimirs)
+                upper[min(i, j), max(i, j)] = e if i < j else -e
+            st = PoissonStructure(coords, upper, casimirs)
 
         canonical_spec = None
         if "canonical" in d:

@@ -30,7 +30,7 @@ from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguis
 from intsing.classify import classify_point
 from intsing.groups import BUILTIN_GROUPS, group_by_name
 from intsing.kovalevskaya import build_kovalevskaya, kovalevskaya_diagram
-from intsing.phasespace import model_to_dict, save_model
+from intsing.phasespace import load_model, model_to_dict, save_model
 
 from test_classify import all_specs
 
@@ -151,6 +151,29 @@ def expression_walkers() -> dict:
     return out
 
 
+def file_model() -> dict:
+    """Kovalevskaya at g=0.5 as `save_model` writes it, with its first bivector
+    item turned to (j, i): `model_to_dict` of the reloaded file, and `verify`
+    and `classify` on it (without the file's name)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(build_kovalevskaya(0.5), path)
+        with open(path) as fh:
+            d = json.load(fh)
+        first = d["structure"]["bivector"][0]
+        d["structure"]["bivector"][0] = {"i": first["j"], "j": first["i"], "expr": f"-({first['expr']})"}
+        with open(path, "w") as fh:
+            json.dump(d, fh)
+        out = {
+            "model": model_to_dict(load_model(path)),
+            "verify": _cli_json(["verify", "--model", path, "--seed", "1"]),
+            "classify": _cli_json(["classify", "--model", path, "--point", "R1=1,S1=0.5"]),
+        }
+    for report in (out["verify"], out["classify"]):
+        del report["report"]["model"]
+    return out
+
+
 SOURCES = {
     "classify_disguised": classify_disguised,
     "kovalevskaya_report_g0.5": lambda: _cli_json(["kovalevskaya", "report", "--g", "0.5"]),
@@ -163,6 +186,7 @@ SOURCES = {
     "kovalevskaya_diagram_res6_g0": lambda: diagram_to_dict(criterion_3_kovalevskaya_diagram(0.0)),
     "kovalevskaya_diagram_res6_g0.5": lambda: diagram_to_dict(criterion_3_kovalevskaya_diagram(0.5)),
     "expression_walkers": expression_walkers,
+    "file_model": file_model,
 }
 
 

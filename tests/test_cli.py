@@ -1,5 +1,7 @@
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,20 @@ def test_verify_adversarial_model_fails(tmp_path, capsys):
     report = json.loads(out)
     assert report["commutation"]["pass"] is False
     assert report["commutation"]["worst_pair"] == [0, 1]
+
+
+def test_verify_evaluates_the_structure_at_the_model_parameters(tmp_path, capsys):
+    """pi_zx = y + (g-1) x^2 satisfies the Jacobi identity only at g = 1, where
+    x^2 + y^2 + g z^2 is a Casimir: both fail when g is read as 0."""
+    bivector = [{"i": "x", "j": "y", "expr": "z"}, {"i": "y", "j": "z", "expr": "x"},
+                {"i": "z", "j": "x", "expr": "y+(g-1)*x^2"}]
+    model = {"coordinates": ["x", "y", "z"], "parameters": {"g": 1.0}, "structure": {"bivector": bivector},
+             "casimirs": [{"expr": "x^2+y^2+g*z^2", "value": 1.0}], "components": ["z"]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out = run_cli(["verify", "--model", str(path), "--samples", "50"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["jacobi"]["max_residual"] == 0.0 and report["casimirs"]["max_residual"] == 0.0
 
 
 def test_classify_kovalevskaya_vertex(capsys):
@@ -242,6 +258,12 @@ def test_kovalevskaya_report_svg_traces_once(tmp_path, monkeypatch, capsys):
 
 
 PLANE = {"coordinates": ["x", "y"], "parameters": {}, "structure": "canonical", "casimirs": []}
+# so(3)*: {x, y} = z, {y, z} = x, {z, x} = y, with leaves on spheres about the origin
+SO3 = {
+    "coordinates": ["x", "y", "z"],
+    "structure": {"bivector": [{"i": a, "j": b, "expr": c} for a, b, c in ("xyz", "yzx", "zxy")]},
+    "components": ["z"],
+}
 MODEL_FAULTS = {
     "missing": None,
     "not-json": "{coordinates: [x, y]",
@@ -260,6 +282,19 @@ MODEL_FAULTS = {
     "literal-overflow": json.dumps({**PLANE, "components": ["1" * 400 + "*x"]}),
     "literal-underflow": json.dumps({**PLANE, "components": ["1e-400*x"]}),
     "folded-constant-underflow": json.dumps({**PLANE, "components": ["1e-200*1e-200*x"]}),
+    "constant-too-long": json.dumps({**PLANE, "components": ["(1000001/1000000)^10000*x"]}),
+    "bivector-pair-twice": json.dumps(
+        {
+            **PLANE,
+            "structure": {"bivector": [{"i": "x", "j": "y", "expr": "1"}, {"i": "y", "j": "x", "expr": "1"}]},
+            "components": ["x"],
+        }
+    ),
+    "bivector-diagonal": json.dumps(
+        {**PLANE, "structure": {"bivector": [{"i": "x", "j": "x", "expr": "1"}]}, "components": ["x"]}
+    ),
+    "casimir-value-nan": json.dumps({**SO3, "casimirs": [{"expr": "x^2+y^2+z^2", "value": float("nan")}]}),
+    "casimir-value-string": json.dumps({**SO3, "casimirs": [{"expr": "x^2+y^2+z^2", "value": "1"}]}),
 }
 MODEL_COMMANDS = {
     "verify": ["verify", "--samples", "5"],
@@ -276,7 +311,8 @@ def test_bad_model_file_is_a_json_error(command, fault, tmp_path, capsys):
         path.write_text(MODEL_FAULTS[fault])
     code, out = run_cli(MODEL_COMMANDS[command] + ["--model", str(path)], capsys)
     assert code == 1
-    assert str(path) in json.loads(out)["error"]
+    report = json.loads(out)
+    assert set(report) == {"error", "seed"} and str(path) in report["error"]
 
 
 def test_deep_model_classifies_and_traces(tmp_path, capsys):
@@ -360,3 +396,34 @@ def test_bad_argument_is_a_json_error(fault, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["error"] and report["seed"] == 0
+
+
+@pytest.mark.parametrize("command", [["verify", "--model", "canonical:0,1,0,0"], ["atoms", "check", "--name", "C2"],
+                                     ["atoms", "list"]])
+def test_tol_is_refused_where_nothing_reads_it(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first fenced block of the language after a README heading."""
+    text = README.read_text()
+    return text[text.index(heading) :].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every intsing line of README's CLI block exits 0, so a removed or renamed option fails here."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_product.json").write_text(_readme_block("## Atom product files", "json"))
+    monkeypatch.setattr(kovalevskaya, "scan_singular_points", lambda *a, **k: [])
+    monkeypatch.setattr(kovalevskaya, "seed_arcs_near_vertex", lambda *a, **k: [])
+    commands = [shlex.split(line)[1:] for line in _readme_block("## CLI", "sh").splitlines() if line.startswith("intsing ")]
+    assert {argv[0] for argv in commands} == {"verify", "classify", "trace", "atoms", "kovalevskaya"}
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from intsing.expr import (
+    MAX_CONSTANT_DIGITS,
     MAX_PAREN_DEPTH,
     Add,
     Const,
@@ -132,6 +133,27 @@ def test_zero_constants_fit_and_huge_powers_are_refused_before_computing():
         parse("3^10000000*x", ("x",))
     assert time.perf_counter() - t0 < 0.5
     assert exc.value.pos == 1
+
+
+@pytest.mark.parametrize(
+    "source, pos",
+    [("(1000001/1000000)^1000000*x", 17), ("(3/2)^1000*x", 5), ("(1000001/1000000)^51*1000001*x", 20),
+     ("(3/2)^350*(3/2)^350*x", 9), ("1" * 5000 + "*x", 0), ("0" * 400 + "1*x", 0), ("x^" + "1" * 5000, 2)],
+    ids=["power", "power-past-the-bound", "folded-product", "folded-fraction-product", "long-literal",
+         "leading-zeros", "long-exponent"],
+)
+def test_exact_constant_longer_than_the_bound_is_a_parse_error(source, pos):
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match=f"at most {MAX_CONSTANT_DIGITS} digits") as exc:
+        parse(source, ("x",))
+    assert time.perf_counter() - t0 < 0.1  # refused before the power or the int() is computed
+    assert exc.value.pos == pos
+
+
+def test_exact_constant_within_the_bound_parses_back_from_its_source():
+    for source in ("(1000001/1000000)^51*x", "(3/2)^640*x", "1/2^1000*x", "9" * MAX_CONSTANT_DIGITS + "/10^307*x"):
+        e = parse(source, ("x",))
+        assert parse(e.to_source(), ("x",)) == e
 
 
 def test_differentiate_power_rule():

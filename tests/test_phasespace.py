@@ -6,6 +6,7 @@ import pytest
 from intsing.expr import Expression, parse
 from intsing.phasespace import (
     IntegrableModel,
+    ModelError,
     PhasePoint,
     PoissonStructure,
     check_commutation,
@@ -136,8 +137,7 @@ def test_jacobi_residual_matches_pointwise_jacobiator(monkeypatch):
     # pi_xy = x, pi_yz = y, pi_zx = z: v = (y, z, x) has v . curl v = -(x+y+z),
     # so the Jacobi identity fails away from that plane
     xyz = ("x", "y", "z")
-    E = {src: parse(src, xyz) for src in ("0", "x", "-x", "y", "-y", "z", "-z")}
-    st = PoissonStructure(xyz, [[E["0"], E["x"], E["-z"]], [E["-x"], E["0"], E["y"]], [E["z"], E["-y"], E["0"]]])
+    st = PoissonStructure(xyz, {(0, 1): parse("x", xyz), (1, 2): parse("y", xyz), (0, 2): parse("-z", xyz)})
     calls = []
     evaluate = Expression.evaluate
     monkeypatch.setattr(Expression, "evaluate", lambda self, *a, **kw: calls.append(1) or evaluate(self, *a, **kw))
@@ -232,8 +232,16 @@ def test_model_roundtrip_canonical_flag():
     assert json.dumps(d2, sort_keys=True) == text1
 
 
-def test_bivector_antisymmetry_enforced():
+def test_bivector_is_its_entries_above_the_diagonal():
     coords = ("x", "y")
     one = parse("1", coords)
-    with pytest.raises(Exception, match="antisymmetric"):
-        PoissonStructure(coords, [[one, one], [one, one]])
+    for pair in [(1, 0), (0, 0), (0, 2)]:
+        with pytest.raises(ModelError, match="above the diagonal"):
+            PoissonStructure(coords, {pair: one})
+    plane = {"coordinates": ["x", "y"], "components": ["x"]}
+    flipped = model_from_dict({**plane, "structure": {"bivector": [{"i": "y", "j": "x", "expr": "x"}]}})
+    assert flipped.structure.pi(0, 1) == parse("-x", coords) and flipped.structure.pi(1, 0) == parse("x", coords)
+    twice = [{"i": "x", "j": "y", "expr": "1"}, {"i": "y", "j": "x", "expr": "1"}]
+    for items in (twice, twice[:1] * 2, [{"i": "x", "j": "x", "expr": "1"}]):
+        with pytest.raises(ModelError, match="second time|diagonal"):
+            model_from_dict({**plane, "structure": {"bivector": items}})
