@@ -6,7 +6,16 @@ rank-1 locus (or rank-0 points), and pseudo-arclength continuation of
 the rank-1 condition with the momentum image recorded along the way.
 Refinement returns its last iterate's `PointAnalysis` record, and every seed
 is such a record.  Each rank-1 seed is continued both ways, and a branch is one
-list of (value, phase point, mark) entries, mark "cusp", "vertex" or None.  A
+list of (value, phase point, mark) entries, mark "cusp", "vertex" or None.
+
+A Newton run (leaf projection, scan scoring, corrector, branch) is a generator:
+it yields the phase point it needs next and is sent that point's record.
+`_run_one` builds each record on its own; `_lockstep` advances runs that do not
+depend on each other together and builds each round's records from one batched
+jet call per field set, with the bits of one-point calls.  The scan projects
+and scores its samples in lockstep groups of SCORE_GROUP, and `trace_diagram`
+traces both branches of every seed in lockstep, so every output is the one the
+runs give one at a time.  A
 vertex's value is `momentum_value` at its point (on a model with a division the
 jet values can differ from it in the last bit).  The glued branches are cut
 into arcs at the marks and where the reduced type changes; an arc end is its
@@ -54,6 +63,7 @@ VERTEX_SIGMA = 5e-3  # sigma_max of dF under which a branch has landed on a rank
 CUSP_SPEED = 1e-4  # momentum-image speed under which a step is a cusp candidate
 ARC_DEDUP_FACTOR = 2.0  # arcs within this many steps of a kept arc are duplicates
 REFINE_TOL = 1e-11  # residual norm at which refinement stops
+SCORE_GROUP = 256  # scan samples projected and scored in one lockstep: each live run holds a record
 DIRECTIONS_PER_PLANE = 2  # probe directions per invariant 2-plane at a vertex
 
 
@@ -105,13 +115,48 @@ class BifurcationDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Residuals for the augmented systems
+# Newton runs and their drivers
 # ---------------------------------------------------------------------------
 
 
-def _leaf_project(model: IntegrableModel, p0, tol: float = DEFAULT_TOL) -> PointAnalysis:
-    """Gauss-Newton projection onto the Casimir levels: the last iterate's record."""
-    a = p0 if isinstance(p0, PointAnalysis) else PointAnalysis(model, p0, tol)
+def _run_one(model: IntegrableModel, run, tol: float):
+    """The result of one Newton run, each point's record built on its own."""
+    a = None
+    try:
+        while True:
+            a = PointAnalysis(model, run.send(a), tol)
+    except StopIteration as done:
+        return done.value
+
+
+def _lockstep(model: IntegrableModel, runs: list, tol: float) -> list:
+    """The results of Newton runs that do not depend on each other, in order.
+    Each round collects the points of the live runs and builds their records
+    from one batched `component_jets` and one `casimir_jets` call."""
+    results = [None] * len(runs)
+    live, records = list(enumerate(runs)), [None] * len(runs)  # sending None starts a run
+    while live:
+        points, running = [], []
+        for (i, run), a in zip(live, records):
+            try:
+                points.append(run.send(a))
+                running.append((i, run))
+            except StopIteration as done:
+                results[i] = done.value
+        live, records = running, []
+        if points:
+            batch = np.array(points)
+            for p, jets, cjets in zip(points, model.component_jets(batch), model.casimir_jets(batch)):
+                a = PointAnalysis(model, p, tol)
+                a.jets, a.cjets = jets, cjets
+                records.append(a)
+    return results
+
+
+def _leaf_project(model: IntegrableModel, p0):
+    """Gauss-Newton projection onto the Casimir levels from a point or record,
+    a Newton run: the last iterate's record."""
+    a = p0 if isinstance(p0, PointAnalysis) else (yield p0)
     if not model.structure.casimirs:
         return a
     for _ in range(30):
@@ -123,8 +168,13 @@ def _leaf_project(model: IntegrableModel, p0, tol: float = DEFAULT_TOL) -> Point
         p = a.point + step
         if not np.all(np.isfinite(p)):
             raise RefineDivergence("leaf projection blew up")
-        a = PointAnalysis(model, p, tol)
+        a = yield p
     raise RefineDivergence("leaf projection did not converge")
+
+
+# ---------------------------------------------------------------------------
+# Residuals for the augmented systems
+# ---------------------------------------------------------------------------
 
 
 def _rank1_residual(a: PointAnalysis, z: np.ndarray):
@@ -226,7 +276,7 @@ def refine_singular_point(
         z = np.concatenate([a.point] + [_multipliers(a, j.gradient) for j in a.jets])
         residual_fn = _rank0_residual
     elif target_rank == n - 1:
-        a = _leaf_project(model, a, rank_tol)
+        a = _run_one(model, _leaf_project(model, a), rank_tol)
         v, mu = _kernel_vector(a)
         z = np.concatenate([a.point, v, mu])
         residual_fn = _rank1_residual
@@ -281,6 +331,18 @@ def _sample_box(box, resolution: int, rng) -> np.ndarray:
     return lows + rng.uniform(size=(count, dim)) * (highs - lows)
 
 
+def _score(model: IntegrableModel, raw):
+    """A scan sample projected onto its leaf, a Newton run: (sigma_min /
+    max(sigma_max, 1), sigma_max, point) of dF there, None when that fails."""
+    try:
+        a = yield from _leaf_project(model, raw)
+        sv = a.sv
+    except (RefineDivergence, ClassifyError):
+        return None
+    scale = max(float(sv[0]), 1.0)
+    return float(sv[-1]) / scale, float(sv[0]), a.point  # not the record: one holds ~5 kB
+
+
 def scan_singular_points(
     model: IntegrableModel,
     box,
@@ -295,14 +357,9 @@ def scan_singular_points(
     samples = _sample_box(box, resolution, rng)
 
     scored = []
-    for raw in samples:
-        try:
-            a = _leaf_project(model, raw, tol)
-            sv = a.sv
-        except (RefineDivergence, ClassifyError):
-            continue
-        scale = max(float(sv[0]), 1.0)
-        scored.append((float(sv[-1]) / scale, float(sv[0]), a.point))  # a record holds ~5 kB
+    for lo in range(0, len(samples), SCORE_GROUP):
+        runs = [_score(model, raw) for raw in samples[lo : lo + SCORE_GROUP]]
+        scored += [s for s in _lockstep(model, runs, tol) if s is not None]
     seeds: list[PointAnalysis] = []
     # rank 0 from the points where the whole differential is smallest, then
     # rank n-1 from those where its smallest singular value is
@@ -344,10 +401,11 @@ def _null_space(J: np.ndarray, rel: float = 1e-7) -> np.ndarray:
     return Vt[small].T
 
 
-def _corrector(model, z, tangent, z_pred, tol):
-    """Newton onto the rank-1 system and the arclength condition: (z, z's record, iterations)."""
+def _corrector(model, z, tangent, z_pred):
+    """Newton onto the rank-1 system and the arclength condition, a Newton run:
+    (z, z's record, iterations)."""
     for it in range(CORRECTOR_ITERS):
-        a = PointAnalysis(model, z[: model.dim], tol)
+        a = yield z[: model.dim]
         res, J = _rank1_residual(a, z)
         aug = np.concatenate([res, [tangent @ (z - z_pred)]])
         if np.linalg.norm(aug) <= CORRECTOR_TOL:
@@ -357,7 +415,7 @@ def _corrector(model, z, tangent, z_pred, tol):
         z = z + step
         if not np.all(np.isfinite(z)):
             return None, None, it
-    a = PointAnalysis(model, z[: model.dim], tol)
+    a = yield z[: model.dim]
     res, _ = _rank1_residual(a, z)
     if np.linalg.norm(res) <= 10 * CORRECTOR_TOL:
         return z, a, CORRECTOR_ITERS
@@ -369,8 +427,9 @@ def _value_speed(a: PointAnalysis, direction) -> float:
 
 
 def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, tol) -> tuple[list, str]:
-    """One continuation run from z0 (its point analysed in a0) along direction:
-    its (value, phase point, mark) entries in tracing order and why it stopped."""
+    """One continuation run from z0 (its point analysed in a0) along direction, a
+    Newton run: its (value, phase point, mark) entries in tracing order and why
+    it stopped."""
     N = model.dim
     branch = [(a0.value, z0[:N].copy(), None)]
     z, a = z0.copy(), a0
@@ -405,7 +464,7 @@ def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, 
             t = T @ coeff
             t /= np.linalg.norm(t)
         z_pred = z + h * t
-        z_new, a_new, iters = _corrector(model, z_pred.copy(), t, z_pred, tol)
+        z_new, a_new, iters = yield from _corrector(model, z_pred.copy(), t, z_pred)
         if z_new is not None and np.linalg.norm(z_new - z_pred) > 2.0 * h:
             z_new = None  # corrector hopped onto a different branch
         if z_new is None:
@@ -519,7 +578,9 @@ def trace_diagram(
     params: TraceParams | None = None,
     tol: float = DEFAULT_TOL,
 ) -> BifurcationDiagram:
-    """Continue every rank-1 seed into a labeled momentum-space arc."""
+    """Continue every rank-1 seed into a labeled momentum-space arc: each seed is
+    refined, the branches of all seeds are traced in lockstep, and arcs,
+    vertices and labels are then built in seed order."""
     params = params or TraceParams()
     rank1 = [s for s in seeds if s.rank == model.n - 1]
     rank0 = [s for s in seeds if s.rank == 0]
@@ -534,8 +595,7 @@ def trace_diagram(
     for s in rank0:
         add_vertex(s.point)
 
-    arcs: list[Arc] = []
-    dedup_radius = ARC_DEDUP_FACTOR * params.step
+    runs = []
     for s in rank1:
         try:
             a = refine_singular_point(model, s, model.n - 1, rank_tol=tol)
@@ -547,9 +607,12 @@ def trace_diagram(
         T = _null_space(J)  # at least one column
         speeds = [_value_speed(a, T[:, i]) for i in range(T.shape[1])]
         t0 = T[:, int(np.argmax(speeds))]
+        runs += [_trace_branch(model, z0, a, t0, params, tol), _trace_branch(model, z0, a, -t0, params, tol)]
+    traced = _lockstep(model, runs, tol)
 
-        fwd, reason_f = _trace_branch(model, z0, a, t0, params, tol)
-        bwd, reason_b = _trace_branch(model, z0, a, -t0, params, tol)
+    arcs: list[Arc] = []
+    dedup_radius = ARC_DEDUP_FACTOR * params.step
+    for (fwd, reason_f), (bwd, reason_b) in zip(traced[::2], traced[1::2]):
         entries = bwd[::-1] + fwd[1:]  # both branches start at the seed
         if len(entries) < 3:
             continue

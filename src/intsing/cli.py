@@ -125,6 +125,8 @@ def _parse_box(text: str | None, model: IntegrableModel):
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     model = resolve_model(args.model, args.g)
     box = 2.0 if model.structure.casimirs else 1.0
     comm = check_commutation(model, samples=args.samples, tol=COMMUTATION_TOL, box=box, seed=args.seed)

@@ -8,7 +8,8 @@ recursion, so a tree of any depth is handled.  A `Tape` is straight-line code
 with one instruction per structurally distinct node: a subtree shared by
 several fields (or repeated in one) is computed once.  One loop runs the tape
 at a point, over a batch of points and on second-order jets (value, gradient,
-Hessian), so rank tests downstream see no finite-difference noise.
+Hessian) at a point or over a batch, so rank tests downstream see no
+finite-difference noise.
 
 Grammar::
 
@@ -472,8 +473,10 @@ def _partials(nsym: int, node: Node, *d: tuple[Node, ...]) -> tuple[Node, ...]:
 # ---------------------------------------------------------------------------
 # Evaluation: a tape (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008,
 # ch. 2-3) run by one loop over any leaf numbers: a float at one point, an array
-# per coordinate over a batch of points, or a _Jet for second-order jets.
-# Constants are plain floats, and so are parameters in a jet.
+# per coordinate over a batch of points, a _Jet for second-order jets at one
+# point, or a _Jets for the second-order jets of a batch of points (vector
+# forward mode, ch. 3).  Constants are plain floats, and so are parameters in
+# a jet of either kind.
 # ---------------------------------------------------------------------------
 
 
@@ -481,18 +484,21 @@ def _negate(x, _):  # every instruction takes two operands; a unary one ignores 
     return -x
 
 
-def _quotient(x, y):
-    if np.any(y == 0.0) if isinstance(y, np.ndarray) else y == 0.0:
+def _quotient(x, y):  # a batch divides by zero when one of its points does
+    if np.any(y == 0.0) if isinstance(y, (np.ndarray, _Jets)) else y == 0.0:
         raise EvalError("division by zero")
     return x / y
+
+
+def _each_power(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k entry by entry: libm pow per entry, the bits of one-point evaluation."""
+    return np.array([b ** k for b in x])
 
 
 @cache
 def _power(k: int):
     def power(x, _):
-        if isinstance(x, np.ndarray):  # libm pow per entry, the bits of one-point evaluation
-            return np.array([b ** k for b in x])
-        return x ** k
+        return _each_power(x, k) if isinstance(x, np.ndarray) else x ** k
 
     return power
 
@@ -593,17 +599,37 @@ class Tape:
         out = self._run(vals)
         return out if vals.ndim == 1 else [np.full(vals.shape[1], v) for v in out]
 
-    def jets(self, point, params: Mapping[str, float] | None = None) -> list[Jet2]:
-        """Value, gradient and Hessian of each field at one point: the tape on _Jet leaves."""
+    def jets(self, point, params: Mapping[str, float] | None = None) -> list:
+        """Value, gradient and Hessian of each field at one point (the tape on _Jet
+        leaves), or one such list per row of an (m, dim) array (one run on _Jets
+        leaves), each with the bits of its row's one-point call."""
         if not self._roots:
-            return []
+            return [] if np.ndim(point) < 2 else [[] for _ in point]
         vals, n = self._values(point, params), len(self.coords)
+        if vals.ndim == 2:
+            return self._batch_jets(vals)
         out = []
         for j in self._run([_Jet(v, e, 0.0) for v, e in zip(vals, _unit_vectors(n))] + list(vals[n:])):
             v, g, h = (j.v, j.g, j.h) if isinstance(j, _Jet) else (j, 0.0, 0.0)
             h = np.zeros((n, n)) if isinstance(h, float) else h
             out.append(Jet2(v, np.zeros(n) if isinstance(g, float) else g, 0.5 * (h + h.T)))
         return out
+
+    def _batch_jets(self, vals: np.ndarray) -> list[list[Jet2]]:
+        """The jets of each column of vals (nsym, m): parameters stay plain floats, as in one-point jets."""
+        (nsym, m), n = vals.shape, len(self.coords)
+        if m == 0:
+            return []
+        units = np.broadcast_to(np.eye(n)[:, None, :], (n, m, n))  # read-only, as _unit_vectors
+        columns = []
+        for j in self._run([_Jets(v, e, True, None, False) for v, e in zip(vals, units)] + list(vals[n:, 0])):
+            if not isinstance(j, _Jets):  # a field of constants and parameters
+                columns.append(map(Jet2, [j] * m, np.zeros((m, n)), np.zeros((m, n, n))))
+                continue
+            h = j.h if j.hp is not False else np.zeros((m, n, n))
+            g = j.g if j.gp is not False else np.zeros((m, n))
+            columns.append(map(Jet2, j.v, g, 0.5 * (h + h.transpose(0, 2, 1))))
+        return [list(row) for row in zip(*columns)]
 
 
 @cache
@@ -688,6 +714,137 @@ class _Jet:
         dk, c = k * va ** (k - 1), k * (k - 1) * va ** (k - 2)
         h = _plus(dk * self.h if dk else 0.0, c * _outer(ga, ga) if c else 0.0)
         return _Jet(va ** k, dk * ga if dk else 0.0, h)
+
+
+# A _Jets holds m jets, lane k that of point k, with _Jet's rules lane by lane.
+# Where _Jet holds a structural zero, the lane is absent: each of the gradient
+# and Hessian slots keeps a mask of its present lanes (True: all of them, False:
+# none, and then no array) and +0.0 in the absent ones.  A rule computes an
+# array term only in the lanes where _Jet computes it, so a present entry has
+# _Jet's bits (signed zeros too) and an absent lane raises no numpy warning.
+
+
+def _lanes(keep, fn, *args):
+    """(fn(*args) in the lanes of the mask keep and +0.0 in the others, keep);
+    fn reads the kept rows of every array argument and nothing else."""
+    if keep is True or keep is False:
+        return (fn(*args) if keep else None), keep
+    kept = fn(*(a[keep] if isinstance(a, np.ndarray) else a for a in args))
+    out = np.zeros((len(keep),) + kept.shape[1:])
+    out[keep] = kept
+    return out, keep
+
+
+def _mask(lanes: np.ndarray):
+    return True if lanes.all() else lanes if lanes.any() else False
+
+
+def _both(p, q):
+    """The lanes present under both masks."""
+    if p is True or q is False:
+        return q
+    if q is True or p is False:
+        return p
+    return _mask(p & q)
+
+
+def _column(c: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """One entry per lane, shaped to scale the rows of like."""
+    return c.reshape(c.shape + (1,) * (like.ndim - 1))
+
+
+def _times(c, x, p):
+    """_Jet's `c * x if c else 0.0` in each lane: c a number or one value per lane."""
+    if p is False:
+        return None, False
+    if not isinstance(c, np.ndarray):
+        return _lanes(p if c else False, operator.mul, c, x)
+    return _lanes(p if c.all() else _both(p, _mask(c != 0)), operator.mul, _column(c, x), x)
+
+
+def _sum(x, p, y, q):
+    """_plus in each lane: x + y where both are present, else the one that is."""
+    if p is False:
+        return y, q
+    if q is False:
+        return x, p
+    s = x + y  # an absent lane holds +0.0: no warning, and its side is picked below
+    if p is True and q is True:
+        return s, True
+    if q is not True:
+        s = np.where(_column(q, x), s, x)
+    if p is not True:
+        s = np.where(_column(p, x), s, y)
+    return s, True if p is True or q is True else _mask(p | q)
+
+
+def _outers(x, p, y, q, sym: bool = False):
+    """_outer in each lane."""
+
+    def outer(x, y):
+        m = x[:, :, None] * y[:, None, :]
+        return m + m.transpose(0, 2, 1) if sym else m
+
+    return _lanes(_both(p, q), outer, x, y)
+
+
+class _Jets:
+    """m jets in lanes: values v (m,), gradients g (m, n) and Hessians h (m, n, n)
+    with their present-lane masks gp and hp; each rule is _Jet's, lane by lane."""
+
+    __slots__ = ("v", "g", "gp", "h", "hp")
+    __array_ufunc__ = None
+
+    def __init__(self, v, g, gp, h, hp):
+        self.v, self.g, self.gp, self.h, self.hp = v, g, gp, h, hp
+
+    def __eq__(self, other):  # by value, lane by lane: the zero-divisor test of _quotient
+        return self.v == other
+
+    def __neg__(self):
+        return _Jets(-self.v, *_lanes(self.gp, operator.neg, self.g), *_lanes(self.hp, operator.neg, self.h))
+
+    def __add__(self, o):
+        if isinstance(o, _Jets):
+            return _Jets(self.v + o.v, *_sum(self.g, self.gp, o.g, o.gp), *_sum(self.h, self.hp, o.h, o.hp))
+        return _Jets(self.v + o, self.g, self.gp, self.h, self.hp)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if not isinstance(o, _Jets):
+            return _Jets(self.v * o, *_times(o, self.g, self.gp), *_times(o, self.h, self.hp))
+        va, vb = self.v, o.v
+        h = _sum(*_times(vb, self.h, self.hp), *_times(va, o.h, o.hp))
+        h = _sum(*h, *_outers(self.g, self.gp, o.g, o.gp, True))
+        return _Jets(va * vb, *_sum(*_times(vb, self.g, self.gp), *_times(va, o.g, o.gp)), *h)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        return o.__rtruediv__(self) if isinstance(o, _Jets) else self * (1.0 / o)
+
+    def __rtruediv__(self, o):
+        """o / self, as _Jet.__rtruediv__."""
+        va, ga, gp, ha, hp = (o.v, o.g, o.gp, o.h, o.hp) if isinstance(o, _Jets) else (o, None, False, None, False)
+        gb, inv = self.g, 1.0 / self.v
+        v, c = va * inv, 2.0 * va * _each_power(inv, 3)
+        h = _sum(*_times(inv, ha, hp), *_times(-(inv * inv), *_outers(ga, gp, gb, self.gp, True)))
+        h = _sum(*h, *_times(-(va * inv * inv), self.h, self.hp))
+        h = _sum(*h, *_times(c, *_outers(gb, self.gp, gb, self.gp)))
+        return _Jets(v, *_sum(*_times(inv, ga, gp), *_times(-(v * inv), gb, self.gp)), *h)
+
+    def __pow__(self, k: int):
+        below, last, power = np.array([(b ** (k - 2), b ** (k - 1), b ** k) for b in self.v]).T  # as _each_power
+        dk, c = k * last, k * (k - 1) * below
+        h = _sum(*_times(dk, self.h, self.hp), *_times(c, *_outers(self.g, self.gp, self.g, self.gp)))
+        return _Jets(power, *_times(dk, self.g, self.gp), *h)
 
 
 # ---------------------------------------------------------------------------

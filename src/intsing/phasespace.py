@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .expr import Expression, Jet2, NotPolynomialError, Tape, constant, parse
+from .expr import Expression, Jet2, Tape, constant, parse
 
 DEFAULT_SEED = 0
 
@@ -36,6 +36,12 @@ class ModelError(ValueError):
 
 class FlowError(RuntimeError):
     pass
+
+
+def _constant(e: Expression) -> float | None:
+    """The value of an entry without a free symbol, else None: the parser folds
+    such a tree to one constant node, so nothing is expanded."""
+    return None if e.free_symbols() else e.node.fvalue
 
 
 class PoissonStructure:
@@ -86,18 +92,14 @@ class PoissonStructure:
     # -- evaluation helpers ----------------------------------------------------
 
     def _as_constant(self):
+        """The bivector matrix when every given entry is a constant, else None; a
+        zero is +0.0 on both sides of the diagonal."""
         vals = np.zeros((self.dim, self.dim))
         for (i, j), e in self.upper.items():
-            try:
-                poly = e.as_polynomial()
-            except NotPolynomialError:
+            c = _constant(e)
+            if c is None:
                 return None
-            if not poly:
-                continue
-            key = (0,) * len(e.symbols)
-            if set(poly) != {key}:
-                return None
-            vals[i, j] = float(poly[key])
+            vals[i, j] = c or 0.0
         return vals - vals.T
 
     # The given entries' tape, compiled on first use.
@@ -368,7 +370,7 @@ def model_to_dict(model: IntegrableModel) -> dict:
             "bivector": [
                 {"i": st.coords[i], "j": st.coords[j], "expr": e.to_source()}
                 for (i, j), e in st.upper.items()
-                if not e.is_zero()
+                if _constant(e) != 0.0
             ]
         }
     if model.name:
@@ -388,15 +390,28 @@ def _finite_number(v) -> bool:
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
+_DOCUMENT_KEYS = {"coordinates", "parameters", "components", "casimirs", "structure", "name", "canonical"}
+
+
+def _known_keys(d, keys: set, where: str):
+    """d, refused with a ModelError when it is an object with a key outside keys."""
+    unknown = sorted(set(d) - keys) if isinstance(d, dict) else []
+    if unknown:
+        raise ModelError(f"{where} has unknown keys {unknown}; it takes {sorted(keys)}")
+    return d
+
+
 def model_from_dict(d: dict) -> IntegrableModel:
-    """The model of a `model_to_dict` document; ModelError when it has another shape."""
+    """The model of a `model_to_dict` document; ModelError when it has another
+    shape, or a key that no level of it takes."""
     try:
+        _known_keys(d, _DOCUMENT_KEYS, "the model document")
         coords = tuple(d["coordinates"])
         params, name = dict(d.get("parameters", {})), d.get("name", "")
         if not (all(map(_finite_number, params.values())) and isinstance(name, str)):
             raise ModelError(f"the name ({name!r}) must be a string and the parameters ({params}) finite numbers")
         pnames = tuple(sorted(params))
-        casimir_entries = d.get("casimirs", [])
+        casimir_entries = [_known_keys(c, {"expr", "value"}, "a Casimir item") for c in d.get("casimirs", [])]
         casimirs = [parse(c["expr"], coords, pnames) for c in casimir_entries]
         leaf_values = [c["value"] for c in casimir_entries]
         if not all(map(_finite_number, leaf_values)):
@@ -410,7 +425,8 @@ def model_from_dict(d: dict) -> IntegrableModel:
             st = PoissonStructure.canonical_chart(pairs, pnames, casimirs)
         else:  # each item gives one pair i != j, in either orientation, and no pair twice
             index, upper = {c: k for k, c in enumerate(coords)}, {}
-            for item in structure_spec["bivector"]:
+            for item in _known_keys(structure_spec, {"bivector"}, "structure")["bivector"]:
+                _known_keys(item, {"i", "j", "expr"}, "a bivector item")
                 i, j = index[item["i"]], index[item["j"]]
                 if i == j or (min(i, j), max(i, j)) in upper:
                     why = "is on the diagonal" if i == j else f"gives the pair ({coords[i]}, {coords[j]}) a second time"
@@ -423,7 +439,7 @@ def model_from_dict(d: dict) -> IntegrableModel:
         if "canonical" in d:
             from .canonical import CanonicalSpec
 
-            cs = d["canonical"]
+            cs = _known_keys(d["canonical"], {"r", "ke", "kh", "kf"}, "canonical")
             canonical_spec = CanonicalSpec(cs["r"], cs["ke"], cs["kh"], cs["kf"])
 
         return IntegrableModel(

@@ -156,8 +156,15 @@ def _repeats(calls: list, evaluator: str) -> int:
     return count
 
 
+def _one_run_each(model, runs, tol):
+    """The lockstep driver's contract from the one-run driver: each record built on its own."""
+    return [bifurcation._run_one(model, run, tol) for run in runs]
+
+
 def test_scan_and_trace_repeat_no_jet_set(monkeypatch):
     m = build_canonical(CanonicalSpec(1, 0, 1, 0))
+    # one point per jet call, so a repeat within one Newton run shows in the log
+    monkeypatch.setattr(bifurcation, "_lockstep", _one_run_each)
     calls = _record_jet_calls(monkeypatch)
     seeds = scan_singular_points(m, [(-1, 1)] * 4)
     trace_diagram(m, seeds, TraceParams(value_box=(-4.0, 4.0)))
@@ -182,6 +189,52 @@ def test_scan_seeds_are_refined_records(monkeypatch):
     for s in seeds:
         assert isinstance(s, PointAnalysis) and s.rank == rank_at(m, s.point)
         assert np.array_equal(s.value, m.momentum_value(s.point))
+
+
+LOCKSTEP_SCANS = {
+    "canonical:1,0,1,0": (lambda: build_canonical(CanonicalSpec(1, 0, 1, 0)), [(-1, 1)] * 4, 7),
+    "kovalevskaya": (lambda: build_kovalevskaya(0.5), KOV_BOX, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_SCANS))
+def test_scan_in_lockstep_gives_the_one_run_seeds(name, monkeypatch):
+    build, box, resolution = LOCKSTEP_SCANS[name]
+    m = build()
+
+    def seed_bytes():
+        return [(s.rank, s.point.tobytes(), s.value.tobytes()) for s in scan_singular_points(m, box, resolution)]
+
+    lockstep = seed_bytes()
+    monkeypatch.setattr(bifurcation, "_lockstep", _one_run_each)
+    assert seed_bytes() == lockstep and lockstep
+
+
+def test_trace_in_lockstep_gives_the_one_run_diagram(monkeypatch):
+    m = build_canonical(CanonicalSpec(1, 0, 1, 0))
+    seeds = scan_singular_points(m, [(-1, 1)] * 4)
+    params = TraceParams(value_box=(-4.0, 4.0))
+
+    def diagram_text():
+        return json.dumps(bifurcation.diagram_to_dict(trace_diagram(m, seeds, params)))
+
+    lockstep = diagram_text()
+    monkeypatch.setattr(bifurcation, "_lockstep", _one_run_each)
+    assert diagram_text() == lockstep
+
+
+def test_lockstep_batches_each_round(monkeypatch):
+    """One component_jets call per round, over every live run's point."""
+    m = build_kovalevskaya(0.5)
+    sizes = []
+    original = IntegrableModel.component_jets
+    monkeypatch.setattr(
+        IntegrableModel, "component_jets", lambda self, p: sizes.append(np.shape(p)) or original(self, p)
+    )
+    samples = np.random.default_rng(0).uniform(-1, 1, size=(5, 6))
+    bifurcation._lockstep(m, [bifurcation._score(m, p) for p in samples], 1e-8)
+    assert sizes[0] == (5, 6) and all(len(s) == 2 for s in sizes)
+    assert [s[0] for s in sizes] == sorted((s[0] for s in sizes), reverse=True)
 
 
 def test_refine_evaluates_each_iterate_once(monkeypatch):

@@ -295,6 +295,12 @@ MODEL_FAULTS = {
     ),
     "casimir-value-nan": json.dumps({**SO3, "casimirs": [{"expr": "x^2+y^2+z^2", "value": float("nan")}]}),
     "casimir-value-string": json.dumps({**SO3, "casimirs": [{"expr": "x^2+y^2+z^2", "value": "1"}]}),
+    "top-level-bivector": json.dumps(
+        {"coordinates": ["x", "y"], "components": ["x"], "bivector": [{"i": "x", "j": "y", "expr": "x*y"}]}
+    ),
+    "misspelled-structure": json.dumps(
+        {"coordinates": ["x", "y"], "components": ["x"], "structur": {"bivector": [{"i": "x", "j": "y", "expr": "1"}]}}
+    ),
 }
 MODEL_COMMANDS = {
     "verify": ["verify", "--samples", "5"],
@@ -339,6 +345,25 @@ def test_deep_model_verifies(tmp_path, capsys):
     code, out = run_cli(["verify", "--model", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_high_power_bivector_entry_verifies_quickly(tmp_path, capsys):
+    """Constancy of an entry is read off its folded tree: x^3000000 is never expanded."""
+    path = tmp_path / "power.json"
+    bivector = [{"i": "x", "j": "y", "expr": "x^3000000"}, {"i": "z", "j": "w", "expr": "1"}]
+    model = {"coordinates": ["x", "y", "z", "w"], "components": ["x", "z*w"], "structure": {"bivector": bivector}}
+    path.write_text(json.dumps(model))
+    t0 = time.perf_counter()
+    code, out = run_cli(["verify", "--model", str(path), "--samples", "5"], capsys)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_refuses_a_sample_count_below_one(samples, capsys):
+    code, out = run_cli(["verify", "--model", "canonical:0,1,0,0", "--samples", samples], capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": f"--samples must be at least 1, got {samples}", "seed": 0}
 
 
 def test_missing_product_file_is_a_json_error(tmp_path, capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from intsing.expr import (
@@ -521,3 +521,56 @@ def test_shared_and_unshared_copies_agree(pool, recipe):
     for x in ABC:
         assert shared.diff(x) == copy.diff(x)
         assert shared.diff(x).to_source() == copy.diff(x).to_source()
+
+
+# Batched jets: Tape.jets on an (m, dim) array runs the tape once on _Jets, and
+# each row's jets must be that row's one-point jets bit for bit.  Trees here may
+# divide by any subtree and read a parameter; rows hold exact and signed zeros.
+_BATCH_LEAVES = st.one_of(
+    st.integers(0, 3).map(lambda i: Sym(i, (*ABC, "g")[i])),
+    st.sampled_from([0, -1, 2, Fraction(1, 3), 0.5, 0.0, -0.0]).map(Const),
+)
+BATCH_NODES = st.recursive(
+    _BATCH_LEAVES,
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from([Add, Sub, Mul, Div]), kids, kids).map(lambda t: t[0](t[1], t[2])),
+        kids.map(Neg),
+        st.tuples(kids, st.integers(2, 3)).map(lambda t: Pow(*t)),
+    ),
+    max_leaves=8,
+)
+_COORDINATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2, 2, allow_nan=False))
+ROWS = st.lists(st.lists(_COORDINATE, min_size=3, max_size=3), min_size=2, max_size=6).map(np.array)
+
+
+def _jet_bytes(jet):
+    return _bytes(jet.value), _bytes(jet.gradient), _bytes(jet.hessian)
+
+
+@given(st.lists(BATCH_NODES, min_size=1, max_size=3), ROWS, st.sampled_from([0.0, -0.0, -1.0, 0.75]))
+# At a = 0 the gradient of a^2 is a structural zero, so -a + a^2 keeps the -0.0 entries of -da there.
+@example([Add(Neg(Sym(0, "a")), Pow(Sym(0, "a"), 2))], np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 0.0)
+def test_batched_jets_are_the_one_point_jets(nodes, rows, g):
+    tape = Tape([Expression(n, ABC, ("g",)) for n in nodes])
+    params = {"g": g}
+    with np.errstate(all="raise"):  # a batch warns where, and only where, some row does
+        try:
+            want = [[_jet_bytes(j) for j in tape.jets(p, params)] for p in rows]
+        except (EvalError, FloatingPointError):
+            with pytest.raises((EvalError, FloatingPointError)):
+                tape.jets(rows, params)
+            return
+        got = [[_jet_bytes(j) for j in row] for row in tape.jets(rows, params)]
+    assert got == want
+
+
+def test_a_batch_with_one_zero_divisor_raises():
+    tape = Tape([parse("x/(y - 1)", ("x", "y"))])
+    assert len(tape.jets(np.array([[1.0, 2.0], [3.0, 0.0]]))) == 2
+    with pytest.raises(EvalError):
+        tape.jets(np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 0.5]]))
+
+
+def test_batched_jets_of_no_fields_and_no_rows():
+    assert Tape([]).jets(np.zeros((3, 2))) == [[], [], []]
+    assert Tape([parse("x*y", ("x", "y"))]).jets(np.zeros((0, 2))) == []

@@ -1,9 +1,12 @@
+import copy
 import json
+import time
 
 import numpy as np
 import pytest
 
 from intsing.expr import Expression, parse
+from intsing.kovalevskaya import build_kovalevskaya
 from intsing.phasespace import (
     IntegrableModel,
     ModelError,
@@ -245,3 +248,43 @@ def test_bivector_is_its_entries_above_the_diagonal():
     for items in (twice, twice[:1] * 2, [{"i": "x", "j": "x", "expr": "1"}]):
         with pytest.raises(ModelError, match="second time|diagonal"):
             model_from_dict({**plane, "structure": {"bivector": items}})
+
+
+UNKNOWN_KEYS = {
+    "the model document": lambda d: d.update(bivector=[]),
+    "a Casimir item": lambda d: d["casimirs"][0].update(val=1.0),
+    "structure": lambda d: d["structure"].update(entries=[]),
+    "a bivector item": lambda d: d["structure"]["bivector"][0].update(k="R1"),
+    "canonical": lambda d: d.update(canonical={"r": 0, "ke": 1, "kh": 0, "kf": 0, "k_e": 1}),
+}
+
+
+@pytest.mark.parametrize("level", sorted(UNKNOWN_KEYS))
+def test_a_key_no_level_takes_is_refused(level):
+    d = model_to_dict(build_kovalevskaya(0.5))
+    model_from_dict(copy.deepcopy(d))
+    UNKNOWN_KEYS[level](d)
+    with pytest.raises(ModelError, match=f"{level} has unknown keys"):
+        model_from_dict(d)
+
+
+def test_an_entry_without_free_symbols_is_constant():
+    coords = ("x", "y", "z", "w")
+    entries = {(0, 1): "-1", (2, 3): "2/3*4", (0, 2): "-0.0"}
+    st = PoissonStructure(coords, {ij: parse(src, coords) for ij, src in entries.items()})
+    assert st._const_matrix is not None and np.array_equal(st.bivector_gradients_at(np.zeros(4)), np.zeros((4, 4, 4)))
+    assert st.bivector_at(np.ones(4))[0, 1] == -1.0 and st.bivector_at(np.ones(4))[3, 2] == -8 / 3
+    assert st.bivector_at(np.ones(4))[[0, 2], [2, 0]].tobytes() == np.zeros(2).tobytes()  # a zero is +0.0 on both sides
+    with_parameter = PoissonStructure(coords, {(0, 1): parse("g", coords, ("g",))})
+    assert with_parameter._const_matrix is None
+
+
+def test_high_power_entry_saves_and_loads_quickly():
+    """Neither the constant test nor the zero test of a saved entry expands x^3000000."""
+    coords = ("x", "y")
+    st = PoissonStructure(coords, {(0, 1): parse("x^3000000", coords)})
+    t0 = time.perf_counter()
+    d = model_to_dict(IntegrableModel(st, [parse("x", coords)]))
+    assert model_to_dict(model_from_dict(json.loads(json.dumps(d)))) == d
+    assert d["structure"]["bivector"] == [{"i": "x", "j": "y", "expr": "x^3000000"}]
+    assert time.perf_counter() - t0 < 2.0
