@@ -12,15 +12,15 @@ A Newton run (leaf projection, scan scoring, corrector, branch) is a generator:
 it yields the phase point it needs next and is sent that point's record.
 `_run_one` builds each record on its own; `_lockstep` advances runs that do not
 depend on each other together and builds each round's records from one batched
-jet call per field set, with the bits of one-point calls.  The scan projects
-and scores its samples in lockstep groups of SCORE_GROUP, and `trace_diagram`
-traces both branches of every seed in lockstep, so every output is the one the
-runs give one at a time.  A
-vertex's value is `momentum_value` at its point (on a model with a division the
-jet values can differ from it in the last bit).  The glued branches are cut
-into arcs at the marks and where the reduced type changes; an arc end is its
-branch's stop reason at the glued list's ends, else "cusp".  An arc with 90 %
-of its values near one kept arc is a duplicate.
+jet call per field set, with the bits of one-point calls (a batch with a zero
+divisor leaves its field set to each record).  The scan projects and scores its
+samples in lockstep groups of SCORE_GROUP, and `trace_diagram` traces both
+branches of every seed in lockstep, so every output is the one the runs give
+one at a time.  A vertex's value is `momentum_value` at its point (on a model
+with a division the jet values can differ from it in the last bit).  The glued
+branches are cut into arcs at the marks and where the reduced type changes; an
+arc end is its branch's stop reason at the glued list's ends, else "cusp".  An
+arc with 90 % of its values near one kept arc is a duplicate.
 
 The rank-1 locus is parametrized by the kernel-vector augmentation
 
@@ -50,6 +50,7 @@ from .classify import (
     reduce_at,
     williamson_type,
 )
+from .expr import EvalError
 from .phasespace import DEFAULT_SEED, IntegrableModel
 CANDIDATE_FRACTION = 0.05  # share of the scored scan samples refined onto the rank-(n-1) locus
 MAX_CANDIDATES = 120  # at most this many of them
@@ -132,7 +133,9 @@ def _run_one(model: IntegrableModel, run, tol: float):
 def _lockstep(model: IntegrableModel, runs: list, tol: float) -> list:
     """The results of Newton runs that do not depend on each other, in order.
     Each round collects the points of the live runs and builds their records
-    from one batched `component_jets` and one `casimir_jets` call."""
+    from one batched `component_jets` and one `casimir_jets` call.  A batch
+    with a zero divisor leaves that field set to each record, so only a run
+    that reads it at that point raises, as when run on its own."""
     results = [None] * len(runs)
     live, records = list(enumerate(runs)), [None] * len(runs)  # sending None starts a run
     while live:
@@ -143,13 +146,17 @@ def _lockstep(model: IntegrableModel, runs: list, tol: float) -> list:
                 running.append((i, run))
             except StopIteration as done:
                 results[i] = done.value
-        live, records = running, []
+        live = running
+        records = [PointAnalysis(model, p, tol) for p in points]
         if points:
             batch = np.array(points)
-            for p, jets, cjets in zip(points, model.component_jets(batch), model.casimir_jets(batch)):
-                a = PointAnalysis(model, p, tol)
-                a.jets, a.cjets = jets, cjets
-                records.append(a)
+            for name, evaluate in (("jets", model.component_jets), ("cjets", model.casimir_jets)):
+                try:
+                    field_sets = evaluate(batch)
+                except EvalError:
+                    continue
+                for a, jets in zip(records, field_sets):
+                    setattr(a, name, jets)
     return results
 
 

@@ -25,7 +25,7 @@ from intsing.bifurcation import (
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
 from intsing.classify import PointAnalysis, rank_at
 from intsing.kovalevskaya import build_kovalevskaya, involution_fixed_points
-from intsing.phasespace import IntegrableModel
+from intsing.phasespace import IntegrableModel, model_from_dict
 
 KOV_BOX = [(-1.2, 1.2)] * 3 + [(-4.0, 4.0)] * 3
 
@@ -118,13 +118,14 @@ NEW_PASSES = ("refine_singular_point", "_transition_cuts")
 
 
 def _record_jet_calls(monkeypatch) -> list:
-    """Log (evaluator, point bytes) for every jet set, and None for each new pass."""
+    """Log (evaluator, row bytes of its points) for every jet call, one row at
+    one point and a row per point of a batch, and None for each new pass."""
     calls = []
     for name in JET_EVALUATORS:
         original = getattr(IntegrableModel, name)
 
         def logged(self, point, _original=original, _name=name):
-            calls.append((_name, np.asarray(point, dtype=float).tobytes()))
+            calls.append((_name, [row.tobytes() for row in np.atleast_2d(np.asarray(point, dtype=float))]))
             return _original(self, point)
 
         monkeypatch.setattr(IntegrableModel, name, logged)
@@ -140,18 +141,21 @@ def _record_jet_calls(monkeypatch) -> list:
 
 
 def _repeats(calls: list, evaluator: str) -> int:
-    """Calls of evaluator at a point one of its previous four calls in the same
-    pass evaluated.  Two refinements from different seeds that converge onto
-    one point evaluate it once each, and the labelling analyses phase points
-    again (a record per stored point would hold ~5 kB).
+    """Points of evaluator's calls that one of its previous four calls in the
+    same pass evaluated.  A lockstep round is one call, so a Newton run that
+    asks for its last point again within four rounds counts.  Two refinements
+    from different seeds that converge onto one point evaluate it once each,
+    and the labelling analyses phase points again (a record per stored point
+    would hold ~5 kB).
     """
-    window: list[bytes] = []
+    window: list[list[bytes]] = []
     count = 0
     for call in calls:
         if call is None:
             window = []
         elif call[0] == evaluator:
-            count += call[1] in window[-4:]
+            seen = {row for rows in window[-4:] for row in rows}
+            count += sum(row in seen for row in call[1])
             window.append(call[1])
     return count
 
@@ -163,12 +167,12 @@ def _one_run_each(model, runs, tol):
 
 def test_scan_and_trace_repeat_no_jet_set(monkeypatch):
     m = build_canonical(CanonicalSpec(1, 0, 1, 0))
-    # one point per jet call, so a repeat within one Newton run shows in the log
-    monkeypatch.setattr(bifurcation, "_lockstep", _one_run_each)
     calls = _record_jet_calls(monkeypatch)
     seeds = scan_singular_points(m, [(-1, 1)] * 4)
     trace_diagram(m, seeds, TraceParams(value_box=(-4.0, 4.0)))
     assert sum(s.rank == m.n - 1 for s in seeds) > 0
+    # the scan's and the trace's lockstep rounds are batched calls
+    assert any(call and len(call[1]) > 1 for call in calls)
     # continuation starts from the record the refinement of each seed returns
     for name in JET_EVALUATORS:
         assert _repeats(calls, name) == 0
@@ -235,6 +239,28 @@ def test_lockstep_batches_each_round(monkeypatch):
     bifurcation._lockstep(m, [bifurcation._score(m, p) for p in samples], 1e-8)
     assert sizes[0] == (5, 6) and all(len(s) == 2 for s in sizes)
     assert [s[0] for s in sizes] == sorted((s[0] for s in sizes), reverse=True)
+
+
+def test_lockstep_divides_only_where_a_run_reads():
+    """A component with 1/x: the scan sample (0, 0.5, 0.3) projects off x = 0
+    in one step and reads its component jets only there, as on its own."""
+    m = model_from_dict(
+        {
+            "coordinates": ["x", "y", "z"],
+            "components": ["1/x + z^2"],
+            "casimirs": [{"expr": "x + y", "value": 1.0}],
+            "structure": {"bivector": [{"i": "x", "j": "z", "expr": "1"}, {"i": "y", "j": "z", "expr": "-1"}]},
+        }
+    )
+    samples = np.array([[0.0, 0.5, 0.3], [0.4, 0.2, -0.1]])
+
+    def scores(driver):
+        return [(r, s, p.tobytes()) for r, s, p in driver(m, [bifurcation._score(m, p) for p in samples], 1e-8)]
+
+    lockstep = scores(bifurcation._lockstep)
+    assert lockstep == scores(_one_run_each)
+    assert np.allclose(np.frombuffer(lockstep[0][2]), [0.25, 0.75, 0.3])
+    assert scan_singular_points(m, [(-1, 1), (-1, 0.25), (-1, 1)], 5) == []  # grid samples on x = 0 score
 
 
 def test_refine_evaluates_each_iterate_once(monkeypatch):
