@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -28,7 +29,7 @@ from .atoms import (
 from .bifurcation import ScanParams, TraceParams, export_diagram, diagram_to_dict, scan_singular_points, trace_diagram
 from .canonical import CanonicalSpec, build_canonical
 from .classify import DEFAULT_ATTEMPTS, DEFAULT_SEED, DEFAULT_TOL, classify_point
-from .kovalevskaya import DIAGRAM_PARAMS, build_kovalevskaya, kovalevskaya_diagram
+from .kovalevskaya import DIAGRAM_PARAMS, SCAN_BOX, build_kovalevskaya, kovalevskaya_diagram
 from .kovalevskaya import report as kovalevskaya_report
 from .phasespace import IntegrableModel, check_commutation, load_model
 
@@ -52,11 +53,37 @@ def _read_input(path: str, load):
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _finite(value: float, option: str) -> float:
+    """value, refused when it is NaN or infinite (as a model parameter is)."""
+    if not math.isfinite(value):
+        raise InputError(f"{option} must be a finite number, got {value!r}")
+    return value
+
+
 def _number(text: str, option: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise InputError(f"{option}: {text!r} is not a number") from None
+    return _finite(value, option)
+
+
+def _check_options(args) -> None:
+    """Refuse a negative seed, a count below 1, a float option that is not finite,
+    and a step, value bound or tolerance that is not positive."""
+    if args.seed < 0:
+        raise InputError(f"--seed must be at least 0, got {args.seed}")
+    for name in ("samples", "resolution", "attempts"):
+        count = getattr(args, name, None)
+        if count is not None and count < 1:
+            raise InputError(f"--{name} must be at least 1, got {count}")
+    for name in ("g", "step", "value_bound", "tol"):
+        value, option = getattr(args, name, None), "--" + name.replace("_", "-")
+        if value is None:
+            continue
+        _finite(value, option)
+        if name != "g" and value <= 0:
+            raise InputError(f"{option} must be positive, got {value!r}")
 
 
 def _load_product(path: str):
@@ -100,7 +127,7 @@ def _parse_point(text: str, model: IntegrableModel) -> np.ndarray:
 
 def _default_box(model: IntegrableModel):
     if model.name.startswith("kovalevskaya"):
-        return [(-1.2, 1.2)] * 3 + [(-4.0, 4.0)] * 3
+        return SCAN_BOX
     return [(-1.0, 1.0)] * model.dim
 
 
@@ -125,8 +152,6 @@ def _parse_box(text: str | None, model: IntegrableModel):
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise InputError(f"--samples must be at least 1, got {args.samples}")
     model = resolve_model(args.model, args.g)
     box = 2.0 if model.structure.casimirs else 1.0
     comm = check_commutation(model, samples=args.samples, tol=COMMUTATION_TOL, box=box, seed=args.seed)
@@ -176,13 +201,12 @@ def cmd_trace(args) -> int:
             f"seed {p.seed}); drop --step, --value-bound and --seed"
         )
     model = resolve_model(args.model, args.g)
+    box = _parse_box(args.box, model)
     if args.model == "kovalevskaya":
-        box = _parse_box(args.box, model) if args.box else None
         diagram = kovalevskaya_diagram(
             args.g if args.g is not None else 0.0, box=box, resolution=args.resolution, tol=args.tol
         )
     else:
-        box = _parse_box(args.box, model)
         seeds = scan_singular_points(
             model, box, resolution=args.resolution, tol=args.tol, params=ScanParams(seed=args.seed)
         )
@@ -337,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except (InputError, AtomsError) as exc:
         _emit({"error": str(exc), "seed": args.seed}, args.out)

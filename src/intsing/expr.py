@@ -473,10 +473,9 @@ def _partials(nsym: int, node: Node, *d: tuple[Node, ...]) -> tuple[Node, ...]:
 # ---------------------------------------------------------------------------
 # Evaluation: a tape (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008,
 # ch. 2-3) run by one loop over any leaf numbers: a float at one point, an array
-# per coordinate over a batch of points, a _Jet for second-order jets at one
-# point, or a _Jets for the second-order jets of a batch of points (vector
-# forward mode, ch. 3).  Constants are plain floats, and so are parameters in
-# a jet of either kind.
+# per coordinate over a batch of points, or a _Jet for second-order jets at one
+# point or over a batch (vector forward mode, ch. 3).  Constants are plain
+# floats, and so are parameters in a jet.
 # ---------------------------------------------------------------------------
 
 
@@ -485,7 +484,8 @@ def _negate(x, _):  # every instruction takes two operands; a unary one ignores 
 
 
 def _quotient(x, y):  # a batch divides by zero when one of its points does
-    if np.any(y == 0.0) if isinstance(y, (np.ndarray, _Jets)) else y == 0.0:
+    zero = y == 0.0
+    if zero.any() if isinstance(zero, np.ndarray) else zero:
         raise EvalError("division by zero")
     return x / y
 
@@ -497,7 +497,7 @@ def _each_power(x: np.ndarray, k: int) -> np.ndarray:
 
 @cache
 def _power(k: int):
-    def power(x, _):
+    def power(x, _=None):
         return _each_power(x, k) if isinstance(x, np.ndarray) else x ** k
 
     return power
@@ -600,9 +600,9 @@ class Tape:
         return out if vals.ndim == 1 else [np.full(vals.shape[1], v) for v in out]
 
     def jets(self, point, params: Mapping[str, float] | None = None) -> list:
-        """Value, gradient and Hessian of each field at one point (the tape on _Jet
-        leaves), or one such list per row of an (m, dim) array (one run on _Jets
-        leaves), each with the bits of its row's one-point call."""
+        """Value, gradient and Hessian of each field at one point, or one such list
+        per row of an (m, dim) array, each with the bits of its row's one-point
+        call: the tape runs once on _Jet leaves, of one point or of the batch."""
         if not self._roots:
             return [] if np.ndim(point) < 2 else [[] for _ in point]
         vals, n = self._values(point, params), len(self.coords)
@@ -622,12 +622,12 @@ class Tape:
             return []
         units = np.broadcast_to(np.eye(n)[:, None, :], (n, m, n))  # read-only, as _unit_vectors
         columns = []
-        for j in self._run([_Jets(v, e, True, None, False) for v, e in zip(vals, units)] + list(vals[n:, 0])):
-            if not isinstance(j, _Jets):  # a field of constants and parameters
+        for j in self._run([_Jet(v, (e, True), 0.0) for v, e in zip(vals, units)] + list(vals[n:, 0])):
+            if not isinstance(j, _Jet):  # a field of constants and parameters
                 columns.append(map(Jet2, [j] * m, np.zeros((m, n)), np.zeros((m, n, n))))
                 continue
-            h = j.h if j.hp is not False else np.zeros((m, n, n))
-            g = j.g if j.gp is not False else np.zeros((m, n))
+            h = np.zeros((m, n, n)) if isinstance(j.h, float) else j.h[0]
+            g = np.zeros((m, n)) if isinstance(j.g, float) else j.g[0]
             columns.append(map(Jet2, j.v, g, 0.5 * (h + h.transpose(0, 2, 1))))
         return [list(row) for row in zip(*columns)]
 
@@ -641,94 +641,26 @@ def _unit_vectors(n: int) -> tuple[np.ndarray, ...]:
 
 
 # In a jet's gradient or Hessian slot a plain float is a structural zero.  It
-# is never added into an array, and a zero factor never scales one (c * x if c
-# else 0.0), so every array term that is kept keeps its bits, signed zeros too.
-
-
-def _plus(x, y):
-    return y if isinstance(x, float) else x if isinstance(y, float) else x + y
-
-
-def _outer(x, y, sym: bool = False):
-    """x y^T (the products of np.outer), plus its transpose with sym."""
-    if isinstance(x, float) or isinstance(y, float):
-        return 0.0
-    m = x[:, None] * y
-    return m + m.T if sym else m
-
-
-class _Jet:
-    """Value v, gradient g and Hessian h (not yet symmetrised) along the coordinates,
-    in forward mode (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008);
-    each rule keeps the arithmetic order in which intsing has always formed jets."""
-
-    __slots__ = ("v", "g", "h")
-    __array_ufunc__ = None  # numpy scalars defer to the reflected methods
-
-    def __init__(self, v, g, h):
-        self.v, self.g, self.h = v, g, h
-
-    def __eq__(self, other):  # by value: the zero-divisor test of _quotient
-        return self.v == other
-
-    def __neg__(self):
-        return _Jet(-self.v, -self.g, -self.h)
-
-    def __add__(self, o):
-        if isinstance(o, _Jet):
-            return _Jet(self.v + o.v, _plus(self.g, o.g), _plus(self.h, o.h))
-        return _Jet(self.v + o, self.g, self.h)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):  # x - y and x + (-y) round alike
-        return self + -o
-
-    def __rsub__(self, o):
-        return -self + o
-
-    def __mul__(self, o):
-        if not isinstance(o, _Jet):
-            return _Jet(self.v * o, o * self.g if o else 0.0, o * self.h if o else 0.0)
-        va, ga, vb, gb = self.v, self.g, o.v, o.g
-        h = _plus(_plus(vb * self.h if vb else 0.0, va * o.h if va else 0.0), _outer(ga, gb, sym=True))
-        return _Jet(va * vb, _plus(vb * ga if vb else 0.0, va * gb if va else 0.0), h)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        return o.__rtruediv__(self) if isinstance(o, _Jet) else self * (1.0 / o)
-
-    def __rtruediv__(self, o):
-        """o / self: f'' = a''/b - (a' b'^T + b' a'^T)/b^2 - a b''/b^2 + 2 a b' b'^T / b^3."""
-        va, ga, ha = (o.v, o.g, o.h) if isinstance(o, _Jet) else (o, 0.0, 0.0)
-        gb, inv = self.g, 1.0 / self.v
-        v, c = va * inv, 2.0 * va * inv ** 3
-        h = _plus(inv * ha if inv else 0.0, -(inv * inv) * _outer(ga, gb, sym=True) if inv * inv else 0.0)
-        h = _plus(h, -(va * inv * inv) * self.h if va * inv * inv else 0.0)
-        h = _plus(h, c * _outer(gb, gb) if c else 0.0)
-        return _Jet(v, _plus(inv * ga if inv else 0.0, -(v * inv) * gb if v * inv else 0.0), h)
-
-    def __pow__(self, k: int):  # k >= 2, as _pow builds it
-        va, ga = self.v, self.g
-        dk, c = k * va ** (k - 1), k * (k - 1) * va ** (k - 2)
-        h = _plus(dk * self.h if dk else 0.0, c * _outer(ga, ga) if c else 0.0)
-        return _Jet(va ** k, dk * ga if dk else 0.0, h)
-
-
-# A _Jets holds m jets, lane k that of point k, with _Jet's rules lane by lane.
-# Where _Jet holds a structural zero, the lane is absent: each of the gradient
-# and Hessian slots keeps a mask of its present lanes (True: all of them, False:
-# none, and then no array) and +0.0 in the absent ones.  A rule computes an
-# array term only in the lanes where _Jet computes it, so a present entry has
-# _Jet's bits (signed zeros too) and an absent lane raises no numpy warning.
+# is never added into an array, and a zero factor never scales one, so every
+# array term that is kept keeps its bits, signed zeros too.  At one point any
+# other slot is an array.  Over a batch of m points (vector forward mode, ch. 3)
+# the value is one float per point, lane k that of point k, and any other slot
+# is (array, mask): the mask is True when every lane is present, else one bool
+# per lane, and an absent lane (where point k's jet holds a structural zero)
+# holds +0.0.  A batch computes an array term only in the lanes where the
+# one-point jet computes it, so a present entry has that jet's bits and an
+# absent lane raises no numpy warning.  The rules of _Jet reach their slots
+# only through the four primitives below (_scale, _plus, _outer, _minus), so
+# each rule is written once for both forms.
 
 
 def _lanes(keep, fn, *args):
-    """(fn(*args) in the lanes of the mask keep and +0.0 in the others, keep);
-    fn reads the kept rows of every array argument and nothing else."""
-    if keep is True or keep is False:
-        return (fn(*args) if keep else None), keep
+    """The batch slot of fn(*args) in the lanes of the mask keep (False: none,
+    a structural zero); fn reads the kept rows of every array argument and nothing else."""
+    if keep is False:
+        return 0.0
+    if keep is True:
+        return fn(*args), True
     kept = fn(*(a[keep] if isinstance(a, np.ndarray) else a for a in args))
     out = np.zeros((len(keep),) + kept.shape[1:])
     out[keep] = kept
@@ -753,21 +685,27 @@ def _column(c: np.ndarray, like: np.ndarray) -> np.ndarray:
     return c.reshape(c.shape + (1,) * (like.ndim - 1))
 
 
-def _times(c, x, p):
-    """_Jet's `c * x if c else 0.0` in each lane: c a number or one value per lane."""
-    if p is False:
-        return None, False
+def _scale(c, s):
+    """c * s, and a structural zero where c is 0: in a batch c is a number or one per lane."""
+    if isinstance(s, np.ndarray):
+        return c * s if c else 0.0
+    if isinstance(s, float):
+        return 0.0
+    x, p = s
     if not isinstance(c, np.ndarray):
         return _lanes(p if c else False, operator.mul, c, x)
     return _lanes(p if c.all() else _both(p, _mask(c != 0)), operator.mul, _column(c, x), x)
 
 
-def _sum(x, p, y, q):
-    """_plus in each lane: x + y where both are present, else the one that is."""
-    if p is False:
-        return y, q
-    if q is False:
-        return x, p
+def _plus(x, y):
+    """x + y, or the one that is present: in a batch, lane by lane."""
+    if isinstance(x, float):
+        return y
+    if isinstance(y, float):
+        return x
+    if isinstance(x, np.ndarray):
+        return x + y
+    (x, p), (y, q) = x, y
     s = x + y  # an absent lane holds +0.0: no warning, and its side is picked below
     if p is True and q is True:
         return s, True
@@ -778,73 +716,85 @@ def _sum(x, p, y, q):
     return s, True if p is True or q is True else _mask(p | q)
 
 
-def _outers(x, p, y, q, sym: bool = False):
-    """_outer in each lane."""
-
-    def outer(x, y):
-        m = x[:, :, None] * y[:, None, :]
-        return m + m.transpose(0, 2, 1) if sym else m
-
-    return _lanes(_both(p, q), outer, x, y)
+def _products(x, y, sym):  # x y^T over the last axis: a point's gradients, or each lane's
+    m = x[..., :, None] * y[..., None, :]
+    return m + m.swapaxes(-1, -2) if sym else m
 
 
-class _Jets:
-    """m jets in lanes: values v (m,), gradients g (m, n) and Hessians h (m, n, n)
-    with their present-lane masks gp and hp; each rule is _Jet's, lane by lane."""
+def _outer(x, y, sym: bool = False):
+    """x y^T (the products of np.outer), plus its transpose with sym."""
+    if isinstance(x, float) or isinstance(y, float):
+        return 0.0
+    if isinstance(x, np.ndarray):
+        return _products(x, y, sym)
+    return _lanes(_both(x[1], y[1]), _products, x[0], y[0], sym)
 
-    __slots__ = ("v", "g", "gp", "h", "hp")
-    __array_ufunc__ = None
 
-    def __init__(self, v, g, gp, h, hp):
-        self.v, self.g, self.gp, self.h, self.hp = v, g, gp, h, hp
+def _minus(s):
+    """-s, in either form."""
+    if not isinstance(s, tuple):
+        return -s
+    return _lanes(s[1], operator.neg, s[0])
 
-    def __eq__(self, other):  # by value, lane by lane: the zero-divisor test of _quotient
+
+class _Jet:
+    """Value v, gradient g and Hessian h (not yet symmetrised) along the coordinates,
+    at one point or over a batch, in forward mode (Griewank & Walther, *Evaluating
+    Derivatives*, SIAM 2008); each rule keeps the arithmetic order in which intsing
+    has always formed jets."""
+
+    __slots__ = ("v", "g", "h")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected methods
+
+    def __init__(self, v, g, h):
+        self.v, self.g, self.h = v, g, h
+
+    def __eq__(self, other):  # by value (in a batch, lane by lane): the zero-divisor test of _quotient
         return self.v == other
 
     def __neg__(self):
-        return _Jets(-self.v, *_lanes(self.gp, operator.neg, self.g), *_lanes(self.hp, operator.neg, self.h))
+        return _Jet(-self.v, _minus(self.g), _minus(self.h))
 
     def __add__(self, o):
-        if isinstance(o, _Jets):
-            return _Jets(self.v + o.v, *_sum(self.g, self.gp, o.g, o.gp), *_sum(self.h, self.hp, o.h, o.hp))
-        return _Jets(self.v + o, self.g, self.gp, self.h, self.hp)
+        if isinstance(o, _Jet):
+            return _Jet(self.v + o.v, _plus(self.g, o.g), _plus(self.h, o.h))
+        return _Jet(self.v + o, self.g, self.h)
 
     __radd__ = __add__
 
-    def __sub__(self, o):
+    def __sub__(self, o):  # x - y and x + (-y) round alike
         return self + -o
 
     def __rsub__(self, o):
         return -self + o
 
     def __mul__(self, o):
-        if not isinstance(o, _Jets):
-            return _Jets(self.v * o, *_times(o, self.g, self.gp), *_times(o, self.h, self.hp))
-        va, vb = self.v, o.v
-        h = _sum(*_times(vb, self.h, self.hp), *_times(va, o.h, o.hp))
-        h = _sum(*h, *_outers(self.g, self.gp, o.g, o.gp, True))
-        return _Jets(va * vb, *_sum(*_times(vb, self.g, self.gp), *_times(va, o.g, o.gp)), *h)
+        if not isinstance(o, _Jet):
+            return _Jet(self.v * o, _scale(o, self.g), _scale(o, self.h))
+        va, ga, vb, gb = self.v, self.g, o.v, o.g
+        h = _plus(_plus(_scale(vb, self.h), _scale(va, o.h)), _outer(ga, gb, sym=True))
+        return _Jet(va * vb, _plus(_scale(vb, ga), _scale(va, gb)), h)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        return o.__rtruediv__(self) if isinstance(o, _Jets) else self * (1.0 / o)
+        return o.__rtruediv__(self) if isinstance(o, _Jet) else self * (1.0 / o)
 
     def __rtruediv__(self, o):
-        """o / self, as _Jet.__rtruediv__."""
-        va, ga, gp, ha, hp = (o.v, o.g, o.gp, o.h, o.hp) if isinstance(o, _Jets) else (o, None, False, None, False)
+        """o / self: f'' = a''/b - (a' b'^T + b' a'^T)/b^2 - a b''/b^2 + 2 a b' b'^T / b^3."""
+        va, ga, ha = (o.v, o.g, o.h) if isinstance(o, _Jet) else (o, 0.0, 0.0)
         gb, inv = self.g, 1.0 / self.v
-        v, c = va * inv, 2.0 * va * _each_power(inv, 3)
-        h = _sum(*_times(inv, ha, hp), *_times(-(inv * inv), *_outers(ga, gp, gb, self.gp, True)))
-        h = _sum(*h, *_times(-(va * inv * inv), self.h, self.hp))
-        h = _sum(*h, *_times(c, *_outers(gb, self.gp, gb, self.gp)))
-        return _Jets(v, *_sum(*_times(inv, ga, gp), *_times(-(v * inv), gb, self.gp)), *h)
+        v, c = va * inv, 2.0 * va * _power(3)(inv)
+        h = _plus(_scale(inv, ha), _scale(-(inv * inv), _outer(ga, gb, sym=True)))
+        h = _plus(h, _scale(-(va * inv * inv), self.h))
+        h = _plus(h, _scale(c, _outer(gb, gb)))
+        return _Jet(v, _plus(_scale(inv, ga), _scale(-(v * inv), gb)), h)
 
-    def __pow__(self, k: int):
-        below, last, power = np.array([(b ** (k - 2), b ** (k - 1), b ** k) for b in self.v]).T  # as _each_power
-        dk, c = k * last, k * (k - 1) * below
-        h = _sum(*_times(dk, self.h, self.hp), *_times(c, *_outers(self.g, self.gp, self.g, self.gp)))
-        return _Jets(power, *_times(dk, self.g, self.gp), *h)
+    def __pow__(self, k: int):  # k >= 2, as _pow builds it
+        va, ga = self.v, self.g
+        dk, c = k * _power(k - 1)(va), k * (k - 1) * _power(k - 2)(va)
+        h = _plus(_scale(dk, self.h), _scale(c, _outer(ga, ga)))
+        return _Jet(_power(k)(va), _scale(dk, ga), h)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ The system lives on R^6 with the Lie-Poisson bracket of e(3)* and
     f2 = S1 R1 + S2 R2 + S3 R3       (Casimir, leaf value g)
 
 restricted to the symplectic leaf {f1 = 1, f2 = g}.  The canonical
-involution (R1, -R2, -R3, S1, -S2, -S3) fixes exactly two leaf points,
-which are the rank-0 vertices of the bifurcation diagram; their types
-switch regime at g^2 = 1, 8/(3 sqrt 3) and 2.
+involution (R1, -R2, -R3, S1, -S2, -S3) fixes exactly two leaf points.
+Both are rank-0 vertices of the bifurcation diagram, and their types
+switch regime at g^2 = 1, 8/(3 sqrt 3) and 2.  They need not be the only
+rank-0 points: at g = 1.6 a resolution-9 scan also finds a pair that the
+involution swaps, both of type (2, 0, 0), at (H, K) = (2.6619, 0).
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ H_SRC = "(1/2)*(S1^2+S2^2+2*S3^2)+R1"
 K_SRC = "((1/2)*S1^2-(1/2)*S2^2-R1)^2+(S1*S2-R2)^2"
 
 REGIME_SPLIT = 8.0 / (3.0 * np.sqrt(3.0))  # ~ 1.539600717839002
+# the diagram's scan box, (lo, hi) for R1..R3 then S1..S3; the CLI's default box for this model too
+SCAN_BOX = ((-1.2, 1.2),) * 3 + ((-4.0, 4.0),) * 3
 # the diagram's continuation recipe; its scan and labels use seed 0
 DIAGRAM_PARAMS = TraceParams(step=0.08, max_steps=250, value_box=(-6.0, 8.0), phase_bound=12.0)
 
@@ -194,7 +198,7 @@ def vertex_spectral_gap(g: float, seed: int = DEFAULT_SEED) -> float:
 
 def kovalevskaya_diagram(
     g: float,
-    box=None,
+    box=SCAN_BOX,
     resolution: int = 7,
     trace_params=None,
     tol: float = DEFAULT_TOL,
@@ -203,8 +207,6 @@ def kovalevskaya_diagram(
     fixed points (whose arcs are traced first so vertex-adjacent branches
     survive deduplication) plus a leaf scan."""
     model = build_kovalevskaya(g)
-    if box is None:
-        box = [(-1.2, 1.2)] * 3 + [(-4.0, 4.0)] * 3
     trace_params = trace_params or DIAGRAM_PARAMS
     vertex_seeds = []
     for p in involution_fixed_points(g, certify=True, tol=tol):

@@ -24,10 +24,8 @@ from intsing.bifurcation import (
 )
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
 from intsing.classify import PointAnalysis, rank_at
-from intsing.kovalevskaya import build_kovalevskaya, involution_fixed_points
+from intsing.kovalevskaya import SCAN_BOX, build_kovalevskaya, involution_fixed_points
 from intsing.phasespace import IntegrableModel, model_from_dict
-
-KOV_BOX = [(-1.2, 1.2)] * 3 + [(-4.0, 4.0)] * 3
 
 
 def test_scan_two_elliptic_has_single_rank0_seed():
@@ -57,7 +55,7 @@ def test_scan_finds_rank1_family_on_axis():
 
 def test_scan_kovalevskaya_includes_fixed_points():
     m = build_kovalevskaya(0.5)
-    seeds = scan_singular_points(m, KOV_BOX, resolution=7)
+    seeds = scan_singular_points(m, SCAN_BOX, resolution=7)
     for target in involution_fixed_points(0.5, certify=False):
         dist = min(np.linalg.norm(s.point - target) for s in seeds)
         assert dist <= 1e-8
@@ -69,7 +67,7 @@ def test_scan_finds_tilted_equilibria_at_large_g():
     # K = 0 exactly (both squares in K vanish along R parallel to dH/dS)
     g = 1.6
     m = build_kovalevskaya(g)
-    seeds = scan_singular_points(m, KOV_BOX, resolution=5)
+    seeds = scan_singular_points(m, SCAN_BOX, resolution=5)
     rank0 = [s for s in seeds if s.rank == 0]
     fixed = involution_fixed_points(g, certify=False)
     tilted = [
@@ -88,7 +86,7 @@ def test_scan_finds_tilted_equilibria_at_large_g():
 
 def test_scan_seeds_satisfy_rank_condition():
     m = build_kovalevskaya(0.5)
-    seeds = scan_singular_points(m, KOV_BOX, resolution=6)
+    seeds = scan_singular_points(m, SCAN_BOX, resolution=6)
     assert seeds
     for s in seeds[:12]:
         assert rank_at(m, s.point) == s.rank
@@ -197,7 +195,7 @@ def test_scan_seeds_are_refined_records(monkeypatch):
 
 LOCKSTEP_SCANS = {
     "canonical:1,0,1,0": (lambda: build_canonical(CanonicalSpec(1, 0, 1, 0)), [(-1, 1)] * 4, 7),
-    "kovalevskaya": (lambda: build_kovalevskaya(0.5), KOV_BOX, 5),
+    "kovalevskaya": (lambda: build_kovalevskaya(0.5), SCAN_BOX, 5),
 }
 
 
@@ -334,7 +332,7 @@ def test_arc_labels_cross_check_reduced_type():
     from intsing.classify import reduce_at
 
     m = build_kovalevskaya(0.5)
-    seeds = scan_singular_points(m, KOV_BOX, resolution=6)
+    seeds = scan_singular_points(m, SCAN_BOX, resolution=6)
     d = trace_diagram(
         m, seeds, TraceParams(step=0.12, max_steps=80, value_box=(-6, 8), phase_bound=12.0)
     )
@@ -376,7 +374,7 @@ def test_arc_points_have_corank_one():
 
 def test_diagram_vertices_are_rank0():
     m = build_kovalevskaya(0.5)
-    seeds = scan_singular_points(m, KOV_BOX, resolution=6)
+    seeds = scan_singular_points(m, SCAN_BOX, resolution=6)
     d = trace_diagram(m, seeds, TraceParams(step=0.12, max_steps=60, value_box=(-6, 8), phase_bound=12.0))
     for v in d.vertices:
         assert rank_at(m, v.point) == 0

@@ -412,6 +412,21 @@ ARGUMENT_FAULTS = {
     "point-coordinate": ["classify", "--model", "canonical:0,1,0,0", "--point", "q=1"],
     "box-value": ["trace", "--model", "canonical:1,0,1,0", "--box", "1:x"],
     "box-pairs": ["trace", "--model", "canonical:1,0,1,0", "--box", "0:1,0:1"],
+    "box-nan": ["trace", "--model", "canonical:1,0,1,0", "--box", "nan:1"],
+    "resolution-negative": ["trace", "--model", "canonical:1,0,1,0", "--resolution", "-1"],
+    "resolution-zero": ["trace", "--model", "canonical:1,0,1,0", "--resolution", "0"],
+    "resolution-kovalevskaya": ["trace", "--model", "kovalevskaya", "--g", "0.5", "--resolution", "-2"],
+    "attempts-classify": ["classify", "--model", "canonical:0,1,0,0", "--point", "x1=1", "--attempts", "-3"],
+    "attempts-kovalevskaya": ["kovalevskaya", "report", "--g", "0.5", "--attempts", "0"],
+    "g-nan": ["kovalevskaya", "report", "--g", "nan"],
+    "g-infinite": ["verify", "--model", "kovalevskaya", "--g", "inf", "--samples", "5"],
+    "step-nan": ["trace", "--model", "canonical:1,0,1,0", "--step", "nan"],
+    "step-negative": ["trace", "--model", "canonical:1,0,1,0", "--step", "-0.05"],
+    "step-zero": ["trace", "--model", "canonical:1,0,1,0", "--step", "0"],
+    "value-bound-zero": ["trace", "--model", "canonical:1,0,1,0", "--value-bound", "0"],
+    "value-bound-infinite": ["trace", "--model", "canonical:1,0,1,0", "--value-bound", "inf"],
+    "tol-nan": ["trace", "--model", "canonical:1,0,1,0", "--tol", "nan"],
+    "tol-negative": ["classify", "--model", "canonical:0,1,0,0", "--point", "x1=1", "--tol", "-0.001"],
 }
 
 
@@ -421,6 +436,12 @@ def test_bad_argument_is_a_json_error(fault, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["error"] and report["seed"] == 0
+
+
+def test_negative_seed_is_a_json_error(capsys):
+    code, out = run_cli(["verify", "--model", "canonical:0,1,0,0", "--samples", "5", "--seed", "-1"], capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": "--seed must be at least 0, got -1", "seed": -1}
 
 
 @pytest.mark.parametrize("command", [["verify", "--model", "canonical:0,1,0,0"], ["atoms", "check", "--name", "C2"],

@@ -523,9 +523,10 @@ def test_shared_and_unshared_copies_agree(pool, recipe):
         assert shared.diff(x).to_source() == copy.diff(x).to_source()
 
 
-# Batched jets: Tape.jets on an (m, dim) array runs the tape once on _Jets, and
-# each row's jets must be that row's one-point jets bit for bit.  Trees here may
-# divide by any subtree and read a parameter; rows hold exact and signed zeros.
+# Batched jets: Tape.jets on an (m, dim) array runs the tape once on _Jet leaves
+# whose slots hold the batch form, and each row's jets must be that row's
+# one-point jets (the same rules on the one-point form) bit for bit.  Trees here
+# may divide by any subtree and read a parameter; rows hold exact and signed zeros.
 _BATCH_LEAVES = st.one_of(
     st.integers(0, 3).map(lambda i: Sym(i, (*ABC, "g")[i])),
     st.sampled_from([0, -1, 2, Fraction(1, 3), 0.5, 0.0, -0.0]).map(Const),
