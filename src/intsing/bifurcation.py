@@ -8,19 +8,22 @@ Refinement returns its last iterate's `PointAnalysis` record, and every seed
 is such a record.  Each rank-1 seed is continued both ways, and a branch is one
 list of (value, phase point, mark) entries, mark "cusp", "vertex" or None.
 
-A Newton run (leaf projection, scan scoring, corrector, branch) is a generator:
-it yields the phase point it needs next and is sent that point's record.
-`_run_one` builds each record on its own; `_lockstep` advances runs that do not
-depend on each other together and builds each round's records from one batched
-jet call per field set, with the bits of one-point calls (a batch with a zero
-divisor leaves its field set to each record).  The scan projects and scores its
-samples in lockstep groups of SCORE_GROUP, and `trace_diagram` traces both
-branches of every seed in lockstep, so every output is the one the runs give
-one at a time.  A vertex's value is `momentum_value` at its point (on a model
-with a division the jet values can differ from it in the last bit).  The glued
-branches are cut into arcs at the marks and where the reduced type changes; an
-arc end is its branch's stop reason at the glued list's ends, else "cusp".  An
-arc with 90 % of its values near one kept arc is a duplicate.
+A Newton run (leaf projection, scan scoring, refinement, corrector, branch) is
+a generator: it yields a request for a stacked kernel at a phase point or record
+and is sent the kernel's answer for its row.  `_run_one` answers each request on
+a stack of one; `_lockstep` advances runs that do not depend on each other
+together: each round builds its records from one batched jet call per field set
+and answers each kernel's requests with one stacked computation (assembly, least
+squares, SVD), with the bits of one-row calls (a batch or stack that raises is
+redone a row at a time).  The scan scores its samples in lockstep groups of
+SCORE_GROUP and refines all its candidates in one lockstep, and `trace_diagram`
+refines its seeds in one lockstep and traces both branches of every seed in
+another, so every output is the one the runs give one at a time.  A vertex's
+value is `momentum_value` at its point (on a model with a division the jet
+values can differ from it in the last bit).  The glued branches are cut into
+arcs at the marks and where the reduced type changes; an arc end is its
+branch's stop reason at the glued list's ends, else "cusp".  An arc with 90 %
+of its values near one kept arc is a duplicate.
 
 The rank-1 locus is parametrized by the kernel-vector augmentation
 
@@ -41,16 +44,19 @@ from itertools import chain
 
 import numpy as np
 
+from numpy.linalg import _umath_linalg
+
 from .classify import (
     DEFAULT_TOL,
     ClassifyError,
     PointAnalysis,
+    dF_svds,
+    leaf_frames,
     linearize,
-    rank_at,
     reduce_at,
     williamson_type,
 )
-from .expr import EvalError
+from .expr import JetStack
 from .phasespace import DEFAULT_SEED, IntegrableModel
 CANDIDATE_FRACTION = 0.05  # share of the scored scan samples refined onto the rank-(n-1) locus
 MAX_CANDIDATES = 120  # at most this many of them
@@ -116,67 +122,192 @@ class BifurcationDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Newton runs and their drivers
+# Newton runs, their kernels, and running them alone or in lockstep
 # ---------------------------------------------------------------------------
+
+# A Newton run is a generator.  It yields a request (kernel, x, arg), x a phase
+# point or a record, and is sent kernel(model, records, args)'s answer for its
+# row, the record of x among the records.  Every kernel works on the stack of
+# its rows with numpy calls that give each row the bits of the one-row call.
+
+
+def _records(model: IntegrableModel, xs: list, tol: float) -> list[PointAnalysis]:
+    """The record of each x: a record as is, and one record per distinct point
+    among xs, their jets from one batched `component_jets` and one
+    `casimir_jets` call.  A batch that raises leaves that field set to each
+    record, so only a run that reads it at the failing point raises, as when run
+    on its own."""
+    made: dict[bytes, PointAnalysis] = {}
+    out = []
+    for x in xs:
+        if not isinstance(x, PointAnalysis):
+            a = PointAnalysis(model, x, tol)
+            x = made.setdefault(a.point.tobytes(), a)
+        out.append(x)
+    fresh = list(made.values())
+    if fresh:
+        batch = np.array([a.point for a in fresh])
+        for name, evaluate in (("jets", model.component_jets), ("cjets", model.casimir_jets)):
+            try:
+                stack = evaluate(batch)
+            except Exception:
+                continue
+            for a, row in zip(fresh, zip(*stack)):
+                setattr(a, name, JetStack(*row))
+    return out
+
+
+def _apply(model: IntegrableModel, kernel, records: list, args: list) -> list:
+    """kernel's answers at records, one argument each, from one stacked call.  A
+    stack that raises is answered a row at a time, so the exception goes to the
+    runs of the rows that raise it and to no other."""
+    try:
+        return kernel(model, records, args)
+    except Exception as exc:
+        if len(records) == 1:
+            return [exc]
+        return [_apply(model, kernel, [a], [x])[0] for a, x in zip(records, args)]
+
+
+def _send(run, answer):
+    """The run's next request after answer (an exception is raised inside the run)."""
+    return run.throw(answer) if isinstance(answer, Exception) else run.send(answer)
 
 
 def _run_one(model: IntegrableModel, run, tol: float):
-    """The result of one Newton run, each point's record built on its own."""
-    a = None
+    """The result of one Newton run, each request answered on a stack of one
+    whose record evaluates its jets at one point, on first use."""
+    answer = None
     try:
         while True:
-            a = PointAnalysis(model, run.send(a), tol)
+            kernel, x, arg = _send(run, answer)
+            a = x if isinstance(x, PointAnalysis) else PointAnalysis(model, x, tol)
+            (answer,) = _apply(model, kernel, [a], [arg])
     except StopIteration as done:
         return done.value
 
 
 def _lockstep(model: IntegrableModel, runs: list, tol: float) -> list:
     """The results of Newton runs that do not depend on each other, in order.
-    Each round collects the points of the live runs and builds their records
-    from one batched `component_jets` and one `casimir_jets` call.  A batch
-    with a zero divisor leaves that field set to each record, so only a run
-    that reads it at that point raises, as when run on its own."""
+    Each round takes one request from every live run, builds the records of
+    their points from one batch and answers each kernel's requests with one
+    stacked call, so each run gets the answers it gets on its own."""
     results = [None] * len(runs)
-    live, records = list(enumerate(runs)), [None] * len(runs)  # sending None starts a run
+    live, answers = list(enumerate(runs)), [None] * len(runs)  # sending None starts a run
     while live:
-        points, running = [], []
-        for (i, run), a in zip(live, records):
+        asks, running = [], []
+        for (i, run), answer in zip(live, answers):
             try:
-                points.append(run.send(a))
+                asks.append(_send(run, answer))
                 running.append((i, run))
             except StopIteration as done:
                 results[i] = done.value
         live = running
-        records = [PointAnalysis(model, p, tol) for p in points]
-        if points:
-            batch = np.array(points)
-            for name, evaluate in (("jets", model.component_jets), ("cjets", model.casimir_jets)):
-                try:
-                    field_sets = evaluate(batch)
-                except EvalError:
-                    continue
-                for a, jets in zip(records, field_sets):
-                    setattr(a, name, jets)
+        records = _records(model, [x for _, x, _ in asks], tol)
+        rows_of: dict = {}
+        for k, (kernel, _, _) in enumerate(asks):
+            rows_of.setdefault(kernel, []).append(k)
+        answers = [None] * len(asks)
+        for kernel, rows in rows_of.items():
+            for k, answer in zip(rows, _apply(model, kernel, [records[k] for k in rows], [asks[k][2] for k in rows])):
+                answers[k] = answer
     return results
 
 
-def _leaf_project(model: IntegrableModel, p0):
-    """Gauss-Newton projection onto the Casimir levels from a point or record,
-    a Newton run: the last iterate's record."""
-    a = p0 if isinstance(p0, PointAnalysis) else (yield p0)
+def _attempt(run):
+    """run as a Newton run whose result is None where it raises a TraceError."""
+    try:
+        return (yield from run)
+    except TraceError:
+        return None
+
+
+def _record(model, records, args) -> list:
+    """The records themselves."""
+    return records
+
+
+def _stack(records: list, name: str) -> JetStack:
+    """The jets `name` ("jets" or "cjets") of the records as one JetStack."""
+    return JetStack(*map(np.array, zip(*(getattr(a, name) for a in records))))
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least-squares solution of each A[k] x = b[k]: np.linalg.lstsq(A[k], b[k],
+    rcond=None), whose gufunc runs here once over the stack."""
+    rows, cols = A.shape[-2:]
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        x, _, _, _ = _umath_linalg.lstsq(A, b[..., None], np.finfo(float).eps * max(rows, cols), signature="ddd->ddid")
+    return x[..., 0]
+
+
+def _solve_where(todo: np.ndarray, A: np.ndarray, b: np.ndarray) -> list:
+    """Per row, the least-squares step A x = b where todo holds, else None."""
+    steps = [None] * len(todo)
+    rows = np.flatnonzero(todo)
+    if rows.size:
+        for k, x in zip(rows, _lstsq(A[rows], b[rows])):
+            steps[k] = x
+    return steps
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row: np.linalg.norm's bits on a 1-d array."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _leaf_steps(model, records, args) -> list:
+    """(record, Gauss-Newton step onto the Casimir levels), the step None on the levels."""
+    C = _stack(records, "cjets")
+    res = C.value - np.asarray(model.leaf_values)
+    return list(zip(records, _solve_where(~(np.max(np.abs(res), axis=1) < 1e-12), C.gradient, -res)))
+
+
+def _analyses(model, records, args) -> list:
+    """Each record with its leaf frame and the SVD of dF there, or the
+    ClassifyError that refuses its point; each a stacked computation."""
+    refused = {}
+    new = [a for a in records if "frame" not in vars(a)]
+    if new:
+        for a, frame in zip(new, leaf_frames(model, new, np.array([a.tol for a in new]))):
+            if isinstance(frame, ClassifyError):
+                refused[id(a)] = frame
+            else:
+                a.frame = frame
+    framed = [a for a in records if "svd" not in vars(a) and id(a) not in refused]
+    if framed:
+        for a, svd in zip(framed, dF_svds(framed)):
+            a.svd = svd
+    return [refused.get(id(a), a) for a in records]
+
+
+def _multipliers(model, records: list, grads: np.ndarray) -> np.ndarray:
+    """Least-squares mu with grad + sum_j mu_j grad C_j = 0 at each record and row of grads."""
     if not model.structure.casimirs:
-        return a
-    for _ in range(30):
-        res = np.array([j.value for j in a.cjets]) - np.asarray(model.leaf_values)
-        if np.max(np.abs(res)) < 1e-12:
-            return a
-        J = np.array([j.gradient for j in a.cjets])
-        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
-        p = a.point + step
-        if not np.all(np.isfinite(p)):
-            raise RefineDivergence("leaf projection blew up")
-        a = yield p
-    raise RefineDivergence("leaf projection did not converge")
+        return np.zeros((len(records), 0))
+    return _lstsq(np.array([a.cjets.gradient.T for a in records]), -grads)
+
+
+def _kernel_vectors(model, records, args) -> list:
+    """(v, mu) at each analysed record: the left null vector of dF on the leaf
+    and least-squares multipliers of sum_i v_i grad f_i."""
+    v = np.array([a.U[:, -1] for a in records])
+    G = _stack(records, "jets").gradient
+    grad = np.zeros((len(records), model.dim))
+    for i in range(G.shape[1]):
+        grad = grad + v[:, i, None] * G[:, i]
+    return list(zip(v, _multipliers(model, records, grad)))
+
+
+def _rank0_starts(model, records, args) -> list:
+    """(record, z) at each record: z its point and least-squares multipliers for each component."""
+    n = model.n
+    mus = _multipliers(model, [a for a in records for _ in range(n)], np.concatenate([a.jets.gradient for a in records]))
+    return [(a, np.concatenate([a.point, *mus[k * n : (k + 1) * n]])) for k, a in enumerate(records)]
 
 
 # ---------------------------------------------------------------------------
@@ -184,86 +315,133 @@ def _leaf_project(model: IntegrableModel, p0):
 # ---------------------------------------------------------------------------
 
 
-def _rank1_residual(a: PointAnalysis, z: np.ndarray):
-    """Residual and Jacobian of the kernel-augmented rank-1 system at z = (a.point, v, mu)."""
-    model, jets, cjets = a.model, a.jets, a.cjets
-    N, n, nc = model.dim, model.n, len(cjets)
-    v, mu = z[N : N + n], z[N + n :]
+def _rank1_systems(model, records, Z: np.ndarray):
+    """Residuals and Jacobians of the kernel-augmented rank-1 system at each record
+    and row z = (point, v, mu) of Z, as stacks, each term added in one fixed order."""
+    F, C = _stack(records, "jets"), _stack(records, "cjets")
+    m, n, N = F.gradient.shape
+    nc = C.gradient.shape[1]
+    v, mu = Z[:, N : N + n], Z[:, N + n :]
 
-    grad_rows = np.zeros(N)
-    hess_sum = np.zeros((N, N))
-    for vi, j in zip(v, jets):
-        grad_rows += vi * j.gradient
-        hess_sum += vi * j.hessian
-    for mj, j in zip(mu, cjets):
-        grad_rows += mj * j.gradient
-        hess_sum += mj * j.hessian
+    grad_rows = np.zeros((m, N))
+    hess_sum = np.zeros((m, N, N))
+    for c, S in ((v, F), (mu, C)):
+        for i in range(c.shape[1]):
+            grad_rows += c[:, i, None] * S.gradient[:, i]
+            hess_sum += c[:, i, None, None] * S.hessian[:, i]
 
-    res = np.concatenate(
-        [
-            grad_rows,
-            [j.value - c for j, c in zip(cjets, model.leaf_values)],
-            [v @ v - 1.0],
-        ]
-    )
-    J = np.zeros((N + nc + 1, N + n + nc))
-    J[:N, :N] = hess_sum
-    for i, j in enumerate(jets):
-        J[:N, N + i] = j.gradient
-    for i, j in enumerate(cjets):
-        J[:N, N + n + i] = j.gradient
-        J[N + i, :N] = j.gradient
-    J[N + nc, N : N + n] = 2.0 * v
+    res = np.concatenate([grad_rows, C.value - np.asarray(model.leaf_values), np.vecdot(v, v)[:, None] - 1.0], axis=1)
+    J = np.zeros((m, N + nc + 1, N + n + nc))
+    J[:, :N, :N] = hess_sum
+    J[:, :N, N : N + n] = F.gradient.swapaxes(1, 2)
+    J[:, :N, N + n :] = C.gradient.swapaxes(1, 2)
+    J[:, N : N + nc, :N] = C.gradient
+    J[:, N + nc, N : N + n] = 2.0 * v
     return res, J
 
 
-def _rank0_residual(a: PointAnalysis, z: np.ndarray):
-    """Residual/Jacobian for all momentum differentials vanishing on the leaf.
+def _rank0_systems(model, records, Z: np.ndarray):
+    """Residuals/Jacobians for all momentum differentials vanishing on the leaf, as stacks.
 
-    Unknowns z: the point a.point plus one multiplier row per (component, Casimir).
+    Unknowns z: the point plus one multiplier row per (component, Casimir).
     """
-    model, jets, cjets = a.model, a.jets, a.cjets
-    N, n, nc = model.dim, model.n, len(cjets)
-    mus = z[N:].reshape(n, nc)
+    F, C = _stack(records, "jets"), _stack(records, "cjets")
+    m, n, N = F.gradient.shape
+    nc = C.gradient.shape[1]
+    mus = Z[:, N:].reshape(m, n, nc)
 
+    J = np.zeros((m, n * N + nc, N + n * nc))
     rows = []
-    for i, j in enumerate(jets):
-        g = j.gradient.copy()
-        for k, cj in enumerate(cjets):
-            g += mus[i, k] * cj.gradient
+    for i in range(n):
+        g, H = F.gradient[:, i].copy(), F.hessian[:, i].copy()
+        for k in range(nc):
+            g += mus[:, i, k, None] * C.gradient[:, k]
+            H += mus[:, i, k, None, None] * C.hessian[:, k]
+            J[:, i * N : (i + 1) * N, N + i * nc + k] = C.gradient[:, k]
         rows.append(g)
-    res = np.concatenate(rows + [[cj.value - c for cj, c in zip(cjets, model.leaf_values)]])
-
-    J = np.zeros((n * N + nc, N + n * nc))
-    for i, j in enumerate(jets):
-        H = j.hessian.copy()
-        for k, cj in enumerate(cjets):
-            H += mus[i, k] * cj.hessian
-        J[i * N : (i + 1) * N, :N] = H
-        for k, cj in enumerate(cjets):
-            J[i * N : (i + 1) * N, N + i * nc + k] = cj.gradient
-    for k, cj in enumerate(cjets):
-        J[n * N + k, :N] = cj.gradient
+        J[:, i * N : (i + 1) * N, :N] = H
+    J[:, n * N :, :N] = C.gradient
+    res = np.concatenate(rows + [C.value - np.asarray(model.leaf_values)], axis=1)
     return res, J
 
 
-def _multipliers(a: PointAnalysis, grad: np.ndarray) -> np.ndarray:
-    """Least-squares mu with grad + sum_j mu_j grad C_j = 0 on the Casimirs of a."""
-    if not a.cjets:
-        return np.zeros(0)
-    mu, *_ = np.linalg.lstsq(np.array([j.gradient for j in a.cjets]).T, -grad, rcond=None)
-    return mu
+def _newton_steps(system):
+    """The kernel of a refinement step on system: (record, residual norm, least-squares
+    step), the step None where the norm is within REFINE_TOL or not finite."""
+
+    def steps(model, records, Z) -> list:
+        res, J = system(model, records, np.array(Z))
+        norms = _norms(res)
+        todo = (norms > REFINE_TOL) & np.isfinite(norms)
+        return list(zip(records, norms.tolist(), _solve_where(todo, J, -res)))
+
+    return steps
 
 
-def _kernel_vector(a: PointAnalysis):
-    """Left null vector of dF on the leaf plus least-squares multipliers."""
-    v = a.U[:, -1]
-    return v, _multipliers(a, sum(vi * j.gradient for vi, j in zip(v, a.jets)))
+_RANK0_STEPS, _RANK1_STEPS = _newton_steps(_rank0_systems), _newton_steps(_rank1_systems)
 
 
 # ---------------------------------------------------------------------------
 # Refinement
 # ---------------------------------------------------------------------------
+
+
+def _leaf_project(model: IntegrableModel, p0):
+    """Gauss-Newton projection onto the Casimir levels from a point or record,
+    a Newton run: the last iterate's record."""
+    if not model.structure.casimirs:
+        return (yield _record, p0, None)
+    x = p0
+    for _ in range(30):
+        a, step = yield _leaf_steps, x, None
+        if step is None:
+            return a
+        x = a.point + step
+        if not np.all(np.isfinite(x)):
+            raise RefineDivergence("leaf projection blew up")
+    raise RefineDivergence("leaf projection did not converge")
+
+
+def _refine(model: IntegrableModel, seed, target_rank: int, max_iter: int = 60):
+    """Newton-polish a seed (a point or PointAnalysis) onto the
+    rank-`target_rank` locus and certify the rank, a Newton run: the last
+    iterate's record (the residual holds the Casimir rows, so that point is on
+    its leaf)."""
+    N, n = model.dim, model.n
+    if target_rank == 0:
+        a, z = yield _rank0_starts, seed, None
+        steps = _RANK0_STEPS
+    elif target_rank == n - 1:
+        a = yield from _leaf_project(model, seed)
+        a = yield _analyses, a, None
+        v, mu = yield _kernel_vectors, a, None
+        z = np.concatenate([a.point, v, mu])
+        steps = _RANK1_STEPS
+    else:
+        raise ValueError("refinement supports target rank 0 or n-1 only")
+
+    best, x = np.inf, a
+    for _ in range(max_iter):
+        a, norm, step = yield steps, x, z
+        if norm <= REFINE_TOL:
+            break
+        if not math.isfinite(norm):
+            raise RefineDivergence("residual became non-finite")
+        if norm > 1e3 * max(best, 1.0):
+            raise RefineDivergence(f"Newton diverged (residual {norm:.3e})")
+        best = min(best, norm)
+        z, z_prev = z + step, z
+        if z.tobytes() == z_prev.tobytes():  # every later iterate would repeat this one
+            raise RefineDivergence(f"Newton stalled (residual {norm:.3e})")
+        # a step that moves only v, mu keeps the record
+        x = z[:N] if z[:N].tobytes() != a.point.tobytes() else a
+    else:
+        raise RefineDivergence(f"no convergence after {max_iter} iterations (residual {best:.3e})")
+
+    a = yield _analyses, a, None
+    if a.rank != target_rank:
+        raise RankCertificationError(f"refined point has rank {a.rank}, wanted {target_rank}")
+    return a.detached()
 
 
 def refine_singular_point(
@@ -276,44 +454,7 @@ def refine_singular_point(
     """Newton-polish a seed (a point or PointAnalysis) onto the
     rank-`target_rank` locus, certify the rank and return the last iterate's
     record (the residual holds the Casimir rows, so that point is on its leaf)."""
-    a = seed if isinstance(seed, PointAnalysis) else PointAnalysis(model, seed, rank_tol)
-    N, n = model.dim, model.n
-
-    if target_rank == 0:
-        z = np.concatenate([a.point] + [_multipliers(a, j.gradient) for j in a.jets])
-        residual_fn = _rank0_residual
-    elif target_rank == n - 1:
-        a = _run_one(model, _leaf_project(model, a), rank_tol)
-        v, mu = _kernel_vector(a)
-        z = np.concatenate([a.point, v, mu])
-        residual_fn = _rank1_residual
-    else:
-        raise ValueError("refinement supports target rank 0 or n-1 only")
-
-    best = np.inf
-    for _ in range(max_iter):
-        res, J = residual_fn(a, z)
-        norm = float(np.linalg.norm(res))
-        if norm <= REFINE_TOL:
-            break
-        if not math.isfinite(norm):
-            raise RefineDivergence("residual became non-finite")
-        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
-        if norm > 1e3 * max(best, 1.0):
-            raise RefineDivergence(f"Newton diverged (residual {norm:.3e})")
-        best = min(best, norm)
-        z, z_prev = z + step, z
-        if z.tobytes() == z_prev.tobytes():  # every later iterate would repeat this one
-            raise RefineDivergence(f"Newton stalled (residual {norm:.3e})")
-        if z[:N].tobytes() != a.point.tobytes():  # a step that moves only v, mu keeps the record
-            a = PointAnalysis(model, z[:N], rank_tol)
-    else:
-        raise RefineDivergence(f"no convergence after {max_iter} iterations (residual {best:.3e})")
-
-    r = rank_at(model, a, rank_tol)
-    if r != target_rank:
-        raise RankCertificationError(f"refined point has rank {r}, wanted {target_rank}")
-    return a
+    return _run_one(model, _refine(model, seed, target_rank, max_iter), rank_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +479,19 @@ def _sample_box(box, resolution: int, rng) -> np.ndarray:
     return lows + rng.uniform(size=(count, dim)) * (highs - lows)
 
 
-def _score(model: IntegrableModel, raw):
+def _score(model: IntegrableModel, raw, kept: dict | None = None):
     """A scan sample projected onto its leaf, a Newton run: (sigma_min /
-    max(sigma_max, 1), sigma_max, point) of dF there, None when that fails."""
+    max(sigma_max, 1), sigma_max, point) of dF there, None when that fails.
+    With kept, kept[point bytes] is the point's record, detached from its
+    round's arrays: a refinement from it evaluates nothing again."""
     try:
         a = yield from _leaf_project(model, raw)
-        sv = a.sv
+        a = yield _analyses, a, None
     except (RefineDivergence, ClassifyError):
         return None
+    if kept is not None:
+        kept[a.point.tobytes()] = a.detached()
+    sv = a.sv
     scale = max(float(sv[0]), 1.0)
     return float(sv[-1]) / scale, float(sv[0]), a.point  # not the record: one holds ~5 kB
 
@@ -359,28 +505,33 @@ def scan_singular_points(
 ) -> list[PointAnalysis]:
     """Locate singular points in a box: sample, filter by the smallest
     singular value of dF on the leaf, refine, certify, deduplicate.  Each
-    seed is the record `refine_singular_point` returned, its rank certified."""
+    seed is the record `refine_singular_point` returns, its rank certified;
+    the candidates are refined in one lockstep and deduplicated in order."""
     rng = np.random.default_rng((params or ScanParams()).seed)
     samples = _sample_box(box, resolution, rng)
 
-    scored = []
-    for lo in range(0, len(samples), SCORE_GROUP):
-        runs = [_score(model, raw) for raw in samples[lo : lo + SCORE_GROUP]]
-        scored += [s for s in _lockstep(model, runs, tol) if s is not None]
-    seeds: list[PointAnalysis] = []
     # rank 0 from the points where the whole differential is smallest, then
-    # rank n-1 from those where its smallest singular value is
-    by_sigma_max = sorted(scored, key=lambda t: t[1])[:RANK0_CANDIDATES]
-    scored.sort(key=lambda t: t[0])
-    keep = max(1, min(MAX_CANDIDATES, int(len(scored) * CANDIDATE_FRACTION)))
-    for r, candidates, max_iter in ((0, by_sigma_max, 30), (model.n - 1, scored[:keep], 60)):
-        for _, _, p in candidates:
-            try:
-                a = refine_singular_point(model, p, r, rank_tol=tol, max_iter=max_iter)
-            except TraceError:
-                continue
-            if all(s.rank != r or np.linalg.norm(s.point - a.point) >= SEED_DEDUP_RADIUS for s in seeds):
-                seeds.append(a)
+    # rank n-1 from those where its smallest singular value is; each group's
+    # scores join the best so far, in sample order, so these are the first of
+    # the whole stably sorted list
+    by_sigma_max, by_ratio, count, kept = [], [], 0, {}
+    for lo in range(0, len(samples), SCORE_GROUP):
+        runs = [_score(model, raw, kept) for raw in samples[lo : lo + SCORE_GROUP]]
+        scored = [s for s in _lockstep(model, runs, tol) if s is not None]
+        count += len(scored)
+        by_sigma_max = sorted(by_sigma_max + scored, key=lambda t: t[1])[:RANK0_CANDIDATES]
+        by_ratio = sorted(by_ratio + scored, key=lambda t: t[0])[:MAX_CANDIDATES]
+        kept = {p.tobytes(): kept[p.tobytes()] for _, _, p in by_sigma_max + by_ratio}
+    keep = max(1, min(MAX_CANDIDATES, int(count * CANDIDATE_FRACTION)))
+    runs = [
+        _attempt(_refine(model, kept[p.tobytes()], r, max_iter))
+        for r, candidates, max_iter in ((0, by_sigma_max, 30), (model.n - 1, by_ratio[:keep], 60))
+        for _, _, p in candidates
+    ]
+    seeds: list[PointAnalysis] = []
+    for a in _lockstep(model, runs, tol):
+        if a is not None and all(s.rank != a.rank or np.linalg.norm(s.point - a.point) >= SEED_DEDUP_RADIUS for s in seeds):
+            seeds.append(a)
     return seeds
 
 
@@ -398,48 +549,86 @@ class TraceParams:
     seed: int = DEFAULT_SEED
 
 
-def _null_space(J: np.ndarray, rel: float = 1e-7) -> np.ndarray:
-    _, sv, Vt = np.linalg.svd(J)
-    cutoff = rel * max(float(sv[0]), 1.0)
-    ncols = J.shape[1]
-    small = [i for i in range(ncols) if i >= len(sv) or sv[i] <= cutoff]
-    if not small:
-        small = [ncols - 1]
-    return Vt[small].T
+def _null_spaces(model, records, J, rel: float = 1e-7) -> list:
+    """Columns spanning the numerical null space of each Jacobian J[k]: the right
+    singular vectors of singular values within rel of the largest (or 1), and of
+    the columns beyond the rows; the last one if none."""
+    _, sv, Vt = np.linalg.svd(np.array(J))
+    small = np.ones(Vt.shape[:2], dtype=bool)
+    small[:, : sv.shape[1]] = sv <= rel * np.maximum(sv[:, :1], 1.0)
+    small[~small.any(axis=1), -1] = True
+    return [V[s].T for V, s in zip(Vt, small)]
+
+
+def _tangent_spaces(model, records, Z) -> list:
+    """The null space of the rank-1 Jacobian at each record and z."""
+    return _null_spaces(model, records, _rank1_systems(model, records, np.array(Z))[1])
+
+
+def _corrector_steps(model, records, args) -> list:
+    """(record, least-squares step, None) of the rank-1 system plus the arclength
+    row at each record and (z, tangent, z_pred); (record, None, null space) where
+    the residual is within CORRECTOR_TOL (see _accepted)."""
+    Z, T, P = map(np.array, zip(*args))
+    res, J = _rank1_systems(model, records, Z)
+    aug = np.concatenate([res, np.vecdot(T, Z - P)[:, None]], axis=1)
+    done = _norms(aug) <= CORRECTOR_TOL
+    steps = _solve_where(~done, np.concatenate([J, T[:, None, :]], axis=1), -aug)
+    return _accepted(model, records, J, done, steps)
+
+
+def _corrector_ends(model, records, Z) -> list:
+    """(record, None, null space) at each record and z where the rank-1 residual
+    is within 10 CORRECTOR_TOL (see _accepted), else (record, None, None)."""
+    res, J = _rank1_systems(model, records, np.array(Z))
+    return _accepted(model, records, J, _norms(res) <= 10 * CORRECTOR_TOL, [None] * len(records))
+
+
+def _accepted(model, records: list, J: np.ndarray, done: np.ndarray, steps: list) -> list:
+    """(record, step, null space) per row: where done, the record of an accepted
+    continuation point is analysed (leaf frame and SVD of dF) and the null space
+    of J there, which the next predictor reads, is found, in this round's stacks.
+    A record whose analysis fails stays unanalysed and raises where its run reads
+    it; a null space that fails is its exception, raised where its run reads it."""
+    rows = np.flatnonzero(done)
+    spaces = [None] * len(records)
+    if rows.size:
+        accepted = [records[k] for k in rows]
+        _apply(model, _analyses, accepted, [None] * len(rows))
+        for k, T in zip(rows, _apply(model, _null_spaces, accepted, list(J[rows]))):
+            spaces[k] = T
+    return list(zip(records, steps, spaces))
 
 
 def _corrector(model, z, tangent, z_pred):
     """Newton onto the rank-1 system and the arclength condition, a Newton run:
-    (z, z's record, iterations)."""
+    (z, z's record, the null space there, iterations), Nones in the first three
+    when it fails."""
     for it in range(CORRECTOR_ITERS):
-        a = yield z[: model.dim]
-        res, J = _rank1_residual(a, z)
-        aug = np.concatenate([res, [tangent @ (z - z_pred)]])
-        if np.linalg.norm(aug) <= CORRECTOR_TOL:
-            return z, a, it
-        Jaug = np.vstack([J, tangent[None, :]])
-        step, *_ = np.linalg.lstsq(Jaug, -aug, rcond=None)
+        a, step, T = yield _corrector_steps, z[: model.dim], (z, tangent, z_pred)
+        if step is None:
+            return z, a, T, it
         z = z + step
         if not np.all(np.isfinite(z)):
-            return None, None, it
-    a = yield z[: model.dim]
-    res, _ = _rank1_residual(a, z)
-    if np.linalg.norm(res) <= 10 * CORRECTOR_TOL:
-        return z, a, CORRECTOR_ITERS
-    return None, None, CORRECTOR_ITERS
+            return None, None, None, it
+    a, _, T = yield _corrector_ends, z[: model.dim], z
+    if T is not None:
+        return z, a, T, CORRECTOR_ITERS
+    return None, None, None, CORRECTOR_ITERS
 
 
 def _value_speed(a: PointAnalysis, direction) -> float:
-    return float(np.linalg.norm(np.array([j.gradient for j in a.jets]) @ direction[: len(a.point)]))
+    return float(np.linalg.norm(a.jets.gradient @ direction[: len(a.point)]))
 
 
-def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, tol) -> tuple[list, str]:
-    """One continuation run from z0 (its point analysed in a0) along direction, a
-    Newton run: its (value, phase point, mark) entries in tracing order and why
-    it stopped."""
+def _trace_branch(model, z0, a0: PointAnalysis, T0, direction, params: TraceParams, tol) -> tuple[list, str, list]:
+    """One continuation run from z0 (its point analysed in a0, T0 the null space
+    there) along direction, a Newton run: its (value, phase point, mark) entries
+    in tracing order, why it stopped and the records of its "vertex" entries."""
     N = model.dim
     branch = [(a0.value, z0[:N].copy(), None)]
-    z, a = z0.copy(), a0
+    found: list[PointAnalysis] = []
+    z, a, T = z0.copy(), a0, T0
     t_prev = direction
     h = params.step
     steps = 0
@@ -448,22 +637,24 @@ def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, 
     sig_falling = False
     attempt_sigma = max(10.0 * params.step, 0.5)
 
-    def try_vertex(near: PointAnalysis) -> bool:
-        """Polish a sigma-minimum onto the rank-0 locus and append it to the branch."""
+    def try_vertex(near: PointAnalysis):
+        """Polish a sigma-minimum onto the rank-0 locus and append it to the branch,
+        a Newton run: whether it did."""
         if any(mark == "vertex" and np.linalg.norm(near.point - p) < 3.0 * params.step for _, p, mark in branch):
             return False  # near a known vertex
-        try:
-            pv = refine_singular_point(model, near, 0, rank_tol=tol, max_iter=30).point
-        except TraceError:
+        refined = yield from _attempt(_refine(model, near, 0, max_iter=30))
+        if refined is None:
             return False
+        pv = refined.point
         if np.linalg.norm(pv - near.point) > max(4.0 * params.step, 0.4):
             return False  # converged to a faraway vertex, not a local pass
         branch.append((model.momentum_value(pv), pv.copy(), "vertex"))
+        found.append(refined)
         return True
 
     while steps < params.max_steps:
-        _, J = _rank1_residual(a, z)
-        T = _null_space(J)
+        if isinstance(T, Exception):  # the null space at z failed where the corrector accepted z
+            raise T
         coeff = T.T @ t_prev
         if np.linalg.norm(coeff) < 1e-10:
             t = T[:, 0]
@@ -471,44 +662,44 @@ def _trace_branch(model, z0, a0: PointAnalysis, direction, params: TraceParams, 
             t = T @ coeff
             t /= np.linalg.norm(t)
         z_pred = z + h * t
-        z_new, a_new, iters = yield from _corrector(model, z_pred.copy(), t, z_pred)
+        z_new, a_new, T_new, iters = yield from _corrector(model, z_pred.copy(), t, z_pred)
         if z_new is not None and np.linalg.norm(z_new - z_pred) > 2.0 * h:
             z_new = None  # corrector hopped onto a different branch
         if z_new is None:
             h *= 0.5
             if h < MIN_STEP:
-                return branch, "step-failure"
+                return branch, "step-failure", found
             continue
         if iters <= 2 and h < MAX_STEP:
             h = min(MAX_STEP, 1.5 * h)
 
         p = z_new[:N]
         if np.linalg.norm(p) > params.phase_bound:
-            return branch, "phase-bound"
+            return branch, "phase-bound", found
         val = a_new.value
         if params.value_box is not None:
             lo, hi = params.value_box
             if np.any(val < lo) or np.any(val > hi):
-                return branch, "value-box"
+                return branch, "value-box", found
 
         cusp = _value_speed(a_new, t) < CUSP_SPEED and len(branch) > 2
         sig = float(a_new.sv[0])
         if sig < VERTEX_SIGMA:
             # landed (numerically) on a rank-0 point
-            return branch, "vertex" if try_vertex(a_new) else "rank-collapse"
+            return branch, "vertex" if (yield from try_vertex(a_new)) else "rank-collapse", found
         if sig_falling and sig > sig_prev and sig_prev < attempt_sigma:
             # passed a local minimum of |dF| one step ago (at a's point): likely a vertex
-            try_vertex(a)
+            yield from try_vertex(a)
         sig_falling = sig < sig_prev
         sig_prev = sig
 
         branch.append((val, p.copy(), "cusp" if cusp else None))
         if steps > 10 and np.linalg.norm(p - z0[:N]) < 0.5 * params.step:
-            return branch, "closed-loop"
+            return branch, "closed-loop", found
         t_prev = t
-        z, a = z_new, a_new
+        z, a, T = z_new, a_new, T_new
         steps += 1
-    return branch, "max-steps"
+    return branch, "max-steps", found
 
 
 def _triple(linearization, model, p, tol, seed) -> tuple[int, int, int] | None:
@@ -579,53 +770,56 @@ def _arc_duplicates(arc_vals: list[np.ndarray], existing: list[Arc], radius: flo
     return False
 
 
+def _branch_start(model: IntegrableModel, seed):
+    """A rank-1 seed refined, a Newton run: (z0, its record, the null space T
+    there, t0), where its two branches start from z0 along t0 and -t0, the null
+    direction of fastest momentum-image speed."""
+    a = yield from _refine(model, seed, model.n - 1)
+    v, mu = yield _kernel_vectors, a, None
+    z0 = np.concatenate([a.point, v, mu])
+    T = yield _tangent_spaces, a, z0  # at least one column
+    speeds = [_value_speed(a, T[:, i]) for i in range(T.shape[1])]
+    return z0, a, T, T[:, int(np.argmax(speeds))]
+
+
 def trace_diagram(
     model: IntegrableModel,
     seeds: list[PointAnalysis],
     params: TraceParams | None = None,
     tol: float = DEFAULT_TOL,
 ) -> BifurcationDiagram:
-    """Continue every rank-1 seed into a labeled momentum-space arc: each seed is
-    refined, the branches of all seeds are traced in lockstep, and arcs,
-    vertices and labels are then built in seed order."""
+    """Continue every rank-1 seed into a labeled momentum-space arc: the seeds are
+    refined in lockstep, the branches of all seeds are traced in lockstep, and
+    arcs, vertices and labels are then built in seed order."""
     params = params or TraceParams()
     rank1 = [s for s in seeds if s.rank == model.n - 1]
     rank0 = [s for s in seeds if s.rank == 0]
 
     vertices: list[Vertex] = []
 
-    def add_vertex(point: np.ndarray):
-        if all(np.linalg.norm(v.point - point) >= 1e-6 for v in vertices):
-            wt = _triple(linearize, model, point, tol, params.seed)
-            vertices.append(Vertex(point, model.momentum_value(point), 0, wt))
+    def add_vertex(a: PointAnalysis):
+        if all(np.linalg.norm(v.point - a.point) >= 1e-6 for v in vertices):
+            wt = _triple(linearize, model, a, tol, params.seed)
+            vertices.append(Vertex(a.point.copy(), model.momentum_value(a.point), 0, wt))
 
     for s in rank0:
-        add_vertex(s.point)
+        add_vertex(s)
 
     runs = []
-    for s in rank1:
-        try:
-            a = refine_singular_point(model, s, model.n - 1, rank_tol=tol)
-        except TraceError:
-            continue
-        v, mu = _kernel_vector(a)
-        z0 = np.concatenate([a.point, v, mu])
-        _, J = _rank1_residual(a, z0)
-        T = _null_space(J)  # at least one column
-        speeds = [_value_speed(a, T[:, i]) for i in range(T.shape[1])]
-        t0 = T[:, int(np.argmax(speeds))]
-        runs += [_trace_branch(model, z0, a, t0, params, tol), _trace_branch(model, z0, a, -t0, params, tol)]
+    for start in _lockstep(model, [_attempt(_branch_start(model, s)) for s in rank1], tol):
+        if start is not None:
+            z0, a, T, t0 = start
+            runs += [_trace_branch(model, z0, a, T, t0, params, tol), _trace_branch(model, z0, a, T, -t0, params, tol)]
     traced = _lockstep(model, runs, tol)
 
     arcs: list[Arc] = []
     dedup_radius = ARC_DEDUP_FACTOR * params.step
-    for (fwd, reason_f), (bwd, reason_b) in zip(traced[::2], traced[1::2]):
+    for (fwd, reason_f, found_f), (bwd, reason_b, found_b) in zip(traced[::2], traced[1::2]):
         entries = bwd[::-1] + fwd[1:]  # both branches start at the seed
         if len(entries) < 3:
             continue
-        for _, p, mark in bwd + fwd:
-            if mark == "vertex":
-                add_vertex(p)
+        for a in found_b + found_f:
+            add_vertex(a)
         values = [val for val, _, _ in entries]
         phases = [p for _, p, _ in entries]
         if _arc_duplicates(values, arcs, dedup_radius):
@@ -695,7 +889,7 @@ def seed_arcs_near_vertex(
                     break
         used[i] = True
 
-    seeds = []
+    probes = []
     for plane in planes:
         for kdir in range(DIRECTIONS_PER_PLANE):
             theta = math.pi * kdir / DIRECTIONS_PER_PLANE
@@ -703,13 +897,9 @@ def seed_arcs_near_vertex(
             nu = np.linalg.norm(u)
             if nu < 1e-12:
                 continue
-            for sign in (1.0, -1.0):
-                probe = vertex_point + sign * delta * (L.basis @ (u / nu))
-                try:
-                    seeds.append(refine_singular_point(model, probe, model.n - 1, rank_tol=tol))
-                except TraceError:
-                    continue
-    return seeds
+            probes += [vertex_point + sign * delta * (L.basis @ (u / nu)) for sign in (1.0, -1.0)]
+    refined = _lockstep(model, [_attempt(_refine(model, p, model.n - 1)) for p in probes], tol)
+    return [a for a in refined if a is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ SVD of dF on the leaf and the rank.  `analyze_point` makes the record of a
 bare point and is the one place that refuses a point off its leaf.  The public
 functions take the record wherever they take a point, and scan, refinement and
 continuation in `bifurcation` hand each iterate's record on to the next step.
+`leaf_frames` and `dF_svds` build the frames and SVDs of many records in one
+stacked computation, each record's with the bits of its own; `leaf_frame` and a
+record's `svd` are their calls on one record.
 
 1. the leaf tangent space at p is the kernel of the Casimir differentials
    (the bivector annihilates exactly the Casimir gradients there, so this
@@ -30,6 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .expr import JetStack
 from .phasespace import DEFAULT_SEED, IntegrableModel, PhasePoint
 
 DEFAULT_TOL = 1e-8
@@ -56,27 +60,52 @@ class LeafFrame:
     bivector: np.ndarray       # ambient N x N bivector at the point
 
 
+def leaf_frames(model: IntegrableModel, records: list, tol=DEFAULT_TOL) -> list:
+    """The leaf tangent frame at each record's point, built from its Casimir jets
+    by one stacked computation, or the ClassifyError that refuses that point
+    (tol: one tolerance, or one per record)."""
+    N, tol = model.dim, np.asarray(tol, dtype=float)
+    out: list = [None] * len(records)
+    if model.structure.casimirs:
+        _, sv, Vt = np.linalg.svd(np.array([a.cjets.gradient for a in records]))
+        dependent = sv[:, -1] <= tol * np.maximum(sv[:, 0], 1.0)
+        Bt = Vt[:, sv.shape[1] :]
+        for i in np.flatnonzero(dependent):
+            out[i] = ClassifyError("Casimir differentials are dependent at this point")
+        ok = np.flatnonzero(~dependent)
+        if len(ok) < len(records):
+            Bt, tol = Bt[ok], tol[ok] if tol.ndim else tol
+    else:
+        ok, Bt = range(len(records)), np.array([np.eye(N)] * len(records))
+    if not len(ok):
+        return out
+    B = Bt.swapaxes(1, 2)
+    Pi = model.structure.bivector_at(np.array([records[i].point for i in ok]), model.params)  # one matrix if constant
+    PiB = Bt @ Pi @ B
+    sv = np.linalg.svd(PiB, compute_uv=False)
+    degenerate = sv[:, -1] <= tol * np.maximum(sv[:, 0], 1.0)
+    omega = iter(np.linalg.inv(PiB[~degenerate]))  # omega(v, X_f) = df forces Omega = Pi^-1 on the leaf
+    for k, i in enumerate(ok):
+        if degenerate[k]:
+            out[i] = ClassifyError(f"bivector rank degenerates at this point (leaf dimension {B.shape[2]})")
+        else:
+            out[i] = LeafFrame(B[k], next(omega), Pi if Pi.ndim == 2 else Pi[k])
+    return out
+
+
 def leaf_frame(model: IntegrableModel, a: PointAnalysis, tol: float = DEFAULT_TOL) -> LeafFrame:
     """Leaf tangent frame at the point of record a, built from its Casimir jets."""
-    cas = a.cjets
-    if cas:
-        Q = np.array([j.gradient for j in cas])
-        _, sv, Vt = np.linalg.svd(Q)
-        if sv[-1] <= tol * max(sv[0], 1.0):
-            raise ClassifyError("Casimir differentials are dependent at this point")
-        B = Vt[len(cas):].T
-    else:
-        B = np.eye(model.dim)
-    Pi = model.structure.bivector_at(a.point, model.params)
-    PiB = B.T @ Pi @ B
-    dim_leaf = B.shape[1]
-    sv = np.linalg.svd(PiB, compute_uv=False)
-    if sv[-1] <= tol * max(sv[0], 1.0):
-        raise ClassifyError(
-            f"bivector rank degenerates at this point (leaf dimension {dim_leaf})"
-        )
-    omega = np.linalg.inv(PiB)  # omega(v, X_f) = df forces Omega = Pi^-1 on the leaf
-    return LeafFrame(B, omega, Pi)
+    (frame,) = leaf_frames(model, [a], tol)
+    if isinstance(frame, ClassifyError):
+        raise frame
+    return frame
+
+
+def dF_svds(records: list) -> list:
+    """The full SVD (U, sv, Vt) of dF on the leaf basis at each record, one stacked call."""
+    G = np.array([a.jets.gradient for a in records])
+    B = np.array([a.frame.basis.T for a in records]).swapaxes(1, 2)
+    return list(zip(*np.linalg.svd(G @ B)))
 
 
 def _numerical_rank(sv: np.ndarray, tol: float) -> int:
@@ -85,22 +114,36 @@ def _numerical_rank(sv: np.ndarray, tol: float) -> int:
 
 class PointAnalysis:
     """Everything the pipeline reads at one phase point, each part evaluated
-    once, on first use: a Newton iterate that reads only jets builds no frame."""
+    once, on first use: a Newton iterate that reads only jets builds no frame.
+    A lockstep round of Newton runs sets its records' jets from one batch."""
 
     def __init__(self, model: IntegrableModel, p, tol: float = DEFAULT_TOL):
         self.model, self.tol = model, tol  # tol: rank tolerance of the frame and of `rank`
         self.point = p.coordinates if isinstance(p, PhasePoint) else np.asarray(p, dtype=float)
 
-    jets = cached_property(lambda self: self.model.component_jets(self.point))
-    cjets = cached_property(lambda self: self.model.casimir_jets(self.point))  # Casimir jets
+    jets = cached_property(lambda self: self.model.component_jets(self.point))  # a JetStack
+    cjets = cached_property(lambda self: self.model.casimir_jets(self.point))  # the Casimirs' JetStack
     frame = cached_property(lambda self: leaf_frame(self.model, self, self.tol))
     # full SVD of dF on the leaf basis: U diag(sv) Vt
-    svd = cached_property(lambda self: np.linalg.svd(np.array([j.gradient for j in self.jets]) @ self.frame.basis))
+    svd = cached_property(lambda self: dF_svds([self])[0])
     U = property(lambda self: self.svd[0])
     sv = property(lambda self: self.svd[1])
     Vt = property(lambda self: self.svd[2])
     rank = property(lambda self: _numerical_rank(self.sv, self.tol))  # of dF on the leaf tangent
-    value = property(lambda self: np.array([j.value for j in self.jets]))  # momentum_value's bits on polynomials
+    value = property(lambda self: self.jets.value.copy())  # momentum_value's bits on polynomials
+
+    def detached(self) -> PointAnalysis:
+        """A record of the same point holding copies of each part evaluated so
+        far, so that keeping it keeps no batch's arrays alive."""
+        b, parts = PointAnalysis(self.model, self.point.copy(), self.tol), vars(self)
+        for name in ("jets", "cjets"):
+            if name in parts:
+                setattr(b, name, JetStack(*(x.copy(order="K") for x in parts[name])))
+        if "frame" in parts:
+            b.frame = LeafFrame(*(x.copy(order="K") for x in vars(self.frame).values()))
+        if "svd" in parts:
+            b.svd = tuple(x.copy(order="K") for x in self.svd)
+        return b
 
 
 def analyze_point(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> PointAnalysis:
@@ -108,7 +151,7 @@ def analyze_point(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> PointA
     if isinstance(p, PointAnalysis):
         return p
     a = PointAnalysis(model, p, tol)
-    residual = max((abs(j.value - c) for j, c in zip(a.cjets, model.leaf_values)), default=0.0)
+    residual = max((abs(v - c) for v, c in zip(a.cjets.value, model.leaf_values)), default=0.0)
     if residual > 1e-6:
         raise OffLeafError(f"point is off the leaf: max Casimir residual {residual:.3e}")
     a.frame = leaf_frame(model, a, tol)
@@ -145,10 +188,10 @@ def _leaf_linearizations(model: IntegrableModel, a: PointAnalysis) -> list[np.nd
     B, Pi = a.frame.basis, a.frame.bivector
     dPi = model.structure.bivector_gradients_at(a.point, model.params)
     out = []
-    for j in a.jets:
-        M = Pi @ j.hessian
+    for g, hessian in zip(a.jets.gradient, a.jets.hessian):
+        M = Pi @ hessian
         if dPi.any():
-            M = M + np.einsum("klm,l->km", dPi, j.gradient)
+            M = M + np.einsum("klm,l->km", dPi, g)
         out.append(B.T @ M @ B)
     return out
 
@@ -192,7 +235,7 @@ def reduce_at(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearizat
     K = a.Vt[r:].T   # kernel of dF on the leaf tangent, dim - r columns
 
     # span of the Hamiltonian field values (projected to the leaf basis)
-    fields = np.array([a.frame.bivector @ j.gradient for j in a.jets]).T  # N x n
+    fields = np.array([a.frame.bivector @ g for g in a.jets.gradient]).T  # N x n
     T = B.T @ fields
     Ut, svt, _ = np.linalg.svd(T, full_matrices=False)
     rt = _numerical_rank(svt, tol)

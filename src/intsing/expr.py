@@ -38,7 +38,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -601,35 +601,40 @@ class Tape:
 
     def jets(self, point, params: Mapping[str, float] | None = None) -> list:
         """Value, gradient and Hessian of each field at one point, or one such list
-        per row of an (m, dim) array, each with the bits of its row's one-point
-        call: the tape runs once on _Jet leaves, of one point or of the batch."""
-        if not self._roots:
-            return [] if np.ndim(point) < 2 else [[] for _ in point]
-        vals, n = self._values(point, params), len(self.coords)
-        if vals.ndim == 2:
-            return self._batch_jets(vals)
-        out = []
-        for j in self._run([_Jet(v, e, 0.0) for v, e in zip(vals, _unit_vectors(n))] + list(vals[n:])):
-            v, g, h = (j.v, j.g, j.h) if isinstance(j, _Jet) else (j, 0.0, 0.0)
-            h = np.zeros((n, n)) if isinstance(h, float) else h
-            out.append(Jet2(v, np.zeros(n) if isinstance(g, float) else g, 0.5 * (h + h.T)))
-        return out
+        per row of an (m, dim) array: the rows of `jet_stack`."""
+        stack = self.jet_stack(point, params)
+        if stack.value.ndim == 1:
+            return list(map(Jet2, *stack))
+        return [list(map(Jet2, *row)) for row in zip(*stack)]
 
-    def _batch_jets(self, vals: np.ndarray) -> list[list[Jet2]]:
-        """The jets of each column of vals (nsym, m): parameters stay plain floats, as in one-point jets."""
-        (nsym, m), n = vals.shape, len(self.coords)
-        if m == 0:
-            return []
-        units = np.broadcast_to(np.eye(n)[:, None, :], (n, m, n))  # read-only, as _unit_vectors
-        columns = []
-        for j in self._run([_Jet(v, (e, True), 0.0) for v, e in zip(vals, units)] + list(vals[n:, 0])):
+    def jet_stack(self, point, params: Mapping[str, float] | None = None) -> JetStack:
+        """Value, gradient and symmetric Hessian of each field, stacked: shapes (k,),
+        (k, n) and (k, n, n) at one point, with a leading m at the rows of an
+        (m, dim) array, each row with the bits of its one-point call.  The tape runs
+        once on _Jet leaves, of one point or of the batch; parameters stay plain floats."""
+        lead, k = np.shape(point)[:-1], len(self._roots)
+        if not k:  # no fields: no symbol table to check the point against
+            n = np.shape(point)[-1]
+            return JetStack(np.zeros(lead + (0,)), np.zeros(lead + (0, n)), np.zeros(lead + (0, n, n)))
+        vals, n = self._values(point, params), len(self.coords)
+        V, G, H = np.zeros(lead + (k,)), np.zeros(lead + (k, n)), np.zeros(lead + (k, n, n))
+        if lead == (0,):
+            return JetStack(V, G, H)
+        if lead:  # read-only, as _unit_vectors
+            units = np.broadcast_to(np.eye(n)[:, None, :], (n,) + lead + (n,))
+            leaves = [_Jet(v, (e, True), 0.0) for v, e in zip(vals, units)] + list(vals[n:, 0])
+        else:
+            leaves = [_Jet(v, e, 0.0) for v, e in zip(vals, _unit_vectors(n))] + list(vals[n:])
+        for i, j in enumerate(self._run(leaves)):
             if not isinstance(j, _Jet):  # a field of constants and parameters
-                columns.append(map(Jet2, [j] * m, np.zeros((m, n)), np.zeros((m, n, n))))
+                V[..., i] = j
                 continue
-            h = np.zeros((m, n, n)) if isinstance(j.h, float) else j.h[0]
-            g = np.zeros((m, n)) if isinstance(j.g, float) else j.g[0]
-            columns.append(map(Jet2, j.v, g, 0.5 * (h + h.transpose(0, 2, 1))))
-        return [list(row) for row in zip(*columns)]
+            V[..., i] = j.v
+            if not isinstance(j.g, float):
+                G[..., i, :] = j.g[0] if lead else j.g
+            if not isinstance(j.h, float):
+                H[..., i, :, :] = j.h[0] if lead else j.h
+        return JetStack(V, G, 0.5 * (H + H.swapaxes(-1, -2)))
 
 
 @cache
@@ -650,7 +655,7 @@ def _unit_vectors(n: int) -> tuple[np.ndarray, ...]:
 # holds +0.0.  A batch computes an array term only in the lanes where the
 # one-point jet computes it, so a present entry has that jet's bits and an
 # absent lane raises no numpy warning.  The rules of _Jet reach their slots
-# only through the four primitives below (_scale, _plus, _outer, _minus), so
+# only through the primitives below (_scale, _plus, _outer, _scaled_outer, _minus), so
 # each rule is written once for both forms.
 
 
@@ -730,6 +735,17 @@ def _outer(x, y, sym: bool = False):
     return _lanes(_both(x[1], y[1]), _products, x[0], y[0], sym)
 
 
+def _scaled_outer(c, x, y, sym: bool = False):
+    """_scale(c, _outer(x, y, sym)), the products formed only where c is nonzero."""
+    if isinstance(x, float) or isinstance(y, float):
+        return 0.0
+    if isinstance(c, np.ndarray):  # one factor per lane: x is a batch slot
+        x = x[0], _both(x[1], _mask(c != 0))
+    elif not c:
+        return 0.0
+    return _scale(c, _outer(x, y, sym))
+
+
 def _minus(s):
     """-s, in either form."""
     if not isinstance(s, tuple):
@@ -785,15 +801,15 @@ class _Jet:
         va, ga, ha = (o.v, o.g, o.h) if isinstance(o, _Jet) else (o, 0.0, 0.0)
         gb, inv = self.g, 1.0 / self.v
         v, c = va * inv, 2.0 * va * _power(3)(inv)
-        h = _plus(_scale(inv, ha), _scale(-(inv * inv), _outer(ga, gb, sym=True)))
+        h = _plus(_scale(inv, ha), _scaled_outer(-(inv * inv), ga, gb, sym=True))
         h = _plus(h, _scale(-(va * inv * inv), self.h))
-        h = _plus(h, _scale(c, _outer(gb, gb)))
+        h = _plus(h, _scaled_outer(c, gb, gb))
         return _Jet(v, _plus(_scale(inv, ga), _scale(-(v * inv), gb)), h)
 
     def __pow__(self, k: int):  # k >= 2, as _pow builds it
         va, ga = self.v, self.g
         dk, c = k * _power(k - 1)(va), k * (k - 1) * _power(k - 2)(va)
-        h = _plus(_scale(dk, self.h), _scale(c, _outer(ga, ga)))
+        h = _plus(_scale(dk, self.h), _scaled_outer(c, ga, ga))
         return _Jet(_power(k)(va), _scale(dk, ga), h)
 
 
@@ -911,6 +927,15 @@ class Jet2:
     """Value, gradient and symmetric Hessian of a field at a point."""
 
     value: float
+    gradient: np.ndarray
+    hessian: np.ndarray
+
+
+class JetStack(NamedTuple):
+    """The jets of k fields as arrays: value (k,), gradient (k, n) and Hessian
+    (k, n, n) at one point, each with a leading axis over the points of a batch."""
+
+    value: np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
 

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .expr import Expression, Jet2, Tape, constant, parse
+from .expr import Expression, JetStack, Tape, constant, parse
 
 DEFAULT_SEED = 0
 
@@ -120,9 +120,13 @@ class PoissonStructure:
         return out.reshape((self.dim, self.dim) + shape)
 
     def bivector_at(self, point, params=None) -> np.ndarray:
+        """The bivector at one point, or (m, dim, dim) at the rows of an (m, dim) array;
+        a constant bivector is its one matrix."""
         if self._const_matrix is not None:
             return self._const_matrix
-        return self._antisymmetric(self._upper_tape.values(point, params), ())
+        lead = np.shape(point)[:-1]
+        pi = self._antisymmetric(self._upper_tape.values(point, params), lead)
+        return np.ascontiguousarray(pi.transpose(2, 0, 1)) if lead else pi
 
     def bivector_gradients_at(self, point, params=None) -> np.ndarray:
         """d pi[i][j] / d c_m as a (dim, dim, dim) array."""
@@ -240,11 +244,13 @@ class IntegrableModel:
     _component_tape = cached_property(lambda self: Tape(self.components))
     _casimir_tape = cached_property(lambda self: Tape(self.structure.casimirs))
 
-    def component_jets(self, point) -> list[Jet2]:
-        return self._component_tape.jets(point, self.params)
+    def component_jets(self, point) -> JetStack:
+        """The components' jets stacked, at one point or at the rows of an (m, dim) array."""
+        return self._component_tape.jet_stack(point, self.params)
 
-    def casimir_jets(self, point) -> list[Jet2]:
-        return self._casimir_tape.jets(point, self.params)
+    def casimir_jets(self, point) -> JetStack:
+        """The Casimirs' jets stacked, at one point or at the rows of an (m, dim) array."""
+        return self._casimir_tape.jet_stack(point, self.params)
 
     def leaf_residual(self, point) -> float:
         if not self.structure.casimirs:

@@ -24,6 +24,7 @@ from intsing.bifurcation import (
 )
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
 from intsing.classify import PointAnalysis, rank_at
+from intsing.expr import JetStack
 from intsing.kovalevskaya import SCAN_BOX, build_kovalevskaya, involution_fixed_points
 from intsing.phasespace import IntegrableModel, model_from_dict
 
@@ -225,6 +226,71 @@ def test_trace_in_lockstep_gives_the_one_run_diagram(monkeypatch):
     assert diagram_text() == lockstep
 
 
+GOLDEN_SCANS = {  # the golden diagrams' models and scans not in LOCKSTEP_SCANS, with their vertex seeds
+    "kovalevskaya-g0-res6": 0.0,
+    "kovalevskaya-g0.5-res6": 0.5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
+def test_refinement_in_lockstep_gives_the_one_run_seeds(name, monkeypatch):
+    """The scan refines all its candidates in one lockstep and seed_arcs_near_vertex
+    all its probes: each seed's bytes are those of refining one run at a time."""
+    g = GOLDEN_SCANS[name]
+    m = build_kovalevskaya(g)
+    fp, _ = involution_fixed_points(g, certify=False)
+
+    def seed_bytes():
+        seeds = seed_arcs_near_vertex(m, fp, delta=1e-2) + scan_singular_points(m, SCAN_BOX, 6)
+        return [(s.rank, s.point.tobytes(), s.value.tobytes(), s.sv.tobytes()) for s in seeds]
+
+    lockstep = seed_bytes()
+    monkeypatch.setattr(bifurcation, "_lockstep", _one_run_each)
+    assert seed_bytes() == lockstep and lockstep
+
+
+def _outcome(run):
+    """run's refined record as bytes, or the name of the TraceError it raised: a Newton run."""
+    try:
+        a = yield from run
+    except TraceError as exc:
+        return type(exc).__name__
+    return a.rank, a.point.tobytes(), a.U.tobytes()
+
+
+def test_a_failing_refinement_fails_only_its_own_run():
+    """One lockstep of refinements where one run ends in RankCertificationError (a
+    rank-1 target seeded at a rank-0 point) and one in RefineDivergence (one
+    iteration allowed): every run's outcome is the one it has alone."""
+    m = build_kovalevskaya(0.5)
+    points = np.random.default_rng(3).uniform(-1, 1, size=(3, 6))
+    vertex = np.array([1.0, 0.0, 0.0, 0.5, 0.0, 0.0])
+    specs = [(points[0], 0, 60), (vertex, 1, 60), (points[1], 1, 60), (points[2], 1, 1), (points[2], 0, 30), (points[1], 0, 60)]
+
+    def runs():
+        return [_outcome(bifurcation._refine(m, p, r, max_iter)) for p, r, max_iter in specs]
+
+    lockstep = bifurcation._lockstep(m, runs(), 1e-8)
+    assert lockstep == [bifurcation._run_one(m, run, 1e-8) for run in runs()]
+    assert lockstep[1] == "RankCertificationError" and lockstep[3] == "RefineDivergence"
+    assert all(isinstance(out, tuple) for k, out in enumerate(lockstep) if k not in (1, 3))
+
+
+def test_a_stack_that_raises_fails_only_the_rows_that_raise():
+    m = build_canonical(CanonicalSpec(0, 1, 0, 0))
+
+    def inverses(model, records, args):  # one row's zero fails the whole stack
+        return [1.0 / x for x in args]
+
+    def run(x):
+        try:
+            return (yield inverses, np.zeros(m.dim), x)
+        except ZeroDivisionError:
+            return "raised"
+
+    assert bifurcation._lockstep(m, [run(2.0), run(0.0), run(4.0)], 1e-8) == [0.5, "raised", 0.25]
+
+
 def test_lockstep_batches_each_round(monkeypatch):
     """One component_jets call per round, over every live run's point."""
     m = build_kovalevskaya(0.5)
@@ -279,13 +345,14 @@ def test_refine_divergence_when_no_solution():
 def test_stalled_newton_run_stops_at_once(monkeypatch):
     # The scan's first rank-0 candidate on canonical:1,0,1,0: the Newton step
     # leaves z unchanged, so every later iterate would repeat it.
+    # Refinement solves through bifurcation._lstsq, one stacked call per round.
     m = build_canonical(CanonicalSpec(1, 0, 1, 0))
     solves = []
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))
+    lstsq = bifurcation._lstsq
+    monkeypatch.setattr(bifurcation, "_lstsq", lambda A, b: solves.append(len(A)) or lstsq(A, b))
     with pytest.raises(RefineDivergence, match="stalled"):
         refine_singular_point(m, np.array([-1.0, -1.0, -1.0, -1.0]), 0, max_iter=30)
-    assert len(solves) <= 2
+    assert 1 <= len(solves) <= 2
 
 
 def test_refine_divergence_for_regular_model():
@@ -506,3 +573,152 @@ def test_export_kovalevskaya_g0_vertices(tmp_path):
 def test_unknown_export_format():
     with pytest.raises(ValueError, match="unknown format"):
         export_diagram(BifurcationDiagram([], [], []), "pdf", "/tmp/x.pdf")
+
+
+# Stacked kernels against the one-point code they replaced: every row of a
+# stack must have the bits of the public per-matrix numpy calls made one record
+# at a time, whatever the stack's size (m = 1 included) and wherever a row is
+# rank-deficient or refused.
+
+
+def _one_point_rank1_residual(a, z):
+    model, F, C = a.model, a.jets, a.cjets
+    N, n, nc = model.dim, model.n, len(C.value)
+    v, mu = z[N : N + n], z[N + n :]
+    grad_rows, hess_sum = np.zeros(N), np.zeros((N, N))
+    for c, S in ((v, F), (mu, C)):
+        for ci, g, h in zip(c, S.gradient, S.hessian):
+            grad_rows += ci * g
+            hess_sum += ci * h
+    res = np.concatenate([grad_rows, [c - l for c, l in zip(C.value, model.leaf_values)], [v @ v - 1.0]])
+    J = np.zeros((N + nc + 1, N + n + nc))
+    J[:N, :N] = hess_sum
+    for i, g in enumerate(F.gradient):
+        J[:N, N + i] = g
+    for i, g in enumerate(C.gradient):
+        J[:N, N + n + i] = g
+        J[N + i, :N] = g
+    J[N + nc, N : N + n] = 2.0 * v
+    return res, J
+
+
+def _one_point_rank0_residual(a, z):
+    model, F, C = a.model, a.jets, a.cjets
+    N, n, nc = model.dim, model.n, len(C.value)
+    mus = z[N:].reshape(n, nc)
+    rows, J = [], np.zeros((n * N + nc, N + n * nc))
+    for i, (g, h) in enumerate(zip(F.gradient, F.hessian)):
+        g, H = g.copy(), h.copy()
+        for k, (cg, ch) in enumerate(zip(C.gradient, C.hessian)):
+            g += mus[i, k] * cg
+            H += mus[i, k] * ch
+            J[i * N : (i + 1) * N, N + i * nc + k] = cg
+        rows.append(g)
+        J[i * N : (i + 1) * N, :N] = H
+    for k, cg in enumerate(C.gradient):
+        J[n * N + k, :N] = cg
+    return np.concatenate(rows + [[c - l for c, l in zip(C.value, model.leaf_values)]]), J
+
+
+def _one_point_null_space(J, rel=1e-7):
+    _, sv, Vt = np.linalg.svd(J)
+    cutoff = rel * max(float(sv[0]), 1.0)
+    small = [i for i in range(J.shape[1]) if i >= len(sv) or sv[i] <= cutoff] or [J.shape[1] - 1]
+    return Vt[small].T
+
+
+def _one_point_leaf_frame(model, a, tol):
+    Q = a.cjets.gradient
+    _, sv, Vt = np.linalg.svd(Q)
+    if sv[-1] <= tol * max(sv[0], 1.0):
+        return "dependent"
+    B = Vt[len(Q) :].T
+    Pi = model.structure.bivector_at(a.point, model.params)
+    PiB = B.T @ Pi @ B
+    sv = np.linalg.svd(PiB, compute_uv=False)
+    if sv[-1] <= tol * max(sv[0], 1.0):
+        return "degenerate"
+    return B, np.linalg.inv(PiB), Pi, np.linalg.svd(a.jets.gradient @ B)
+
+
+def _bits(x):
+    """Bytes of every array in x (arrays, floats, None, tuples and lists of them)."""
+    if isinstance(x, (tuple, list)):
+        return [_bits(y) for y in x]
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+KERNEL_MODEL = build_kovalevskaya(0.5)
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from(["none", "tangent", "casimirs", "zero"]))
+def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
+    """special: "tangent" makes each 10x10 augmented Jacobian rank-deficient (its
+    tangent row is a Jacobian row); "casimirs" makes row 0's Casimir differentials
+    dependent; "zero" zeroes row 0's jets."""
+    model, rng = KERNEL_MODEL, np.random.default_rng(seed)
+    N, n, nc = model.dim, model.n, 2
+    records = [PointAnalysis(model, p) for p in rng.uniform(-1.5, 1.5, size=(m, N))]
+    for name, k in (("jets", n), ("cjets", nc)):
+        H = rng.normal(size=(m, k, N, N))
+        stack = JetStack(rng.normal(size=(m, k)), rng.normal(size=(m, k, N)), H + H.swapaxes(-1, -2))
+        if special == "zero":
+            for part in stack:
+                part[0] = 0.0
+        if special == "casimirs" and name == "cjets":
+            stack.gradient[0, 1] = 2.0 * stack.gradient[0, 0]
+        for a, row in zip(records, zip(*stack)):
+            setattr(a, name, JetStack(*row))
+    Z = rng.normal(size=(m, N + n + nc))
+    Z[:, N : N + n] /= np.linalg.norm(Z[:, N : N + n], axis=1, keepdims=True) if special != "zero" else 1.0
+    Z[:, :N] = [a.point for a in records]
+    one = [_one_point_rank1_residual(a, z) for a, z in zip(records, Z)]
+    tangents = rng.normal(size=(m, N + n + nc))
+    if special == "tangent":
+        tangents = np.array([J[2] / np.linalg.norm(J[2]) for _, J in one])
+    preds = Z + 0.01 * tangents
+
+    # the rank-1 and rank-0 systems, the predictor's null space
+    res, J = bifurcation._rank1_systems(model, records, Z)
+    assert _bits(list(res)) == _bits([r for r, _ in one]) and _bits(list(J)) == _bits([J1 for _, J1 in one])
+    Z0 = rng.normal(size=(m, N + n * nc))
+    res0, J0 = bifurcation._rank0_systems(model, records, Z0)
+    assert _bits([list(res0), list(J0)]) == _bits(list(map(list, zip(*map(_one_point_rank0_residual, records, Z0)))))
+    want = [_one_point_null_space(J1) for _, J1 in one]
+    assert _bits(bifurcation._tangent_spaces(model, records, list(Z))) == _bits(want)
+
+    # the corrector's augmented 10x10 least squares and refinement's 9x10 one
+    want = []
+    for (r, J1), z, t, zp in zip(one, Z, tangents, preds):
+        aug = np.concatenate([r, [t @ (z - zp)]])
+        ok = np.linalg.norm(aug) <= bifurcation.CORRECTOR_TOL
+        want.append(None if ok else np.linalg.lstsq(np.vstack([J1, t[None, :]]), -aug, rcond=None)[0])
+    got = bifurcation._corrector_steps(model, records, list(zip(Z, tangents, preds)))
+    assert [g[0] for g in got] == records and _bits([g[1] for g in got]) == _bits(want)
+    want = [(float(np.linalg.norm(r)), np.linalg.lstsq(J1, -r, rcond=None)[0]) for r, J1 in one]
+    got = bifurcation._RANK1_STEPS(model, records, list(Z))
+    assert _bits([g[1:] for g in got]) == _bits(want)
+
+    # the leaf projection's step, the leaf frame and the SVD of dF on it
+    want = [np.linalg.lstsq(a.cjets.gradient, -(a.cjets.value - np.asarray(model.leaf_values)), rcond=None)[0] for a in records]
+    assert _bits([s for _, s in bifurcation._leaf_steps(model, records, [None] * m)]) == _bits(want)
+    analysed = bifurcation._analyses(model, records, [None] * m)
+    for a, got in zip(records, analysed):
+        want = _one_point_leaf_frame(model, a, a.tol)
+        if isinstance(want, str):
+            assert isinstance(got, bifurcation.ClassifyError) and want in str(got)
+        else:
+            f = got.frame
+            assert _bits([f.basis, f.omega, f.bivector, list(got.svd)]) == _bits([*want[:3], list(want[3])])
+    ok = [a for a in analysed if isinstance(a, PointAnalysis)]
+    want = []
+    for a in ok:
+        v = a.U[:, -1]
+        grad = sum(vi * g for vi, g in zip(v, a.jets.gradient))
+        want.append((v, np.linalg.lstsq(a.cjets.gradient.T, -grad, rcond=None)[0]))
+    assert _bits(bifurcation._kernel_vectors(model, ok, [None] * len(ok)) if ok else []) == _bits(want)
+    want = [
+        np.concatenate([a.point] + [np.linalg.lstsq(a.cjets.gradient.T, -g, rcond=None)[0] for g in a.jets.gradient])
+        for a in records
+    ]
+    assert _bits([z for _, z in bifurcation._rank0_starts(model, records, [None] * m)]) == _bits(want)

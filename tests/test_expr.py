@@ -575,3 +575,22 @@ def test_a_batch_with_one_zero_divisor_raises():
 def test_batched_jets_of_no_fields_and_no_rows():
     assert Tape([]).jets(np.zeros((3, 2))) == [[], [], []]
     assert Tape([parse("x*y", ("x", "y"))]).jets(np.zeros((0, 2))) == []
+
+
+def test_a_zero_factor_forms_no_outer_product(monkeypatch):
+    """x^3 scales the outer product of its gradient by 6x: at x = 0 none is
+    formed, at one point or in a batch lane; 1/y forms one fewer at a zero numerator."""
+    from intsing import expr
+
+    formed = []
+    products = expr._products
+    monkeypatch.setattr(expr, "_products", lambda x, y, sym: formed.append(np.shape(x)) or products(x, y, sym))
+    cube = Tape([parse("x^3", ("x", "y"))])
+    cube.jets(np.array([0.0, 1.0]))
+    cube.jets(np.array([[0.0, 1.0], [-0.0, 2.0]]))
+    assert formed == []
+    cube.jets(np.array([[0.0, 1.0], [2.0, 1.0]]))
+    assert formed == [(1, 2)]  # the lane at x = 2 only
+    formed.clear()
+    Tape([parse("x/y", ("x", "y"))]).jets(np.array([0.0, 2.0]))
+    assert formed == [(2,)]  # dx dy^T, not dy dy^T scaled by 2 x / y^3 = 0
