@@ -13,7 +13,8 @@ a generator: it yields a request for a stacked kernel at a phase point or record
 and is sent the kernel's answer for its row.  `_run_one` answers each request on
 a stack of one; `_lockstep` advances runs that do not depend on each other
 together: each round builds its records from one batched jet call per field set
-and answers each kernel's requests with one stacked computation (assembly, least
+that its kernels read (a leaf-projection step reads only the Casimirs') and
+answers each kernel's requests with one stacked computation (assembly, least
 squares, SVD), with the bits of one-row calls (a batch or stack that raises is
 redone a row at a time).  The scan scores its samples in lockstep groups of
 SCORE_GROUP and refines all its candidates in one lockstep, and `trace_diagram`
@@ -131,29 +132,34 @@ class BifurcationDiagram:
 # its rows with numpy calls that give each row the bits of the one-row call.
 
 
-def _records(model: IntegrableModel, xs: list, tol: float) -> list[PointAnalysis]:
-    """The record of each x: a record as is, and one record per distinct point
-    among xs, their jets from one batched `component_jets` and one
-    `casimir_jets` call.  A batch that raises leaves that field set to each
-    record, so only a run that reads it at the failing point raises, as when run
-    on its own."""
+def _records(model: IntegrableModel, asks: list, tol: float) -> list[PointAnalysis]:
+    """The record of each request's x: a record as is, and one record per
+    distinct point.  Each field set that a request's kernel reads (see _READS)
+    and its record lacks, a record passed back in too, is evaluated for all such
+    records in one batched call: `component_jets` for "jets", `casimir_jets`
+    for "cjets".  A batch that raises leaves that field set to each record, so
+    only a run that reads it at the failing point raises, as when run on its own."""
     made: dict[bytes, PointAnalysis] = {}
-    out = []
-    for x in xs:
+    out, lacking = [], {"jets": {}, "cjets": {}}
+    for kernel, x, _ in asks:
         if not isinstance(x, PointAnalysis):
             a = PointAnalysis(model, x, tol)
             x = made.setdefault(a.point.tobytes(), a)
         out.append(x)
-    fresh = list(made.values())
-    if fresh:
-        batch = np.array([a.point for a in fresh])
-        for name, evaluate in (("jets", model.component_jets), ("cjets", model.casimir_jets)):
-            try:
-                stack = evaluate(batch)
-            except Exception:
-                continue
-            for a, row in zip(fresh, zip(*stack)):
-                setattr(a, name, JetStack(*row))
+        parts = vars(x)
+        for name in _READS.get(kernel, ("jets", "cjets")):
+            if name not in parts:
+                lacking[name][id(x)] = x
+    for name, evaluate in (("jets", model.component_jets), ("cjets", model.casimir_jets)):
+        need = list(lacking[name].values())
+        if not need:
+            continue
+        try:
+            stack = evaluate(np.array([a.point for a in need]))
+        except Exception:
+            continue
+        for a, row in zip(need, zip(*stack)):
+            setattr(a, name, JetStack(*row))
     return out
 
 
@@ -203,7 +209,7 @@ def _lockstep(model: IntegrableModel, runs: list, tol: float) -> list:
             except StopIteration as done:
                 results[i] = done.value
         live = running
-        records = _records(model, [x for _, x, _ in asks], tol)
+        records = _records(model, asks, tol)
         rows_of: dict = {}
         for k, (kernel, _, _) in enumerate(asks):
             rows_of.setdefault(kernel, []).append(k)
@@ -265,6 +271,10 @@ def _leaf_steps(model, records, args) -> list:
     C = _stack(records, "cjets")
     res = C.value - np.asarray(model.leaf_values)
     return list(zip(records, _solve_where(~(np.max(np.abs(res), axis=1) < 1e-12), C.gradient, -res)))
+
+
+# The field sets a kernel reads, where not both: a lockstep round evaluates no other.
+_READS = {_record: (), _leaf_steps: ("cjets",)}
 
 
 def _analyses(model, records, args) -> list:

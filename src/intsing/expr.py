@@ -476,6 +476,29 @@ def _partials(nsym: int, node: Node, *d: tuple[Node, ...]) -> tuple[Node, ...]:
 # per coordinate over a batch of points, or a _Jet for second-order jets at one
 # point or over a batch (vector forward mode, ch. 3).  Constants are plain
 # floats, and so are parameters in a jet.
+#
+# Jets by degree.  The models are low-degree, and a slot's gradient or Hessian
+# is often the same at every point.  On a tape's first jet call each slot gets
+# its degree in the coordinates:
+#   constant   constants and parameters only;
+#   affine     its gradient is one fixed vector (its coefficients are constants:
+#              a parameter's value may change between calls);
+#   quadratic  its Hessian is fixed: every factor that scales a Hessian in the
+#              rules is a constant or 2 pow(v, 0) = 2;
+#   general    everything else.
+# The fixed gradients and Hessians are formed then, once, by the primitives the
+# rules use, and kept in one array per kind.  Each is exactly what the rules
+# compute at any point, one-point or (the same in every lane) batched, so a jet
+# keeps its bits, signed and structural zeros included.  From then on, the first
+# call included, a jet run computes an affine slot as a plain value, a
+# quadratic one as a _Jet whose Hessian is None (the rules then form value and
+# gradient only), and a general one by the full rules.  A lift instruction,
+# added to the tape's code before the first reader that needs it, makes a value
+# a jet with its fixed gradient, or gives a quadratic jet its fixed Hessian,
+# where a quadratic or general instruction or a root reads it.  A lift reads its
+# fixed part from a register that holds None in a run on plain values, where it
+# passes the value on.  A quotient's jet is x * (1.0 / c), not x / c, so a
+# quotient is never run as a plain affine value.
 # ---------------------------------------------------------------------------
 
 
@@ -491,7 +514,14 @@ def _quotient(x, y):  # a batch divides by zero when one of its points does
 
 
 def _each_power(x: np.ndarray, k: int) -> np.ndarray:
-    """x ** k entry by entry: libm pow per entry, the bits of one-point evaluation."""
+    """x ** k entry by entry, with the bits of one-point evaluation.  libm pow(x, 0)
+    is 1 and pow(x, 1) is x for every double (zeros, infinities and NaN too), so
+    those are formed directly; k >= 2 calls libm pow per entry, since glibc's
+    pow(x, 2) and x * x differ in the last bit for some doubles."""
+    if k == 0:
+        return np.ones(x.shape)
+    if k == 1:
+        return x.copy()
     return np.array([b ** k for b in x])
 
 
@@ -506,6 +536,85 @@ def _power(k: int):
 _INSTRUCTION = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _quotient}
 
 
+def _first_order(x, g):
+    """The affine value x as a jet with gradient g and no Hessian, for a quadratic instruction."""
+    return x if g is None else _Jet(x, g, None)
+
+
+def _second_order(x, g):
+    """The affine value x as a jet with gradient g, for a general instruction or a root."""
+    return x if g is None else _Jet(x, g, 0.0)
+
+
+def _with_hessian(x, h):
+    """The quadratic jet x with its Hessian h, for a general instruction or a root."""
+    return x if h is None else _Jet(x.v, x.g, h)
+
+
+# Degrees 0 to 3: constant, affine, quadratic and general.  _LIFT gives the lift
+# that a reader of degree 2 or 3 (a root reads as 3) puts on an operand of a
+# lower nonconstant degree.  Each instruction's rule in _DEGREE gives the degree
+# and fixed part of its result from its operands' degrees (not both 0) and fixed
+# parts, formed as the _Jet rule forms it.  A fixed part is an affine slot's
+# gradient, a quadratic slot's Hessian or a constant's value (None when not
+# fixed: a parameter or a computed constant); a lower-degree operand's part at
+# the result's degree is a structural zero.
+_LIFT = {(2, 1): _first_order, (3, 1): _second_order, (3, 2): _with_hessian}
+
+
+def _scaled(d: int, c, s):
+    """A slot of degree d > 0 and fixed part s times the constant c."""
+    if c is not None and d < 3:
+        return d, _scale(c, s)
+    return (2, 0.0) if d == 1 or d == 2 and isinstance(s, float) else (3, None)
+
+
+def _product(da: int, db: int, pa, pb):
+    if da and db:
+        return (2, _outer(pa, pb, sym=True)) if da == db == 1 else (3, None)
+    return _scaled(db, pa, pb) if db else _scaled(da, pb, pa)
+
+
+def _sum(da: int, db: int, pa, pb, minus=None):
+    d = da if da > db else db
+    if d == 3:
+        return 3, None
+    y = pb if db == d else 0.0
+    return d, _plus(pa if da == d else 0.0, minus(y) if minus else y)
+
+
+def _difference(da: int, db: int, pa, pb):  # x - y is x + (-y)
+    return _sum(da, db, pa, pb, _minus)
+
+
+def _negation(da: int, db: int, pa, pb):
+    return da, _minus(pa)
+
+
+def _division(da: int, db: int, pa, pb):  # x * (1.0 / c); a zero c raises in the run
+    if db:
+        return 3, None
+    return (2, 0.0) if da == 1 else _scaled(da, 1.0 / pb if pb else None, pa)
+
+
+def _square(da: int, db: int, pa, pb):
+    return (2, _scaled_outer(2.0, pa, pa)) if da == 1 else (3, None)  # 2.0: the rule's 2 * 1 * pow(v, 0)
+
+
+def _general(da: int, db: int, pa, pb):  # a higher power
+    return 3, None
+
+
+_DEGREE = {
+    operator.mul: _product,
+    operator.add: _sum,
+    operator.sub: _difference,
+    _negate: _negation,
+    _quotient: _division,
+    _power(2): _square,
+}
+
+
 class Tape:
     """Straight-line code for fields over one symbol table.
 
@@ -513,10 +622,12 @@ class Tape:
     keyed on its op, its operand slots and its exponent, a constant on its
     float bits (so 0.0 and -0.0 stay apart) and a symbol on its index.  The
     build is one _fold over the fields' nodes: a tree of any depth compiles,
-    and a subtree object shared between fields is visited once.
+    and a subtree object shared between fields is visited once.  The first jet
+    call sorts the slots by degree and adds the lifts (see the comment above
+    _negate); a tape that only gives values never does.
     """
 
-    __slots__ = ("coords", "params", "_init", "_fns", "_a", "_b", "_out", "_roots")
+    __slots__ = ("coords", "params", "_init", "_fns", "_a", "_b", "_out", "_roots", "_gradients", "_hessians")
 
     def __init__(self, fields: Sequence[Expression]):
         self.coords, self.params = (fields[0].coords, fields[0].params) if fields else ((), ())
@@ -547,35 +658,101 @@ class Tape:
         # Registers: a symbol or constant keeps its slot.  An operation's value
         # holds a register until its last reader has run, then the register is
         # reused, so a batch keeps few arrays alive at once; a root's is kept.
-        last = {s: k for k, operands in enumerate(args) for s in operands}
-        last.update((s, len(args)) for s in roots)
-        register, free, top = {}, [], nsym + len(consts)
-        for k, operands in enumerate(args):
-            free += [register[s] for s in set(operands) if s < 0 and last[s] == k]
+        last = {}
+        for k, (a, b) in enumerate(args):
+            last[a] = last[b] = k
+        for s in roots:
+            last[s] = len(args)
+        out, free, top = [], [], nsym + len(consts)  # out[k]: operation k's register
+        for k, (a, b) in enumerate(args):
+            if a < 0 and last[a] == k:
+                free.append(out[-a - 1])
+            if b < 0 and b != a and last[b] == k:
+                free.append(out[-b - 1])
             if free:
-                register[-(k + 1)] = free.pop()
+                out.append(free.pop())
             else:
-                register[-(k + 1)], top = top, top + 1
+                out.append(top)
+                top += 1
 
         def reg(s: int) -> int:
-            return s if s >= 0 else register[s]
+            return s if s >= 0 else out[-s - 1]
 
         self._init = tuple(consts) + (None,) * (top - nsym - len(consts))
         self._fns = tuple(fns)
         self._a = array("i", [reg(a) for a, _ in args])
         self._b = array("i", [reg(b) for _, b in args])
-        self._out = array("i", [reg(-(k + 1)) for k in range(len(args))])
+        self._out = array("i", out)
         self._roots = array("i", [reg(s) for s in roots])
+        self._gradients = self._hessians = None  # the fixed parts, once sorted by degree
 
     @property
     def symbols(self) -> tuple[str, ...]:
         return self.coords + self.params
 
-    def _run(self, leaves) -> list:
+    def _run(self, leaves, fixed=()) -> list:
+        """The roots' numbers from the symbols' (leaves).  fixed fills the last
+        registers, which hold the fixed parts that a jet run's lifts read."""
         r = [*leaves, *self._init]
+        r[len(r) - len(fixed) :] = fixed
         for fn, a, b, o in zip(self._fns, self._a, self._b, self._out):
             r[o] = fn(r[a], r[b])
         return [r[s] for s in self._roots]
+
+    def _sort_by_degree(self) -> None:
+        """Give each slot its degree, form the fixed gradients and Hessians, and
+        add a lift before the first reader of a slot that needs it and for each
+        root.  The fixed registers come last: a structural zero, then the
+        gradients, then the Hessians.  Nothing changes until all is formed."""
+        n, nsym = len(self.coords), len(self.symbols)
+        top = nsym + len(self._init)
+        # Per register, its slot's degree, its fixed part (a coordinate's gradient,
+        # a constant's value, None for a parameter, else as its rule in _DEGREE
+        # gives it) and its lifts so far ({lift: register, None: where its fixed
+        # part is kept, None for a structural zero}).
+        degree = [1] * n + [0] * (top - n)
+        part = [*np.eye(n), *(None,) * (nsym - n), *self._init]
+        lifted = [None] * top
+        kept = ([], [])  # the gradients and the Hessians that lifts read
+        lifts = []  # (instruction it precedes, lift, register, where kept, lifted register)
+        fns, A, B, O = list(self._fns), list(self._a), list(self._b), list(self._out)
+
+        def lift(k: int, r: int, how) -> int:
+            """The register of r's slot lifted by how, a lift before instruction k added once per slot."""
+            done = lifted[r] = lifted[r] or {}
+            if how not in done:
+                if None not in done:
+                    kind = degree[r] - 1
+                    done[None] = None if isinstance(part[r], float) else (kind, len(kept[kind]))
+                    if done[None]:
+                        kept[kind].append(part[r])
+                done[how] = top + len(lifts)
+                lifts.append((k, how, r, done[None], done[how]))
+            return done[how]
+
+        rule = _DEGREE.get
+        for k, (fn, a, b, o) in enumerate(zip(self._fns, self._a, self._b, self._out)):
+            da, db = degree[a], degree[b]
+            d, p = rule(fn, _general)(da, db, part[a], part[b]) if da or db else (0, None)
+            if d > 1 and (0 < da < d or 0 < db < d):  # a reader of a lower nonconstant degree: lift
+                A[k] = lift(k, a, _LIFT[d, da]) if 0 < da < d else a
+                B[k] = lift(k, b, _LIFT[d, db]) if 0 < db < d else b
+            degree[o], part[o], lifted[o] = d, p, None  # o holds a new slot
+        end = len(self._fns)
+        roots = [lift(end, s, _LIFT[3, degree[s]]) if 0 < degree[s] < 3 else s for s in self._roots]
+        zero = top + len(lifts)
+        for k, how, r, where, out in reversed(lifts):
+            fixed = zero if where is None else zero + 1 + where[1] + where[0] * len(kept[0])
+            for code, x in ((fns, how), (A, r), (B, fixed), (O, out)):
+                code.insert(k, x)
+        gradients = np.array(kept[0], dtype=float).reshape(len(kept[0]), n)
+        hessians = np.array(kept[1], dtype=float).reshape(len(kept[1]), n, n)
+        for fixed in (gradients, hessians):  # a jet's gradient or Hessian may be a row
+            fixed.setflags(write=False)
+        self._fns, self._roots = tuple(fns), array("i", roots)
+        self._a, self._b, self._out = array("i", A), array("i", B), array("i", O)
+        self._init += (None,) * (len(lifts) + 1 + len(gradients) + len(hessians))
+        self._gradients, self._hessians = gradients, hessians
 
     def _values(self, point, params: Mapping[str, float] | None) -> np.ndarray:
         """One row per symbol: shape (nsym,) at a point, (nsym, m) at the rows of an (m, dim) array."""
@@ -610,8 +787,7 @@ class Tape:
     def jet_stack(self, point, params: Mapping[str, float] | None = None) -> JetStack:
         """Value, gradient and symmetric Hessian of each field, stacked: shapes (k,),
         (k, n) and (k, n, n) at one point, with a leading m at the rows of an
-        (m, dim) array, each row with the bits of its one-point call.  The tape runs
-        once on _Jet leaves, of one point or of the batch; parameters stay plain floats."""
+        (m, dim) array, each row with the bits of its one-point call."""
         lead, k = np.shape(point)[:-1], len(self._roots)
         if not k:  # no fields: no symbol table to check the point against
             n = np.shape(point)[-1]
@@ -620,12 +796,7 @@ class Tape:
         V, G, H = np.zeros(lead + (k,)), np.zeros(lead + (k, n)), np.zeros(lead + (k, n, n))
         if lead == (0,):
             return JetStack(V, G, H)
-        if lead:  # read-only, as _unit_vectors
-            units = np.broadcast_to(np.eye(n)[:, None, :], (n,) + lead + (n,))
-            leaves = [_Jet(v, (e, True), 0.0) for v, e in zip(vals, units)] + list(vals[n:, 0])
-        else:
-            leaves = [_Jet(v, e, 0.0) for v, e in zip(vals, _unit_vectors(n))] + list(vals[n:])
-        for i, j in enumerate(self._run(leaves)):
+        for i, j in enumerate(self._root_jets(vals)):
             if not isinstance(j, _Jet):  # a field of constants and parameters
                 V[..., i] = j
                 continue
@@ -636,13 +807,19 @@ class Tape:
                 H[..., i, :, :] = j.h[0] if lead else j.h
         return JetStack(V, G, 0.5 * (H + H.swapaxes(-1, -2)))
 
-
-@cache
-def _unit_vectors(n: int) -> tuple[np.ndarray, ...]:
-    """The coordinate seeds' gradients, read-only: a jet's gradient may be one of them."""
-    e = np.eye(n)
-    e.setflags(write=False)
-    return tuple(e)
+    def _root_jets(self, vals: np.ndarray) -> list:
+        """Each root's _Jet (a float for a constant field) from one jet run on the
+        symbols' numbers vals, of one point or of a batch (see _values); the first
+        call sorts the tape by degree.  Parameters stay plain floats."""
+        if self._gradients is None:
+            self._sort_by_degree()
+        grads, hessians, n = self._gradients, self._hessians, len(self.coords)
+        if vals.ndim == 1:
+            return self._run(vals, [0.0, *grads, *hessians])
+        lead = vals.shape[1:]  # a fixed part is the same in every lane: a read-only broadcast
+        grads = [(g, True) for g in np.broadcast_to(grads[:, None], (len(grads),) + lead + (n,))]
+        hessians = [(h, True) for h in np.broadcast_to(hessians[:, None], (len(hessians),) + lead + (n, n))]
+        return self._run([*vals[:n], *vals[n:, 0]], [0.0, *grads, *hessians])
 
 
 # In a jet's gradient or Hessian slot a plain float is a structural zero.  It
@@ -656,7 +833,9 @@ def _unit_vectors(n: int) -> tuple[np.ndarray, ...]:
 # one-point jet computes it, so a present entry has that jet's bits and an
 # absent lane raises no numpy warning.  The rules of _Jet reach their slots
 # only through the primitives below (_scale, _plus, _outer, _scaled_outer, _minus), so
-# each rule is written once for both forms.
+# each rule is written once for both forms.  A quadratic slot's jet carries no
+# Hessian (None; its Hessian is fixed, see Tape): the primitives pass None on,
+# and the rules form no Hessian for it.
 
 
 def _lanes(keep, fn, *args):
@@ -696,6 +875,8 @@ def _scale(c, s):
         return c * s if c else 0.0
     if isinstance(s, float):
         return 0.0
+    if s is None:
+        return None
     x, p = s
     if not isinstance(c, np.ndarray):
         return _lanes(p if c else False, operator.mul, c, x)
@@ -704,7 +885,7 @@ def _scale(c, s):
 
 def _plus(x, y):
     """x + y, or the one that is present: in a batch, lane by lane."""
-    if isinstance(x, float):
+    if x is None or isinstance(x, float):
         return y
     if isinstance(y, float):
         return x
@@ -749,7 +930,7 @@ def _scaled_outer(c, x, y, sym: bool = False):
 def _minus(s):
     """-s, in either form."""
     if not isinstance(s, tuple):
-        return -s
+        return s if s is None else -s
     return _lanes(s[1], operator.neg, s[0])
 
 
@@ -788,8 +969,11 @@ class _Jet:
         if not isinstance(o, _Jet):
             return _Jet(self.v * o, _scale(o, self.g), _scale(o, self.h))
         va, ga, vb, gb = self.v, self.g, o.v, o.g
+        g = _plus(_scale(vb, ga), _scale(va, gb))
+        if self.h is None:
+            return _Jet(va * vb, g, None)
         h = _plus(_plus(_scale(vb, self.h), _scale(va, o.h)), _outer(ga, gb, sym=True))
-        return _Jet(va * vb, _plus(_scale(vb, ga), _scale(va, gb)), h)
+        return _Jet(va * vb, g, h)
 
     __rmul__ = __mul__
 
@@ -808,8 +992,9 @@ class _Jet:
 
     def __pow__(self, k: int):  # k >= 2, as _pow builds it
         va, ga = self.v, self.g
-        dk, c = k * _power(k - 1)(va), k * (k - 1) * _power(k - 2)(va)
-        h = _plus(_scale(dk, self.h), _scaled_outer(c, ga, ga))
+        dk, h = k * _power(k - 1)(va), self.h
+        if h is not None:
+            h = _plus(_scale(dk, h), _scaled_outer(k * (k - 1) * _power(k - 2)(va), ga, ga))
         return _Jet(_power(k)(va), _scale(dk, ga), h)
 
 

@@ -292,17 +292,22 @@ def test_a_stack_that_raises_fails_only_the_rows_that_raise():
 
 
 def test_lockstep_batches_each_round(monkeypatch):
-    """One component_jets call per round, over every live run's point."""
+    """One call per field set per round, over the live runs whose kernel reads
+    it: a leaf-projection step reads only Casimir jets, and the component jets
+    of each projected point are evaluated once, when its run analyses it."""
     m = build_kovalevskaya(0.5)
-    sizes = []
-    original = IntegrableModel.component_jets
-    monkeypatch.setattr(
-        IntegrableModel, "component_jets", lambda self, p: sizes.append(np.shape(p)) or original(self, p)
-    )
+    sizes = {"casimir_jets": [], "component_jets": []}
+    for name in sizes:
+        original = getattr(IntegrableModel, name)
+        monkeypatch.setattr(
+            IntegrableModel, name, lambda self, p, _o=original, _n=name: sizes[_n].append(np.shape(p)) or _o(self, p)
+        )
     samples = np.random.default_rng(0).uniform(-1, 1, size=(5, 6))
-    bifurcation._lockstep(m, [bifurcation._score(m, p) for p in samples], 1e-8)
-    assert sizes[0] == (5, 6) and all(len(s) == 2 for s in sizes)
-    assert [s[0] for s in sizes] == sorted((s[0] for s in sizes), reverse=True)
+    scores = bifurcation._lockstep(m, [bifurcation._score(m, p) for p in samples], 1e-8)
+    casimir, component = sizes["casimir_jets"], sizes["component_jets"]
+    assert casimir[0] == (5, 6) and all(len(s) == 2 for s in casimir + component)
+    assert [s[0] for s in casimir] == sorted((s[0] for s in casimir), reverse=True)
+    assert None not in scores and sum(s[0] for s in component) == len(samples)
 
 
 def test_lockstep_divides_only_where_a_run_reads():

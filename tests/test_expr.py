@@ -26,6 +26,7 @@ from intsing.expr import (
     Sub,
     Sym,
     Tape,
+    _Jet,
     _tokenize,
     differentiate,
     evaluate_jet2,
@@ -594,3 +595,144 @@ def test_a_zero_factor_forms_no_outer_product(monkeypatch):
     formed.clear()
     Tape([parse("x/y", ("x", "y"))]).jets(np.array([0.0, 2.0]))
     assert formed == [(2,)]  # dx dy^T, not dy dy^T scaled by 2 x / y^3 = 0
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_powers_0_and_1_of_a_batch_are_libm_pow(k):
+    """pow(x, 0) = 1 and pow(x, 1) = x, formed without a call per entry, are
+    libm's b ** k on zeros, infinities, NaN, subnormals and the extremes."""
+    from intsing.expr import _each_power
+
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, tiny / 3, -tiny, tiny, big, -big, 1.0, -2.5])
+    got, want = _each_power(x, k), np.array([b**k for b in x])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+
+# Jets by degree: a jet run computes affine slots as plain values and quadratic
+# ones without a Hessian, lifting them where a higher degree or a root reads
+# them.  The reference is the full second-order rules on every slot: the code of
+# a tape that no jet call has sorted, run on _Jet leaves.  Trees mix affine
+# sums, quadratic products and general nodes, with 0.0 and -0.0 coefficients, a
+# parameter and division by a constant and by a subtree.
+_LINEAR = st.recursive(
+    st.one_of(st.integers(0, 3).map(lambda i: Sym(i, (*ABC, "g")[i])), st.sampled_from([2, 0.5, 0.0, -0.0, -1]).map(Const)),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from([Add, Sub]), kids, kids).map(lambda t: t[0](t[1], t[2])),
+        kids.map(Neg),
+        st.tuples(kids, st.sampled_from([3, -0.5, 0.0, -0.0])).map(lambda t: Mul(Const(t[1]), t[0])),
+        kids.map(lambda k: Mul(Sym(3, "g"), k)),  # a parameter's multiple: its gradient is not fixed
+        st.tuples(kids, st.sampled_from([10, -7, Fraction(1, 3)])).map(lambda t: Div(t[0], Const(t[1]))),
+    ),
+    max_leaves=5,
+)
+DEGREE_NODES = st.recursive(
+    st.one_of(_LINEAR, _BATCH_LEAVES),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from([Add, Sub, Mul, Div]), kids, kids).map(lambda t: t[0](t[1], t[2])),
+        kids.map(Neg),
+        st.tuples(kids, st.integers(2, 3)).map(lambda t: Pow(*t)),
+    ),
+    max_leaves=6,
+)
+
+
+def _full_rules(fields, point, params):
+    """Each field's _Jet (or float) by the full rules: a fresh tape's code on _Jet leaves."""
+    tape = Tape(fields)
+    vals, n = tape._values(point, params), len(tape.coords)
+    if vals.ndim == 1:
+        return tape._run([_Jet(v, e, 0.0) for v, e in zip(vals, np.eye(n))] + list(vals[n:]))
+    units = np.broadcast_to(np.eye(n)[:, None, :], (n,) + vals.shape[1:] + (n,))
+    return tape._run([_Jet(v, (e, True), 0.0) for v, e in zip(vals, units)] + list(vals[n:, 0]))
+
+
+def _slot_bits(s):
+    """A gradient or Hessian slot: a structural zero (of either sign), an array, or a batch's (array, mask)."""
+    if isinstance(s, float):
+        return "zero"
+    if isinstance(s, tuple):
+        return _bytes(np.ascontiguousarray(s[0])), s[0].shape, s[1] if s[1] is True else s[1].tobytes()
+    return _bytes(np.ascontiguousarray(s)), s.shape
+
+
+def _jet_bits(j):
+    if not isinstance(j, _Jet):
+        return _bytes(j)
+    return _bytes(j.v), _slot_bits(j.g), _slot_bits(j.h)
+
+
+@given(
+    st.lists(DEGREE_NODES, min_size=1, max_size=3),
+    st.lists(st.lists(_COORDINATE, min_size=3, max_size=3), min_size=1, max_size=6).map(np.array),
+    st.sampled_from([0.0, -0.0, -1.0, 0.75]),
+    st.booleans(),
+)
+# The two traps: g*a has the gradient g e_a, and a/10 is a * (1.0 / 10) in a jet.
+@example([Mul(Sym(3, "g"), Sym(0, "a")), Div(Sym(0, "a"), Const(10))], np.array([[0.1, 0.0, 1.0]]), 0.75, False)
+def test_jets_by_degree_are_the_full_rules(nodes, rows, g, batch_first):
+    fields = [Expression(n, ABC, ("g",)) for n in nodes]
+    params, tape = {"g": g}, Tape(fields)
+    for point in (rows, rows[0]) if batch_first else (rows[0], rows):  # the first call sorts the tape
+        with np.errstate(all="raise"):
+            try:
+                want = [_jet_bits(j) for j in _full_rules(fields, point, params)]
+            except (EvalError, FloatingPointError) as exc:
+                with pytest.raises(type(exc)):
+                    tape.jet_stack(point, params)
+                continue
+            got = [_jet_bits(j) for j in tape._root_jets(tape._values(point, params))]
+        assert got == want
+
+
+def _instruction_degrees(tape: Tape, point, params=None) -> list[str]:
+    """What each instruction (lifts left out) gives in a jet run: "plain" (a constant
+    or affine value), "first" (a quadratic jet without Hessian) or "full" (the full rules)."""
+    from intsing import expr
+
+    tape.jet_stack(point, params)  # sorts the tape
+    lifts = (expr._first_order, expr._second_order, expr._with_hessian)
+    seen, fns = [], tape._fns
+
+    def watched(fn):
+        def run(x, y):
+            r = fn(x, y)
+            seen.append("plain" if not isinstance(r, _Jet) else "first" if r.h is None else "full")
+            return r
+
+        return run
+
+    tape._fns = tuple(fn if fn in lifts else watched(fn) for fn in fns)
+    try:
+        tape.jet_stack(point, params)
+    finally:
+        tape._fns = fns
+    return seen
+
+
+def test_degrees_of_the_kovalevskaya_and_disguise_tapes(monkeypatch):
+    """The full second-order rules run only where a Hessian varies: on K's two
+    outer squares and their sum, on no Casimir instruction, and on no
+    instruction of a disguised canonical model."""
+    from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
+    from intsing.kovalevskaya import build_kovalevskaya
+
+    m = build_kovalevskaya(0.5)
+    p = np.array([0.3, -0.2, 0.1, 0.5, -0.4, 0.7])
+    components = _instruction_degrees(Tape(m.components), p, m.params)
+    assert components.count("full") == 3 and components.count("first") == 14
+    assert _instruction_degrees(Tape(m.structure.casimirs), p, m.params).count("full") == 0
+    for n in range(1, 5):
+        for kf in range(n // 2 + 1):
+            for r in range(n - 2 * kf + 1):
+                for ke in range(n - 2 * kf - r + 1):
+                    d = randomized_disguise(build_canonical(CanonicalSpec(r, ke, n - 2 * kf - r - ke, kf)), seed=n)
+                    tape = Tape(d.model.components)
+                    assert "full" not in _instruction_degrees(tape, d.point.coordinates, d.model.params)
+    monkeypatch.setattr(Tape, "_sort_by_degree", lambda self: pytest.fail("a values-only tape was sorted"))
+    tape = Tape(m.components)
+    tape.values(p, m.params)
+    tape.values(np.array([p, -p]), m.params)
+    assert tape._gradients is None
