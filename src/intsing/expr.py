@@ -4,7 +4,9 @@ Expressions are immutable ASTs built from rational constants, named symbols
 and the operators + - * / ^ (non-negative integer exponent).  Every transform
 (exact partial derivatives, normal form, source text, substitution, equality
 and the `Tape`) is one rule per node type over one post-order walk without
-recursion, so a tree of any depth is handled.  A `Tape` is straight-line code
+recursion, so a tree of any depth is handled, and a walk visits a subtree
+object once however many nodes share it: a parsed tree holds one node object
+per distinct structure.  A `Tape` is straight-line code
 with one instruction per structurally distinct node: a subtree shared by
 several fields (or repeated in one) is computed once.  One loop runs the tape
 at a point, over a batch of points and on second-order jets (value, gradient,
@@ -231,23 +233,26 @@ def _operands(node: Node) -> tuple[Node, ...]:
     return (node.a,) if isinstance(node, (Neg, Pow)) else ()
 
 
-def _postorder(roots: Sequence[Node]) -> tuple[list[Node], set[Node]]:
-    """Each distinct node object under the roots once, operands first, and the
-    nodes reached more than once (shared, or a root that is also an operand).
-    The walk keeps an explicit stack, so a tree of any depth is walked."""
+def _postorder(roots: Sequence[Node]) -> tuple[list[tuple[Node, tuple[Node, ...]]], set[Node]]:
+    """Each distinct node object under the roots once with its operands, operands
+    first, and the nodes reached more than once (shared, or a root that is also
+    an operand).  The walk keeps an explicit stack, so a tree of any depth is walked."""
     order, seen, again = [], set(), set()
-    stack = [(r, False) for r in reversed(roots)]
+    stack = [(r, None) for r in reversed(roots)]
     while stack:
-        node, operands_listed = stack.pop()
-        if operands_listed:
-            order.append(node)
+        node, operands = stack.pop()
+        if operands is not None:
+            order.append((node, operands))
         elif node in seen:
             again.add(node)
         else:
             seen.add(node)
-            stack.append((node, True))
-            for n in reversed(_operands(node)):
-                stack.append((n, False))
+            if isinstance(node, _Binary):  # _operands inlined: every walk runs this loop
+                stack += (node, (node.a, node.b)), (node.b, None), (node.a, None)
+            elif isinstance(node, (Neg, Pow)):
+                stack += (node, (node.a,)), (node.a, None)
+            else:
+                order.append((node, ()))
     return order, again
 
 
@@ -260,12 +265,11 @@ def _fold(roots: Sequence[Node], rule) -> list:
     """
     order, again = _postorder(roots)
     values = {}
-
-    def read(n: Node):
-        return values[n] if n in again else values.pop(n)
-
-    for node in order:
-        values[node] = rule(node, *map(read, _operands(node)))
+    for node, operands in order:
+        if operands:
+            values[node] = rule(node, *[values[n] if n in again else values.pop(n) for n in operands])
+        else:
+            values[node] = rule(node)
     return [values[r] for r in roots]
 
 
@@ -330,12 +334,17 @@ def _fits_float(c: Const, build, operands) -> bool:
 
 
 class _Parser:
+    """The tree of one source text, holding one node object per distinct
+    structure: every node the parser returns is interned (see `intern`)."""
+
     def __init__(self, src: str, symbols: Mapping[str, int]):
         self.src = src
         self.symbols = symbols
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0  # open parentheses
+        self.nodes: dict[tuple, Node] = {}  # structure key -> its one node
+        self.held: set[Node] = set()  # the nodes in self.nodes
 
     def peek(self):
         return self.tokens[self.pos]
@@ -363,6 +372,29 @@ class _Parser:
             raise ParseError("constant does not fit a float", self.src, pos)
         if isinstance(node, Const) and _too_long(node.value):
             raise ParseError(_TOO_LONG, self.src, pos)
+        return self.intern(node)
+
+    def intern(self, node: Node) -> Node:
+        """The one node object of node's structure.  The key is the node's type
+        and its constant's value type, value and float bits (2 and 2.0, 0.0 and
+        -0.0 stay apart), its symbol's index, or its interned operands and
+        exponent.  A smart constructor may return a new node over a new operand
+        ((-a)*b is -(a*b)), so such a node is rebuilt over interned operands."""
+        if node in self.held:
+            return node
+        kind = type(node)
+        if kind is Const:
+            key = kind, type(node.value), node.value, struct.pack("<d", node.fvalue)
+        elif kind is Sym:
+            key = kind, node.index
+        else:
+            operands = _operands(node)
+            if not self.held.issuperset(operands):
+                operands = tuple(map(self.intern, operands))
+                node = Pow(*operands, node.k) if kind is Pow else kind(*operands)
+            key = kind, *operands, getattr(node, "k", 0)
+        node = self.nodes.setdefault(key, node)
+        self.held.add(node)
         return node
 
     def literal(self, text: str, pos: int) -> Const:
@@ -401,7 +433,7 @@ class _Parser:
             signs += 1
         node = self.power()
         for _ in range(signs):
-            node = _neg(node)
+            node = self.intern(_neg(node))
         return node
 
     def power(self) -> Node:
@@ -432,7 +464,7 @@ class _Parser:
         if kind == "ident":
             if text not in self.symbols:
                 raise ParseError(f"unknown symbol {text!r}", self.src, pos)
-            return Sym(self.symbols[text], text)
+            return self.intern(Sym(self.symbols[text], text))
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_PAREN_DEPTH:
@@ -1208,7 +1240,7 @@ class Expression:
     # -- queries -------------------------------------------------------------
 
     def free_symbols(self) -> set[str]:
-        return {n.name for n in _postorder([self.node])[0] if type(n) is Sym}
+        return {n.name for n, _ in _postorder([self.node])[0] if type(n) is Sym}
 
     def is_zero(self) -> bool:
         """Exact zero test via polynomial normal form."""

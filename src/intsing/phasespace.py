@@ -187,11 +187,11 @@ class PoissonStructure:
 
 def _sampled_max(fields: Iterable[Expression], samples: int, box: float, seed: int, dim: int, params=None):
     """Max |f| over the fields at seeded uniform points of [-box, box]^dim, NaN skipped, and the
-    index of the first field that reaches it (None for 0): each field is evaluated once, on all points."""
+    index of the first field that reaches it (None for 0): one tape over the fields, run once on all points."""
     pts = np.random.default_rng(seed).uniform(-box, box, size=(samples, dim))
     worst, at = 0.0, None
-    for index, f in enumerate(fields):
-        top = np.fmax.reduce(np.abs(f.evaluate(pts, params)), initial=worst)
+    for index, values in enumerate(Tape(list(fields)).values(pts, params)):
+        top = np.fmax.reduce(np.abs(values), initial=worst)
         if top > worst:
             worst, at = top, index
     return worst, at
@@ -334,12 +334,12 @@ def flow_integrate(
     trajectory (|end - start|) is reported.
     """
     p0 = p.coordinates if isinstance(p, PhasePoint) else np.asarray(p, dtype=float)
-    nodes = list(field)
+    tape = Tape(list(field))
 
     def rhs(_t, y):
         if not np.all(np.isfinite(y)):
             raise FlowError("state became non-finite during integration")
-        return [f.evaluate(y, params) for f in nodes]
+        return tape.values(y, params)
 
     sol = solve_ivp(rhs, (0.0, time), p0, method="DOP853", rtol=rtol, atol=atol, dense_output=False)
     if not sol.success:
@@ -347,9 +347,9 @@ def flow_integrate(
     end = sol.y[:, -1]
     if not np.all(np.isfinite(end)):
         raise FlowError("trajectory blew up")
-    drift = {}
-    for label, m in (monitors or {}).items():
-        drift[label] = abs(m.evaluate(end, params) - m.evaluate(p0, params))
+    monitors = monitors or {}
+    watch = Tape(list(monitors.values()))
+    drift = {label: abs(a - b) for label, a, b in zip(monitors, watch.values(end, params), watch.values(p0, params))}
     return FlowResult(PhasePoint(end), drift, int(sol.nfev))
 
 

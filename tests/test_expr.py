@@ -27,6 +27,8 @@ from intsing.expr import (
     Sym,
     Tape,
     _Jet,
+    _Parser,
+    _postorder,
     _tokenize,
     differentiate,
     evaluate_jet2,
@@ -522,6 +524,57 @@ def test_shared_and_unshared_copies_agree(pool, recipe):
     for x in ABC:
         assert shared.diff(x) == copy.diff(x)
         assert shared.diff(x).to_source() == copy.diff(x).to_source()
+
+
+def _structure_key(n, keys):
+    """n's structure as nested tuples, from its operands' keys: constants by
+    value type, value and float bits, symbols by index."""
+    if isinstance(n, Const):
+        return Const, type(n.value), n.value, np.float64(n.fvalue).tobytes()
+    if isinstance(n, Sym):
+        return Sym, n.index
+    return type(n), getattr(n, "k", 0), *(keys[id(getattr(n, f))] for f in ("a", "b") if hasattr(n, f))
+
+
+def _tape_code(tape):
+    return repr(tape._init), tape._fns, list(tape._a), list(tape._b), list(tape._out), list(tape._roots)
+
+
+class _TreeParser(_Parser):
+    """The parser without interning: a new node object at each occurrence."""
+
+    def intern(self, node):
+        return node
+
+
+_A, _B = Sym(0, "a"), Sym(1, "b")
+
+
+@given(NODES, POINTS)
+# 2 and 2.0, 1/2 and 0.5: equal values of other types stay apart
+@example(Add(Mul(Const(2), _A), Mul(Const(2.0), _B)), np.array([1.0, -0.5, 2.0]))
+@example(Sub(Mul(Const(Fraction(1, 2)), _A), Mul(Const(0.5), _A)), np.array([1.0, -0.5, 2.0]))
+# (-a)*b is -(a*b) over a new a*b, which must be the a*b parsed before
+@example(Add(Mul(_A, _B), Mul(Neg(_A), _B)), np.array([1.0, -0.5, 2.0]))
+def test_parsed_trees_share_equal_subtrees(node, p):
+    """A parsed tree holds one node object per distinct structure, its text is
+    that of a parse without interning, and its text, partials, tape code and
+    jets are those of a copy that shares nothing."""
+    src = Expression(node, ABC).to_source()
+    e = parse(src, ABC)
+    assert e.to_source() == Expression(_TreeParser(src, {x: i for i, x in enumerate(ABC)}).parse(), ABC).to_source()
+    objects, keys = [], {}
+    for n, _ in _postorder([e.node])[0]:
+        objects.append(n)
+        keys[id(n)] = _structure_key(n, keys)
+    assert len(set(keys.values())) == len(objects)
+    copy = Expression(_unshared(e.node), ABC)
+    assert e.to_source() == copy.to_source()
+    assert [e.diff(x).to_source() for x in ABC] == [copy.diff(x).to_source() for x in ABC]
+    tape, copy_tape = Tape([e]), Tape([copy])
+    assert _tape_code(tape) == _tape_code(copy_tape)
+    assert _jet_bytes(tape.jets(p)[0]) == _jet_bytes(copy_tape.jets(p)[0])
+    assert _tape_code(tape) == _tape_code(copy_tape)  # and as sorted by degree
 
 
 # Batched jets: Tape.jets on an (m, dim) array runs the tape once on _Jet leaves

@@ -4,8 +4,11 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from intsing.expr import Expression, parse
+from intsing import cli, phasespace
+from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
+from intsing.expr import Tape, constant, parse
 from intsing.kovalevskaya import build_kovalevskaya
 from intsing.phasespace import (
     IntegrableModel,
@@ -112,19 +115,25 @@ def test_commutation_adversarial():
     assert report.worst_pair == (0, 1)
 
 
+def _count_tape_runs(monkeypatch) -> list:
+    """The number of roots of each tape run from now on."""
+    runs, run = [], Tape._run
+    monkeypatch.setattr(Tape, "_run", lambda self, *a: runs.append(len(self._roots)) or run(self, *a))
+    return runs
+
+
 def test_sampled_checks_evaluate_each_expression_once(e3, kov_exprs, monkeypatch):
     h, k = kov_exprs
     model = IntegrableModel(e3, [h, k], leaf_values=[1.0, 0.5])
-    calls = []
-    evaluate = Expression.evaluate
-    monkeypatch.setattr(Expression, "evaluate", lambda self, *a, **kw: calls.append(1) or evaluate(self, *a, **kw))
+    runs = _count_tape_runs(monkeypatch)
     report = check_commutation(model, samples=100, box=2.0)
-    assert len(calls) == 1  # the one bracket, over all samples at once
-    pts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(100, 6))
-    assert report.max_residual == max(abs(evaluate(e3.bracket(h, k), p)) for p in pts)
-    calls.clear()
+    assert runs == [1]  # one tape over the one bracket, run once over all samples
+    runs.clear()
     e3.casimir_residual(samples=20)
-    assert len(calls) == 2 * 6  # one per Casimir and field component
+    assert runs == [2 * 6]  # one tape over every Casimir's field components, run once
+    monkeypatch.undo()
+    pts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(100, 6))
+    assert report.max_residual == max(abs(e3.bracket(h, k).evaluate(p)) for p in pts)
 
 
 def test_jacobi_identity_e3(e3):
@@ -141,11 +150,9 @@ def test_jacobi_residual_matches_pointwise_jacobiator(monkeypatch):
     # so the Jacobi identity fails away from that plane
     xyz = ("x", "y", "z")
     st = PoissonStructure(xyz, {(0, 1): parse("x", xyz), (1, 2): parse("y", xyz), (0, 2): parse("-z", xyz)})
-    calls = []
-    evaluate = Expression.evaluate
-    monkeypatch.setattr(Expression, "evaluate", lambda self, *a, **kw: calls.append(1) or evaluate(self, *a, **kw))
+    runs = _count_tape_runs(monkeypatch)
     residual = st.jacobi_residual(samples=50, box=2.0, seed=3)
-    assert len(calls) == 1  # the one triple i < j < k, over all samples at once
+    assert runs == [1]  # one tape over the one triple i < j < k, run once over all samples
     monkeypatch.undo()
     worst = 0.0
     for p in np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 3)):
@@ -153,6 +160,65 @@ def test_jacobi_residual_matches_pointwise_jacobiator(monkeypatch):
         worst = max(worst, float(np.abs(term + term.transpose(1, 2, 0) + term.transpose(2, 0, 1)).max()))
     assert worst > 1.0
     assert abs(residual - worst) <= 1e-12 * worst
+
+
+def _per_field_max(fields, samples, box, seed, dim, params=None):
+    """The reference for _sampled_max: each field evaluated on its own."""
+    pts = np.random.default_rng(seed).uniform(-box, box, size=(samples, dim))
+    worst, at = 0.0, None
+    for index, f in enumerate(fields):
+        top = np.fmax.reduce(np.abs(f.evaluate(pts, params)), initial=worst)
+        if top > worst:
+            worst, at = top, index
+    return worst, at
+
+
+def _same_max(got, want) -> bool:
+    return (np.float64(got[0]).tobytes(), got[1]) == (np.float64(want[0]).tobytes(), want[1])
+
+
+@pytest.mark.parametrize(
+    "model",
+    ["kovalevskaya:0", "kovalevskaya:0.5", "kovalevskaya:1.6"]
+    + [f"disguise:{spec}" for spec in ("1,0,0,0", "0,2,0,0", "1,0,1,1", "0,1,1,1", "0,0,2,1", "0,0,0,2")],
+)
+def test_sampled_max_is_the_per_field_maximum(model, tmp_path, monkeypatch, capsys):
+    """Every sampled check that `verify` makes, on Kovalevskaya and on disguise
+    files of n <= 4 types, gives the per-field worst value and first index bit for bit."""
+    kind, _, arg = model.partition(":")
+    argv = ["verify", "--model", "kovalevskaya", "--g", arg]
+    if kind == "disguise":
+        path = str(tmp_path / "model.json")
+        spec = CanonicalSpec(*map(int, arg.split(",")))
+        phasespace.save_model(randomized_disguise(build_canonical(spec), seed=2).model, path)
+        argv = ["verify", "--model", path]
+    checks, sampled_max = [], phasespace._sampled_max
+
+    def record(fields, *args):
+        checks.append((list(fields), args))
+        return sampled_max(checks[-1][0], *args)
+
+    monkeypatch.setattr(phasespace, "_sampled_max", record)
+    assert cli.main(argv + ["--samples", "300", "--seed", "4"]) == 0
+    capsys.readouterr()
+    assert len(checks) == (3 if kind == "kovalevskaya" else 2)  # a constant bivector skips the Jacobi check
+    for fields, args in checks:
+        assert _same_max(sampled_max(fields, *args), _per_field_max(fields, *args))
+
+
+def test_sampled_max_with_constant_roots_and_nan_samples():
+    xy = ("x", "y")
+    fields = [parse(src, xy, ("g",)) for src in ("x*y", "3/4", "g*x-g*y", "x+y", "(x+y)^2/4", "g*y")]
+    fields.insert(1, constant(0.75, xy, ("g",)))
+    for g in (0.5, np.nan, np.inf, -np.inf):  # NaN in no, every or some samples (inf - inf)
+        for picked in (fields, fields[:4], fields[3:4], fields[::-1], []):
+            with np.errstate(invalid="ignore"):
+                got = phasespace._sampled_max(picked, 40, 1.0, 7, 2, {"g": g})
+                want = _per_field_max(picked, 40, 1.0, 7, 2, {"g": g})
+            assert _same_max(got, want)
+    with np.errstate(invalid="ignore"):
+        assert phasespace._sampled_max(fields[3:4], 40, 1.0, 7, 2, {"g": np.nan}) == (0.0, None)
+    assert phasespace._sampled_max(fields[1:3], 40, 1.0, 7, 2, {"g": 0.0}) == (0.75, 0)  # the first of two ties
 
 
 def test_casimirs_commute_with_coordinates(e3):
@@ -213,6 +279,23 @@ def test_flow_of_each_component_preserves_all(e3, kov_exprs):
             model.field_exprs(idx), PhasePoint(p0), 5.0, monitors={"H": h, "K": k}
         )
         assert max(res.drift.values()) <= 1e-7
+
+
+def test_flow_runs_one_tape_with_the_per_field_bits(e3, kov_exprs):
+    """The end point, nfev and drifts equal those of a flow that evaluates each field on its own."""
+    h, k = kov_exprs
+    model = IntegrableModel(e3, [h, k], leaf_values=[1.0, 0.5])
+    field, p0 = model.field_exprs(1), np.array([0.6, 0.1, 0.8, 0.3, 0.4, -0.2])
+    monitors = {"H": h, "K": k, "f1": e3.casimirs[0]}
+    res = flow_integrate(field, PhasePoint(p0), 3.0, monitors=monitors)
+    sol = solve_ivp(
+        lambda _t, y: [f.evaluate(y) for f in field], (0.0, 3.0), p0, method="DOP853", rtol=1e-11, atol=1e-12
+    )
+    end = sol.y[:, -1]
+    assert res.end.coordinates.tobytes() == end.tobytes() and res.nfev == sol.nfev
+    drift = {label: abs(m.evaluate(end) - m.evaluate(p0)) for label, m in monitors.items()}
+    assert [np.float64(v).tobytes() for v in res.drift.values()] == [np.float64(v).tobytes() for v in drift.values()]
+    assert list(res.drift) == list(monitors)
 
 
 def test_model_roundtrip_bit_exact(e3, kov_exprs):
