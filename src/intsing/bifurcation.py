@@ -18,13 +18,20 @@ answers each kernel's requests with one stacked computation (assembly, least
 squares, SVD), with the bits of one-row calls (a batch or stack that raises is
 redone a row at a time).  The scan scores its samples in lockstep groups of
 SCORE_GROUP and refines all its candidates in one lockstep, and `trace_diagram`
-refines its seeds in one lockstep and traces both branches of every seed in
-another, so every output is the one the runs give one at a time.  A vertex's
+refines its seeds in one lockstep and then traces both branches of every seed
+in lockstep segments of SEGMENT accepted steps, so every output is the one the
+runs give one at a time.  A branch keeps its state in a `_Branch` and resumes
+from it.  After each segment a join barrier walks the branches in (seed,
+direction) order: a branch whose new entries retrace the value curve of an
+earlier branch, other than its sibling, for JOIN_RUN entries in a row (near its
+entries, parallel to its value tangent, the matched entry moving one way) with
+the same family label at the last one stops there as "joined".  A vertex's
 value is `momentum_value` at its point (on a model with a division the jet
 values can differ from it in the last bit).  The glued branches are cut into
 arcs at the marks and where the reduced type changes; an arc end is its
 branch's stop reason at the glued list's ends, else "cusp".  An arc with 90 %
-of its values near one kept arc is a duplicate.
+of its values near one kept arc with its label is a duplicate, so a value
+curve that carries an elliptic and a hyperbolic family keeps both.
 
 The rank-1 locus is parametrized by the kernel-vector augmentation
 
@@ -41,7 +48,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -73,6 +80,9 @@ ARC_DEDUP_FACTOR = 2.0  # arcs within this many steps of a kept arc are duplicat
 REFINE_TOL = 1e-11  # residual norm at which refinement stops
 SCORE_GROUP = 256  # scan samples projected and scored in one lockstep: each live run holds a record
 DIRECTIONS_PER_PLANE = 2  # probe directions per invariant 2-plane at a vertex
+SEGMENT = 16  # accepted continuation steps a branch takes between two join barriers
+JOIN_RUN = 3  # entries in a row that retrace one earlier branch make a join
+JOIN_COS = 0.95  # |cos| of the value tangents at which two retraced curves run parallel
 
 
 class TraceError(RuntimeError):
@@ -631,26 +641,50 @@ def _value_speed(a: PointAnalysis, direction) -> float:
     return float(np.linalg.norm(a.jets.gradient @ direction[: len(a.point)]))
 
 
-def _trace_branch(model, z0, a0: PointAnalysis, T0, direction, params: TraceParams, tol) -> tuple[list, str, list]:
-    """One continuation run from z0 (its point analysed in a0, T0 the null space
-    there) along direction, a Newton run: its (value, phase point, mark) entries
-    in tracing order, why it stopped and the records of its "vertex" entries."""
-    N = model.dim
-    branch = [(a0.value, z0[:N].copy(), None)]
-    found: list[PointAnalysis] = []
-    z, a, T = z0.copy(), a0, T0
-    t_prev = direction
-    h = params.step
-    steps = 0
+@dataclass
+class _Branch:
+    """A continuation branch between segments: its Newton state (z, its record a,
+    the null space T there, the last tangent, the step h, accepted steps and the
+    sigma_max history), its (value, phase point, mark) entries in tracing order,
+    the records of its "vertex" entries, why it stopped (None while live) and,
+    for the join barrier, the entries it has tested, its runs along earlier
+    branches (branch -> (entries in a row, last matched entry, sense)), the
+    branches whose family it does not share, and the branch it joined."""
 
-    sig_prev = float(a0.sv[0])
-    sig_falling = False
+    z0: np.ndarray
+    z: np.ndarray
+    a: PointAnalysis
+    T: np.ndarray
+    t_prev: np.ndarray
+    h: float
+    sig_prev: float
+    entries: list
+    steps: int = 0
+    sig_falling: bool = False
+    found: list = field(default_factory=list)
+    reason: str | None = None
+    checked: int = 1  # entry 0 is the seed, which both branches of a seed share
+    runs: dict = field(default_factory=dict)
+    unlike: set = field(default_factory=set)
+    joined: int | None = None
+
+    @classmethod
+    def start(cls, z0, a0: PointAnalysis, T0, direction, step: float) -> _Branch:
+        N = len(a0.point)
+        return cls(z0, z0.copy(), a0, T0, direction, step, float(a0.sv[0]), [(a0.value, z0[:N].copy(), None)])
+
+
+def _trace_branch(model, b: _Branch, params: TraceParams, tol):
+    """Continue branch b for up to SEGMENT more accepted steps, a Newton run: why
+    it stopped, None when it paused at the segment's end.  Resuming from b's
+    state gives the steps of one uninterrupted run."""
+    N = model.dim
     attempt_sigma = max(10.0 * params.step, 0.5)
 
     def try_vertex(near: PointAnalysis):
         """Polish a sigma-minimum onto the rank-0 locus and append it to the branch,
         a Newton run: whether it did."""
-        if any(mark == "vertex" and np.linalg.norm(near.point - p) < 3.0 * params.step for _, p, mark in branch):
+        if any(mark == "vertex" and np.linalg.norm(near.point - p) < 3.0 * params.step for _, p, mark in b.entries):
             return False  # near a known vertex
         refined = yield from _attempt(_refine(model, near, 0, max_iter=30))
         if refined is None:
@@ -658,58 +692,59 @@ def _trace_branch(model, z0, a0: PointAnalysis, T0, direction, params: TracePara
         pv = refined.point
         if np.linalg.norm(pv - near.point) > max(4.0 * params.step, 0.4):
             return False  # converged to a faraway vertex, not a local pass
-        branch.append((model.momentum_value(pv), pv.copy(), "vertex"))
-        found.append(refined)
+        b.entries.append((model.momentum_value(pv), pv.copy(), "vertex"))
+        b.found.append(refined)
         return True
 
-    while steps < params.max_steps:
-        if isinstance(T, Exception):  # the null space at z failed where the corrector accepted z
-            raise T
-        coeff = T.T @ t_prev
+    end = min(params.max_steps, b.steps + SEGMENT)
+    while b.steps < end:
+        if isinstance(b.T, Exception):  # the null space at z failed where the corrector accepted z
+            raise b.T
+        coeff = b.T.T @ b.t_prev
         if np.linalg.norm(coeff) < 1e-10:
-            t = T[:, 0]
+            t = b.T[:, 0]
         else:
-            t = T @ coeff
+            t = b.T @ coeff
             t /= np.linalg.norm(t)
-        z_pred = z + h * t
+        z_pred = b.z + b.h * t
         z_new, a_new, T_new, iters = yield from _corrector(model, z_pred.copy(), t, z_pred)
-        if z_new is not None and np.linalg.norm(z_new - z_pred) > 2.0 * h:
+        if z_new is not None and np.linalg.norm(z_new - z_pred) > 2.0 * b.h:
             z_new = None  # corrector hopped onto a different branch
         if z_new is None:
-            h *= 0.5
-            if h < MIN_STEP:
-                return branch, "step-failure", found
+            b.h *= 0.5
+            if b.h < MIN_STEP:
+                return "step-failure"
             continue
-        if iters <= 2 and h < MAX_STEP:
-            h = min(MAX_STEP, 1.5 * h)
+        if iters <= 2 and b.h < MAX_STEP:
+            b.h = min(MAX_STEP, 1.5 * b.h)
 
         p = z_new[:N]
         if np.linalg.norm(p) > params.phase_bound:
-            return branch, "phase-bound", found
+            return "phase-bound"
         val = a_new.value
         if params.value_box is not None:
             lo, hi = params.value_box
             if np.any(val < lo) or np.any(val > hi):
-                return branch, "value-box", found
+                return "value-box"
 
-        cusp = _value_speed(a_new, t) < CUSP_SPEED and len(branch) > 2
+        cusp = _value_speed(a_new, t) < CUSP_SPEED and len(b.entries) > 2
         sig = float(a_new.sv[0])
         if sig < VERTEX_SIGMA:
             # landed (numerically) on a rank-0 point
-            return branch, "vertex" if (yield from try_vertex(a_new)) else "rank-collapse", found
-        if sig_falling and sig > sig_prev and sig_prev < attempt_sigma:
+            return "vertex" if (yield from try_vertex(a_new)) else "rank-collapse"
+        if b.sig_falling and sig > b.sig_prev and b.sig_prev < attempt_sigma:
             # passed a local minimum of |dF| one step ago (at a's point): likely a vertex
-            yield from try_vertex(a)
-        sig_falling = sig < sig_prev
-        sig_prev = sig
+            yield from try_vertex(b.a)
+        b.sig_falling = sig < b.sig_prev
+        b.sig_prev = sig
 
-        branch.append((val, p.copy(), "cusp" if cusp else None))
-        if steps > 10 and np.linalg.norm(p - z0[:N]) < 0.5 * params.step:
-            return branch, "closed-loop", found
-        t_prev = t
-        z, a, T = z_new, a_new, T_new
-        steps += 1
-    return branch, "max-steps", found
+        b.entries.append((val, p.copy(), "cusp" if cusp else None))
+        if b.steps > 10 and np.linalg.norm(p - b.z0[:N]) < 0.5 * params.step:
+            return "closed-loop"
+        b.t_prev = t
+        b.z, b.a, b.T = z_new, a_new, T_new
+        b.steps += 1
+    return "max-steps" if b.steps >= params.max_steps else None
 
 
 def _triple(linearization, model, p, tol, seed) -> tuple[int, int, int] | None:
@@ -780,6 +815,13 @@ def _arc_duplicates(arc_vals: list[np.ndarray], existing: list[Arc], radius: flo
     return False
 
 
+def _keep_arc(arcs: list[Arc], arc: Arc, radius: float) -> None:
+    """Append arc to the kept arcs unless it duplicates one with its label: one
+    value curve can carry an elliptic and a hyperbolic family."""
+    if not _arc_duplicates(arc.values, [a for a in arcs if a.label == arc.label], radius):
+        arcs.append(arc)
+
+
 def _branch_start(model: IntegrableModel, seed):
     """A rank-1 seed refined, a Newton run: (z0, its record, the null space T
     there, t0), where its two branches start from z0 along t0 and -t0, the null
@@ -792,15 +834,122 @@ def _branch_start(model: IntegrableModel, seed):
     return z0, a, T, T[:, int(np.argmax(speeds))]
 
 
+def _same_family(model, p, q, tol, seed) -> bool:
+    """Whether phase points p and q get one family label: the join's type check,
+    a labelling pass of its own."""
+    label = _point_label(model, p, tol, seed)
+    return label is not None and (p.tobytes() == q.tobytes() or label == _point_label(model, q, tol, seed))
+
+
+def _unit(x: np.ndarray):
+    """x over its norm, None where that is 0 or not finite."""
+    norm = float(np.linalg.norm(x))
+    return x / norm if 0.0 < norm < math.inf else None
+
+
+def _value_tangent(entries: list, m: int):
+    """The unit chord of the values around entry m, None where they do not move."""
+    lo, hi = max(m - 1, 0), min(m + 1, len(entries) - 1)
+    return _unit(entries[hi][0] - entries[lo][0])
+
+
+class _ValueGrid:
+    """The (branch, entry) pairs of traced entries by integer value cell of side
+    `side`: every entry within `side` of a value lies in a cell next to its own."""
+
+    def __init__(self, side: float):
+        self.side, self.cells = side, {}
+
+    def _cell(self, value) -> tuple:
+        return tuple(np.floor(np.asarray(value) / self.side).tolist())
+
+    def add(self, j: int, k: int, value) -> None:
+        self.cells.setdefault(self._cell(value), []).append((j, k))
+
+    def near(self, value):
+        cell = self._cell(value)
+        for offset in product((-1.0, 0.0, 1.0), repeat=len(cell)):
+            yield from self.cells.get(tuple(c + o for c, o in zip(cell, offset)), ())
+
+
+def _joins(model, branches: list, grid: _ValueGrid, j: int, k: int, params: TraceParams, tol) -> bool:
+    """Extend branch j's runs along earlier branches by its entry k: whether the
+    entry completes a join.  A run along branch i grows while each entry lies
+    within ARC_DEDUP_FACTOR steps of one of i's entries, its value chord runs
+    parallel to i's there (|cos| >= JOIN_COS, either sense) and the matched entry
+    moves one way; at JOIN_RUN entries, j joins i if the two points share a
+    family label, else j never tests i again."""
+    b = branches[j]
+    value = b.entries[k][0]
+    radius = ARC_DEDUP_FACTOR * params.step
+    nearest: dict = {}
+    for i, m in grid.near(value):
+        if i < j and i != j ^ 1 and i not in b.unlike:  # an earlier branch, not j's sibling
+            d = float(np.linalg.norm(branches[i].entries[m][0] - value))
+            if d <= radius and (i not in nearest or d < nearest[i][0]):
+                nearest[i] = (d, m)
+    tangent = _unit(value - b.entries[k - 1][0])
+    runs = {}
+    for i, (_, m) in sorted(nearest.items()):
+        other = _value_tangent(branches[i].entries, m)
+        if tangent is None or other is None or abs(float(tangent @ other)) < JOIN_COS:
+            continue
+        count, last, sense = b.runs.get(i, (0, m, 0))
+        move = (m > last) - (m < last)
+        runs[i] = (count + 1, m, move) if count and move and sense in (0, move) else (1, m, 0)
+    b.runs = runs
+    for i, (count, m, _) in sorted(runs.items()):  # the earliest branch first
+        if count < JOIN_RUN:
+            continue
+        if _same_family(model, b.entries[k][1], branches[i].entries[m][1], tol, params.seed):
+            b.joined = i
+            return True
+        b.unlike.add(i)
+    return False
+
+
+def _join_barrier(model, branches: list, grid: _ValueGrid, params: TraceParams, tol) -> None:
+    """Test the entries each branch added since the last barrier, in branch order,
+    and cut a branch after the entry that completes its first join: its later
+    entries go (the vertices it found stay) and it stops as "joined".  Then file
+    its kept new entries in grid."""
+    for j, b in enumerate(branches):
+        for k in range(b.checked, len(b.entries)):
+            if _joins(model, branches, grid, j, k, params, tol):
+                del b.entries[k + 1 :]
+                b.reason = "joined"
+                break
+        for k in range(b.checked, len(b.entries)):
+            grid.add(j, k, b.entries[k][0])
+        b.checked = len(b.entries)
+
+
+def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, tol) -> list:
+    """Both branches of every rank-1 seed, in (seed, direction) order: the seeds
+    are refined in one lockstep, then every live branch advances one segment per
+    lockstep, and a join barrier follows each segment."""
+    branches = []
+    for start in _lockstep(model, [_attempt(_branch_start(model, s)) for s in rank1], tol):
+        if start is not None:
+            z0, a, T, t0 = start
+            branches += [_Branch.start(z0, a, T, t0, params.step), _Branch.start(z0, a, T, -t0, params.step)]
+    grid, live = _ValueGrid(ARC_DEDUP_FACTOR * params.step), branches
+    while live:
+        for b, reason in zip(live, _lockstep(model, [_trace_branch(model, b, params, tol) for b in live], tol)):
+            b.reason = reason
+        _join_barrier(model, branches, grid, params, tol)
+        live = [b for b in live if b.reason is None]
+    return branches
+
+
 def trace_diagram(
     model: IntegrableModel,
     seeds: list[PointAnalysis],
     params: TraceParams | None = None,
     tol: float = DEFAULT_TOL,
 ) -> BifurcationDiagram:
-    """Continue every rank-1 seed into a labeled momentum-space arc: the seeds are
-    refined in lockstep, the branches of all seeds are traced in lockstep, and
-    arcs, vertices and labels are then built in seed order."""
+    """Continue every rank-1 seed into labeled momentum-space arcs (see
+    _trace_branches); arcs, vertices and labels are then built in seed order."""
     params = params or TraceParams()
     rank1 = [s for s in seeds if s.rank == model.n - 1]
     rank0 = [s for s in seeds if s.rank == 0]
@@ -815,25 +964,17 @@ def trace_diagram(
     for s in rank0:
         add_vertex(s)
 
-    runs = []
-    for start in _lockstep(model, [_attempt(_branch_start(model, s)) for s in rank1], tol):
-        if start is not None:
-            z0, a, T, t0 = start
-            runs += [_trace_branch(model, z0, a, T, t0, params, tol), _trace_branch(model, z0, a, T, -t0, params, tol)]
-    traced = _lockstep(model, runs, tol)
-
+    branches = _trace_branches(model, rank1, params, tol)
     arcs: list[Arc] = []
     dedup_radius = ARC_DEDUP_FACTOR * params.step
-    for (fwd, reason_f, found_f), (bwd, reason_b, found_b) in zip(traced[::2], traced[1::2]):
-        entries = bwd[::-1] + fwd[1:]  # both branches start at the seed
+    for fwd, bwd in zip(branches[::2], branches[1::2]):
+        entries = bwd.entries[::-1] + fwd.entries[1:]  # both branches start at the seed
         if len(entries) < 3:
             continue
-        for a in found_b + found_f:
+        for a in bwd.found + fwd.found:
             add_vertex(a)
         values = [val for val, _, _ in entries]
         phases = [p for _, p, _ in entries]
-        if _arc_duplicates(values, arcs, dedup_radius):
-            continue
         type_cuts, labels = _transition_cuts(model, phases, tol, params)
         marked = {i for i, (_, _, mark) in enumerate(entries) if mark}
         cuts = sorted(c for c in marked | set(type_cuts) if 2 <= c <= len(entries) - 3)
@@ -842,18 +983,16 @@ def trace_diagram(
             if cut - starts[-1] >= 2:
                 starts.append(cut)
         for lo, hi in zip(starts, [c + 1 for c in starts[1:]] + [len(entries)]):
-            if hi - lo < 3 or _arc_duplicates(values[lo:hi], arcs, dedup_radius):
-                continue
-            arcs.append(
-                Arc(
+            if hi - lo >= 3:
+                arc = Arc(
                     len(arcs),
                     values[lo:hi],
                     phases[lo:hi],
                     label=_segment_label(model, phases, labels, lo, hi, tol, params.seed),
                     cusp_candidates=[values[c] for c in cuts if lo <= c < hi],
-                    endpoints=[reason_b if lo == 0 else "cusp", reason_f if hi == len(entries) else "cusp"],
+                    endpoints=[bwd.reason if lo == 0 else "cusp", fwd.reason if hi == len(entries) else "cusp"],
                 )
-            )
+                _keep_arc(arcs, arc, dedup_radius)
 
     all_cusps = [c for arc in arcs for c in arc.cusp_candidates]
     return BifurcationDiagram(arcs, vertices, all_cusps)

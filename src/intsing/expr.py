@@ -902,17 +902,18 @@ def _column(c: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 
 def _scale(c, s):
-    """c * s, and a structural zero where c is 0: in a batch c is a number or one per lane."""
+    """s * c, and a structural zero where c is 0: in a batch c is a number or one per lane.
+    The array comes first, so numpy multiplies at once rather than after float.__mul__ declines."""
     if isinstance(s, np.ndarray):
-        return c * s if c else 0.0
+        return s * c if c else 0.0
     if isinstance(s, float):
         return 0.0
     if s is None:
         return None
     x, p = s
     if not isinstance(c, np.ndarray):
-        return _lanes(p if c else False, operator.mul, c, x)
-    return _lanes(p if c.all() else _both(p, _mask(c != 0)), operator.mul, _column(c, x), x)
+        return _lanes(p if c else False, operator.mul, x, c)
+    return _lanes(p if c.all() else _both(p, _mask(c != 0)), operator.mul, x, _column(c, x))
 
 
 def _plus(x, y):

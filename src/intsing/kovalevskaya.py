@@ -204,8 +204,9 @@ def kovalevskaya_diagram(
     tol: float = DEFAULT_TOL,
 ):
     """Bifurcation diagram of (H, K) on the leaf, seeded by the involution
-    fixed points (whose arcs are traced first so vertex-adjacent branches
-    survive deduplication) plus a leaf scan."""
+    fixed points plus a leaf scan.  The vertex seeds come first: a branch can
+    only join a branch earlier in seed order, so vertex-adjacent branches have
+    priority and scan branches that retrace them stop as "joined"."""
     model = build_kovalevskaya(g)
     trace_params = trace_params or DIAGRAM_PARAMS
     vertex_seeds = []

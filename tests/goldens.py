@@ -9,6 +9,10 @@ identical; floats must agree to ``FLOAT_TOL``, relative or absolute.
 Rewrite the files only when a change is meant to alter an output:
 
     PYTHONPATH=src python tests/goldens.py
+
+A diagram that a change is meant to alter is first compared with its old file
+by ``geometric_mismatches``: same vertices, and every old arc point covered by
+a new arc with its label.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import sys
 import tempfile
 from itertools import combinations
 from pathlib import Path
+
+import numpy as np
 
 from intsing import cli
 from intsing.atoms import named_products, product_to_dict
@@ -223,6 +229,48 @@ def mismatches(got, want, path: str = "$") -> list[str]:
             return [f"{path}: length {len(got)} != {len(want)}"]
         return [m for i, (g, w) in enumerate(zip(got, want)) for m in mismatches(g, w, f"{path}[{i}]")]
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+
+
+def _distances(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
+    """The distance from each point to the nearest segment of the polyline."""
+    a, b = polyline[:-1], polyline[1:]
+    ab = b - a
+    lengths = np.maximum(np.einsum("sk,sk->s", ab, ab), np.finfo(float).tiny)
+    t = np.clip(np.einsum("psk,sk->ps", points[:, None, :] - a, ab) / lengths, 0.0, 1.0)
+    return np.linalg.norm(points[:, None, :] - (a + t[..., None] * ab), axis=2).min(axis=1)
+
+
+def _uncovered(arcs: list[dict], cover: list[dict], step: float, value_box) -> list[str]:
+    """Each stretch of arc points farther than 2 step from every arc of cover with
+    their label, points within 2 step of the value box's edge exempt."""
+    lo, hi = value_box
+    out = []
+    for arc in arcs:
+        pts = np.array(arc["points"], dtype=float)
+        near = np.full(len(pts), False)
+        for other in cover:
+            if other["label"] == arc["label"]:
+                poly = np.array(other["points"], dtype=float)
+                near |= _distances(pts, np.vstack([poly, poly[-1:]])) <= 2.0 * step  # a 1-point arc: one 0-length segment
+        near |= np.any(np.minimum(pts - lo, hi - pts) <= 2.0 * step, axis=1)
+        runs = np.flatnonzero(np.diff(np.concatenate([[1], near.astype(int), [1]])))
+        for first, end in zip(runs[::2], runs[1::2]):
+            out.append(
+                f"arc {arc['id']} {arc['label']}: {end - first} points from "
+                f"{np.round(pts[first], 3).tolist()} to {np.round(pts[end - 1], 3).tolist()}"
+            )
+    return out
+
+
+def geometric_mismatches(got: dict, want: dict, step: float, value_box) -> tuple[list[str], list[str]]:
+    """Two diagrams (`diagram_to_dict` reports) as geometry: (the problems, the
+    stretches of got that want lacks).  A problem is a difference between the
+    vertex lists under the tolerance rules of `mismatches`, or a stretch of want
+    arc points farther than 2 step from every got arc segment with their label
+    (points within 2 step of the value box's edge are exempt)."""
+    problems = mismatches(got["vertices"], want["vertices"], "$.vertices")
+    problems += ["uncovered " + s for s in _uncovered(want["arcs"], got["arcs"], step, value_box)]
+    return problems, _uncovered(got["arcs"], want["arcs"], step, value_box)
 
 
 def assert_matches(got, name: str) -> None:

@@ -23,7 +23,7 @@ from intsing.bifurcation import (
     trace_diagram,
 )
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
-from intsing.classify import PointAnalysis, rank_at
+from intsing.classify import DEFAULT_TOL, PointAnalysis, rank_at
 from intsing.expr import JetStack
 from intsing.kovalevskaya import SCAN_BOX, build_kovalevskaya, involution_fixed_points
 from intsing.phasespace import IntegrableModel, model_from_dict
@@ -112,8 +112,8 @@ JET_EVALUATORS = ("component_jets", "casimir_jets")
 
 
 # Each call starts a new pass over points: a refinement from its seed, a
-# labelling over the stored phase points of a branch pair.
-NEW_PASSES = ("refine_singular_point", "_transition_cuts")
+# labelling over the stored phase points of a branch pair, the type check of a join.
+NEW_PASSES = ("refine_singular_point", "_transition_cuts", "_same_family")
 
 
 def _record_jet_calls(monkeypatch) -> list:
@@ -224,6 +224,59 @@ def test_trace_in_lockstep_gives_the_one_run_diagram(monkeypatch):
     lockstep = diagram_text()
     monkeypatch.setattr(bifurcation, "_lockstep", _one_run_each)
     assert diagram_text() == lockstep
+
+
+JOIN_PARAMS = TraceParams(step=0.1, max_steps=40, value_box=(-6, 8), phase_bound=12.0)
+
+
+def _vertex_seeds():
+    """Kovalevskaya at g = 0.5 and the rank-1 seeds `seed_arcs_near_vertex` gives at its two fixed points."""
+    m = build_kovalevskaya(0.5)
+    return m, [s for p in involution_fixed_points(0.5, certify=False) for s in seed_arcs_near_vertex(m, p, delta=1e-2)]
+
+
+def test_joins_in_lockstep_give_the_one_run_diagram(monkeypatch):
+    """The join barrier reads finished segments only: the vertex-seed diagram,
+    where branches retrace earlier ones, is the same whether the segments run
+    in lockstep or one run at a time."""
+    m, seeds = _vertex_seeds()
+    assert len(seeds) == 16
+    traced = []
+    trace = bifurcation._trace_branches
+    monkeypatch.setattr(bifurcation, "_trace_branches", lambda *args: traced.append(trace(*args)) or traced[-1])
+
+    def diagram_text():
+        return json.dumps(bifurcation.diagram_to_dict(trace_diagram(m, seeds, JOIN_PARAMS)))
+
+    lockstep = diagram_text()
+    monkeypatch.setattr(bifurcation, "_lockstep", _one_run_each)
+    assert diagram_text() == lockstep
+    ends = [[(b.reason, b.joined, len(b.entries)) for b in branches] for branches in traced]
+    assert ends[0] == ends[1]
+    assert any(reason == "joined" for reason, _, _ in ends[0])
+
+
+def test_a_joined_branch_ends_on_the_branch_it_joined():
+    m, seeds = _vertex_seeds()
+    branches = bifurcation._trace_branches(m, seeds, JOIN_PARAMS, DEFAULT_TOL)
+    joined = [(j, b) for j, b in enumerate(branches) if b.reason == "joined"]
+    assert joined
+    for j, b in joined:
+        assert b.joined < j and b.joined != j ^ 1  # an earlier branch, not its sibling
+        other = np.array([value for value, _, _ in branches[b.joined].entries])
+        for value, _, _ in b.entries[-bifurcation.JOIN_RUN :]:
+            assert np.min(np.linalg.norm(other - value, axis=1)) <= 2 * JOIN_PARAMS.step
+
+
+def test_arc_dedup_keeps_a_second_family_on_one_value_curve():
+    """An arc whose values copy a kept arc's is a duplicate only under the same label."""
+    values = [np.array([0.1 * k, 1.0]) for k in range(10)]
+    arcs = [Arc(0, values, [np.zeros(4)] * 10, label="elliptic-family")]
+    bifurcation._keep_arc(arcs, Arc(1, list(values), [np.ones(4)] * 10, label="hyperbolic-family"), 0.2)
+    assert [a.label for a in arcs] == ["elliptic-family", "hyperbolic-family"]
+    bifurcation._keep_arc(arcs, Arc(2, values[2:], [np.ones(4)] * 8, label="elliptic-family"), 0.2)
+    bifurcation._keep_arc(arcs, Arc(2, values[:5], [np.ones(4)] * 5, label="hyperbolic-family"), 0.2)
+    assert len(arcs) == 2
 
 
 GOLDEN_SCANS = {  # the golden diagrams' models and scans not in LOCKSTEP_SCANS, with their vertex seeds

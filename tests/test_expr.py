@@ -29,6 +29,7 @@ from intsing.expr import (
     _Jet,
     _Parser,
     _postorder,
+    _scale,
     _tokenize,
     differentiate,
     evaluate_jet2,
@@ -738,6 +739,62 @@ def test_jets_by_degree_are_the_full_rules(nodes, rows, g, batch_first):
                 continue
             got = [_jet_bits(j) for j in tape._root_jets(tape._values(point, params))]
         assert got == want
+
+
+def _scale_c_first(c, s):
+    """expr._scale with its product in the old operand order, c * s: the reference
+    for s * c, which numpy reaches without float.__mul__ declining first."""
+    from intsing.expr import _both, _column, _lanes, _mask
+
+    if isinstance(s, np.ndarray):
+        return c * s if c else 0.0
+    if isinstance(s, float):
+        return 0.0
+    if s is None:
+        return None
+    x, p = s
+    if not isinstance(c, np.ndarray):
+        return _lanes(p if c else False, operator.mul, c, x)
+    return _lanes(p if c.all() else _both(p, _mask(c != 0)), operator.mul, _column(c, x), x)
+
+
+def _stack_or_error(fields, point, params):
+    """The jet stack of a fresh tape (its first call sorts it by degree), or the EvalError's type."""
+    try:
+        return Tape(fields).jet_stack(point, params)
+    except EvalError as exc:
+        return type(exc)
+
+
+_NONFINITE_COORDINATE = st.one_of(_COORDINATE, st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@given(
+    st.lists(DEGREE_NODES, min_size=1, max_size=3),
+    st.lists(st.lists(_NONFINITE_COORDINATE, min_size=3, max_size=3), min_size=1, max_size=6).map(np.array),
+    st.sampled_from([0.0, -0.0, -1.0, 0.75]),
+)
+def test_scale_in_either_operand_order_gives_the_jet_bits(nodes, rows, g):
+    """One-point and batched jets with _scale computing s * c are those of c * s:
+    the same bits where the old order gives a number, NaN where it gives NaN."""
+    from intsing import expr
+
+    fields, params = [Expression(n, ABC, ("g",)) for n in nodes], {"g": g}
+    for point in (rows[0], rows):
+        with np.errstate(all="ignore"):
+            got = _stack_or_error(fields, point, params)
+            expr._scale = _scale_c_first
+            try:
+                want = _stack_or_error(fields, point, params)
+            finally:
+                expr._scale = _scale
+        if isinstance(want, type):
+            assert got is want
+            continue
+        for new, old in zip(got, want):
+            nan = np.isnan(old)
+            assert new.shape == old.shape and np.array_equal(np.isnan(new), nan)
+            assert new[~nan].tobytes() == old[~nan].tobytes()
 
 
 def _instruction_degrees(tape: Tape, point, params=None) -> list[str]:
