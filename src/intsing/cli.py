@@ -114,13 +114,16 @@ def resolve_model(spec: str, g: float | None = None) -> IntegrableModel:
 
 
 def _parse_point(text: str, model: IntegrableModel) -> np.ndarray:
-    out = np.zeros(model.dim)
+    out, given = np.zeros(model.dim), set()
     if text.strip():
         for item in text.split(","):
             name, _, valtext = item.partition("=")
             name = name.strip()
             if name not in model.coords:
                 raise InputError(f"unknown coordinate {name!r}; model has {model.coords}")
+            if name in given:
+                raise InputError(f"coordinate {name!r} is given twice in --point")
+            given.add(name)
             out[model.coords.index(name)] = _number(valtext, "--point")
     return out
 

@@ -5,13 +5,14 @@ and the operators + - * / ^ (non-negative integer exponent).  Every transform
 (exact partial derivatives, normal form, source text, substitution, equality
 and the `Tape`) is one rule per node type over one post-order walk without
 recursion, so a tree of any depth is handled, and a walk visits a subtree
-object once however many nodes share it: a parsed tree holds one node object
-per distinct structure.  A `Tape` is straight-line code
-with one instruction per structurally distinct node: a subtree shared by
-several fields (or repeated in one) is computed once.  One loop runs the tape
-at a point, over a batch of points and on second-order jets (value, gradient,
-Hessian) at a point or over a batch, so rank tests downstream see no
-finite-difference noise.
+object once however many nodes share it.  Differentiation forms only the
+structurally nonzero partials: a node keeps its partials by the symbols it
+holds.  A `Tape` is straight-line code with one instruction per structurally
+distinct node: a subtree shared by several fields (or repeated in one) is
+computed once.  One loop runs the tape at a point, over a batch of points and
+on second-order jets (value, gradient, Hessian) at a point or over a batch, so
+rank tests downstream see no finite-difference noise.  A parameter that a tape
+reads must be given a value.
 
 Grammar::
 
@@ -227,12 +228,6 @@ def _pow(a: Node, k: int) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def _operands(node: Node) -> tuple[Node, ...]:
-    if isinstance(node, _Binary):
-        return node.a, node.b
-    return (node.a,) if isinstance(node, (Neg, Pow)) else ()
-
-
 def _postorder(roots: Sequence[Node]) -> tuple[list[tuple[Node, tuple[Node, ...]]], set[Node]]:
     """Each distinct node object under the roots once with its operands, operands
     first, and the nodes reached more than once (shared, or a root that is also
@@ -247,7 +242,7 @@ def _postorder(roots: Sequence[Node]) -> tuple[list[tuple[Node, tuple[Node, ...]
             again.add(node)
         else:
             seen.add(node)
-            if isinstance(node, _Binary):  # _operands inlined: every walk runs this loop
+            if isinstance(node, _Binary):
                 stack += (node, (node.a, node.b)), (node.b, None), (node.a, None)
             elif isinstance(node, (Neg, Pow)):
                 stack += (node, (node.a,)), (node.a, None)
@@ -334,8 +329,7 @@ def _fits_float(c: Const, build, operands) -> bool:
 
 
 class _Parser:
-    """The tree of one source text, holding one node object per distinct
-    structure: every node the parser returns is interned (see `intern`)."""
+    """The tree of one source text, built by the smart constructors."""
 
     def __init__(self, src: str, symbols: Mapping[str, int]):
         self.src = src
@@ -343,8 +337,6 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0  # open parentheses
-        self.nodes: dict[tuple, Node] = {}  # structure key -> its one node
-        self.held: set[Node] = set()  # the nodes in self.nodes
 
     def peek(self):
         return self.tokens[self.pos]
@@ -372,29 +364,6 @@ class _Parser:
             raise ParseError("constant does not fit a float", self.src, pos)
         if isinstance(node, Const) and _too_long(node.value):
             raise ParseError(_TOO_LONG, self.src, pos)
-        return self.intern(node)
-
-    def intern(self, node: Node) -> Node:
-        """The one node object of node's structure.  The key is the node's type
-        and its constant's value type, value and float bits (2 and 2.0, 0.0 and
-        -0.0 stay apart), its symbol's index, or its interned operands and
-        exponent.  A smart constructor may return a new node over a new operand
-        ((-a)*b is -(a*b)), so such a node is rebuilt over interned operands."""
-        if node in self.held:
-            return node
-        kind = type(node)
-        if kind is Const:
-            key = kind, type(node.value), node.value, struct.pack("<d", node.fvalue)
-        elif kind is Sym:
-            key = kind, node.index
-        else:
-            operands = _operands(node)
-            if not self.held.issuperset(operands):
-                operands = tuple(map(self.intern, operands))
-                node = Pow(*operands, node.k) if kind is Pow else kind(*operands)
-            key = kind, *operands, getattr(node, "k", 0)
-        node = self.nodes.setdefault(key, node)
-        self.held.add(node)
         return node
 
     def literal(self, text: str, pos: int) -> Const:
@@ -433,7 +402,7 @@ class _Parser:
             signs += 1
         node = self.power()
         for _ in range(signs):
-            node = self.intern(_neg(node))
+            node = _neg(node)
         return node
 
     def power(self) -> Node:
@@ -464,7 +433,7 @@ class _Parser:
         if kind == "ident":
             if text not in self.symbols:
                 raise ParseError(f"unknown symbol {text!r}", self.src, pos)
-            return self.intern(Sym(self.symbols[text], text))
+            return Sym(self.symbols[text], text)
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_PAREN_DEPTH:
@@ -481,25 +450,30 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _partials(nsym: int, node: Node, *d: tuple[Node, ...]) -> tuple[Node, ...]:
-    """The _fold rule of differentiation, over nsym symbols: a node's partial
-    by each symbol, from its operands' partials d."""
+def _partials(node: Node, *d: dict) -> dict:
+    """The _fold rule of differentiation: a node's partials from its operands'
+    partials d, as {symbol index: partial} over the symbols in the node, and
+    under None the partial by any other symbol.  That one is a zero constant,
+    0, 0.0 or -0.0 as float constants fold into it, so a partial is the same
+    tree whether a symbol occurs in an operand or not."""
     kind = type(node)
     if kind is Const:
-        return (_ZERO,) * nsym
+        return {None: _ZERO}
     if kind is Sym:
-        return tuple(_ONE if i == node.index else _ZERO for i in range(nsym))
+        return {None: _ZERO, node.index: _ONE}
     if kind is Neg:
-        return tuple(map(_neg, d[0]))
+        return {i: _neg(da) for i, da in d[0].items()}
     if kind is Pow:
         outer = _mul(Const(node.k), _pow(node.a, node.k - 1))
-        return tuple(_mul(outer, da) for da in d[0])
-    a, b = node.a, node.b
+        return {i: _mul(outer, da) for i, da in d[0].items()}
+    (a, b), (pa, pb) = (node.a, node.b), d
+    pairs = ((i, pa.get(i, pa[None]), pb.get(i, pb[None])) for i in {**pa, **pb})
     if kind is Mul:
-        return tuple(_add(_mul(da, b), _mul(a, db)) for da, db in zip(*d))
+        return {i: _add(_mul(da, b), _mul(a, db)) for i, da, db in pairs}
     if kind is Div:
-        return tuple(_div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2)) for da, db in zip(*d))
-    return tuple(map(_BUILD[kind], *d))  # Add, Sub
+        return {i: _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2)) for i, da, db in pairs}
+    build = _BUILD[kind]  # Add, Sub
+    return {i: build(da, db) for i, da, db in pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +633,7 @@ class Tape:
     _negate); a tape that only gives values never does.
     """
 
-    __slots__ = ("coords", "params", "_init", "_fns", "_a", "_b", "_out", "_roots", "_gradients", "_hessians")
+    __slots__ = ("coords", "params", "_read", "_init", "_fns", "_a", "_b", "_out", "_roots", "_gradients", "_hessians")
 
     def __init__(self, fields: Sequence[Expression]):
         self.coords, self.params = (fields[0].coords, fields[0].params) if fields else ((), ())
@@ -667,10 +641,12 @@ class Tape:
             raise ValueError("mixing expressions over different symbol tables")
         nsym = len(self.symbols)
         consts, fns, args, keyed = [], [], [], {}  # operation k is slot -(k + 1); key -> slot
+        read = set()  # the symbols' slots: each is read by an operation or is a root
 
         def slot(node: Node, *operands: int) -> int:
             kind = type(node)
             if kind is Sym:
+                read.add(node.index)
                 return node.index
             if kind is Const:
                 key = struct.pack("<d", node.fvalue)
@@ -687,6 +663,7 @@ class Tape:
             return keyed[key]
 
         roots = _fold([f.node for f in fields], slot)
+        self._read = tuple(p for s, p in enumerate(self.params, len(self.coords)) if s in read)  # the parameters read
         # Registers: a symbol or constant keeps its slot.  An operation's value
         # holds a register until its last reader has run, then the register is
         # reused, so a batch keeps few arrays alive at once; a root's is kept.
@@ -787,16 +764,19 @@ class Tape:
         self._gradients, self._hessians = gradients, hessians
 
     def _values(self, point, params: Mapping[str, float] | None) -> np.ndarray:
-        """One row per symbol: shape (nsym,) at a point, (nsym, m) at the rows of an (m, dim) array."""
+        """One row per symbol: shape (nsym,) at a point, (nsym, m) at the rows of an
+        (m, dim) array.  A parameter that the code reads and params lacks is a ValueError."""
         pt = np.asarray(point, dtype=float)
         if pt.shape[pt.ndim == 2 :] != (len(self.coords),):
             raise ValueError(f"expected {len(self.coords)} coordinate values")
+        params = params or {}
+        missing = [name for name in self._read if name not in params]
+        if missing:
+            raise ValueError(f"no value for parameter {', '.join(map(repr, missing))}")
         vals = np.zeros((len(self.symbols),) + pt.shape[:-1])
         vals[: len(self.coords)] = pt.T
-        if params:
-            for name, v in params.items():
-                if name not in self.params:
-                    continue  # models may carry parameters this field never uses
+        for name, v in params.items():
+            if name in self.params:  # models may carry parameters this field never uses
                 vals[self.symbols.index(name)] = v
         return vals
 
@@ -1268,8 +1248,8 @@ class Expression:
         except ValueError:
             raise ValueError(f"undeclared variable {var!r}") from None
         if self._gradient is None:  # every partial from one walk
-            partials = _fold([self.node], partial(_partials, len(self.symbols)))[0]
-            self._gradient = tuple(map(self._wrap, partials))
+            partials = _fold([self.node], _partials)[0]
+            self._gradient = tuple(self._wrap(partials.get(i, partials[None])) for i in range(len(self.symbols)))
         return self._gradient[idx]
 
     def substitute(self, mapping: Mapping[str, "Expression"]) -> "Expression":

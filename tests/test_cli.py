@@ -410,6 +410,7 @@ ARGUMENT_FAULTS = {
     "canonical-arity": ["classify", "--model", "canonical:1,0,0", "--point", ""],
     "point-value": ["classify", "--model", "canonical:0,1,0,0", "--point", "x1=abc"],
     "point-coordinate": ["classify", "--model", "canonical:0,1,0,0", "--point", "q=1"],
+    "point-repeated": ["classify", "--model", "canonical:0,1,0,0", "--point", "x1=-1,x1=1,y1=0.5"],
     "box-value": ["trace", "--model", "canonical:1,0,1,0", "--box", "1:x"],
     "box-pairs": ["trace", "--model", "canonical:1,0,1,0", "--box", "0:1,0:1"],
     "box-nan": ["trace", "--model", "canonical:1,0,1,0", "--box", "nan:1"],

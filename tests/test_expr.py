@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,18 @@ from intsing.expr import (
     Sub,
     Sym,
     Tape,
+    _BUILD,
     _Jet,
-    _Parser,
-    _postorder,
+    _ONE,
+    _ZERO,
+    _add,
+    _div,
+    _fold,
+    _mul,
+    _neg,
+    _pow,
     _scale,
+    _sub,
     _tokenize,
     differentiate,
     evaluate_jet2,
@@ -527,57 +536,6 @@ def test_shared_and_unshared_copies_agree(pool, recipe):
         assert shared.diff(x).to_source() == copy.diff(x).to_source()
 
 
-def _structure_key(n, keys):
-    """n's structure as nested tuples, from its operands' keys: constants by
-    value type, value and float bits, symbols by index."""
-    if isinstance(n, Const):
-        return Const, type(n.value), n.value, np.float64(n.fvalue).tobytes()
-    if isinstance(n, Sym):
-        return Sym, n.index
-    return type(n), getattr(n, "k", 0), *(keys[id(getattr(n, f))] for f in ("a", "b") if hasattr(n, f))
-
-
-def _tape_code(tape):
-    return repr(tape._init), tape._fns, list(tape._a), list(tape._b), list(tape._out), list(tape._roots)
-
-
-class _TreeParser(_Parser):
-    """The parser without interning: a new node object at each occurrence."""
-
-    def intern(self, node):
-        return node
-
-
-_A, _B = Sym(0, "a"), Sym(1, "b")
-
-
-@given(NODES, POINTS)
-# 2 and 2.0, 1/2 and 0.5: equal values of other types stay apart
-@example(Add(Mul(Const(2), _A), Mul(Const(2.0), _B)), np.array([1.0, -0.5, 2.0]))
-@example(Sub(Mul(Const(Fraction(1, 2)), _A), Mul(Const(0.5), _A)), np.array([1.0, -0.5, 2.0]))
-# (-a)*b is -(a*b) over a new a*b, which must be the a*b parsed before
-@example(Add(Mul(_A, _B), Mul(Neg(_A), _B)), np.array([1.0, -0.5, 2.0]))
-def test_parsed_trees_share_equal_subtrees(node, p):
-    """A parsed tree holds one node object per distinct structure, its text is
-    that of a parse without interning, and its text, partials, tape code and
-    jets are those of a copy that shares nothing."""
-    src = Expression(node, ABC).to_source()
-    e = parse(src, ABC)
-    assert e.to_source() == Expression(_TreeParser(src, {x: i for i, x in enumerate(ABC)}).parse(), ABC).to_source()
-    objects, keys = [], {}
-    for n, _ in _postorder([e.node])[0]:
-        objects.append(n)
-        keys[id(n)] = _structure_key(n, keys)
-    assert len(set(keys.values())) == len(objects)
-    copy = Expression(_unshared(e.node), ABC)
-    assert e.to_source() == copy.to_source()
-    assert [e.diff(x).to_source() for x in ABC] == [copy.diff(x).to_source() for x in ABC]
-    tape, copy_tape = Tape([e]), Tape([copy])
-    assert _tape_code(tape) == _tape_code(copy_tape)
-    assert _jet_bytes(tape.jets(p)[0]) == _jet_bytes(copy_tape.jets(p)[0])
-    assert _tape_code(tape) == _tape_code(copy_tape)  # and as sorted by degree
-
-
 # Batched jets: Tape.jets on an (m, dim) array runs the tape once on _Jet leaves
 # whose slots hold the batch form, and each row's jets must be that row's
 # one-point jets (the same rules on the one-point form) bit for bit.  Trees here
@@ -630,6 +588,51 @@ def test_a_batch_with_one_zero_divisor_raises():
 def test_batched_jets_of_no_fields_and_no_rows():
     assert Tape([]).jets(np.zeros((3, 2))) == [[], [], []]
     assert Tape([parse("x*y", ("x", "y"))]).jets(np.zeros((0, 2))) == []
+
+
+def _dense_partials(nsym, node, *d):
+    """The dense rule of differentiation, the reference: a node's partial by
+    each of the nsym symbols, from its operands' partials d."""
+    kind = type(node)
+    if kind is Const:
+        return (_ZERO,) * nsym
+    if kind is Sym:
+        return tuple(_ONE if i == node.index else _ZERO for i in range(nsym))
+    if kind is Neg:
+        return tuple(map(_neg, d[0]))
+    if kind is Pow:
+        outer = _mul(Const(node.k), _pow(node.a, node.k - 1))
+        return tuple(_mul(outer, da) for da in d[0])
+    a, b = node.a, node.b
+    if kind is Mul:
+        return tuple(_add(_mul(da, b), _mul(a, db)) for da, db in zip(*d))
+    if kind is Div:
+        return tuple(_div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2)) for da, db in zip(*d))
+    return tuple(map(_BUILD[kind], *d))  # Add, Sub
+
+
+_A, _B = Sym(0, "a"), Sym(1, "b")
+
+
+@given(st.one_of(NODES, BATCH_NODES))
+@example(Mul(Const(0.5), Neg(Const(-0.0))))  # a constant tree: every partial is a zero
+@example(Div(Add(_A, Mul(Const(-2.5), _B)), Sub(Const(3), Const(0.5))))  # a divisor with no symbol
+@example(Add(Mul(_A, Mul(Const(1.25), _B)), Neg(Mul(Const(-0.5), _B))))  # a in one operand of a product only
+@example(Div(Const(2), Const(0)))  # a quotient by zero has no partial, by a symbol it holds or not
+def test_sparse_partials_are_the_dense_trees(node):
+    """Each partial is the dense rule's tree, with its text: a float constant
+    can make a zero partial 0.0 or -0.0, and a one 1.0, in both rules."""
+    symbols = (*ABC, "g")
+    e = Expression(node, ABC, ("g",))
+    try:
+        dense = _fold([node], partial(_dense_partials, len(symbols)))[0]
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            e.diff("a")
+        return
+    for x, want in zip(symbols, dense):
+        assert _same(e.diff(x).node, want)
+        assert e.diff(x).to_source() == Expression(want, ABC, ("g",)).to_source()
 
 
 def test_a_zero_factor_forms_no_outer_product(monkeypatch):

@@ -351,6 +351,24 @@ def test_a_key_no_level_takes_is_refused(level):
         model_from_dict(d)
 
 
+def test_a_parameter_with_no_value_is_an_error():
+    """A parameter that a tape reads must be given; one it never reads need not be."""
+    e = parse("a*x+1", ("x",), ("a",))
+    with pytest.raises(ValueError, match="no value for parameter 'a'"):
+        e.evaluate([2.0])
+    assert e.evaluate([2.0], {"a": 3.0, "b": 5.0}) == 7.0
+    assert parse("x+1", ("x",), ("a",)).evaluate([2.0]) == 3.0
+    m = model_from_dict({
+        "coordinates": ["x", "y", "z"],
+        "components": ["z"],
+        "parameters": {"g": 2.0},
+        "structure": {"bivector": [{"i": "x", "j": "y", "expr": "g*z"}]},
+    })
+    with pytest.raises(ValueError, match="no value for parameter 'g'"):
+        m.structure.bivector_at([1.0, 1.0, 1.0])
+    assert m.structure.bivector_at([1.0, 1.0, 1.0], m.params)[0, 1] == 2.0
+
+
 def test_an_entry_without_free_symbols_is_constant():
     coords = ("x", "y", "z", "w")
     entries = {(0, 1): "-1", (2, 3): "2/3*4", (0, 2): "-0.0"}
