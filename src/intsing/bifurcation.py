@@ -20,9 +20,12 @@ redone a row at a time).  The scan scores its samples in lockstep groups of
 SCORE_GROUP and refines all its candidates in one lockstep, and `trace_diagram`
 refines its seeds in one lockstep and then traces both branches of every seed
 in lockstep segments of SEGMENT accepted steps, so every output is the one the
-runs give one at a time.  A branch keeps its state in a `_Branch` and resumes
-from it.  After each segment a join barrier walks the branches in (seed,
-direction) order: a branch whose new entries retrace the value curve of an
+runs give one at a time.  A branch is one run that pauses (yields None) after
+each segment and is resumed where it paused.  A run that raises a TraceError,
+ClassifyError or EvalError (see `_attempt`) fails alone: a scan sample, a
+refinement, a branch start or a vertex polish gives nothing, and the other runs
+of its lockstep go on.  After each segment a join barrier walks the branches in
+(seed, direction) order: a branch whose new entries retrace the value curve of an
 earlier branch, other than its sibling, for JOIN_RUN entries in a row (near its
 entries, parallel to its value tangent, the matched entry moving one way) with
 the same family label at the last one stops there as "joined".  A vertex's
@@ -64,7 +67,7 @@ from .classify import (
     reduce_at,
     williamson_type,
 )
-from .expr import JetStack
+from .expr import EvalError, JetStack
 from .phasespace import DEFAULT_SEED, IntegrableModel
 CANDIDATE_FRACTION = 0.05  # share of the scored scan samples refined onto the rank-(n-1) locus
 MAX_CANDIDATES = 120  # at most this many of them
@@ -138,8 +141,10 @@ class BifurcationDiagram:
 
 # A Newton run is a generator.  It yields a request (kernel, x, arg), x a phase
 # point or a record, and is sent kernel(model, records, args)'s answer for its
-# row, the record of x among the records.  Every kernel works on the stack of
-# its rows with numpy calls that give each row the bits of the one-row call.
+# row, the record of x among the records.  A request None is a pause: the run
+# leaves the driver's call with result None and the next call resumes it.
+# Every kernel works on the stack of its rows with numpy calls that give each
+# row the bits of the one-row call.
 
 
 def _records(model: IntegrableModel, asks: list, tol: float) -> list[PointAnalysis]:
@@ -191,31 +196,34 @@ def _send(run, answer):
 
 
 def _run_one(model: IntegrableModel, run, tol: float):
-    """The result of one Newton run, each request answered on a stack of one
-    whose record evaluates its jets at one point, on first use."""
+    """The result of one Newton run (None at a pause), each request answered on a
+    stack of one whose record evaluates its jets at one point, on first use."""
     answer = None
     try:
-        while True:
-            kernel, x, arg = _send(run, answer)
+        while (ask := _send(run, answer)) is not None:
+            kernel, x, arg = ask
             a = x if isinstance(x, PointAnalysis) else PointAnalysis(model, x, tol)
             (answer,) = _apply(model, kernel, [a], [arg])
     except StopIteration as done:
         return done.value
+    return None
 
 
 def _lockstep(model: IntegrableModel, runs: list, tol: float) -> list:
-    """The results of Newton runs that do not depend on each other, in order.
-    Each round takes one request from every live run, builds the records of
-    their points from one batch and answers each kernel's requests with one
-    stacked call, so each run gets the answers it gets on its own."""
+    """The results of Newton runs that do not depend on each other, in order
+    (None for a run that paused).  Each round takes one request from every live
+    run, builds the records of their points from one batch and answers each
+    kernel's requests with one stacked call, so each run gets the answers it
+    gets on its own."""
     results = [None] * len(runs)
-    live, answers = list(enumerate(runs)), [None] * len(runs)  # sending None starts a run
+    live, answers = list(enumerate(runs)), [None] * len(runs)  # sending None starts or resumes a run
     while live:
         asks, running = [], []
         for (i, run), answer in zip(live, answers):
             try:
-                asks.append(_send(run, answer))
-                running.append((i, run))
+                if (ask := _send(run, answer)) is not None:  # else the run paused
+                    asks.append(ask)
+                    running.append((i, run))
             except StopIteration as done:
                 results[i] = done.value
         live = running
@@ -231,10 +239,11 @@ def _lockstep(model: IntegrableModel, runs: list, tol: float) -> list:
 
 
 def _attempt(run):
-    """run as a Newton run whose result is None where it raises a TraceError."""
+    """run as a Newton run whose result is None where it raises a TraceError, a
+    ClassifyError (a point refused) or an EvalError (a pole on its path)."""
     try:
         return (yield from run)
-    except TraceError:
+    except (TraceError, ClassifyError, EvalError):
         return None
 
 
@@ -499,21 +508,13 @@ def _sample_box(box, resolution: int, rng) -> np.ndarray:
     return lows + rng.uniform(size=(count, dim)) * (highs - lows)
 
 
-def _score(model: IntegrableModel, raw, kept: dict | None = None):
+def _score(model: IntegrableModel, raw):
     """A scan sample projected onto its leaf, a Newton run: (sigma_min /
-    max(sigma_max, 1), sigma_max, point) of dF there, None when that fails.
-    With kept, kept[point bytes] is the point's record, detached from its
-    round's arrays: a refinement from it evaluates nothing again."""
-    try:
-        a = yield from _leaf_project(model, raw)
-        a = yield _analyses, a, None
-    except (RefineDivergence, ClassifyError):
-        return None
-    if kept is not None:
-        kept[a.point.tobytes()] = a.detached()
-    sv = a.sv
-    scale = max(float(sv[0]), 1.0)
-    return float(sv[-1]) / scale, float(sv[0]), a.point  # not the record: one holds ~5 kB
+    max(sigma_max, 1), sigma_max, record) of dF there, the record detached from
+    its round's arrays, so a refinement from it evaluates nothing again."""
+    a = yield from _leaf_project(model, raw)
+    a = yield _analyses, a, None
+    return float(a.sv[-1]) / max(float(a.sv[0]), 1.0), float(a.sv[0]), a.detached()
 
 
 def scan_singular_points(
@@ -534,19 +535,19 @@ def scan_singular_points(
     # rank n-1 from those where its smallest singular value is; each group's
     # scores join the best so far, in sample order, so these are the first of
     # the whole stably sorted list
-    by_sigma_max, by_ratio, count, kept = [], [], 0, {}
+    by_sigma_max, by_ratio, count = [], [], 0
     for lo in range(0, len(samples), SCORE_GROUP):
-        runs = [_score(model, raw, kept) for raw in samples[lo : lo + SCORE_GROUP]]
+        runs = [_attempt(_score(model, raw)) for raw in samples[lo : lo + SCORE_GROUP]]
         scored = [s for s in _lockstep(model, runs, tol) if s is not None]
         count += len(scored)
         by_sigma_max = sorted(by_sigma_max + scored, key=lambda t: t[1])[:RANK0_CANDIDATES]
         by_ratio = sorted(by_ratio + scored, key=lambda t: t[0])[:MAX_CANDIDATES]
-        kept = {p.tobytes(): kept[p.tobytes()] for _, _, p in by_sigma_max + by_ratio}
+        del scored  # free this group's records, the candidates' aside, before the next group makes its own
     keep = max(1, min(MAX_CANDIDATES, int(count * CANDIDATE_FRACTION)))
     runs = [
-        _attempt(_refine(model, kept[p.tobytes()], r, max_iter))
+        _attempt(_refine(model, a, r, max_iter))
         for r, candidates, max_iter in ((0, by_sigma_max, 30), (model.n - 1, by_ratio[:keep], 60))
-        for _, _, p in candidates
+        for _, _, a in candidates
     ]
     seeds: list[PointAnalysis] = []
     for a in _lockstep(model, runs, tol):
@@ -643,41 +644,28 @@ def _value_speed(a: PointAnalysis, direction) -> float:
 
 @dataclass
 class _Branch:
-    """A continuation branch between segments: its Newton state (z, its record a,
-    the null space T there, the last tangent, the step h, accepted steps and the
-    sigma_max history), its (value, phase point, mark) entries in tracing order,
-    the records of its "vertex" entries, why it stopped (None while live) and,
-    for the join barrier, the entries it has tested, its runs along earlier
-    branches (branch -> (entries in a row, last matched entry, sense)), the
-    branches whose family it does not share, and the branch it joined."""
+    """A continuation branch: its (value, phase point, mark) entries in tracing
+    order, the records of its "vertex" entries, why it stopped (None while live),
+    its Newton run (see _trace_branch) and, for the join barrier, the entries it
+    has tested, its runs along earlier branches (branch -> (entries in a row, last
+    matched entry, sense)), the branches whose family it does not share, and the
+    branch it joined."""
 
-    z0: np.ndarray
-    z: np.ndarray
-    a: PointAnalysis
-    T: np.ndarray
-    t_prev: np.ndarray
-    h: float
-    sig_prev: float
     entries: list
-    steps: int = 0
-    sig_falling: bool = False
     found: list = field(default_factory=list)
     reason: str | None = None
+    run: object = None
     checked: int = 1  # entry 0 is the seed, which both branches of a seed share
     runs: dict = field(default_factory=dict)
     unlike: set = field(default_factory=set)
     joined: int | None = None
 
-    @classmethod
-    def start(cls, z0, a0: PointAnalysis, T0, direction, step: float) -> _Branch:
-        N = len(a0.point)
-        return cls(z0, z0.copy(), a0, T0, direction, step, float(a0.sv[0]), [(a0.value, z0[:N].copy(), None)])
 
-
-def _trace_branch(model, b: _Branch, params: TraceParams, tol):
-    """Continue branch b for up to SEGMENT more accepted steps, a Newton run: why
-    it stopped, None when it paused at the segment's end.  Resuming from b's
-    state gives the steps of one uninterrupted run."""
+def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, T0, direction, params: TraceParams, tol):
+    """Continue branch b from z0 (its record a0, the null space T0 there) along
+    direction, appending its entries and vertex records to b, a Newton run: why
+    it stopped.  It pauses after every SEGMENT accepted steps short of max_steps,
+    where the join barrier reads b."""
     N = model.dim
     attempt_sigma = max(10.0 * params.step, 0.5)
 
@@ -696,27 +684,28 @@ def _trace_branch(model, b: _Branch, params: TraceParams, tol):
         b.found.append(refined)
         return True
 
-    end = min(params.max_steps, b.steps + SEGMENT)
-    while b.steps < end:
-        if isinstance(b.T, Exception):  # the null space at z failed where the corrector accepted z
-            raise b.T
-        coeff = b.T.T @ b.t_prev
+    z, a, T, t_prev, h, steps = z0, a0, T0, direction, params.step, 0
+    sig_prev, sig_falling = float(a0.sv[0]), False
+    while steps < params.max_steps:
+        if isinstance(T, Exception):  # the null space at z failed where the corrector accepted z
+            raise T
+        coeff = T.T @ t_prev
         if np.linalg.norm(coeff) < 1e-10:
-            t = b.T[:, 0]
+            t = T[:, 0]
         else:
-            t = b.T @ coeff
+            t = T @ coeff
             t /= np.linalg.norm(t)
-        z_pred = b.z + b.h * t
+        z_pred = z + h * t
         z_new, a_new, T_new, iters = yield from _corrector(model, z_pred.copy(), t, z_pred)
-        if z_new is not None and np.linalg.norm(z_new - z_pred) > 2.0 * b.h:
+        if z_new is not None and np.linalg.norm(z_new - z_pred) > 2.0 * h:
             z_new = None  # corrector hopped onto a different branch
         if z_new is None:
-            b.h *= 0.5
-            if b.h < MIN_STEP:
+            h *= 0.5
+            if h < MIN_STEP:
                 return "step-failure"
             continue
-        if iters <= 2 and b.h < MAX_STEP:
-            b.h = min(MAX_STEP, 1.5 * b.h)
+        if iters <= 2 and h < MAX_STEP:
+            h = min(MAX_STEP, 1.5 * h)
 
         p = z_new[:N]
         if np.linalg.norm(p) > params.phase_bound:
@@ -732,19 +721,18 @@ def _trace_branch(model, b: _Branch, params: TraceParams, tol):
         if sig < VERTEX_SIGMA:
             # landed (numerically) on a rank-0 point
             return "vertex" if (yield from try_vertex(a_new)) else "rank-collapse"
-        if b.sig_falling and sig > b.sig_prev and b.sig_prev < attempt_sigma:
+        if sig_falling and sig > sig_prev and sig_prev < attempt_sigma:
             # passed a local minimum of |dF| one step ago (at a's point): likely a vertex
-            yield from try_vertex(b.a)
-        b.sig_falling = sig < b.sig_prev
-        b.sig_prev = sig
+            yield from try_vertex(a)
+        sig_falling, sig_prev = sig < sig_prev, sig
 
         b.entries.append((val, p.copy(), "cusp" if cusp else None))
-        if b.steps > 10 and np.linalg.norm(p - b.z0[:N]) < 0.5 * params.step:
+        if steps > 10 and np.linalg.norm(p - z0[:N]) < 0.5 * params.step:
             return "closed-loop"
-        b.t_prev = t
-        b.z, b.a, b.T = z_new, a_new, T_new
-        b.steps += 1
-    return "max-steps" if b.steps >= params.max_steps else None
+        t_prev, z, a, T, steps = t, z_new, a_new, T_new, steps + 1
+        if steps % SEGMENT == 0 and steps < params.max_steps:
+            yield None  # pause at the join barrier
+    return "max-steps"
 
 
 def _triple(linearization, model, p, tol, seed) -> tuple[int, int, int] | None:
@@ -926,16 +914,19 @@ def _join_barrier(model, branches: list, grid: _ValueGrid, params: TraceParams, 
 
 def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, tol) -> list:
     """Both branches of every rank-1 seed, in (seed, direction) order: the seeds
-    are refined in one lockstep, then every live branch advances one segment per
-    lockstep, and a join barrier follows each segment."""
+    are refined in one lockstep, then every live branch's run advances to its
+    next pause in one lockstep, and a join barrier follows each segment."""
     branches = []
     for start in _lockstep(model, [_attempt(_branch_start(model, s)) for s in rank1], tol):
         if start is not None:
             z0, a, T, t0 = start
-            branches += [_Branch.start(z0, a, T, t0, params.step), _Branch.start(z0, a, T, -t0, params.step)]
+            for direction in (t0, -t0):
+                b = _Branch([(a.value, z0[: model.dim].copy(), None)])
+                b.run = _trace_branch(model, b, z0, a, T, direction, params, tol)
+                branches.append(b)
     grid, live = _ValueGrid(ARC_DEDUP_FACTOR * params.step), branches
     while live:
-        for b, reason in zip(live, _lockstep(model, [_trace_branch(model, b, params, tol) for b in live], tol)):
+        for b, reason in zip(live, _lockstep(model, [b.run for b in live], tol)):
             b.reason = reason
         _join_barrier(model, branches, grid, params, tol)
         live = [b for b in live if b.reason is None]

@@ -34,6 +34,7 @@ from .kovalevskaya import report as kovalevskaya_report
 from .phasespace import IntegrableModel, check_commutation, load_model
 
 DEFAULT_SAMPLES = 1000
+MAX_SAMPLES = 10**6  # most points a command samples: --samples, and a trace scan's resolution ** min(dim, 4)
 TRACE_STEP = 0.05
 TRACE_VALUE_BOUND = 4.0
 COMMUTATION_TOL = 1e-9
@@ -69,14 +70,17 @@ def _number(text: str, option: str) -> float:
 
 
 def _check_options(args) -> None:
-    """Refuse a negative seed, a count below 1, a float option that is not finite,
-    and a step, value bound or tolerance that is not positive."""
+    """Refuse a negative seed, a count below 1, more than MAX_SAMPLES --samples,
+    a float option that is not finite, and a step, value bound or tolerance that
+    is not positive."""
     if args.seed < 0:
         raise InputError(f"--seed must be at least 0, got {args.seed}")
     for name in ("samples", "resolution", "attempts"):
         count = getattr(args, name, None)
         if count is not None and count < 1:
             raise InputError(f"--{name} must be at least 1, got {count}")
+    if getattr(args, "samples", 0) > MAX_SAMPLES:
+        raise InputError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     for name in ("g", "step", "value_bound", "tol"):
         value, option = getattr(args, name, None), "--" + name.replace("_", "-")
         if value is None:
@@ -204,6 +208,9 @@ def cmd_trace(args) -> int:
             f"seed {p.seed}); drop --step, --value-bound and --seed"
         )
     model = resolve_model(args.model, args.g)
+    axes = min(model.dim, 4)
+    if args.resolution**axes > MAX_SAMPLES:
+        raise InputError(f"--resolution {args.resolution} scans {args.resolution}^{axes} samples, more than {MAX_SAMPLES}")
     box = _parse_box(args.box, model)
     if args.model == "kovalevskaya":
         diagram = kovalevskaya_diagram(

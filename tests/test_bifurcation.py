@@ -377,7 +377,7 @@ def test_lockstep_divides_only_where_a_run_reads():
     samples = np.array([[0.0, 0.5, 0.3], [0.4, 0.2, -0.1]])
 
     def scores(driver):
-        return [(r, s, p.tobytes()) for r, s, p in driver(m, [bifurcation._score(m, p) for p in samples], 1e-8)]
+        return [(r, s, a.point.tobytes()) for r, s, a in driver(m, [bifurcation._score(m, p) for p in samples], 1e-8)]
 
     lockstep = scores(bifurcation._lockstep)
     assert lockstep == scores(_one_run_each)
@@ -540,8 +540,10 @@ def test_export_single_arc_svg_and_csv(tmp_path):
     d = trace_diagram(m, seeds, TraceParams(step=0.1, max_steps=40, value_box=(-1.2, 1.2)))
 
     svg = tmp_path / "one.svg"
+    d.cusp_candidates = [d.arcs[0].values[1]]
     export_diagram(d, "svg", str(svg))
     assert svg.read_text().count("<polyline") == 1
+    assert svg.read_text().count('<circle class="cusp"') == 1
 
     csv_path = tmp_path / "one.csv"
     export_diagram(d, "csv", str(csv_path))

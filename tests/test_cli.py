@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from intsing import bifurcation, kovalevskaya
+from intsing.classify import DEFAULT_TOL
 from intsing.cli import main
 from intsing.kovalevskaya import build_kovalevskaya
 from intsing.phasespace import model_to_dict
@@ -196,6 +197,35 @@ def test_trace_error_goes_to_stdout_not_the_svg(tmp_path, capsys):
     assert code == 1
     assert "absent.json" in json.loads(out)["error"]
     assert not svg.exists()
+
+
+def test_trace_with_a_pole_on_the_scan_grid(tmp_path, capsys):
+    """The default resolution-7 grid over [-1, 1]^2 holds x1 = -1, where
+    x1*y1/(x1+1) divides by zero: only the samples there fail."""
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps({"coordinates": ["x1", "y1"], "components": ["x1*y1/(x1+1)"], "structure": "canonical"}))
+    code, out = run_cli(["trace", "--model", str(path)], capsys)
+    assert code == 0
+    vertices = json.loads(out)["vertices"]
+    assert [(v["point"], v["rank"], v["williamson"]) for v in vertices] == [([0.0, 0.0], 0, [0, 1, 0])]
+
+
+def test_trace_kovalevskaya_scans_the_scan_box(tmp_path, monkeypatch, capsys):
+    scans = []
+
+    def scan(model, box, resolution, tol):
+        scans.append((box, resolution, tol))
+        return []
+
+    monkeypatch.setattr(kovalevskaya, "scan_singular_points", scan)
+    monkeypatch.setattr(kovalevskaya, "seed_arcs_near_vertex", lambda *a, **k: [])
+    path = tmp_path / "d.json"
+    code, out = run_cli(["trace", "--model", "kovalevskaya", "--g", "0.5", "--resolution", "5", "--json", str(path)], capsys)
+    assert code == 0
+    assert scans == [(kovalevskaya.SCAN_BOX, 5, DEFAULT_TOL)]
+    summary = json.loads(out)
+    assert summary["files"] == [str(path)] and summary["arcs"] == 0
+    assert json.loads(path.read_text())["arcs"] == []
 
 
 @pytest.mark.parametrize(
@@ -417,6 +447,8 @@ ARGUMENT_FAULTS = {
     "resolution-negative": ["trace", "--model", "canonical:1,0,1,0", "--resolution", "-1"],
     "resolution-zero": ["trace", "--model", "canonical:1,0,1,0", "--resolution", "0"],
     "resolution-kovalevskaya": ["trace", "--model", "kovalevskaya", "--g", "0.5", "--resolution", "-2"],
+    "resolution-huge": ["trace", "--model", "kovalevskaya", "--resolution", "100000"],
+    "samples-huge": ["verify", "--model", "canonical:0,1,0,0", "--samples", "1000000000000"],
     "attempts-classify": ["classify", "--model", "canonical:0,1,0,0", "--point", "x1=1", "--attempts", "-3"],
     "attempts-kovalevskaya": ["kovalevskaya", "report", "--g", "0.5", "--attempts", "0"],
     "g-nan": ["kovalevskaya", "report", "--g", "nan"],
