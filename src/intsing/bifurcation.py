@@ -527,7 +527,9 @@ def scan_singular_points(
     """Locate singular points in a box: sample, filter by the smallest
     singular value of dF on the leaf, refine, certify, deduplicate.  Each
     seed is the record `refine_singular_point` returns, its rank certified;
-    the candidates are refined in one lockstep and deduplicated in order."""
+    the candidates are refined in one lockstep and deduplicated in order.  A
+    rank-0 seed outside the box is dropped: its refinement can follow dF -> 0
+    far away (a rank-1 seed is kept wherever it lies, to start a branch)."""
     rng = np.random.default_rng((params or ScanParams()).seed)
     samples = _sample_box(box, resolution, rng)
 
@@ -549,9 +551,12 @@ def scan_singular_points(
         for r, candidates, max_iter in ((0, by_sigma_max, 30), (model.n - 1, by_ratio[:keep], 60))
         for _, _, a in candidates
     ]
+    lows, highs = np.array(box, dtype=float).T
     seeds: list[PointAnalysis] = []
     for a in _lockstep(model, runs, tol):
-        if a is not None and all(s.rank != a.rank or np.linalg.norm(s.point - a.point) >= SEED_DEDUP_RADIUS for s in seeds):
+        if a is None or a.rank == 0 and not np.all((lows <= a.point) & (a.point <= highs)):
+            continue
+        if all(s.rank != a.rank or np.linalg.norm(s.point - a.point) >= SEED_DEDUP_RADIUS for s in seeds):
             seeds.append(a)
     return seeds
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -305,6 +306,7 @@ def _add_common(
     p.add_argument("--out", dest=out_dest, default=None, help=out_help)
 
 
+@cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intsing",

@@ -10,9 +10,9 @@ structurally nonzero partials: a node keeps its partials by the symbols it
 holds.  A `Tape` is straight-line code with one instruction per structurally
 distinct node: a subtree shared by several fields (or repeated in one) is
 computed once.  One loop runs the tape at a point, over a batch of points and
-on second-order jets (value, gradient, Hessian) at a point or over a batch, so
-rank tests downstream see no finite-difference noise.  A parameter that a tape
-reads must be given a value.
+on first- or second-order jets (value, gradient and Hessian) at a point or over
+a batch, so rank tests downstream see no finite-difference noise.  A parameter
+that a tape reads must be given a value.
 
 Grammar::
 
@@ -504,7 +504,11 @@ def _partials(node: Node, *d: dict) -> dict:
 # where a quadratic or general instruction or a root reads it.  A lift reads its
 # fixed part from a register that holds None in a run on plain values, where it
 # passes the value on.  A quotient's jet is x * (1.0 / c), not x / c, so a
-# quotient is never run as a plain affine value.
+# quotient is never run as a plain affine value.  A first-order run (values and
+# gradients only) runs the same sorted code with _first_order in place of
+# _second_order and None in the Hessian registers, where _with_hessian passes
+# its jet on: no jet then carries a Hessian, and every value and gradient keeps
+# the bits of the second-order run.
 # ---------------------------------------------------------------------------
 
 
@@ -633,7 +637,10 @@ class Tape:
     _negate); a tape that only gives values never does.
     """
 
-    __slots__ = ("coords", "params", "_read", "_init", "_fns", "_a", "_b", "_out", "_roots", "_gradients", "_hessians")
+    __slots__ = (
+        "coords", "params", "_read", "_init", "_fns", "_first_fns", "_a", "_b", "_out", "_roots", "_gradients",
+        "_hessians",
+    )
 
     def __init__(self, fields: Sequence[Expression]):
         self.coords, self.params = (fields[0].coords, fields[0].params) if fields else ((), ())
@@ -694,17 +701,19 @@ class Tape:
         self._out = array("i", out)
         self._roots = array("i", [reg(s) for s in roots])
         self._gradients = self._hessians = None  # the fixed parts, once sorted by degree
+        self._first_fns = None  # the sorted code of a first-order run, once one is asked for
 
     @property
     def symbols(self) -> tuple[str, ...]:
         return self.coords + self.params
 
-    def _run(self, leaves, fixed=()) -> list:
-        """The roots' numbers from the symbols' (leaves).  fixed fills the last
-        registers, which hold the fixed parts that a jet run's lifts read."""
+    def _run(self, leaves, fixed=(), fns=None) -> list:
+        """The roots' numbers from the symbols' (leaves), by the instructions fns
+        (default the tape's own).  fixed fills the last registers, which hold the
+        fixed parts that a jet run's lifts read."""
         r = [*leaves, *self._init]
         r[len(r) - len(fixed) :] = fixed
-        for fn, a, b, o in zip(self._fns, self._a, self._b, self._out):
+        for fn, a, b, o in zip(fns or self._fns, self._a, self._b, self._out):
             r[o] = fn(r[a], r[b])
         return [r[s] for s in self._roots]
 
@@ -800,38 +809,59 @@ class Tape:
         """Value, gradient and symmetric Hessian of each field, stacked: shapes (k,),
         (k, n) and (k, n, n) at one point, with a leading m at the rows of an
         (m, dim) array, each row with the bits of its one-point call."""
+        V, G, H = self._stacked(point, params, second_order=True)
+        return JetStack(V, G, 0.5 * (H + H.swapaxes(-1, -2)))
+
+    def gradient_stack(self, point, params: Mapping[str, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Value and gradient of each field, stacked: shapes (k,) and (k, n) at one
+        point, with a leading m at the rows of an (m, dim) array.  One first-order
+        run, which forms no Hessian: the bits of `jet_stack`'s value and gradient."""
+        return self._stacked(point, params, second_order=False)[:2]
+
+    def _stacked(self, point, params, second_order: bool) -> tuple:
+        """The fields' values, gradients and unsymmetrised Hessians (None without second_order) as arrays."""
         lead, k = np.shape(point)[:-1], len(self._roots)
         if not k:  # no fields: no symbol table to check the point against
             n = np.shape(point)[-1]
-            return JetStack(np.zeros(lead + (0,)), np.zeros(lead + (0, n)), np.zeros(lead + (0, n, n)))
+            return np.zeros(lead + (0,)), np.zeros(lead + (0, n)), np.zeros(lead + (0, n, n))
         vals, n = self._values(point, params), len(self.coords)
-        V, G, H = np.zeros(lead + (k,)), np.zeros(lead + (k, n)), np.zeros(lead + (k, n, n))
+        V, G = np.zeros(lead + (k,)), np.zeros(lead + (k, n))
+        H = np.zeros(lead + (k, n, n)) if second_order else None
         if lead == (0,):
-            return JetStack(V, G, H)
-        for i, j in enumerate(self._root_jets(vals)):
+            return V, G, H
+        for i, j in enumerate(self._root_jets(vals, second_order)):
             if not isinstance(j, _Jet):  # a field of constants and parameters
                 V[..., i] = j
                 continue
             V[..., i] = j.v
             if not isinstance(j.g, float):
                 G[..., i, :] = j.g[0] if lead else j.g
-            if not isinstance(j.h, float):
+            if second_order and not isinstance(j.h, float):
                 H[..., i, :, :] = j.h[0] if lead else j.h
-        return JetStack(V, G, 0.5 * (H + H.swapaxes(-1, -2)))
+        return V, G, H
 
-    def _root_jets(self, vals: np.ndarray) -> list:
+    def _root_jets(self, vals: np.ndarray, second_order: bool = True) -> list:
         """Each root's _Jet (a float for a constant field) from one jet run on the
         symbols' numbers vals, of one point or of a batch (see _values); the first
-        call sorts the tape by degree.  Parameters stay plain floats."""
+        call sorts the tape by degree.  Parameters stay plain floats.  A first-order
+        run swaps each _second_order lift for _first_order and leaves the Hessian
+        registers None, where _with_hessian passes its jet on: no jet carries a Hessian."""
         if self._gradients is None:
             self._sort_by_degree()
-        grads, hessians, n = self._gradients, self._hessians, len(self.coords)
+        grads, n = self._gradients, len(self.coords)
+        if second_order:
+            fns, hessians = self._fns, self._hessians
+        else:
+            if self._first_fns is None:
+                self._first_fns = tuple(_first_order if fn is _second_order else fn for fn in self._fns)
+            fns, hessians = self._first_fns, [None] * len(self._hessians)
         if vals.ndim == 1:
-            return self._run(vals, [0.0, *grads, *hessians])
+            return self._run(vals, [0.0, *grads, *hessians], fns)
         lead = vals.shape[1:]  # a fixed part is the same in every lane: a read-only broadcast
         grads = [(g, True) for g in np.broadcast_to(grads[:, None], (len(grads),) + lead + (n,))]
-        hessians = [(h, True) for h in np.broadcast_to(hessians[:, None], (len(hessians),) + lead + (n, n))]
-        return self._run([*vals[:n], *vals[n:, 0]], [0.0, *grads, *hessians])
+        if second_order:
+            hessians = [(h, True) for h in np.broadcast_to(hessians[:, None], (len(hessians),) + lead + (n, n))]
+        return self._run([*vals[:n], *vals[n:, 0]], [0.0, *grads, *hessians], fns)
 
 
 # In a jet's gradient or Hessian slot a plain float is a structural zero.  It
@@ -997,6 +1027,9 @@ class _Jet:
         """o / self: f'' = a''/b - (a' b'^T + b' a'^T)/b^2 - a b''/b^2 + 2 a b' b'^T / b^3."""
         va, ga, ha = (o.v, o.g, o.h) if isinstance(o, _Jet) else (o, 0.0, 0.0)
         gb, inv = self.g, 1.0 / self.v
+        if self.h is None:  # a first-order divisor: no Hessian terms, as in __mul__
+            v = va * inv
+            return _Jet(v, _plus(_scale(inv, ga), _scale(-(v * inv), gb)), None)
         v, c = va * inv, 2.0 * va * _power(3)(inv)
         h = _plus(_scale(inv, ha), _scaled_outer(-(inv * inv), ga, gb, sym=True))
         h = _plus(h, _scale(-(va * inv * inv), self.h))

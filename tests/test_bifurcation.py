@@ -85,6 +85,12 @@ def test_scan_finds_tilted_equilibria_at_large_g():
         assert np.linalg.norm(np.cross(r, w)) <= 1e-8  # R parallel to dH/dS
 
 
+def test_scan_drops_rank0_seeds_outside_its_box():
+    # dF of y/x tends to 0 only as x -> infinity: rank-0 refinement runs out to |x| ~ 1e11
+    m = model_from_dict({"coordinates": ["x1", "y1"], "components": ["y1/x1"]})
+    assert scan_singular_points(m, [(-1, 1)] * 2, resolution=7) == []
+
+
 def test_scan_seeds_satisfy_rank_condition():
     m = build_kovalevskaya(0.5)
     seeds = scan_singular_points(m, SCAN_BOX, resolution=6)

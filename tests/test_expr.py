@@ -590,6 +590,41 @@ def test_batched_jets_of_no_fields_and_no_rows():
     assert Tape([parse("x*y", ("x", "y"))]).jets(np.zeros((0, 2))) == []
 
 
+def _stack_bytes(tape, point, params, order):
+    """The tape's first-order (values, gradients) or second-order stack as bytes, or the EvalError's type."""
+    try:
+        stack = tape.gradient_stack(point, params) if order == 1 else tape.jet_stack(point, params)
+    except EvalError as exc:
+        return type(exc)
+    return [(_bytes(a), a.shape) for a in stack]
+
+
+@given(
+    st.lists(st.one_of(NODES, BATCH_NODES), min_size=1, max_size=3),
+    ROWS,
+    st.sampled_from([0.0, -0.0, -1.0, 0.75]),
+    st.booleans(),
+)
+# A quotient by a quadratic slot and by an affine one: in a first-order run neither divisor carries a Hessian.
+@example(
+    [Div(Sym(0, "a"), Add(Pow(Sym(1, "b"), 2), Const(1))), Div(Mul(Sym(3, "g"), Sym(0, "a")), Sub(Sym(2, "c"), Const(3)))],
+    np.array([[0.5, 1.0, -2.0], [0.0, -0.0, 1.0]]),
+    0.75,
+    False,
+)
+def test_gradient_stack_is_the_jet_stack(nodes, rows, g, sorted_first):
+    """A first-order run gives the values and gradients of the second-order run bit
+    for bit, at one point and over a batch, whether or not a jet call sorted the tape first."""
+    fields, params = [Expression(n, ABC, ("g",)) for n in nodes], {"g": g}
+    for point in (rows[0], rows):
+        tape = Tape(fields)
+        with np.errstate(all="ignore"):
+            first, second = (2, 1) if sorted_first else (1, 2)
+            got = {first: _stack_bytes(tape, point, params, first), second: _stack_bytes(tape, point, params, second)}
+        want = got[2] if isinstance(got[2], type) else got[2][:2]
+        assert got[1] == want
+
+
 def _dense_partials(nsym, node, *d):
     """The dense rule of differentiation, the reference: a node's partial by
     each of the nsym symbols, from its operands' partials d."""

@@ -1,6 +1,7 @@
 import copy
 import json
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -116,9 +117,14 @@ def test_commutation_adversarial():
 
 
 def _count_tape_runs(monkeypatch) -> list:
-    """The number of roots of each tape run from now on."""
+    """The number of roots and the kind ("first-order" or other) of each tape run from now on."""
     runs, run = [], Tape._run
-    monkeypatch.setattr(Tape, "_run", lambda self, *a: runs.append(len(self._roots)) or run(self, *a))
+
+    def counted(self, leaves, fixed=(), fns=None):
+        runs.append((len(self._roots), "first-order" if fns is not None and fns is self._first_fns else "other"))
+        return run(self, leaves, fixed, fns)
+
+    monkeypatch.setattr(Tape, "_run", counted)
     return runs
 
 
@@ -127,10 +133,14 @@ def test_sampled_checks_evaluate_each_expression_once(e3, kov_exprs, monkeypatch
     model = IntegrableModel(e3, [h, k], leaf_values=[1.0, 0.5])
     runs = _count_tape_runs(monkeypatch)
     report = check_commutation(model, samples=100, box=2.0)
-    assert runs == [1]  # one tape over the one bracket, run once over all samples
+    assert runs == [(2, "first-order"), (9, "other")]  # the components' gradients, the entries' values
     runs.clear()
     e3.casimir_residual(samples=20)
-    assert runs == [2 * 6]  # one tape over every Casimir's field components, run once
+    assert runs == [(2, "first-order"), (9, "other")]  # the Casimirs' gradients, the entries' values
+    runs.clear()
+    monkeypatch.setattr(phasespace, "SAMPLE_BLOCK", 40)
+    assert check_commutation(model, samples=100, box=2.0).max_residual == report.max_residual
+    assert runs == [(2, "first-order"), (9, "other")] * 3  # one run of each per block of 40, 40 and 20 points
     monkeypatch.undo()
     pts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(100, 6))
     assert report.max_residual == max(abs(e3.bracket(h, k).evaluate(p)) for p in pts)
@@ -152,7 +162,7 @@ def test_jacobi_residual_matches_pointwise_jacobiator(monkeypatch):
     st = PoissonStructure(xyz, {(0, 1): parse("x", xyz), (1, 2): parse("y", xyz), (0, 2): parse("-z", xyz)})
     runs = _count_tape_runs(monkeypatch)
     residual = st.jacobi_residual(samples=50, box=2.0, seed=3)
-    assert runs == [1]  # one tape over the one triple i < j < k, run once over all samples
+    assert runs == [(3, "first-order")]  # one first-order run over the three entries, on all samples
     monkeypatch.undo()
     worst = 0.0
     for p in np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 3)):
@@ -163,7 +173,7 @@ def test_jacobi_residual_matches_pointwise_jacobiator(monkeypatch):
 
 
 def _per_field_max(fields, samples, box, seed, dim, params=None):
-    """The reference for _sampled_max: each field evaluated on its own."""
+    """The reference for _sampled_max: each field evaluated on its own at all points."""
     pts = np.random.default_rng(seed).uniform(-box, box, size=(samples, dim))
     worst, at = 0.0, None
     for index, f in enumerate(fields):
@@ -177,14 +187,35 @@ def _same_max(got, want) -> bool:
     return (np.float64(got[0]).tobytes(), got[1]) == (np.float64(want[0]).tobytes(), want[1])
 
 
+def _symbolic_checks(model, samples, box, seed):
+    """The reference for `verify`: (worst, index) of the symbolic brackets, Jacobiators
+    and Casimir fields, each field evaluated on its own, as the CLI samples them."""
+    st, params = model.structure, model.params
+    pairs = list(combinations(range(model.n), 2))
+    brackets = [st.bracket(model.components[i], model.components[j]) for i, j in pairs]
+    jacobiators = []
+    for i, j, k in combinations(range(model.dim), 3):
+        cyclic = ((i, st.pi(j, k)), (j, st.pi(k, i)), (k, st.pi(i, j)))
+        terms = [st.field_component(a, e) for a, e in cyclic if e is not None]
+        jacobiators += [sum(terms[1:], terms[0])] if terms else []
+    casimir_fields = [fx for cas in st.casimirs for fx in st.ham_field(cas)]
+    worst, at = _per_field_max(brackets, samples, box, seed, model.dim, params)
+    jacobi = _per_field_max(jacobiators, min(samples, 1000), box, seed, model.dim, params)[0]
+    casimir = _per_field_max(casimir_fields, min(samples, 200), box, seed, model.dim, params)[0]
+    if st._const_matrix is not None:
+        jacobi = 0.0  # a constant bivector skips the Jacobi check
+    return (worst, None if at is None else list(pairs[at])), jacobi, casimir
+
+
 @pytest.mark.parametrize(
     "model",
     ["kovalevskaya:0", "kovalevskaya:0.5", "kovalevskaya:1.6"]
     + [f"disguise:{spec}" for spec in ("1,0,0,0", "0,2,0,0", "1,0,1,1", "0,1,1,1", "0,0,2,1", "0,0,0,2")],
 )
-def test_sampled_max_is_the_per_field_maximum(model, tmp_path, monkeypatch, capsys):
-    """Every sampled check that `verify` makes, on Kovalevskaya and on disguise
-    files of n <= 4 types, gives the per-field worst value and first index bit for bit."""
+def test_sampled_max_is_the_per_field_maximum(model, tmp_path, capsys):
+    """Every sampled check that `verify` makes from gradient runs, on Kovalevskaya and
+    on disguise files of n <= 4 types, gives the verdicts and worst pair of the symbolic
+    fields evaluated one by one, and their worst values to 1e-12."""
     kind, _, arg = model.partition(":")
     argv = ["verify", "--model", "kovalevskaya", "--g", arg]
     if kind == "disguise":
@@ -192,33 +223,46 @@ def test_sampled_max_is_the_per_field_maximum(model, tmp_path, monkeypatch, caps
         spec = CanonicalSpec(*map(int, arg.split(",")))
         phasespace.save_model(randomized_disguise(build_canonical(spec), seed=2).model, path)
         argv = ["verify", "--model", path]
-    checks, sampled_max = [], phasespace._sampled_max
+    samples, seed = 300, 4
+    code = cli.main(argv + ["--samples", str(samples), "--seed", str(seed)])
+    report = json.loads(capsys.readouterr().out)
+    loaded = cli.resolve_model(argv[2], float(arg) if kind == "kovalevskaya" else None)
+    box = 2.0 if loaded.structure.casimirs else 1.0
+    (comm, pair), jacobi, casimir = _symbolic_checks(loaded, samples, box, seed)
+    for check, want, tol in (("commutation", comm, cli.COMMUTATION_TOL), ("jacobi", jacobi, cli.JACOBI_TOL),
+                             ("casimirs", casimir, cli.COMMUTATION_TOL)):
+        assert abs(report[check]["max_residual"] - float(want)) <= 1e-12
+        assert report[check]["pass"] == bool(want <= tol)
+    assert report["commutation"]["worst_pair"] == pair
+    passed = comm <= cli.COMMUTATION_TOL and jacobi <= cli.JACOBI_TOL and casimir <= cli.COMMUTATION_TOL
+    assert report["pass"] == passed and code == (0 if passed else 1)
 
-    def record(fields, *args):
-        checks.append((list(fields), args))
-        return sampled_max(checks[-1][0], *args)
 
-    monkeypatch.setattr(phasespace, "_sampled_max", record)
-    assert cli.main(argv + ["--samples", "300", "--seed", "4"]) == 0
-    capsys.readouterr()
-    assert len(checks) == (3 if kind == "kovalevskaya" else 2)  # a constant bivector skips the Jacobi check
-    for fields, args in checks:
-        assert _same_max(sampled_max(fields, *args), _per_field_max(fields, *args))
+def _columns(fields, params):
+    """The fields_at of _sampled_max for fields evaluated one by one."""
+    return lambda pts: np.array([f.evaluate(pts, params) for f in fields]).reshape(len(fields), len(pts))
 
 
-def test_sampled_max_with_constant_roots_and_nan_samples():
+def test_sampled_max_with_constant_roots_and_nan_samples(monkeypatch):
     xy = ("x", "y")
     fields = [parse(src, xy, ("g",)) for src in ("x*y", "3/4", "g*x-g*y", "x+y", "(x+y)^2/4", "g*y")]
     fields.insert(1, constant(0.75, xy, ("g",)))
-    for g in (0.5, np.nan, np.inf, -np.inf):  # NaN in no, every or some samples (inf - inf)
-        for picked in (fields, fields[:4], fields[3:4], fields[::-1], []):
-            with np.errstate(invalid="ignore"):
-                got = phasespace._sampled_max(picked, 40, 1.0, 7, 2, {"g": g})
-                want = _per_field_max(picked, 40, 1.0, 7, 2, {"g": g})
-            assert _same_max(got, want)
-    with np.errstate(invalid="ignore"):
-        assert phasespace._sampled_max(fields[3:4], 40, 1.0, 7, 2, {"g": np.nan}) == (0.0, None)
-    assert phasespace._sampled_max(fields[1:3], 40, 1.0, 7, 2, {"g": 0.0}) == (0.75, 0)  # the first of two ties
+    for block in (4096, 7, 1):  # the 40 points in one block, or in six or forty
+        monkeypatch.setattr(phasespace, "SAMPLE_BLOCK", block)
+        for g in (0.5, np.nan, np.inf, -np.inf):  # NaN in no, every or some samples (inf - inf)
+            for picked in (fields, fields[:4], fields[3:4], fields[::-1], []):
+                params = {"g": g}
+                with np.errstate(invalid="ignore"):
+                    got = phasespace._sampled_max(_columns(picked, params), 40, 1.0, 7, 2)
+                    want = _per_field_max(picked, 40, 1.0, 7, 2, params)
+                assert _same_max(got, want)
+        with np.errstate(invalid="ignore"):
+            assert phasespace._sampled_max(_columns(fields[3:4], {"g": np.nan}), 40, 1.0, 7, 2) == (0.0, None)
+        ties = phasespace._sampled_max(_columns(fields[1:3], {"g": 0.0}), 40, 1.0, 7, 2)
+        assert ties == (0.75, 0)  # the first of two ties
+    monkeypatch.setattr(phasespace, "SAMPLE_BLOCK", 2)
+    blocks = iter([[[0.0, 1.0], [3.0, -2.0]], [[np.nan, -3.0], [0.0, 1.0]]])  # field 1 reaches 3 first, field 0 later
+    assert phasespace._sampled_max(lambda pts: np.array(next(blocks)), 4, 1.0, 0, 2) == (3.0, 0)
 
 
 def test_casimirs_commute_with_coordinates(e3):
