@@ -129,7 +129,7 @@ class PointAnalysis:
     U = property(lambda self: self.svd[0])
     sv = property(lambda self: self.svd[1])
     Vt = property(lambda self: self.svd[2])
-    rank = property(lambda self: _numerical_rank(self.sv, self.tol))  # of dF on the leaf tangent
+    rank = cached_property(lambda self: _numerical_rank(self.sv, self.tol))  # of dF on the leaf tangent
     value = property(lambda self: self.jets.value.copy())  # momentum_value's bits on polynomials
 
     def detached(self) -> PointAnalysis:

@@ -30,6 +30,7 @@ from .atoms import (
 from .bifurcation import ScanParams, TraceParams, export_diagram, diagram_to_dict, scan_singular_points, trace_diagram
 from .canonical import CanonicalSpec, build_canonical
 from .classify import DEFAULT_ATTEMPTS, DEFAULT_SEED, DEFAULT_TOL, classify_point
+from .expr import EvalError
 from .kovalevskaya import DIAGRAM_PARAMS, SCAN_BOX, build_kovalevskaya, kovalevskaya_diagram
 from .kovalevskaya import report as kovalevskaya_report
 from .phasespace import IntegrableModel, check_commutation, load_model
@@ -162,10 +163,14 @@ def _parse_box(text: str | None, model: IntegrableModel):
 def cmd_verify(args) -> int:
     model = resolve_model(args.model, args.g)
     box = 2.0 if model.structure.casimirs else 1.0
-    comm = check_commutation(model, samples=args.samples, tol=COMMUTATION_TOL, box=box, seed=args.seed)
     st, params = model.structure, model.params
-    jacobi = st.jacobi_residual(samples=min(args.samples, 1000), box=box, seed=args.seed, params=params)
-    casimir = st.casimir_residual(samples=min(args.samples, 200), box=box, seed=args.seed, params=params)
+    try:
+        comm = check_commutation(model, samples=args.samples, tol=COMMUTATION_TOL, box=box, seed=args.seed)
+        jacobi = st.jacobi_residual(samples=min(args.samples, 1000), box=box, seed=args.seed, params=params)
+        casimir = st.casimir_residual(samples=min(args.samples, 200), box=box, seed=args.seed, params=params)
+    except EvalError as exc:  # a component, bivector entry or Casimir has a pole at a sample point
+        _emit({"error": f"{exc} at a sample point", "model": args.model, "seed": args.seed}, args.out)
+        return 1
     passed = comm.passed and jacobi <= JACOBI_TOL and casimir <= COMMUTATION_TOL
     report = {
         "model": args.model,

@@ -124,6 +124,8 @@ class Neg(Node):
 
 
 class Pow(Node):
+    """a ^ k for an integer k >= 2 (`_pow` folds the others), run as libm pow (see `_power`)."""
+
     __slots__ = ("a", "k")
 
     def __init__(self, a: Node, k: int):
@@ -481,7 +483,9 @@ def _partials(node: Node, *d: dict) -> dict:
 # ch. 2-3) run by one loop over any leaf numbers: a float at one point, an array
 # per coordinate over a batch of points, or a _Jet for second-order jets at one
 # point or over a batch (vector forward mode, ch. 3).  Constants are plain
-# floats, and so are parameters in a jet.
+# floats, and so are parameters in a jet.  A batch runs each instruction as one
+# numpy call over its points, a power as one libm pow call per entry (see
+# _power), so each of its rows has the bits of the one-point run.
 #
 # Jets by degree.  The models are low-degree, and a slot's gradient or Hessian
 # is often the same at every point.  On a tape's first jet call each slot gets
@@ -523,22 +527,16 @@ def _quotient(x, y):  # a batch divides by zero when one of its points does
     return x / y
 
 
-def _each_power(x: np.ndarray, k: int) -> np.ndarray:
-    """x ** k entry by entry, with the bits of one-point evaluation.  libm pow(x, 0)
-    is 1 and pow(x, 1) is x for every double (zeros, infinities and NaN too), so
-    those are formed directly; k >= 2 calls libm pow per entry, since glibc's
-    pow(x, 2) and x * x differ in the last bit for some doubles."""
-    if k == 0:
-        return np.ones(x.shape)
-    if k == 1:
-        return x.copy()
-    return np.array([b ** k for b in x])
-
-
 @cache
 def _power(k: int):
+    """The instruction x ** k: libm pow at a point and in every entry of a batch,
+    so a batch entry has the bits of one-point evaluation.  A batch is one
+    np.float_power call, which calls libm pow per entry; np.power does not, and
+    differs from it in the last bit for some doubles.  A point keeps x ** k,
+    several times faster on a scalar than a numpy call."""
+
     def power(x, _=None):
-        return _each_power(x, k) if isinstance(x, np.ndarray) else x ** k
+        return np.float_power(x, k) if isinstance(x, np.ndarray) else x ** k
 
     return power
 

@@ -130,12 +130,15 @@ class PoissonStructure:
         return np.ascontiguousarray(pi.transpose(2, 0, 1)) if lead else pi
 
     def bivector_gradients_at(self, point, params=None) -> np.ndarray:
-        """d pi[i][j] / d c_m as a (dim, dim, dim) array."""
+        """d pi[i][j] / d c_m as a (dim, dim, dim) array, from one first-order run."""
         if self._const_matrix is not None:
             return np.zeros((self.dim, self.dim, self.dim))
-        return self._antisymmetric([jet.gradient for jet in self._upper_tape.jets(point, params)], (self.dim,))
+        return self._antisymmetric(self._upper_tape.gradient_stack(point, params)[1], (self.dim,))
 
     # -- brackets and fields -----------------------------------------------------
+    # The bracket and field rules are written once, over any numbers with +, * and
+    # unary -: Expressions for the symbolic API, and a block's arrays for the
+    # sampled checks, which so sum the symbolic terms in their order.
 
     def pi(self, k: int, l: int) -> Expression | None:
         """The entry pi_kl, or None where it is zero: on the diagonal and at a pair left out."""
@@ -144,36 +147,42 @@ class PoissonStructure:
             return None if e is None else -e
         return self.upper.get((k, l))
 
-    def bracket(self, f: Expression, g: Expression) -> Expression:
-        """Poisson bracket {f, g} = sum_ij pi_ij d_i f d_j g.
+    def _bracket(self, out, entries, df, dg):
+        """out + {f, g} = sum_ij pi_ij d_i f d_j g, from the given entries and the
+        partials df[l] and dg[l] of f and g.
 
         Terms are grouped per unordered index pair so that the two
         orientations cancel exactly (not just to rounding) when the
         bracket vanishes pairwise, e.g. for canonical focus pairs.
         """
-        out = constant(0, f.coords, f.params)
-        for (i, j), pij in self.upper.items():
-            ci, cj = self.coords[i], self.coords[j]
-            out = out + (pij * f.diff(ci) * g.diff(cj) + (-pij) * f.diff(cj) * g.diff(ci))
+        for (i, j), p in zip(self.upper, entries):
+            out = out + (p * df[i] * dg[j] + (-p) * df[j] * dg[i])
         return out
+
+    def _field(self, k: int, out, entries, df):
+        """out + {c_k, f} = sum_l pi_kl d_l f, from the given entries and the partials
+        df[l] of f: an entry below the diagonal is the negated one above, as in `pi`.
+        The entries (l, k) come before (k, l) and each by l, so the terms go by l."""
+        for (i, j), p in zip(self.upper, entries):
+            if k == i:
+                out = out + p * df[j]
+            elif k == j:
+                out = out + (-p) * df[i]
+        return out
+
+    def bracket(self, f: Expression, g: Expression) -> Expression:
+        """Poisson bracket {f, g} = sum_ij pi_ij d_i f d_j g."""
+        df, dg = ([h.diff(c) for c in self.coords] for h in (f, g))
+        return self._bracket(constant(0, f.coords, f.params), self.upper.values(), df, dg)
 
     def field_component(self, k: int, f: Expression) -> Expression:
         """{c_k, f} = sum_l pi_kl d_l f, component k of the Hamiltonian field of f."""
-        entries = ((self.pi(k, l), c) for l, c in enumerate(self.coords))
-        return sum((pkl * f.diff(c) for pkl, c in entries if pkl is not None), constant(0, f.coords, f.params))
+        df = [f.diff(c) for c in self.coords]
+        return self._field(k, constant(0, f.coords, f.params), self.upper.values(), df)
 
     def ham_field(self, f: Expression) -> list[Expression]:
         """Components {c_k, f} of the Hamiltonian vector field of f."""
         return [self.field_component(k, f) for k in range(self.dim)]
-
-    @cached_property
-    def _rows(self) -> list:
-        """Per coordinate a, the given entries in its row as (l, entry index, sign of pi_al), by l."""
-        rows = [[] for _ in range(self.dim)]
-        for e, (i, j) in enumerate(self.upper):
-            rows[i].append((j, e, 1.0))
-            rows[j].append((i, e, -1.0))
-        return [sorted(row) for row in rows]
 
     def _entries_at(self, points, params=None) -> list:
         """The given entries at a block of m points, each an (m,) array, or a float
@@ -181,24 +190,6 @@ class PoissonStructure:
         if self._const_matrix is not None:
             return [self._const_matrix[ij] for ij in self.upper]
         return self._upper_tape.values(points, params)
-
-    def _brackets(self, df: np.ndarray, dg: np.ndarray, entries: list) -> np.ndarray:
-        """{f, g} for k pairs of functions at a block of m points, (k, m), from their
-        gradients df and dg, (dim, k, m) each, and the given entries there: the terms
-        of `bracket` in its order, so a bracket that vanishes pairwise is exactly 0.0."""
-        out = np.zeros(df.shape[1:])
-        for (i, j), p in zip(self.upper, entries):
-            out += (p * df[i]) * dg[j] + ((-p) * df[j]) * dg[i]
-        return out
-
-    def _field_component(self, a: int, entries: list, df) -> np.ndarray | float:
-        """{c_a, f} = sum_l pi_al d_l f at a block of points, from the given entries
-        there and the partials df[l] of f, summed in `field_component`'s order."""
-        out = 0.0
-        for l, e, sign in self._rows[a]:
-            term = entries[e] * df[l]
-            out = out + term if sign > 0 else out - term
-        return out
 
     def jacobi_residual(self, samples: int, box: float = 1.0, seed: int = DEFAULT_SEED, params=None) -> float:
         """Max |{x_i, pi_jk} + {x_j, pi_ki} + {x_k, pi_ij}| over sampled points
@@ -210,10 +201,10 @@ class PoissonStructure:
 
         def jacobiators(points):
             values, grads = self._upper_tape.gradient_stack(points, params)
-            entries, partials = list(values.T), grads.transpose(1, 2, 0)  # partials[e][l]: d_l of entry e
+            entries, partials = values.T, grads.transpose(1, 2, 0)  # partials[e][l]: d_l of entry e
 
             def field(a: int, pair: tuple[int, int]):  # {x_a, pi_pair}; 0.0 for a pair left out
-                return self._field_component(a, entries, partials[entry[pair]]) if pair in entry else 0.0
+                return self._field(a, 0.0, entries, partials[entry[pair]]) if pair in entry else 0.0
 
             out = np.zeros((len(triples), len(points)))
             for t, (i, j, k) in enumerate(triples):
@@ -231,7 +222,7 @@ class PoissonStructure:
             entries = self._entries_at(points, params)
             out = np.zeros((len(grads), self.dim, len(points)))
             for c, a in np.ndindex(out.shape[:2]):
-                out[c, a] = self._field_component(a, entries, grads[c])
+                out[c, a] = self._field(a, 0.0, entries, grads[c])
             return out.reshape(-1, len(points))
 
         return _sampled_max(fields, samples, box, seed, self.dim)[0]
@@ -370,7 +361,7 @@ def check_commutation(
     def brackets(points):
         grads = model._component_tape.gradient_stack(points, model.params)[1].transpose(2, 1, 0)  # (dim, n, m)
         entries = model.structure._entries_at(points, model.params)
-        return model.structure._brackets(grads[:, first], grads[:, second], entries)
+        return model.structure._bracket(np.zeros((len(pairs), len(points))), entries, grads[:, first], grads[:, second])
 
     worst, at = _sampled_max(brackets, samples, box, seed, model.dim)
     worst_pair = None if at is None else pairs[at]

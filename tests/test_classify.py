@@ -161,6 +161,27 @@ def test_nondegenerate_canonical():
         assert v.williamson.triple == (spec.k_e, spec.k_h, spec.k_f)
 
 
+def test_regular_point_is_inconclusive():
+    v = is_nondegenerate(build_canonical(CanonicalSpec(0, 1, 0, 0)), np.array([0.5, 0.25]))
+    assert (v.verdict, v.williamson, v.diagnostics) == ("inconclusive", None, {"rank": 1, "note": "point is regular"})
+
+
+def test_refused_point_is_inconclusive():
+    from intsing.kovalevskaya import build_kovalevskaya
+
+    v = is_nondegenerate(build_kovalevskaya(0.5), np.zeros(6))  # off the leaf
+    assert (v.verdict, v.williamson) == ("inconclusive", None)
+    assert v.diagnostics == {"error": "point is off the leaf: max Casimir residual 1.000e+00"}
+
+
+def test_fields_that_do_not_commute_are_inconclusive():
+    st = PoissonStructure.canonical_chart([("x1", "y1"), ("x2", "y2")])
+    coords = st.coords
+    v = is_nondegenerate(IntegrableModel(st, [parse("x1^2+y1^2", coords), parse("x1*x2", coords)]), np.zeros(4))
+    assert (v.verdict, v.williamson, v.diagnostics["note"]) == ("inconclusive", None, "fields do not commute")
+    assert v.diagnostics["rank"] == 0 and v.diagnostics["commutator_norm"] > 1e-6
+
+
 def test_degenerate_parabolic_like():
     st = PoissonStructure.canonical_chart([("x", "y")])
     m = IntegrableModel(st, [parse("x^2*y", ("x", "y"))])

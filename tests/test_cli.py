@@ -66,6 +66,23 @@ def test_verify_evaluates_the_structure_at_the_model_parameters(tmp_path, capsys
     assert code == 0 and report["jacobi"]["max_residual"] == 0.0 and report["casimirs"]["max_residual"] == 0.0
 
 
+VERIFY_POLES = {  # a pole at every sample point, in each place of a model that verify evaluates
+    "component": {"coordinates": ["x", "y"], "components": ["x*y+1/(x-x)"]},
+    "bivector-entry": {"coordinates": ["x", "y", "z"], "components": ["x", "y"],
+                       "structure": {"bivector": [{"i": "x", "j": "y", "expr": "1/(z-z)"}]}},
+    "casimir": {"coordinates": ["x", "y"], "components": ["x"], "casimirs": [{"expr": "1/(y-y)", "value": 0}]},
+}
+
+
+@pytest.mark.parametrize("place", sorted(VERIFY_POLES))
+def test_verify_reports_a_pole_at_the_samples(place, tmp_path, capsys):
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(VERIFY_POLES[place]))
+    code, out = run_cli(["verify", "--model", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": "division by zero at a sample point", "model": str(path), "seed": 0}
+
+
 def test_classify_kovalevskaya_vertex(capsys):
     code, out = run_cli(
         ["classify", "--model", "kovalevskaya", "--g", "0.5", "--point", "R1=1,S1=0.5"], capsys
