@@ -714,6 +714,20 @@ def test_batch_powers_are_libm_pow(k, drawn, seed):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_powers_0_and_1_of_a_batch_are_libm_pow(k):
+    """pow(x, 0) = 1 and pow(x, 1) = x of a batch are libm's b ** k on zeros,
+    infinities, NaN, subnormals and the extremes."""
+    from intsing.expr import _power
+
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, tiny / 3, -tiny, tiny, big, -big, 1.0, -2.5])
+    got, want = _power(k)(x), np.array([b**k for b in x])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+
 # Jets by degree: a jet run computes affine slots as plain values and quadratic
 # ones without a Hessian, lifting them where a higher degree or a root reads
 # them.  The reference is the full second-order rules on every slot: the code of
