@@ -1,7 +1,7 @@
 """Singularity analysis toolkit for integrable Hamiltonian systems.
 
 Submodules:
-    expr          polynomial/rational expression DSL with exact jets
+    expr          polynomial/rational expression DSL; exact jets as one JetStack type
     phasespace    Poisson structures, brackets, fields, flows, model files
     canonical     canonical local models, disguises, quotient-model data
     classify      rank, linearization, Williamson types, non-degeneracy
@@ -13,7 +13,7 @@ Submodules:
 
 from .canonical import CanonicalSpec, build_canonical, randomized_disguise, verify_periodicity
 from .classify import WilliamsonType, classify_point, is_nondegenerate, rank_at, williamson_type
-from .expr import Expression, Jet2, differentiate, evaluate_jet2, parse
+from .expr import Expression, JetStack, parse
 from .kovalevskaya import build_kovalevskaya, classify_vertices, involution_fixed_points, regime
 from .phasespace import (
     IntegrableModel,
@@ -21,9 +21,7 @@ from .phasespace import (
     PoissonStructure,
     check_commutation,
     flow_integrate,
-    hamiltonian_vector_field,
     load_model,
-    poisson_bracket,
     save_model,
 )
 
@@ -33,7 +31,7 @@ __all__ = [
     "CanonicalSpec",
     "Expression",
     "IntegrableModel",
-    "Jet2",
+    "JetStack",
     "PhasePoint",
     "PoissonStructure",
     "WilliamsonType",
@@ -42,15 +40,11 @@ __all__ = [
     "check_commutation",
     "classify_point",
     "classify_vertices",
-    "differentiate",
-    "evaluate_jet2",
     "flow_integrate",
-    "hamiltonian_vector_field",
     "involution_fixed_points",
     "is_nondegenerate",
     "load_model",
     "parse",
-    "poisson_bracket",
     "randomized_disguise",
     "rank_at",
     "regime",

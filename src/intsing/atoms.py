@@ -31,7 +31,6 @@ from .groups import (
     group_to_dict,
     orbits,
     permutation_is_free,
-    trivial,
 )
 
 
@@ -246,11 +245,6 @@ def build_Ki_sets(p: AlmostDirectProduct) -> list[KiSet]:
     return out
 
 
-def check_connectedness_iv(p: AlmostDirectProduct) -> bool:
-    """(iv): every critical set K_i is connected."""
-    return all(k.connected_components == 1 for k in build_Ki_sets(p))
-
-
 @dataclass
 class CrossCheckReport:
     iv: bool
@@ -263,7 +257,7 @@ class CrossCheckReport:
 def cross_check_criteria(p: AlmostDirectProduct) -> CrossCheckReport:
     """Criteria (iv) and (vi) must agree on every product model."""
     ki_sets = build_Ki_sets(p)
-    iv = all(k.connected_components == 1 for k in ki_sets)  # check_connectedness_iv on these sets
+    iv = all(k.connected_components == 1 for k in ki_sets)  # (iv): every critical set K_i is connected
     vi, witnesses = check_connectedness_vi(p)
     if iv != vi:
         raise AtomsError(
@@ -304,14 +298,6 @@ def make_action(
         else:
             ff.append([permutation_is_free(perms[c][a]) for a in group.elements()])
     return GroupAction(group, [list(map(tuple, ps)) for ps in perms], ff)
-
-
-def trivial_product(names: list[str], label: str = "") -> AlmostDirectProduct:
-    comps = [atom(n) for n in names]
-    g = trivial()
-    perms = [[tuple(range(c.singular_points))] for c in comps]
-    action = make_action(g, comps, perms)
-    return AlmostDirectProduct(comps, action, label or "x".join(names))
 
 
 # ---------------------------------------------------------------------------

@@ -999,7 +999,6 @@ def seed_arcs_near_vertex(
     vertex_point: np.ndarray,
     delta: float = 1e-2,
     tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
 ) -> list[PointAnalysis]:
     """Rank-1 seeds on the singular leaves emanating from a rank-0 point, as
     the records `refine_singular_point` returns.
@@ -1010,7 +1009,7 @@ def seed_arcs_near_vertex(
     arcs pass within O(delta^2) of the vertex value.
     """
     L = linearize(model, vertex_point, tol)
-    w = williamson_type(L, tol=tol, seed=seed)
+    w = williamson_type(L, tol=tol)
     if not hasattr(w, "coefficients"):
         return []
     A = sum(c * M for c, M in zip(w.coefficients, L.matrices))

@@ -226,7 +226,7 @@ def verify_periodicity(
     role = roles[component]
     if role not in ("elliptic", "focus-angular"):
         raise ValueError(f"component {component} is {role}, not of periodic type")
-    field = model.field_exprs(component)
+    field = model.structure.ham_field(model.components[component])
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_points):

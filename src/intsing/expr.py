@@ -11,8 +11,11 @@ holds.  A `Tape` is straight-line code with one instruction per structurally
 distinct node: a subtree shared by several fields (or repeated in one) is
 computed once.  One loop runs the tape at a point, over a batch of points and
 on first- or second-order jets (value, gradient and Hessian) at a point or over
-a batch, so rank tests downstream see no finite-difference noise.  A parameter
-that a tape reads must be given a value.
+a batch, so rank tests downstream see no finite-difference noise.  Jets come
+back as one type, `JetStack`: value, gradient and Hessian arrays with a leading
+axis over the points of a batch; `Expression.jet2` is the same for one field
+with its field axis dropped.  A parameter that a tape reads must be given a
+value.
 
 Grammar::
 
@@ -38,7 +41,6 @@ import operator
 import re
 import struct
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from typing import Mapping, NamedTuple, Sequence, Union
@@ -795,14 +797,6 @@ class Tape:
         out = self._run(vals)
         return out if vals.ndim == 1 else [np.full(vals.shape[1], v) for v in out]
 
-    def jets(self, point, params: Mapping[str, float] | None = None) -> list:
-        """Value, gradient and Hessian of each field at one point, or one such list
-        per row of an (m, dim) array: the rows of `jet_stack`."""
-        stack = self.jet_stack(point, params)
-        if stack.value.ndim == 1:
-            return list(map(Jet2, *stack))
-        return [list(map(Jet2, *row)) for row in zip(*stack)]
-
     def jet_stack(self, point, params: Mapping[str, float] | None = None) -> JetStack:
         """Value, gradient and symmetric Hessian of each field, stacked: shapes (k,),
         (k, n) and (k, n, n) at one point, with a leading m at the rows of an
@@ -1151,15 +1145,6 @@ def _source(node: Node, *operands: tuple[str, int]) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet2:
-    """Value, gradient and symmetric Hessian of a field at a point."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
 class JetStack(NamedTuple):
     """The jets of k fields as arrays: value (k,), gradient (k, n) and Hessian
     (k, n, n) at one point, each with a leading axis over the points of a batch."""
@@ -1321,13 +1306,12 @@ class Expression:
         """The value at one point, or the m values at the rows of an (m, dim) array."""
         return self._compiled().values(point, params)[0]
 
-    def jet2(self, point, params: Mapping[str, float] | None = None) -> Jet2:
-        return self._compiled().jets(point, params)[0]
-
-
-def field_jets(fields: Sequence[Expression], point, params: Mapping[str, float] | None = None) -> list[Jet2]:
-    """Value, gradient and Hessian of each field at one point, from one tape over the fields."""
-    return Tape(fields).jets(point, params)
+    def jet2(self, point, params: Mapping[str, float] | None = None) -> JetStack:
+        """Value, gradient and Hessian at one point, shapes (), (n,) and (n, n), each
+        with a leading m at the rows of an (m, dim) array: this field's `jet_stack`
+        with its field axis dropped."""
+        V, G, H = self._compiled().jet_stack(point, params)
+        return JetStack(np.take(V, 0, -1), np.take(G, 0, -2), np.take(H, 0, -3))
 
 
 # ---------------------------------------------------------------------------
@@ -1352,13 +1336,3 @@ def constant(value: Number, coords: Sequence[str], params: Sequence[str] = ()) -
 def symbol(name: str, coords: Sequence[str], params: Sequence[str] = ()) -> Expression:
     names = tuple(coords) + tuple(params)
     return Expression(Sym(names.index(name), name), coords, params)
-
-
-def differentiate(e: Expression, var: str) -> Expression:
-    """Exact symbolic partial derivative of e with respect to var."""
-    return e.diff(var)
-
-
-def evaluate_jet2(e: Expression, point, params: Mapping[str, float] | None = None) -> Jet2:
-    """Value, gradient and Hessian of e at a point, by its tape on jets."""
-    return e.jet2(point, params)

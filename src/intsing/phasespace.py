@@ -175,14 +175,11 @@ class PoissonStructure:
         df, dg = ([h.diff(c) for c in self.coords] for h in (f, g))
         return self._bracket(constant(0, f.coords, f.params), self.upper.values(), df, dg)
 
-    def field_component(self, k: int, f: Expression) -> Expression:
-        """{c_k, f} = sum_l pi_kl d_l f, component k of the Hamiltonian field of f."""
-        df = [f.diff(c) for c in self.coords]
-        return self._field(k, constant(0, f.coords, f.params), self.upper.values(), df)
-
     def ham_field(self, f: Expression) -> list[Expression]:
-        """Components {c_k, f} of the Hamiltonian vector field of f."""
-        return [self.field_component(k, f) for k in range(self.dim)]
+        """Components {c_k, f} = sum_l pi_kl d_l f of the Hamiltonian vector field
+        of f; on a canonical pair this is (-df/dy, df/dx)."""
+        df = [f.diff(c) for c in self.coords]
+        return [self._field(k, constant(0, f.coords, f.params), self.upper.values(), df) for k in range(self.dim)]
 
     def _entries_at(self, points, params=None) -> list:
         """The given entries at a block of m points, each an (m,) array, or a float
@@ -306,26 +303,8 @@ class IntegrableModel:
         """The Casimirs' jets stacked, at one point or at the rows of an (m, dim) array."""
         return self._casimir_tape.jet_stack(point, self.params)
 
-    def leaf_residual(self, point) -> float:
-        if not self.structure.casimirs:
-            return 0.0
-        return max(abs(c - v) for c, v in zip(self._casimir_tape.values(point, self.params), self.leaf_values))
-
     def momentum_value(self, point) -> np.ndarray:
         return np.array(self._component_tape.values(point, self.params))
-
-    def field_exprs(self, index: int) -> list[Expression]:
-        return self.structure.ham_field(self.components[index])
-
-
-def poisson_bracket(f: Expression, g: Expression, P: PoissonStructure) -> Expression:
-    """{f, g} with respect to the bivector of P."""
-    return P.bracket(f, g)
-
-
-def hamiltonian_vector_field(f: Expression, P: PoissonStructure) -> list[Expression]:
-    """Components {c_k, f}; on a canonical pair this is (-df/dy, df/dx)."""
-    return P.ham_field(f)
 
 
 # ---------------------------------------------------------------------------

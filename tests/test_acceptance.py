@@ -102,7 +102,7 @@ def test_criterion_2_vertex_type_table():
     }
     bad = []
     for g, want in expected_by_regime.items():
-        rep = classify_vertices(g, enforce=False)
+        rep = classify_vertices(g)
         got = sorted(tuple(e["type"]) for e in rep.vertices if e["type"] is not None)
         if got != sorted(want):
             bad.append((g, got))

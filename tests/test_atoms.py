@@ -17,7 +17,6 @@ from intsing.atoms import (
     atom,
     build_Ki_sets,
     catalog,
-    check_connectedness_iv,
     check_connectedness_vi,
     complexity,
     consistency_suite,
@@ -29,7 +28,6 @@ from intsing.atoms import (
     product_to_dict,
     random_product,
     stability_verdict,
-    trivial_product,
     tuple_action_free,
 )
 from intsing.groups import cyclic, direct_product, trivial
@@ -93,14 +91,16 @@ def test_ki_sets_and_iv():
     p = named_product("(C2*C2)/Z2")
     kis = build_Ki_sets(p)
     assert [k.connected_components for k in kis] == [1, 1]
-    assert check_connectedness_iv(p) is True
+    assert cross_check_criteria(p).iv is True
 
-    q = trivial_product(["C2", "C2"])
+    q = product_from_dict(
+        {"components": ["C2", "C2"], "group": "1", "action": [{"perms": {"e": [0, 1]}}, {"perms": {"e": [0, 1]}}]}
+    )
     kis = build_Ki_sets(q)
     assert [k.connected_components for k in kis] == [2, 2]
-    assert check_connectedness_iv(q) is False
+    assert cross_check_criteria(q).iv is False
 
-    assert check_connectedness_iv(named_product("B*F1")) is True
+    assert cross_check_criteria(named_product("B*F1")).iv is True
 
 
 def test_cross_check_on_named_products():
@@ -157,7 +157,7 @@ def test_wreg_component_never_changes_verdicts():
     ff = [list(f) for f in base.action.fiber_free] + [[False, True]]
     padded = AlmostDirectProduct(comps, GroupAction(base.group, perms, ff), "padded")
     assert complexity(padded) == complexity(base)
-    assert check_connectedness_iv(padded) == check_connectedness_iv(base)
+    assert cross_check_criteria(padded).iv == cross_check_criteria(base).iv
     assert stability_verdict(padded) == stability_verdict(base)
 
 
@@ -166,7 +166,7 @@ def test_product_spec_round_trip():
     d = product_to_dict(p)
     q = product_from_dict(d)
     assert complexity(q) == complexity(p)
-    assert check_connectedness_iv(q) == check_connectedness_iv(p)
+    assert cross_check_criteria(q).iv == cross_check_criteria(p).iv
     assert product_to_dict(q) == d
 
 
@@ -285,7 +285,7 @@ def relabelled_products(draw):
 @given(relabelled_products())
 def test_criteria_agree_on_relabelled_tables(p):
     rep = cross_check_criteria(p)  # raises when (iv) and (vi) disagree
-    assert rep.iv == rep.vi == check_connectedness_iv(p)
+    assert rep.iv == rep.vi
     assert stability_verdict(p) == ("stable-analytic-strong-sense" if rep.iv else "criterion-not-satisfied")
     if tuple_action_free(p):
         assert complexity(p) * p.group.order == len(p.vertex_tuples())

@@ -40,9 +40,6 @@ from intsing.expr import (
     _scale,
     _sub,
     _tokenize,
-    differentiate,
-    evaluate_jet2,
-    field_jets,
     parse,
 )
 import intsing
@@ -171,18 +168,18 @@ def test_exact_constant_within_the_bound_parses_back_from_its_source():
 
 def test_differentiate_power_rule():
     e = parse("R1^2+R2^2+R3^2", KOV)
-    assert differentiate(e, "R1").normalized_equal(parse("2*R1", KOV))
+    assert e.diff("R1").normalized_equal(parse("2*R1", KOV))
 
 
 def test_differentiate_hamiltonian():
     h = parse("(1/2)*(S1^2+S2^2+2*S3^2)+R1", KOV)
-    assert differentiate(h, "S3").normalized_equal(parse("2*S3", KOV))
-    assert differentiate(h, "R1").normalized_equal(parse("1", KOV))
+    assert h.diff("S3").normalized_equal(parse("2*S3", KOV))
+    assert h.diff("R1").normalized_equal(parse("1", KOV))
 
 
 def test_differentiate_product():
     e = parse("x1*y1", ("x1", "y1"))
-    assert differentiate(e, "x1").normalized_equal(parse("y1", ("x1", "y1")))
+    assert e.diff("x1").normalized_equal(parse("y1", ("x1", "y1")))
 
 
 def test_differentiate_undeclared_var():
@@ -193,18 +190,18 @@ def test_differentiate_undeclared_var():
 
 def test_jet_hamiltonian_value():
     h = parse("(1/2)*(S1^2+S2^2+2*S3^2)+R1", KOV)
-    jet = evaluate_jet2(h, [1, 0, 0, 0, 0, 0])
+    jet = h.jet2([1, 0, 0, 0, 0, 0])
     assert jet.value == 1.0
 
 
 def test_jet_k_integral_value():
     k = parse("((1/2)*S1^2-(1/2)*S2^2-R1)^2+(S1*S2-R2)^2", KOV)
-    assert evaluate_jet2(k, [1, 0, 0, 0, 0, 0]).value == 1.0
+    assert k.jet2([1, 0, 0, 0, 0, 0]).value == 1.0
 
 
 def test_jet_area_casimir_with_param():
     f2 = parse("S1*R1+S2*R2+S3*R3", KOV)
-    jet = evaluate_jet2(f2, [-1, 0, 0, -0.5, 0, 0])
+    jet = f2.jet2([-1, 0, 0, -0.5, 0, 0])
     assert jet.value == 0.5
 
 
@@ -474,10 +471,8 @@ def test_shared_subtrees_evaluate_like_unshared_copies(pool, recipe, p):
     copies = [Expression(_unshared(n), ABC) for n in nodes]
     batch = np.vstack([p, np.random.default_rng(0).uniform(-2, 2, size=(5, 3))])
     tape = Tape(shared)
-    for got, want in zip(field_jets(shared, p), [c.jet2(p) for c in copies]):
-        assert [_bytes(got.value), _bytes(got.gradient), _bytes(got.hessian)] == [
-            _bytes(want.value), _bytes(want.gradient), _bytes(want.hessian)
-        ]
+    for got, want in zip(zip(*tape.jet_stack(p)), [c.jet2(p) for c in copies]):
+        assert _jet_bytes(got) == _jet_bytes(want)
     values = tape.values(p)
     assert [_bytes(v) for v in values] == [_bytes(c.evaluate(p)) for c in copies]
     assert [_bytes(v) for v in values] == [_bytes(_walk(c.node, p)) for c in copies]
@@ -536,10 +531,11 @@ def test_shared_and_unshared_copies_agree(pool, recipe):
         assert shared.diff(x).to_source() == copy.diff(x).to_source()
 
 
-# Batched jets: Tape.jets on an (m, dim) array runs the tape once on _Jet leaves
-# whose slots hold the batch form, and each row's jets must be that row's
-# one-point jets (the same rules on the one-point form) bit for bit.  Trees here
-# may divide by any subtree and read a parameter; rows hold exact and signed zeros.
+# Batched jets: Tape.jet_stack on an (m, dim) array runs the tape once on _Jet
+# leaves whose slots hold the batch form, and each row of the stack must be that
+# row's one-point stack (the same rules on the one-point form) bit for bit.
+# Trees here may divide by any subtree and read a parameter; rows hold exact and
+# signed zeros.
 _BATCH_LEAVES = st.one_of(
     st.integers(0, 3).map(lambda i: Sym(i, (*ABC, "g")[i])),
     st.sampled_from([0, -1, 2, Fraction(1, 3), 0.5, 0.0, -0.0]).map(Const),
@@ -558,7 +554,8 @@ ROWS = st.lists(st.lists(_COORDINATE, min_size=3, max_size=3), min_size=2, max_s
 
 
 def _jet_bytes(jet):
-    return _bytes(jet.value), _bytes(jet.gradient), _bytes(jet.hessian)
+    """Value, gradient and Hessian bytes of a jet or of one row of a stack."""
+    return tuple(map(_bytes, jet))
 
 
 @given(st.lists(BATCH_NODES, min_size=1, max_size=3), ROWS, st.sampled_from([0.0, -0.0, -1.0, 0.75]))
@@ -569,25 +566,35 @@ def test_batched_jets_are_the_one_point_jets(nodes, rows, g):
     params = {"g": g}
     with np.errstate(all="raise"):  # a batch warns where, and only where, some row does
         try:
-            want = [[_jet_bytes(j) for j in tape.jets(p, params)] for p in rows]
+            want = [_jet_bytes(tape.jet_stack(p, params)) for p in rows]
         except (EvalError, FloatingPointError):
             with pytest.raises((EvalError, FloatingPointError)):
-                tape.jets(rows, params)
+                tape.jet_stack(rows, params)
             return
-        got = [[_jet_bytes(j) for j in row] for row in tape.jets(rows, params)]
+        got = [_jet_bytes(row) for row in zip(*tape.jet_stack(rows, params))]
     assert got == want
+
+
+def test_jet2_of_a_batch_is_every_row():
+    """jet2 on three rows is the three one-point jet2s bit for bit; at x = -0.0
+    the value and a gradient entry are signed zeros."""
+    e = parse("x*y", ("x", "y"))
+    rows = np.array([[1.0, 2.0], [-0.0, 4.0], [3.0, 4.0]])
+    assert [_jet_bytes(row) for row in zip(*e.jet2(rows))] == [_jet_bytes(e.jet2(p)) for p in rows]
 
 
 def test_a_batch_with_one_zero_divisor_raises():
     tape = Tape([parse("x/(y - 1)", ("x", "y"))])
-    assert len(tape.jets(np.array([[1.0, 2.0], [3.0, 0.0]]))) == 2
+    assert len(tape.jet_stack(np.array([[1.0, 2.0], [3.0, 0.0]])).value) == 2
     with pytest.raises(EvalError):
-        tape.jets(np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 0.5]]))
+        tape.jet_stack(np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 0.5]]))
 
 
 def test_batched_jets_of_no_fields_and_no_rows():
-    assert Tape([]).jets(np.zeros((3, 2))) == [[], [], []]
-    assert Tape([parse("x*y", ("x", "y"))]).jets(np.zeros((0, 2))) == []
+    assert [a.shape for a in Tape([]).jet_stack(np.zeros((3, 2)))] == [(3, 0), (3, 0, 2), (3, 0, 2, 2)]
+    assert [a.shape for a in Tape([parse("x*y", ("x", "y"))]).jet_stack(np.zeros((0, 2)))] == [
+        (0, 1), (0, 1, 2), (0, 1, 2, 2)
+    ]
 
 
 def _stack_bytes(tape, point, params, order):
@@ -679,13 +686,13 @@ def test_a_zero_factor_forms_no_outer_product(monkeypatch):
     products = expr._products
     monkeypatch.setattr(expr, "_products", lambda x, y, sym: formed.append(np.shape(x)) or products(x, y, sym))
     cube = Tape([parse("x^3", ("x", "y"))])
-    cube.jets(np.array([0.0, 1.0]))
-    cube.jets(np.array([[0.0, 1.0], [-0.0, 2.0]]))
+    cube.jet_stack(np.array([0.0, 1.0]))
+    cube.jet_stack(np.array([[0.0, 1.0], [-0.0, 2.0]]))
     assert formed == []
-    cube.jets(np.array([[0.0, 1.0], [2.0, 1.0]]))
+    cube.jet_stack(np.array([[0.0, 1.0], [2.0, 1.0]]))
     assert formed == [(1, 2)]  # the lane at x = 2 only
     formed.clear()
-    Tape([parse("x/y", ("x", "y"))]).jets(np.array([0.0, 2.0]))
+    Tape([parse("x/y", ("x", "y"))]).jet_stack(np.array([0.0, 2.0]))
     assert formed == [(2,)]  # dx dy^T, not dy dy^T scaled by 2 x / y^3 = 0
 
 

@@ -6,7 +6,6 @@ from intsing.expr import parse
 from intsing.kovalevskaya import (
     COORDS,
     RegimeBoundaryError,
-    VertexTypeMismatch,
     build_kovalevskaya,
     check_involution_invariance,
     classify_vertices,
@@ -76,8 +75,8 @@ def test_involution_preserves_leaf():
         w = rng.normal(size=3)
         w -= w.dot(r) * r
         p = np.concatenate([r, 0.8 * r + w])
-        assert m.leaf_residual(p) <= 1e-9
-        assert m.leaf_residual(involution(p)) <= 1e-9
+        assert np.max(np.abs(m.casimir_jets(p).value - m.leaf_values)) <= 1e-9
+        assert np.max(np.abs(m.casimir_jets(involution(p)).value - m.leaf_values)) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -105,7 +104,7 @@ def test_no_type_assertion_at_thresholds():
 
     assert expected_vertex_types(1.0) is None
     assert expected_vertex_types(-1.0) is None
-    rep = classify_vertices(1.0, enforce=False)  # must not raise at the boundary
+    rep = classify_vertices(1.0)  # must not raise at the boundary
     assert rep.expected is None
 
 
