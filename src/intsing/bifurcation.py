@@ -25,10 +25,12 @@ each segment and is resumed where it paused.  A run that raises a TraceError,
 ClassifyError or EvalError (see `_attempt`) fails alone: a scan sample, a
 refinement, a branch start or a vertex polish gives nothing, and the other runs
 of its lockstep go on.  After each segment a join barrier walks the branches in
-(seed, direction) order: a branch whose new entries retrace the value curve of an
-earlier branch, other than its sibling, for JOIN_RUN entries in a row (near its
-entries, parallel to its value tangent, the matched entry moving one way) with
-the same family label at the last one stops there as "joined".  A vertex's
+(seed, direction) order: a branch whose new entries retrace a traced value curve
+for JOIN_RUN entries in a row (near its entries, parallel to its value tangent,
+the matched entry moving one way) with the same family label at the last one
+stops there: as "joined" on an earlier branch other than its sibling, and as
+"closed-loop" where it comes round onto its own entries in their sense or meets
+its sibling head-on (see _joins).  A vertex's
 value is `momentum_value` at its point (on a model with a division the jet
 values can differ from it in the last bit).  The glued branches are cut into
 arcs at the marks and where the reduced type changes; an arc end is its
@@ -84,7 +86,7 @@ REFINE_TOL = 1e-11  # residual norm at which refinement stops
 SCORE_GROUP = 256  # scan samples projected and scored in one lockstep: each live run holds a record
 DIRECTIONS_PER_PLANE = 2  # probe directions per invariant 2-plane at a vertex
 SEGMENT = 16  # accepted continuation steps a branch takes between two join barriers
-JOIN_RUN = 3  # entries in a row that retrace one earlier branch make a join
+JOIN_RUN = 3  # entries in a row that retrace one traced branch make a join or close a loop
 JOIN_COS = 0.95  # |cos| of the value tangents at which two retraced curves run parallel
 
 
@@ -652,9 +654,9 @@ class _Branch:
     """A continuation branch: its (value, phase point, mark) entries in tracing
     order, the records of its "vertex" entries, why it stopped (None while live),
     its Newton run (see _trace_branch) and, for the join barrier, the entries it
-    has tested, its runs along earlier branches (branch -> (entries in a row, last
-    matched entry, sense)), the branches whose family it does not share, and the
-    branch it joined."""
+    has tested, its runs along traced branches ((branch, sense) -> (entries in a
+    row, last matched entry)), the earlier branches whose family it does not
+    share, and the earlier branch it joined (see _joins)."""
 
     entries: list
     found: list = field(default_factory=list)
@@ -733,7 +735,7 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, T0, direction, param
 
         b.entries.append((val, p.copy(), "cusp" if cusp else None))
         if steps > 10 and np.linalg.norm(p - z0[:N]) < 0.5 * params.step:
-            return "closed-loop"
+            return "closed-loop"  # round an orbit whose values stand still, which the join barrier cannot see
         t_prev, z, a, T, steps = t, z_new, a_new, T_new, steps + 1
         if steps % SEGMENT == 0 and steps < params.max_steps:
             yield None  # pause at the join barrier
@@ -865,52 +867,69 @@ class _ValueGrid:
             yield from self.cells.get(tuple(c + o for c, o in zip(cell, offset)), ())
 
 
-def _joins(model, branches: list, grid: _ValueGrid, j: int, k: int, params: TraceParams, tol) -> bool:
-    """Extend branch j's runs along earlier branches by its entry k: whether the
-    entry completes a join.  A run along branch i grows while each entry lies
-    within ARC_DEDUP_FACTOR steps of one of i's entries, its value chord runs
-    parallel to i's there (|cos| >= JOIN_COS, either sense) and the matched entry
-    moves one way; at JOIN_RUN entries, j joins i if the two points share a
-    family label, else j never tests i again."""
+def _joins(model, branches: list, grid: _ValueGrid, j: int, k: int, params: TraceParams, tol) -> str | None:
+    """Extend branch j's runs along traced branches by its entry k: the stop
+    reason where the entry completes one, else None.  A run along branch i in
+    sense s follows the nearest of i's entries within ARC_DEDUP_FACTOR steps
+    whose value chord runs parallel to j's, cos >= JOIN_COS for s = 1 (along i's
+    tracing order) and cos <= -JOIN_COS for s = -1.  It grows where the matched
+    entry moves by s, holds where it stays (j's steps are shorter than i's) and
+    starts again where it moves back.  Along j's own filed entries a run never
+    holds, since the last filed entry stays nearest while j moves on from it.
+
+    A run of JOIN_RUN entries whose two points share a family label stops j: as
+    "joined" along an earlier branch, either way; as "closed-loop" along its own
+    entries forward (j came round a closed value curve; backward is a cusp fold)
+    or along its sibling's backward (j met it head-on), unless j runs back along
+    its own entries then (the sibling's are then a fold image of j's).  A run
+    along an earlier branch of another label stops j testing that branch; one
+    along itself or its sibling starts again."""
     b = branches[j]
     value = b.entries[k][0]
-    radius = ARC_DEDUP_FACTOR * params.step
-    nearest: dict = {}
-    for i, m in grid.near(value):
-        if i < j and i != j ^ 1 and i not in b.unlike:  # an earlier branch, not j's sibling
-            d = float(np.linalg.norm(branches[i].entries[m][0] - value))
-            if d <= radius and (i not in nearest or d < nearest[i][0]):
-                nearest[i] = (d, m)
     tangent = _unit(value - b.entries[k - 1][0])
-    runs = {}
-    for i, (_, m) in sorted(nearest.items()):
-        other = _value_tangent(branches[i].entries, m)
-        if tangent is None or other is None or abs(float(tangent @ other)) < JOIN_COS:
+    radius = ARC_DEDUP_FACTOR * params.step
+    senses = {j: (1, -1), j ^ 1: (-1,)}  # j's own backward runs are folds, kept to veto the sibling
+    nearest: dict = {}
+    for i, m in grid.near(value) if tangent is not None else ():
+        if i not in senses and (i > j or i in b.unlike):
             continue
-        count, last, sense = b.runs.get(i, (0, m, 0))
+        d = float(np.linalg.norm(branches[i].entries[m][0] - value))
+        other = _value_tangent(branches[i].entries, m) if d <= radius else None
+        cos = 0.0 if other is None else float(tangent @ other)
+        s = (cos >= JOIN_COS) - (cos <= -JOIN_COS)
+        if s in senses.get(i, (1, -1)) and ((i, s) not in nearest or d < nearest[i, s][0]):
+            nearest[i, s] = (d, m)
+    runs = {}
+    for (i, s), (_, m) in sorted(nearest.items()):
+        count, last = b.runs.get((i, s), (0, m))
         move = (m > last) - (m < last)
-        runs[i] = (count + 1, m, move) if count and move and sense in (0, move) else (1, m, 0)
+        runs[i, s] = (count + 1, m) if count and move == s else (count, m) if count and not move and i != j else (1, m)
     b.runs = runs
-    for i, (count, m, _) in sorted(runs.items()):  # the earliest branch first
-        if count < JOIN_RUN:
+    for (i, s), (count, m) in sorted(runs.items()):  # the earliest branch first
+        if count < JOIN_RUN or (i, s) == (j, -1) or i == j ^ 1 and (j, -1) in runs:
             continue
         if _same_family(model, b.entries[k][1], branches[i].entries[m][1], tol, params.seed):
+            if i in senses:
+                return "closed-loop"
             b.joined = i
-            return True
-        b.unlike.add(i)
-    return False
+            return "joined"
+        if i in senses:
+            del runs[i, s]
+        else:
+            b.unlike.add(i)
+    return None
 
 
 def _join_barrier(model, branches: list, grid: _ValueGrid, params: TraceParams, tol) -> None:
     """Test the entries each branch added since the last barrier, in branch order,
     and cut a branch after the entry that completes its first join: its later
-    entries go (the vertices it found stay) and it stops as "joined".  Then file
-    its kept new entries in grid."""
+    entries go (the vertices it found stay) and it stops as "joined" or
+    "closed-loop" (see _joins).  Then file its kept new entries in grid."""
     for j, b in enumerate(branches):
         for k in range(b.checked, len(b.entries)):
-            if _joins(model, branches, grid, j, k, params, tol):
+            if reason := _joins(model, branches, grid, j, k, params, tol):
                 del b.entries[k + 1 :]
-                b.reason = "joined"
+                b.reason = reason
                 break
         for k in range(b.checked, len(b.entries)):
             grid.add(j, k, b.entries[k][0])

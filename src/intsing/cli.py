@@ -171,22 +171,17 @@ def cmd_verify(args) -> int:
     except EvalError as exc:  # a component, bivector entry or Casimir has a pole at a sample point
         _emit({"error": f"{exc} at a sample point", "model": args.model, "seed": args.seed}, args.out)
         return 1
-    passed = comm.passed and jacobi <= JACOBI_TOL and casimir <= COMMUTATION_TOL
-    report = {
-        "model": args.model,
-        "g": args.g,
-        "seed": args.seed,
-        "samples": args.samples,
-        "commutation": {
-            "max_residual": float(comm.max_residual),
-            "worst_pair": list(comm.worst_pair) if comm.worst_pair else None,
-            "tol": COMMUTATION_TOL,
-            "pass": bool(comm.passed),
-        },
-        "jacobi": {"max_residual": float(jacobi), "tol": JACOBI_TOL, "pass": bool(jacobi <= JACOBI_TOL)},
-        "casimirs": {"max_residual": float(casimir), "tol": COMMUTATION_TOL, "pass": bool(casimir <= COMMUTATION_TOL)},
-        "pass": bool(passed),
+    checks = {
+        "commutation": (comm.max_residual, comm.nonfinite, COMMUTATION_TOL),
+        "jacobi": (*jacobi, JACOBI_TOL),
+        "casimirs": (*casimir, COMMUTATION_TOL),
     }
+    report = {"model": args.model, "g": args.g, "seed": args.seed, "samples": args.samples}
+    for name, (worst, nonfinite, tol) in checks.items():
+        report[name] = {"max_residual": float(worst), "nonfinite_samples": nonfinite, "tol": tol, "pass": bool(worst <= tol)}
+    report["commutation"]["worst_pair"] = list(comm.worst_pair) if comm.worst_pair else None
+    passed = all(report[name]["pass"] for name in checks)
+    report["pass"] = passed
     _emit(report, args.out)
     return 0 if passed else 1
 

@@ -1126,14 +1126,17 @@ def _parens(operand: tuple[str, int], below: int) -> str:
 
 def _source(node: Node, *operands: tuple[str, int]) -> tuple[str, int]:
     """The _fold rule of serialization: (text, precedence), where
-    Add/Sub/Neg=1, Mul/Div=2, Pow=3, atom=4."""
+    Add/Sub/Neg=1, Mul/Div=2, Pow=3, atom=4; parse reads the text back as the node."""
     kind = type(node)
     if kind is Const:
         return _const_source(node.value)
     if kind is Sym:
         return node.name, 4
-    if kind is Neg:
-        return "-" + _parens(operands[0], 2), 1
+    if kind is Neg:  # "-2*a" reads as (-2)*a: an operand led by a constant factor keeps its parentheses
+        lead = node.a
+        while type(lead) in (Mul, Div):
+            lead = lead.a
+        return "-" + _parens(operands[0], 3 if type(lead) is Const else 2), 1
     if kind is Pow:
         return f"{_parens(operands[0], 4)}^{node.k}", 3
     op, prec = _INFIX[kind]  # a left operand of equal precedence needs no parentheses

@@ -118,14 +118,6 @@ class VertexReport:
     matches_expected: bool
 
 
-_TYPE_LABELS = {
-    (2, 0, 0): "elliptic-elliptic",
-    (0, 2, 0): "hyperbolic-hyperbolic",
-    (1, 1, 0): "hyperbolic-elliptic",
-    (0, 0, 1): "focus-focus",
-}
-
-
 def expected_vertex_types(g: float) -> list[tuple[int, int, int]] | None:
     """Multiset of vertex types away from thresholds; None at g^2 in {1, 2}."""
     gg = float(g) * float(g)
@@ -161,7 +153,7 @@ def classify_vertices(
                 "value": [float(x) for x in a.value],
                 "rank": a.rank,
                 "type": list(w.triple) if w is not None else None,
-                "label": _TYPE_LABELS.get(w.triple, w.label()) if w is not None else "unclassified",
+                "label": w.label() if w is not None else "unclassified",
                 "spectral_gap": float(w.gap if w is not None else verdict.diagnostics.get("best_gap", 0.0)),
                 "verdict": verdict.verdict,
             }

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -188,12 +188,12 @@ class PoissonStructure:
             return [self._const_matrix[ij] for ij in self.upper]
         return self._upper_tape.values(points, params)
 
-    def jacobi_residual(self, samples: int, box: float = 1.0, seed: int = DEFAULT_SEED, params=None) -> float:
+    def jacobi_residual(self, samples: int, box: float = 1.0, seed: int = DEFAULT_SEED, params=None) -> "Sampled":
         """Max |{x_i, pi_jk} + {x_j, pi_ki} + {x_k, pi_ij}| over sampled points
         and i < j < k (the Jacobiator is totally antisymmetric), from one
         first-order run over the given entries per block of points."""
         if self._const_matrix is not None:
-            return 0.0  # a constant bivector satisfies the Jacobi identity
+            return Sampled(0.0, 0)  # a constant bivector satisfies the Jacobi identity
         entry, triples = {ij: e for e, ij in enumerate(self.upper)}, list(combinations(range(self.dim), 3))
 
         def jacobiators(points):
@@ -208,9 +208,10 @@ class PoissonStructure:
                 out[t] = (field(i, (j, k)) - field(j, (i, k))) + field(k, (i, j))  # pi_ki = -pi_ik
             return out
 
-        return _sampled_max(jacobiators, samples, box, seed, self.dim)[0]
+        worst, _, nonfinite = _sampled_max(jacobiators, samples, box, seed, self.dim)
+        return Sampled(worst, nonfinite)
 
-    def casimir_residual(self, samples: int, box: float = 1.0, seed: int = DEFAULT_SEED, params=None) -> float:
+    def casimir_residual(self, samples: int, box: float = 1.0, seed: int = DEFAULT_SEED, params=None) -> "Sampled":
         """Max |{c_k, C}| over Casimirs, coordinates and sampled points, from one
         first-order run over the Casimirs per block of points."""
 
@@ -222,7 +223,16 @@ class PoissonStructure:
                 out[c, a] = self._field(a, 0.0, entries, grads[c])
             return out.reshape(-1, len(points))
 
-        return _sampled_max(fields, samples, box, seed, self.dim)[0]
+        worst, _, nonfinite = _sampled_max(fields, samples, box, seed, self.dim)
+        return Sampled(worst, nonfinite)
+
+
+class Sampled(NamedTuple):
+    """A sampled check: the largest |value| over its fields and sample points
+    (NaN skipped), and the number of sample points where a value is not finite."""
+
+    max_residual: float
+    nonfinite: int
 
 
 # Sample points per block of a sampled check: a check's arrays grow with the
@@ -234,18 +244,23 @@ SAMPLE_BLOCK = 1024
 
 def _sampled_max(fields_at, samples: int, box: float, seed: int, dim: int):
     """Max |f| over k fields at seeded uniform points of [-box, box]^dim, NaN skipped,
-    and the index of the first field that reaches it (None for 0).  fields_at gives
-    the fields' values at a block of m points as a (k, m) array; the points are
-    drawn and reduced to per-field maxima SAMPLE_BLOCK at a time."""
-    rng, top = np.random.default_rng(seed), None
+    the index of the first field that reaches it (None for 0), and the number of
+    points where some field is not finite.  fields_at gives the fields' values at
+    a block of m points as a (k, m) array, with numpy's floating-point warnings
+    off (an overflow shows in that number); the points are drawn and reduced to
+    per-field maxima SAMPLE_BLOCK at a time."""
+    rng, top, nonfinite = np.random.default_rng(seed), None, 0
     for start in range(0, samples, SAMPLE_BLOCK):
         points = rng.uniform(-box, box, size=(min(SAMPLE_BLOCK, samples - start), dim))
-        block = np.fmax.reduce(np.abs(fields_at(points)), axis=1, initial=0.0)
+        with np.errstate(all="ignore"):
+            values = np.abs(fields_at(points))
+        nonfinite += int(np.count_nonzero(~np.isfinite(values).all(axis=0)))
+        block = np.fmax.reduce(values, axis=1, initial=0.0)
         top = block if top is None else np.fmax(top, block)
     if top is None or not top.any():  # no points, no fields, or only zeros and NaN
-        return 0.0, None
+        return 0.0, None, nonfinite
     at = int(np.argmax(top))
-    return top[at], at
+    return top[at], at, nonfinite
 
 
 @dataclass
@@ -321,6 +336,7 @@ class CommutationReport:
     samples: int
     seed: int
     passed: bool
+    nonfinite: int  # sample points where a bracket is not finite
 
 
 def check_commutation(
@@ -342,9 +358,9 @@ def check_commutation(
         entries = model.structure._entries_at(points, model.params)
         return model.structure._bracket(np.zeros((len(pairs), len(points))), entries, grads[:, first], grads[:, second])
 
-    worst, at = _sampled_max(brackets, samples, box, seed, model.dim)
+    worst, at, nonfinite = _sampled_max(brackets, samples, box, seed, model.dim)
     worst_pair = None if at is None else pairs[at]
-    return CommutationReport(worst, worst_pair, tol, samples, seed, worst <= tol)
+    return CommutationReport(worst, worst_pair, tol, samples, seed, worst <= tol, nonfinite)
 
 
 # ---------------------------------------------------------------------------

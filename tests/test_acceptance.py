@@ -149,7 +149,7 @@ def test_criterion_3_vertex_values_on_diagram():
 def test_criterion_4_algebraic_integrity():
     m = build_kovalevskaya(0.5)
     comm = check_commutation(m, samples=1000, tol=1e-9, box=2.0, seed=0)
-    jacobi = m.structure.jacobi_residual(samples=1000, box=2.0, seed=0)
+    jacobi = m.structure.jacobi_residual(samples=1000, box=2.0, seed=0).max_residual
     _report(
         4,
         "algebraic integrity",

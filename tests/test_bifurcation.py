@@ -260,6 +260,8 @@ def test_joins_in_lockstep_give_the_one_run_diagram(monkeypatch):
     ends = [[(b.reason, b.joined, len(b.entries)) for b in branches] for branches in traced]
     assert ends[0] == ends[1]
     assert any(reason == "joined" for reason, _, _ in ends[0])
+    closed = [[(j, n) for j, (reason, _, n) in enumerate(e) if reason == "closed-loop"] for e in ends]
+    assert closed[0] == closed[1] and closed[0]
 
 
 def test_a_joined_branch_ends_on_the_branch_it_joined():
@@ -272,6 +274,49 @@ def test_a_joined_branch_ends_on_the_branch_it_joined():
         other = np.array([value for value, _, _ in branches[b.joined].entries])
         for value, _, _ in b.entries[-bifurcation.JOIN_RUN :]:
             assert np.min(np.linalg.norm(other - value, axis=1)) <= 2 * JOIN_PARAMS.step
+
+
+CLOSURE_PARAMS = TraceParams(step=0.1, max_steps=120, value_box=(-6, 8), phase_bound=12.0)
+
+
+def _runs_back(entries: list, step: float) -> list:
+    """The entries whose value chord runs back along an earlier entry's within two steps."""
+    values = np.array([value for value, _, _ in entries])
+    out = []
+    for k in range(2, len(values)):
+        t = values[k] - values[k - 1]
+        for m in range(1, k - 2):
+            other = values[m + 1] - values[m - 1]
+            norms = np.linalg.norm(t) * np.linalg.norm(other)
+            if norms > 0 and np.linalg.norm(values[m] - values[k]) <= 2 * step and t @ other <= -bifurcation.JOIN_COS * norms:
+                out.append(k)
+                break
+    return out
+
+
+@pytest.mark.parametrize("g", [0.0, 0.5])
+def test_a_closed_value_curve_is_traced_once(g):
+    """The vertex-seed branches stop where they close a value curve, not at
+    max_steps: a closed-loop branch ends within two steps of its sibling's
+    entries or of its own entries of past segments.  A cusp fold, where a
+    branch runs back along its own entries, does not end it: at g = 0 the
+    first seed's two branches pass one and leave the value box."""
+    m = build_kovalevskaya(g)
+    seeds = [s for p in involution_fixed_points(g, certify=False) for s in seed_arcs_near_vertex(m, p, delta=1e-2)]
+    branches = bifurcation._trace_branches(m, seeds, CLOSURE_PARAMS, DEFAULT_TOL)
+    reasons = [b.reason for b in branches]
+    assert "max-steps" not in reasons and "closed-loop" in reasons
+    radius = 2 * CLOSURE_PARAMS.step
+    for j, b in enumerate(branches):
+        if b.reason == "closed-loop":
+            own = b.entries[: -bifurcation.SEGMENT]
+            met = np.array([value for value, _, _ in own + branches[j ^ 1].entries])
+            for value, _, _ in b.entries[-bifurcation.JOIN_RUN :]:
+                assert np.min(np.linalg.norm(met - value, axis=1)) <= radius
+    if g == 0.0:
+        for b in branches[:2]:
+            assert len(_runs_back(b.entries, CLOSURE_PARAMS.step)) >= bifurcation.JOIN_RUN
+            assert b.reason == "value-box"
 
 
 def test_arc_dedup_keeps_a_second_family_on_one_value_curve():

@@ -1,8 +1,10 @@
 import json
 import shlex
 import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from intsing import bifurcation, kovalevskaya
@@ -64,6 +66,25 @@ def test_verify_evaluates_the_structure_at_the_model_parameters(tmp_path, capsys
     code, out = run_cli(["verify", "--model", str(path), "--samples", "50"], capsys)
     report = json.loads(out)
     assert code == 0 and report["jacobi"]["max_residual"] == 0.0 and report["casimirs"]["max_residual"] == 0.0
+
+
+def test_verify_counts_overflowing_samples_without_warnings(tmp_path, capsys):
+    """{(10x)^400 y, x} = d_x((10x)^400 y) * 0 - (10x)^400 is not finite where
+    (10x)^400 or 4000 (10x)^399, a factor of d_x, overflows: no numpy warning
+    reaches stderr, and the report counts those samples."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"coordinates": ["x", "y"], "components": ["(10*x)^400*y", "x"]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--model", str(path), "--seed", "3"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    x = np.log10(np.abs(10.0 * np.random.default_rng(3).uniform(-1.0, 1.0, size=(1000, 2))[:, 0]))  # log10 |10x|
+    top = np.log10(np.finfo(float).max)
+    overflows = int(np.count_nonzero((400 * x > top) | (np.log10(4000) + 399 * x > top)))
+    assert captured.err == "" and code == 1 and 0 < overflows < 1000
+    assert report["commutation"]["nonfinite_samples"] == overflows and not report["commutation"]["pass"]
+    assert report["jacobi"]["nonfinite_samples"] == report["casimirs"]["nonfinite_samples"] == 0
 
 
 VERIFY_POLES = {  # a pole at every sample point, in each place of a model that verify evaluates
@@ -273,6 +294,16 @@ def test_kovalevskaya_report_regime_e(capsys):
     types = sorted(tuple(v["type"]) for v in report["vertices"])
     assert types == [(1, 1, 0), (2, 0, 0)]
     assert report["matches_expected"] is True
+
+
+def test_classify_and_report_name_a_vertex_alike(capsys):
+    """One name per Williamson type: the (1, 1, 0) vertex at g = 1.6."""
+    _, out = run_cli(["kovalevskaya", "report", "--g", "1.6"], capsys)
+    (vertex,) = [v for v in json.loads(out)["vertices"] if v["point"][0] == 1.0]
+    _, out = run_cli(["classify", "--model", "kovalevskaya", "--g", "1.6", "--point", "R1=1,S1=1.6"], capsys)
+    classified = json.loads(out)["williamson"]
+    assert vertex["type"] == [classified[k] for k in ("k_e", "k_h", "k_f")] == [1, 1, 0]
+    assert vertex["label"] == classified["label"] == "elliptic-hyperbolic"
 
 
 def test_reports_are_byte_identical(capsys):

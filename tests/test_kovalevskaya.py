@@ -30,7 +30,7 @@ def test_bracket_convention():
 def test_commutation_and_jacobi():
     m = build_kovalevskaya(0.7)
     assert check_commutation(m, samples=200, tol=1e-9, box=2.0).passed
-    assert m.structure.jacobi_residual(samples=1000, box=2.0) <= 1e-10
+    assert m.structure.jacobi_residual(samples=1000, box=2.0).max_residual <= 1e-10
 
 
 def test_fixed_points_g0():

@@ -143,12 +143,12 @@ def test_sampled_checks_evaluate_each_expression_once(e3, kov_exprs, monkeypatch
 
 
 def test_jacobi_identity_e3(e3):
-    assert e3.jacobi_residual(samples=1000, box=2.0) <= 1e-10
+    assert e3.jacobi_residual(samples=1000, box=2.0).max_residual <= 1e-10
 
 
 def test_jacobi_identity_canonical():
     st = PoissonStructure.canonical_chart([("x1", "y1"), ("x2", "y2")])
-    assert st.jacobi_residual(samples=20) == 0.0
+    assert st.jacobi_residual(samples=20) == (0.0, 0)
 
 
 def test_jacobi_residual_matches_pointwise_jacobiator(monkeypatch):
@@ -157,7 +157,7 @@ def test_jacobi_residual_matches_pointwise_jacobiator(monkeypatch):
     xyz = ("x", "y", "z")
     st = PoissonStructure(xyz, {(0, 1): parse("x", xyz), (1, 2): parse("y", xyz), (0, 2): parse("-z", xyz)})
     runs = _count_tape_runs(monkeypatch)
-    residual = st.jacobi_residual(samples=50, box=2.0, seed=3)
+    residual, nonfinite = st.jacobi_residual(samples=50, box=2.0, seed=3)
     assert runs == [(3, "first-order")]  # one first-order run over the three entries, on all samples
     monkeypatch.undo()
     worst = 0.0
@@ -165,7 +165,7 @@ def test_jacobi_residual_matches_pointwise_jacobiator(monkeypatch):
         term = np.einsum("il,jkl->ijk", st.bivector_at(p), st.bivector_gradients_at(p))
         worst = max(worst, float(np.abs(term + term.transpose(1, 2, 0) + term.transpose(2, 0, 1)).max()))
     assert worst > 1.0
-    assert abs(residual - worst) <= 1e-12 * worst
+    assert abs(residual - worst) <= 1e-12 * worst and nonfinite == 0
 
 
 def _per_field_max(fields, samples, box, seed, dim, params=None):
@@ -253,16 +253,16 @@ def test_sampled_max_with_constant_roots_and_nan_samples(monkeypatch):
                     want = _per_field_max(picked, 40, 1.0, 7, 2, params)
                 assert _same_max(got, want)
         with np.errstate(invalid="ignore"):
-            assert phasespace._sampled_max(_columns(fields[3:4], {"g": np.nan}), 40, 1.0, 7, 2) == (0.0, None)
+            assert phasespace._sampled_max(_columns(fields[3:4], {"g": np.nan}), 40, 1.0, 7, 2) == (0.0, None, 40)
         ties = phasespace._sampled_max(_columns(fields[1:3], {"g": 0.0}), 40, 1.0, 7, 2)
-        assert ties == (0.75, 0)  # the first of two ties
+        assert ties == (0.75, 0, 0)  # the first of two ties
     monkeypatch.setattr(phasespace, "SAMPLE_BLOCK", 2)
     blocks = iter([[[0.0, 1.0], [3.0, -2.0]], [[np.nan, -3.0], [0.0, 1.0]]])  # field 1 reaches 3 first, field 0 later
-    assert phasespace._sampled_max(lambda pts: np.array(next(blocks)), 4, 1.0, 0, 2) == (3.0, 0)
+    assert phasespace._sampled_max(lambda pts: np.array(next(blocks)), 4, 1.0, 0, 2) == (3.0, 0, 1)
 
 
 def test_casimirs_commute_with_coordinates(e3):
-    assert e3.casimir_residual(samples=200, box=2.0) <= 1e-12
+    assert e3.casimir_residual(samples=200, box=2.0).max_residual <= 1e-12
 
 
 def test_flow_elliptic_period():
