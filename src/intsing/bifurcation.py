@@ -30,7 +30,11 @@ for JOIN_RUN entries in a row (near its entries, parallel to its value tangent,
 the matched entry moving one way) with the same family label at the last one
 stops there: as "joined" on an earlier branch other than its sibling, and as
 "closed-loop" where it comes round onto its own entries in their sense or meets
-its sibling head-on (see _joins).  A vertex's
+its sibling head-on (see _joins).  Where a branch passes a crossing with
+another rank-1 family (the rank-1 Jacobian's smallest nonzero singular value
+has a local minimum near 0), a start on that family is made one step off the
+branch (see _switch), one per crossing value, in the next segment's lockstep;
+its two branches come after every branch made before them.  A vertex's
 value is `momentum_value` at its point (on a model with a division the jet
 values can differ from it in the last bit).  The glued branches are cut into
 arcs at the marks and where the reduced type changes; an arc end is its
@@ -88,6 +92,7 @@ DIRECTIONS_PER_PLANE = 2  # probe directions per invariant 2-plane at a vertex
 SEGMENT = 16  # accepted continuation steps a branch takes between two join barriers
 JOIN_RUN = 3  # entries in a row that retrace one traced branch make a join or close a loop
 JOIN_COS = 0.95  # |cos| of the value tangents at which two retraced curves run parallel
+CROSSING_GAP = 0.1  # a local minimum of the rank-1 Jacobian's smallest nonzero singular value below this is a crossing
 
 
 class TraceError(RuntimeError):
@@ -578,19 +583,23 @@ class TraceParams:
 
 
 def _null_spaces(model, records, J, rel: float = 1e-7) -> list:
-    """Columns spanning the numerical null space of each Jacobian J[k]: the right
-    singular vectors of singular values within rel of the largest (or 1), and of
-    the columns beyond the rows; the last one if none."""
+    """(T, gap, soft) for each Jacobian J[k]: T the columns spanning its numerical
+    null space, the right singular vectors of singular values within rel of the
+    largest (or 1) and of the columns beyond the rows, the last one if none; gap
+    the smallest singular value outside it and soft its right singular vector
+    (inf and None if there is none)."""
     _, sv, Vt = np.linalg.svd(np.array(J))
     small = np.ones(Vt.shape[:2], dtype=bool)
     small[:, : sv.shape[1]] = sv <= rel * np.maximum(sv[:, :1], 1.0)
     small[~small.any(axis=1), -1] = True
-    return [V[s].T for V, s in zip(Vt, small)]
+    last = np.count_nonzero(~small, axis=1) - 1  # of the singular values outside, in falling order
+    gaps = [(float(w[r]), V[r]) if r >= 0 else (math.inf, None) for V, w, r in zip(Vt, sv, last)]
+    return [(V[s].T, *gap) for V, s, gap in zip(Vt, small, gaps)]
 
 
 def _tangent_spaces(model, records, Z) -> list:
     """The null space of the rank-1 Jacobian at each record and z."""
-    return _null_spaces(model, records, _rank1_systems(model, records, np.array(Z))[1])
+    return [T for T, _, _ in _null_spaces(model, records, _rank1_systems(model, records, np.array(Z))[1])]
 
 
 def _corrector_steps(model, records, args) -> list:
@@ -615,7 +624,8 @@ def _corrector_ends(model, records, Z) -> list:
 def _accepted(model, records: list, J: np.ndarray, done: np.ndarray, steps: list) -> list:
     """(record, step, null space) per row: where done, the record of an accepted
     continuation point is analysed (leaf frame and SVD of dF) and the null space
-    of J there, which the next predictor reads, is found, in this round's stacks.
+    of J there (with its gap, see _null_spaces), which the next predictor reads,
+    is found, in this round's stacks.
     A record whose analysis fails stays unanalysed and raises where its run reads
     it; a null space that fails is its exception, raised where its run reads it."""
     rows = np.flatnonzero(done)
@@ -630,8 +640,8 @@ def _accepted(model, records: list, J: np.ndarray, done: np.ndarray, steps: list
 
 def _corrector(model, z, tangent, z_pred):
     """Newton onto the rank-1 system and the arclength condition, a Newton run:
-    (z, z's record, the null space there, iterations), Nones in the first three
-    when it fails."""
+    (z, z's record, the null space there as _null_spaces gives it, iterations),
+    Nones in the first three when it fails."""
     for it in range(CORRECTOR_ITERS):
         a, step, T = yield _corrector_steps, z[: model.dim], (z, tangent, z_pred)
         if step is None:
@@ -653,13 +663,17 @@ def _value_speed(a: PointAnalysis, direction) -> float:
 class _Branch:
     """A continuation branch: its (value, phase point, mark) entries in tracing
     order, the records of its "vertex" entries, why it stopped (None while live),
-    its Newton run (see _trace_branch) and, for the join barrier, the entries it
-    has tested, its runs along traced branches ((branch, sense) -> (entries in a
-    row, last matched entry)), the earlier branches whose family it does not
-    share, and the earlier branch it joined (see _joins)."""
+    its Newton run (see _trace_branch), the (value, z, soft direction) of the
+    crossings it passed since the last join barrier and, for that barrier, the
+    entries it has tested, its runs along traced branches ((branch, sense) ->
+    (entries in a row, last matched entry, sense); sense 0 along an earlier
+    branch, whose run takes the sense of its first move), the earlier branches
+    whose family it does not share, and the earlier branch it joined (see
+    _joins)."""
 
     entries: list
     found: list = field(default_factory=list)
+    crossings: list = field(default_factory=list)
     reason: str | None = None
     run: object = None
     checked: int = 1  # entry 0 is the seed, which both branches of a seed share
@@ -670,9 +684,13 @@ class _Branch:
 
 def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, T0, direction, params: TraceParams, tol):
     """Continue branch b from z0 (its record a0, the null space T0 there) along
-    direction, appending its entries and vertex records to b, a Newton run: why
-    it stopped.  It pauses after every SEGMENT accepted steps short of max_steps,
-    where the join barrier reads b."""
+    direction, appending its entries, vertex records and crossings to b, a Newton
+    run: why it stopped.  It pauses after every SEGMENT accepted steps short of
+    max_steps, where the join barrier reads b.  Where the gap of the rank-1
+    Jacobian (see _null_spaces) passed a local minimum under CROSSING_GAP one step
+    ago, away from a rank-0 point, that point lies near a crossing with another
+    rank-1 family, whose tangent there is close to the soft direction (see
+    _switch)."""
     N = model.dim
     attempt_sigma = max(10.0 * params.step, 0.5)
 
@@ -693,6 +711,7 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, T0, direction, param
 
     z, a, T, t_prev, h, steps = z0, a0, T0, direction, params.step, 0
     sig_prev, sig_falling = float(a0.sv[0]), False
+    gap_prev, gap_falling, soft_prev = math.inf, False, None
     while steps < params.max_steps:
         if isinstance(T, Exception):  # the null space at z failed where the corrector accepted z
             raise T
@@ -703,7 +722,7 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, T0, direction, param
             t = T @ coeff
             t /= np.linalg.norm(t)
         z_pred = z + h * t
-        z_new, a_new, T_new, iters = yield from _corrector(model, z_pred.copy(), t, z_pred)
+        z_new, a_new, space, iters = yield from _corrector(model, z_pred.copy(), t, z_pred)
         if z_new is not None and np.linalg.norm(z_new - z_pred) > 2.0 * h:
             z_new = None  # corrector hopped onto a different branch
         if z_new is None:
@@ -734,6 +753,10 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, T0, direction, param
         sig_falling, sig_prev = sig < sig_prev, sig
 
         b.entries.append((val, p.copy(), "cusp" if cusp else None))
+        T_new, gap, soft = (space, math.inf, None) if isinstance(space, Exception) else space
+        if gap_falling and gap > gap_prev and gap_prev < CROSSING_GAP and a.sv[0] >= attempt_sigma:
+            b.crossings.append((a.value, z, soft_prev))  # not next to a rank-0 point, whose families meet there
+        gap_falling, gap_prev, soft_prev = gap < gap_prev, gap, soft
         if steps > 10 and np.linalg.norm(p - z0[:N]) < 0.5 * params.step:
             return "closed-loop"  # round an orbit whose values stand still, which the join barrier cannot see
         t_prev, z, a, T, steps = t, z_new, a_new, T_new, steps + 1
@@ -825,8 +848,12 @@ def _branch_start(model: IntegrableModel, seed):
     v, mu = yield _kernel_vectors, a, None
     z0 = np.concatenate([a.point, v, mu])
     T = yield _tangent_spaces, a, z0  # at least one column
-    speeds = [_value_speed(a, T[:, i]) for i in range(T.shape[1])]
-    return z0, a, T, T[:, int(np.argmax(speeds))]
+    return z0, a, T, _fastest(a, T)
+
+
+def _fastest(a: PointAnalysis, T):
+    """The column of T of fastest momentum-image speed at a."""
+    return T[:, int(np.argmax([_value_speed(a, T[:, i]) for i in range(T.shape[1])]))]
 
 
 def _same_family(model, p, q, tol, seed) -> bool:
@@ -869,51 +896,69 @@ class _ValueGrid:
 
 def _joins(model, branches: list, grid: _ValueGrid, j: int, k: int, params: TraceParams, tol) -> str | None:
     """Extend branch j's runs along traced branches by its entry k: the stop
-    reason where the entry completes one, else None.  A run along branch i in
-    sense s follows the nearest of i's entries within ARC_DEDUP_FACTOR steps
-    whose value chord runs parallel to j's, cos >= JOIN_COS for s = 1 (along i's
-    tracing order) and cos <= -JOIN_COS for s = -1.  It grows where the matched
-    entry moves by s, holds where it stays (j's steps are shorter than i's) and
-    starts again where it moves back.  Along j's own filed entries a run never
-    holds, since the last filed entry stays nearest while j moves on from it.
+    reason where the entry completes one, else None.
 
-    A run of JOIN_RUN entries whose two points share a family label stops j: as
-    "joined" along an earlier branch, either way; as "closed-loop" along its own
-    entries forward (j came round a closed value curve; backward is a cusp fold)
-    or along its sibling's backward (j met it head-on), unless j runs back along
-    its own entries then (the sibling's are then a fold image of j's).  A run
-    along an earlier branch of another label stops j testing that branch; one
-    along itself or its sibling starts again."""
+    A run along an earlier branch i other than j's sibling follows i's nearest
+    entry within ARC_DEDUP_FACTOR steps while its value chord runs parallel to
+    j's (|cos| >= JOIN_COS, either sense) and the matched entry moves one way.
+    At JOIN_RUN entries j joins i if the two points share a family label, else
+    j never tests i again.
+
+    A run along j's own entries or its sibling's in sense s follows the nearest
+    of their entries within that radius whose chord runs parallel to j's, cos
+    >= JOIN_COS for s = 1 (along their tracing order) and cos <= -JOIN_COS for
+    s = -1.  It grows where the matched entry moves by s, holds where it stays
+    (on the sibling, whose steps can be longer than j's; the last filed entry of
+    j's own stays nearest while j moves on from it) and starts again otherwise.
+    At JOIN_RUN entries with one family label j stops as "closed-loop": along
+    its own entries forward (j came round a closed value curve) or along its
+    sibling's backward (j met it head-on), unless j runs back along its own
+    entries then (a cusp fold: the sibling's are then a fold image of j's)."""
     b = branches[j]
     value = b.entries[k][0]
     tangent = _unit(value - b.entries[k - 1][0])
     radius = ARC_DEDUP_FACTOR * params.step
-    senses = {j: (1, -1), j ^ 1: (-1,)}  # j's own backward runs are folds, kept to veto the sibling
+    closing = {j: (1, -1), j ^ 1: (-1,)}  # j's own backward runs are folds, kept to veto the sibling
+    left = k - 1  # j's own entries after the last one outside the radius are no loop
+    while left >= 0 and np.linalg.norm(b.entries[left][0] - value) <= radius:
+        left -= 1
     nearest: dict = {}
     for i, m in grid.near(value) if tangent is not None else ():
-        if i not in senses and (i > j or i in b.unlike):
-            continue
         d = float(np.linalg.norm(branches[i].entries[m][0] - value))
-        other = _value_tangent(branches[i].entries, m) if d <= radius else None
-        cos = 0.0 if other is None else float(tangent @ other)
-        s = (cos >= JOIN_COS) - (cos <= -JOIN_COS)
-        if s in senses.get(i, (1, -1)) and ((i, s) not in nearest or d < nearest[i, s][0]):
-            nearest[i, s] = (d, m)
+        if d > radius:
+            continue
+        if i in closing:
+            other = _value_tangent(branches[i].entries, m)
+            cos = 0.0 if other is None else float(tangent @ other)
+            key = (i, (cos >= JOIN_COS) - (cos <= -JOIN_COS))
+            if key[1] not in closing[i] or key == (j, 1) and m > left:
+                continue
+        elif i < j and i not in b.unlike:
+            key = (i, 0)
+        else:
+            continue
+        if key not in nearest or d < nearest[key][0]:
+            nearest[key] = (d, m)
     runs = {}
     for (i, s), (_, m) in sorted(nearest.items()):
-        count, last = b.runs.get((i, s), (0, m))
+        count, last, sense = b.runs.get((i, s), (0, m, 0))
         move = (m > last) - (m < last)
-        runs[i, s] = (count + 1, m) if count and move == s else (count, m) if count and not move and i != j else (1, m)
+        if s:
+            runs[i, s] = (count + 1 if count and move == s else count if count and not move and i != j else 1, m, s)
+            continue
+        other = _value_tangent(branches[i].entries, m)
+        if other is not None and abs(float(tangent @ other)) >= JOIN_COS:
+            runs[i, s] = (count + 1, m, move) if count and move and sense in (0, move) else (1, m, 0)
     b.runs = runs
-    for (i, s), (count, m) in sorted(runs.items()):  # the earliest branch first
+    for (i, s), (count, m, _) in sorted(runs.items()):  # the earliest branch first
         if count < JOIN_RUN or (i, s) == (j, -1) or i == j ^ 1 and (j, -1) in runs:
             continue
         if _same_family(model, b.entries[k][1], branches[i].entries[m][1], tol, params.seed):
-            if i in senses:
+            if i in closing:
                 return "closed-loop"
             b.joined = i
             return "joined"
-        if i in senses:
+        if i in closing:
             del runs[i, s]
         else:
             b.unlike.add(i)
@@ -936,25 +981,55 @@ def _join_barrier(model, branches: list, grid: _ValueGrid, params: TraceParams, 
         b.checked = len(b.entries)
 
 
+def _switch(model, z, soft, params: TraceParams):
+    """A start (as _branch_start gives it) on the rank-1 family that crosses the
+    branch through z, a Newton run: the corrector point one step off z along the
+    soft direction, in the hyperplane normal to it.  Near the crossing the
+    branch's own points lie within the hyperplane through z, and the crossing
+    family's tangent is close to soft."""
+    z_pred = z + params.step * soft
+    z_new, a, space, _ = yield from _corrector(model, z_pred.copy(), soft, z_pred)
+    if z_new is None or np.linalg.norm(z_new - z_pred) > 2.0 * params.step:
+        raise TraceError("no crossing family")
+    if isinstance(space, Exception):
+        raise space
+    return z_new, a, space[0], _fastest(a, space[0])
+
+
 def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, tol) -> list:
-    """Both branches of every rank-1 seed, in (seed, direction) order: the seeds
-    are refined in one lockstep, then every live branch's run advances to its
-    next pause in one lockstep, and a join barrier follows each segment."""
-    branches = []
-    for start in _lockstep(model, [_attempt(_branch_start(model, s)) for s in rank1], tol):
-        if start is not None:
-            z0, a, T, t0 = start
-            for direction in (t0, -t0):
-                b = _Branch([(a.value, z0[: model.dim].copy(), None)])
-                b.run = _trace_branch(model, b, z0, a, T, direction, params, tol)
-                branches.append(b)
-    grid, live = _ValueGrid(ARC_DEDUP_FACTOR * params.step), branches
-    while live:
-        for b, reason in zip(live, _lockstep(model, [b.run for b in live], tol)):
+    """Both branches of every rank-1 seed, in (seed, direction) order, then
+    those of the crossings' starts: the seeds are refined in one lockstep, then
+    every live branch's run advances to its next pause in one lockstep, and a
+    join barrier follows each segment.  A crossing a branch passed in the
+    segment, one per value within ARC_DEDUP_FACTOR steps of no crossing
+    switched before, is switched (see _switch) in the next segment's lockstep,
+    and the branches of its start join the live ones after it."""
+    branches, live, switches, switched = [], [], [], []
+    grid = _ValueGrid(ARC_DEDUP_FACTOR * params.step)
+    starts = _lockstep(model, [_attempt(_branch_start(model, s)) for s in rank1], tol)
+    while True:
+        for start in starts:
+            if start is not None:
+                z0, a, T, t0 = start
+                for direction in (t0, -t0):
+                    b = _Branch([(a.value, z0[: model.dim].copy(), None)])
+                    b.run = _trace_branch(model, b, z0, a, T, direction, params, tol)
+                    branches.append(b)
+                    live.append(b)
+        if not live and not switches:
+            return branches
+        ends = _lockstep(model, [b.run for b in live] + switches, tol)
+        for b, reason in zip(live, ends):
             b.reason = reason
         _join_barrier(model, branches, grid, params, tol)
+        starts, switches = ends[len(live) :], []
+        for value, z, soft in (c for b in live for c in b.crossings):
+            if all(np.linalg.norm(value - v) > grid.side for v in switched):
+                switched.append(value)
+                switches.append(_attempt(_switch(model, z, soft, params)))
+        for b in live:
+            b.crossings.clear()
         live = [b for b in live if b.reason is None]
-    return branches
 
 
 def trace_diagram(

@@ -172,13 +172,16 @@ def cmd_verify(args) -> int:
         _emit({"error": f"{exc} at a sample point", "model": args.model, "seed": args.seed}, args.out)
         return 1
     checks = {
-        "commutation": (comm.max_residual, comm.nonfinite, COMMUTATION_TOL),
-        "jacobi": (*jacobi, JACOBI_TOL),
-        "casimirs": (*casimir, COMMUTATION_TOL),
+        "commutation": (comm, COMMUTATION_TOL),
+        "jacobi": (jacobi, JACOBI_TOL),
+        "casimirs": (casimir, COMMUTATION_TOL),
     }
     report = {"model": args.model, "g": args.g, "seed": args.seed, "samples": args.samples}
-    for name, (worst, nonfinite, tol) in checks.items():
-        report[name] = {"max_residual": float(worst), "nonfinite_samples": nonfinite, "tol": tol, "pass": bool(worst <= tol)}
+    for name, (check, tol) in checks.items():
+        # the maximum skips NaN, so a check with a non-finite sample fails whatever it reads
+        worst, nonfinite = float(check.max_residual), check.nonfinite
+        ok = worst <= tol and not nonfinite
+        report[name] = {"max_residual": worst, "nonfinite_samples": nonfinite, "tol": tol, "pass": ok}
     report["commutation"]["worst_pair"] = list(comm.worst_pair) if comm.worst_pair else None
     passed = all(report[name]["pass"] for name in checks)
     report["pass"] = passed

@@ -193,7 +193,7 @@ class PoissonStructure:
         and i < j < k (the Jacobiator is totally antisymmetric), from one
         first-order run over the given entries per block of points."""
         if self._const_matrix is not None:
-            return Sampled(0.0, 0)  # a constant bivector satisfies the Jacobi identity
+            return Sampled(0.0, None, 0)  # a constant bivector satisfies the Jacobi identity
         entry, triples = {ij: e for e, ij in enumerate(self.upper)}, list(combinations(range(self.dim), 3))
 
         def jacobiators(points):
@@ -208,8 +208,7 @@ class PoissonStructure:
                 out[t] = (field(i, (j, k)) - field(j, (i, k))) + field(k, (i, j))  # pi_ki = -pi_ik
             return out
 
-        worst, _, nonfinite = _sampled_max(jacobiators, samples, box, seed, self.dim)
-        return Sampled(worst, nonfinite)
+        return _sampled_max(jacobiators, samples, box, seed, self.dim)
 
     def casimir_residual(self, samples: int, box: float = 1.0, seed: int = DEFAULT_SEED, params=None) -> "Sampled":
         """Max |{c_k, C}| over Casimirs, coordinates and sampled points, from one
@@ -223,15 +222,16 @@ class PoissonStructure:
                 out[c, a] = self._field(a, 0.0, entries, grads[c])
             return out.reshape(-1, len(points))
 
-        worst, _, nonfinite = _sampled_max(fields, samples, box, seed, self.dim)
-        return Sampled(worst, nonfinite)
+        return _sampled_max(fields, samples, box, seed, self.dim)
 
 
 class Sampled(NamedTuple):
     """A sampled check: the largest |value| over its fields and sample points
-    (NaN skipped), and the number of sample points where a value is not finite."""
+    (NaN skipped), the index of the first field that reaches it (None for 0),
+    and the number of sample points where a value is not finite."""
 
     max_residual: float
+    at: int | None
     nonfinite: int
 
 
@@ -242,10 +242,9 @@ class Sampled(NamedTuple):
 SAMPLE_BLOCK = 1024
 
 
-def _sampled_max(fields_at, samples: int, box: float, seed: int, dim: int):
-    """Max |f| over k fields at seeded uniform points of [-box, box]^dim, NaN skipped,
-    the index of the first field that reaches it (None for 0), and the number of
-    points where some field is not finite.  fields_at gives the fields' values at
+def _sampled_max(fields_at, samples: int, box: float, seed: int, dim: int) -> Sampled:
+    """Max |f| over k fields at seeded uniform points of [-box, box]^dim as a
+    Sampled check.  fields_at gives the fields' values at
     a block of m points as a (k, m) array, with numpy's floating-point warnings
     off (an overflow shows in that number); the points are drawn and reduced to
     per-field maxima SAMPLE_BLOCK at a time."""
@@ -258,9 +257,9 @@ def _sampled_max(fields_at, samples: int, box: float, seed: int, dim: int):
         block = np.fmax.reduce(values, axis=1, initial=0.0)
         top = block if top is None else np.fmax(top, block)
     if top is None or not top.any():  # no points, no fields, or only zeros and NaN
-        return 0.0, None, nonfinite
+        return Sampled(0.0, None, nonfinite)
     at = int(np.argmax(top))
-    return top[at], at, nonfinite
+    return Sampled(top[at], at, nonfinite)
 
 
 @dataclass
@@ -358,9 +357,10 @@ def check_commutation(
         entries = model.structure._entries_at(points, model.params)
         return model.structure._bracket(np.zeros((len(pairs), len(points))), entries, grads[:, first], grads[:, second])
 
-    worst, at, nonfinite = _sampled_max(brackets, samples, box, seed, model.dim)
-    worst_pair = None if at is None else pairs[at]
-    return CommutationReport(worst, worst_pair, tol, samples, seed, worst <= tol, nonfinite)
+    worst = _sampled_max(brackets, samples, box, seed, model.dim)
+    worst_pair = None if worst.at is None else pairs[worst.at]
+    passed = worst.max_residual <= tol and not worst.nonfinite
+    return CommutationReport(worst.max_residual, worst_pair, tol, samples, seed, passed, worst.nonfinite)
 
 
 # ---------------------------------------------------------------------------

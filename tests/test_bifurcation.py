@@ -294,6 +294,24 @@ def _runs_back(entries: list, step: float) -> list:
     return out
 
 
+def _vertex_seed_branches(g: float):
+    """Kovalevskaya at g and the branches of the seeds `seed_arcs_near_vertex` gives at its fixed points."""
+    m = build_kovalevskaya(g)
+    seeds = [s for p in involution_fixed_points(g, certify=False) for s in seed_arcs_near_vertex(m, p, delta=1e-2)]
+    return m, bifurcation._trace_branches(m, seeds, CLOSURE_PARAMS, DEFAULT_TOL)
+
+
+def _assert_closures_retrace(branches: list) -> None:
+    """Each closed-loop branch's last JOIN_RUN entries lie within two steps of
+    its sibling's entries or of its own entries of past segments."""
+    for j, b in enumerate(branches):
+        if b.reason == "closed-loop":
+            own = b.entries[: -bifurcation.SEGMENT]
+            met = np.array([value for value, _, _ in own + branches[j ^ 1].entries])
+            for value, _, _ in b.entries[-bifurcation.JOIN_RUN :]:
+                assert np.min(np.linalg.norm(met - value, axis=1)) <= 2 * CLOSURE_PARAMS.step
+
+
 @pytest.mark.parametrize("g", [0.0, 0.5])
 def test_a_closed_value_curve_is_traced_once(g):
     """The vertex-seed branches stop where they close a value curve, not at
@@ -301,22 +319,33 @@ def test_a_closed_value_curve_is_traced_once(g):
     entries or of its own entries of past segments.  A cusp fold, where a
     branch runs back along its own entries, does not end it: at g = 0 the
     first seed's two branches pass one and leave the value box."""
-    m = build_kovalevskaya(g)
-    seeds = [s for p in involution_fixed_points(g, certify=False) for s in seed_arcs_near_vertex(m, p, delta=1e-2)]
-    branches = bifurcation._trace_branches(m, seeds, CLOSURE_PARAMS, DEFAULT_TOL)
+    m, branches = _vertex_seed_branches(g)
     reasons = [b.reason for b in branches]
     assert "max-steps" not in reasons and "closed-loop" in reasons
-    radius = 2 * CLOSURE_PARAMS.step
-    for j, b in enumerate(branches):
-        if b.reason == "closed-loop":
-            own = b.entries[: -bifurcation.SEGMENT]
-            met = np.array([value for value, _, _ in own + branches[j ^ 1].entries])
-            for value, _, _ in b.entries[-bifurcation.JOIN_RUN :]:
-                assert np.min(np.linalg.norm(met - value, axis=1)) <= radius
+    _assert_closures_retrace(branches)
     if g == 0.0:
         for b in branches[:2]:
             assert len(_runs_back(b.entries, CLOSURE_PARAMS.step)) >= bifurcation.JOIN_RUN
             assert b.reason == "value-box"
+
+
+@pytest.mark.parametrize("g", [1.3, 1.6])
+def test_a_crossing_seeds_the_family_it_meets(g, monkeypatch):
+    """K is a sum of two squares, so K = 0 is a rank-1 family, over h >= g^2;
+    no vertex seed lies on it.  A vertex-seed branch touches it at (g^2, 0)
+    and passes a crossing there, and the branches switched onto it trace K = 0
+    out towards the value box; without switching no branch reaches K = 0.
+    The creeping branches of these diagrams (value steps far below a step)
+    do not close on the entries they just left."""
+    def k0_values(branches):
+        return [value[0] for b in branches for value, _, _ in b.entries if abs(value[1]) < 1e-9]
+
+    m, branches = _vertex_seed_branches(g)
+    k0 = k0_values(branches)
+    assert min(k0) == pytest.approx(g * g, abs=CLOSURE_PARAMS.step) and max(k0) > 6.5
+    _assert_closures_retrace(branches)
+    monkeypatch.setattr(bifurcation, "CROSSING_GAP", 0.0)
+    assert not k0_values(_vertex_seed_branches(g)[1])
 
 
 def test_arc_dedup_keeps_a_second_family_on_one_value_curve():

@@ -9,9 +9,9 @@ import pytest
 
 from intsing import bifurcation, kovalevskaya
 from intsing.classify import DEFAULT_TOL
-from intsing.cli import main
+from intsing.cli import main, resolve_model
 from intsing.kovalevskaya import build_kovalevskaya
-from intsing.phasespace import model_to_dict
+from intsing.phasespace import check_commutation, model_to_dict
 
 
 def run_cli(args, capsys):
@@ -85,6 +85,19 @@ def test_verify_counts_overflowing_samples_without_warnings(tmp_path, capsys):
     assert captured.err == "" and code == 1 and 0 < overflows < 1000
     assert report["commutation"]["nonfinite_samples"] == overflows and not report["commutation"]["pass"]
     assert report["jacobi"]["nonfinite_samples"] == report["casimirs"]["nonfinite_samples"] == 0
+
+
+def test_verify_fails_a_check_whose_non_finite_samples_are_all_nan(tmp_path, capsys):
+    """{y + (10x)^400 - (10x)^400, y} is 0 where (10x)^400 is finite and
+    inf - inf = NaN where it overflows: the NaN-skipping maximum is 0, and the
+    check fails on its non-finite samples."""
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"coordinates": ["x", "y"], "components": ["y+(10*x)^400-(10*x)^400", "y"]}))
+    code = main(["verify", "--model", str(path), "--seed", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["commutation"]["max_residual"] == 0.0 and report["commutation"]["nonfinite_samples"] > 0
+    assert code == 1 and not report["commutation"]["pass"] and not report["pass"]
+    assert not check_commutation(resolve_model(str(path)), samples=1000, seed=3).passed
 
 
 VERIFY_POLES = {  # a pole at every sample point, in each place of a model that verify evaluates
