@@ -24,7 +24,11 @@ runs give one at a time.  A branch is one run that pauses (yields None) after
 each segment and is resumed where it paused.  A run that raises a TraceError,
 ClassifyError or EvalError (see `_attempt`) fails alone: a scan sample, a
 refinement, a branch start or a vertex polish gives nothing, and the other runs
-of its lockstep go on.  After each segment a join barrier walks the branches in
+of its lockstep go on.  After each segment a join barrier labels the entries
+the branches added: each entry's family label (its reduced 1-d.f. Williamson
+type, see _labels) comes from a lockstep round whose kernel reduces and
+classifies up to LABEL_GROUP points in stacks, and is stored on its branch,
+where the join test and the arc cuts read it.  The barrier then walks the branches in
 (seed, direction) order: a branch whose new entries retrace a traced value curve
 for JOIN_RUN entries in a row (near its entries, parallel to its value tangent,
 the matched entry moving one way) with the same family label at the last one
@@ -37,7 +41,7 @@ branch (see _switch), one per crossing value, in the next segment's lockstep;
 its two branches come after every branch made before them.  A vertex's
 value is `momentum_value` at its point (on a model with a division the jet
 values can differ from it in the last bit).  The glued branches are cut into
-arcs at the marks and where the reduced type changes; an arc end is its
+arcs at the marks and where the stored family label changes; an arc end is its
 branch's stop reason at the glued list's ends, else "cusp".  An arc with 90 %
 of its values near one kept arc with its label is a duplicate, so a value
 curve that carries an elliptic and a hyperbolic family keeps both.
@@ -66,12 +70,14 @@ from numpy.linalg import _umath_linalg
 from .classify import (
     DEFAULT_TOL,
     ClassifyError,
+    Linearization,
     PointAnalysis,
     dF_svds,
     leaf_frames,
     linearize,
-    reduce_at,
+    reductions,
     williamson_type,
+    williamson_types,
 )
 from .expr import EvalError, JetStack
 from .phasespace import DEFAULT_SEED, IntegrableModel
@@ -88,6 +94,7 @@ CUSP_SPEED = 1e-4  # momentum-image speed under which a step is a cusp candidate
 ARC_DEDUP_FACTOR = 2.0  # arcs within this many steps of a kept arc are duplicates
 REFINE_TOL = 1e-11  # residual norm at which refinement stops
 SCORE_GROUP = 256  # scan samples projected and scored in one lockstep: each live run holds a record
+LABEL_GROUP = 256  # phase points labelled in one lockstep: each holds a record, and the kernel's stacks grow with them
 DIRECTIONS_PER_PLANE = 2  # probe directions per invariant 2-plane at a vertex
 SEGMENT = 16  # accepted continuation steps a branch takes between two join barriers
 JOIN_RUN = 3  # entries in a row that retrace one traced branch make a join or close a loop
@@ -517,11 +524,11 @@ def _sample_box(box, resolution: int, rng) -> np.ndarray:
 
 def _score(model: IntegrableModel, raw):
     """A scan sample projected onto its leaf, a Newton run: (sigma_min /
-    max(sigma_max, 1), sigma_max, record) of dF there, the record detached from
-    its round's arrays, so a refinement from it evaluates nothing again."""
+    max(sigma_max, 1), sigma_max, record) of dF there, the record holding its
+    round's arrays (see scan_singular_points, which detaches those it keeps)."""
     a = yield from _leaf_project(model, raw)
     a = yield _analyses, a, None
-    return float(a.sv[-1]) / max(float(a.sv[0]), 1.0), float(a.sv[0]), a.detached()
+    return float(a.sv[-1]) / max(float(a.sv[0]), 1.0), float(a.sv[0]), a
 
 
 def scan_singular_points(
@@ -543,7 +550,9 @@ def scan_singular_points(
     # rank 0 from the points where the whole differential is smallest, then
     # rank n-1 from those where its smallest singular value is; each group's
     # scores join the best so far, in sample order, so these are the first of
-    # the whole stably sorted list
+    # the whole stably sorted list.  A record of the group that stays in a list
+    # is detached from the group's arrays, once for both lists, so that no
+    # group's arrays outlive it and a refinement from it evaluates nothing again.
     by_sigma_max, by_ratio, count = [], [], 0
     for lo in range(0, len(samples), SCORE_GROUP):
         runs = [_attempt(_score(model, raw)) for raw in samples[lo : lo + SCORE_GROUP]]
@@ -551,7 +560,10 @@ def scan_singular_points(
         count += len(scored)
         by_sigma_max = sorted(by_sigma_max + scored, key=lambda t: t[1])[:RANK0_CANDIDATES]
         by_ratio = sorted(by_ratio + scored, key=lambda t: t[0])[:MAX_CANDIDATES]
-        del scored  # free this group's records, the candidates' aside, before the next group makes its own
+        kept = {id(a) for _, _, a in by_sigma_max + by_ratio}
+        copies = {id(a): a.detached() for _, _, a in scored if id(a) in kept}
+        by_sigma_max, by_ratio = ([(r, s, copies.get(id(a), a)) for r, s, a in ts] for ts in (by_sigma_max, by_ratio))
+        del scored  # free this group's records before the next group makes its own
     keep = max(1, min(MAX_CANDIDATES, int(count * CANDIDATE_FRACTION)))
     runs = [
         _attempt(_refine(model, a, r, max_iter))
@@ -662,16 +674,18 @@ def _value_speed(a: PointAnalysis, direction) -> float:
 @dataclass
 class _Branch:
     """A continuation branch: its (value, phase point, mark) entries in tracing
-    order, the records of its "vertex" entries, why it stopped (None while live),
-    its Newton run (see _trace_branch), the (value, z, soft direction) of the
-    crossings it passed since the last join barrier and, for that barrier, the
-    entries it has tested, its runs along traced branches ((branch, sense) ->
-    (entries in a row, last matched entry, sense); sense 0 along an earlier
-    branch, whose run takes the sense of its first move), the earlier branches
-    whose family it does not share, and the earlier branch it joined (see
-    _joins)."""
+    order, the family labels of those a join barrier has labelled (see
+    _label_entries), the records of its "vertex" entries, why it stopped (None
+    while live), its Newton run (see _trace_branch), the (value, z, soft
+    direction) of the crossings it passed since the last join barrier and, for
+    that barrier, the entries it has tested, its runs along traced branches
+    ((branch, sense) -> (entries in a row, last matched entry, sense); sense 0
+    along an earlier branch, whose run takes the sense of its first move), the
+    earlier branches whose family it does not share, and the earlier branch it
+    joined (see _joins)."""
 
     entries: list
+    labels: list = field(default_factory=list)
     found: list = field(default_factory=list)
     crossings: list = field(default_factory=list)
     reason: str | None = None
@@ -775,49 +789,67 @@ def _triple(linearization, model, p, tol, seed) -> tuple[int, int, int] | None:
     return getattr(w, "triple", None)
 
 
+# The reduced 1-d.f. type of a rank-1 point as its family label.
 _FAMILY_LABELS = {(1, 0, 0): "elliptic-family", (0, 1, 0): "hyperbolic-family"}
 
 
-def _point_label(model, p, tol, seed) -> str | None:
-    """Reduced 1-d.f. type at a rank-1 point, None when unclassifiable."""
-    return _FAMILY_LABELS.get(_triple(reduce_at, model, p, tol, seed))
+def _labels(model, records, seeds) -> list:
+    """The family label at each record (Williamson draws from its seed), None
+    where its point is refused or unclassifiable: _triple(reduce_at, ...)'s
+    label, from the records' analyses, reductions and Williamson types, each one
+    stacked computation per tolerance and seed."""
+    out: list = [None] * len(records)
+    groups: dict = {}
+    for k, (a, seed) in enumerate(zip(_analyses(model, records, seeds), seeds)):
+        if isinstance(a, PointAnalysis):
+            groups.setdefault((a.tol, seed), []).append(k)
+    for (tol, seed), rows in groups.items():
+        reduced = zip(rows, reductions(model, [records[k] for k in rows], tol))
+        reduced = [(k, L) for k, L in reduced if isinstance(L, Linearization)]
+        for (k, _), w in zip(reduced, williamson_types([L for _, L in reduced], tol=tol, seed=seed)):
+            out[k] = _FAMILY_LABELS.get(getattr(w, "triple", None))
+    return out
 
 
-def _transition_cuts(model, phases, tol, params: TraceParams):
-    """Indices where the reduced type changes along a branch, found by
-    coarse sampling plus bisection; these are tangency/cusp witnesses."""
-    n = len(phases)
+def _label(p, seed):
+    """The family label at phase point p, a run of one request."""
+    return (yield _labels, p, seed)
+
+
+def _transition_cuts(labels: list):
+    """Indices where the family label changes along a glued branch pair, found
+    by coarse sampling plus bisection of its entries' labels (these are
+    tangency/cusp witnesses), and the labels of the entries sampled."""
+    n = len(labels)
     if n < 5:
         return [], {}
     stride = max(2, n // 24)
     idxs = list(range(1, n - 1, stride))
     if idxs[-1] != n - 2:
         idxs.append(n - 2)
-    labels = {i: _point_label(model, phases[i], tol, params.seed) for i in idxs}
+    probed = {i: labels[i] for i in idxs}
     cuts = []
-    known = [i for i in idxs if labels[i] is not None]
+    known = [i for i in idxs if probed[i] is not None]
     for a, b in zip(known, known[1:]):
-        if labels[a] == labels[b]:
+        if probed[a] == probed[b]:
             continue
         lo, hi = a, b
         while hi - lo > 2:
             mid = (lo + hi) // 2
-            lab = _point_label(model, phases[mid], tol, params.seed)
-            labels[mid] = lab
-            if lab is None or lab == labels[lo]:
+            probed[mid] = labels[mid]
+            if labels[mid] is None or labels[mid] == probed[lo]:
                 lo = mid
             else:
                 hi = mid
         cuts.append((lo + hi) // 2)
-    return cuts, labels
+    return cuts, probed
 
 
-def _segment_label(model, phases, labels: dict, lo: int, hi: int, tol, seed) -> str:
-    seen = {lab for i, lab in labels.items() if lo < i < hi - 1 and lab is not None}
-    if not seen:
-        lab = _point_label(model, phases[(lo + hi) // 2], tol, seed)
-        if lab is not None:
-            seen.add(lab)
+def _segment_label(labels: list, probed: dict, lo: int, hi: int) -> str:
+    """The one label of the entries sampled inside [lo, hi), else that of its middle entry, else "mixed/unknown"."""
+    seen = {lab for i, lab in probed.items() if lo < i < hi - 1 and lab is not None}
+    if not seen and labels[(lo + hi) // 2] is not None:
+        seen.add(labels[(lo + hi) // 2])
     if len(seen) == 1:
         return seen.pop()
     return "mixed/unknown"
@@ -856,11 +888,9 @@ def _fastest(a: PointAnalysis, T):
     return T[:, int(np.argmax([_value_speed(a, T[:, i]) for i in range(T.shape[1])]))]
 
 
-def _same_family(model, p, q, tol, seed) -> bool:
-    """Whether phase points p and q get one family label: the join's type check,
-    a labelling pass of its own."""
-    label = _point_label(model, p, tol, seed)
-    return label is not None and (p.tobytes() == q.tobytes() or label == _point_label(model, q, tol, seed))
+def _same_family(label_p, label_q) -> bool:
+    """Whether two entries' family labels name one family: the join's type check."""
+    return label_p is not None and label_p == label_q
 
 
 def _unit(x: np.ndarray):
@@ -894,7 +924,7 @@ class _ValueGrid:
             yield from self.cells.get(tuple(c + o for c, o in zip(cell, offset)), ())
 
 
-def _joins(model, branches: list, grid: _ValueGrid, j: int, k: int, params: TraceParams, tol) -> str | None:
+def _joins(branches: list, grid: _ValueGrid, j: int, k: int, params: TraceParams) -> str | None:
     """Extend branch j's runs along traced branches by its entry k: the stop
     reason where the entry completes one, else None.
 
@@ -953,7 +983,7 @@ def _joins(model, branches: list, grid: _ValueGrid, j: int, k: int, params: Trac
     for (i, s), (count, m, _) in sorted(runs.items()):  # the earliest branch first
         if count < JOIN_RUN or (i, s) == (j, -1) or i == j ^ 1 and (j, -1) in runs:
             continue
-        if _same_family(model, b.entries[k][1], branches[i].entries[m][1], tol, params.seed):
+        if _same_family(b.labels[k], branches[i].labels[m]):
             if i in closing:
                 return "closed-loop"
             b.joined = i
@@ -965,15 +995,32 @@ def _joins(model, branches: list, grid: _ValueGrid, j: int, k: int, params: Trac
     return None
 
 
+def _label_entries(model, branches: list, params: TraceParams, tol) -> None:
+    """Label every entry the branches added since the last barrier, a new
+    branch's seed entry included: each distinct phase point once, in one
+    lockstep round (see _labels) per LABEL_GROUP points."""
+    new = [(b, p) for b in branches for _, p, _ in b.entries[len(b.labels) :]]
+    points = list({p.tobytes(): p for _, p in new}.values())
+    labels: dict = {}
+    for group in (points[lo : lo + LABEL_GROUP] for lo in range(0, len(points), LABEL_GROUP)):
+        for p, label in zip(group, _lockstep(model, [_label(p, params.seed) for p in group], tol)):
+            labels[p.tobytes()] = label
+    for b, p in new:
+        b.labels.append(labels[p.tobytes()])
+
+
 def _join_barrier(model, branches: list, grid: _ValueGrid, params: TraceParams, tol) -> None:
-    """Test the entries each branch added since the last barrier, in branch order,
-    and cut a branch after the entry that completes its first join: its later
-    entries go (the vertices it found stay) and it stops as "joined" or
-    "closed-loop" (see _joins).  Then file its kept new entries in grid."""
+    """Label the entries each branch added since the last barrier, then test
+    them in branch order and cut a branch after the entry that completes its
+    first join: its later entries and their labels go (the vertices it found
+    stay) and it stops as "joined" or "closed-loop" (see _joins).  Then file its
+    kept new entries in grid."""
+    _label_entries(model, branches, params, tol)
     for j, b in enumerate(branches):
         for k in range(b.checked, len(b.entries)):
-            if reason := _joins(model, branches, grid, j, k, params, tol):
+            if reason := _joins(branches, grid, j, k, params):
                 del b.entries[k + 1 :]
+                del b.labels[k + 1 :]
                 b.reason = reason
                 break
         for k in range(b.checked, len(b.entries)):
@@ -1065,7 +1112,8 @@ def trace_diagram(
             add_vertex(a)
         values = [val for val, _, _ in entries]
         phases = [p for _, p, _ in entries]
-        type_cuts, labels = _transition_cuts(model, phases, tol, params)
+        labels = bwd.labels[::-1] + fwd.labels[1:]
+        type_cuts, probed = _transition_cuts(labels)
         marked = {i for i, (_, _, mark) in enumerate(entries) if mark}
         cuts = sorted(c for c in marked | set(type_cuts) if 2 <= c <= len(entries) - 3)
         starts = [0]
@@ -1078,7 +1126,7 @@ def trace_diagram(
                     len(arcs),
                     values[lo:hi],
                     phases[lo:hi],
-                    label=_segment_label(model, phases, labels, lo, hi, tol, params.seed),
+                    label=_segment_label(labels, probed, lo, hi),
                     cusp_candidates=[values[c] for c in cuts if lo <= c < hi],
                     endpoints=[bwd.reason if lo == 0 else "cusp", fwd.reason if hi == len(entries) else "cusp"],
                 )

@@ -23,9 +23,15 @@ from intsing.bifurcation import (
     trace_diagram,
 )
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
-from intsing.classify import DEFAULT_TOL, PointAnalysis, rank_at
+from intsing.classify import DEFAULT_TOL, PointAnalysis, rank_at, reduce_at
 from intsing.expr import JetStack
-from intsing.kovalevskaya import SCAN_BOX, build_kovalevskaya, involution_fixed_points
+from intsing.kovalevskaya import (
+    DIAGRAM_PARAMS,
+    SCAN_BOX,
+    build_kovalevskaya,
+    involution_fixed_points,
+    kovalevskaya_diagram,
+)
 from intsing.phasespace import IntegrableModel, model_from_dict
 
 
@@ -117,14 +123,15 @@ def test_refine_kovalevskaya_fixed_point():
 JET_EVALUATORS = ("component_jets", "casimir_jets")
 
 
-# Each call starts a new pass over points: a refinement from its seed, a
-# labelling over the stored phase points of a branch pair, the type check of a join.
-NEW_PASSES = ("refine_singular_point", "_transition_cuts", "_same_family")
+# Each call starts a new pass over points: a refinement from its seed, the
+# labelling of the entries that the branches added since the last join barrier.
+NEW_PASSES = ("refine_singular_point", "_label_entries")
 
 
 def _record_jet_calls(monkeypatch) -> list:
     """Log (evaluator, row bytes of its points) for every jet call, one row at
-    one point and a row per point of a batch, and None for each new pass."""
+    one point and a row per point of a batch, None where a new pass starts and
+    False where it ends."""
     calls = []
     for name in JET_EVALUATORS:
         original = getattr(IntegrableModel, name)
@@ -139,7 +146,10 @@ def _record_jet_calls(monkeypatch) -> list:
 
         def marking(*args, _original=original, **kwargs):
             calls.append(None)
-            return _original(*args, **kwargs)
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                calls.append(False)
 
         monkeypatch.setattr(bifurcation, name, marking)
     return calls
@@ -148,20 +158,24 @@ def _record_jet_calls(monkeypatch) -> list:
 def _repeats(calls: list, evaluator: str) -> int:
     """Points of evaluator's calls that one of its previous four calls in the
     same pass evaluated.  A lockstep round is one call, so a Newton run that
-    asks for its last point again within four rounds counts.  Two refinements
-    from different seeds that converge onto one point evaluate it once each,
-    and the labelling analyses phase points again (a record per stored point
-    would hold ~5 kB).
+    asks for its last point again within four rounds counts.  A pass's calls
+    leave the window of the pass around it as it was.  Two refinements from
+    different seeds that converge onto one point evaluate it once each, and the
+    label pass of a join barrier evaluates the points of the entries added
+    since the last barrier again, in one batched call per field set (a record
+    per entry would hold ~5 kB).
     """
-    window: list[list[bytes]] = []
+    windows: list[list[list[bytes]]] = [[]]
     count = 0
     for call in calls:
         if call is None:
-            window = []
+            windows.append([])
+        elif call is False:
+            windows.pop()
         elif call[0] == evaluator:
-            seen = {row for rows in window[-4:] for row in rows}
+            seen = {row for rows in windows[-1][-4:] for row in rows}
             count += sum(row in seen for row in call[1])
-            window.append(call[1])
+            windows[-1].append(call[1])
     return count
 
 
@@ -346,6 +360,25 @@ def test_a_crossing_seeds_the_family_it_meets(g, monkeypatch):
     _assert_closures_retrace(branches)
     monkeypatch.setattr(bifurcation, "CROSSING_GAP", 0.0)
     assert not k0_values(_vertex_seed_branches(g)[1])
+
+
+@pytest.mark.parametrize("g", [0.5, 1.3])
+def test_entry_labels_are_the_one_point_labels(g, monkeypatch):
+    """The family label each branch stores for each of its entries, from the
+    stacked label pass of a join barrier, is the one that reduce_at and
+    williamson_type give the entry's phase point on its own."""
+    traced = []
+    trace = bifurcation._trace_branches
+    monkeypatch.setattr(bifurcation, "_trace_branches", lambda *args: traced.append(trace(*args)) or traced[-1])
+    kovalevskaya_diagram(g, resolution=5)
+    (branches,) = traced
+    m, seed = build_kovalevskaya(g), DIAGRAM_PARAMS.seed
+
+    def one_point_label(p):
+        return bifurcation._FAMILY_LABELS.get(bifurcation._triple(reduce_at, m, p, DEFAULT_TOL, seed))
+
+    assert [b.labels for b in branches] == [[one_point_label(p) for _, p, _ in b.entries] for b in branches]
+    assert {"elliptic-family", "hyperbolic-family"} <= {label for b in branches for label in b.labels}
 
 
 def test_arc_dedup_keeps_a_second_family_on_one_value_curve():

@@ -1,20 +1,27 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from intsing import bifurcation
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
 from intsing.classify import (
     ClassifyError,
     DegenerateReport,
+    Linearization,
     OffLeafError,
+    PointAnalysis,
     analyze_point,
     classify_point,
     is_nondegenerate,
     linearize,
     rank_at,
     reduce_at,
+    reductions,
     williamson_type,
+    williamson_types,
 )
 from intsing.expr import parse
 from intsing.phasespace import IntegrableModel, PoissonStructure
@@ -267,3 +274,115 @@ def test_type_survives_random_disguise_n5(spec, seed):
     if spec.r < spec.n:
         w = out["williamson"]
         assert (w["k_e"], w["k_h"], w["k_f"]) == (spec.k_e, spec.k_h, spec.k_f)
+
+
+# Stacked reductions and Williamson draws against their one-record calls: a
+# row of a stack must have the bits that reduce_at and williamson_type give its
+# record alone, and a refused row the same refusal.
+
+
+@functools.cache
+def _kovalevskaya_points():
+    """Kovalevskaya at g = 0.5, rank-1 points refined from random leaf samples, and its two rank-0 points."""
+    from intsing.kovalevskaya import build_kovalevskaya, involution_fixed_points
+
+    m = build_kovalevskaya(0.5)
+    starts = np.random.default_rng(3).uniform(-1.5, 1.5, size=(24, m.dim))
+    runs = [bifurcation._attempt(bifurcation._refine(m, p, 1)) for p in starts]
+    rank1 = [a.point for a in bifurcation._lockstep(m, runs, 1e-8) if a is not None]
+    return m, rank1, involution_fixed_points(0.5, certify=False)
+
+
+@functools.cache
+def _disguise():
+    """A disguise of canonical (0, 2, 1, 0): a point has the rank of its nonzero canonical pairs."""
+    return randomized_disguise(build_canonical(CanonicalSpec(0, 2, 1, 0)), seed=11)
+
+
+def _kovalevskaya_record(rng, kind: str):
+    m, rank1, rank0 = _kovalevskaya_points()
+    if kind == "rank 0":
+        return PointAnalysis(m, rank0[rng.integers(len(rank0))])
+    p = rank1[rng.integers(len(rank1))]
+    if kind == "rank 1":
+        return PointAnalysis(m, p)
+    p = p + rng.normal(scale=0.1, size=m.dim)
+    if kind == "off-leaf":
+        return PointAnalysis(m, p)
+    return bifurcation._run_one(m, bifurcation._leaf_project(m, p), 1e-8)  # regular
+
+
+def _disguise_record(rng, kind: str):
+    d = _disguise()
+    q = rng.normal(size=d.model.dim)
+    pairs = {"rank 0": 0, "rank 1": 1, "rank 2": 2, "regular": 3}[kind]
+    q[2 * pairs :] = 0.0
+    return PointAnalysis(d.model, d.symplectic @ rng.permutation(q.reshape(-1, 2)).ravel())
+
+
+def _linearization_bits(L):
+    if isinstance(L, ClassifyError):
+        return type(L).__name__, str(L)
+    parts = [np.asarray(x).tobytes() for x in (*L.matrices, L.omega, L.basis)]
+    return parts, L.rank, L.n, L.reduced, repr(L.commutator_norm), repr(L.symplectic_residual)
+
+
+def _williamson_bits(w):
+    if isinstance(w, ClassifyError):
+        return type(w).__name__, str(w)
+    if isinstance(w, DegenerateReport):
+        return w.attempts, repr(w.best_gap), w.reason
+    return w.rank, w.triple, repr(w.eigenvalues), w.coefficients.tobytes(), repr(w.gap)
+
+
+def _off_type_linearizations(rng) -> list:
+    """2x2 linearizations of a rank-1 point of two degrees of freedom that give no
+    type: nilpotent (no simple spectrum), generic (no Hamiltonian spectrum, so
+    every draw is made), and one that is neither reduced nor of rank 0 (refused)."""
+    def lin(M, reduced=True):
+        return Linearization([M], np.eye(2), np.eye(2), 1, 2, reduced, 0.0, 0.0)
+
+    return [lin(np.array([[0.0, 1.0], [0.0, 0.0]])), lin(rng.normal(size=(2, 2))), lin(rng.normal(size=(2, 2)), False)]
+
+
+@given(
+    st.sampled_from(["kovalevskaya", "disguise"]),
+    st.lists(st.sampled_from(["rank 0", "rank 1", "rank 2", "regular", "off-leaf"]), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_reductions_are_the_one_record_calls(which, kinds, seed):
+    """Kovalevskaya rows: rank-1 points, the rank-0 points, and perturbed points
+    off the leaf or projected back onto it (regular); disguise rows: ranks 0 to 3
+    (rank 1 and 2 rows stack by rank; there is no leaf to be off).  The
+    Williamson stack also takes 2x2 linearizations that give no type, which stay
+    open for every draw, or that are refused."""
+    rng = np.random.default_rng(seed)
+    if which == "kovalevskaya":
+        kinds = [k.replace("rank 2", "rank 1") for k in kinds]
+        records = [_kovalevskaya_record(rng, k) for k in kinds]
+    else:
+        records = [_disguise_record(rng, k.replace("off-leaf", "regular")) for k in kinds]
+    model = records[0].model
+    stacked = reductions(model, records)
+
+    def one(a):
+        try:
+            return reduce_at(model, a)
+        except ClassifyError as exc:
+            return exc
+
+    assert [_linearization_bits(L) for L in stacked] == [_linearization_bits(one(a)) for a in records]
+    reduced = [L for L in stacked if isinstance(L, Linearization)]
+    if which == "kovalevskaya" and "rank 1" in kinds:
+        assert reduced
+    reduced += [_off_type_linearizations(rng)[k] for k in rng.integers(3, size=rng.integers(3))]
+    reduced = [reduced[k] for k in rng.permutation(len(reduced))]
+
+    def one_type(L):
+        try:
+            return williamson_type(L)
+        except ClassifyError as exc:
+            return exc
+
+    want = [_williamson_bits(one_type(L)) for L in reduced]
+    assert [_williamson_bits(w) for w in williamson_types(reduced)] == want

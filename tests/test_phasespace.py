@@ -409,6 +409,15 @@ def test_a_parameter_with_no_value_is_an_error():
     assert m.structure.bivector_at([1.0, 1.0, 1.0], m.params)[0, 1] == 2.0
 
 
+def test_bivector_gradients_at_rows_are_the_one_point_gradients(e3):
+    points = np.random.default_rng(0).normal(size=(3, 6))
+    stacked = e3.bivector_gradients_at(points)
+    assert stacked.shape == (3, 6, 6, 6) and stacked.flags.c_contiguous
+    assert stacked.tobytes() == np.array([e3.bivector_gradients_at(p) for p in points]).tobytes()
+    constant = PoissonStructure.canonical_chart([("x", "y")])
+    assert np.array_equal(constant.bivector_gradients_at(np.zeros((3, 2))), np.zeros((3, 2, 2, 2)))
+
+
 def test_an_entry_without_free_symbols_is_constant():
     coords = ("x", "y", "z", "w")
     entries = {(0, 1): "-1", (2, 3): "2/3*4", (0, 2): "-0.0"}
