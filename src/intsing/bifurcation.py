@@ -5,7 +5,8 @@ grid scanning for low-rank candidates, Newton refinement onto the
 rank-1 locus (or rank-0 points), and pseudo-arclength continuation of
 the rank-1 condition with the momentum image recorded along the way.
 Refinement returns its last iterate's `PointAnalysis` record, and every seed
-is such a record.  Each rank-1 seed is continued both ways, and a branch is one
+is such a record.  Each rank-1 seed whose point and value lie within the
+trace's bounds is continued both ways, and a branch is one
 list of (value, phase point, mark) entries, mark "cusp", "vertex" or None.
 
 A Newton run (leaf projection, scan scoring, refinement, corrector, branch) is
@@ -13,10 +14,13 @@ a generator: it yields a request for a stacked kernel at a phase point or record
 and is sent the kernel's answer for its row.  `_run_one` answers each request on
 a stack of one; `_lockstep` advances runs that do not depend on each other
 together: each round builds its records from one batched jet call per field set
-that its kernels read (a leaf-projection step reads only the Casimirs') and
+that its kernels read (the leaf projection reads only the Casimirs') and
 answers each kernel's requests with one stacked computation (assembly, least
 squares, SVD), with the bits of one-row calls (a batch or stack that raises is
-redone a row at a time).  The scan scores its samples in lockstep groups of
+redone a row at a time).  A kernel may iterate: the leaf projection is one
+request, whose kernel runs the whole Gauss-Newton loop over its stack and
+evaluates the Casimirs' jets at the iterates it makes, one batch per
+iteration.  The scan scores its samples in lockstep groups of
 SCORE_GROUP and refines all its candidates in one lockstep, and `trace_diagram`
 refines its seeds in one lockstep and then traces both branches of every seed
 in lockstep segments of SEGMENT accepted steps, so every output is the one the
@@ -158,7 +162,9 @@ class BifurcationDiagram:
 # row, the record of x among the records.  A request None is a pause: the run
 # leaves the driver's call with result None and the next call resumes it.
 # Every kernel works on the stack of its rows with numpy calls that give each
-# row the bits of the one-row call.
+# row the bits of the one-row call.  A kernel may iterate; it evaluates the
+# field sets it reads (see _READS) at the points it makes itself, in one batch
+# per iteration.
 
 
 def _records(model: IntegrableModel, asks: list, tol: float) -> list[PointAnalysis]:
@@ -261,11 +267,6 @@ def _attempt(run):
         return None
 
 
-def _record(model, records, args) -> list:
-    """The records themselves."""
-    return records
-
-
 def _stack(records: list, name: str) -> JetStack:
     """The jets `name` ("jets" or "cjets") of the records as one JetStack."""
     return JetStack(*map(np.array, zip(*(getattr(a, name) for a in records))))
@@ -299,15 +300,45 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def _leaf_steps(model, records, args) -> list:
-    """(record, Gauss-Newton step onto the Casimir levels), the step None on the levels."""
-    C = _stack(records, "cjets")
-    res = C.value - np.asarray(model.leaf_values)
-    return list(zip(records, _solve_where(~(np.max(np.abs(res), axis=1) < 1e-12), C.gradient, -res)))
+def _leaf_points(model, records, args) -> list:
+    """Gauss-Newton projection onto the Casimir levels from each record, up to 30
+    iterations over the stack: per row the record of its last iterate (its own
+    record where it starts on its leaf), whose Casimir jets are its row of the
+    last batch, or the RefineDivergence that ends it.  Each iteration evaluates
+    the Casimirs' jets at the rows still moving in one batch and solves their
+    steps in one stacked least squares.  Without Casimirs, the records as they are."""
+    out = list(records)
+    if not model.structure.casimirs:
+        return out
+    leaf, rows, C = np.asarray(model.leaf_values), np.arange(len(records)), _stack(records, "cjets")
+    x = np.array([a.point for a in records])
+    for it in range(30):
+        if it:
+            C = model.casimir_jets(x)
+        res = C.value - leaf
+        moving = ~(np.max(np.abs(res), axis=1) < 1e-12)
+        if it:  # a row that starts on its leaf keeps its own record
+            for k in np.flatnonzero(~moving):
+                a = out[rows[k]] = PointAnalysis(model, x[k], records[rows[k]].tol)
+                a.cjets = JetStack(C.value[k], C.gradient[k], C.hessian[k])
+        rows, x = rows[moving], x[moving]
+        if not rows.size:
+            break
+        x = x + _lstsq(C.gradient[moving], -res[moving])
+        finite = np.all(np.isfinite(x), axis=1)
+        for r in rows[~finite]:
+            out[r] = RefineDivergence("leaf projection blew up")
+        rows, x = rows[finite], x[finite]
+        if not rows.size:
+            break
+    for r in rows:
+        out[r] = RefineDivergence("leaf projection did not converge")
+    return out
 
 
-# The field sets a kernel reads, where not both: a lockstep round evaluates no other.
-_READS = {_record: (), _leaf_steps: ("cjets",)}
+# The field sets a kernel reads, where not both: a lockstep round evaluates no
+# other at its records, and a kernel evaluates those it reads at the points it makes.
+_READS = {_leaf_points: ("cjets",)}
 
 
 def _analyses(model, records, args) -> list:
@@ -430,19 +461,9 @@ _RANK0_STEPS, _RANK1_STEPS = _newton_steps(_rank0_systems), _newton_steps(_rank1
 
 
 def _leaf_project(model: IntegrableModel, p0):
-    """Gauss-Newton projection onto the Casimir levels from a point or record,
-    a Newton run: the last iterate's record."""
-    if not model.structure.casimirs:
-        return (yield _record, p0, None)
-    x = p0
-    for _ in range(30):
-        a, step = yield _leaf_steps, x, None
-        if step is None:
-            return a
-        x = a.point + step
-        if not np.all(np.isfinite(x)):
-            raise RefineDivergence("leaf projection blew up")
-    raise RefineDivergence("leaf projection did not converge")
+    """Gauss-Newton projection onto the Casimir levels from a point or record, a
+    Newton run of one request (see _leaf_points): the last iterate's record."""
+    return (yield _leaf_points, p0, None)
 
 
 def _refine(model: IntegrableModel, seed, target_rank: int, max_iter: int = 60):
@@ -572,10 +593,13 @@ def scan_singular_points(
     ]
     lows, highs = np.array(box, dtype=float).T
     seeds: list[PointAnalysis] = []
+    kept: dict[int, list] = {}  # the points of the seeds of each rank
     for a in _lockstep(model, runs, tol):
         if a is None or a.rank == 0 and not np.all((lows <= a.point) & (a.point <= highs)):
             continue
-        if all(s.rank != a.rank or np.linalg.norm(s.point - a.point) >= SEED_DEDUP_RADIUS for s in seeds):
+        near = kept.setdefault(a.rank, [])
+        if not near or np.all(_norms(np.array(near) - a.point) >= SEED_DEDUP_RADIUS):
+            near.append(a.point)
             seeds.append(a)
     return seeds
 
@@ -696,6 +720,18 @@ class _Branch:
     joined: int | None = None
 
 
+def _outside(params: TraceParams, p, value) -> str | None:
+    """"phase-bound" where phase point p lies beyond params' phase bound, else
+    "value-box" where its value lies outside the value box, else None."""
+    if np.linalg.norm(p) > params.phase_bound:
+        return "phase-bound"
+    if params.value_box is not None:
+        lo, hi = params.value_box
+        if np.any(value < lo) or np.any(value > hi):
+            return "value-box"
+    return None
+
+
 def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, T0, direction, params: TraceParams, tol):
     """Continue branch b from z0 (its record a0, the null space T0 there) along
     direction, appending its entries, vertex records and crossings to b, a Newton
@@ -747,14 +783,9 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, T0, direction, param
         if iters <= 2 and h < MAX_STEP:
             h = min(MAX_STEP, 1.5 * h)
 
-        p = z_new[:N]
-        if np.linalg.norm(p) > params.phase_bound:
-            return "phase-bound"
-        val = a_new.value
-        if params.value_box is not None:
-            lo, hi = params.value_box
-            if np.any(val < lo) or np.any(val > hi):
-                return "value-box"
+        p, val = z_new[:N], a_new.value
+        if bound := _outside(params, p, val):
+            return bound
 
         cusp = _value_speed(a_new, t) < CUSP_SPEED and len(b.entries) > 2
         sig = float(a_new.sv[0])
@@ -1086,9 +1117,11 @@ def trace_diagram(
     tol: float = DEFAULT_TOL,
 ) -> BifurcationDiagram:
     """Continue every rank-1 seed into labeled momentum-space arcs (see
-    _trace_branches); arcs, vertices and labels are then built in seed order."""
+    _trace_branches); arcs, vertices and labels are then built in seed order.
+    A rank-1 seed whose point or value lies outside params' bounds (see
+    _outside) starts no branch."""
     params = params or TraceParams()
-    rank1 = [s for s in seeds if s.rank == model.n - 1]
+    rank1 = [s for s in seeds if s.rank == model.n - 1 and not _outside(params, s.point, s.value)]
     rank0 = [s for s in seeds if s.rank == 0]
 
     vertices: list[Vertex] = []

@@ -457,9 +457,33 @@ def test_a_stack_that_raises_fails_only_the_rows_that_raise():
     assert bifurcation._lockstep(m, [run(2.0), run(0.0), run(4.0)], 1e-8) == [0.5, "raised", 0.25]
 
 
+def test_a_casimir_pole_fails_only_the_row_that_reaches_it():
+    """A model file whose Casimir 1/x1 has a pole at x1 = 0: from x1 = 2 the
+    first Gauss-Newton iterate lands on it, and only that run fails (its
+    projection's stack is redone a row at a time); from x1 = 0.5 and from a
+    point on the leaf x1 = 1 each run gets the record it gets on its own."""
+    m = model_from_dict(
+        {
+            "coordinates": ["x1", "y1", "x2", "y2"],
+            "components": ["x1^2 + y1^2", "x2^2 + y2^2"],
+            "casimirs": [{"expr": "1/x1", "value": 1.0}],
+        }
+    )
+    points = [np.array([2.0, 0.3, 0.1, 0.2]), np.array([0.5, 0.3, 0.1, 0.2]), np.array([1.0, 0.0, 0.4, 0.0])]
+
+    def runs():
+        return [bifurcation._attempt(bifurcation._leaf_project(m, p)) for p in points]
+
+    lockstep = bifurcation._lockstep(m, runs(), 1e-8)
+    alone = [bifurcation._run_one(m, run, 1e-8) for run in runs()]
+    assert lockstep[0] is None and alone[0] is None
+    assert [_leaf_answer(a) for a in lockstep[1:]] == [_leaf_answer(a) for a in alone[1:]]
+    assert abs(1.0 / lockstep[1].point[0] - 1.0) < 1e-12 and lockstep[2].point.tobytes() == points[2].tobytes()
+
+
 def test_lockstep_batches_each_round(monkeypatch):
     """One call per field set per round, over the live runs whose kernel reads
-    it: a leaf-projection step reads only Casimir jets, and the component jets
+    it: the leaf projection reads only Casimir jets, and the component jets
     of each projected point are evaluated once, when its run analyses it."""
     m = build_kovalevskaya(0.5)
     sizes = {"casimir_jets": [], "component_jets": []}
@@ -814,6 +838,31 @@ def _one_point_leaf_frame(model, a, tol):
     return B, np.linalg.inv(PiB), Pi, np.linalg.svd(a.jets.gradient @ B)
 
 
+def _one_point_leaf_projection(model, a):
+    """Gauss-Newton onto the Casimir levels from record a, one point and one
+    np.linalg.lstsq call at a time: (point, Casimir jets) of the last iterate, or
+    the RefineDivergence that ends it."""
+    x, C = a.point, a.cjets
+    for it in range(30):
+        if it:
+            C = model.casimir_jets(x)
+        res = C.value - np.asarray(model.leaf_values)
+        if np.max(np.abs(res)) < 1e-12:
+            return a if it == 0 else (x, C)
+        x = x + np.linalg.lstsq(C.gradient, -res, rcond=None)[0]
+        if not np.all(np.isfinite(x)):
+            return RefineDivergence("leaf projection blew up")
+    return RefineDivergence("leaf projection did not converge")
+
+
+def _leaf_answer(answer):
+    """A leaf projection's answer as bytes: its point and Casimir jets, or its exception's type and message."""
+    if isinstance(answer, Exception):
+        return type(answer).__name__, str(answer)
+    x, C = (answer.point, answer.cjets) if isinstance(answer, PointAnalysis) else answer
+    return _bits([x, list(C)])
+
+
 def _bits(x):
     """Bytes of every array in x (arrays, floats, None, tuples and lists of them)."""
     if isinstance(x, (tuple, list)):
@@ -822,6 +871,7 @@ def _bits(x):
 
 
 KERNEL_MODEL = build_kovalevskaya(0.5)
+LEAF_POINT = np.array([0.0, 0.0, 1.0, 0.3, -0.2, 0.5])  # R.R = 1, S.R = 0.5: on KERNEL_MODEL's leaf
 
 
 @given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from(["none", "tangent", "casimirs", "zero"]))
@@ -872,9 +922,13 @@ def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
     got = bifurcation._RANK1_STEPS(model, records, list(Z))
     assert _bits([g[1:] for g in got]) == _bits(want)
 
-    # the leaf projection's step, the leaf frame and the SVD of dF on it
-    want = [np.linalg.lstsq(a.cjets.gradient, -(a.cjets.value - np.asarray(model.leaf_values)), rcond=None)[0] for a in records]
-    assert _bits([s for _, s in bifurcation._leaf_steps(model, records, [None] * m)]) == _bits(want)
+    # the leaf projection's Gauss-Newton loop, from the records and from the
+    # origin (zero Casimir gradients: it never moves) and a point on its leaf;
+    # then the leaf frame and the SVD of dF
+    starts = records + [PointAnalysis(model, np.zeros(N)), PointAnalysis(model, LEAF_POINT)]
+    got = bifurcation._leaf_points(model, starts, [None] * len(starts))
+    assert [_leaf_answer(g) for g in got] == [_leaf_answer(_one_point_leaf_projection(model, a)) for a in starts]
+    assert got[-2].args == ("leaf projection did not converge",) and got[-1] is starts[-1]
     analysed = bifurcation._analyses(model, records, [None] * m)
     for a, got in zip(records, analysed):
         want = _one_point_leaf_frame(model, a, a.tol)
@@ -895,3 +949,29 @@ def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
         for a in records
     ]
     assert _bits([z for _, z in bifurcation._rank0_starts(model, records, [None] * m)]) == _bits(want)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6).map(np.array),
+            # the origin never moves; R = 0 makes the Casimir differentials dependent
+            st.sampled_from([np.zeros(6), LEAF_POINT, np.array([0.0, 0.0, 0.0, 0.3, 0.2, 0.1])]),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_leaf_points_rows_are_the_one_row_calls(points):
+    """A stack of points gives each row the answer of its one-row _leaf_points
+    call: the same point and Casimir jets bits, its own record on its leaf, or
+    the same exception (a RefineDivergence, or the overflow warning that -W error
+    raises where an iterate's jets overflow, which makes _apply redo the stack a
+    row at a time)."""
+    model = KERNEL_MODEL
+    starts = [PointAnalysis(model, p) for p in points]
+    got = bifurcation._apply(model, bifurcation._leaf_points, starts, [None] * len(starts))
+    for a, g in zip(starts, got):
+        b = PointAnalysis(model, a.point)
+        (one,) = bifurcation._apply(model, bifurcation._leaf_points, [b], [None])
+        assert _leaf_answer(g) == _leaf_answer(one) and (g is a) == (one is b)
