@@ -38,17 +38,24 @@ for JOIN_RUN entries in a row (near its entries, parallel to its value tangent,
 the matched entry moving one way) with the same family label at the last one
 stops there: as "joined" on an earlier branch other than its sibling, and as
 "closed-loop" where it comes round onto its own entries in their sense or meets
-its sibling head-on (see _joins).  Where a branch passes a crossing with
+its sibling head-on (see _joins); the candidates are the entries filed at
+earlier barriers and earlier in this one, found by one distance call over an
+array of their values.  Where a branch passes a crossing with
 another rank-1 family (the rank-1 Jacobian's smallest nonzero singular value
 has a local minimum near 0), a start on that family is made one step off the
 branch (see _switch), one per crossing value, in the next segment's lockstep;
 its two branches come after every branch made before them.  A vertex's
 value is `momentum_value` at its point (on a model with a division the jet
 values can differ from it in the last bit).  The glued branches are cut into
-arcs at the marks and where the stored family label changes; an arc end is its
-branch's stop reason at the glued list's ends, else "cusp".  An arc with 90 %
-of its values near one kept arc with its label is a duplicate, so a value
-curve that carries an elliptic and a hyperbolic family keeps both.
+arcs at the marks and at every change of the stored family labels: where the
+labelled entry b among entries 1 ... n-2 follows a labelled entry with another
+label, the cut is at b, clamped into 2 ... n-3, and cuts closer than 2 entries
+to the last one kept are dropped.  An arc's label is the one label among its
+inner entries (all but its first and last), else "mixed/unknown" (none, or
+both).  An arc end is its branch's stop reason at the glued list's ends, else
+"cusp".  An arc with 90 % of its values near one kept arc with its label is a
+duplicate, so a value curve that carries an elliptic and a hyperbolic family
+keeps both.
 
 The rank-1 locus is parametrized by the kernel-vector augmentation
 
@@ -65,7 +72,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain
 
 import numpy as np
 
@@ -847,45 +854,6 @@ def _label(p, seed):
     return (yield _labels, p, seed)
 
 
-def _transition_cuts(labels: list):
-    """Indices where the family label changes along a glued branch pair, found
-    by coarse sampling plus bisection of its entries' labels (these are
-    tangency/cusp witnesses), and the labels of the entries sampled."""
-    n = len(labels)
-    if n < 5:
-        return [], {}
-    stride = max(2, n // 24)
-    idxs = list(range(1, n - 1, stride))
-    if idxs[-1] != n - 2:
-        idxs.append(n - 2)
-    probed = {i: labels[i] for i in idxs}
-    cuts = []
-    known = [i for i in idxs if probed[i] is not None]
-    for a, b in zip(known, known[1:]):
-        if probed[a] == probed[b]:
-            continue
-        lo, hi = a, b
-        while hi - lo > 2:
-            mid = (lo + hi) // 2
-            probed[mid] = labels[mid]
-            if labels[mid] is None or labels[mid] == probed[lo]:
-                lo = mid
-            else:
-                hi = mid
-        cuts.append((lo + hi) // 2)
-    return cuts, probed
-
-
-def _segment_label(labels: list, probed: dict, lo: int, hi: int) -> str:
-    """The one label of the entries sampled inside [lo, hi), else that of its middle entry, else "mixed/unknown"."""
-    seen = {lab for i, lab in probed.items() if lo < i < hi - 1 and lab is not None}
-    if not seen and labels[(lo + hi) // 2] is not None:
-        seen.add(labels[(lo + hi) // 2])
-    if len(seen) == 1:
-        return seen.pop()
-    return "mixed/unknown"
-
-
 def _arc_duplicates(arc_vals: list[np.ndarray], existing: list[Arc], radius: float) -> bool:
     """Whether 90 % of arc_vals lie within radius of one kept arc's values."""
     vals = np.array(arc_vals)
@@ -936,28 +904,10 @@ def _value_tangent(entries: list, m: int):
     return _unit(entries[hi][0] - entries[lo][0])
 
 
-class _ValueGrid:
-    """The (branch, entry) pairs of traced entries by integer value cell of side
-    `side`: every entry within `side` of a value lies in a cell next to its own."""
-
-    def __init__(self, side: float):
-        self.side, self.cells = side, {}
-
-    def _cell(self, value) -> tuple:
-        return tuple(np.floor(np.asarray(value) / self.side).tolist())
-
-    def add(self, j: int, k: int, value) -> None:
-        self.cells.setdefault(self._cell(value), []).append((j, k))
-
-    def near(self, value):
-        cell = self._cell(value)
-        for offset in product((-1.0, 0.0, 1.0), repeat=len(cell)):
-            yield from self.cells.get(tuple(c + o for c, o in zip(cell, offset)), ())
-
-
-def _joins(branches: list, grid: _ValueGrid, j: int, k: int, params: TraceParams) -> str | None:
+def _joins(branches: list, filed: list, values: np.ndarray, j: int, k: int, params: TraceParams) -> str | None:
     """Extend branch j's runs along traced branches by its entry k: the stop
-    reason where the entry completes one, else None.
+    reason where the entry completes one, else None.  The candidates are the
+    filed (branch, entry) pairs, whose values are the rows of values.
 
     A run along an earlier branch i other than j's sibling follows i's nearest
     entry within ARC_DEDUP_FACTOR steps while its value chord runs parallel to
@@ -984,10 +934,9 @@ def _joins(branches: list, grid: _ValueGrid, j: int, k: int, params: TraceParams
     while left >= 0 and np.linalg.norm(b.entries[left][0] - value) <= radius:
         left -= 1
     nearest: dict = {}
-    for i, m in grid.near(value) if tangent is not None else ():
-        d = float(np.linalg.norm(branches[i].entries[m][0] - value))
-        if d > radius:
-            continue
+    dist = _norms(values - value) if tangent is not None else np.empty(0)
+    for row in np.flatnonzero(dist <= radius):
+        (i, m), d = filed[row], float(dist[row])
         if i in closing:
             other = _value_tangent(branches[i].entries, m)
             cos = 0.0 if other is None else float(tangent @ other)
@@ -1040,23 +989,26 @@ def _label_entries(model, branches: list, params: TraceParams, tol) -> None:
         b.labels.append(labels[p.tobytes()])
 
 
-def _join_barrier(model, branches: list, grid: _ValueGrid, params: TraceParams, tol) -> None:
+def _join_barrier(model, branches: list, filed: list, values: np.ndarray, params: TraceParams, tol) -> np.ndarray:
     """Label the entries each branch added since the last barrier, then test
     them in branch order and cut a branch after the entry that completes its
     first join: its later entries and their labels go (the vertices it found
     stay) and it stops as "joined" or "closed-loop" (see _joins).  Then file its
-    kept new entries in grid."""
+    kept new entries: their (branch, entry) pairs onto filed, and values with
+    their values as rows appended, which it returns."""
     _label_entries(model, branches, params, tol)
     for j, b in enumerate(branches):
         for k in range(b.checked, len(b.entries)):
-            if reason := _joins(branches, grid, j, k, params):
+            if reason := _joins(branches, filed, values, j, k, params):
                 del b.entries[k + 1 :]
                 del b.labels[k + 1 :]
                 b.reason = reason
                 break
-        for k in range(b.checked, len(b.entries)):
-            grid.add(j, k, b.entries[k][0])
+        new = range(b.checked, len(b.entries))
+        filed.extend((j, k) for k in new)
+        values = np.vstack([values] + [b.entries[k][0] for k in new])
         b.checked = len(b.entries)
+    return values
 
 
 def _switch(model, z, soft, params: TraceParams):
@@ -1082,8 +1034,8 @@ def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, to
     segment, one per value within ARC_DEDUP_FACTOR steps of no crossing
     switched before, is switched (see _switch) in the next segment's lockstep,
     and the branches of its start join the live ones after it."""
-    branches, live, switches, switched = [], [], [], []
-    grid = _ValueGrid(ARC_DEDUP_FACTOR * params.step)
+    branches, live, switches, switched, filed = [], [], [], [], []
+    values, radius = np.empty((0, model.n)), ARC_DEDUP_FACTOR * params.step
     starts = _lockstep(model, [_attempt(_branch_start(model, s)) for s in rank1], tol)
     while True:
         for start in starts:
@@ -1099,10 +1051,10 @@ def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, to
         ends = _lockstep(model, [b.run for b in live] + switches, tol)
         for b, reason in zip(live, ends):
             b.reason = reason
-        _join_barrier(model, branches, grid, params, tol)
+        values = _join_barrier(model, branches, filed, values, params, tol)
         starts, switches = ends[len(live) :], []
         for value, z, soft in (c for b in live for c in b.crossings):
-            if all(np.linalg.norm(value - v) > grid.side for v in switched):
+            if all(np.linalg.norm(value - v) > radius for v in switched):
                 switched.append(value)
                 switches.append(_attempt(_switch(model, z, soft, params)))
         for b in live:
@@ -1146,22 +1098,25 @@ def trace_diagram(
         values = [val for val, _, _ in entries]
         phases = [p for _, p, _ in entries]
         labels = bwd.labels[::-1] + fwd.labels[1:]
-        type_cuts, probed = _transition_cuts(labels)
+        n = len(entries)
+        known = [i for i in range(1, n - 1) if labels[i] is not None]
+        changes = {min(max(i, 2), n - 3) for h, i in zip(known, known[1:]) if labels[h] != labels[i]}
         marked = {i for i, (_, _, mark) in enumerate(entries) if mark}
-        cuts = sorted(c for c in marked | set(type_cuts) if 2 <= c <= len(entries) - 3)
+        cuts = sorted(c for c in marked | changes if 2 <= c <= n - 3)
         starts = [0]
         for cut in cuts:
             if cut - starts[-1] >= 2:
                 starts.append(cut)
-        for lo, hi in zip(starts, [c + 1 for c in starts[1:]] + [len(entries)]):
+        for lo, hi in zip(starts, [c + 1 for c in starts[1:]] + [n]):
             if hi - lo >= 3:
+                inner = set(labels[lo + 1 : hi - 1]) - {None}
                 arc = Arc(
                     len(arcs),
                     values[lo:hi],
                     phases[lo:hi],
-                    label=_segment_label(labels, probed, lo, hi),
+                    label=inner.pop() if len(inner) == 1 else "mixed/unknown",
                     cusp_candidates=[values[c] for c in cuts if lo <= c < hi],
-                    endpoints=[bwd.reason if lo == 0 else "cusp", fwd.reason if hi == len(entries) else "cusp"],
+                    endpoints=[bwd.reason if lo == 0 else "cusp", fwd.reason if hi == n else "cusp"],
                 )
                 _keep_arc(arcs, arc, dedup_radius)
 

@@ -72,11 +72,14 @@ def _number(text: str, option: str) -> float:
 
 
 def _check_options(args) -> None:
-    """Refuse a negative seed, a count below 1, more than MAX_SAMPLES --samples,
-    a float option that is not finite, and a step, value bound or tolerance that
-    is not positive."""
+    """Refuse a negative seed, --g with a model other than the built-in
+    kovalevskaya (the only one that reads it), a count below 1, more than
+    MAX_SAMPLES --samples, a float option that is not finite, and a step, value
+    bound or tolerance that is not positive."""
     if args.seed < 0:
         raise InputError(f"--seed must be at least 0, got {args.seed}")
+    if getattr(args, "g", None) is not None and getattr(args, "model", "kovalevskaya") != "kovalevskaya":
+        raise InputError(f"--g is the built-in kovalevskaya model's parameter; --model {args.model} takes none")
     for name in ("samples", "resolution", "attempts"):
         count = getattr(args, name, None)
         if count is not None and count < 1:
@@ -134,16 +137,12 @@ def _parse_point(text: str, model: IntegrableModel) -> np.ndarray:
     return out
 
 
-def _default_box(model: IntegrableModel):
-    if model.name.startswith("kovalevskaya"):
-        return SCAN_BOX
-    return [(-1.0, 1.0)] * model.dim
-
-
-def _parse_box(text: str | None, model: IntegrableModel):
-    """'lo:hi' for all coordinates, or one comma-separated pair per coordinate."""
+def _parse_box(text: str | None, spec: str, model: IntegrableModel):
+    """'lo:hi' for all coordinates, or one comma-separated pair per coordinate;
+    without text the built-in kovalevskaya spec's SCAN_BOX, else [-1, 1] per
+    coordinate."""
     if not text:
-        return _default_box(model)
+        return SCAN_BOX if spec == "kovalevskaya" else [(-1.0, 1.0)] * model.dim
     pairs = []
     for part in text.split(","):
         lo, _, hi = part.partition(":")
@@ -215,7 +214,7 @@ def cmd_trace(args) -> int:
     axes = min(model.dim, 4)
     if args.resolution**axes > MAX_SAMPLES:
         raise InputError(f"--resolution {args.resolution} scans {args.resolution}^{axes} samples, more than {MAX_SAMPLES}")
-    box = _parse_box(args.box, model)
+    box = _parse_box(args.box, args.model, model)
     if args.model == "kovalevskaya":
         diagram = kovalevskaya_diagram(
             args.g if args.g is not None else 0.0, box=box, resolution=args.resolution, tol=args.tol

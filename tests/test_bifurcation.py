@@ -392,6 +392,68 @@ def test_arc_dedup_keeps_a_second_family_on_one_value_curve():
     assert len(arcs) == 2
 
 
+LABEL_COUNT = 200  # glued entries: the old probe-and-bisect search sampled every 8th label
+
+
+def _cut_arcs(labels: list, monkeypatch) -> list:
+    """(label, first entry, last entry) of each arc trace_diagram cuts from one
+    glued branch pair whose entries i carry labels[i], with values (i, 0)."""
+    entries = [(np.array([float(i), 0.0]), np.zeros(2), None) for i in range(len(labels))]
+    fwd = bifurcation._Branch(entries, list(labels), reason="value-box")
+    bwd = bifurcation._Branch(entries[:1], labels[:1], reason="value-box")
+    monkeypatch.setattr(bifurcation, "_trace_branches", lambda *args: [fwd, bwd])
+    d = trace_diagram(build_canonical(CanonicalSpec(0, 1, 0, 0)), [])
+    return [(a.label, int(a.values[0][0]), int(a.values[-1][0])) for a in d.arcs]
+
+
+def _with_run(first: int, stop: int, run="hyperbolic-family", rest="elliptic-family") -> list:
+    return [run if first <= i < stop else rest for i in range(LABEL_COUNT)]
+
+
+@pytest.mark.parametrize("length", range(3, 8))
+def test_a_short_label_run_is_cut_out(length, monkeypatch):
+    """The arcs are cut at every change of the stored labels, so a run of 3-7
+    entries (here between entries 9 and 17, where the old search sampled) gets
+    an arc with its label: from its first entry to the first entry after it."""
+    arcs = _cut_arcs(_with_run(10, 10 + length), monkeypatch)
+    assert [a for a in arcs if a[0] != "elliptic-family"] == [("hyperbolic-family", 10, 10 + length)]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [None if i in (10, 11, 16, 17) else label for i, label in enumerate(_with_run(12, 16))],
+        [None] * 3 + _with_run(0, 40)[3:],
+        _with_run(0, 3),
+        _with_run(1, 2),
+        _with_run(0, 2),
+        _with_run(LABEL_COUNT - 3, LABEL_COUNT),
+        _with_run(LABEL_COUNT - 2, LABEL_COUNT),
+        _with_run(LABEL_COUNT - 4, LABEL_COUNT - 1),
+        _with_run(LABEL_COUNT - 2, LABEL_COUNT - 1),
+    ],
+)
+def test_label_runs_by_none_or_an_end_are_no_mixed_arc(labels, monkeypatch):
+    """A run beside unlabelled entries, or within 2 entries of either end of the
+    glued list, leaves every arc one label: a cut is clamped into the entries
+    2 ... n-3 that arcs are cut at, and an arc's label is read from its inner
+    entries."""
+    arcs = _cut_arcs(labels, monkeypatch)
+    assert {label for label, _, _ in arcs} <= {"elliptic-family", "hyperbolic-family"}
+    assert arcs[0][1] == 0 and arcs[-1][2] == LABEL_COUNT - 1
+
+
+def test_a_short_hyperbolic_run_at_g1_6_is_its_own_arc():
+    """At g = 1.6 a 6-entry hyperbolic run lies inside a long elliptic branch
+    near (g^2, 0), where the K = 0 family starts: it is cut out as its own arc."""
+    d = kovalevskaya_diagram(1.6, resolution=5)
+    target = np.array([2.56, 0.0])
+    assert any(
+        a.label == "hyperbolic-family" and np.min(np.linalg.norm(np.array(a.values) - target, axis=1)) <= 0.02
+        for a in d.arcs
+    )
+
+
 GOLDEN_SCANS = {  # the golden diagrams' models and scans not in LOCKSTEP_SCANS, with their vertex seeds
     "kovalevskaya-g0-res6": 0.0,
     "kovalevskaya-g0.5-res6": 0.5,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intsing import bifurcation, kovalevskaya
+from intsing import bifurcation, cli, kovalevskaya
 from intsing.classify import DEFAULT_TOL
 from intsing.cli import main, resolve_model
 from intsing.kovalevskaya import build_kovalevskaya
@@ -279,6 +279,34 @@ def test_trace_kovalevskaya_scans_the_scan_box(tmp_path, monkeypatch, capsys):
     assert json.loads(path.read_text())["arcs"] == []
 
 
+def test_trace_default_box_follows_the_spec_not_the_model_name(tmp_path, monkeypatch, capsys):
+    """A 4-coordinate model file named like Kovalevskaya scans [-1, 1]^4, not
+    the built-in model's 6-coordinate SCAN_BOX."""
+    path = tmp_path / "like.json"
+    model = {"coordinates": ["x1", "x2", "y1", "y2"], "components": ["x1^2+y1^2", "x2*y2"], "structure": "canonical"}
+    path.write_text(json.dumps({**model, "name": "kovalevskaya-like"}))
+    boxes = []
+
+    def scan(model, box, **kw):
+        boxes.append(box)
+        return bifurcation.scan_singular_points(model, box, **kw)
+
+    monkeypatch.setattr(cli, "scan_singular_points", scan)
+    code, out = run_cli(["trace", "--model", str(path), "--resolution", "3"], capsys)
+    assert code == 0, out
+    assert boxes == [[(-1.0, 1.0)] * 4]
+
+
+def test_g_is_refused_for_a_model_file(tmp_path, capsys):
+    """A file model's parameters come from its file: --g is an error, not echoed."""
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({**PLANE, "parameters": {"a": 1.0}, "components": ["a*x*y"]}))
+    code, out = run_cli(["verify", "--model", str(path), "--g", "0.7", "--samples", "5"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert "--g" in report["error"] and "g" not in report
+
+
 @pytest.mark.parametrize(
     "options", [["--step", "0.3"], ["--value-bound", "1"], ["--seed", "5"], ["--step", "0.3", "--value-bound", "1"]]
 )
@@ -514,6 +542,9 @@ ARGUMENT_FAULTS = {
     "attempts-kovalevskaya": ["kovalevskaya", "report", "--g", "0.5", "--attempts", "0"],
     "g-nan": ["kovalevskaya", "report", "--g", "nan"],
     "g-infinite": ["verify", "--model", "kovalevskaya", "--g", "inf", "--samples", "5"],
+    "g-verify-canonical": ["verify", "--model", "canonical:0,1,1,0", "--g", "0.7", "--samples", "5"],
+    "g-classify-canonical": ["classify", "--model", "canonical:0,1,1,0", "--point", "", "--g", "5"],
+    "g-trace-canonical": ["trace", "--model", "canonical:1,0,1,0", "--g", "0.5"],
     "step-nan": ["trace", "--model", "canonical:1,0,1,0", "--step", "nan"],
     "step-negative": ["trace", "--model", "canonical:1,0,1,0", "--step", "-0.05"],
     "step-zero": ["trace", "--model", "canonical:1,0,1,0", "--step", "0"],
