@@ -16,7 +16,7 @@ a stack of one; `_lockstep` advances runs that do not depend on each other
 together: each round builds its records from one batched jet call per field set
 that its kernels read (the leaf projection reads only the Casimirs') and
 answers each kernel's requests with one stacked computation (assembly, least
-squares, SVD), with the bits of one-row calls (a batch or stack that raises is
+squares or solve, SVD), with the bits of one-row calls (a batch or stack that raises is
 redone a row at a time).  A kernel may iterate: the leaf projection is one
 request, whose kernel runs the whole Gauss-Newton loop over its stack and
 evaluates the Casimirs' jets at the iterates it makes, one batch per
@@ -26,9 +26,10 @@ refines its seeds in one lockstep and then traces both branches of every seed
 in lockstep segments of SEGMENT accepted steps, so every output is the one the
 runs give one at a time.  A branch is one run that pauses (yields None) after
 each segment and is resumed where it paused.  A run that raises a TraceError,
-ClassifyError or EvalError (see `_attempt`) fails alone: a scan sample, a
-refinement, a branch start or a vertex polish gives nothing, and the other runs
-of its lockstep go on.  After each segment a join barrier labels the entries
+ClassifyError, EvalError or LinAlgError (see `_attempt`) fails alone: a scan
+sample, a refinement, a branch start or a vertex polish gives nothing, a branch
+ends as "failed" with the entries it has, and the other runs of its lockstep
+go on.  After each segment a join barrier labels the entries
 the branches added: each entry's family label (its reduced 1-d.f. Williamson
 type, see _labels) comes from a lockstep round whose kernel reduces and
 classifies up to LABEL_GROUP points in stacks, and is stored on its branch,
@@ -37,12 +38,13 @@ where the join test and the arc cuts read it.  The barrier then walks the branch
 for JOIN_RUN entries in a row (near its entries, parallel to its value tangent,
 the matched entry moving one way) with the same family label at the last one
 stops there: as "joined" on an earlier branch other than its sibling, and as
-"closed-loop" where it comes round onto its own entries in their sense or meets
-its sibling head-on (see _joins); the candidates are the entries filed at
+"closed-loop" where it comes round onto its own entries in their sense, runs
+back along them (it retraces its values) or meets its sibling head-on (see
+_joins); the candidates are the entries filed at
 earlier barriers and earlier in this one, found by one distance call over an
 array of their values.  Where a branch passes a crossing with
-another rank-1 family (the rank-1 Jacobian's smallest nonzero singular value
-has a local minimum near 0), a start on that family is made one step off the
+another rank-1 family (the phase-conditioned rank-1 Jacobian's smallest
+nonzero singular value has a local minimum near 0), a start on that family is made one step off the
 branch (see _switch), one per crossing value, in the next segment's lockstep;
 its two branches come after every branch made before them.  A vertex's
 value is `momentum_value` at its point (on a model with a division the jet
@@ -61,9 +63,14 @@ The rank-1 locus is parametrized by the kernel-vector augmentation
 
     sum_i v_i grad f_i + sum_j mu_j grad C_j = 0,   C = c,   |v|^2 = 1,
 
-whose solution manifold contains an orbit direction on top of the family
-direction; Newton corrections therefore use least squares and the
-predictor picks the null direction best aligned with the previous step.
+whose solutions are the family times its critical tori: the identity
+{v.F, f_k} = 0 makes the components of the gradient rows along the orbit
+fields X = Pi grad(u.F), u the combinations of the components other than v,
+redundant.  The corrector replaces them by the phase rows <X, x - x_prev> = 0
+at the last accepted point x_prev and borders the system with the predictor's
+null columns, so each Newton step is one square solve per row, stacked.  The
+predictor's null space is that of the rank-1 Jacobian with the phase rows
+appended: the family's tangent space.
 """
 
 from __future__ import annotations
@@ -265,13 +272,14 @@ def _lockstep(model: IntegrableModel, runs: list, tol: float) -> list:
     return results
 
 
-def _attempt(run):
-    """run as a Newton run whose result is None where it raises a TraceError, a
-    ClassifyError (a point refused) or an EvalError (a pole on its path)."""
+def _attempt(run, failed=None):
+    """run as a Newton run whose result is failed where it raises a TraceError, a
+    ClassifyError (a point refused), an EvalError (a pole on its path) or a
+    LinAlgError (an SVD that did not converge)."""
     try:
         return (yield from run)
-    except (TraceError, ClassifyError, EvalError):
-        return None
+    except (TraceError, ClassifyError, EvalError, np.linalg.LinAlgError):
+        return failed
 
 
 def _stack(records: list, name: str) -> JetStack:
@@ -292,12 +300,19 @@ def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def _solve_where(todo: np.ndarray, A: np.ndarray, b: np.ndarray) -> list:
-    """Per row, the least-squares step A x = b where todo holds, else None."""
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of each square A[k] x = b[k]: np.linalg.solve(A[k], b[k]),
+    whose gufunc runs here once over the stack; NaN where A[k] is singular."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(A, b, signature="dd->d")
+
+
+def _solve_where(todo: np.ndarray, A: np.ndarray, b: np.ndarray, solve) -> list:
+    """Per row, the step solve gives for A x = b where todo holds, else None."""
     steps = [None] * len(todo)
     rows = np.flatnonzero(todo)
     if rows.size:
-        for k, x in zip(rows, _lstsq(A[rows], b[rows])):
+        for k, x in zip(rows, solve(A[rows], b[rows])):
             steps[k] = x
     return steps
 
@@ -454,7 +469,7 @@ def _newton_steps(system):
         res, J = system(model, records, np.array(Z))
         norms = _norms(res)
         todo = (norms > REFINE_TOL) & np.isfinite(norms)
-        return list(zip(records, norms.tolist(), _solve_where(todo, J, -res)))
+        return list(zip(records, norms.tolist(), _solve_where(todo, J, -res, _lstsq)))
 
     return steps
 
@@ -625,36 +640,85 @@ class TraceParams:
     seed: int = DEFAULT_SEED
 
 
+def _phase_rows(records: list) -> np.ndarray:
+    """At each analysed record, orthonormal rows spanning the orbit of its
+    critical torus: the Hamiltonian fields Pi grad(u.F) of the combinations u of
+    the components other than the kernel vector (the columns of U but its last),
+    orthonormalised in that order; an (m, n-1, N) stack.  Pi is the frame's
+    ambient bivector."""
+    G = _stack(records, "jets").gradient
+    U = np.array([a.U for a in records])
+    Pi = np.array([a.frame.bivector for a in records])
+    rows = []
+    for c in range(U.shape[2] - 1):
+        grad = np.zeros((len(records), G.shape[2]))
+        for i in range(G.shape[1]):
+            grad = grad + U[:, i, c, None] * G[:, i]
+        x = np.vecdot(Pi, grad[:, None, :])
+        for q in rows:
+            x = x - np.vecdot(q, x)[:, None] * q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows.append(x / _norms(x)[:, None])  # NaN where the field vanishes
+    return np.stack(rows, axis=1) if rows else np.zeros((len(records), 0, G.shape[2]))
+
+
 def _null_spaces(model, records, J, rel: float = 1e-7) -> list:
-    """(T, gap, soft) for each Jacobian J[k]: T the columns spanning its numerical
-    null space, the right singular vectors of singular values within rel of the
-    largest (or 1) and of the columns beyond the rows, the last one if none; gap
-    the smallest singular value outside it and soft its right singular vector
-    (inf and None if there is none)."""
-    _, sv, Vt = np.linalg.svd(np.array(J))
-    small = np.ones(Vt.shape[:2], dtype=bool)
-    small[:, : sv.shape[1]] = sv <= rel * np.maximum(sv[:, :1], 1.0)
+    """(T, gap, soft, Q) at each analysed record and rank-1 Jacobian J[k] there:
+    Q its phase rows (see _phase_rows) and T the columns spanning the numerical
+    null space of J with Q's rows appended (zero in the v and mu columns), a
+    square matrix; T holds the right singular vectors of singular values within
+    rel of the largest (or 1), the last one if none; gap is the smallest singular
+    value outside it and soft its right singular vector (inf and None if there is
+    none).  The identity {v.F, f_k} = 0 makes n-1 rows of J redundant, so T is the
+    family's (n-1)-dimensional tangent space.  A record without phase rows (a
+    field that vanishes) raises a TraceError."""
+    Q = _phase_rows(records)
+    if not np.all(np.isfinite(Q)):
+        raise TraceError("an orbit field vanishes")
+    J = np.array(J)
+    _, sv, Vt = np.linalg.svd(np.concatenate([J, np.pad(Q, ((0, 0), (0, 0), (0, J.shape[2] - Q.shape[2])))], axis=1))
+    small = sv <= rel * np.maximum(sv[:, :1], 1.0)
     small[~small.any(axis=1), -1] = True
     last = np.count_nonzero(~small, axis=1) - 1  # of the singular values outside, in falling order
     gaps = [(float(w[r]), V[r]) if r >= 0 else (math.inf, None) for V, w, r in zip(Vt, sv, last)]
-    return [(V[s].T, *gap) for V, s, gap in zip(Vt, small, gaps)]
+    return [(V[s].T, *gap, q) for V, s, gap, q in zip(Vt, small, gaps, Q)]
 
 
 def _tangent_spaces(model, records, Z) -> list:
-    """The null space of the rank-1 Jacobian at each record and z."""
-    return [T for T, _, _ in _null_spaces(model, records, _rank1_systems(model, records, np.array(Z))[1])]
+    """The null space of the phase-conditioned rank-1 Jacobian (see _null_spaces)
+    at each analysed record and z."""
+    return _null_spaces(model, records, _rank1_systems(model, records, np.array(Z))[1])
+
+
+def _corrector_systems(res, J, Z, B, P, Q, X):
+    """The corrector's square systems from the rank-1 residuals and Jacobians
+    (see _rank1_systems) at the rows z of Z: the component of the N gradient rows
+    along each phase row q of Q, which the identity {v.F, f_k} = 0 makes
+    redundant, replaced by the phase row q.(x - x_prev), x the point of z and
+    x_prev the row of X, and the border rows b.(z - z_pred) appended, b the rows
+    of B and z_pred the row of P."""
+    N = Q.shape[2]
+    grad, Jgrad = res[:, :N].copy(), J[:, :N].copy()
+    for k in range(Q.shape[1]):
+        q = Q[:, k]
+        grad += q * (np.vecdot(q, Z[:, :N] - X) - np.vecdot(q, grad))[:, None]
+        row = -np.vecdot(Jgrad, q[:, :, None], axis=1)
+        row[:, :N] += q
+        Jgrad += q[:, :, None] * row[:, None, :]
+    res = np.concatenate([grad, res[:, N:], np.vecdot(B, (Z - P)[:, None, :])], axis=1)
+    return res, np.concatenate([Jgrad, J[:, N:], B], axis=1)
 
 
 def _corrector_steps(model, records, args) -> list:
-    """(record, least-squares step, None) of the rank-1 system plus the arclength
-    row at each record and (z, tangent, z_pred); (record, None, null space) where
-    the residual is within CORRECTOR_TOL (see _accepted)."""
-    Z, T, P = map(np.array, zip(*args))
+    """(record, Newton step, None) of the corrector's square system (see
+    _corrector_systems) at each record and (z, B, z_pred, Q, x_prev), from one
+    stacked solve: NaN where the matrix is singular; (record, None, null space)
+    where the residual is within CORRECTOR_TOL (see _accepted)."""
+    Z, B, P, Q, X = map(np.array, zip(*args))
     res, J = _rank1_systems(model, records, Z)
-    aug = np.concatenate([res, np.vecdot(T, Z - P)[:, None]], axis=1)
-    done = _norms(aug) <= CORRECTOR_TOL
-    steps = _solve_where(~done, np.concatenate([J, T[:, None, :]], axis=1), -aug)
-    return _accepted(model, records, J, done, steps)
+    res, A = _corrector_systems(res, J, Z, B, P, Q, X)
+    done = _norms(res) <= CORRECTOR_TOL
+    return _accepted(model, records, J, done, _solve_where(~done, A, -res, _solve))
 
 
 def _corrector_ends(model, records, Z) -> list:
@@ -667,35 +731,50 @@ def _corrector_ends(model, records, Z) -> list:
 def _accepted(model, records: list, J: np.ndarray, done: np.ndarray, steps: list) -> list:
     """(record, step, null space) per row: where done, the record of an accepted
     continuation point is analysed (leaf frame and SVD of dF) and the null space
-    of J there (with its gap, see _null_spaces), which the next predictor reads,
-    is found, in this round's stacks.
-    A record whose analysis fails stays unanalysed and raises where its run reads
-    it; a null space that fails is its exception, raised where its run reads it."""
+    of the rank-1 Jacobian J there with the phase rows there appended (see
+    _null_spaces), which the next predictor and corrector read, is found, in this
+    round's stacks.  Where the analysis or the null space fails, the null space
+    is the exception, raised where its run reads it."""
     rows = np.flatnonzero(done)
-    spaces = [None] * len(records)
+    spaces: list = [None] * len(records)
     if rows.size:
-        accepted = [records[k] for k in rows]
-        _apply(model, _analyses, accepted, [None] * len(rows))
-        for k, T in zip(rows, _apply(model, _null_spaces, accepted, list(J[rows]))):
-            spaces[k] = T
+        for k, a in zip(rows, _apply(model, _analyses, [records[k] for k in rows], [None] * len(rows))):
+            spaces[k] = a  # the record, or the ClassifyError that refuses its point
+        ok = [k for k in rows if spaces[k] is records[k]]
+        for k, space in zip(ok, _apply(model, _null_spaces, [records[k] for k in ok], [J[k] for k in ok])):
+            spaces[k] = space
     return list(zip(records, steps, spaces))
 
 
-def _corrector(model, z, tangent, z_pred):
-    """Newton onto the rank-1 system and the arclength condition, a Newton run:
-    (z, z's record, the null space there as _null_spaces gives it, iterations),
-    Nones in the first three when it fails."""
+def _corrector(model, z, B, z_pred, phase, radius: float):
+    """Newton onto the rank-1 system, the phase rows and the border rows B (see
+    _corrector_systems) from z_pred, phase the phase rows and point of the last
+    accepted point, a Newton run: (z, z's record, the null space there as
+    _null_spaces gives it, iterations), Nones in the first three when it fails:
+    where an iterate is not finite (a singular matrix's step) or lies farther
+    than radius from z_pred (it hops onto another branch)."""
+    Q, x_prev = phase
     for it in range(CORRECTOR_ITERS):
-        a, step, T = yield _corrector_steps, z[: model.dim], (z, tangent, z_pred)
+        a, step, space = yield _corrector_steps, z[: model.dim], (z, B, z_pred, Q, x_prev)
         if step is None:
-            return z, a, T, it
+            return z, a, space, it
         z = z + step
-        if not np.all(np.isfinite(z)):
+        if not (np.all(np.isfinite(z)) and np.linalg.norm(z - z_pred) <= radius):
             return None, None, None, it
-    a, _, T = yield _corrector_ends, z[: model.dim], z
-    if T is not None:
-        return z, a, T, CORRECTOR_ITERS
+    a, _, space = yield _corrector_ends, z[: model.dim], z
+    if space is not None:
+        return z, a, space, CORRECTOR_ITERS
     return None, None, None, CORRECTOR_ITERS
+
+
+def _border(T, t, rows: int) -> np.ndarray:
+    """The corrector's border rows along a predictor direction t in the span of
+    the null columns T: t, then the rows - 1 directions of that span orthogonal
+    to t that T's columns, t's component removed, span best."""
+    if rows <= 1:
+        return t[None, :][:rows]
+    W = T - np.outer(t, t @ T)
+    return np.vstack([t, np.linalg.svd(W, full_matrices=False)[0][:, : rows - 1].T])
 
 
 def _value_speed(a: PointAnalysis, direction) -> float:
@@ -739,17 +818,23 @@ def _outside(params: TraceParams, p, value) -> str | None:
     return None
 
 
-def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, T0, direction, params: TraceParams, tol):
-    """Continue branch b from z0 (its record a0, the null space T0 there) along
+def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, params: TraceParams, tol):
+    """Continue branch b from z0 (its record a0, the null space space0 there) along
     direction, appending its entries, vertex records and crossings to b, a Newton
     run: why it stopped.  It pauses after every SEGMENT accepted steps short of
-    max_steps, where the join barrier reads b.  Where the gap of the rank-1
-    Jacobian (see _null_spaces) passed a local minimum under CROSSING_GAP one step
-    ago, away from a rank-0 point, that point lies near a crossing with another
+    max_steps, where the join barrier reads b.  Each corrector runs in the phase
+    hyperplane of the last accepted point and fails where it hops farther than
+    two steps; h then halves.  A step that leaves the phase bound or the value
+    box ends the branch only where it moves the point and the value by at most
+    the base step; a longer one is retried at half its length, so the last entry
+    lies near the edge.  Where the gap of the phase-conditioned rank-1 Jacobian
+    (see _null_spaces) passed a local minimum under CROSSING_GAP one step ago,
+    away from a rank-0 point, that point lies near a crossing with another
     rank-1 family, whose tangent there is close to the soft direction (see
     _switch)."""
     N = model.dim
     attempt_sigma = max(10.0 * params.step, 0.5)
+    crossing_sigma = 0.5 * attempt_sigma  # |dF| over which a gap minimum is no rank-0 point's
 
     def try_vertex(near: PointAnalysis):
         """Polish a sigma-minimum onto the rank-0 locus and append it to the branch,
@@ -766,12 +851,13 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, T0, direction, param
         b.found.append(refined)
         return True
 
-    z, a, T, t_prev, h, steps = z0, a0, T0, direction, params.step, 0
+    z, a, space, t_prev, h, steps = z0, a0, space0, direction, params.step, 0
     sig_prev, sig_falling = float(a0.sv[0]), False
-    gap_prev, gap_falling, soft_prev = math.inf, False, None
+    gap_prev, gap_falling = math.inf, False
     while steps < params.max_steps:
-        if isinstance(T, Exception):  # the null space at z failed where the corrector accepted z
-            raise T
+        if isinstance(space, Exception):  # the null space at z failed where the corrector accepted z
+            raise space
+        T, _, _, Q = space
         coeff = T.T @ t_prev
         if np.linalg.norm(coeff) < 1e-10:
             t = T[:, 0]
@@ -779,20 +865,22 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, T0, direction, param
             t = T @ coeff
             t /= np.linalg.norm(t)
         z_pred = z + h * t
-        z_new, a_new, space, iters = yield from _corrector(model, z_pred.copy(), t, z_pred)
-        if z_new is not None and np.linalg.norm(z_new - z_pred) > 2.0 * h:
-            z_new = None  # corrector hopped onto a different branch
+        z_new, a_new, space_new, iters = yield from _corrector(
+            model, z_pred.copy(), _border(T, t, len(Q)), z_pred, (Q, z[:N]), 2.0 * h
+        )
         if z_new is None:
             h *= 0.5
             if h < MIN_STEP:
                 return "step-failure"
             continue
-        if iters <= 2 and h < MAX_STEP:
-            h = min(MAX_STEP, 1.5 * h)
-
         p, val = z_new[:N], a_new.value
         if bound := _outside(params, p, val):
+            if h > MIN_STEP and (h > params.step or np.linalg.norm(val - a.value) > params.step):
+                h *= 0.5  # leave the bounds from a step of at most the base size, in the point and the value
+                continue
             return bound
+        if iters <= 2 and h < MAX_STEP:
+            h = min(MAX_STEP, 1.5 * h)
 
         cusp = _value_speed(a_new, t) < CUSP_SPEED and len(b.entries) > 2
         sig = float(a_new.sv[0])
@@ -805,13 +893,11 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, T0, direction, param
         sig_falling, sig_prev = sig < sig_prev, sig
 
         b.entries.append((val, p.copy(), "cusp" if cusp else None))
-        T_new, gap, soft = (space, math.inf, None) if isinstance(space, Exception) else space
-        if gap_falling and gap > gap_prev and gap_prev < CROSSING_GAP and a.sv[0] >= attempt_sigma:
-            b.crossings.append((a.value, z, soft_prev))  # not next to a rank-0 point, whose families meet there
-        gap_falling, gap_prev, soft_prev = gap < gap_prev, gap, soft
-        if steps > 10 and np.linalg.norm(p - z0[:N]) < 0.5 * params.step:
-            return "closed-loop"  # round an orbit whose values stand still, which the join barrier cannot see
-        t_prev, z, a, T, steps = t, z_new, a_new, T_new, steps + 1
+        gap = math.inf if isinstance(space_new, Exception) else space_new[1]
+        if gap_falling and gap > gap_prev and gap_prev < CROSSING_GAP and a.sv[0] >= crossing_sigma:
+            b.crossings.append((a.value, z, space))  # not next to a rank-0 point, whose families meet there
+        gap_falling, gap_prev = gap < gap_prev, gap
+        t_prev, z, a, space, steps = t, z_new, a_new, space_new, steps + 1
         if steps % SEGMENT == 0 and steps < params.max_steps:
             yield None  # pause at the join barrier
     return "max-steps"
@@ -872,14 +958,14 @@ def _keep_arc(arcs: list[Arc], arc: Arc, radius: float) -> None:
 
 
 def _branch_start(model: IntegrableModel, seed):
-    """A rank-1 seed refined, a Newton run: (z0, its record, the null space T
-    there, t0), where its two branches start from z0 along t0 and -t0, the null
-    direction of fastest momentum-image speed."""
+    """A rank-1 seed refined, a Newton run: (z0, its record, the null space
+    there as _null_spaces gives it, t0), where its two branches start from z0
+    along t0 and -t0, the null direction of fastest momentum-image speed."""
     a = yield from _refine(model, seed, model.n - 1)
     v, mu = yield _kernel_vectors, a, None
     z0 = np.concatenate([a.point, v, mu])
-    T = yield _tangent_spaces, a, z0  # at least one column
-    return z0, a, T, _fastest(a, T)
+    space = yield _tangent_spaces, a, z0  # at least one column
+    return z0, a, space, _fastest(a, space[0])
 
 
 def _fastest(a: PointAnalysis, T):
@@ -922,14 +1008,16 @@ def _joins(branches: list, filed: list, values: np.ndarray, j: int, k: int, para
     (on the sibling, whose steps can be longer than j's; the last filed entry of
     j's own stays nearest while j moves on from it) and starts again otherwise.
     At JOIN_RUN entries with one family label j stops as "closed-loop": along
-    its own entries forward (j came round a closed value curve) or along its
-    sibling's backward (j met it head-on), unless j runs back along its own
-    entries then (a cusp fold: the sibling's are then a fold image of j's)."""
+    its own entries forward (j came round a closed value curve) or backward (j
+    retraces its values, as past a rank-0 point), or along its sibling's
+    backward (j met it head-on) unless j runs back along its own entries then
+    with another label (a cusp fold: the sibling's are then a fold image of
+    j's)."""
     b = branches[j]
     value = b.entries[k][0]
     tangent = _unit(value - b.entries[k - 1][0])
     radius = ARC_DEDUP_FACTOR * params.step
-    closing = {j: (1, -1), j ^ 1: (-1,)}  # j's own backward runs are folds, kept to veto the sibling
+    closing = {j: (1, -1), j ^ 1: (-1,)}  # j's own backward runs also veto the sibling
     left = k - 1  # j's own entries after the last one outside the radius are no loop
     while left >= 0 and np.linalg.norm(b.entries[left][0] - value) <= radius:
         left -= 1
@@ -961,13 +1049,15 @@ def _joins(branches: list, filed: list, values: np.ndarray, j: int, k: int, para
             runs[i, s] = (count + 1, m, move) if count and move and sense in (0, move) else (1, m, 0)
     b.runs = runs
     for (i, s), (count, m, _) in sorted(runs.items()):  # the earliest branch first
-        if count < JOIN_RUN or (i, s) == (j, -1) or i == j ^ 1 and (j, -1) in runs:
+        if count < JOIN_RUN or i == j ^ 1 and (j, -1) in runs:
             continue
         if _same_family(b.labels[k], branches[i].labels[m]):
             if i in closing:
                 return "closed-loop"
             b.joined = i
             return "joined"
+        if (i, s) == (j, -1):
+            continue  # a cusp fold, kept to veto the sibling
         if i in closing:
             del runs[i, s]
         else:
@@ -1011,19 +1101,22 @@ def _join_barrier(model, branches: list, filed: list, values: np.ndarray, params
     return values
 
 
-def _switch(model, z, soft, params: TraceParams):
+def _switch(model, z, space, params: TraceParams):
     """A start (as _branch_start gives it) on the rank-1 family that crosses the
     branch through z, a Newton run: the corrector point one step off z along the
-    soft direction, in the hyperplane normal to it.  Near the crossing the
-    branch's own points lie within the hyperplane through z, and the crossing
-    family's tangent is close to soft."""
+    soft direction of the null space there, in the hyperplane normal to it (and
+    to the first n-2 null columns) and in the phase hyperplane of z.  Near the
+    crossing the branch's own points lie within the hyperplane through z, and
+    the crossing family's tangent is close to soft."""
+    T, _, soft, Q = space
     z_pred = z + params.step * soft
-    z_new, a, space, _ = yield from _corrector(model, z_pred.copy(), soft, z_pred)
-    if z_new is None or np.linalg.norm(z_new - z_pred) > 2.0 * params.step:
+    B = np.vstack([soft, T.T[: len(Q) - 1]])
+    z_new, a, space, _ = yield from _corrector(model, z_pred.copy(), B, z_pred, (Q, z[: model.dim]), 2.0 * params.step)
+    if z_new is None:
         raise TraceError("no crossing family")
     if isinstance(space, Exception):
         raise space
-    return z_new, a, space[0], _fastest(a, space[0])
+    return z_new, a, space, _fastest(a, space[0])
 
 
 def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, tol) -> list:
@@ -1040,10 +1133,10 @@ def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, to
     while True:
         for start in starts:
             if start is not None:
-                z0, a, T, t0 = start
+                z0, a, space, t0 = start
                 for direction in (t0, -t0):
                     b = _Branch([(a.value, z0[: model.dim].copy(), None)])
-                    b.run = _trace_branch(model, b, z0, a, T, direction, params, tol)
+                    b.run = _attempt(_trace_branch(model, b, z0, a, space, direction, params, tol), "failed")
                     branches.append(b)
                     live.append(b)
         if not live and not switches:
@@ -1053,10 +1146,10 @@ def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, to
             b.reason = reason
         values = _join_barrier(model, branches, filed, values, params, tol)
         starts, switches = ends[len(live) :], []
-        for value, z, soft in (c for b in live for c in b.crossings):
+        for value, z, space in (c for b in live for c in b.crossings):
             if all(np.linalg.norm(value - v) > radius for v in switched):
                 switched.append(value)
-                switches.append(_attempt(_switch(model, z, soft, params)))
+                switches.append(_attempt(_switch(model, z, space, params)))
         for b in live:
             b.crossings.clear()
         live = [b for b in live if b.reason is None]
@@ -1071,7 +1164,8 @@ def trace_diagram(
     """Continue every rank-1 seed into labeled momentum-space arcs (see
     _trace_branches); arcs, vertices and labels are then built in seed order.
     A rank-1 seed whose point or value lies outside params' bounds (see
-    _outside) starts no branch."""
+    _outside) starts no branch, and glued branches with fewer than 3 entries
+    besides their "vertex" entries give no arc (their vertices are kept)."""
     params = params or TraceParams()
     rank1 = [s for s in seeds if s.rank == model.n - 1 and not _outside(params, s.point, s.value)]
     rank0 = [s for s in seeds if s.rank == 0]
@@ -1095,6 +1189,8 @@ def trace_diagram(
             continue
         for a in bwd.found + fwd.found:
             add_vertex(a)
+        if sum(mark != "vertex" for _, _, mark in entries) < 3:
+            continue  # a seed whose branches both ended on a rank-0 point at once: no arc
         values = [val for val, _, _ in entries]
         phases = [p for _, p, _ in entries]
         labels = bwd.labels[::-1] + fwd.labels[1:]

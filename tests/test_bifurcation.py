@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intsing import bifurcation
+from intsing import bifurcation, classify
 from intsing.bifurcation import (
     Arc,
     BifurcationDiagram,
@@ -23,7 +23,7 @@ from intsing.bifurcation import (
     trace_diagram,
 )
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
-from intsing.classify import DEFAULT_TOL, PointAnalysis, rank_at, reduce_at
+from intsing.classify import DEFAULT_TOL, ClassifyError, PointAnalysis, analyze_point, rank_at, reduce_at
 from intsing.expr import JetStack
 from intsing.kovalevskaya import (
     DIAGRAM_PARAMS,
@@ -309,18 +309,32 @@ def _runs_back(entries: list, step: float) -> list:
 
 
 def _vertex_seed_branches(g: float):
-    """Kovalevskaya at g and the branches of the seeds `seed_arcs_near_vertex` gives at its fixed points."""
+    """Kovalevskaya at g and the branches of the seeds `seed_arcs_near_vertex`
+    gives at its fixed points, each holding as `filed` the number of its
+    entries filed before its last join barrier: those its join test read."""
     m = build_kovalevskaya(g)
     seeds = [s for p in involution_fixed_points(g, certify=False) for s in seed_arcs_near_vertex(m, p, delta=1e-2)]
-    return m, bifurcation._trace_branches(m, seeds, CLOSURE_PARAMS, DEFAULT_TOL)
+    barrier = bifurcation._join_barrier
+
+    def recording(model, branches, *args):
+        for b in branches:
+            b.filed = b.checked
+        return barrier(model, branches, *args)
+
+    bifurcation._join_barrier = recording
+    try:
+        return m, bifurcation._trace_branches(m, seeds, CLOSURE_PARAMS, DEFAULT_TOL)
+    finally:
+        bifurcation._join_barrier = barrier
 
 
 def _assert_closures_retrace(branches: list) -> None:
     """Each closed-loop branch's last JOIN_RUN entries lie within two steps of
-    its sibling's entries or of its own entries of past segments."""
+    its sibling's entries or of its own entries of past segments (those filed
+    before its last join barrier)."""
     for j, b in enumerate(branches):
         if b.reason == "closed-loop":
-            own = b.entries[: -bifurcation.SEGMENT]
+            own = b.entries[: b.filed]
             met = np.array([value for value, _, _ in own + branches[j ^ 1].entries])
             for value, _, _ in b.entries[-bifurcation.JOIN_RUN :]:
                 assert np.min(np.linalg.norm(met - value, axis=1)) <= 2 * CLOSURE_PARAMS.step
@@ -330,17 +344,22 @@ def _assert_closures_retrace(branches: list) -> None:
 def test_a_closed_value_curve_is_traced_once(g):
     """The vertex-seed branches stop where they close a value curve, not at
     max_steps: a closed-loop branch ends within two steps of its sibling's
-    entries or of its own entries of past segments.  A cusp fold, where a
-    branch runs back along its own entries, does not end it: at g = 0 the
-    first seed's two branches pass one and leave the value box."""
+    entries or of its own entries of past segments.  A branch that runs back
+    along its own entries with their family label retraces its value curve
+    and stops there: at g = 0 the first seed's branch 0 runs down to the
+    rank-0 point at (-1, 1), back along its elliptic entries, and closes,
+    while its sibling leaves the value box."""
     m, branches = _vertex_seed_branches(g)
     reasons = [b.reason for b in branches]
     assert "max-steps" not in reasons and "closed-loop" in reasons
     _assert_closures_retrace(branches)
     if g == 0.0:
-        for b in branches[:2]:
-            assert len(_runs_back(b.entries, CLOSURE_PARAMS.step)) >= bifurcation.JOIN_RUN
-            assert b.reason == "value-box"
+        b = branches[0]
+        back = _runs_back(b.entries, CLOSURE_PARAMS.step)
+        assert len(back) >= bifurcation.JOIN_RUN and b.reason == "closed-loop"
+        assert {b.labels[k] for k in back} == {"elliptic-family"}
+        assert min(np.linalg.norm(value - [-1.0, 1.0]) for value, _, _ in b.entries) <= CLOSURE_PARAMS.step
+        assert branches[1].reason == "value-box"
 
 
 @pytest.mark.parametrize("g", [1.3, 1.6])
@@ -406,6 +425,22 @@ def _cut_arcs(labels: list, monkeypatch) -> list:
     return [(a.label, int(a.values[0][0]), int(a.values[-1][0])) for a in d.arcs]
 
 
+def test_branches_that_end_on_a_vertex_at_once_give_no_arc(monkeypatch):
+    """A seed next to a rank-0 point whose two branches both land on it at their
+    first step glues to [vertex, seed, vertex]: no arc, one vertex."""
+    m = build_canonical(CanonicalSpec(0, 2, 0, 0))
+    origin = np.zeros(m.dim)
+    seed = (np.array([0.01, 0.0]), np.array([0.1, 0.0, 0.0, 0.0]), None)
+
+    def branch():
+        vertex = (np.zeros(2), origin, "vertex")
+        return bifurcation._Branch([seed, vertex], [None, None], [PointAnalysis(m, origin)], reason="vertex")
+
+    monkeypatch.setattr(bifurcation, "_trace_branches", lambda *args: [branch(), branch()])
+    d = trace_diagram(m, [])
+    assert d.arcs == [] and [v.point.tolist() for v in d.vertices] == [origin.tolist()]
+
+
 def _with_run(first: int, stop: int, run="hyperbolic-family", rest="elliptic-family") -> list:
     return [run if first <= i < stop else rest for i in range(LABEL_COUNT)]
 
@@ -441,6 +476,91 @@ def test_label_runs_by_none_or_an_end_are_no_mixed_arc(labels, monkeypatch):
     arcs = _cut_arcs(labels, monkeypatch)
     assert {label for label, _, _ in arcs} <= {"elliptic-family", "hyperbolic-family"}
     assert arcs[0][1] == 0 and arcs[-1][2] == LABEL_COUNT - 1
+
+
+@pytest.mark.parametrize("g, parent_entries", [(1.3, 1142), (1.6, 959)])
+def test_no_branch_creeps_at_large_g(g, parent_entries, monkeypatch):
+    """With the phase row no branch slides along its critical circle: at g = 1.3
+    and 1.6 no branch of the resolution-5 diagram ends at max_steps or by step
+    failure, and the branches hold at most the entries the least-squares
+    corrector traced (1,142 and 959)."""
+    traced = []
+    trace = bifurcation._trace_branches
+    monkeypatch.setattr(bifurcation, "_trace_branches", lambda *args: traced.append(trace(*args)) or traced[-1])
+    kovalevskaya_diagram(g, resolution=5)
+    (branches,) = traced
+    assert not {"max-steps", "step-failure"} & {b.reason for b in branches}
+    assert sum(len(b.entries) for b in branches) <= parent_entries
+
+
+CORRECTOR_CONDITION = 1e3  # bounds the condition number where the gap is >= CROSSING_GAP (at most about 100 measured)
+
+
+def _corrector_matrix(model, p):
+    """The analysed record at arc point p, the gap there and the corrector's
+    matrix of a step from p (see _corrector_systems)."""
+    a = analyze_point(model, p)
+    ((v, mu),) = bifurcation._kernel_vectors(model, [a], [None])
+    z = np.concatenate([a.point, v, mu])
+    ((T, gap, _, Q),) = bifurcation._tangent_spaces(model, [a], [z])
+    res, J = bifurcation._rank1_systems(model, [a], z[None])
+    B = bifurcation._border(T, T[:, 0], len(Q))
+    return a, gap, bifurcation._corrector_systems(res, J, z[None], B[None], z[None], Q[None], a.point[None])[1][0]
+
+
+@pytest.mark.parametrize("name", ["kovalevskaya", "canonical:1,0,1,0"])
+def test_the_corrector_matrix_is_square_and_well_conditioned(name):
+    """At the arc points of the benchmark's g = 0.5 diagram and of the default
+    trace of canonical:1,0,1,0, the corrector's matrix (the rank-1 Jacobian with
+    the orbit component of its gradient rows replaced by the phase row, and the
+    border row appended) is (N+n+nc) x (N+n+nc): 10 x 10 and 6 x 6.  Away from
+    vertices and crossings, where the gap of the phase-conditioned Jacobian
+    stays at least CROSSING_GAP, its condition number is under
+    CORRECTOR_CONDITION: the orbit freedom that made the least-squares system
+    singular is gone."""
+    if name == "kovalevskaya":
+        m, d = build_kovalevskaya(0.5), kovalevskaya_diagram(0.5)
+    else:
+        m = build_canonical(CanonicalSpec(1, 0, 1, 0))
+        d = trace_diagram(m, scan_singular_points(m, [(-1, 1)] * 4), TraceParams(value_box=(-4.0, 4.0)))
+    size = m.dim + m.n + len(m.structure.casimirs)
+    checked = 0
+    for p in (p for arc in d.arcs for p in arc.phase_samples):
+        a, gap, A = _corrector_matrix(m, p)
+        assert a.rank == m.n - 1 and A.shape == (size, size)
+        if gap >= bifurcation.CROSSING_GAP:
+            assert np.linalg.cond(A) < CORRECTOR_CONDITION
+            checked += 1
+    assert checked >= 40
+
+
+def test_a_refused_point_fails_only_its_branch(monkeypatch):
+    """The default trace of canonical:1,0,1,0 with the last point of branch 0
+    refused by leaf_frames: that branch ends alone as "failed" with the
+    entries before the point, every other branch keeps the entries it has
+    without the refusal, and the diagram carries the new end."""
+    m = build_canonical(CanonicalSpec(1, 0, 1, 0))
+    seeds = scan_singular_points(m, [(-1, 1)] * 4)
+    params = TraceParams(value_box=(-4.0, 4.0))
+    rank1 = [s for s in seeds if s.rank == m.n - 1]
+
+    def entries(branches):
+        return [[(v.tobytes(), p.tobytes(), mark) for v, p, mark in b.entries] for b in branches]
+
+    base = bifurcation._trace_branches(m, rank1, params, DEFAULT_TOL)
+    refused = base[0].entries[-1][1].tobytes()
+    frames = classify.leaf_frames
+
+    def refusing(model, records, tol=DEFAULT_TOL):
+        out = frames(model, records, tol)
+        return [ClassifyError("refused") if a.point.tobytes() == refused else f for a, f in zip(records, out)]
+
+    monkeypatch.setattr(classify, "leaf_frames", refusing)
+    monkeypatch.setattr(bifurcation, "leaf_frames", refusing)
+    got = bifurcation._trace_branches(m, rank1, params, DEFAULT_TOL)
+    assert [b.reason for b in got] == ["failed"] + [b.reason for b in base[1:]]
+    assert entries(got) == [entries(base)[0][:-1]] + entries(base[1:])
+    assert any("failed" in arc.endpoints for arc in trace_diagram(m, seeds, params).arcs)
 
 
 def test_a_short_hyperbolic_run_at_g1_6_is_its_own_arc():
@@ -886,6 +1006,30 @@ def _one_point_null_space(J, rel=1e-7):
     return Vt[small].T
 
 
+def _one_point_phase_rows(a):
+    """The Hamiltonian fields of the combinations U[:, c] but the last, Gram-Schmidt orthonormalised."""
+    rows = []
+    for c in range(a.U.shape[1] - 1):
+        x = np.vecdot(a.frame.bivector, sum(u * g for u, g in zip(a.U[:, c], a.jets.gradient)))
+        for q in rows:
+            x = x - np.vecdot(q, x) * q
+        rows.append(x / np.linalg.norm(x))
+    return np.array(rows)
+
+
+def _one_point_corrector_system(r, J1, z, B, zp, Q, x):
+    """The rank-1 residual and Jacobian with the gradient rows' component along
+    each phase row q replaced by q.(point - x), and the border rows B appended."""
+    N = len(x)
+    grad, Jgrad = r[:N].copy(), J1[:N].copy()
+    for q in Q:
+        grad += q * (np.vecdot(q, z[:N] - x) - np.vecdot(q, grad))
+        row = -np.vecdot(Jgrad, q[:, None], axis=0)
+        row[:N] += q
+        Jgrad += q[:, None] * row[None, :]
+    return np.concatenate([grad, r[N:], np.vecdot(B, z - zp)]), np.vstack([Jgrad, J1[N:], B])
+
+
 def _one_point_leaf_frame(model, a, tol):
     Q = a.cjets.gradient
     _, sv, Vt = np.linalg.svd(Q)
@@ -938,9 +1082,10 @@ LEAF_POINT = np.array([0.0, 0.0, 1.0, 0.3, -0.2, 0.5])  # R.R = 1, S.R = 0.5: on
 
 @given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from(["none", "tangent", "casimirs", "zero"]))
 def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
-    """special: "tangent" makes each 10x10 augmented Jacobian rank-deficient (its
-    tangent row is a Jacobian row); "casimirs" makes row 0's Casimir differentials
-    dependent; "zero" zeroes row 0's jets."""
+    """special: "tangent" makes row 0's 10x10 corrector matrix singular (its
+    border row is its first Casimir row); "casimirs" makes row 0's Casimir
+    differentials dependent (its point is refused); "zero" zeroes row 0's jets
+    (its orbit field vanishes)."""
     model, rng = KERNEL_MODEL, np.random.default_rng(seed)
     N, n, nc = model.dim, model.n, 2
     records = [PointAnalysis(model, p) for p in rng.uniform(-1.5, 1.5, size=(m, N))]
@@ -960,26 +1105,53 @@ def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
     one = [_one_point_rank1_residual(a, z) for a, z in zip(records, Z)]
     tangents = rng.normal(size=(m, N + n + nc))
     if special == "tangent":
-        tangents = np.array([J[2] / np.linalg.norm(J[2]) for _, J in one])
+        tangents[0] = one[0][1][N]
     preds = Z + 0.01 * tangents
+    Q = rng.normal(size=(m, n - 1, N))
+    Q /= np.linalg.norm(Q, axis=2, keepdims=True)
+    X = rng.uniform(-1.5, 1.5, size=(m, N))
 
-    # the rank-1 and rank-0 systems, the predictor's null space
+    # the rank-1 and rank-0 systems, the predictor's null space with the phase rows appended
     res, J = bifurcation._rank1_systems(model, records, Z)
     assert _bits(list(res)) == _bits([r for r, _ in one]) and _bits(list(J)) == _bits([J1 for _, J1 in one])
     Z0 = rng.normal(size=(m, N + n * nc))
     res0, J0 = bifurcation._rank0_systems(model, records, Z0)
     assert _bits([list(res0), list(J0)]) == _bits(list(map(list, zip(*map(_one_point_rank0_residual, records, Z0)))))
-    want = [_one_point_null_space(J1) for _, J1 in one]
-    assert _bits(bifurcation._tangent_spaces(model, records, list(Z))) == _bits(want)
+    spaces = bifurcation._apply(model, bifurcation._tangent_spaces, records, list(Z))
+    for a, (_, J1), space in zip(records, one, spaces):
+        try:
+            q = _one_point_phase_rows(a)
+        except bifurcation.ClassifyError as refused:  # "casimirs" and "zero" refuse row 0's point
+            assert isinstance(space, bifurcation.ClassifyError) and str(space) == str(refused)
+            continue
+        if not np.all(np.isfinite(q)):
+            assert isinstance(space, TraceError)
+            continue
+        T = _one_point_null_space(np.vstack([J1, np.pad(q, ((0, 0), (0, n + nc)))]))
+        assert _bits([space[0], space[3]]) == _bits([T, q])
 
-    # the corrector's augmented 10x10 least squares and refinement's 9x10 one
+    # the corrector's square 10x10 solve, one np.linalg.solve per matrix, and refinement's 9x10 least squares
+    systems = [_one_point_corrector_system(r, J1, *row) for (r, J1), row in zip(one, zip(Z, tangents[:, None], preds, Q, X))]
+    got = bifurcation._corrector_systems(res, J, Z, tangents[:, None], preds, Q, X)
+    assert _bits(list(map(list, got))) == _bits(list(map(list, zip(*systems))))
     want = []
-    for (r, J1), z, t, zp in zip(one, Z, tangents, preds):
-        aug = np.concatenate([r, [t @ (z - zp)]])
-        ok = np.linalg.norm(aug) <= bifurcation.CORRECTOR_TOL
-        want.append(None if ok else np.linalg.lstsq(np.vstack([J1, t[None, :]]), -aug, rcond=None)[0])
-    got = bifurcation._corrector_steps(model, records, list(zip(Z, tangents, preds)))
-    assert [g[0] for g in got] == records and _bits([g[1] for g in got]) == _bits(want)
+    for r, A in systems:
+        if np.linalg.norm(r) <= bifurcation.CORRECTOR_TOL:
+            want.append(None)
+        else:
+            try:
+                want.append(np.linalg.solve(A, -r))
+            except np.linalg.LinAlgError:
+                want.append("singular")
+    got = bifurcation._corrector_steps(model, records, list(zip(Z, tangents[:, None], preds, Q, X)))
+    assert [g[0] for g in got] == records
+    for g, w in zip(got, want):
+        if isinstance(w, str):
+            assert not np.all(np.isfinite(g[1]))  # the row's corrector attempt fails; the other rows are solved
+        else:
+            assert _bits(g[1]) == _bits(w)
+    # row 0's singular matrix: LU finds an exact zero pivot (NaN) or a step that leaves any corrector radius
+    assert special != "tangent" or not np.linalg.norm(got[0][1]) < 1e8
     want = [(float(np.linalg.norm(r)), np.linalg.lstsq(J1, -r, rcond=None)[0]) for r, J1 in one]
     got = bifurcation._RANK1_STEPS(model, records, list(Z))
     assert _bits([g[1:] for g in got]) == _bits(want)
