@@ -26,12 +26,12 @@ refines its seeds in one lockstep and then traces both branches of every seed
 in lockstep segments of SEGMENT accepted steps, so every output is the one the
 runs give one at a time.  A branch is one run that pauses (yields None) after
 each segment and is resumed where it paused.  A run that raises a TraceError,
-ClassifyError, EvalError or LinAlgError (see `_attempt`) fails alone: a scan
-sample, a refinement, a branch start or a vertex polish gives nothing, a branch
-ends as "failed" with the entries it has, and the other runs of its lockstep
-go on.  After each segment a join barrier labels the entries
-the branches added: each entry's family label (its reduced 1-d.f. Williamson
-type, see _labels) comes from a lockstep round whose kernel reduces and
+ClassifyError or EvalError (see `_attempt`) fails alone: a scan sample, a
+refinement, a branch start or a vertex polish gives nothing, a branch (also on
+a LinAlgError, an SVD that did not converge) ends as "failed" with the entries
+it has, and the other runs of its lockstep go on.  After each segment a join
+barrier labels the entries the branches added: each entry's family label
+(its reduced 1-d.f. Williamson type, see _labels) comes from a lockstep round whose kernel reduces and
 classifies up to LABEL_GROUP points in stacks, and is stored on its branch,
 where the join test and the arc cuts read it.  The barrier then walks the branches in
 (seed, direction) order: a branch whose new entries retrace a traced value curve
@@ -272,13 +272,16 @@ def _lockstep(model: IntegrableModel, runs: list, tol: float) -> list:
     return results
 
 
-def _attempt(run, failed=None):
-    """run as a Newton run whose result is failed where it raises a TraceError, a
-    ClassifyError (a point refused), an EvalError (a pole on its path) or a
-    LinAlgError (an SVD that did not converge)."""
+_RUN_ERRORS = (TraceError, ClassifyError, EvalError)  # a Newton run's failures: no step, a point refused, a pole
+
+
+def _attempt(run, failed=None, errors=_RUN_ERRORS):
+    """run as a Newton run whose result is failed where it raises one of errors,
+    by default a TraceError, a ClassifyError (a point refused) or an EvalError
+    (a pole on its path)."""
     try:
         return (yield from run)
-    except (TraceError, ClassifyError, EvalError, np.linalg.LinAlgError):
+    except errors:
         return failed
 
 
@@ -786,13 +789,13 @@ class _Branch:
     """A continuation branch: its (value, phase point, mark) entries in tracing
     order, the family labels of those a join barrier has labelled (see
     _label_entries), the records of its "vertex" entries, why it stopped (None
-    while live), its Newton run (see _trace_branch), the (value, z, soft
-    direction) of the crossings it passed since the last join barrier and, for
-    that barrier, the entries it has tested, its runs along traced branches
-    ((branch, sense) -> (entries in a row, last matched entry, sense); sense 0
-    along an earlier branch, whose run takes the sense of its first move), the
-    earlier branches whose family it does not share, and the earlier branch it
-    joined (see _joins)."""
+    while live), its Newton run (see _trace_branch), the (value, z, null space
+    there as _null_spaces gives it) of the crossings it passed since the last
+    join barrier and, for that barrier, the entries it has tested, its runs
+    along traced branches ((branch, sense) -> (entries in a row, last matched
+    entry, sense); sense 0 along an earlier branch, whose run takes the sense
+    of its first move), the earlier branches whose family it does not share,
+    and the earlier branch it joined (see _joins)."""
 
     entries: list
     labels: list = field(default_factory=list)
@@ -829,12 +832,13 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
     the base step; a longer one is retried at half its length, so the last entry
     lies near the edge.  Where the gap of the phase-conditioned rank-1 Jacobian
     (see _null_spaces) passed a local minimum under CROSSING_GAP one step ago,
-    away from a rank-0 point, that point lies near a crossing with another
-    rank-1 family, whose tangent there is close to the soft direction (see
-    _switch)."""
+    away from points of lower rank (a rank-0 point, or for n >= 3 the rank n-2
+    locus, where dF's (n-1)-th singular value is small), that point lies near a
+    crossing with another rank-1 family, whose tangent there is close to the
+    soft direction (see _switch)."""
     N = model.dim
     attempt_sigma = max(10.0 * params.step, 0.5)
-    crossing_sigma = 0.5 * attempt_sigma  # |dF| over which a gap minimum is no rank-0 point's
+    crossing_sigma = 0.5 * attempt_sigma  # dF's (n-1)-th singular value at a crossing, away from lower ranks
 
     def try_vertex(near: PointAnalysis):
         """Polish a sigma-minimum onto the rank-0 locus and append it to the branch,
@@ -894,8 +898,8 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
 
         b.entries.append((val, p.copy(), "cusp" if cusp else None))
         gap = math.inf if isinstance(space_new, Exception) else space_new[1]
-        if gap_falling and gap > gap_prev and gap_prev < CROSSING_GAP and a.sv[0] >= crossing_sigma:
-            b.crossings.append((a.value, z, space))  # not next to a rank-0 point, whose families meet there
+        if gap_falling and gap > gap_prev and gap_prev < CROSSING_GAP and a.sv[model.n - 2] >= crossing_sigma:
+            b.crossings.append((a.value, z, space))  # not next to a point of lower rank, where families meet
         gap_falling, gap_prev = gap < gap_prev, gap
         t_prev, z, a, space, steps = t, z_new, a_new, space_new, steps + 1
         if steps % SEGMENT == 0 and steps < params.max_steps:
@@ -1136,7 +1140,8 @@ def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, to
                 z0, a, space, t0 = start
                 for direction in (t0, -t0):
                     b = _Branch([(a.value, z0[: model.dim].copy(), None)])
-                    b.run = _attempt(_trace_branch(model, b, z0, a, space, direction, params, tol), "failed")
+                    run = _trace_branch(model, b, z0, a, space, direction, params, tol)
+                    b.run = _attempt(run, "failed", _RUN_ERRORS + (np.linalg.LinAlgError,))  # or an SVD that fails
                     branches.append(b)
                     live.append(b)
         if not live and not switches:

@@ -309,35 +309,40 @@ def _runs_back(entries: list, step: float) -> list:
 
 
 def _vertex_seed_branches(g: float):
-    """Kovalevskaya at g and the branches of the seeds `seed_arcs_near_vertex`
-    gives at its fixed points, each holding as `filed` the number of its
-    entries filed before its last join barrier: those its join test read."""
+    """Kovalevskaya at g and the branches of the seeds `seed_arcs_near_vertex` gives at its fixed points."""
     m = build_kovalevskaya(g)
     seeds = [s for p in involution_fixed_points(g, certify=False) for s in seed_arcs_near_vertex(m, p, delta=1e-2)]
-    barrier = bifurcation._join_barrier
-
-    def recording(model, branches, *args):
-        for b in branches:
-            b.filed = b.checked
-        return barrier(model, branches, *args)
-
-    bifurcation._join_barrier = recording
-    try:
-        return m, bifurcation._trace_branches(m, seeds, CLOSURE_PARAMS, DEFAULT_TOL)
-    finally:
-        bifurcation._join_barrier = barrier
+    return m, bifurcation._trace_branches(m, seeds, CLOSURE_PARAMS, DEFAULT_TOL)
 
 
 def _assert_closures_retrace(branches: list) -> None:
     """Each closed-loop branch's last JOIN_RUN entries lie within two steps of
-    its sibling's entries or of its own entries of past segments (those filed
-    before its last join barrier)."""
+    its sibling's entries or of its own entries of past segments.  A branch
+    that retraces its values (its last JOIN_RUN entries run back along its own,
+    see _runs_back) may close within a segment of its turn: its last entries
+    then lie within two steps of its own entries from before the turn that
+    carry their family label."""
+    step = CLOSURE_PARAMS.step
     for j, b in enumerate(branches):
-        if b.reason == "closed-loop":
-            own = b.entries[: b.filed]
-            met = np.array([value for value, _, _ in own + branches[j ^ 1].entries])
-            for value, _, _ in b.entries[-bifurcation.JOIN_RUN :]:
-                assert np.min(np.linalg.norm(met - value, axis=1)) <= 2 * CLOSURE_PARAMS.step
+        if b.reason != "closed-loop":
+            continue
+        last = range(len(b.entries) - bifurcation.JOIN_RUN, len(b.entries))
+        back = set(_runs_back(b.entries, step))
+        if back >= set(last):
+            turn = last[0]
+            while turn - 1 in back:
+                turn -= 1
+            for k in last:
+                assert b.labels[k] is not None
+                assert any(
+                    np.linalg.norm(value - b.entries[k][0]) <= 2 * step and label == b.labels[k]
+                    for (value, _, _), label in zip(b.entries[:turn], b.labels)
+                )
+            continue
+        own = b.entries[: -bifurcation.SEGMENT]
+        met = np.array([value for value, _, _ in own + branches[j ^ 1].entries])
+        for value, _, _ in b.entries[-bifurcation.JOIN_RUN :]:
+            assert np.min(np.linalg.norm(met - value, axis=1)) <= 2 * step
 
 
 @pytest.mark.parametrize("g", [0.0, 0.5])
@@ -360,6 +365,36 @@ def test_a_closed_value_curve_is_traced_once(g):
         assert {b.labels[k] for k in back} == {"elliptic-family"}
         assert min(np.linalg.norm(value - [-1.0, 1.0]) for value, _, _ in b.entries) <= CLOSURE_PARAMS.step
         assert branches[1].reason == "value-box"
+
+
+def _entries(values: list) -> list:
+    return [(np.array(value), np.zeros(4), None) for value in values]
+
+
+@pytest.mark.parametrize("label", ["elliptic-family", "hyperbolic-family"])
+def test_only_a_retrace_with_its_family_label_closes_a_fold(label):
+    """Branch 0 runs out along the h axis over 12 steps of 0.1, and after one
+    join barrier back along its own entries with the family label label (its
+    sibling leaves across it).  Where the way back carries the way out's label
+    the branch retraces its values and closes at the third entry back; with
+    another label (a cusp fold, where the family changes type) the backward
+    run only vetoes a head-on closure with the sibling, and the branch goes on."""
+    params = TraceParams(step=0.1)
+    out = [(0.1 * k, 0.0) for k in range(13)]
+    b = bifurcation._Branch(_entries(out), ["elliptic-family"] * len(out))
+    sibling = bifurcation._Branch(_entries([(0.0, -0.1 * k) for k in range(5)]), ["elliptic-family"] * 5)
+    branches, filed = [b, sibling], []
+    values = bifurcation._join_barrier(None, branches, filed, np.empty((0, 2)), params, DEFAULT_TOL)  # labels are set
+    assert [x.reason for x in branches] == [None, None]
+    back = [(1.2 - 0.1 * k, 0.0) for k in range(1, 9)]
+    b.entries += _entries(back)
+    b.labels += [label] * len(back)
+    bifurcation._join_barrier(None, branches, filed, values, params, DEFAULT_TOL)
+    if label == "elliptic-family":
+        assert b.reason == "closed-loop" and len(b.entries) == len(out) + bifurcation.JOIN_RUN
+    else:
+        assert b.reason is None and len(b.entries) == len(out) + len(back)
+        assert b.runs[0, -1][0] == len(back)
 
 
 @pytest.mark.parametrize("g", [1.3, 1.6])
@@ -532,6 +567,29 @@ def test_the_corrector_matrix_is_square_and_well_conditioned(name):
             assert np.linalg.cond(A) < CORRECTOR_CONDITION
             checked += 1
     assert checked >= 40
+
+
+@pytest.mark.parametrize("spec", [(1, 1, 1, 0), (0, 1, 1, 1)])
+def test_models_with_n_at_least_3_trace_their_families(spec):
+    """The default trace of canonical:1,1,1,0 (n = 3) and canonical:0,1,1,1
+    (n = 4), as `intsing trace` makes it: no arc is mixed/unknown, each arc lies
+    where the component its label names (elliptic or hyperbolic) is 0, and at
+    every arc point the corrector's matrix, bordered by the predictor direction
+    and n - 2 further null directions, is square (9 x 9 and 12 x 12) and, where
+    the gap is at least CROSSING_GAP, well conditioned.  Gap minima on the
+    rank n-2 locus, where two families meet, are no crossing to switch at."""
+    cs = CanonicalSpec(*spec)
+    m = build_canonical(cs)
+    d = trace_diagram(m, scan_singular_points(m, [(-1, 1)] * m.dim), TraceParams(step=0.05, value_box=(-4.0, 4.0)))
+    roles = cs.component_roles()
+    assert d.arcs and {arc.label for arc in d.arcs} == {"elliptic-family", "hyperbolic-family"}
+    size = m.dim + m.n + len(m.structure.casimirs)
+    for arc in d.arcs:
+        assert np.max(np.abs(np.array(arc.values)[:, roles.index(arc.label.split("-")[0])])) < 1e-12
+        for p in arc.phase_samples[::4]:
+            a, gap, A = _corrector_matrix(m, p)
+            assert a.rank == m.n - 1 and A.shape == (size, size)
+            assert gap < bifurcation.CROSSING_GAP or np.linalg.cond(A) < CORRECTOR_CONDITION
 
 
 def test_a_refused_point_fails_only_its_branch(monkeypatch):
