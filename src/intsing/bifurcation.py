@@ -29,18 +29,18 @@ each segment and is resumed where it paused.  A run that raises a TraceError,
 ClassifyError or EvalError (see `_attempt`) fails alone: a scan sample, a
 refinement, a branch start or a vertex polish gives nothing, a branch (also on
 a LinAlgError, an SVD that did not converge) ends as "failed" with the entries
-it has, and the other runs of its lockstep go on.  After each segment a join
-barrier labels the entries the branches added: each entry's family label
-(its reduced 1-d.f. Williamson type, see _labels) comes from a lockstep round whose kernel reduces and
-classifies up to LABEL_GROUP points in stacks, and is stored on its branch,
-where the join test and the arc cuts read it.  The barrier then walks the branches in
-(seed, direction) order: a branch whose new entries retrace a traced value curve
-for JOIN_RUN entries in a row (near its entries, parallel to its value tangent,
-the matched entry moving one way) with the same family label at the last one
-stops there: as "joined" on an earlier branch other than its sibling, and as
-"closed-loop" where it comes round onto its own entries in their sense, runs
-back along them (it retraces its values) or meets its sibling head-on (see
-_joins); the candidates are the entries filed at
+it has, and the other runs of its lockstep go on.  Each entry's family label
+(the reduced 1-d.f. Williamson type of its point, see _null_spaces) comes from
+the round that accepts its point, with the null space the next predictor
+reads, and the branch stores it with the entry ("vertex" entries get None);
+the join test and the arc cuts read it.  After each segment a join barrier
+walks the branches in (seed, direction) order: a branch whose new entries
+retrace a traced value curve for JOIN_RUN entries in a row (near its entries,
+parallel to its value tangent, the matched entry moving one way) with the same
+family label at the last one stops there: as "joined" on an earlier branch
+other than its sibling, and as "closed-loop" where it comes round onto its own
+entries in their sense, runs back along them (it retraces its values) or meets
+its sibling head-on (see _joins); the candidates are the entries filed at
 earlier barriers and earlier in this one, found by one distance call over an
 array of their values.  Where a branch passes a crossing with
 another rank-1 family (the phase-conditioned rank-1 Jacobian's smallest
@@ -88,14 +88,12 @@ from numpy.linalg import _umath_linalg
 from .classify import (
     DEFAULT_TOL,
     ClassifyError,
-    Linearization,
     PointAnalysis,
     dF_svds,
     leaf_frames,
     linearize,
-    reductions,
+    spectrum_types,
     williamson_type,
-    williamson_types,
 )
 from .expr import EvalError, JetStack
 from .phasespace import DEFAULT_SEED, IntegrableModel
@@ -112,7 +110,6 @@ CUSP_SPEED = 1e-4  # momentum-image speed under which a step is a cusp candidate
 ARC_DEDUP_FACTOR = 2.0  # arcs within this many steps of a kept arc are duplicates
 REFINE_TOL = 1e-11  # residual norm at which refinement stops
 SCORE_GROUP = 256  # scan samples projected and scored in one lockstep: each live run holds a record
-LABEL_GROUP = 256  # phase points labelled in one lockstep: each holds a record, and the kernel's stacks grow with them
 DIRECTIONS_PER_PLANE = 2  # probe directions per invariant 2-plane at a vertex
 SEGMENT = 16  # accepted continuation steps a branch takes between two join barriers
 JOIN_RUN = 3  # entries in a row that retrace one traced branch make a join or close a loop
@@ -665,16 +662,36 @@ def _phase_rows(records: list) -> np.ndarray:
     return np.stack(rows, axis=1) if rows else np.zeros((len(records), 0, G.shape[2]))
 
 
+def _quotients(model, records, J: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The 2x2 matrix W^T Pi L W at each analysed record, as an (m, 2, 2) stack:
+    L = J[k][:N, :N] the Hessian of v.F + mu.C, Pi the frame's bivector and W
+    an orthonormal basis of ker dF on the leaf (frame.basis @ Vt[n-1:].T) with
+    the phase rows Q[k] projected out.  At a rank-(n-1) point this is, up to
+    rounding and an orthogonal change of basis, reduce_at's linearization."""
+    N, n = model.dim, model.n
+    B = np.array([a.frame.basis for a in records])
+    K = B @ np.array([a.Vt for a in records])[:, n - 1 :].swapaxes(1, 2)
+    W = K @ np.linalg.svd(Q @ K)[2][:, n - 1 :].swapaxes(1, 2)
+    return W.swapaxes(1, 2) @ np.array([a.frame.bivector for a in records]) @ J[:, :N, :N] @ W
+
+
+_FAMILY_LABELS = {(1, 0, 0): "elliptic-family", (0, 1, 0): "hyperbolic-family"}  # by reduced 1-d.f. type
+
+
 def _null_spaces(model, records, J, rel: float = 1e-7) -> list:
-    """(T, gap, soft, Q) at each analysed record and rank-1 Jacobian J[k] there:
-    Q its phase rows (see _phase_rows) and T the columns spanning the numerical
-    null space of J with Q's rows appended (zero in the v and mu columns), a
-    square matrix; T holds the right singular vectors of singular values within
-    rel of the largest (or 1), the last one if none; gap is the smallest singular
-    value outside it and soft its right singular vector (inf and None if there is
-    none).  The identity {v.F, f_k} = 0 makes n-1 rows of J redundant, so T is the
-    family's (n-1)-dimensional tangent space.  A record without phase rows (a
-    field that vanishes) raises a TraceError."""
+    """(T, gap, soft, Q, label) at each analysed record and rank-1 Jacobian J[k]
+    there: Q its phase rows (see _phase_rows) and T the columns spanning the
+    numerical null space of J with Q's rows appended (zero in the v and mu
+    columns), a square matrix; T holds the right singular vectors of singular
+    values within rel of the largest (or 1), the last one if none; gap is the
+    smallest singular value outside it and soft its right singular vector (inf
+    and None if there is none).  The identity {v.F, f_k} = 0 makes n-1 rows of J
+    redundant, so T is the family's (n-1)-dimensional tangent space.  label is
+    the family label: the type of the quotient (see _quotients), elliptic where
+    its eigenvalues are imaginary (det > 0) and hyperbolic where real (det < 0),
+    None where the record's rank is not n-1 or they fail williamson_type's test
+    at its tol (see spectrum_types).  A record without phase rows (a field that
+    vanishes) raises a TraceError."""
     Q = _phase_rows(records)
     if not np.all(np.isfinite(Q)):
         raise TraceError("an orbit field vanishes")
@@ -684,7 +701,9 @@ def _null_spaces(model, records, J, rel: float = 1e-7) -> list:
     small[~small.any(axis=1), -1] = True
     last = np.count_nonzero(~small, axis=1) - 1  # of the singular values outside, in falling order
     gaps = [(float(w[r]), V[r]) if r >= 0 else (math.inf, None) for V, w, r in zip(Vt, sv, last)]
-    return [(V[s].T, *gap, q) for V, s, gap, q in zip(Vt, small, gaps, Q)]
+    types = spectrum_types(np.linalg.eigvals(_quotients(model, records, J, Q)), [a.tol for a in records])
+    labels = [_FAMILY_LABELS.get(counts) if a.rank == model.n - 1 else None for a, (_, counts) in zip(records, types)]
+    return [(V[s].T, *gap, q, label) for V, s, gap, q, label in zip(Vt, small, gaps, Q, labels)]
 
 
 def _tangent_spaces(model, records, Z) -> list:
@@ -787,11 +806,11 @@ def _value_speed(a: PointAnalysis, direction) -> float:
 @dataclass
 class _Branch:
     """A continuation branch: its (value, phase point, mark) entries in tracing
-    order, the family labels of those a join barrier has labelled (see
-    _label_entries), the records of its "vertex" entries, why it stopped (None
-    while live), its Newton run (see _trace_branch), the (value, z, null space
-    there as _null_spaces gives it) of the crossings it passed since the last
-    join barrier and, for that barrier, the entries it has tested, its runs
+    order, their family labels (see _null_spaces; None at "vertex" entries),
+    stored as each entry is appended, the records of its "vertex" entries, why
+    it stopped (None while live), its Newton run (see _trace_branch), the
+    (value, z, null space there as _null_spaces gives it) of the crossings it
+    passed since the last join barrier and, for that barrier, the entries it has tested, its runs
     along traced branches ((branch, sense) -> (entries in a row, last matched
     entry, sense); sense 0 along an earlier branch, whose run takes the sense
     of its first move), the earlier branches whose family it does not share,
@@ -852,6 +871,7 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
         if np.linalg.norm(pv - near.point) > max(4.0 * params.step, 0.4):
             return False  # converged to a faraway vertex, not a local pass
         b.entries.append((model.momentum_value(pv), pv.copy(), "vertex"))
+        b.labels.append(None)
         b.found.append(refined)
         return True
 
@@ -861,7 +881,7 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
     while steps < params.max_steps:
         if isinstance(space, Exception):  # the null space at z failed where the corrector accepted z
             raise space
-        T, _, _, Q = space
+        T, _, _, Q, _ = space
         coeff = T.T @ t_prev
         if np.linalg.norm(coeff) < 1e-10:
             t = T[:, 0]
@@ -896,8 +916,9 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
             yield from try_vertex(a)
         sig_falling, sig_prev = sig < sig_prev, sig
 
+        _, gap, _, _, label = (None, math.inf, None, None, None) if isinstance(space_new, Exception) else space_new
         b.entries.append((val, p.copy(), "cusp" if cusp else None))
-        gap = math.inf if isinstance(space_new, Exception) else space_new[1]
+        b.labels.append(label)
         if gap_falling and gap > gap_prev and gap_prev < CROSSING_GAP and a.sv[model.n - 2] >= crossing_sigma:
             b.crossings.append((a.value, z, space))  # not next to a point of lower rank, where families meet
         gap_falling, gap_prev = gap < gap_prev, gap
@@ -915,33 +936,6 @@ def _triple(linearization, model, p, tol, seed) -> tuple[int, int, int] | None:
     except ClassifyError:
         return None
     return getattr(w, "triple", None)
-
-
-# The reduced 1-d.f. type of a rank-1 point as its family label.
-_FAMILY_LABELS = {(1, 0, 0): "elliptic-family", (0, 1, 0): "hyperbolic-family"}
-
-
-def _labels(model, records, seeds) -> list:
-    """The family label at each record (Williamson draws from its seed), None
-    where its point is refused or unclassifiable: _triple(reduce_at, ...)'s
-    label, from the records' analyses, reductions and Williamson types, each one
-    stacked computation per tolerance and seed."""
-    out: list = [None] * len(records)
-    groups: dict = {}
-    for k, (a, seed) in enumerate(zip(_analyses(model, records, seeds), seeds)):
-        if isinstance(a, PointAnalysis):
-            groups.setdefault((a.tol, seed), []).append(k)
-    for (tol, seed), rows in groups.items():
-        reduced = zip(rows, reductions(model, [records[k] for k in rows], tol))
-        reduced = [(k, L) for k, L in reduced if isinstance(L, Linearization)]
-        for (k, _), w in zip(reduced, williamson_types([L for _, L in reduced], tol=tol, seed=seed)):
-            out[k] = _FAMILY_LABELS.get(getattr(w, "triple", None))
-    return out
-
-
-def _label(p, seed):
-    """The family label at phase point p, a run of one request."""
-    return (yield _labels, p, seed)
 
 
 def _arc_duplicates(arc_vals: list[np.ndarray], existing: list[Arc], radius: float) -> bool:
@@ -1069,28 +1063,13 @@ def _joins(branches: list, filed: list, values: np.ndarray, j: int, k: int, para
     return None
 
 
-def _label_entries(model, branches: list, params: TraceParams, tol) -> None:
-    """Label every entry the branches added since the last barrier, a new
-    branch's seed entry included: each distinct phase point once, in one
-    lockstep round (see _labels) per LABEL_GROUP points."""
-    new = [(b, p) for b in branches for _, p, _ in b.entries[len(b.labels) :]]
-    points = list({p.tobytes(): p for _, p in new}.values())
-    labels: dict = {}
-    for group in (points[lo : lo + LABEL_GROUP] for lo in range(0, len(points), LABEL_GROUP)):
-        for p, label in zip(group, _lockstep(model, [_label(p, params.seed) for p in group], tol)):
-            labels[p.tobytes()] = label
-    for b, p in new:
-        b.labels.append(labels[p.tobytes()])
-
-
-def _join_barrier(model, branches: list, filed: list, values: np.ndarray, params: TraceParams, tol) -> np.ndarray:
-    """Label the entries each branch added since the last barrier, then test
-    them in branch order and cut a branch after the entry that completes its
-    first join: its later entries and their labels go (the vertices it found
-    stay) and it stops as "joined" or "closed-loop" (see _joins).  Then file its
-    kept new entries: their (branch, entry) pairs onto filed, and values with
-    their values as rows appended, which it returns."""
-    _label_entries(model, branches, params, tol)
+def _join_barrier(branches: list, filed: list, values: np.ndarray, params: TraceParams) -> np.ndarray:
+    """Test the entries each branch added since the last barrier in branch
+    order and cut a branch after the entry that completes its first join: its
+    later entries and their labels go (the vertices it found stay) and it stops
+    as "joined" or "closed-loop" (see _joins).  Then file its kept new entries:
+    their (branch, entry) pairs onto filed, and values with their values as rows
+    appended, which it returns."""
     for j, b in enumerate(branches):
         for k in range(b.checked, len(b.entries)):
             if reason := _joins(branches, filed, values, j, k, params):
@@ -1112,7 +1091,7 @@ def _switch(model, z, space, params: TraceParams):
     to the first n-2 null columns) and in the phase hyperplane of z.  Near the
     crossing the branch's own points lie within the hyperplane through z, and
     the crossing family's tangent is close to soft."""
-    T, _, soft, Q = space
+    T, _, soft, Q, _ = space
     z_pred = z + params.step * soft
     B = np.vstack([soft, T.T[: len(Q) - 1]])
     z_new, a, space, _ = yield from _corrector(model, z_pred.copy(), B, z_pred, (Q, z[: model.dim]), 2.0 * params.step)
@@ -1139,7 +1118,7 @@ def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, to
             if start is not None:
                 z0, a, space, t0 = start
                 for direction in (t0, -t0):
-                    b = _Branch([(a.value, z0[: model.dim].copy(), None)])
+                    b = _Branch([(a.value, z0[: model.dim].copy(), None)], [space[4]])
                     run = _trace_branch(model, b, z0, a, space, direction, params, tol)
                     b.run = _attempt(run, "failed", _RUN_ERRORS + (np.linalg.LinAlgError,))  # or an SVD that fails
                     branches.append(b)
@@ -1149,7 +1128,7 @@ def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, to
         ends = _lockstep(model, [b.run for b in live] + switches, tol)
         for b, reason in zip(live, ends):
             b.reason = reason
-        values = _join_barrier(model, branches, filed, values, params, tol)
+        values = _join_barrier(branches, filed, values, params)
         starts, switches = ends[len(live) :], []
         for value, z, space in (c for b in live for c in b.crossings):
             if all(np.linalg.norm(value - v) > radius for v in switched):

@@ -397,6 +397,26 @@ def _spectrum_symmetric(eig: list, distances: list, tol: float) -> bool:
     return not any(min(row) > tol * (1.0 + abs(eig[i % len(eig)])) for i, row in enumerate(distances))
 
 
+def spectrum_types(E: np.ndarray, tols: list) -> list:
+    """(gap, counts) for each row of a stack of spectra E: gap its smallest
+    distance between two eigenvalues, counts its (k_e, k_h, k_f) where gap is
+    above its row's tol times 1 + its largest modulus and the spectrum is a
+    Hamiltonian one, else None.  The spectra are tested as Python numbers (abs
+    of a complex number is hypot), except where the code for one spectrum took
+    an array's abs, which is another formula."""
+    scales = (1.0 + np.abs(E).max(axis=1)).tolist()
+    distances = np.abs(E[:, None, :] - np.concatenate([-E, E.conj()], axis=1)[:, :, None]).tolist()
+    out = []
+    for eig, scale, dist, t in zip(E.tolist(), scales, distances, tols):
+        gaps = [abs(a - b) for i, a in enumerate(eig) for b in eig[i + 1 :]]
+        gap = min(gaps) if gaps else math.inf
+        counts = None
+        if not gap <= t * scale and _spectrum_symmetric(eig, dist, max(t, 1e-7)):
+            counts = _classify_spectrum(eig, t)
+        out.append((gap, counts))
+    return out
+
+
 def williamson_types(
     linearizations: list,
     attempts: int = DEFAULT_ATTEMPTS,
@@ -406,9 +426,8 @@ def williamson_types(
     """The type (see williamson_type) of each linearization, or the
     ClassifyError that refuses it.  The linearizations with one shape of
     matrices share one rng and take one stacked eigvals per attempt over those
-    still open, each row with the bits of its one-record call: the spectra are
-    tested as Python numbers (abs of a complex number is hypot), except where
-    the code for one spectrum took an array's abs, which is another formula."""
+    still open, each row with the bits of its one-record call (see
+    spectrum_types)."""
     out: list = [None] * len(linearizations)
     shapes: dict = {}
     for k, L in enumerate(linearizations):
@@ -425,16 +444,9 @@ def williamson_types(
             c = rng.normal(size=mats.shape[1])
             c /= np.linalg.norm(c)
             E = np.linalg.eigvals(sum(ci * Ai for ci, Ai in zip(c, mats.swapaxes(0, 1))))
-            scales = (1.0 + np.abs(E).max(axis=1)).tolist()
-            distances = np.abs(E[:, None, :] - np.concatenate([-E, E.conj()], axis=1)[:, :, None]).tolist()
             still = []
-            for j, (k, eig, scale) in enumerate(zip(rows, E.tolist(), scales)):
-                gaps = [abs(a - b) for i, a in enumerate(eig) for b in eig[i + 1 :]]
-                gap = min(gaps) if gaps else math.inf
+            for j, (k, (gap, counts)) in enumerate(zip(rows, spectrum_types(E, [tol] * len(rows)))):
                 best_gap[k] = max(best_gap[k], gap if math.isfinite(gap) else 0.0)
-                counts = None
-                if not gap <= tol * scale and _spectrum_symmetric(eig, distances[j], max(tol, 1e-7)):
-                    counts = _classify_spectrum(eig, tol)
                 if counts is None:
                     still.append(j)
                     continue

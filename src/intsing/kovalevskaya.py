@@ -45,7 +45,8 @@ K_SRC = "((1/2)*S1^2-(1/2)*S2^2-R1)^2+(S1*S2-R2)^2"
 REGIME_SPLIT = 8.0 / (3.0 * np.sqrt(3.0))  # ~ 1.539600717839002
 # the diagram's scan box, (lo, hi) for R1..R3 then S1..S3; the CLI's default box for this model too
 SCAN_BOX = ((-1.2, 1.2),) * 3 + ((-4.0, 4.0),) * 3
-# the diagram's continuation recipe; its scan and labels use seed 0
+# the diagram's continuation recipe; its scan and its vertices' Williamson draws
+# use seed 0 (an arc label is one 2x2 quotient's type, which no draw changes)
 DIAGRAM_PARAMS = TraceParams(step=0.08, max_steps=250, value_box=(-6.0, 8.0), phase_bound=12.0)
 
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 
@@ -123,9 +124,8 @@ def test_refine_kovalevskaya_fixed_point():
 JET_EVALUATORS = ("component_jets", "casimir_jets")
 
 
-# Each call starts a new pass over points: a refinement from its seed, the
-# labelling of the entries that the branches added since the last join barrier.
-NEW_PASSES = ("refine_singular_point", "_label_entries")
+# Each call starts a new pass over points: a refinement from its seed.
+NEW_PASSES = ("refine_singular_point",)
 
 
 def _record_jet_calls(monkeypatch) -> list:
@@ -160,10 +160,7 @@ def _repeats(calls: list, evaluator: str) -> int:
     same pass evaluated.  A lockstep round is one call, so a Newton run that
     asks for its last point again within four rounds counts.  A pass's calls
     leave the window of the pass around it as it was.  Two refinements from
-    different seeds that converge onto one point evaluate it once each, and the
-    label pass of a join barrier evaluates the points of the entries added
-    since the last barrier again, in one batched call per field set (a record
-    per entry would hold ~5 kB).
+    different seeds that converge onto one point evaluate it once each.
     """
     windows: list[list[list[bytes]]] = [[]]
     count = 0
@@ -384,12 +381,12 @@ def test_only_a_retrace_with_its_family_label_closes_a_fold(label):
     b = bifurcation._Branch(_entries(out), ["elliptic-family"] * len(out))
     sibling = bifurcation._Branch(_entries([(0.0, -0.1 * k) for k in range(5)]), ["elliptic-family"] * 5)
     branches, filed = [b, sibling], []
-    values = bifurcation._join_barrier(None, branches, filed, np.empty((0, 2)), params, DEFAULT_TOL)  # labels are set
+    values = bifurcation._join_barrier(branches, filed, np.empty((0, 2)), params)
     assert [x.reason for x in branches] == [None, None]
     back = [(1.2 - 0.1 * k, 0.0) for k in range(1, 9)]
     b.entries += _entries(back)
     b.labels += [label] * len(back)
-    bifurcation._join_barrier(None, branches, filed, values, params, DEFAULT_TOL)
+    bifurcation._join_barrier(branches, filed, values, params)
     if label == "elliptic-family":
         assert b.reason == "closed-loop" and len(b.entries) == len(out) + bifurcation.JOIN_RUN
     else:
@@ -419,7 +416,8 @@ def test_a_crossing_seeds_the_family_it_meets(g, monkeypatch):
 @pytest.mark.parametrize("g", [0.5, 1.3])
 def test_entry_labels_are_the_one_point_labels(g, monkeypatch):
     """The family label each branch stores for each of its entries, from the
-    stacked label pass of a join barrier, is the one that reduce_at and
+    round that accepts the entry's point (the quotient of the Lagrangian
+    Hessian there, see _null_spaces), is the one that reduce_at and
     williamson_type give the entry's phase point on its own."""
     traced = []
     trace = bifurcation._trace_branches
@@ -537,7 +535,7 @@ def _corrector_matrix(model, p):
     a = analyze_point(model, p)
     ((v, mu),) = bifurcation._kernel_vectors(model, [a], [None])
     z = np.concatenate([a.point, v, mu])
-    ((T, gap, _, Q),) = bifurcation._tangent_spaces(model, [a], [z])
+    ((T, gap, _, Q, _),) = bifurcation._tangent_spaces(model, [a], [z])
     res, J = bifurcation._rank1_systems(model, [a], z[None])
     B = bifurcation._border(T, T[:, 0], len(Q))
     return a, gap, bifurcation._corrector_systems(res, J, z[None], B[None], z[None], Q[None], a.point[None])[1][0]
@@ -570,17 +568,28 @@ def test_the_corrector_matrix_is_square_and_well_conditioned(name):
 
 
 @pytest.mark.parametrize("spec", [(1, 1, 1, 0), (0, 1, 1, 1)])
-def test_models_with_n_at_least_3_trace_their_families(spec):
+def test_models_with_n_at_least_3_trace_their_families(spec, monkeypatch):
     """The default trace of canonical:1,1,1,0 (n = 3) and canonical:0,1,1,1
     (n = 4), as `intsing trace` makes it: no arc is mixed/unknown, each arc lies
     where the component its label names (elliptic or hyperbolic) is 0, and at
     every arc point the corrector's matrix, bordered by the predictor direction
     and n - 2 further null directions, is square (9 x 9 and 12 x 12) and, where
     the gap is at least CROSSING_GAP, well conditioned.  Gap minima on the
-    rank n-2 locus, where two families meet, are no crossing to switch at."""
+    rank n-2 locus, where two families meet, are no crossing to switch at.  The
+    family label stored at every 4th non-vertex entry, from the quotient of
+    ker dF by n - 1 phase rows, is the one-point label of its phase point."""
     cs = CanonicalSpec(*spec)
     m = build_canonical(cs)
-    d = trace_diagram(m, scan_singular_points(m, [(-1, 1)] * m.dim), TraceParams(step=0.05, value_box=(-4.0, 4.0)))
+    traced = []
+    trace = bifurcation._trace_branches
+    monkeypatch.setattr(bifurcation, "_trace_branches", lambda *args: traced.append(trace(*args)) or traced[-1])
+    params = TraceParams(step=0.05, value_box=(-4.0, 4.0))
+    d = trace_diagram(m, scan_singular_points(m, [(-1, 1)] * m.dim), params)
+    (branches,) = traced
+    stored = [(p, label) for b in branches for (_, p, mark), label in zip(b.entries, b.labels) if mark != "vertex"]
+    assert len(stored) > 1000
+    for p, label in stored[::4]:
+        assert label == bifurcation._FAMILY_LABELS.get(bifurcation._triple(reduce_at, m, p, DEFAULT_TOL, params.seed))
     roles = cs.component_roles()
     assert d.arcs and {arc.label for arc in d.arcs} == {"elliptic-family", "hyperbolic-family"}
     size = m.dim + m.n + len(m.structure.casimirs)
@@ -1136,14 +1145,31 @@ def _bits(x):
 
 KERNEL_MODEL = build_kovalevskaya(0.5)
 LEAF_POINT = np.array([0.0, 0.0, 1.0, 0.3, -0.2, 0.5])  # R.R = 1, S.R = 0.5: on KERNEL_MODEL's leaf
+FAMILY_SEEDS = {  # near a rank-1 point of KERNEL_MODEL on a family of each type
+    "hyperbolic-family": [0.936, 0.353, 0.001, 0.717, -0.484, 0.0],
+    "elliptic-family": [0.126, 0.725, 0.677, 1.434, 0.0, 0.472],
+}
 
 
-@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from(["none", "tangent", "casimirs", "zero"]))
+@functools.cache
+def _family_zs() -> list:
+    """(label, z) per family seed: z = (point, v, mu) at the rank-1 point refined from it."""
+    out = []
+    for label, seed in FAMILY_SEEDS.items():
+        a = refine_singular_point(KERNEL_MODEL, np.array(seed), 1)
+        ((v, mu),) = bifurcation._kernel_vectors(KERNEL_MODEL, [a], [None])
+        out.append((label, np.concatenate([a.point, v, mu])))
+    return out
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from(["none", "tangent", "casimirs", "zero", "family"]))
 def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
     """special: "tangent" makes row 0's 10x10 corrector matrix singular (its
     border row is its first Casimir row); "casimirs" makes row 0's Casimir
     differentials dependent (its point is refused); "zero" zeroes row 0's jets
-    (its orbit field vanishes)."""
+    (its orbit field vanishes); "family" puts the rows at rank-1 points of a
+    hyperbolic and an elliptic family in turn, with their own jets, where
+    the family label is not None."""
     model, rng = KERNEL_MODEL, np.random.default_rng(seed)
     N, n, nc = model.dim, model.n, 2
     records = [PointAnalysis(model, p) for p in rng.uniform(-1.5, 1.5, size=(m, N))]
@@ -1160,6 +1186,9 @@ def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
     Z = rng.normal(size=(m, N + n + nc))
     Z[:, N : N + n] /= np.linalg.norm(Z[:, N : N + n], axis=1, keepdims=True) if special != "zero" else 1.0
     Z[:, :N] = [a.point for a in records]
+    if special == "family":
+        labels, zs = zip(*(_family_zs()[k % 2] for k in range(m)))
+        records, Z = [PointAnalysis(model, z[:N]) for z in zs], np.array(zs)
     one = [_one_point_rank1_residual(a, z) for a, z in zip(records, Z)]
     tangents = rng.normal(size=(m, N + n + nc))
     if special == "tangent":
@@ -1187,6 +1216,19 @@ def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
             continue
         T = _one_point_null_space(np.vstack([J1, np.pad(q, ((0, 0), (0, n + nc)))]))
         assert _bits([space[0], space[3]]) == _bits([T, q])
+    # the family label: each row's quotient W^T Pi L W and label are those of its one-row call
+    ok = [k for k, space in enumerate(spaces) if not isinstance(space, Exception)]
+    if ok:
+        quotients = bifurcation._quotients(model, [records[k] for k in ok], J[ok], np.array([spaces[k][3] for k in ok]))
+        for k, A in zip(ok, quotients):
+            assert _bits(A) == _bits(bifurcation._quotients(model, [records[k]], J[k : k + 1], spaces[k][3][None])[0])
+    for a, z, space in zip(records, Z, spaces):
+        (alone,) = bifurcation._apply(model, bifurcation._tangent_spaces, [a], [z])
+        if isinstance(space, Exception):
+            assert type(alone) is type(space) and str(alone) == str(space)
+        else:
+            assert alone[4] == space[4]
+    assert special != "family" or [space[4] for space in spaces] == list(labels)
 
     # the corrector's square 10x10 solve, one np.linalg.solve per matrix, and refinement's 9x10 least squares
     systems = [_one_point_corrector_system(r, J1, *row) for (r, J1), row in zip(one, zip(Z, tangents[:, None], preds, Q, X))]
@@ -1210,7 +1252,10 @@ def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
             assert _bits(g[1]) == _bits(w)
     # row 0's singular matrix: LU finds an exact zero pivot (NaN) or a step that leaves any corrector radius
     assert special != "tangent" or not np.linalg.norm(got[0][1]) < 1e8
-    want = [(float(np.linalg.norm(r)), np.linalg.lstsq(J1, -r, rcond=None)[0]) for r, J1 in one]
+    want = []
+    for r, J1 in one:
+        norm = float(np.linalg.norm(r))  # a "family" row has converged: no step
+        want.append((norm, np.linalg.lstsq(J1, -r, rcond=None)[0] if norm > bifurcation.REFINE_TOL else None))
     got = bifurcation._RANK1_STEPS(model, records, list(Z))
     assert _bits([g[1:] for g in got]) == _bits(want)
 
