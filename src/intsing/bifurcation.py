@@ -70,7 +70,10 @@ redundant.  The corrector replaces them by the phase rows <X, x - x_prev> = 0
 at the last accepted point x_prev and borders the system with the predictor's
 null columns, so each Newton step is one square solve per row, stacked.  The
 predictor's null space is that of the rank-1 Jacobian with the phase rows
-appended: the family's tangent space.
+appended: the family's tangent space.  The predicted point is the quadratic
+through the branch's last two accepted points with that tangent at the last
+one (see _predict), so most corrector runs take two Newton steps; a branch's
+first step, which has one point, predicts along the tangent.
 """
 
 from __future__ import annotations
@@ -799,6 +802,17 @@ def _border(T, t, rows: int) -> np.ndarray:
     return np.vstack([t, np.linalg.svd(W, full_matrices=False)[0][:, : rows - 1].T])
 
 
+def _predict(z, t, h: float, z_back):
+    """The predicted point a step h from z along the unit tangent t: z + h t
+    where no accepted point z_back precedes z, else z + h t + h^2 a on the
+    quadratic through z_back and z with tangent t at z, a = (z_back - z + s t) / s^2
+    for s = |z - z_back| (Allgower & Georg 2003, ch. 6)."""
+    if z_back is None:
+        return z + h * t
+    s = float(np.linalg.norm(z - z_back))
+    return z + h * t + h**2 * ((z_back - z + s * t) / s**2)
+
+
 def _value_speed(a: PointAnalysis, direction) -> float:
     return float(np.linalg.norm(a.jets.gradient @ direction[: len(a.point)]))
 
@@ -844,17 +858,20 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
     """Continue branch b from z0 (its record a0, the null space space0 there) along
     direction, appending its entries, vertex records and crossings to b, a Newton
     run: why it stopped.  It pauses after every SEGMENT accepted steps short of
-    max_steps, where the join barrier reads b.  Each corrector runs in the phase
-    hyperplane of the last accepted point and fails where it hops farther than
-    two steps; h then halves.  A step that leaves the phase bound or the value
-    box ends the branch only where it moves the point and the value by at most
-    the base step; a longer one is retried at half its length, so the last entry
-    lies near the edge.  Where the gap of the phase-conditioned rank-1 Jacobian
-    (see _null_spaces) passed a local minimum under CROSSING_GAP one step ago,
-    away from points of lower rank (a rank-0 point, or for n >= 3 the rank n-2
-    locus, where dF's (n-1)-th singular value is small), that point lies near a
-    crossing with another rank-1 family, whose tangent there is close to the
-    soft direction (see _switch)."""
+    max_steps, where the join barrier reads b.  The predicted point is a step h
+    along the null direction t nearest the last one, second order where the
+    branch has two accepted points (see _predict; its first step is z + h t).
+    Each corrector runs from it in the phase hyperplane of the last accepted
+    point and fails where it hops farther than two steps; h then halves, and it
+    grows by half after a run of at most two iterations.  A step that leaves the
+    phase bound or the value box ends the branch only where it moves the point
+    and the value by at most the base step; a longer one is retried at half its
+    length, so the last entry lies near the edge.  Where the gap of the
+    phase-conditioned rank-1 Jacobian (see _null_spaces) passed a local minimum
+    under CROSSING_GAP one step ago, away from points of lower rank (a rank-0
+    point, or for n >= 3 the rank n-2 locus, where dF's (n-1)-th singular value
+    is small), that point lies near a crossing with another rank-1 family, whose
+    tangent there is close to the soft direction (see _switch)."""
     N = model.dim
     attempt_sigma = max(10.0 * params.step, 0.5)
     crossing_sigma = 0.5 * attempt_sigma  # dF's (n-1)-th singular value at a crossing, away from lower ranks
@@ -875,7 +892,7 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
         b.found.append(refined)
         return True
 
-    z, a, space, t_prev, h, steps = z0, a0, space0, direction, params.step, 0
+    z, a, space, t_prev, h, steps, z_back = z0, a0, space0, direction, params.step, 0, None
     sig_prev, sig_falling = float(a0.sv[0]), False
     gap_prev, gap_falling = math.inf, False
     while steps < params.max_steps:
@@ -888,7 +905,7 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
         else:
             t = T @ coeff
             t /= np.linalg.norm(t)
-        z_pred = z + h * t
+        z_pred = _predict(z, t, h, z_back)
         z_new, a_new, space_new, iters = yield from _corrector(
             model, z_pred.copy(), _border(T, t, len(Q)), z_pred, (Q, z[:N]), 2.0 * h
         )
@@ -922,7 +939,7 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
         if gap_falling and gap > gap_prev and gap_prev < CROSSING_GAP and a.sv[model.n - 2] >= crossing_sigma:
             b.crossings.append((a.value, z, space))  # not next to a point of lower rank, where families meet
         gap_falling, gap_prev = gap < gap_prev, gap
-        t_prev, z, a, space, steps = t, z_new, a_new, space_new, steps + 1
+        t_prev, z_back, z, a, space, steps = t, z, z_new, a_new, space_new, steps + 1
         if steps % SEGMENT == 0 and steps < params.max_steps:
             yield None  # pause at the join barrier
     return "max-steps"

@@ -29,7 +29,7 @@ from .atoms import (
 )
 from .bifurcation import ScanParams, TraceParams, export_diagram, diagram_to_dict, scan_singular_points, trace_diagram
 from .canonical import CanonicalSpec, build_canonical
-from .classify import DEFAULT_ATTEMPTS, DEFAULT_SEED, DEFAULT_TOL, classify_point
+from .classify import DEFAULT_ATTEMPTS, DEFAULT_SEED, DEFAULT_TOL, ClassifyError, classify_point
 from .expr import EvalError
 from .kovalevskaya import DIAGRAM_PARAMS, SCAN_BOX, build_kovalevskaya, kovalevskaya_diagram
 from .kovalevskaya import report as kovalevskaya_report
@@ -140,13 +140,15 @@ def _parse_point(text: str, model: IntegrableModel) -> np.ndarray:
 def _parse_box(text: str | None, spec: str, model: IntegrableModel):
     """'lo:hi' for all coordinates, or one comma-separated pair per coordinate;
     without text the built-in kovalevskaya spec's SCAN_BOX, else [-1, 1] per
-    coordinate."""
+    coordinate.  A pair with lo >= hi (empty or reversed) is refused."""
     if not text:
         return SCAN_BOX if spec == "kovalevskaya" else [(-1.0, 1.0)] * model.dim
     pairs = []
     for part in text.split(","):
         lo, _, hi = part.partition(":")
         pairs.append((_number(lo, "--box"), _number(hi, "--box")))
+        if pairs[-1][0] >= pairs[-1][1]:
+            raise InputError(f"--box pair {part!r} needs lo < hi")
     if len(pairs) == 1:
         return pairs * model.dim
     if len(pairs) != model.dim:
@@ -377,7 +379,7 @@ def main(argv=None) -> int:
     try:
         _check_options(args)
         return args.func(args)
-    except (InputError, AtomsError) as exc:
+    except (InputError, AtomsError, ClassifyError) as exc:  # ClassifyError: a built-in point refused, as at a huge --g
         _emit({"error": str(exc), "seed": args.seed}, args.out)
         return 1
 

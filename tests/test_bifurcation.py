@@ -526,6 +526,66 @@ def test_no_branch_creeps_at_large_g(g, parent_entries, monkeypatch):
     assert sum(len(b.entries) for b in branches) <= parent_entries
 
 
+def _observed_order(error, h: float) -> float:
+    """log2 of error(h) / error(h / 2): p where error shrinks as O(h^p)."""
+    return math.log2(error(h) / error(h / 2))
+
+
+@given(
+    st.integers(2, 10),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.2, 5.0),
+    st.floats(0.05, 1.0),
+    st.floats(-math.pi, math.pi),
+)
+def test_the_predictor_is_second_order(dim, seed, r, back, angle):
+    """With no earlier point the predictor is z + h t.  On a straight family it
+    is z + h t too.  On a circle of radius r in a random plane of R^dim, with the
+    earlier point an arc length back * r behind z, its distance to the curve
+    shrinks as O(h^3) as h halves (from back * r / 4), where the tangent
+    predictor's shrinks as O(h^2)."""
+    rng = np.random.default_rng(seed)
+    e1, e2 = np.linalg.qr(rng.normal(size=(dim, 2)))[0].T
+    center = rng.normal(size=dim)
+    z, t = center + r * (math.cos(angle) * e1 + math.sin(angle) * e2), -math.sin(angle) * e1 + math.cos(angle) * e2
+    assert np.array_equal(bifurcation._predict(z, t, 0.1, None), z + 0.1 * t)
+    assert np.allclose(bifurcation._predict(z, t, 0.1, z - 0.3 * t), z + 0.1 * t, rtol=0.0, atol=1e-13 * r)
+    z_back = center + r * (math.cos(angle - back) * e1 + math.sin(angle - back) * e2)
+
+    def distance(earlier):
+        return lambda h: abs(np.linalg.norm(bifurcation._predict(z, t, h, earlier) - center) - r)
+
+    h = back * r / 4
+    assert _observed_order(distance(z_back), h) > 2.7
+    assert 1.9 < _observed_order(distance(None), h) < 2.1
+
+
+def test_most_corrector_steps_take_two_iterations(monkeypatch):
+    """The predictor extrapolates along the quadratic through a branch's last two
+    points, so on the benchmark diagram at most 40 % of the corrector runs that
+    accept a point take 3 or more Newton iterations (76 % from the tangent
+    predictor), and the scan and trace take at most 350 lockstep rounds (413)."""
+    rounds, iterations = [], []
+    records, corrector = bifurcation._records, bifurcation._corrector
+
+    def counted_records(*args):
+        rounds.append(1)
+        return records(*args)
+
+    def counted_corrector(*args):
+        out = yield from corrector(*args)
+        if out[0] is not None:
+            iterations.append(out[3])
+        return out
+
+    monkeypatch.setattr(bifurcation, "_records", counted_records)
+    monkeypatch.setattr(bifurcation, "_corrector", counted_corrector)
+    kovalevskaya_diagram(0.5)
+    assert len(iterations) > 500
+    assert sum(it >= 3 for it in iterations) <= 0.4 * len(iterations)
+    assert len(rounds) <= 350
+
+
 CORRECTOR_CONDITION = 1e3  # bounds the condition number where the gap is >= CROSSING_GAP (at most about 100 measured)
 
 

@@ -533,6 +533,9 @@ ARGUMENT_FAULTS = {
     "box-value": ["trace", "--model", "canonical:1,0,1,0", "--box", "1:x"],
     "box-pairs": ["trace", "--model", "canonical:1,0,1,0", "--box", "0:1,0:1"],
     "box-nan": ["trace", "--model", "canonical:1,0,1,0", "--box", "nan:1"],
+    "box-reversed": ["trace", "--model", "canonical:0,2,0,0", "--box", "1:-1"],
+    "box-empty": ["trace", "--model", "canonical:1,0,1,0", "--box", "0:0"],
+    "box-reversed-pair": ["trace", "--model", "canonical:1,0,1,0", "--box", "0:1,0:1,1:0,0:1"],
     "resolution-negative": ["trace", "--model", "canonical:1,0,1,0", "--resolution", "-1"],
     "resolution-zero": ["trace", "--model", "canonical:1,0,1,0", "--resolution", "0"],
     "resolution-kovalevskaya": ["trace", "--model", "kovalevskaya", "--g", "0.5", "--resolution", "-2"],
@@ -541,6 +544,9 @@ ARGUMENT_FAULTS = {
     "attempts-classify": ["classify", "--model", "canonical:0,1,0,0", "--point", "x1=1", "--attempts", "-3"],
     "attempts-kovalevskaya": ["kovalevskaya", "report", "--g", "0.5", "--attempts", "0"],
     "g-nan": ["kovalevskaya", "report", "--g", "nan"],
+    "g-huge-report": ["kovalevskaya", "report", "--g", "1e4"],  # the bivector rank degenerates at a fixed point
+    "g-huger-report": ["kovalevskaya", "report", "--g", "1e5"],  # the Casimir differentials are dependent there
+    "g-huge-trace": ["trace", "--model", "kovalevskaya", "--g", "1e9"],
     "g-infinite": ["verify", "--model", "kovalevskaya", "--g", "inf", "--samples", "5"],
     "g-verify-canonical": ["verify", "--model", "canonical:0,1,1,0", "--g", "0.7", "--samples", "5"],
     "g-classify-canonical": ["classify", "--model", "canonical:0,1,1,0", "--point", "", "--g", "5"],
