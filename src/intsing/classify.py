@@ -4,16 +4,18 @@ Pipeline for a point p of an integrable model.  Every step reads one record
 per point, `PointAnalysis`, which evaluates each part once, on first use: the
 component and Casimir jets, the leaf frame built from those Casimir jets, the
 SVD of dF on the leaf and the rank.  `analyze_point` makes the record of a
-bare point and refuses a point off its leaf (`reductions` refuses such a
-record too).  The public functions take the record wherever they take a point,
-and scan, refinement and continuation in `bifurcation` hand each iterate's
-record on to the next step.  Each step below is one stacked computation over
-many records, each record's result with the bits of its own: `leaf_frames` and
-`dF_svds` (steps 1 and 2), the linearizations of step 3, `reductions` (step 4,
-one stack per rank) and `williamson_types` (step 5, one rng per shape of
-matrices and one stacked eigvals per attempt over the rows still open).
-`leaf_frame`, a record's `svd`, `linearize`, `reduce_at` and `williamson_type`
-are their calls on one record.
+bare point and refuses a point whose jets are not finite or that is off its
+leaf (`reduce_at` refuses an off-leaf record too).  The public functions take
+the record wherever they take a point, and scan, refinement and continuation in
+`bifurcation` hand each iterate's record on to the next step.
+
+Steps 1 and 2 are stacked because a lockstep round of Newton runs calls them:
+`leaf_frames` and `dF_svds` build the frames and SVDs of many records in one
+computation, each record's with the bits of its own, and `leaf_frame` and a
+record's `svd` are their calls on one record.  So is step 5's spectrum test,
+`spectrum_types`, which the family labels of a lockstep round call on many
+2x2 quotients at once.  Steps 3 to 5 otherwise take one record:
+`linearize`, `reduce_at` and `williamson_type`.
 
 1. the leaf tangent space at p is the kernel of the Casimir differentials
    (the bivector annihilates exactly the Casimir gradients there, so this
@@ -35,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -114,10 +115,9 @@ def dF_svds(records: list) -> list:
     return list(zip(*np.linalg.svd(G @ B)))
 
 
-def _numerical_ranks(sv: np.ndarray, tol) -> np.ndarray:
-    """The number of singular values in sv, or in each of its rows, above tol
-    times the largest (or 1); tol: one, or one per row."""
-    return (sv > np.asarray(tol)[..., None] * np.maximum(sv[..., :1], 1.0)).sum(axis=-1)
+def _numerical_rank(sv: np.ndarray, tol: float) -> int:
+    """The number of singular values in sv above tol times the largest (or 1)."""
+    return int(np.sum(sv > tol * max(float(sv[0]), 1.0)))
 
 
 class PointAnalysis:
@@ -137,7 +137,7 @@ class PointAnalysis:
     U = property(lambda self: self.svd[0])
     sv = property(lambda self: self.svd[1])
     Vt = property(lambda self: self.svd[2])
-    rank = cached_property(lambda self: int(_numerical_ranks(self.sv, self.tol)))  # of dF on the leaf tangent
+    rank = cached_property(lambda self: _numerical_rank(self.sv, self.tol))  # of dF on the leaf tangent
     value = property(lambda self: self.jets.value.copy())  # momentum_value's bits on polynomials
 
     def detached(self) -> PointAnalysis:
@@ -154,19 +154,22 @@ class PointAnalysis:
         return b
 
 
-def _off_leaf(model: IntegrableModel, a: PointAnalysis) -> OffLeafError | None:
-    """The OffLeafError that refuses the point of record a, None on its leaf."""
+def _check_on_leaf(model: IntegrableModel, a: PointAnalysis) -> None:
+    """Raise the OffLeafError that refuses the point of record a if it is off its leaf."""
     residual = max((abs(v - c) for v, c in zip(a.cjets.value, model.leaf_values)), default=0.0)
-    return OffLeafError(f"point is off the leaf: max Casimir residual {residual:.3e}") if residual > 1e-6 else None
+    if residual > 1e-6:
+        raise OffLeafError(f"point is off the leaf: max Casimir residual {residual:.3e}")
 
 
 def analyze_point(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> PointAnalysis:
-    """The record of p, its frame built here (an off-leaf or degenerate p raises); a record is returned as is."""
+    """The record of p, its frame built here (a p with non-finite jets, off its
+    leaf or degenerate raises); a record is returned as is."""
     if isinstance(p, PointAnalysis):
         return p
     a = PointAnalysis(model, p, tol)
-    if refused := _off_leaf(model, a):
-        raise refused
+    _check_on_leaf(model, a)
+    if not all(np.isfinite(x).all() for x in (*a.cjets, *a.jets)):  # else LAPACK fails on them further on
+        raise ClassifyError("component or Casimir jets are not finite at this point")
     a.frame = leaf_frame(model, a, tol)
     return a
 
@@ -193,135 +196,42 @@ class Linearization:
     symplectic_residual: float
 
 
-def _frame_stacks(records: list):
-    """The leaf bases, bivectors and component gradients of records as stacks,
-    each matrix with the memory layout of the record's own (B is a transpose)."""
-    B = np.array([a.frame.basis.T for a in records]).swapaxes(1, 2)
-    return B, np.array([a.frame.bivector for a in records]), np.array([a.jets.gradient for a in records])
-
-
-def _leaf_linearizations(model: IntegrableModel, records: list, B, Pi, G) -> np.ndarray:
-    """Jacobians of the Hamiltonian fields X_{f_j} at each record's point, on its
-    leaf basis B, as an (m, n, dim, dim) stack (B, Pi, G: _frame_stacks).
+def _leaf_linearizations(model: IntegrableModel, a: PointAnalysis) -> list[np.ndarray]:
+    """Jacobians of the Hamiltonian fields X_{f_j} at the point, on the leaf basis B.
 
     d(X_f)_k/dc_m = sum_l [ pi_kl d2f/dl dm + (d pi_kl/dc_m) df/dl ].
     """
-    M = Pi[:, None] @ np.array([a.jets.hessian for a in records])
-    dPi = model.structure.bivector_gradients_at(np.array([a.point for a in records]), model.params)
-    if dPi.any():
-        moving = dPi.any(axis=(1, 2, 3))[:, None, None]  # only these add the term: M + 0 would turn a -0.0 of M to +0.0
-        for i in range(model.n):
-            M[:, i] = np.where(moving, M[:, i] + np.einsum("aklm,al->akm", dPi, G[:, i]), M[:, i])
-    return B.swapaxes(1, 2)[:, None] @ M @ B[:, None]
-
-
-def _frobenius(X: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a stack (the last two axes): np.linalg.norm's bits on one matrix."""
-    X = X.reshape(X.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(X, X))
-
-
-def _linearizations(mats: np.ndarray, omega, basis, rank: int, n: int, reduced: bool = False) -> list:
-    """The Linearization of each row of the (m, k, dim, dim) stack mats, its
-    omega and basis rows of the stacks omega and basis, with its commutator and
-    symplectic residuals."""
-    k = mats.shape[1]
-    parts = [mats, mats.swapaxes(2, 3) @ omega[:, None] + omega[:, None] @ mats]
-    if k > 1:
-        first, second = zip(*combinations(range(k), 2))
-        parts.append(mats[:, first] @ mats[:, second] - mats[:, second] @ mats[:, first])
-    # per row: the norms of the k matrices, of their k symplectic residuals, of the commutators and of omega
-    norms = _frobenius(np.concatenate(parts + [omega[:, None]], axis=1)).tolist()
+    B, Pi = a.frame.basis, a.frame.bivector
+    dPi = model.structure.bivector_gradients_at(a.point, model.params)
     out = []
-    for M, w, b, row in zip(mats, omega, basis, norms):
-        scale = max(max(row[:k], default=0.0), 1.0)
-        symplectic = max([0.0, *row[k : 2 * k]]) / (scale * max(row[-1], 1.0))
-        out.append(Linearization(list(M), w, b, rank, n, reduced, max([0.0, *row[2 * k : -1]]) / scale, symplectic))
+    for g, hessian in zip(a.jets.gradient, a.jets.hessian):
+        M = Pi @ hessian
+        if dPi.any():  # else M + 0 would turn a -0.0 of M to +0.0
+            M = M + np.einsum("klm,l->km", dPi, g)
+        out.append(B.T @ M @ B)
     return out
+
+
+def _norm(X: np.ndarray) -> float:
+    return float(np.linalg.norm(X))
+
+
+def _linearization(mats, omega, basis, rank: int, n: int, reduced: bool = False) -> Linearization:
+    """The Linearization of mats with its commutator and symplectic residuals."""
+    comm = symp = 0.0
+    scale = max(max(map(_norm, mats), default=0.0), 1.0)
+    for i, A in enumerate(mats):
+        symp = max(symp, _norm(A.T @ omega + omega @ A))
+        for Bm in mats[i + 1 :]:
+            comm = max(comm, _norm(A @ Bm - Bm @ A))
+    symp /= scale * max(_norm(omega), 1.0)
+    return Linearization(mats, omega, basis, rank, n, reduced, comm / scale, symp)
 
 
 def linearize(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearization:
     """Linearizations A_j of the fields X_{f_j} on the leaf tangent basis."""
     a = analyze_point(model, p, tol)
-    B, Pi, G = _frame_stacks([a])
-    (L,) = _linearizations(_leaf_linearizations(model, [a], B, Pi, G), a.frame.omega[None], B, a.rank, model.n)
-    return L
-
-
-def reductions(model: IntegrableModel, records: list, tol=DEFAULT_TOL) -> list:
-    """The linearization on the symplectic quotient at each record's point (see
-    reduce_at), or the ClassifyError that refuses it, by one stacked computation
-    per rank, each row with the bits of its one-record call (tol: one
-    tolerance, or one per record)."""
-    n, tols = model.n, np.asarray(tol, dtype=float)
-    out: list = [None] * len(records)
-    for k, a in enumerate(records):
-        try:
-            if refused := _off_leaf(model, a):
-                raise refused
-            a.svd  # the leaf frame (a refused one raises) and the SVD of dF there
-        except ClassifyError as exc:
-            out[k] = exc
-    unranked = [a for a, err in zip(records, out) if err is None and "rank" not in vars(a)]
-    if unranked:  # their `rank`, from one stack
-        ranks = _numerical_ranks(np.array([a.sv for a in unranked]), [a.tol for a in unranked])
-        for a, r in zip(unranked, ranks.tolist()):
-            a.rank = r
-    by_rank: dict = {}
-    for k, a in enumerate(records):
-        if out[k] is not None:
-            continue
-        if a.rank == n:
-            out[k] = ClassifyError("point is regular: nothing to reduce")
-        elif a.rank == 0:
-            out[k] = ClassifyError("rank-0 point: use linearize directly")
-        else:
-            by_rank.setdefault(a.rank, []).append(k)
-    for r, rows in by_rank.items():
-        for k, L in zip(rows, _reduce(model, [records[k] for k in rows], r, tols[rows] if tols.ndim else tols)):
-            out[k] = L
-    return out
-
-
-def _reduce(model: IntegrableModel, records: list, r: int, tol) -> list:
-    """reductions at records of rank r, 0 < r < n, as stacks.  Each stack holds
-    its matrices with the memory layout of the one-record arrays, so that every
-    product is the BLAS call of one record."""
-    n, dim_w = model.n, 2 * (model.n - r)
-    B, Pi, G = _frame_stacks(records)
-
-    # combinations with vanishing leaf differential at p
-    U2 = np.array([a.U for a in records])[:, :, r:]  # n x (n - r)
-    K = np.array([a.Vt for a in records])[:, r:].swapaxes(1, 2)  # kernel of dF on the leaf tangent, dim - r columns
-
-    # span of the Hamiltonian field values (projected to the leaf basis), N x n
-    fields = (Pi[:, None] @ G[..., None])[..., 0]  # one matrix-vector product per component
-    Ut, svt, _ = np.linalg.svd(B.swapaxes(1, 2) @ fields.swapaxes(1, 2), full_matrices=False)
-    rt = _numerical_ranks(svt, tol)
-    Tb = Ut[:, :, :r]
-
-    # T must sit inside K
-    resid = _frobenius(Tb - K @ (K.swapaxes(1, 2) @ Tb))
-
-    # complement W = K intersect T-perp
-    Uw, svw, _ = np.linalg.svd(K @ K.swapaxes(1, 2) - Tb @ Tb.swapaxes(1, 2))
-    W = Uw[:, :, :dim_w]
-
-    mats = _leaf_linearizations(model, records, B, Pi, G)
-    remixed = sum(U2[:, i, :, None, None] * mats[:, i, None] for i in range(n))  # (m, n - r, dim, dim)
-    on_quotient = W.swapaxes(1, 2)[:, None] @ remixed @ W[:, None]
-    omega = np.array([a.frame.omega for a in records])
-    reduced = _linearizations(on_quotient, W.swapaxes(1, 2) @ omega @ W, B @ W, r, n, reduced=True)
-    out = []
-    for k, L in enumerate(reduced):
-        if rt[k] != r:
-            L = ClassifyError(f"inconsistent rank: dF has rank {r} but fields span {rt[k]} directions")
-        elif resid[k] > 1e-6:
-            L = ClassifyError(f"field span escapes ker dF (residual {resid[k]:.3e}): inconclusive")
-        elif svw[k, dim_w - 1] < 0.5:
-            L = ClassifyError("quotient construction failed: complement is degenerate")
-        out.append(L)
-    return out
+    return _linearization(_leaf_linearizations(model, a), a.frame.omega, a.frame.basis, a.rank, model.n)
 
 
 def reduce_at(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearization:
@@ -329,12 +239,43 @@ def reduce_at(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearizat
 
     Momentum components are remixed so that n-r of them have vanishing
     leaf differential at p; their linearizations descend to ker dF / span
-    of the Hamiltonian field values.
+    of the Hamiltonian field values.  A record off its leaf is refused too.
     """
-    (L,) = reductions(model, [analyze_point(model, p, tol)], tol)
-    if isinstance(L, ClassifyError):
-        raise L
-    return L
+    a = analyze_point(model, p, tol)
+    _check_on_leaf(model, a)
+    B, n, r = a.frame.basis, model.n, a.rank
+    if r == n:
+        raise ClassifyError("point is regular: nothing to reduce")
+    if r == 0:
+        raise ClassifyError("rank-0 point: use linearize directly")
+
+    # combinations with vanishing leaf differential at p
+    U2 = a.U[:, r:]  # n x (n - r)
+    K = a.Vt[r:].T   # kernel of dF on the leaf tangent, dim - r columns
+
+    # span of the Hamiltonian field values (projected to the leaf basis)
+    fields = np.array([a.frame.bivector @ g for g in a.jets.gradient]).T  # N x n
+    Ut, svt, _ = np.linalg.svd(B.T @ fields, full_matrices=False)
+    rt = _numerical_rank(svt, tol)
+    if rt != r:
+        raise ClassifyError(f"inconsistent rank: dF has rank {r} but fields span {rt} directions")
+    Tb = Ut[:, :rt]
+
+    # T must sit inside K
+    resid = np.linalg.norm(Tb - K @ (K.T @ Tb))
+    if resid > 1e-6:
+        raise ClassifyError(f"field span escapes ker dF (residual {resid:.3e}): inconclusive")
+
+    # complement W = K intersect T-perp
+    Uw, svw, _ = np.linalg.svd(K @ K.T - Tb @ Tb.T)
+    dim_w = 2 * (n - r)
+    W = Uw[:, :dim_w]
+    if svw[dim_w - 1] < 0.5:
+        raise ClassifyError("quotient construction failed: complement is degenerate")
+
+    mats = _leaf_linearizations(model, a)
+    on_quotient = [W.T @ sum(U2[i, k] * mats[i] for i in range(n)) @ W for k in range(n - r)]
+    return _linearization(on_quotient, W.T @ a.frame.omega @ W, B @ W, r, n, reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +343,7 @@ def spectrum_types(E: np.ndarray, tols: list) -> list:
     distance between two eigenvalues, counts its (k_e, k_h, k_f) where gap is
     above its row's tol times 1 + its largest modulus and the spectrum is a
     Hamiltonian one, else None.  The spectra are tested as Python numbers (abs
-    of a complex number is hypot), except where the code for one spectrum took
-    an array's abs, which is another formula."""
+    of a complex number is hypot)."""
     scales = (1.0 + np.abs(E).max(axis=1)).tolist()
     distances = np.abs(E[:, None, :] - np.concatenate([-E, E.conj()], axis=1)[:, :, None]).tolist()
     out = []
@@ -414,60 +354,6 @@ def spectrum_types(E: np.ndarray, tols: list) -> list:
         if not gap <= t * scale and _spectrum_symmetric(eig, dist, max(t, 1e-7)):
             counts = _classify_spectrum(eig, t)
         out.append((gap, counts))
-    return out
-
-
-def williamson_types(
-    linearizations: list,
-    attempts: int = DEFAULT_ATTEMPTS,
-    tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-) -> list:
-    """The type (see williamson_type) of each linearization, or the
-    ClassifyError that refuses it.  The linearizations with one shape of
-    matrices share one rng and take one stacked eigvals per attempt over those
-    still open, each row with the bits of its one-record call (see
-    spectrum_types)."""
-    out: list = [None] * len(linearizations)
-    shapes: dict = {}
-    for k, L in enumerate(linearizations):
-        if not L.reduced and L.rank != 0:
-            out[k] = ClassifyError("williamson_type needs a rank-0 or reduced linearization")
-        else:
-            shapes.setdefault((len(L.matrices), L.matrices[0].shape), []).append(k)
-    for rows in shapes.values():
-        mats = np.array([linearizations[k].matrices for k in rows])
-        m2 = mats.shape[2]
-        rng = np.random.default_rng(seed)
-        best_gap = dict.fromkeys(rows, 0.0)
-        for _ in range(max(1, attempts)):
-            c = rng.normal(size=mats.shape[1])
-            c /= np.linalg.norm(c)
-            E = np.linalg.eigvals(sum(ci * Ai for ci, Ai in zip(c, mats.swapaxes(0, 1))))
-            still = []
-            for j, (k, (gap, counts)) in enumerate(zip(rows, spectrum_types(E, [tol] * len(rows)))):
-                best_gap[k] = max(best_gap[k], gap if math.isfinite(gap) else 0.0)
-                if counts is None:
-                    still.append(j)
-                    continue
-                L = linearizations[k]
-                k_e, k_h, k_f = counts
-                expected = L.n - L.rank
-                if k_e + k_h + 2 * k_f != expected or 2 * expected != m2:
-                    out[k] = DegenerateReport(attempts, best_gap[k], "eigenvalue counts inconsistent with rank")
-                    continue
-                eig = E[j]
-                if np.iscomplexobj(eig) and not eig.imag.any():
-                    eig = eig.real  # eigvals's type on this matrix alone, whose -0.0 imaginary parts it drops
-                order = np.lexsort((eig.imag, eig.real))
-                eigenvalues = [complex(z) for z in eig[order]]
-                out[k] = WilliamsonType(L.rank, k_e, k_h, k_f, eigenvalues, c.copy(), gap)
-            if not still:
-                break
-            rows, mats = [rows[j] for j in still], mats[still]
-        else:
-            for k in rows:
-                out[k] = DegenerateReport(attempts, best_gap[k], "no simple-spectrum combination found")
     return out
 
 
@@ -482,12 +368,30 @@ def williamson_type(
     Coefficients are drawn uniformly from the unit sphere with a fixed
     seed; simple-spectrum combinations are generic for non-degenerate
     points, so exhausting all draws signals a degenerate or borderline
-    point and yields a DegenerateReport instead of a type.
+    point and yields a DegenerateReport instead of a type.  Each draw's
+    spectrum is tested by spectrum_types.
     """
-    (w,) = williamson_types([L], attempts, tol, seed)
-    if isinstance(w, ClassifyError):
-        raise w
-    return w
+    if not L.reduced and L.rank != 0:
+        raise ClassifyError("williamson_type needs a rank-0 or reduced linearization")
+    mats = L.matrices
+    m2 = mats[0].shape[0]
+    rng = np.random.default_rng(seed)
+    best_gap = 0.0
+    for _ in range(max(1, attempts)):
+        c = rng.normal(size=len(mats))
+        c /= np.linalg.norm(c)
+        eig = np.linalg.eigvals(sum(ci * Ai for ci, Ai in zip(c, mats)))
+        ((gap, counts),) = spectrum_types(eig[None], [tol])
+        best_gap = max(best_gap, gap if math.isfinite(gap) else 0.0)
+        if counts is None:
+            continue
+        k_e, k_h, k_f = counts
+        expected = L.n - L.rank
+        if k_e + k_h + 2 * k_f != expected or 2 * expected != m2:
+            return DegenerateReport(attempts, best_gap, "eigenvalue counts inconsistent with rank")
+        order = np.lexsort((eig.imag, eig.real))
+        return WilliamsonType(L.rank, k_e, k_h, k_f, [complex(z) for z in eig[order]], c, gap)
+    return DegenerateReport(attempts, best_gap, "no simple-spectrum combination found")
 
 
 # ---------------------------------------------------------------------------

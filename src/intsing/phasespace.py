@@ -130,15 +130,10 @@ class PoissonStructure:
         return np.ascontiguousarray(pi.transpose(2, 0, 1)) if lead else pi
 
     def bivector_gradients_at(self, point, params=None) -> np.ndarray:
-        """d pi[i][j] / d c_m as a (dim, dim, dim) array from one first-order run, or
-        (m, dim, dim, dim) at the rows of an (m, dim) array."""
-        lead = np.shape(point)[:-1]
+        """d pi[i][j] / d c_m at one point as a (dim, dim, dim) array, from one first-order run."""
         if self._const_matrix is not None:
-            return np.zeros(lead + (self.dim,) * 3)
-        grads = self._upper_tape.gradient_stack(point, params)[1]
-        if not lead:
-            return self._antisymmetric(grads, (self.dim,))
-        return np.ascontiguousarray(np.moveaxis(self._antisymmetric(grads.swapaxes(0, 1), lead + (self.dim,)), 2, 0))
+            return np.zeros((self.dim,) * 3)
+        return self._antisymmetric(self._upper_tape.gradient_stack(point, params)[1], (self.dim,))
 
     # -- brackets and fields -----------------------------------------------------
     # The bracket and field rules are written once, over any numbers with +, * and

@@ -8,23 +8,23 @@ from hypothesis import strategies as st
 from intsing import bifurcation
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
 from intsing.classify import (
+    DEFAULT_ATTEMPTS,
     ClassifyError,
     DegenerateReport,
     Linearization,
     OffLeafError,
     PointAnalysis,
+    WilliamsonType,
     analyze_point,
     classify_point,
     is_nondegenerate,
     linearize,
     rank_at,
     reduce_at,
-    reductions,
     williamson_type,
-    williamson_types,
 )
 from intsing.expr import parse
-from intsing.phasespace import IntegrableModel, PoissonStructure
+from intsing.phasespace import IntegrableModel, PoissonStructure, model_from_dict
 
 
 def all_specs(max_n: int = 4):
@@ -266,6 +266,25 @@ def test_off_leaf_point_is_refused():
         classify_point(m, np.array([1.0, 0, 0, 0.7, 0, 0]))  # f2 = 0.7, not g
 
 
+@pytest.mark.parametrize(
+    "components, x1",
+    [(["x1^5+y1", "x2*y2"], 1e100), (["1/x1 + y1^2", "x2*y2"], 1e-200)],
+    ids=["power-overflows", "pole-overflows"],
+)
+def test_a_point_with_non_finite_jets_is_refused(components, x1):
+    """Jets that overflow (x1^5 at 1e100; the derivatives of 1/x1 at 1e-200) are
+    refused before any SVD reads them: is_nondegenerate is inconclusive."""
+    m = model_from_dict({"coordinates": ["x1", "y1", "x2", "y2"], "components": components})
+    p = np.array([x1, 0.0, 0.0, 0.0])
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        with pytest.raises(ClassifyError, match="jets are not finite"):
+            analyze_point(m, p)
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        verdict = is_nondegenerate(m, p)
+    assert verdict.verdict == "inconclusive"
+    assert verdict.diagnostics == {"error": "component or Casimir jets are not finite at this point"}
+
+
 @given(st.sampled_from([s for s in all_specs(5) if s.n == 5]), st.integers(0, 2**31 - 1))
 def test_type_survives_random_disguise_n5(spec, seed):
     d = randomized_disguise(build_canonical(spec), seed=seed)
@@ -276,9 +295,8 @@ def test_type_survives_random_disguise_n5(spec, seed):
         assert (w["k_e"], w["k_h"], w["k_f"]) == (spec.k_e, spec.k_h, spec.k_f)
 
 
-# Stacked reductions and Williamson draws against their one-record calls: a
-# row of a stack must have the bits that reduce_at and williamson_type give its
-# record alone, and a refused row the same refusal.
+# Each record kind gets its documented outcome from reduce_at, linearize and
+# williamson_type.
 
 
 @functools.cache
@@ -320,21 +338,6 @@ def _disguise_record(rng, kind: str):
     return PointAnalysis(d.model, d.symplectic @ rng.permutation(q.reshape(-1, 2)).ravel())
 
 
-def _linearization_bits(L):
-    if isinstance(L, ClassifyError):
-        return type(L).__name__, str(L)
-    parts = [np.asarray(x).tobytes() for x in (*L.matrices, L.omega, L.basis)]
-    return parts, L.rank, L.n, L.reduced, repr(L.commutator_norm), repr(L.symplectic_residual)
-
-
-def _williamson_bits(w):
-    if isinstance(w, ClassifyError):
-        return type(w).__name__, str(w)
-    if isinstance(w, DegenerateReport):
-        return w.attempts, repr(w.best_gap), w.reason
-    return w.rank, w.triple, repr(w.eigenvalues), w.coefficients.tobytes(), repr(w.gap)
-
-
 def _off_type_linearizations(rng) -> list:
     """2x2 linearizations of a rank-1 point of two degrees of freedom that give no
     type: nilpotent (no simple spectrum), generic (no Hamiltonian spectrum, so
@@ -345,44 +348,56 @@ def _off_type_linearizations(rng) -> list:
     return [lin(np.array([[0.0, 1.0], [0.0, 0.0]])), lin(rng.normal(size=(2, 2))), lin(rng.normal(size=(2, 2)), False)]
 
 
+def _assert_typed(L: Linearization, r: int, n: int):
+    """L is the rank-r linearization of n - r pairs, and williamson_type types it with n - r pairs."""
+    assert (L.rank, L.n, L.reduced, len(L.matrices)) == (r, n, r > 0, n - r)
+    assert all(M.shape == (2 * (n - r),) * 2 for M in L.matrices) and L.omega.shape == L.matrices[0].shape
+    assert type(L.commutator_norm) is float and type(L.symplectic_residual) is float
+    w = williamson_type(L)
+    assert isinstance(w, WilliamsonType) and w.rank == r and w.k_e + w.k_h + 2 * w.k_f == n - r
+    assert type(w.gap) is float
+
+
 @given(
     st.sampled_from(["kovalevskaya", "disguise"]),
-    st.lists(st.sampled_from(["rank 0", "rank 1", "rank 2", "regular", "off-leaf"]), min_size=1, max_size=6),
+    st.sampled_from(["rank 0", "rank 1", "rank 2", "regular", "off-leaf"]),
     st.integers(0, 2**32 - 1),
 )
-def test_stacked_reductions_are_the_one_record_calls(which, kinds, seed):
-    """Kovalevskaya rows: rank-1 points, the rank-0 points, and perturbed points
-    off the leaf or projected back onto it (regular); disguise rows: ranks 0 to 3
-    (rank 1 and 2 rows stack by rank; there is no leaf to be off).  The
-    Williamson stack also takes 2x2 linearizations that give no type, which stay
-    open for every draw, or that are refused."""
+def test_each_record_kind_gets_its_documented_outcome(which, kind, seed):
+    """Kovalevskaya records: rank-1 points, the rank-0 points, and perturbed
+    points off the leaf or projected back onto it (regular); disguise records:
+    ranks 0 to 3 (there is no leaf to be off).  Off-type 2x2 linearizations get
+    their DegenerateReport reasons, or are refused."""
     rng = np.random.default_rng(seed)
     if which == "kovalevskaya":
-        kinds = [k.replace("rank 2", "rank 1") for k in kinds]
-        records = [_kovalevskaya_record(rng, k) for k in kinds]
+        a = _kovalevskaya_record(rng, kind.replace("rank 2", "rank 1"))
     else:
-        records = [_disguise_record(rng, k.replace("off-leaf", "regular")) for k in kinds]
-    model = records[0].model
-    stacked = reductions(model, records)
+        kind = kind.replace("off-leaf", "regular")
+        a = _disguise_record(rng, kind)
+    model, n = a.model, a.model.n
+    if kind == "off-leaf":
+        with pytest.raises(OffLeafError, match="off the leaf"):
+            reduce_at(model, a)
+    elif kind == "regular":
+        assert a.rank == n
+        with pytest.raises(ClassifyError, match="^point is regular: nothing to reduce$"):
+            reduce_at(model, a)
+    elif kind == "rank 0":
+        assert a.rank == 0
+        with pytest.raises(ClassifyError, match="^rank-0 point: use linearize directly$"):
+            reduce_at(model, a)
+        _assert_typed(linearize(model, a), 0, n)
+    else:
+        r = a.rank
+        assert 0 < r < n and r == (1 if which == "kovalevskaya" else int(kind[-1]))
+        _assert_typed(reduce_at(model, a), r, n)
+        with pytest.raises(ClassifyError, match="needs a rank-0 or reduced linearization"):
+            williamson_type(linearize(model, a))  # unreduced at rank r > 0
 
-    def one(a):
-        try:
-            return reduce_at(model, a)
-        except ClassifyError as exc:
-            return exc
-
-    assert [_linearization_bits(L) for L in stacked] == [_linearization_bits(one(a)) for a in records]
-    reduced = [L for L in stacked if isinstance(L, Linearization)]
-    if which == "kovalevskaya" and "rank 1" in kinds:
-        assert reduced
-    reduced += [_off_type_linearizations(rng)[k] for k in rng.integers(3, size=rng.integers(3))]
-    reduced = [reduced[k] for k in rng.permutation(len(reduced))]
-
-    def one_type(L):
-        try:
-            return williamson_type(L)
-        except ClassifyError as exc:
-            return exc
-
-    want = [_williamson_bits(one_type(L)) for L in reduced]
-    assert [_williamson_bits(w) for w in williamson_types(reduced)] == want
+    nilpotent, generic, unreduced = _off_type_linearizations(rng)
+    for L in (nilpotent, generic):
+        w = williamson_type(L)
+        assert isinstance(w, DegenerateReport) and w.reason == "no simple-spectrum combination found"
+        assert w.attempts == DEFAULT_ATTEMPTS and type(w.best_gap) is float
+    with pytest.raises(ClassifyError, match="needs a rank-0 or reduced linearization"):
+        williamson_type(unreduced)

@@ -134,6 +134,15 @@ def test_classify_off_leaf_point_is_a_json_error(capsys):
     assert "off the leaf" in json.loads(out)["error"]
 
 
+
+def test_classify_a_point_with_non_finite_jets_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"coordinates": ["x1", "y1", "x2", "y2"], "components": ["x1^5+y1", "x2*y2"]}))
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        code, out = run_cli(["classify", "--model", str(path), "--point", "x1=1e100"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == "component or Casimir jets are not finite at this point"
+
 def test_classify_canonical_focus(capsys):
     code, out = run_cli(["classify", "--model", "canonical:0,0,0,1", "--point", ""], capsys)
     assert code == 0

@@ -409,13 +409,19 @@ def test_a_parameter_with_no_value_is_an_error():
     assert m.structure.bivector_at([1.0, 1.0, 1.0], m.params)[0, 1] == 2.0
 
 
-def test_bivector_gradients_at_rows_are_the_one_point_gradients(e3):
-    points = np.random.default_rng(0).normal(size=(3, 6))
-    stacked = e3.bivector_gradients_at(points)
-    assert stacked.shape == (3, 6, 6, 6) and stacked.flags.c_contiguous
-    assert stacked.tobytes() == np.array([e3.bivector_gradients_at(p) for p in points]).tobytes()
+def test_bivector_gradients_at_are_the_bivector_s_central_differences(e3):
+    """d pi[i][j] / d c_m at seeded points: antisymmetric in (i, j), and the
+    central differences of bivector_at in c_m; a constant bivector has none."""
+    h = 1e-5
+    for p in np.random.default_rng(0).normal(size=(3, 6)):
+        grads = e3.bivector_gradients_at(p)
+        assert grads.shape == (6, 6, 6)
+        assert np.array_equal(grads, -grads.swapaxes(0, 1))
+        for m, step in enumerate(h * np.eye(6)):
+            central = (e3.bivector_at(p + step) - e3.bivector_at(p - step)) / (2 * h)
+            assert np.allclose(grads[:, :, m], central, rtol=0.0, atol=1e-6)
     constant = PoissonStructure.canonical_chart([("x", "y")])
-    assert np.array_equal(constant.bivector_gradients_at(np.zeros((3, 2))), np.zeros((3, 2, 2, 2)))
+    assert np.array_equal(constant.bivector_gradients_at(np.zeros(2)), np.zeros((2, 2, 2)))
 
 
 def test_an_entry_without_free_symbols_is_constant():
