@@ -23,30 +23,32 @@ evaluates the Casimirs' jets at the iterates it makes, one batch per
 iteration.  The scan scores its samples in lockstep groups of
 SCORE_GROUP and refines all its candidates in one lockstep, and `trace_diagram`
 refines its seeds in one lockstep and then traces both branches of every seed
-in lockstep segments of SEGMENT accepted steps, so every output is the one the
-runs give one at a time.  A branch is one run that pauses (yields None) after
-each segment and is resumed where it paused.  A run that raises a TraceError,
-ClassifyError or EvalError (see `_attempt`) fails alone: a scan sample, a
+in lockstep, one accepted entry per branch at a time, so every output is the
+one the runs give one at a time.  A branch is one run that pauses (yields
+None) after each accepted entry and is resumed where it paused.  A run that
+raises a TraceError, ClassifyError or EvalError (see `_attempt`) fails alone: a scan sample, a
 refinement, a branch start or a vertex polish gives nothing, a branch (also on
 a LinAlgError, an SVD that did not converge) ends as "failed" with the entries
 it has, and the other runs of its lockstep go on.  Each entry's family label
 (the reduced 1-d.f. Williamson type of its point, see _null_spaces) comes from
 the round that accepts its point, with the null space the next predictor
 reads, and the branch stores it with the entry ("vertex" entries get None);
-the join test and the arc cuts read it.  After each segment a join barrier
-walks the branches in (seed, direction) order: a branch whose new entries
-retrace a traced value curve for JOIN_RUN entries in a row (near its entries,
-parallel to its value tangent, the matched entry moving one way) with the same
-family label at the last one stops there: as "joined" on an earlier branch
-other than its sibling, and as "closed-loop" where it comes round onto its own
-entries in their sense, runs back along them (it retraces its values) or meets
-its sibling head-on (see _joins); the candidates are the entries filed at
-earlier barriers and earlier in this one, found by one distance call over an
-array of their values.  Where a branch passes a crossing with
-another rank-1 family (the phase-conditioned rank-1 Jacobian's smallest
-nonzero singular value has a local minimum near 0), a start on that family is made one step off the
-branch (see _switch), one per crossing value, in the next segment's lockstep;
-its two branches come after every branch made before them.  A vertex's
+the join test and the arc cuts read it.  After every branch has accepted its
+next entry a join barrier walks the branches in (seed, direction) order and
+tests each new entry: a branch whose entries retrace a traced value curve for
+JOIN_RUN entries in a row (near its entries, parallel to its value tangent, the
+matched entry moving one way) with the same family label at the last one stops
+at that entry, its last: as "joined" on an earlier branch other than its
+sibling, and as "closed-loop" where it comes round onto its own entries in
+their sense, runs back along them (it retraces its values) or meets its sibling
+head-on (see _joins); the candidates are the entries filed at earlier barriers
+and earlier in this one, found by one distance call over an array of their
+values.  No barrier removes an entry.  Where a branch passes a crossing with
+another rank-1 family, sign det A flips between two accepted points, A the
+corrector's square matrix there (see _null_spaces and _flips; Allgower & Georg
+2003, ch. 8), and a start on that family is made one step off the one of the
+two with the smaller gap (see _switch), one per crossing value, in the next
+lockstep; its two branches come after every branch made before them.  A vertex's
 value is `momentum_value` at its point (on a model with a division the jet
 values can differ from it in the last bit).  The glued branches are cut into
 arcs at the marks and at every change of the stored family labels: where the
@@ -55,8 +57,9 @@ label, the cut is at b, clamped into 2 ... n-3, and cuts closer than 2 entries
 to the last one kept are dropped.  An arc's label is the one label among its
 inner entries (all but its first and last), else "mixed/unknown" (none, or
 both).  An arc end is its branch's stop reason at the glued list's ends, else
-"cusp".  An arc with 90 % of its values near one kept arc with its label is a
-duplicate, so a value curve that carries an elliptic and a hyperbolic family
+"cusp".  An arc with 90 % of its values within ARC_DEDUP_FACTOR steps of the
+polyline of one kept arc with its label (its segments, not only its points) is
+a duplicate, so a value curve that carries an elliptic and a hyperbolic family
 keeps both.
 
 The rank-1 locus is parametrized by the kernel-vector augmentation
@@ -107,17 +110,15 @@ SEED_DEDUP_RADIUS = 0.05  # seeds of one rank closer than this are one
 MIN_STEP = 1e-6  # continuation step bounds
 MAX_STEP = 0.2
 CORRECTOR_TOL = 1e-10
-CORRECTOR_ITERS = 12
+CORRECTOR_ITERS = 7  # Newton steps a corrector run takes at most; slower runs, as next to a branch point, fail
 VERTEX_SIGMA = 5e-3  # sigma_max of dF under which a branch has landed on a rank-0 point
 CUSP_SPEED = 1e-4  # momentum-image speed under which a step is a cusp candidate
 ARC_DEDUP_FACTOR = 2.0  # arcs within this many steps of a kept arc are duplicates
 REFINE_TOL = 1e-11  # residual norm at which refinement stops
 SCORE_GROUP = 256  # scan samples projected and scored in one lockstep: each live run holds a record
 DIRECTIONS_PER_PLANE = 2  # probe directions per invariant 2-plane at a vertex
-SEGMENT = 16  # accepted continuation steps a branch takes between two join barriers
 JOIN_RUN = 3  # entries in a row that retrace one traced branch make a join or close a loop
 JOIN_COS = 0.95  # |cos| of the value tangents at which two retraced curves run parallel
-CROSSING_GAP = 0.1  # a local minimum of the rank-1 Jacobian's smallest nonzero singular value below this is a crossing
 
 
 class TraceError(RuntimeError):
@@ -261,6 +262,8 @@ def _lockstep(model: IntegrableModel, runs: list, tol: float) -> list:
             except StopIteration as done:
                 results[i] = done.value
         live = running
+        if not live:  # every run paused or ended
+            break
         records = _records(model, asks, tol)
         rows_of: dict = {}
         for k, (kernel, _, _) in enumerate(asks):
@@ -682,8 +685,8 @@ _FAMILY_LABELS = {(1, 0, 0): "elliptic-family", (0, 1, 0): "hyperbolic-family"} 
 
 
 def _null_spaces(model, records, J, rel: float = 1e-7) -> list:
-    """(T, gap, soft, Q, label) at each analysed record and rank-1 Jacobian J[k]
-    there: Q its phase rows (see _phase_rows) and T the columns spanning the
+    """(T, gap, soft, Q, label, sign) at each analysed record and rank-1 Jacobian
+    J[k] there: Q its phase rows (see _phase_rows) and T the columns spanning the
     numerical null space of J with Q's rows appended (zero in the v and mu
     columns), a square matrix; T holds the right singular vectors of singular
     values within rel of the largest (or 1), the last one if none; gap is the
@@ -693,8 +696,10 @@ def _null_spaces(model, records, J, rel: float = 1e-7) -> list:
     the family label: the type of the quotient (see _quotients), elliptic where
     its eigenvalues are imaginary (det > 0) and hyperbolic where real (det < 0),
     None where the record's rank is not n-1 or they fail williamson_type's test
-    at its tol (see spectrum_types).  A record without phase rows (a field that
-    vanishes) raises a TraceError."""
+    at its tol (see spectrum_types).  sign is the sign of det A, A the
+    corrector's square matrix there (see _corrector_matrices) with Q's phase
+    rows and T's columns as border rows, 0 where T has not n-1 columns.  A
+    record without phase rows (a field that vanishes) raises a TraceError."""
     Q = _phase_rows(records)
     if not np.all(np.isfinite(Q)):
         raise TraceError("an orbit field vanishes")
@@ -706,13 +711,33 @@ def _null_spaces(model, records, J, rel: float = 1e-7) -> list:
     gaps = [(float(w[r]), V[r]) if r >= 0 else (math.inf, None) for V, w, r in zip(Vt, sv, last)]
     types = spectrum_types(np.linalg.eigvals(_quotients(model, records, J, Q)), [a.tol for a in records])
     labels = [_FAMILY_LABELS.get(counts) if a.rank == model.n - 1 else None for a, (_, counts) in zip(records, types)]
-    return [(V[s].T, *gap, q, label) for V, s, gap, q, label in zip(Vt, small, gaps, Q, labels)]
+    signs = np.zeros(len(records))
+    square = np.flatnonzero(np.count_nonzero(small, axis=1) == model.n - 1)
+    if square.size:
+        B = np.array([Vt[k][small[k]] for k in square])
+        signs[square] = np.linalg.slogdet(_corrector_matrices(J[square], Q[square], B))[0]
+    return [(V[s].T, *gap, q, label, float(d)) for V, s, gap, q, label, d in zip(Vt, small, gaps, Q, labels, signs)]
 
 
 def _tangent_spaces(model, records, Z) -> list:
     """The null space of the phase-conditioned rank-1 Jacobian (see _null_spaces)
     at each analysed record and z."""
     return _null_spaces(model, records, _rank1_systems(model, records, np.array(Z))[1])
+
+
+def _corrector_matrices(J, Q, B) -> np.ndarray:
+    """The corrector's square matrices (see _corrector_systems) from the rank-1
+    Jacobians J, the phase rows Q and the border rows B.  Each phase row q
+    enters twice, as (I - q q^T) J + q [q^T 0], so the matrix depends on Q only
+    through its span."""
+    N = Q.shape[2]
+    Jgrad = J[:, :N].copy()
+    for k in range(Q.shape[1]):
+        q = Q[:, k]
+        row = -np.vecdot(Jgrad, q[:, :, None], axis=1)
+        row[:, :N] += q
+        Jgrad += q[:, :, None] * row[:, None, :]
+    return np.concatenate([Jgrad, J[:, N:], B], axis=1)
 
 
 def _corrector_systems(res, J, Z, B, P, Q, X):
@@ -723,15 +748,12 @@ def _corrector_systems(res, J, Z, B, P, Q, X):
     x_prev the row of X, and the border rows b.(z - z_pred) appended, b the rows
     of B and z_pred the row of P."""
     N = Q.shape[2]
-    grad, Jgrad = res[:, :N].copy(), J[:, :N].copy()
+    grad = res[:, :N].copy()
     for k in range(Q.shape[1]):
         q = Q[:, k]
         grad += q * (np.vecdot(q, Z[:, :N] - X) - np.vecdot(q, grad))[:, None]
-        row = -np.vecdot(Jgrad, q[:, :, None], axis=1)
-        row[:, :N] += q
-        Jgrad += q[:, :, None] * row[:, None, :]
     res = np.concatenate([grad, res[:, N:], np.vecdot(B, (Z - P)[:, None, :])], axis=1)
-    return res, np.concatenate([Jgrad, J[:, N:], B], axis=1)
+    return res, _corrector_matrices(J, Q, B)
 
 
 def _corrector_steps(model, records, args) -> list:
@@ -777,7 +799,10 @@ def _corrector(model, z, B, z_pred, phase, radius: float):
     accepted point, a Newton run: (z, z's record, the null space there as
     _null_spaces gives it, iterations), Nones in the first three when it fails:
     where an iterate is not finite (a singular matrix's step) or lies farther
-    than radius from z_pred (it hops onto another branch)."""
+    than radius from z_pred (it hops onto another branch), or where its residual
+    after CORRECTOR_ITERS steps is above 10 CORRECTOR_TOL (a slow run, as next
+    to a branch point of the rank-1 locus, whose iterates can end on the
+    crossing family)."""
     Q, x_prev = phase
     for it in range(CORRECTOR_ITERS):
         a, step, space = yield _corrector_steps, z[: model.dim], (z, B, z_pred, Q, x_prev)
@@ -824,7 +849,7 @@ class _Branch:
     stored as each entry is appended, the records of its "vertex" entries, why
     it stopped (None while live), its Newton run (see _trace_branch), the
     (value, z, null space there as _null_spaces gives it) of the crossings it
-    passed since the last join barrier and, for that barrier, the entries it has tested, its runs
+    passed since the last join barrier and, for the barriers, the entries they have tested, its runs
     along traced branches ((branch, sense) -> (entries in a row, last matched
     entry, sense); sense 0 along an earlier branch, whose run takes the sense
     of its first move), the earlier branches whose family it does not share,
@@ -857,8 +882,8 @@ def _outside(params: TraceParams, p, value) -> str | None:
 def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, params: TraceParams, tol):
     """Continue branch b from z0 (its record a0, the null space space0 there) along
     direction, appending its entries, vertex records and crossings to b, a Newton
-    run: why it stopped.  It pauses after every SEGMENT accepted steps short of
-    max_steps, where the join barrier reads b.  The predicted point is a step h
+    run: why it stopped.  It pauses after every accepted entry short of
+    max_steps, where the join barrier tests that entry.  The predicted point is a step h
     along the null direction t nearest the last one, second order where the
     branch has two accepted points (see _predict; its first step is z + h t).
     Each corrector runs from it in the phase hyperplane of the last accepted
@@ -866,12 +891,13 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
     grows by half after a run of at most two iterations.  A step that leaves the
     phase bound or the value box ends the branch only where it moves the point
     and the value by at most the base step; a longer one is retried at half its
-    length, so the last entry lies near the edge.  Where the gap of the
-    phase-conditioned rank-1 Jacobian (see _null_spaces) passed a local minimum
-    under CROSSING_GAP one step ago, away from points of lower rank (a rank-0
-    point, or for n >= 3 the rank n-2 locus, where dF's (n-1)-th singular value
-    is small), that point lies near a crossing with another rank-1 family, whose
-    tangent there is close to the soft direction (see _switch)."""
+    length, so the last entry lies near the edge.  Where the sign of det A, A
+    the corrector's square matrix (see _null_spaces), flips between two accepted
+    points (see _flips), the branch has passed a crossing with another rank-1
+    family, whose tangent is close to the soft direction (see _switch) at the one
+    of the two with the smaller gap; that one is kept as the crossing where it
+    lies away from points of lower rank (a rank-0 point, or for n >= 3 the rank
+    n-2 locus, where dF's (n-1)-th singular value is small)."""
     N = model.dim
     attempt_sigma = max(10.0 * params.step, 0.5)
     crossing_sigma = 0.5 * attempt_sigma  # dF's (n-1)-th singular value at a crossing, away from lower ranks
@@ -894,11 +920,10 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
 
     z, a, space, t_prev, h, steps, z_back = z0, a0, space0, direction, params.step, 0, None
     sig_prev, sig_falling = float(a0.sv[0]), False
-    gap_prev, gap_falling = math.inf, False
     while steps < params.max_steps:
         if isinstance(space, Exception):  # the null space at z failed where the corrector accepted z
             raise space
-        T, _, _, Q, _ = space
+        T, Q = space[0], space[3]
         coeff = T.T @ t_prev
         if np.linalg.norm(coeff) < 1e-10:
             t = T[:, 0]
@@ -933,16 +958,28 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
             yield from try_vertex(a)
         sig_falling, sig_prev = sig < sig_prev, sig
 
-        _, gap, _, _, label = (None, math.inf, None, None, None) if isinstance(space_new, Exception) else space_new
+        failed = isinstance(space_new, Exception)
         b.entries.append((val, p.copy(), "cusp" if cusp else None))
-        b.labels.append(label)
-        if gap_falling and gap > gap_prev and gap_prev < CROSSING_GAP and a.sv[model.n - 2] >= crossing_sigma:
-            b.crossings.append((a.value, z, space))  # not next to a point of lower rank, where families meet
-        gap_falling, gap_prev = gap < gap_prev, gap
+        b.labels.append(None if failed else space_new[4])
+        if not failed and _flips(space, space_new):
+            near, x, near_space = min((a, z, space), (a_new, z_new, space_new), key=lambda c: c[2][1])
+            if near.sv[model.n - 2] >= crossing_sigma:  # not next to a point of lower rank, where families meet
+                b.crossings.append((near.value, x, near_space))
         t_prev, z_back, z, a, space, steps = t, z, z_new, a_new, space_new, steps + 1
-        if steps % SEGMENT == 0 and steps < params.max_steps:
-            yield None  # pause at the join barrier
+        if steps < params.max_steps:
+            yield None  # pause for the join test of the new entry
     return "max-steps"
+
+
+def _flips(space, new) -> bool:
+    """Whether tau = sign det A (see _null_spaces) flips from one accepted point
+    to the next, their null spaces space and new: where the product of their
+    signs and of the sign of det(T_new^T T), which aligns new's border rows with
+    space's, is negative (Allgower & Georg 2003, ch. 8).  A depends on the phase
+    rows only through their span (see _corrector_matrices), so they need no
+    aligning."""
+    signs = space[5] * new[5]
+    return bool(signs) and signs * np.linalg.det(new[0].T @ space[0]) < 0
 
 
 def _triple(linearization, model, p, tol, seed) -> tuple[int, int, int] | None:
@@ -955,12 +992,21 @@ def _triple(linearization, model, p, tol, seed) -> tuple[int, int, int] | None:
     return getattr(w, "triple", None)
 
 
+def _distances(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
+    """The distance from each point to the nearest segment of the polyline (of
+    one point: to that point)."""
+    a, b = (polyline[:-1], polyline[1:]) if len(polyline) > 1 else (polyline, polyline)
+    ab = b - a
+    lengths = np.maximum(np.einsum("sk,sk->s", ab, ab), np.finfo(float).tiny)
+    t = np.clip(np.einsum("psk,sk->ps", points[:, None, :] - a, ab) / lengths, 0.0, 1.0)
+    return np.linalg.norm(points[:, None, :] - (a + t[..., None] * ab), axis=2).min(axis=1)
+
+
 def _arc_duplicates(arc_vals: list[np.ndarray], existing: list[Arc], radius: float) -> bool:
-    """Whether 90 % of arc_vals lie within radius of one kept arc's values."""
+    """Whether 90 % of arc_vals lie within radius of one kept arc's polyline."""
     vals = np.array(arc_vals)
     for other in existing:
-        dist = np.linalg.norm(vals[:, None, :] - np.array(other.values)[None, :, :], axis=2)
-        if np.count_nonzero(dist.min(axis=1) <= radius) >= 0.9 * len(arc_vals):
+        if np.count_nonzero(_distances(vals, np.array(other.values)) <= radius) >= 0.9 * len(arc_vals):
             return True
     return False
 
@@ -1081,20 +1127,22 @@ def _joins(branches: list, filed: list, values: np.ndarray, j: int, k: int, para
 
 
 def _join_barrier(branches: list, filed: list, values: np.ndarray, params: TraceParams) -> np.ndarray:
-    """Test the entries each branch added since the last barrier in branch
-    order and cut a branch after the entry that completes its first join: its
-    later entries and their labels go (the vertices it found stay) and it stops
-    as "joined" or "closed-loop" (see _joins).  Then file its kept new entries:
+    """Test the entries each branch added since the last barrier, in branch
+    order: a branch whose entry completes a join stops there, as "joined" or
+    "closed-loop" (see _joins).  A branch pauses after each accepted entry, and
+    a "vertex" entry put before it has no family label and completes no join, so
+    the entry that completes one is the branch's last: no entry is removed.
+    Then file its new entries:
     their (branch, entry) pairs onto filed, and values with their values as rows
     appended, which it returns."""
     for j, b in enumerate(branches):
-        for k in range(b.checked, len(b.entries)):
+        new = range(b.checked, len(b.entries))
+        if not new:
+            continue
+        for k in new:
             if reason := _joins(branches, filed, values, j, k, params):
-                del b.entries[k + 1 :]
-                del b.labels[k + 1 :]
                 b.reason = reason
                 break
-        new = range(b.checked, len(b.entries))
         filed.extend((j, k) for k in new)
         values = np.vstack([values] + [b.entries[k][0] for k in new])
         b.checked = len(b.entries)
@@ -1108,7 +1156,7 @@ def _switch(model, z, space, params: TraceParams):
     to the first n-2 null columns) and in the phase hyperplane of z.  Near the
     crossing the branch's own points lie within the hyperplane through z, and
     the crossing family's tangent is close to soft."""
-    T, _, soft, Q, _ = space
+    T, _, soft, Q = space[:4]
     z_pred = z + params.step * soft
     B = np.vstack([soft, T.T[: len(Q) - 1]])
     z_new, a, space, _ = yield from _corrector(model, z_pred.copy(), B, z_pred, (Q, z[: model.dim]), 2.0 * params.step)
@@ -1122,11 +1170,12 @@ def _switch(model, z, space, params: TraceParams):
 def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, tol) -> list:
     """Both branches of every rank-1 seed, in (seed, direction) order, then
     those of the crossings' starts: the seeds are refined in one lockstep, then
-    every live branch's run advances to its next pause in one lockstep, and a
-    join barrier follows each segment.  A crossing a branch passed in the
-    segment, one per value within ARC_DEDUP_FACTOR steps of no crossing
-    switched before, is switched (see _switch) in the next segment's lockstep,
-    and the branches of its start join the live ones after it."""
+    every live branch's run advances by one accepted entry to its next pause in
+    one lockstep, and a join barrier tests the new entries (see _join_barrier).
+    A crossing a branch passed in that step (see _flips), one per value within
+    ARC_DEDUP_FACTOR steps of no crossing switched before, is switched (see
+    _switch) in the next lockstep, and the branches of its start join the live
+    ones after it."""
     branches, live, switches, switched, filed = [], [], [], [], []
     values, radius = np.empty((0, model.n)), ARC_DEDUP_FACTOR * params.step
     starts = _lockstep(model, [_attempt(_branch_start(model, s)) for s in rank1], tol)
@@ -1153,6 +1202,8 @@ def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, to
                 switches.append(_attempt(_switch(model, z, space, params)))
         for b in live:
             b.crossings.clear()
+            if b.reason is not None:
+                b.run = None  # a joined branch's paused run refers back to b: free it now, not at a GC pass
         live = [b for b in live if b.reason is None]
 
 

@@ -4,10 +4,11 @@ Pipeline for a point p of an integrable model.  Every step reads one record
 per point, `PointAnalysis`, which evaluates each part once, on first use: the
 component and Casimir jets, the leaf frame built from those Casimir jets, the
 SVD of dF on the leaf and the rank.  `analyze_point` makes the record of a
-bare point and refuses a point whose jets are not finite or that is off its
-leaf (`reduce_at` refuses an off-leaf record too).  The public functions take
-the record wherever they take a point, and scan, refinement and continuation in
-`bifurcation` hand each iterate's record on to the next step.
+bare point and refuses a point or record whose jets are not finite or that is
+off its leaf (the refusal is one more part of the record, found once).  The
+public functions take the record wherever they take a point, and scan,
+refinement and continuation in `bifurcation` hand each iterate's record on to
+the next step.
 
 Steps 1 and 2 are stacked because a lockstep round of Newton runs calls them:
 `leaf_frames` and `dF_svds` build the frames and SVDs of many records in one
@@ -138,6 +139,7 @@ class PointAnalysis:
     sv = property(lambda self: self.svd[1])
     Vt = property(lambda self: self.svd[2])
     rank = cached_property(lambda self: _numerical_rank(self.sv, self.tol))  # of dF on the leaf tangent
+    refusal = cached_property(lambda self: _refusal(self))  # why analyze_point refuses the record, or None
     value = property(lambda self: self.jets.value.copy())  # momentum_value's bits on polynomials
 
     def detached(self) -> PointAnalysis:
@@ -154,23 +156,27 @@ class PointAnalysis:
         return b
 
 
-def _check_on_leaf(model: IntegrableModel, a: PointAnalysis) -> None:
-    """Raise the OffLeafError that refuses the point of record a if it is off its leaf."""
-    residual = max((abs(v - c) for v, c in zip(a.cjets.value, model.leaf_values)), default=0.0)
-    if residual > 1e-6:
-        raise OffLeafError(f"point is off the leaf: max Casimir residual {residual:.3e}")
+def _refusal(a: PointAnalysis) -> ClassifyError | None:
+    """The ClassifyError that refuses record a: an OffLeafError where its point
+    is off its leaf or its Casimir residual is not finite, else one where its
+    jets are not finite (LAPACK fails on them further on); None where neither."""
+    residual = np.max(np.abs(a.cjets.value - np.asarray(a.model.leaf_values)), initial=0.0)
+    if not residual <= 1e-6:
+        return OffLeafError(f"point is off the leaf: max Casimir residual {residual:.3e}")
+    if not all(np.isfinite(x).all() for x in (*a.cjets, *a.jets)):
+        return ClassifyError("component or Casimir jets are not finite at this point")
+    return None
 
 
 def analyze_point(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> PointAnalysis:
-    """The record of p, its frame built here (a p with non-finite jets, off its
-    leaf or degenerate raises); a record is returned as is."""
-    if isinstance(p, PointAnalysis):
-        return p
-    a = PointAnalysis(model, p, tol)
-    _check_on_leaf(model, a)
-    if not all(np.isfinite(x).all() for x in (*a.cjets, *a.jets)):  # else LAPACK fails on them further on
-        raise ClassifyError("component or Casimir jets are not finite at this point")
-    a.frame = leaf_frame(model, a, tol)
+    """The record of p, its frame built here; a record is returned as is.  A p
+    or record off its leaf or with non-finite jets raises (see _refusal), and
+    so does a degenerate p."""
+    a = p if isinstance(p, PointAnalysis) else PointAnalysis(model, p, tol)
+    if a.refusal is not None:
+        raise a.refusal.with_traceback(None)
+    if a is not p:
+        a.frame = leaf_frame(model, a, tol)
     return a
 
 
@@ -239,10 +245,9 @@ def reduce_at(model: IntegrableModel, p, tol: float = DEFAULT_TOL) -> Linearizat
 
     Momentum components are remixed so that n-r of them have vanishing
     leaf differential at p; their linearizations descend to ker dF / span
-    of the Hamiltonian field values.  A record off its leaf is refused too.
+    of the Hamiltonian field values.
     """
     a = analyze_point(model, p, tol)
-    _check_on_leaf(model, a)
     B, n, r = a.frame.basis, model.n, a.rank
     if r == n:
         raise ClassifyError("point is regular: nothing to reduce")

@@ -28,6 +28,7 @@ from .classify import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     ClassifyError,
+    PointAnalysis,
     analyze_point,
     is_nondegenerate,
     linearize,
@@ -190,14 +191,16 @@ def kovalevskaya_diagram(
     """Bifurcation diagram of (H, K) on the leaf, seeded by the involution
     fixed points plus a leaf scan.  The vertex seeds come first: a branch can
     only join a branch earlier in seed order, so vertex-adjacent branches have
-    priority and scan branches that retrace them stop as "joined"."""
+    priority and scan branches that retrace them stop as "joined".  The fixed
+    points themselves are rank-0 seeds after the scan's, so each is a vertex
+    whether or not the scan finds it (where it does, the two are one vertex)."""
     model = build_kovalevskaya(g)
     trace_params = trace_params or DIAGRAM_PARAMS
-    vertex_seeds = []
-    for p in involution_fixed_points(g, certify=True, tol=tol):
-        vertex_seeds += seed_arcs_near_vertex(model, p, delta=1e-2, tol=tol)
+    fixed = involution_fixed_points(g, certify=True, tol=tol)
+    vertex_seeds = [s for p in fixed for s in seed_arcs_near_vertex(model, p, delta=1e-2, tol=tol)]
     scan_seeds = scan_singular_points(model, box, resolution=resolution, tol=tol)
-    return trace_diagram(model, vertex_seeds + scan_seeds, trace_params, tol=tol)
+    rank0_seeds = [PointAnalysis(model, p, tol) for p in fixed]
+    return trace_diagram(model, vertex_seeds + scan_seeds + rank0_seeds, trace_params, tol=tol)
 
 
 def report(

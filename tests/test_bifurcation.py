@@ -35,6 +35,8 @@ from intsing.kovalevskaya import (
 )
 from intsing.phasespace import IntegrableModel, model_from_dict
 
+import goldens
+
 
 def test_scan_two_elliptic_has_single_rank0_seed():
     m = build_canonical(CanonicalSpec(0, 2, 0, 0))
@@ -253,9 +255,9 @@ def _vertex_seeds():
 
 
 def test_joins_in_lockstep_give_the_one_run_diagram(monkeypatch):
-    """The join barrier reads finished segments only: the vertex-seed diagram,
-    where branches retrace earlier ones, is the same whether the segments run
-    in lockstep or one run at a time."""
+    """The join barrier tests each branch's new entry after every branch has
+    accepted one: the vertex-seed diagram, where branches retrace earlier ones,
+    is the same whether the branches step in lockstep or one run at a time."""
     m, seeds = _vertex_seeds()
     assert len(seeds) == 16
     traced = []
@@ -312,13 +314,16 @@ def _vertex_seed_branches(g: float):
     return m, bifurcation._trace_branches(m, seeds, CLOSURE_PARAMS, DEFAULT_TOL)
 
 
+CLOSURE_LAG = 16  # a closed loop's last entries lie near its own entries at least this many entries back
+
+
 def _assert_closures_retrace(branches: list) -> None:
     """Each closed-loop branch's last JOIN_RUN entries lie within two steps of
-    its sibling's entries or of its own entries of past segments.  A branch
-    that retraces its values (its last JOIN_RUN entries run back along its own,
-    see _runs_back) may close within a segment of its turn: its last entries
-    then lie within two steps of its own entries from before the turn that
-    carry their family label."""
+    its sibling's entries or of its own entries at least CLOSURE_LAG entries
+    back.  A branch that retraces its values (its last JOIN_RUN entries run back
+    along its own, see _runs_back) may close soon after its turn: its last
+    entries then lie within two steps of its own entries from before the turn
+    that carry their family label."""
     step = CLOSURE_PARAMS.step
     for j, b in enumerate(branches):
         if b.reason != "closed-loop":
@@ -336,7 +341,7 @@ def _assert_closures_retrace(branches: list) -> None:
                     for (value, _, _), label in zip(b.entries[:turn], b.labels)
                 )
             continue
-        own = b.entries[: -bifurcation.SEGMENT]
+        own = b.entries[:-CLOSURE_LAG]
         met = np.array([value for value, _, _ in own + branches[j ^ 1].entries])
         for value, _, _ in b.entries[-bifurcation.JOIN_RUN :]:
             assert np.min(np.linalg.norm(met - value, axis=1)) <= 2 * step
@@ -346,7 +351,7 @@ def _assert_closures_retrace(branches: list) -> None:
 def test_a_closed_value_curve_is_traced_once(g):
     """The vertex-seed branches stop where they close a value curve, not at
     max_steps: a closed-loop branch ends within two steps of its sibling's
-    entries or of its own entries of past segments.  A branch that runs back
+    entries or of its own entries at least CLOSURE_LAG entries back.  A branch that runs back
     along its own entries with their family label retraces its value curve
     and stops there: at g = 0 the first seed's branch 0 runs down to the
     rank-0 point at (-1, 1), back along its elliptic entries, and closes,
@@ -371,8 +376,8 @@ def _entries(values: list) -> list:
 @pytest.mark.parametrize("label", ["elliptic-family", "hyperbolic-family"])
 def test_only_a_retrace_with_its_family_label_closes_a_fold(label):
     """Branch 0 runs out along the h axis over 12 steps of 0.1, and after one
-    join barrier back along its own entries with the family label label (its
-    sibling leaves across it).  Where the way back carries the way out's label
+    join barrier back along its own entries with the family label label, one
+    barrier per entry (its sibling leaves across it).  Where the way back carries the way out's label
     the branch retraces its values and closes at the third entry back; with
     another label (a cusp fold, where the family changes type) the backward
     run only vetoes a head-on closure with the sibling, and the branch goes on."""
@@ -384,9 +389,11 @@ def test_only_a_retrace_with_its_family_label_closes_a_fold(label):
     values = bifurcation._join_barrier(branches, filed, np.empty((0, 2)), params)
     assert [x.reason for x in branches] == [None, None]
     back = [(1.2 - 0.1 * k, 0.0) for k in range(1, 9)]
-    b.entries += _entries(back)
-    b.labels += [label] * len(back)
-    bifurcation._join_barrier(branches, filed, values, params)
+    for entry in _entries(back):  # one join test per entry, as the branch pauses after each
+        if b.reason is None:
+            b.entries.append(entry)
+            b.labels.append(label)
+            values = bifurcation._join_barrier(branches, filed, values, params)
     if label == "elliptic-family":
         assert b.reason == "closed-loop" and len(b.entries) == len(out) + bifurcation.JOIN_RUN
     else:
@@ -409,8 +416,55 @@ def test_a_crossing_seeds_the_family_it_meets(g, monkeypatch):
     k0 = k0_values(branches)
     assert min(k0) == pytest.approx(g * g, abs=CLOSURE_PARAMS.step) and max(k0) > 6.5
     _assert_closures_retrace(branches)
-    monkeypatch.setattr(bifurcation, "CROSSING_GAP", 0.0)
+    monkeypatch.setattr(bifurcation, "_flips", lambda space, new: False)
     assert not k0_values(_vertex_seed_branches(g)[1])
+
+
+@pytest.mark.parametrize("g", [None, 0.0, 1.3, 1.6])
+def test_no_join_barrier_shortens_a_branch(g, monkeypatch):
+    """A branch pauses after each accepted entry and the join barrier tests that
+    entry before the branch steps again: on the benchmark diagram (g None) and at
+    g = 0, 1.3 and 1.6 and resolution 5, no barrier takes an entry off a branch,
+    and each "joined" or "closed-loop" branch ends at the entry whose join test
+    completed its run."""
+    stops, barrier, joins = {}, bifurcation._join_barrier, bifurcation._joins
+
+    def tested(branches, filed, values, j, k, params):
+        reason = joins(branches, filed, values, j, k, params)
+        if reason:
+            stops[j] = k
+        return reason
+
+    def checked(branches, filed, values, params):
+        lengths = [len(b.entries) for b in branches]
+        out = barrier(branches, filed, values, params)
+        assert [len(b.entries) for b in branches] == lengths and [len(b.labels) for b in branches] == lengths
+        return out
+
+    traced = []
+    trace = bifurcation._trace_branches
+    monkeypatch.setattr(bifurcation, "_trace_branches", lambda *args: traced.append(trace(*args)) or traced[-1])
+    monkeypatch.setattr(bifurcation, "_joins", tested)
+    monkeypatch.setattr(bifurcation, "_join_barrier", checked)
+    kovalevskaya_diagram(0.5) if g is None else kovalevskaya_diagram(g, resolution=5)
+    (branches,) = traced
+    ended = {j: len(b.entries) - 1 for j, b in enumerate(branches) if b.reason in ("joined", "closed-loop")}
+    assert ended and stops == ended
+
+
+def test_the_k0_family_and_the_involution_points_are_traced_from_any_entry():
+    """Crossings are found by a sign change of det A, which does not depend on
+    where the steps land, and no entry is cut after it is traced: on the full
+    resolution-5 diagrams at g = 0 and 0.5 the K = 0 elliptic family is traced
+    beyond h = 6.5, and at g = 1.6 and resolution 7, where the scan misses the
+    involution point (0.28, 5.198), both involution points are vertices."""
+    for g in (0.0, 0.5):
+        d = kovalevskaya_diagram(g, resolution=5)
+        k0 = [v[0] for a in d.arcs if a.label == "elliptic-family" for v in a.values if abs(v[1]) < 1e-9]
+        assert k0 and max(k0) > 6.5
+    d = kovalevskaya_diagram(1.6, resolution=7)
+    for p in involution_fixed_points(1.6, certify=False):
+        assert min(np.linalg.norm(v.point - p) for v in d.vertices) < 1e-9
 
 
 @pytest.mark.parametrize("g", [0.5, 1.3])
@@ -586,6 +640,7 @@ def test_most_corrector_steps_take_two_iterations(monkeypatch):
     assert len(rounds) <= 350
 
 
+CROSSING_GAP = 0.1  # the gap of the phase-conditioned Jacobian under which a point lies near a crossing
 CORRECTOR_CONDITION = 1e3  # bounds the condition number where the gap is >= CROSSING_GAP (at most about 100 measured)
 
 
@@ -595,7 +650,7 @@ def _corrector_matrix(model, p):
     a = analyze_point(model, p)
     ((v, mu),) = bifurcation._kernel_vectors(model, [a], [None])
     z = np.concatenate([a.point, v, mu])
-    ((T, gap, _, Q, _),) = bifurcation._tangent_spaces(model, [a], [z])
+    ((T, gap, _, Q, _, _),) = bifurcation._tangent_spaces(model, [a], [z])
     res, J = bifurcation._rank1_systems(model, [a], z[None])
     B = bifurcation._border(T, T[:, 0], len(Q))
     return a, gap, bifurcation._corrector_systems(res, J, z[None], B[None], z[None], Q[None], a.point[None])[1][0]
@@ -621,7 +676,7 @@ def test_the_corrector_matrix_is_square_and_well_conditioned(name):
     for p in (p for arc in d.arcs for p in arc.phase_samples):
         a, gap, A = _corrector_matrix(m, p)
         assert a.rank == m.n - 1 and A.shape == (size, size)
-        if gap >= bifurcation.CROSSING_GAP:
+        if gap >= CROSSING_GAP:
             assert np.linalg.cond(A) < CORRECTOR_CONDITION
             checked += 1
     assert checked >= 40
@@ -658,7 +713,7 @@ def test_models_with_n_at_least_3_trace_their_families(spec, monkeypatch):
         for p in arc.phase_samples[::4]:
             a, gap, A = _corrector_matrix(m, p)
             assert a.rank == m.n - 1 and A.shape == (size, size)
-            assert gap < bifurcation.CROSSING_GAP or np.linalg.cond(A) < CORRECTOR_CONDITION
+            assert gap < CROSSING_GAP or np.linalg.cond(A) < CORRECTOR_CONDITION
 
 
 def test_a_refused_point_fails_only_its_branch(monkeypatch):
@@ -1019,10 +1074,12 @@ def test_csv_has_one_column_per_component(tmp_path):
 
 def _arc_duplicates_reference(arc_vals, existing, radius) -> bool:
     """The per-point loop: an arc is a duplicate when 90 % of its values lie
-    within radius of one existing arc's values."""
+    within radius of one existing arc's polyline, as the goldens' coverage
+    check measures it (a one-point arc is one segment of length 0)."""
     for other in existing:
-        pts = np.array(other.values)
-        close = sum(np.min(np.linalg.norm(pts - v, axis=1)) <= radius for v in arc_vals)
+        poly = np.array(other.values)
+        poly = np.vstack([poly, poly[-1:]]) if len(poly) == 1 else poly
+        close = sum(goldens._distances(np.array([v]), poly)[0] <= radius for v in arc_vals)
         if close >= 0.9 * len(arc_vals):
             return True
     return False
@@ -1276,6 +1333,9 @@ def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
             continue
         T = _one_point_null_space(np.vstack([J1, np.pad(q, ((0, 0), (0, n + nc)))]))
         assert _bits([space[0], space[3]]) == _bits([T, q])
+        # the sign of det A, A the corrector's matrix with T's columns as border rows
+        A = _one_point_corrector_system(np.zeros(len(J1)), J1, np.zeros(N + n + nc), T.T, np.zeros(N + n + nc), q, np.zeros(N))[1]
+        assert space[5] == (np.linalg.slogdet(A)[0] if T.shape[1] == n - 1 else 0.0)
     # the family label: each row's quotient W^T Pi L W and label are those of its one-row call
     ok = [k for k, space in enumerate(spaces) if not isinstance(space, Exception)]
     if ok:
@@ -1287,7 +1347,7 @@ def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
         if isinstance(space, Exception):
             assert type(alone) is type(space) and str(alone) == str(space)
         else:
-            assert alone[4] == space[4]
+            assert alone[4] == space[4] and alone[5] == space[5]
     assert special != "family" or [space[4] for space in spaces] == list(labels)
 
     # the corrector's square 10x10 solve, one np.linalg.solve per matrix, and refinement's 9x10 least squares

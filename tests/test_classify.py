@@ -285,6 +285,29 @@ def test_a_point_with_non_finite_jets_is_refused(components, x1):
     assert verdict.diagnostics == {"error": "component or Casimir jets are not finite at this point"}
 
 
+def test_a_record_at_a_non_finite_point_is_refused():
+    """A record, which analyze_point takes as it is, at a non-finite point: its
+    NaN Casimir residual refuses it as off its leaf, and a record whose jets
+    overflow on a model without Casimirs is refused for its jets, each with a
+    ClassifyError and not LAPACK's LinAlgError; is_nondegenerate is then
+    inconclusive."""
+    from intsing.kovalevskaya import build_kovalevskaya
+
+    m = build_kovalevskaya(0.5)
+    nan_point = [np.nan, 0.0, 0.0, 0.5, 0.0, 0.0]
+    with pytest.raises(OffLeafError, match="off the leaf: max Casimir residual nan"):
+        reduce_at(m, PointAnalysis(m, nan_point))
+    verdict = is_nondegenerate(m, PointAnalysis(m, nan_point))
+    assert verdict.verdict == "inconclusive"
+    assert verdict.diagnostics == {"error": "point is off the leaf: max Casimir residual nan"}
+    m = model_from_dict({"coordinates": ["x1", "y1", "x2", "y2"], "components": ["x1^5+y1", "x2*y2"]})
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        a = PointAnalysis(m, [1e100, 0.0, 0.0, 0.0])
+        with pytest.raises(ClassifyError, match="jets are not finite"):
+            reduce_at(m, a)
+    assert is_nondegenerate(m, a).diagnostics == {"error": "component or Casimir jets are not finite at this point"}
+
+
 @given(st.sampled_from([s for s in all_specs(5) if s.n == 5]), st.integers(0, 2**31 - 1))
 def test_type_survives_random_disguise_n5(spec, seed):
     d = randomized_disguise(build_canonical(spec), seed=seed)
