@@ -5,9 +5,10 @@ grid scanning for low-rank candidates, Newton refinement onto the
 rank-1 locus (or rank-0 points), and pseudo-arclength continuation of
 the rank-1 condition with the momentum image recorded along the way.
 Refinement returns its last iterate's `PointAnalysis` record, and every seed
-is such a record.  Each rank-1 seed whose point and value lie within the
-trace's bounds is continued both ways, and a branch is one
-list of (value, phase point, mark) entries, mark "cusp", "vertex" or None.
+is such a record.  The diagram's vertices are its rank-0 seeds.  Each rank-1
+seed whose point and value lie within the trace's bounds is continued both
+ways, and a branch is one list of (value, phase point, mark) entries, mark
+"cusp", "vertex" (a listed vertex it meets, see _trace_branch) or None.
 
 A Newton run (leaf projection, scan scoring, refinement, corrector, branch) is
 a generator: it yields a request for a stacked kernel at a phase point or record
@@ -27,7 +28,7 @@ in lockstep, one accepted entry per branch at a time, so every output is the
 one the runs give one at a time.  A branch is one run that pauses (yields
 None) after each accepted entry and is resumed where it paused.  A run that
 raises a TraceError, ClassifyError or EvalError (see `_attempt`) fails alone: a scan sample, a
-refinement, a branch start or a vertex polish gives nothing, a branch (also on
+refinement or a branch start gives nothing, a branch (also on
 a LinAlgError, an SVD that did not converge) ends as "failed" with the entries
 it has, and the other runs of its lockstep go on.  Each entry's family label
 (the reduced 1-d.f. Williamson type of its point, see _null_spaces) comes from
@@ -846,10 +847,10 @@ def _value_speed(a: PointAnalysis, direction) -> float:
 class _Branch:
     """A continuation branch: its (value, phase point, mark) entries in tracing
     order, their family labels (see _null_spaces; None at "vertex" entries),
-    stored as each entry is appended, the records of its "vertex" entries, why
-    it stopped (None while live), its Newton run (see _trace_branch), the
-    (value, z, null space there as _null_spaces gives it) of the crossings it
-    passed since the last join barrier and, for the barriers, the entries they have tested, its runs
+    stored as each entry is appended, why it stopped (None while live), its
+    Newton run (see _trace_branch), the (value, z, null space there as
+    _null_spaces gives it) of the crossings it passed since the last join
+    barrier and, for the barriers, the entries they have tested, its runs
     along traced branches ((branch, sense) -> (entries in a row, last matched
     entry, sense); sense 0 along an earlier branch, whose run takes the sense
     of its first move), the earlier branches whose family it does not share,
@@ -857,7 +858,6 @@ class _Branch:
 
     entries: list
     labels: list = field(default_factory=list)
-    found: list = field(default_factory=list)
     crossings: list = field(default_factory=list)
     reason: str | None = None
     run: object = None
@@ -879,10 +879,10 @@ def _outside(params: TraceParams, p, value) -> str | None:
     return None
 
 
-def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, params: TraceParams, tol):
+def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, params: TraceParams, vertices: list):
     """Continue branch b from z0 (its record a0, the null space space0 there) along
-    direction, appending its entries, vertex records and crossings to b, a Newton
-    run: why it stopped.  It pauses after every accepted entry short of
+    direction, appending its entries and crossings to b, a Newton run: why it
+    stopped.  It pauses after every accepted entry short of
     max_steps, where the join barrier tests that entry.  The predicted point is a step h
     along the null direction t nearest the last one, second order where the
     branch has two accepted points (see _predict; its first step is z + h t).
@@ -897,25 +897,26 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
     family, whose tangent is close to the soft direction (see _switch) at the one
     of the two with the smaller gap; that one is kept as the crossing where it
     lies away from points of lower rank (a rank-0 point, or for n >= 3 the rank
-    n-2 locus, where dF's (n-1)-th singular value is small)."""
+    n-2 locus, where dF's (n-1)-th singular value is small).  Where dF's sigma_max
+    falls below VERTEX_SIGMA (a landing) or had a local minimum below
+    attempt_sigma one step ago (a pass), the nearest listed vertex within
+    max(4 step, 0.4) of that point is appended, with its own value and point, as
+    a "vertex" entry unless the branch has one within 3 steps of it; a landing
+    ends as "vertex", or "rank-collapse" where none is appended.  Nothing is refined."""
     N = model.dim
     attempt_sigma = max(10.0 * params.step, 0.5)
     crossing_sigma = 0.5 * attempt_sigma  # dF's (n-1)-th singular value at a crossing, away from lower ranks
+    reach = max(4.0 * params.step, 0.4)  # a vertex farther from the sigma minimum is not the one passed
 
-    def try_vertex(near: PointAnalysis):
-        """Polish a sigma-minimum onto the rank-0 locus and append it to the branch,
-        a Newton run: whether it did."""
+    def mark_vertex(near: PointAnalysis) -> bool:
+        """Append the listed vertex nearest near's point, within reach, to the branch: whether it did."""
         if any(mark == "vertex" and np.linalg.norm(near.point - p) < 3.0 * params.step for _, p, mark in b.entries):
-            return False  # near a known vertex
-        refined = yield from _attempt(_refine(model, near, 0, max_iter=30))
-        if refined is None:
+            return False  # near a vertex this branch has
+        v = min(vertices, key=lambda v: np.linalg.norm(v.point - near.point), default=None)
+        if v is None or np.linalg.norm(v.point - near.point) > reach:
             return False
-        pv = refined.point
-        if np.linalg.norm(pv - near.point) > max(4.0 * params.step, 0.4):
-            return False  # converged to a faraway vertex, not a local pass
-        b.entries.append((model.momentum_value(pv), pv.copy(), "vertex"))
+        b.entries.append((v.value, v.point, "vertex"))
         b.labels.append(None)
-        b.found.append(refined)
         return True
 
     z, a, space, t_prev, h, steps, z_back = z0, a0, space0, direction, params.step, 0, None
@@ -952,10 +953,10 @@ def _trace_branch(model, b: _Branch, z0, a0: PointAnalysis, space0, direction, p
         sig = float(a_new.sv[0])
         if sig < VERTEX_SIGMA:
             # landed (numerically) on a rank-0 point
-            return "vertex" if (yield from try_vertex(a_new)) else "rank-collapse"
+            return "vertex" if mark_vertex(a_new) else "rank-collapse"
         if sig_falling and sig > sig_prev and sig_prev < attempt_sigma:
             # passed a local minimum of |dF| one step ago (at a's point): likely a vertex
-            yield from try_vertex(a)
+            mark_vertex(a)
         sig_falling, sig_prev = sig < sig_prev, sig
 
         failed = isinstance(space_new, Exception)
@@ -1167,9 +1168,10 @@ def _switch(model, z, space, params: TraceParams):
     return z_new, a, space, _fastest(a, space[0])
 
 
-def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, tol) -> list:
+def _trace_branches(model: IntegrableModel, rank1: list, vertices: list, params: TraceParams, tol) -> list:
     """Both branches of every rank-1 seed, in (seed, direction) order, then
-    those of the crossings' starts: the seeds are refined in one lockstep, then
+    those of the crossings' starts, each marking the listed vertices it meets
+    (see _trace_branch): the seeds are refined in one lockstep, then
     every live branch's run advances by one accepted entry to its next pause in
     one lockstep, and a join barrier tests the new entries (see _join_barrier).
     A crossing a branch passed in that step (see _flips), one per value within
@@ -1185,7 +1187,7 @@ def _trace_branches(model: IntegrableModel, rank1: list, params: TraceParams, to
                 z0, a, space, t0 = start
                 for direction in (t0, -t0):
                     b = _Branch([(a.value, z0[: model.dim].copy(), None)], [space[4]])
-                    run = _trace_branch(model, b, z0, a, space, direction, params, tol)
+                    run = _trace_branch(model, b, z0, a, space, direction, params, vertices)
                     b.run = _attempt(run, "failed", _RUN_ERRORS + (np.linalg.LinAlgError,))  # or an SVD that fails
                     branches.append(b)
                     live.append(b)
@@ -1214,35 +1216,26 @@ def trace_diagram(
     tol: float = DEFAULT_TOL,
 ) -> BifurcationDiagram:
     """Continue every rank-1 seed into labeled momentum-space arcs (see
-    _trace_branches); arcs, vertices and labels are then built in seed order.
+    _trace_branches), built in seed order.  The vertices are the rank-0 seeds in
+    seed order, one per point within 1e-6, listed before any branch starts.
     A rank-1 seed whose point or value lies outside params' bounds (see
     _outside) starts no branch, and glued branches with fewer than 3 entries
-    besides their "vertex" entries give no arc (their vertices are kept)."""
+    besides their "vertex" entries give no arc."""
     params = params or TraceParams()
     rank1 = [s for s in seeds if s.rank == model.n - 1 and not _outside(params, s.point, s.value)]
-    rank0 = [s for s in seeds if s.rank == 0]
-
     vertices: list[Vertex] = []
+    for s in seeds:
+        if s.rank == 0 and all(np.linalg.norm(v.point - s.point) >= 1e-6 for v in vertices):
+            wt = _triple(linearize, model, s, tol, params.seed)
+            vertices.append(Vertex(s.point.copy(), model.momentum_value(s.point), 0, wt))
 
-    def add_vertex(a: PointAnalysis):
-        if all(np.linalg.norm(v.point - a.point) >= 1e-6 for v in vertices):
-            wt = _triple(linearize, model, a, tol, params.seed)
-            vertices.append(Vertex(a.point.copy(), model.momentum_value(a.point), 0, wt))
-
-    for s in rank0:
-        add_vertex(s)
-
-    branches = _trace_branches(model, rank1, params, tol)
+    branches = _trace_branches(model, rank1, vertices, params, tol)
     arcs: list[Arc] = []
     dedup_radius = ARC_DEDUP_FACTOR * params.step
     for fwd, bwd in zip(branches[::2], branches[1::2]):
         entries = bwd.entries[::-1] + fwd.entries[1:]  # both branches start at the seed
-        if len(entries) < 3:
-            continue
-        for a in bwd.found + fwd.found:
-            add_vertex(a)
         if sum(mark != "vertex" for _, _, mark in entries) < 3:
-            continue  # a seed whose branches both ended on a rank-0 point at once: no arc
+            continue  # too short, as a seed whose branches both ended on a rank-0 point at once: no arc
         values = [val for val, _, _ in entries]
         phases = [p for _, p, _ in entries]
         labels = bwd.labels[::-1] + fwd.labels[1:]

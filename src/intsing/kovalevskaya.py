@@ -191,9 +191,11 @@ def kovalevskaya_diagram(
     """Bifurcation diagram of (H, K) on the leaf, seeded by the involution
     fixed points plus a leaf scan.  The vertex seeds come first: a branch can
     only join a branch earlier in seed order, so vertex-adjacent branches have
-    priority and scan branches that retrace them stop as "joined".  The fixed
-    points themselves are rank-0 seeds after the scan's, so each is a vertex
-    whether or not the scan finds it (where it does, the two are one vertex)."""
+    priority and scan branches that retrace them stop as "joined".  The
+    diagram's vertices are its rank-0 seeds, the scan's and then the fixed
+    points, so each fixed point is a vertex whether or not the scan finds it
+    (where it does, the two are one vertex); a branch only marks listed
+    vertices, so a rank-0 point that neither gives is not one."""
     model = build_kovalevskaya(g)
     trace_params = trace_params or DIAGRAM_PARAMS
     fixed = involution_fixed_points(g, certify=True, tol=tol)

@@ -17,6 +17,7 @@ from intsing.bifurcation import (
     ScanParams,
     TraceError,
     TraceParams,
+    Vertex,
     export_diagram,
     refine_singular_point,
     scan_singular_points,
@@ -277,9 +278,14 @@ def test_joins_in_lockstep_give_the_one_run_diagram(monkeypatch):
     assert closed[0] == closed[1] and closed[0]
 
 
+def _fixed_vertices(m, g: float) -> list:
+    """The two fixed points of the involution at g as listed vertices."""
+    return [Vertex(p, m.momentum_value(p), 0) for p in involution_fixed_points(g, certify=False)]
+
+
 def test_a_joined_branch_ends_on_the_branch_it_joined():
     m, seeds = _vertex_seeds()
-    branches = bifurcation._trace_branches(m, seeds, JOIN_PARAMS, DEFAULT_TOL)
+    branches = bifurcation._trace_branches(m, seeds, _fixed_vertices(m, 0.5), JOIN_PARAMS, DEFAULT_TOL)
     joined = [(j, b) for j, b in enumerate(branches) if b.reason == "joined"]
     assert joined
     for j, b in joined:
@@ -311,7 +317,7 @@ def _vertex_seed_branches(g: float):
     """Kovalevskaya at g and the branches of the seeds `seed_arcs_near_vertex` gives at its fixed points."""
     m = build_kovalevskaya(g)
     seeds = [s for p in involution_fixed_points(g, certify=False) for s in seed_arcs_near_vertex(m, p, delta=1e-2)]
-    return m, bifurcation._trace_branches(m, seeds, CLOSURE_PARAMS, DEFAULT_TOL)
+    return m, bifurcation._trace_branches(m, seeds, _fixed_vertices(m, g), CLOSURE_PARAMS, DEFAULT_TOL)
 
 
 CLOSURE_LAG = 16  # a closed loop's last entries lie near its own entries at least this many entries back
@@ -467,6 +473,27 @@ def test_the_k0_family_and_the_involution_points_are_traced_from_any_entry():
         assert min(np.linalg.norm(v.point - p) for v in d.vertices) < 1e-9
 
 
+def test_the_vertices_are_the_rank0_seeds(monkeypatch):
+    """The vertices are listed from the rank-0 seeds before any branch starts,
+    and no branch refines one: at g = 1.6 each arc end marked "vertex" carries a
+    listed vertex's value, bit for bit, and the same trace without the rank-0
+    seeds lists no vertex, so a branch that lands on one ends as
+    "rank-collapse"."""
+    bare = []
+
+    def trace(model, seeds, *args, **kwargs):
+        bare.append(trace_diagram(model, [s for s in seeds if s.rank != 0], *args, **kwargs))
+        return trace_diagram(model, seeds, *args, **kwargs)
+
+    monkeypatch.setattr("intsing.kovalevskaya.trace_diagram", trace)
+    d = kovalevskaya_diagram(1.6, resolution=5)
+    listed = {v.value.tobytes() for v in d.vertices}
+    ends = [value for a in d.arcs for value, end in zip((a.values[0], a.values[-1]), a.endpoints) if end == "vertex"]
+    assert len(listed) == 4 and ends and {v.tobytes() for v in ends} <= listed
+    (without,) = bare
+    assert without.vertices == [] and any("rank-collapse" in a.endpoints for a in without.arcs)
+
+
 @pytest.mark.parametrize("g", [0.5, 1.3])
 def test_entry_labels_are_the_one_point_labels(g, monkeypatch):
     """The family label each branch stores for each of its entries, from the
@@ -514,17 +541,19 @@ def _cut_arcs(labels: list, monkeypatch) -> list:
 
 def test_branches_that_end_on_a_vertex_at_once_give_no_arc(monkeypatch):
     """A seed next to a rank-0 point whose two branches both land on it at their
-    first step glues to [vertex, seed, vertex]: no arc, one vertex."""
+    first step glues to [vertex, seed, vertex]: no arc, one vertex, the rank-0
+    seed's, which each branch's "vertex" entry carries."""
     m = build_canonical(CanonicalSpec(0, 2, 0, 0))
     origin = np.zeros(m.dim)
     seed = (np.array([0.01, 0.0]), np.array([0.1, 0.0, 0.0, 0.0]), None)
 
-    def branch():
-        vertex = (np.zeros(2), origin, "vertex")
-        return bifurcation._Branch([seed, vertex], [None, None], [PointAnalysis(m, origin)], reason="vertex")
+    def branches(model, rank1, vertices, params, tol):
+        (v,) = vertices
+        vertex = (v.value, v.point, "vertex")
+        return [bifurcation._Branch([seed, vertex], [None, None], reason="vertex") for _ in range(2)]
 
-    monkeypatch.setattr(bifurcation, "_trace_branches", lambda *args: [branch(), branch()])
-    d = trace_diagram(m, [])
+    monkeypatch.setattr(bifurcation, "_trace_branches", branches)
+    d = trace_diagram(m, [PointAnalysis(m, origin)])
     assert d.arcs == [] and [v.point.tolist() for v in d.vertices] == [origin.tolist()]
 
 
@@ -729,7 +758,7 @@ def test_a_refused_point_fails_only_its_branch(monkeypatch):
     def entries(branches):
         return [[(v.tobytes(), p.tobytes(), mark) for v, p, mark in b.entries] for b in branches]
 
-    base = bifurcation._trace_branches(m, rank1, params, DEFAULT_TOL)
+    base = bifurcation._trace_branches(m, rank1, [], params, DEFAULT_TOL)
     refused = base[0].entries[-1][1].tobytes()
     frames = classify.leaf_frames
 
@@ -739,7 +768,7 @@ def test_a_refused_point_fails_only_its_branch(monkeypatch):
 
     monkeypatch.setattr(classify, "leaf_frames", refusing)
     monkeypatch.setattr(bifurcation, "leaf_frames", refusing)
-    got = bifurcation._trace_branches(m, rank1, params, DEFAULT_TOL)
+    got = bifurcation._trace_branches(m, rank1, [], params, DEFAULT_TOL)
     assert [b.reason for b in got] == ["failed"] + [b.reason for b in base[1:]]
     assert entries(got) == [entries(base)[0][:-1]] + entries(base[1:])
     assert any("failed" in arc.endpoints for arc in trace_diagram(m, seeds, params).arcs)
