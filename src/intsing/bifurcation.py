@@ -37,19 +37,19 @@ reads, and the branch stores it with the entry ("vertex" entries get None);
 the join test and the arc cuts read it.  After every branch has accepted its
 next entry a join barrier walks the branches in (seed, direction) order and
 tests each new entry: a branch whose entries retrace a traced value curve for
-JOIN_RUN entries in a row (near its entries, parallel to its value tangent, the
-matched entry moving one way) with the same family label at the last one stops
-at that entry, its last: as "joined" on an earlier branch other than its
-sibling, and as "closed-loop" where it comes round onto its own entries in
-their sense, runs back along them (it retraces its values) or meets its sibling
-head-on (see _joins); the candidates are the entries filed at earlier barriers
-and earlier in this one, found by one distance call over an array of their
-values.  No barrier removes an entry.  Where a branch passes a crossing with
-another rank-1 family, sign det A flips between two accepted points, A the
-corrector's square matrix there (see _null_spaces and _flips; Allgower & Georg
-2003, ch. 8), and a start on that family is made one step off the one of the
-two with the smaller gap (see _switch), one per crossing value, in the next
-lockstep; its two branches come after every branch made before them.  A vertex's
+JOIN_RUN entries in a row (near its entries, their value chords from the entry
+before parallel, the matched entry moving one way) with the same family label
+at the last one stops at that entry, its last: as "joined" on an earlier branch
+other than its sibling, and as "closed-loop" where it comes round onto its own
+entries in their sense, runs back along them (it retraces its values) or meets
+its sibling head-on (see _joins); the candidates are the entries filed, each
+once with its value and chord, at earlier barriers and earlier in this one
+(see _join_barrier).  No barrier removes an entry.  Where a branch passes a
+crossing with another rank-1 family, sign det A flips between two accepted
+points, A the corrector's square matrix there (see _null_spaces and _flips;
+Allgower & Georg 2003, ch. 8), and a start on that family is made one step off
+the one of the two with the smaller gap (see _switch), one per crossing value,
+in the next lockstep; its two branches come after every branch made before them.  A vertex's
 value is `momentum_value` at its point (on a model with a division the jet
 values can differ from it in the last bit).  The glued branches are cut into
 arcs at the marks and at every change of the stored family labels: where the
@@ -119,7 +119,7 @@ REFINE_TOL = 1e-11  # residual norm at which refinement stops
 SCORE_GROUP = 256  # scan samples projected and scored in one lockstep: each live run holds a record
 DIRECTIONS_PER_PLANE = 2  # probe directions per invariant 2-plane at a vertex
 JOIN_RUN = 3  # entries in a row that retrace one traced branch make a join or close a loop
-JOIN_COS = 0.95  # |cos| of the value tangents at which two retraced curves run parallel
+JOIN_COS = 0.95  # |cos| of the value chords at which two retraced curves run parallel
 
 
 class TraceError(RuntimeError):
@@ -1040,114 +1040,113 @@ def _same_family(label_p, label_q) -> bool:
     return label_p is not None and label_p == label_q
 
 
-def _unit(x: np.ndarray):
-    """x over its norm, None where that is 0 or not finite."""
+def _chord(entries: list, k: int) -> np.ndarray:
+    """The unit chord of the values from entry k - 1 to entry k, NaN where they
+    do not move (so it runs parallel to no chord)."""
+    x = entries[k][0] - entries[k - 1][0]
     norm = float(np.linalg.norm(x))
-    return x / norm if 0.0 < norm < math.inf else None
+    return x / norm if 0.0 < norm < math.inf else np.full(x.shape, np.nan)
 
 
-def _value_tangent(entries: list, m: int):
-    """The unit chord of the values around entry m, None where they do not move."""
-    lo, hi = max(m - 1, 0), min(m + 1, len(entries) - 1)
-    return _unit(entries[hi][0] - entries[lo][0])
-
-
-def _joins(branches: list, filed: list, values: np.ndarray, j: int, k: int, params: TraceParams) -> str | None:
+def _joins(branches: list, store: np.ndarray, j: int, k: int, params: TraceParams) -> str | None:
     """Extend branch j's runs along traced branches by its entry k: the stop
     reason where the entry completes one, else None.  The candidates are the
-    filed (branch, entry) pairs, whose values are the rows of values.
+    filed entries (the columns of store, see _join_barrier) within ARC_DEDUP_FACTOR
+    steps of entry k's value, and an entry's chord (see _chord) runs parallel
+    to entry k's where their |cos| >= JOIN_COS.  A run follows the nearest
+    candidate of a traced branch in its sense, the first filed of two at one
+    distance.
 
     A run along an earlier branch i other than j's sibling follows i's nearest
-    entry within ARC_DEDUP_FACTOR steps while its value chord runs parallel to
-    j's (|cos| >= JOIN_COS, either sense) and the matched entry moves one way.
-    At JOIN_RUN entries j joins i if the two points share a family label, else
-    j never tests i again.
+    entry while its chord runs parallel to j's (either sense) and the matched
+    entry moves one way.  At JOIN_RUN entries j joins i if the two points share
+    a family label, else j never tests i again.
 
     A run along j's own entries or its sibling's in sense s follows the nearest
-    of their entries within that radius whose chord runs parallel to j's, cos
-    >= JOIN_COS for s = 1 (along their tracing order) and cos <= -JOIN_COS for
-    s = -1.  It grows where the matched entry moves by s, holds where it stays
-    (on the sibling, whose steps can be longer than j's; the last filed entry of
-    j's own stays nearest while j moves on from it) and starts again otherwise.
-    At JOIN_RUN entries with one family label j stops as "closed-loop": along
-    its own entries forward (j came round a closed value curve) or backward (j
-    retraces its values, as past a rank-0 point), or along its sibling's
-    backward (j met it head-on) unless j runs back along its own entries then
-    with another label (a cusp fold: the sibling's are then a fold image of
-    j's)."""
+    of their entries whose chord runs parallel to j's, cos >= JOIN_COS for s = 1
+    (along their tracing order) and cos <= -JOIN_COS for s = -1.  It grows
+    where the matched entry moves by s, holds where it stays (on the sibling,
+    whose steps can be longer than j's; the last filed entry of j's own stays
+    nearest while j moves on from it) and starts again otherwise.  At JOIN_RUN
+    entries with one family label j stops as "closed-loop": along its own
+    entries forward (j came round a closed value curve) or backward (j retraces
+    its values, as past a rank-0 point), or along its sibling's backward (j met
+    it head-on) unless j runs back along its own entries then with another
+    label (a cusp fold: the sibling's are then a fold image of j's)."""
     b = branches[j]
     value = b.entries[k][0]
-    tangent = _unit(value - b.entries[k - 1][0])
-    radius = ARC_DEDUP_FACTOR * params.step
-    closing = {j: (1, -1), j ^ 1: (-1,)}  # j's own backward runs also veto the sibling
-    left = k - 1  # j's own entries after the last one outside the radius are no loop
-    while left >= 0 and np.linalg.norm(b.entries[left][0] - value) <= radius:
-        left -= 1
-    nearest: dict = {}
-    dist = _norms(values - value) if tangent is not None else np.empty(0)
-    for row in np.flatnonzero(dist <= radius):
-        (i, m), d = filed[row], float(dist[row])
-        if i in closing:
-            other = _value_tangent(branches[i].entries, m)
-            cos = 0.0 if other is None else float(tangent @ other)
-            key = (i, (cos >= JOIN_COS) - (cos <= -JOIN_COS))
-            if key[1] not in closing[i] or key == (j, 1) and m > left:
-                continue
-        elif i < j and i not in b.unlike:
-            key = (i, 0)
-        else:
-            continue
-        if key not in nearest or d < nearest[key][0]:
-            nearest[key] = (d, m)
+    n, radius = value.size, ARC_DEDUP_FACTOR * params.step
+    dist = _norms((store[:n] - value[:, None]).T)
+    near = dist <= radius
+    if not near.any():
+        b.runs = {}
+        return None
+    d, filed = dist[near], store[:, near]
+    cos = _chord(b.entries, k) @ filed[n : 2 * n]
+    bs, ms = filed[-2].astype(int), filed[-1].astype(int)  # each candidate's branch and entry
+    ss = (cos >= JOIN_COS).astype(int) - (cos <= -JOIN_COS)  # and sense
+    like = np.ones(len(branches), bool)
+    like[list(b.unlike)] = False
+    earlier = (bs < j) & (bs != j ^ 1) & like[bs]
+    ss[earlier] = 0
+    # j's own entries after the last one outside the radius are no loop; that one
+    # is unfiled, else filed (entry 0, never filed, has no filed entry before it)
+    forward = (bs == j) & (ss == 1)
+    if forward.any():
+        far = [m for m in range(b.checked, k) if np.linalg.norm(b.entries[m][0] - value) > radius]
+        forward &= ms <= max(far, default=store[-1, (store[-2] == j) & ~near].max(initial=-1))
+    closing = (ss == -1) & ((bs == j) | (bs == j ^ 1)) | forward  # j's own backward runs also veto the sibling
+    keys = 3 * bs + ss + 1  # (branch, sense) in their order
+    picks = np.flatnonzero(earlier | closing)
+    picks = picks[np.lexsort((d[picks], keys[picks]))]  # stable: a tie keeps the filed order
+    picks = picks[np.unique(keys[picks], return_index=True)[1]]  # the first, nearest, per key
     runs = {}
-    for (i, s), (_, m) in sorted(nearest.items()):
+    for i, s, m, c in zip(*(x[picks].tolist() for x in (bs, ss, ms, cos))):
         count, last, sense = b.runs.get((i, s), (0, m, 0))
         move = (m > last) - (m < last)
         if s:
             runs[i, s] = (count + 1 if count and move == s else count if count and not move and i != j else 1, m, s)
-            continue
-        other = _value_tangent(branches[i].entries, m)
-        if other is not None and abs(float(tangent @ other)) >= JOIN_COS:
+        elif abs(c) >= JOIN_COS:
             runs[i, s] = (count + 1, m, move) if count and move and sense in (0, move) else (1, m, 0)
     b.runs = runs
     for (i, s), (count, m, _) in sorted(runs.items()):  # the earliest branch first
         if count < JOIN_RUN or i == j ^ 1 and (j, -1) in runs:
             continue
         if _same_family(b.labels[k], branches[i].labels[m]):
-            if i in closing:
+            if i in (j, j ^ 1):
                 return "closed-loop"
             b.joined = i
             return "joined"
         if (i, s) == (j, -1):
             continue  # a cusp fold, kept to veto the sibling
-        if i in closing:
+        if i in (j, j ^ 1):
             del runs[i, s]
         else:
             b.unlike.add(i)
     return None
 
 
-def _join_barrier(branches: list, filed: list, values: np.ndarray, params: TraceParams) -> np.ndarray:
+def _join_barrier(branches: list, store: np.ndarray, params: TraceParams) -> np.ndarray:
     """Test the entries each branch added since the last barrier, in branch
     order: a branch whose entry completes a join stops there, as "joined" or
     "closed-loop" (see _joins).  A branch pauses after each accepted entry, and
     a "vertex" entry put before it has no family label and completes no join, so
     the entry that completes one is the branch's last: no entry is removed.
-    Then file its new entries:
-    their (branch, entry) pairs onto filed, and values with their values as rows
-    appended, which it returns."""
+    Then file its new entries as columns of the store, which it returns: an
+    entry's value, chord (see _chord), branch and index, so that a field is one
+    contiguous row.  Entry 0, a branch's seed, is never filed."""
     for j, b in enumerate(branches):
         new = range(b.checked, len(b.entries))
         if not new:
             continue
         for k in new:
-            if reason := _joins(branches, filed, values, j, k, params):
+            if reason := _joins(branches, store, j, k, params):
                 b.reason = reason
                 break
-        filed.extend((j, k) for k in new)
-        values = np.vstack([values] + [b.entries[k][0] for k in new])
+        filed = [np.concatenate([b.entries[k][0], _chord(b.entries, k), [j, k]]) for k in new]
+        store = np.concatenate([store, np.transpose(filed)], axis=1)
         b.checked = len(b.entries)
-    return values
+    return store
 
 
 def _switch(model, z, space, params: TraceParams):
@@ -1178,8 +1177,8 @@ def _trace_branches(model: IntegrableModel, rank1: list, vertices: list, params:
     ARC_DEDUP_FACTOR steps of no crossing switched before, is switched (see
     _switch) in the next lockstep, and the branches of its start join the live
     ones after it."""
-    branches, live, switches, switched, filed = [], [], [], [], []
-    values, radius = np.empty((0, model.n)), ARC_DEDUP_FACTOR * params.step
+    branches, live, switches, switched = [], [], [], []
+    store, radius = np.empty((2 * model.n + 2, 0)), ARC_DEDUP_FACTOR * params.step
     starts = _lockstep(model, [_attempt(_branch_start(model, s)) for s in rank1], tol)
     while True:
         for start in starts:
@@ -1196,7 +1195,7 @@ def _trace_branches(model: IntegrableModel, rank1: list, vertices: list, params:
         ends = _lockstep(model, [b.run for b in live] + switches, tol)
         for b, reason in zip(live, ends):
             b.reason = reason
-        values = _join_barrier(branches, filed, values, params)
+        store = _join_barrier(branches, store, params)
         starts, switches = ends[len(live) :], []
         for value, z, space in (c for b in live for c in b.crossings):
             if all(np.linalg.norm(value - v) > radius for v in switched):

@@ -41,6 +41,7 @@ from intsing.phasespace import load_model, model_to_dict, save_model
 from test_classify import all_specs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+MODEL_DIR = Path(__file__).parent / "models"
 FLOAT_TOL = 1e-9
 DISGUISES_PER_TYPE = 2
 
@@ -71,16 +72,27 @@ def classify_disguised() -> list[dict]:
     return out
 
 
-def trace_canonical_1010() -> dict:
-    """`trace --model canonical:1,0,1,0 --json FILE`: the summary without the
-    file name, and the diagram the file holds."""
+def _trace(argv: list[str]) -> dict:
+    """`trace ARGV --json FILE`: the summary without the file name, and the
+    diagram the file holds."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "diagram.json")
-        summary = _cli_json(["trace", "--model", "canonical:1,0,1,0", "--json", path])
+        summary = _cli_json(["trace", *argv, "--json", path])
         with open(path) as fh:
             diagram = json.load(fh)
     del summary["report"]["files"]
     return {"summary": summary, "diagram": diagram}
+
+
+def trace_degenerate(name: str) -> dict:
+    """`_trace` of `--model degenerate_NAME.json --resolution 3`, without the
+    model file's name.  On these degenerate models branches creep with their
+    values almost standing still: the join test of m2 sees about 600 filed
+    entries within its radius per test, and m1 files entries whose value
+    chords are NaN."""
+    out = _trace(["--model", str(MODEL_DIR / f"degenerate_{name}.json"), "--resolution", "3"])
+    del out["summary"]["report"]["model"]
+    return out
 
 
 def atoms_check_catalog() -> dict:
@@ -184,7 +196,9 @@ SOURCES = {
     "classify_disguised": classify_disguised,
     "kovalevskaya_report_g0.5": lambda: _cli_json(["kovalevskaya", "report", "--g", "0.5"]),
     "kovalevskaya_report_g1.6": lambda: _cli_json(["kovalevskaya", "report", "--g", "1.6"]),
-    "trace_canonical_1010": trace_canonical_1010,
+    "trace_canonical_1010": lambda: _trace(["--model", "canonical:1,0,1,0"]),
+    "trace_degenerate_m1": lambda: trace_degenerate("m1"),
+    "trace_degenerate_m2": lambda: trace_degenerate("m2"),
     "atoms_list": lambda: _cli_json(["atoms", "list"]),
     "atoms_check_catalog": atoms_check_catalog,
     "named_products": named_products_and_homomorphisms,

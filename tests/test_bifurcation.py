@@ -1,3 +1,4 @@
+import copy
 import csv
 import functools
 import json
@@ -391,20 +392,150 @@ def test_only_a_retrace_with_its_family_label_closes_a_fold(label):
     out = [(0.1 * k, 0.0) for k in range(13)]
     b = bifurcation._Branch(_entries(out), ["elliptic-family"] * len(out))
     sibling = bifurcation._Branch(_entries([(0.0, -0.1 * k) for k in range(5)]), ["elliptic-family"] * 5)
-    branches, filed = [b, sibling], []
-    values = bifurcation._join_barrier(branches, filed, np.empty((0, 2)), params)
+    branches = [b, sibling]
+    store = bifurcation._join_barrier(branches, np.empty((6, 0)), params)
     assert [x.reason for x in branches] == [None, None]
     back = [(1.2 - 0.1 * k, 0.0) for k in range(1, 9)]
     for entry in _entries(back):  # one join test per entry, as the branch pauses after each
         if b.reason is None:
             b.entries.append(entry)
             b.labels.append(label)
-            values = bifurcation._join_barrier(branches, filed, values, params)
+            store = bifurcation._join_barrier(branches, store, params)
     if label == "elliptic-family":
         assert b.reason == "closed-loop" and len(b.entries) == len(out) + bifurcation.JOIN_RUN
     else:
         assert b.reason is None and len(b.entries) == len(out) + len(back)
         assert b.runs[0, -1][0] == len(back)
+
+
+def _reference_joins(branches: list, store: np.ndarray, j: int, k: int, params: TraceParams):
+    """`_joins` as a loop over the candidates one at a time, each candidate's
+    chord read from its column of the store."""
+    b = branches[j]
+    value = b.entries[k][0]
+    x = value - b.entries[k - 1][0]
+    tangent = x / np.linalg.norm(x) if np.linalg.norm(x) > 0 else None
+    radius = bifurcation.ARC_DEDUP_FACTOR * params.step
+    closing = {j: (1, -1), j ^ 1: (-1,)}
+    left = k - 1
+    while left >= 0 and np.linalg.norm(b.entries[left][0] - value) <= radius:
+        left -= 1
+    nearest = {}
+    dist = bifurcation._norms(store[:2].T - value) if tangent is not None else np.empty(0)
+    for col in np.flatnonzero(dist <= radius):
+        i, m, d, other = int(store[4, col]), int(store[5, col]), float(dist[col]), store[2:4, col]
+        if i in closing:
+            cos = float(tangent @ other) if np.isfinite(other).all() else 0.0
+            key = (i, (cos >= bifurcation.JOIN_COS) - (cos <= -bifurcation.JOIN_COS))
+            if key[1] not in closing[i] or key == (j, 1) and m > left:
+                continue
+        elif i < j and i not in b.unlike:
+            key = (i, 0)
+        else:
+            continue
+        if key not in nearest or d < nearest[key][0]:
+            nearest[key] = (d, m, other)
+    runs = {}
+    for (i, s), (_, m, other) in sorted(nearest.items()):
+        count, last, sense = b.runs.get((i, s), (0, m, 0))
+        move = (m > last) - (m < last)
+        if s:
+            runs[i, s] = (count + 1 if count and move == s else count if count and not move and i != j else 1, m, s)
+        elif np.isfinite(other).all() and abs(float(tangent @ other)) >= bifurcation.JOIN_COS:
+            runs[i, s] = (count + 1, m, move) if count and move and sense in (0, move) else (1, m, 0)
+    b.runs = runs
+    for (i, s), (count, m, _) in sorted(runs.items()):
+        if count < bifurcation.JOIN_RUN or i == j ^ 1 and (j, -1) in runs:
+            continue
+        if b.labels[k] is not None and b.labels[k] == branches[i].labels[m]:
+            if i in closing:
+                return "closed-loop"
+            b.joined = i
+            return "joined"
+        if (i, s) == (j, -1):
+            continue
+        if i in closing:
+            del runs[i, s]
+        else:
+            b.unlike.add(i)
+    return None
+
+
+def _store(branches: list, order) -> np.ndarray:
+    """The store of each branch's entries 1 ... checked - 1, its columns in order."""
+    filed = [
+        np.concatenate([b.entries[m][0], bifurcation._chord(b.entries, m), [i, m]])
+        for i, b in enumerate(branches)
+        for m in range(1, b.checked)
+    ]
+    return np.array([filed[c] for c in order]).reshape(-1, 6).T
+
+
+@st.composite
+def join_stores(draw):
+    """Branches that walk the integer grid from near the origin, some round a
+    closed loop twice (ties in distance, parallel chords, and NaN chords where
+    the walk stands), the store of their filed entries in a drawn order (branch
+    j's filed up to a drawn entry at most k, the rest of its entries before k
+    unfiled, entry 0 never), and j's runs and the earlier branches it is
+    unlike.  The join radius is 2 (step 1)."""
+    size = draw(st.integers(2, 5))
+    label = st.sampled_from([None, "elliptic-family", "elliptic-family", "hyperbolic-family"])
+    step = st.sampled_from([(1, 0), (1, 0), (-1, 0), (0, 1), (0, 1), (0, -1), (1, 1), (0, 0)])
+    moves = st.lists(step, min_size=2, max_size=8)
+    branches = []
+    for _ in range(size):
+        start, walk = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1))), draw(moves)
+        if draw(st.integers(0, 2)):  # round a closed loop twice: ties, and forward runs along j's own entries
+            x, y = np.sum(walk, axis=0)
+            walk = 2 * (walk + [(-np.sign(x), 0)] * abs(x) + [(0, -np.sign(y))] * abs(y))
+        values = np.cumsum([start] + walk, axis=0).astype(float)
+        labels = draw(st.lists(label, min_size=len(values), max_size=len(values)))
+        branches.append(bifurcation._Branch(_entries(values), labels))
+    j = draw(st.integers(0, size - 1))
+    k = draw(st.integers(1, len(branches[j].entries) - 1))
+    for i, b in enumerate(branches):
+        b.checked = draw(st.integers(1, k if i == j else len(b.entries)))
+    store = _store(branches, draw(st.permutations(range(sum(b.checked - 1 for b in branches)))))
+    run = st.tuples(st.integers(0, bifurcation.JOIN_RUN), st.integers(0, 8), st.sampled_from([-1, 0, 1]))
+    key = st.tuples(st.integers(0, size - 1), st.sampled_from([-1, 0, 1]))
+    branches[j].runs = draw(st.dictionaries(key, run, max_size=4))
+    branches[j].unlike = {i for i in range(j) if draw(st.booleans())}
+    return branches, store, j, k
+
+
+@given(join_stores())
+def test_the_join_masks_are_the_per_candidate_loop(case):
+    """On random stores (own, sibling, earlier and unlike branches, distance
+    ties, NaN chords, unfiled entries before k) `_joins` leaves the runs, stop
+    reason, unlike set and joined branch of the per-candidate loop that reads
+    each candidate's filed chord."""
+    branches, store, j, k = case
+    params = TraceParams(step=1.0)
+    mine, theirs = copy.deepcopy(branches), copy.deepcopy(branches)
+    got = bifurcation._joins(mine, store, j, k, params)
+    want = _reference_joins(theirs, store, j, k, params)
+    assert got == want
+    assert (mine[j].runs, mine[j].unlike, mine[j].joined) == (theirs[j].runs, theirs[j].unlike, theirs[j].joined)
+
+
+def test_the_join_masks_find_the_last_entry_outside_the_radius():
+    """Branch 0 rounds a 4 by 1 rectangle twice in steps of 1 (join radius 2).
+    At every entry k, with its entries from every split point up to k unfiled,
+    `_joins` leaves the runs of the per-candidate loop: the last entry outside
+    the radius before k, which ends the entries a forward run may follow, is
+    filed at some splits and unfiled at others."""
+    walk = 2 * ([(1, 0)] * 4 + [(0, 1)] + [(-1, 0)] * 4 + [(0, -1)])
+    values = np.cumsum([(0, 0)] + walk, axis=0).astype(float)
+    params = TraceParams(step=1.0)
+    for k in range(1, len(values)):
+        for checked in range(1, k + 1):
+            b = bifurcation._Branch(_entries(values), ["elliptic-family"] * len(values), checked=checked)
+            branches = [b, bifurcation._Branch(_entries(values[:1]))]
+            store = _store(branches, range(checked - 1))
+            mine, theirs = copy.deepcopy(branches), copy.deepcopy(branches)
+            assert bifurcation._joins(mine, store, 0, k, params) == _reference_joins(theirs, store, 0, k, params)
+            assert mine[0].runs == theirs[0].runs, (k, checked)
 
 
 @pytest.mark.parametrize("g", [1.3, 1.6])
@@ -435,15 +566,15 @@ def test_no_join_barrier_shortens_a_branch(g, monkeypatch):
     completed its run."""
     stops, barrier, joins = {}, bifurcation._join_barrier, bifurcation._joins
 
-    def tested(branches, filed, values, j, k, params):
-        reason = joins(branches, filed, values, j, k, params)
+    def tested(branches, store, j, k, params):
+        reason = joins(branches, store, j, k, params)
         if reason:
             stops[j] = k
         return reason
 
-    def checked(branches, filed, values, params):
+    def checked(branches, store, params):
         lengths = [len(b.entries) for b in branches]
-        out = barrier(branches, filed, values, params)
+        out = barrier(branches, store, params)
         assert [len(b.entries) for b in branches] == lengths and [len(b.labels) for b in branches] == lengths
         return out
 
