@@ -6,9 +6,9 @@ rank-1 locus (or rank-0 points), and pseudo-arclength continuation of
 the rank-1 condition with the momentum image recorded along the way.
 Refinement returns its last iterate's `PointAnalysis` record, and every seed
 is such a record.  The diagram's vertices are its rank-0 seeds.  Each rank-1
-seed whose point and value lie within the trace's bounds is continued both
-ways, and a branch is one list of (value, phase point, mark) entries, mark
-"cusp", "vertex" (a listed vertex it meets, see _trace_branch) or None.
+seed (on the rank-1 locus) within the trace's bounds is continued both ways
+from where it lies; a branch is one list of (value, phase point, mark)
+entries, mark "cusp", "vertex" (a listed vertex it meets) or None.
 
 A Newton run (leaf projection, scan scoring, refinement, corrector, branch) is
 a generator: it yields a request for a stacked kernel at a phase point or record
@@ -22,15 +22,16 @@ redone a row at a time).  A kernel may iterate: the leaf projection is one
 request, whose kernel runs the whole Gauss-Newton loop over its stack and
 evaluates the Casimirs' jets at the iterates it makes, one batch per
 iteration.  The scan scores its samples in lockstep groups of
-SCORE_GROUP and refines all its candidates in one lockstep, and `trace_diagram`
-refines its seeds in one lockstep and then traces both branches of every seed
-in lockstep, one accepted entry per branch at a time, so every output is the
-one the runs give one at a time.  A branch is one run that pauses (yields
-None) after each accepted entry and is resumed where it paused.  A run that
-raises a TraceError, ClassifyError or EvalError (see `_attempt`) fails alone: a scan sample, a
-refinement or a branch start gives nothing, a branch (also on
-a LinAlgError, an SVD that did not converge) ends as "failed" with the entries
-it has, and the other runs of its lockstep go on.  Each entry's family label
+SCORE_GROUP and refines all its candidates in one lockstep.  `trace_diagram`
+starts seeds and crossings one way (see _start): the seeds' starts are its
+first lockstep, and then it traces both branches of every start in lockstep,
+one accepted entry per branch at a time, so every output is the one the runs
+give one at a time.  A branch is one run that pauses (yields None) after each
+accepted entry and is resumed where it paused.  A run that raises a TraceError,
+ClassifyError or EvalError (see `_attempt`) fails alone: a scan sample, a
+refinement or a start gives nothing, a branch (also on a LinAlgError, an SVD
+that did not converge) ends as "failed" with the entries it has, and the other
+runs of its lockstep go on.  Each entry's family label
 (the reduced 1-d.f. Williamson type of its point, see _null_spaces) comes from
 the round that accepts its point, with the null space the next predictor
 reads, and the branch stores it with the entry ("vertex" entries get None);
@@ -117,7 +118,6 @@ CUSP_SPEED = 1e-4  # momentum-image speed under which a step is a cusp candidate
 ARC_DEDUP_FACTOR = 2.0  # arcs within this many steps of a kept arc are duplicates
 REFINE_TOL = 1e-11  # residual norm at which refinement stops
 SCORE_GROUP = 256  # scan samples projected and scored in one lockstep: each live run holds a record
-DIRECTIONS_PER_PLANE = 2  # probe directions per invariant 2-plane at a vertex
 JOIN_RUN = 3  # entries in a row that retrace one traced branch make a join or close a loop
 JOIN_COS = 0.95  # |cos| of the value chords at which two retraced curves run parallel
 
@@ -720,12 +720,6 @@ def _null_spaces(model, records, J, rel: float = 1e-7) -> list:
     return [(V[s].T, *gap, q, label, float(d)) for V, s, gap, q, label, d in zip(Vt, small, gaps, Q, labels, signs)]
 
 
-def _tangent_spaces(model, records, Z) -> list:
-    """The null space of the phase-conditioned rank-1 Jacobian (see _null_spaces)
-    at each analysed record and z."""
-    return _null_spaces(model, records, _rank1_systems(model, records, np.array(Z))[1])
-
-
 def _corrector_matrices(J, Q, B) -> np.ndarray:
     """The corrector's square matrices (see _corrector_systems) from the rank-1
     Jacobians J, the phase rows Q and the border rows B.  Each phase row q
@@ -771,7 +765,8 @@ def _corrector_steps(model, records, args) -> list:
 
 def _corrector_ends(model, records, Z) -> list:
     """(record, None, null space) at each record and z where the rank-1 residual
-    is within 10 CORRECTOR_TOL (see _accepted), else (record, None, None)."""
+    is within 10 CORRECTOR_TOL (see _accepted), else (record, None, None): the
+    end test of a corrector run's last step and of a seed's start."""
     res, J = _rank1_systems(model, records, np.array(Z))
     return _accepted(model, records, J, _norms(res) <= 10 * CORRECTOR_TOL, [None] * len(records))
 
@@ -1019,14 +1014,22 @@ def _keep_arc(arcs: list[Arc], arc: Arc, radius: float) -> None:
         arcs.append(arc)
 
 
-def _branch_start(model: IntegrableModel, seed):
-    """A rank-1 seed refined, a Newton run: (z0, its record, the null space
-    there as _null_spaces gives it, t0), where its two branches start from z0
-    along t0 and -t0, the null direction of fastest momentum-image speed."""
-    a = yield from _refine(model, seed, model.n - 1)
-    v, mu = yield _kernel_vectors, a, None
-    z0 = np.concatenate([a.point, v, mu])
-    space = yield _tangent_spaces, a, z0  # at least one column
+def _branch_start(seed: PointAnalysis):
+    """The start at a rank-1 seed (a refined record on the rank-1 locus), a
+    Newton run: z0 = (its point, v, mu) with its kernel vectors v and mu, where
+    the corrector's end test accepts it (see _corrector_ends and _start)."""
+    v, mu = yield _kernel_vectors, seed, None
+    z0 = np.concatenate([seed.point, v, mu])
+    a, _, space = yield _corrector_ends, seed, z0
+    return _start(z0, a, space)
+
+
+def _start(z0, a: PointAnalysis, space):
+    """The start (z0, a, space, t0) at an accepted corrector point z0 (else
+    space is None: a TraceError), its record a and the null space there; its
+    branches start along t0 and -t0, the null direction of fastest image speed."""
+    if space is None or isinstance(space, Exception):
+        raise space or TraceError("the corrector accepts no start point")
     return z0, a, space, _fastest(a, space[0])
 
 
@@ -1150,48 +1153,32 @@ def _join_barrier(branches: list, store: np.ndarray, params: TraceParams) -> np.
 
 
 def _switch(model, z, space, params: TraceParams):
-    """A start (as _branch_start gives it) on the rank-1 family that crosses the
-    branch through z, a Newton run: the corrector point one step off z along the
-    soft direction of the null space there, in the hyperplane normal to it (and
-    to the first n-2 null columns) and in the phase hyperplane of z.  Near the
+    """The start (see _start) on the rank-1 family that crosses the branch
+    through z, a Newton run: the corrector point one step off z along the soft
+    direction of the null space there, in the hyperplane normal to it (and to
+    the first n-2 null columns) and in the phase hyperplane of z.  Near the
     crossing the branch's own points lie within the hyperplane through z, and
     the crossing family's tangent is close to soft."""
     T, _, soft, Q = space[:4]
     z_pred = z + params.step * soft
     B = np.vstack([soft, T.T[: len(Q) - 1]])
     z_new, a, space, _ = yield from _corrector(model, z_pred.copy(), B, z_pred, (Q, z[: model.dim]), 2.0 * params.step)
-    if z_new is None:
-        raise TraceError("no crossing family")
-    if isinstance(space, Exception):
-        raise space
-    return z_new, a, space, _fastest(a, space[0])
+    return _start(z_new, a, space)
 
 
 def _trace_branches(model: IntegrableModel, rank1: list, vertices: list, params: TraceParams, tol) -> list:
     """Both branches of every rank-1 seed, in (seed, direction) order, then
     those of the crossings' starts, each marking the listed vertices it meets
-    (see _trace_branch): the seeds are refined in one lockstep, then
-    every live branch's run advances by one accepted entry to its next pause in
-    one lockstep, and a join barrier tests the new entries (see _join_barrier).
-    A crossing a branch passed in that step (see _flips), one per value within
-    ARC_DEDUP_FACTOR steps of no crossing switched before, is switched (see
-    _switch) in the next lockstep, and the branches of its start join the live
-    ones after it."""
-    branches, live, switches, switched = [], [], [], []
+    (see _trace_branch).  The seeds' starts (see _branch_start) are the first
+    lockstep; then every live branch's run advances by one accepted entry to
+    its next pause in one lockstep with the starts (see _switch) of the
+    crossings (see _flips) passed in the step before, one per value within
+    ARC_DEDUP_FACTOR steps of no crossing switched before, and a join barrier
+    tests the new entries (see _join_barrier)."""
+    branches, live, switched = [], [], []
     store, radius = np.empty((2 * model.n + 2, 0)), ARC_DEDUP_FACTOR * params.step
-    starts = _lockstep(model, [_attempt(_branch_start(model, s)) for s in rank1], tol)
-    while True:
-        for start in starts:
-            if start is not None:
-                z0, a, space, t0 = start
-                for direction in (t0, -t0):
-                    b = _Branch([(a.value, z0[: model.dim].copy(), None)], [space[4]])
-                    run = _trace_branch(model, b, z0, a, space, direction, params, vertices)
-                    b.run = _attempt(run, "failed", _RUN_ERRORS + (np.linalg.LinAlgError,))  # or an SVD that fails
-                    branches.append(b)
-                    live.append(b)
-        if not live and not switches:
-            return branches
+    switches = [_attempt(_branch_start(s)) for s in rank1]
+    while live or switches:
         ends = _lockstep(model, [b.run for b in live] + switches, tol)
         for b, reason in zip(live, ends):
             b.reason = reason
@@ -1206,6 +1193,16 @@ def _trace_branches(model: IntegrableModel, rank1: list, vertices: list, params:
             if b.reason is not None:
                 b.run = None  # a joined branch's paused run refers back to b: free it now, not at a GC pass
         live = [b for b in live if b.reason is None]
+        for start in starts:
+            if start is not None:
+                z0, a, space, t0 = start
+                for direction in (t0, -t0):
+                    b = _Branch([(a.value, z0[: model.dim].copy(), None)], [space[4]])
+                    run = _trace_branch(model, b, z0, a, space, direction, params, vertices)
+                    b.run = _attempt(run, "failed", _RUN_ERRORS + (np.linalg.LinAlgError,))  # or an SVD that fails
+                    branches.append(b)
+                    live.append(b)
+    return branches
 
 
 def trace_diagram(
@@ -1217,9 +1214,11 @@ def trace_diagram(
     """Continue every rank-1 seed into labeled momentum-space arcs (see
     _trace_branches), built in seed order.  The vertices are the rank-0 seeds in
     seed order, one per point within 1e-6, listed before any branch starts.
-    A rank-1 seed whose point or value lies outside params' bounds (see
-    _outside) starts no branch, and glued branches with fewer than 3 entries
-    besides their "vertex" entries give no arc."""
+    A rank-1 seed must be a refined record on the rank-1 locus, as the scan
+    and seed_arcs_near_vertex give: it starts where it lies, and one off the
+    locus (see _branch_start) or whose point or value lies outside params'
+    bounds (see _outside) starts no branch.  Glued branches with fewer than 3
+    entries besides their "vertex" entries give no arc."""
     params = params or TraceParams()
     rank1 = [s for s in seeds if s.rank == model.n - 1 and not _outside(params, s.point, s.value)]
     vertices: list[Vertex] = []
@@ -1271,12 +1270,12 @@ def seed_arcs_near_vertex(
     tol: float = DEFAULT_TOL,
 ) -> list[PointAnalysis]:
     """Rank-1 seeds on the singular leaves emanating from a rank-0 point, as
-    the records `refine_singular_point` returns.
+    the records `refine_singular_point` returns (on the rank-1 locus).
 
     The invariant 2-planes of a generic combination of the linearized
-    fields are tangent to the local critical submanifolds; perturbing
-    along them and polishing back onto the rank-1 locus yields seeds whose
-    arcs pass within O(delta^2) of the vertex value.
+    fields are tangent to the local critical submanifolds; probing +-delta
+    along each plane's two spanning vectors and polishing back onto the rank-1
+    locus yields seeds whose arcs pass within O(delta^2) of the vertex value.
     """
     L = linearize(model, vertex_point, tol)
     w = williamson_type(L, tol=tol)
@@ -1285,12 +1284,12 @@ def seed_arcs_near_vertex(
     A = sum(c * M for c, M in zip(w.coefficients, L.matrices))
     eig, vec = np.linalg.eig(A)
     used = np.zeros(len(eig), dtype=bool)
-    planes = []
+    spans = []  # the two vectors spanning each invariant plane
     for i, lam in enumerate(eig):
         if used[i]:
             continue
         if abs(lam.imag) > 1e-10:
-            planes.append(np.stack([vec[:, i].real, vec[:, i].imag]))
+            spans += [vec[:, i].real, vec[:, i].imag]
             for j in range(len(eig)):
                 if not used[j] and abs(eig[j] - lam.conjugate()) < 1e-8 * (1 + abs(lam)):
                     used[j] = True
@@ -1298,20 +1297,13 @@ def seed_arcs_near_vertex(
         else:
             for j in range(i + 1, len(eig)):
                 if not used[j] and abs(eig[j] + lam) < 1e-8 * (1 + abs(lam)):
-                    planes.append(np.stack([vec[:, i].real, vec[:, j].real]))
+                    spans += [vec[:, i].real, vec[:, j].real]
                     used[j] = True
                     break
         used[i] = True
 
-    probes = []
-    for plane in planes:
-        for kdir in range(DIRECTIONS_PER_PLANE):
-            theta = math.pi * kdir / DIRECTIONS_PER_PLANE
-            u = math.cos(theta) * plane[0] + math.sin(theta) * plane[1]
-            nu = np.linalg.norm(u)
-            if nu < 1e-12:
-                continue
-            probes += [vertex_point + sign * delta * (L.basis @ (u / nu)) for sign in (1.0, -1.0)]
+    units = [u / np.linalg.norm(u) for u in spans if np.linalg.norm(u) >= 1e-12]
+    probes = [vertex_point + sign * delta * (L.basis @ u) for u in units for sign in (1.0, -1.0)]
     refined = _lockstep(model, [_attempt(_refine(model, p, model.n - 1)) for p in probes], tol)
     return [a for a in refined if a is not None]
 

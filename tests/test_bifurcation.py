@@ -193,7 +193,7 @@ def test_scan_and_trace_repeat_no_jet_set(monkeypatch):
     assert sum(s.rank == m.n - 1 for s in seeds) > 0
     # the scan's and the trace's lockstep rounds are batched calls
     assert any(call and len(call[1]) > 1 for call in calls)
-    # continuation starts from the record the refinement of each seed returns
+    # continuation starts from each seed's own record
     for name in JET_EVALUATORS:
         assert _repeats(calls, name) == 0
 
@@ -625,6 +625,39 @@ def test_the_vertices_are_the_rank0_seeds(monkeypatch):
     assert without.vertices == [] and any("rank-collapse" in a.endpoints for a in without.arcs)
 
 
+def test_a_seed_starts_where_it_lies(monkeypatch):
+    """A branch starts at its seed's own record, which the corrector's end test
+    accepts: once `_trace_branches` has started on the g = 0.5 diagram at
+    resolution 5 nothing is refined, and entry 0 of both branches of each
+    rank-1 seed is the seed's point, bit for bit.  A seed record moved 1e-4 off
+    the rank-1 locus within its leaf's tangent space fails that test and starts
+    no branch: it is not refined again."""
+    traced, refined = [], []
+    trace, refine = bifurcation._trace_branches, bifurcation._refine
+
+    def tracing(model, rank1, *args):
+        traced.append(rank1)
+        traced.append(trace(model, rank1, *args))
+        return traced[-1]
+
+    def refining(*args):
+        if traced:  # _trace_branches has started
+            refined.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(bifurcation, "_trace_branches", tracing)
+    monkeypatch.setattr(bifurcation, "_refine", refining)
+    kovalevskaya_diagram(0.5, resolution=5)
+    rank1, branches = traced
+    assert refined == [] and rank1 and len(branches) >= 2 * len(rank1)
+    for k, s in enumerate(rank1):
+        assert [b.entries[0][1].tobytes() for b in branches[2 * k : 2 * k + 2]] == [s.point.tobytes()] * 2
+
+    m, s = build_kovalevskaya(0.5), rank1[-1]
+    moved = PointAnalysis(m, s.point + 1e-4 * s.frame.basis.sum(axis=1) / 2)
+    assert trace(m, [moved], [], DIAGRAM_PARAMS, DEFAULT_TOL) == []
+
+
 @pytest.mark.parametrize("g", [0.5, 1.3])
 def test_entry_labels_are_the_one_point_labels(g, monkeypatch):
     """The family label each branch stores for each of its entries, from the
@@ -810,8 +843,8 @@ def _corrector_matrix(model, p):
     a = analyze_point(model, p)
     ((v, mu),) = bifurcation._kernel_vectors(model, [a], [None])
     z = np.concatenate([a.point, v, mu])
-    ((T, gap, _, Q, _, _),) = bifurcation._tangent_spaces(model, [a], [z])
     res, J = bifurcation._rank1_systems(model, [a], z[None])
+    ((T, gap, _, Q, _, _),) = bifurcation._null_spaces(model, [a], J)
     B = bifurcation._border(T, T[:, 0], len(Q))
     return a, gap, bifurcation._corrector_systems(res, J, z[None], B[None], z[None], Q[None], a.point[None])[1][0]
 
@@ -1481,7 +1514,7 @@ def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
     Z0 = rng.normal(size=(m, N + n * nc))
     res0, J0 = bifurcation._rank0_systems(model, records, Z0)
     assert _bits([list(res0), list(J0)]) == _bits(list(map(list, zip(*map(_one_point_rank0_residual, records, Z0)))))
-    spaces = bifurcation._apply(model, bifurcation._tangent_spaces, records, list(Z))
+    spaces = bifurcation._apply(model, bifurcation._null_spaces, records, list(J))
     for a, (_, J1), space in zip(records, one, spaces):
         try:
             q = _one_point_phase_rows(a)
@@ -1503,7 +1536,8 @@ def test_stacked_kernels_are_the_per_matrix_calls(m, seed, special):
         for k, A in zip(ok, quotients):
             assert _bits(A) == _bits(bifurcation._quotients(model, [records[k]], J[k : k + 1], spaces[k][3][None])[0])
     for a, z, space in zip(records, Z, spaces):
-        (alone,) = bifurcation._apply(model, bifurcation._tangent_spaces, [a], [z])
+        J1 = bifurcation._rank1_systems(model, [a], z[None])[1]
+        (alone,) = bifurcation._apply(model, bifurcation._null_spaces, [a], list(J1))
         if isinstance(space, Exception):
             assert type(alone) is type(space) and str(alone) == str(space)
         else:
