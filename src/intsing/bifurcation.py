@@ -1129,27 +1129,33 @@ def _joins(branches: list, store: np.ndarray, j: int, k: int, params: TraceParam
     return None
 
 
-def _join_barrier(branches: list, store: np.ndarray, params: TraceParams) -> np.ndarray:
+def _join_barrier(branches: list, store: np.ndarray, count: int, params: TraceParams) -> tuple[np.ndarray, int]:
     """Test the entries each branch added since the last barrier, in branch
     order: a branch whose entry completes a join stops there, as "joined" or
-    "closed-loop" (see _joins).  A branch pauses after each accepted entry, and
-    a "vertex" entry put before it has no family label and completes no join, so
-    the entry that completes one is the branch's last: no entry is removed.
-    Then file its new entries as columns of the store, which it returns: an
-    entry's value, chord (see _chord), branch and index, so that a field is one
-    contiguous row.  Entry 0, a branch's seed, is never filed."""
+    "closed-loop" (see _joins, which reads the count filed columns of store).
+    A branch pauses after each accepted entry, and a "vertex" entry put before
+    it has no family label and completes no join, so the entry that completes
+    one is the branch's last: no entry is removed.  Then file its new entries
+    as the next columns of the store: an entry's value, chord (see _chord),
+    branch and index, so that a field is one contiguous row.  Returns the store
+    and its count of filed columns; a full store is copied into one with room
+    for as many again, so filing takes amortized constant time per entry.
+    Entry 0, a branch's seed, is never filed."""
     for j, b in enumerate(branches):
         new = range(b.checked, len(b.entries))
         if not new:
             continue
         for k in new:
-            if reason := _joins(branches, store, j, k, params):
+            if reason := _joins(branches, store[:, :count], j, k, params):
                 b.reason = reason
                 break
+        if count + len(new) > store.shape[1]:  # room for at least as many again
+            store = np.concatenate([store[:, :count], np.empty((len(store), max(count, len(new))))], axis=1)
         filed = [np.concatenate([b.entries[k][0], _chord(b.entries, k), [j, k]]) for k in new]
-        store = np.concatenate([store, np.transpose(filed)], axis=1)
+        store[:, count : count + len(new)] = np.transpose(filed)
+        count += len(new)
         b.checked = len(b.entries)
-    return store
+    return store, count
 
 
 def _switch(model, z, space, params: TraceParams):
@@ -1176,13 +1182,13 @@ def _trace_branches(model: IntegrableModel, rank1: list, vertices: list, params:
     ARC_DEDUP_FACTOR steps of no crossing switched before, and a join barrier
     tests the new entries (see _join_barrier)."""
     branches, live, switched = [], [], []
-    store, radius = np.empty((2 * model.n + 2, 0)), ARC_DEDUP_FACTOR * params.step
+    store, count, radius = np.empty((2 * model.n + 2, 0)), 0, ARC_DEDUP_FACTOR * params.step
     switches = [_attempt(_branch_start(s)) for s in rank1]
     while live or switches:
         ends = _lockstep(model, [b.run for b in live] + switches, tol)
         for b, reason in zip(live, ends):
             b.reason = reason
-        store = _join_barrier(branches, store, params)
+        store, count = _join_barrier(branches, store, count, params)
         starts, switches = ends[len(live) :], []
         for value, z, space in (c for b in live for c in b.crossings):
             if all(np.linalg.norm(value - v) > radius for v in switched):

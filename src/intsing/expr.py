@@ -43,6 +43,7 @@ import struct
 from array import array
 from fractions import Fraction
 from functools import cache, partial
+from itertools import islice
 from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -68,7 +69,8 @@ class NotPolynomialError(ValueError):
 
 # ---------------------------------------------------------------------------
 # AST nodes.  Plain classes with slots; construction goes through the smart
-# constructors below which fold constants and keep trees in a stable shape.
+# constructors below which fold constants and keep trees in a stable shape
+# (each reads its operands' types once: Const and Neg have no subclasses).
 # ---------------------------------------------------------------------------
 
 
@@ -139,73 +141,81 @@ _ZERO = Const(0)
 _ONE = Const(1)
 
 
-def _is_const(n: Node, v=None) -> bool:
-    return isinstance(n, Const) and (v is None or n.value == v)
-
-
 def _add(a: Node, b: Node) -> Node:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
+    ka, kb = type(a), type(b)
+    if ka is Const:
+        if kb is Const:
+            return Const(a.value + b.value)
+        if a.value == 0:
+            return b
+    elif kb is Const and b.value == 0:
         return a
-    if isinstance(b, Neg):
+    if kb is Neg:
         return _sub(a, b.a)
     return Add(a, b)
 
 
 def _sub(a: Node, b: Node) -> Node:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
-    if _is_const(b, 0):
+    ka, kb = type(a), type(b)
+    if ka is Const:
+        if kb is Const:
+            return Const(a.value - b.value)
+        if a.value == 0:
+            return _neg(b)
+    elif kb is Const and b.value == 0:
         return a
-    if _is_const(a, 0):
-        return _neg(b)
-    if isinstance(b, Neg):
+    if kb is Neg:
         return _add(a, b.a)
     return Sub(a, b)
 
 
 def _neg(a: Node) -> Node:
-    if _is_const(a):
+    kind = type(a)
+    if kind is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if kind is Neg:
         return a.a
     return Neg(a)
 
 
 def _mul(a: Node, b: Node) -> Node:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
-    if _is_const(a, 0) or _is_const(b, 0):
-        return _ZERO
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
-    if isinstance(a, Neg):
+    ka, kb = type(a), type(b)
+    if ka is Const:
+        if kb is Const:
+            return Const(a.value * b.value)
+        if a.value == 0:
+            return _ZERO
+        if a.value == 1:
+            return b
+    elif kb is Const:
+        if b.value == 0:
+            return _ZERO
+        if b.value == 1:
+            return a
+    if ka is Neg:
         return _neg(_mul(a.a, b))
-    if isinstance(b, Neg):
+    if kb is Neg:
         return _neg(_mul(a, b.a))
     return Mul(a, b)
 
 
 def _div(a: Node, b: Node) -> Node:
-    if _is_const(b, 0):
-        raise ZeroDivisionError("division by constant zero")
-    if _is_const(a) and _is_const(b):
-        av, bv = a.value, b.value
-        if isinstance(av, float) or isinstance(bv, float):
-            return Const(av / bv)
-        return Const(Fraction(av) / Fraction(bv))
-    if _is_const(a, 0):
+    ka, kb = type(a), type(b)
+    if kb is Const:
+        if b.value == 0:
+            raise ZeroDivisionError("division by constant zero")
+        if ka is Const:
+            av, bv = a.value, b.value
+            if isinstance(av, float) or isinstance(bv, float):
+                return Const(av / bv)
+            return Const(Fraction(av) / Fraction(bv))
+        if b.value == 1:
+            return a
+    elif ka is Const and a.value == 0:
         return _ZERO
-    if _is_const(b, 1):
-        return a
-    if isinstance(a, Neg):
+    if ka is Neg:
         return _neg(_div(a.a, b))
-    if isinstance(b, Neg):
+    if kb is Neg:
         return _neg(_div(a, b.a))
     return Div(a, b)
 
@@ -220,7 +230,7 @@ def _pow(a: Node, k: int) -> Node:
         return _ONE
     if k == 1:
         return a
-    if _is_const(a):
+    if type(a) is Const:
         return Const(a.value ** k)
     return Pow(a, k)
 
@@ -235,21 +245,24 @@ def _pow(a: Node, k: int) -> Node:
 def _postorder(roots: Sequence[Node]) -> tuple[list[tuple[Node, tuple[Node, ...]]], set[Node]]:
     """Each distinct node object under the roots once with its operands, operands
     first, and the nodes reached more than once (shared, or a root that is also
-    an operand).  The walk keeps an explicit stack, so a tree of any depth is walked."""
+    an operand).  The walk keeps an explicit stack of bare nodes, with a node's
+    (node, operands) tuple pushed below its operands as the marker that emits
+    it, so a tree of any depth is walked."""
     order, seen, again = [], set(), set()
-    stack = [(r, None) for r in reversed(roots)]
+    stack = list(reversed(roots))
     while stack:
-        node, operands = stack.pop()
-        if operands is not None:
-            order.append((node, operands))
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:
+            order.append(node)
         elif node in seen:
             again.add(node)
         else:
             seen.add(node)
-            if isinstance(node, _Binary):
-                stack += (node, (node.a, node.b)), (node.b, None), (node.a, None)
-            elif isinstance(node, (Neg, Pow)):
-                stack += (node, (node.a,)), (node.a, None)
+            if kind in _BUILD:  # Add, Sub, Mul, Div
+                stack += (node, (node.a, node.b)), node.b, node.a
+            elif kind is Neg or kind is Pow:
+                stack += (node, (node.a,)), node.a
             else:
                 order.append((node, ()))
     return order, again
@@ -258,17 +271,22 @@ def _postorder(roots: Sequence[Node]) -> tuple[list[tuple[Node, tuple[Node, ...]
 def _fold(roots: Sequence[Node], rule) -> list:
     """The roots' values, where a node's value is rule(node, *its operands' values).
 
-    The rule runs once per distinct node object.  The value of a node with
-    one reader is dropped when it is read, so a long sum never holds the text
-    or polynomial of every partial sum at once.
+    The rule runs once per distinct node object, in the order of `_postorder`.
+    The value of a node with one reader is dropped when it is read, so a long
+    sum never holds the text or polynomial of every partial sum at once.
     """
     order, again = _postorder(roots)
     values = {}
+    pop = values.pop
     for node, operands in order:
-        if operands:
-            values[node] = rule(node, *[values[n] if n in again else values.pop(n) for n in operands])
-        else:
+        if not operands:
             values[node] = rule(node)
+        elif len(operands) == 2:
+            a, b = operands
+            values[node] = rule(node, values[a] if a in again else pop(a), values[b] if b in again else pop(b))
+        else:
+            a = operands[0]
+            values[node] = rule(node, values[a] if a in again else pop(a))
     return [values[r] for r in roots]
 
 
@@ -276,32 +294,42 @@ def _fold(roots: Sequence[Node], rule) -> list:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-# The parser recurses once per open parenthesis (five frames per level), so
-# nesting is bounded well inside the interpreter's recursion limit.
+# The parser recurses once per open parenthesis (three frames per level: expr,
+# term and factor), so nesting is bounded well inside the interpreter's
+# recursion limit.
 MAX_PAREN_DEPTH = 100
 # An exact constant's numerator and denominator are integer literals that fit a
 # float, so its source text parses back to it (and str() prints them).
 MAX_CONSTANT_DIGITS = 308
 _MAX_EXACT_BITS = int(MAX_CONSTANT_DIGITS * math.log2(10))  # 2^1023 < 10^308
 _TOO_LONG = f"constant does not fit a float: an exact one has at most {MAX_CONSTANT_DIGITS} digits in each part"
-_SPACE = re.compile(r"[ \t\n\r]*")
-_TOKEN = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[A-Za-z][A-Za-z0-9]*|[-+*/^()]")
+# A number, an identifier, an operator, or any other character but a space
+# (tab, newline, carriage return), which no token starts.
+_TOKEN = re.compile(
+    r"((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])|([^ \t\n\r])"
+)
 
 
-def _tokenize(src: str):
-    """(kind, text, position) per token: kind is "num", "ident" or the operator
-    character itself, and a last ("end", "", len(src))."""
-    tokens, i = [], _SPACE.match(src).end()
-    while i < len(src):
-        token = _TOKEN.match(src, i)
-        if token is None:
-            raise ParseError(f"unexpected character {src[i]!r}", src, i)
-        text = token.group()
-        kind = "num" if text[0] in "0123456789." else "ident" if text[0].isalpha() else text
-        tokens.append((kind, text, i))
-        i = _SPACE.match(src, token.end()).end()
-    tokens.append(("end", "", len(src)))
-    return tokens
+def _position(src: str, k: int) -> int:
+    """Where token k of src starts; len(src) for the end token.  Read only for an error."""
+    for token in islice(_TOKEN.finditer(src), k, None):
+        return token.start()
+    return len(src)
+
+
+def _tokenize(src: str) -> tuple[list[str], list[str]]:
+    """The tokens of src as two lists from one findall, kinds and texts: a kind
+    is "num", "ident" or the operator character itself, and both lists end with
+    an "end" token of text "".  A character that starts no token is a ParseError."""
+    tokens = _TOKEN.findall(src)
+    kinds = [op or ("num" if num else "ident" if ident else None) for num, ident, op, _ in tokens]
+    texts = [num or ident or op or other for num, ident, op, other in tokens]
+    if None in kinds:
+        k = kinds.index(None)
+        raise ParseError(f"unexpected character {texts[k]!r}", src, _position(src, k))
+    kinds.append("end")
+    texts.append("")
+    return kinds, texts
 
 
 def _number_value(text: str) -> Number:
@@ -329,124 +357,117 @@ def _fits_float(c: Const, build, operands) -> bool:
         return math.isfinite(c.fvalue)
     if not isinstance(c.value, float):
         return c.value == 0
-    return build not in (_mul, _div, _pow) or any(_is_const(x, 0) for x in operands)
+    return build not in (_mul, _div, _pow) or any(type(x) is Const and x.value == 0 for x in operands)
 
 
 class _Parser:
-    """The tree of one source text, built by the smart constructors."""
+    """The tree of one source text, built by the smart constructors.  The
+    tokens are read by index from the parallel lists of `_tokenize`; a token's
+    position in the text is found only for a ParseError."""
 
     def __init__(self, src: str, symbols: Mapping[str, int]):
         self.src = src
         self.symbols = symbols
-        self.tokens = _tokenize(src)
-        self.pos = 0
+        self.kinds, self.texts = _tokenize(src)
+        self.i = 0  # the next token
         self.depth = 0  # open parentheses
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, message: str, k: int) -> ParseError:
+        return ParseError(message, self.src, _position(self.src, k))
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, got {tok[1]!r}", self.src, tok[2])
-
-    def fold(self, pos: int, build, *args) -> Node:
-        """build(*args), with a constant that no float holds (or an exact one
-        longer than MAX_CONSTANT_DIGITS, or a division by zero) as a ParseError at pos."""
+    def fold(self, k: int, build, a, b) -> Node:
+        """build(a, b), with a constant that no float holds (or an exact one longer
+        than MAX_CONSTANT_DIGITS, or a division by zero) as a ParseError at token k."""
         try:
-            node = build(*args)
+            node = build(a, b)
         except ZeroDivisionError:
-            raise ParseError("division by zero constant", self.src, pos) from None
+            raise self.error("division by zero constant", k) from None
         except OverflowError:
-            node = None
-        if node is None or (isinstance(node, Const) and not _fits_float(node, build, args)):
-            raise ParseError("constant does not fit a float", self.src, pos)
-        if isinstance(node, Const) and _too_long(node.value):
-            raise ParseError(_TOO_LONG, self.src, pos)
+            raise self.error("constant does not fit a float", k) from None
+        if type(node) is Const:
+            if not _fits_float(node, build, (a, b)):
+                raise self.error("constant does not fit a float", k)
+            if _too_long(node.value):
+                raise self.error(_TOO_LONG, k)
         return node
 
-    def literal(self, text: str, pos: int) -> Const:
-        """The constant a number token writes; an integer literal's length is checked before it is read."""
+    def literal(self, k: int) -> Const:
+        """The constant that number token k writes; an integer literal's length is
+        checked before it is read, so a literal is never too long once read."""
+        text = self.texts[k]
         if text.isdigit() and len(text) > MAX_CONSTANT_DIGITS:
-            raise ParseError(_TOO_LONG, self.src, pos)
-        return self.fold(pos, Const, _number_value(text))
+            raise self.error(_TOO_LONG, k)
+        node = Const(_number_value(text))
+        if not math.isfinite(node.fvalue):
+            raise self.error("constant does not fit a float", k)
+        return node
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected token {tok[1]!r}", self.src, tok[2])
+        if self.kinds[self.i] != "end":
+            raise self.error(f"unexpected token {self.texts[self.i]!r}", self.i)
         return node
 
     def expr(self) -> Node:
         node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.next()
-            rhs = self.term()
-            node = self.fold(pos, _add if op == "+" else _sub, node, rhs)
+        kinds = self.kinds
+        while kinds[self.i] in ("+", "-"):
+            k = self.i
+            self.i += 1
+            node = self.fold(k, _add if kinds[k] == "+" else _sub, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.next()
-            rhs = self.factor()
-            node = self.fold(pos, _mul if op == "*" else _div, node, rhs)
+        kinds = self.kinds
+        while kinds[self.i] in ("*", "/"):
+            k = self.i
+            self.i += 1
+            node = self.fold(k, _mul if kinds[k] == "*" else _div, node, self.factor())
         return node
 
     def factor(self) -> Node:
-        signs = 0
-        while self.peek()[0] == "-":
-            self.next()
-            signs += 1
-        node = self.power()
+        """A chain of minus signs, an atom and its power, in one frame."""
+        kinds, texts, k = self.kinds, self.texts, self.i
+        while kinds[k] == "-":
+            k += 1
+        signs, kind, self.i = k - self.i, kinds[k], k + 1
+        if kind == "num":
+            node = self.literal(k)
+            if node.fvalue == 0.0 and re.search("[1-9]", re.split("[eE]", texts[k])[0]):
+                raise self.error("constant does not fit a float", k)  # a nonzero literal underflowed
+        elif kind == "ident":
+            if texts[k] not in self.symbols:
+                raise self.error(f"unknown symbol {texts[k]!r}", k)
+            node = Sym(self.symbols[texts[k]], texts[k])
+        elif kind == "(":
+            self.depth += 1
+            if self.depth > MAX_PAREN_DEPTH:
+                raise self.error(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", k)
+            node = self.expr()
+            if kinds[self.i] != ")":
+                raise self.error(f"expected ')', got {texts[self.i]!r}", self.i)
+            self.i += 1
+            self.depth -= 1
+        else:
+            raise self.error(f"unexpected token {texts[k]!r}", k)
+        if kinds[self.i] == "^":
+            k = self.i
+            self.i += 2
+            if kinds[k + 1] != "num" or not texts[k + 1].isdigit():
+                raise self.error("exponent must be a non-negative integer literal", k + 1)
+            exponent = self.literal(k + 1).value
+            if type(node) is Const:
+                # a nonzero float holds |base|^exponent only within [2^-1075, 2^1024): refuse what is surely outside
+                if node.fvalue != 0.0 and not -1076 < exponent * math.log2(abs(node.fvalue)) < 1025:
+                    raise self.error("constant does not fit a float", k)
+                # n^k >= 2^(k * (bits(n) - 1)): refuse what is surely longer than 10^MAX_CONSTANT_DIGITS
+                if exponent * (_exact_bits(node.value) - 1) > _MAX_EXACT_BITS:
+                    raise self.error(_TOO_LONG, k)
+            node = self.fold(k, _pow, node, exponent)
         for _ in range(signs):
             node = _neg(node)
         return node
-
-    def power(self) -> Node:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            _, _, pos = self.next()
-            tok = self.next()
-            if tok[0] != "num" or not tok[1].isdigit():
-                raise ParseError("exponent must be a non-negative integer literal", self.src, tok[2])
-            k = self.literal(tok[1], tok[2]).value
-            # a nonzero float holds |base|^k only within [2^-1075, 2^1024): refuse what is surely outside
-            if _is_const(base) and base.fvalue != 0.0 and not -1076 < k * math.log2(abs(base.fvalue)) < 1025:
-                raise ParseError("constant does not fit a float", self.src, pos)
-            # n^k >= 2^(k * (bits(n) - 1)): refuse what is surely longer than 10^MAX_CONSTANT_DIGITS
-            if _is_const(base) and k * (_exact_bits(base.value) - 1) > _MAX_EXACT_BITS:
-                raise ParseError(_TOO_LONG, self.src, pos)
-            base = self.fold(pos, _pow, base, k)
-        return base
-
-    def atom(self) -> Node:
-        tok = self.next()
-        kind, text, pos = tok
-        if kind == "num":
-            node = self.literal(text, pos)
-            if node.fvalue == 0.0 and re.search("[1-9]", re.split("[eE]", text)[0]):
-                raise ParseError("constant does not fit a float", self.src, pos)  # a nonzero literal underflowed
-            return node
-        if kind == "ident":
-            if text not in self.symbols:
-                raise ParseError(f"unknown symbol {text!r}", self.src, pos)
-            return Sym(self.symbols[text], text)
-        if kind == "(":
-            self.depth += 1
-            if self.depth > MAX_PAREN_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", self.src, pos)
-            node = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return node
-        raise ParseError(f"unexpected token {text!r}", self.src, pos)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import random
 import sys
 import tempfile
 from itertools import combinations
@@ -34,8 +35,9 @@ from intsing.atoms import named_products, product_to_dict
 from intsing.bifurcation import TraceParams, diagram_to_dict
 from intsing.canonical import CanonicalSpec, build_canonical, randomized_disguise
 from intsing.classify import classify_point
+from intsing.expr import ParseError, parse
 from intsing.groups import BUILTIN_GROUPS, group_by_name
-from intsing.kovalevskaya import build_kovalevskaya, kovalevskaya_diagram
+from intsing.kovalevskaya import COORDS, H_SRC, K_SRC, build_kovalevskaya, kovalevskaya_diagram
 from intsing.phasespace import load_model, model_to_dict, save_model
 
 from test_classify import all_specs
@@ -192,6 +194,86 @@ def file_model() -> dict:
     return out
 
 
+CORPUS_SEED = 1
+CORPUS_RANDOM = 200
+CORPUS_SYMBOLS = ("a", "b", "x", "y", "x1", "e", "E")
+# Pieces of the random corpus strings: the grammar's alphabet, whitespace the
+# tokenizer skips and characters it refuses, and constants at the float bounds.
+CORPUS_PIECES = (
+    *"0123456789.", "x", "y", "x1", "a", "e", "E", *"+-*/^()", " ", "\t", "\n", "\x0b", "_", "é",
+    "1e400", "1e-400", "1e-200", "9" * 309, "0.5", "1/2", "(1/3)", "2^2000", "0.5^1075", "^-1", "^0", "^1",
+    "^x", "^1.5", "^^", "0^0", "((", "))",
+)
+CORPUS_FIXED = [
+    # tokenizer boundaries and refused characters
+    "1.e5", ".5e-3", "1e", "2E+", "1.2.3", "1..2", "x1e2", "1e+5x", " \t\n\r(a^2) ", "a_b", "é", "٣", ".",
+    ".e5", "\x0b1",
+    # parse errors and the bounds on nesting and minus chains
+    "0", "x1*+y", "x1*z9", "-" * 1200 + "x1", "-" * 1201 + "x1", "(" * 100 + "x1" + ")" * 100,
+    "(" * 101 + "x1" + ")" * 101, "(" * 1200 + "x1" + ")" * 1200, "(x", "x)", "()", "", "   ", "x^", "x^-2",
+    "x^2^3", "-x^2", "--x", "2*-x", "x/0", "x/(1-1)", "x^0", "x^1",
+    # constants that no float holds, and exact ones at the digit bound
+    "1" * 400 + "*x", "1e400*x", "2^2000*x", "10^200*10^200+x", "x-1e308*10", "1e308+1e308", "x^" + "9" * 400,
+    "1e-400*x", "1e-200*1e-200*x", "(1/3)^1000*x", "0.5^1075*x", "2^1000*x", "0.5^1074*x", "3^10000000*x",
+    "0+x", "0.0+x", "0e5+x", "1e-200-1e-200+x", "0*1e-200+x", "0^7+x", "(1000001/1000000)^1000000*x",
+    "(3/2)^1000*x", "(1000001/1000000)^51*1000001*x", "(3/2)^350*(3/2)^350*x", "1" * 5000 + "*x",
+    "0" * 400 + "1*x", "x^" + "1" * 5000, "(1000001/1000000)^51*x", "(3/2)^640*x", "1/2^1000*x",
+    "9" * 308 + "/10^307*x",
+    # round trips and negated products
+    "-(-1*a)", "-(2*a)", "0-2*a", "-(2^2*a/b)", "0.5*x-2e-3", "-x*a/(1+b^2)",
+]
+
+
+def _random_corpus_string(rng) -> str:
+    """A grammatical expression with random spacing, or (in about half the draws) random pieces."""
+    if rng.random() < 0.5:
+        return "".join(rng.choice(CORPUS_PIECES) for _ in range(rng.randint(1, 12)))
+
+    def expr(depth: int) -> str:
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(("x", "y", "x1", "a", "2", "0.5", "1e-3", "7", "0", "-x", "1e308", "3.25e2"))
+        pick = rng.randrange(4)
+        if pick == 0:
+            return expr(depth - 1) + rng.choice("+-*/") + expr(depth - 1)
+        if pick == 1:
+            return "(" * (k := rng.randint(1, 3)) + expr(depth - 1) + ")" * k
+        if pick == 2:
+            return expr(depth - 1) + "^" + str(rng.randint(0, 5))
+        return "-" * rng.randint(1, 3) + expr(depth - 1)
+
+    return "".join(c + rng.choice(("", "", "", " ", "\t", "\n")) for c in expr(rng.randint(1, 6)))
+
+
+def _structure_item(key: tuple) -> list:
+    """One entry of `Expression._structure()` as JSON: a constant's value as its type and text."""
+    if key[0] == "Const":
+        return ["Const", type(key[1]).__name__, repr(key[1]) if isinstance(key[1], float) else str(key[1])]
+    return list(key)
+
+
+def _parsed(source: str, coords: tuple[str, ...]) -> dict:
+    """What `parse` makes of source: the tree's text and structure, or the ParseError's message and position."""
+    out = {"source": source, "coords": list(coords)}
+    try:
+        e = parse(source, coords)
+    except ParseError as exc:
+        return {**out, "error": str(exc), "pos": exc.pos}
+    return {**out, "text": e.to_source(), "structure": [_structure_item(key) for key in e._structure()[1]]}
+
+
+def parse_corpus() -> list[dict]:
+    """`_parsed` of the benchmark disguise's components (seed 1), Kovalevskaya's
+    integrals and three more fields on its coordinates, the fixed sources above
+    and CORPUS_RANDOM seeded random strings."""
+    model = randomized_disguise(build_canonical(CanonicalSpec(0, 1, 1, 1)), seed=CORPUS_SEED).model
+    out = [_parsed(c.to_source(), model.coords) for c in model.components]
+    out += [_parsed(src, COORDS) for src in (H_SRC, K_SRC, "R1^2+R2^2+R3^2", "-S1*R2/(1+R3^2)", "0.5*S1-2e-3")]
+    out += [_parsed(src, CORPUS_SYMBOLS) for src in CORPUS_FIXED]
+    rng = random.Random(CORPUS_SEED)
+    out += [_parsed(_random_corpus_string(rng), CORPUS_SYMBOLS) for _ in range(CORPUS_RANDOM)]
+    return out
+
+
 SOURCES = {
     "classify_disguised": classify_disguised,
     "kovalevskaya_report_g0.5": lambda: _cli_json(["kovalevskaya", "report", "--g", "0.5"]),
@@ -207,6 +289,7 @@ SOURCES = {
     "kovalevskaya_diagram_res6_g0.5": lambda: diagram_to_dict(criterion_3_kovalevskaya_diagram(0.5)),
     "expression_walkers": expression_walkers,
     "file_model": file_model,
+    "parse_corpus": parse_corpus,
 }
 
 

@@ -393,14 +393,14 @@ def test_only_a_retrace_with_its_family_label_closes_a_fold(label):
     b = bifurcation._Branch(_entries(out), ["elliptic-family"] * len(out))
     sibling = bifurcation._Branch(_entries([(0.0, -0.1 * k) for k in range(5)]), ["elliptic-family"] * 5)
     branches = [b, sibling]
-    store = bifurcation._join_barrier(branches, np.empty((6, 0)), params)
+    store, count = bifurcation._join_barrier(branches, np.empty((6, 0)), 0, params)
     assert [x.reason for x in branches] == [None, None]
     back = [(1.2 - 0.1 * k, 0.0) for k in range(1, 9)]
     for entry in _entries(back):  # one join test per entry, as the branch pauses after each
         if b.reason is None:
             b.entries.append(entry)
             b.labels.append(label)
-            store = bifurcation._join_barrier(branches, store, params)
+            store, count = bifurcation._join_barrier(branches, store, count, params)
     if label == "elliptic-family":
         assert b.reason == "closed-loop" and len(b.entries) == len(out) + bifurcation.JOIN_RUN
     else:
@@ -572,9 +572,9 @@ def test_no_join_barrier_shortens_a_branch(g, monkeypatch):
             stops[j] = k
         return reason
 
-    def checked(branches, store, params):
+    def checked(branches, store, count, params):
         lengths = [len(b.entries) for b in branches]
-        out = barrier(branches, store, params)
+        out = barrier(branches, store, count, params)
         assert [len(b.entries) for b in branches] == lengths and [len(b.labels) for b in branches] == lengths
         return out
 

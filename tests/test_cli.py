@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import shlex
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intsing import bifurcation, cli, kovalevskaya
 from intsing.classify import DEFAULT_TOL
@@ -447,6 +452,53 @@ def test_bad_model_file_is_a_json_error(command, fault, tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert set(report) == {"error", "seed"} and str(path) in report["error"]
+
+
+FUZZ_COORDS = ("x1", "y1", "x2", "y2")
+FUZZ_ATOMS = ("x1", "y1", "x2", "y2", "0", "1", "2", "3", "0.5", "1/2", "1e-3", "(-1)")
+FUZZ_MALFORMED = (
+    "x1*+y1", "(x1", "x1)", "x1_y1", "é*x1", "\x0b1", "x1 y1", "x1^-1", "x1^1.5", "x1^", "x1^2^3", "1e400*x1",
+    "1e-400*x1", "2^2000*x1", "9" * 309 + "*x1", "(" * 101 + "x1" + ")" * 101, "x1/0", "x1/(y1-y1)", "x3", "",
+)
+FUZZ_VALUES = (-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def fuzz_models(draw):
+    """A model file on FUZZ_COORDS with the canonical bivector: two components of
+    random polynomial or rational text, or of malformed text, and a point."""
+    text = st.recursive(
+        st.sampled_from(FUZZ_ATOMS),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map("({0[0]}){0[1]}({0[2]})".format),
+            st.tuples(inner, st.integers(0, 4)).map("({0[0]})^{0[1]}".format),
+        ),
+        max_leaves=10,
+    )
+    components = draw(st.lists(st.one_of(text, text, text, st.sampled_from(FUZZ_MALFORMED)), min_size=2, max_size=2))
+    point = ",".join(f"{x}={draw(st.sampled_from(FUZZ_VALUES))}" for x in FUZZ_COORDS)
+    return {"coordinates": list(FUZZ_COORDS), "structure": "canonical", "components": components}, point
+
+
+@given(fuzz_models())
+def test_a_model_file_gives_a_json_report_or_a_json_error(case):
+    """`verify --samples 20` and `classify` at a drawn point on a fuzzed model file
+    print one JSON object and exit 0 or 1, an error object only with exit 1: no
+    input raises out of the CLI.  Jets that overflow at the point warn (see
+    test_classify_a_point_with_non_finite_jets_is_a_json_error), so
+    RuntimeWarnings are not errors here."""
+    model, point = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "model.json")
+        Path(path).write_text(json.dumps(model))
+        for argv in (["verify", "--model", path, "--samples", "20"], ["classify", "--model", path, "--point", point]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main(argv)
+            report = json.loads(buf.getvalue())
+            assert code in (0, 1) and isinstance(report, dict), (argv, code, report)
+            assert code == 1 or "error" not in report, (argv, report)
 
 
 def test_deep_model_classifies_and_traces(tmp_path, capsys):

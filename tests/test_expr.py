@@ -1,3 +1,4 @@
+import json
 import operator
 import os
 import subprocess
@@ -36,12 +37,14 @@ from intsing.expr import (
     _fold,
     _mul,
     _neg,
+    _position,
     _pow,
     _scale,
     _sub,
     _tokenize,
     parse,
 )
+import goldens
 import intsing
 from intsing.phasespace import IntegrableModel, PoissonStructure, load_model, save_model
 
@@ -93,7 +96,8 @@ def test_parse_unknown_symbol():
     ],
 )
 def test_tokenizer_boundaries(src, tokens):
-    *body, end = _tokenize(src)
+    kinds, texts = _tokenize(src)
+    *body, end = [(kind, text, _position(src, k)) for k, (kind, text) in enumerate(zip(kinds, texts))]
     assert [t[:2] for t in body] == tokens
     assert end == ("end", "", len(src))
 
@@ -103,6 +107,13 @@ def test_tokenizer_rejects_unexpected_characters(src, pos):
     with pytest.raises(ParseError, match="unexpected character") as exc:
         _tokenize(src)
     assert exc.value.pos == pos
+
+
+def test_parse_corpus_is_the_golden_byte_for_byte():
+    """Every tree (text and structure) and every ParseError (message and
+    position) of `goldens.parse_corpus`, written as the golden file holds it."""
+    text = json.dumps(goldens._plain(goldens.parse_corpus()), indent=1, sort_keys=True) + "\n"
+    assert text == (goldens.GOLDEN_DIR / "parse_corpus.json").read_text()
 
 
 def test_minus_chain_parses_without_recursion():
