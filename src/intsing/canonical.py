@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import Expression, constant, parse, symbol
+from .expr import Const, Expression, Sym, _add, _mul, parse
 from .groups import FiniteGroup
 from .phasespace import DEFAULT_SEED, IntegrableModel, PhasePoint, PoissonStructure, flow_integrate
 
@@ -101,18 +101,16 @@ class DisguiseResult:
 
 def _random_symplectic(rng: np.random.Generator, n: int, shears: int = 8, scale: float = 1.0):
     """Product of elementary symplectic shears on R^{2n} (pairwise order)."""
-    # block order: interleaved (q1, p1, ..., qn, pn)
-    qs = np.arange(0, 2 * n, 2)
-    ps = np.arange(1, 2 * n, 2)
+    # block order: interleaved (q1, p1, ..., qn, pn); G[0::2, 1::2] is the q-p block
     S = np.eye(2 * n)
     for _ in range(shears):
         B = rng.uniform(-scale, scale, size=(n, n))
         B = 0.5 * (B + B.T)
         G = np.eye(2 * n)
         if rng.integers(2) == 0:
-            G[np.ix_(qs, ps)] = B  # q -> q + B p
+            G[0::2, 1::2] = B  # q -> q + B p
         else:
-            G[np.ix_(ps, qs)] = B  # p -> p + B q
+            G[1::2, 0::2] = B  # p -> p + B q
         S = S @ G
     return S
 
@@ -138,6 +136,11 @@ def randomized_disguise(
 
     Returns the disguised model together with the image of the marked
     singular point (the origin, translated along regular directions).
+
+    Each coordinate image and each mixed component is built from nodes with
+    the smart constructors that Expression's operators call, term by term in
+    the same order, and wrapped once: the trees are the ones ``e + c * x``
+    builds, without an Expression per term.
     """
     spec = model.canonical_spec
     if spec is None:
@@ -149,15 +152,15 @@ def randomized_disguise(
     Sinv = np.linalg.inv(S)
 
     coords = model.coords
+    syms = [Sym(j, cname) for j, cname in enumerate(coords)]
     # substitution old_coord -> row of S^{-1} applied to new coords
     images = {}
-    for i, name in enumerate(coords):
-        e = constant(0, coords)
-        for j, cname in enumerate(coords):
-            cij = Sinv[i, j]
+    for name, row in zip(coords, Sinv.tolist()):
+        e = Const(0)
+        for sym, cij in zip(syms, row):
             if cij != 0.0:
-                e = e + cij * symbol(cname, coords)
-        images[name] = e
+                e = _add(e, _mul(sym, Const(cij)))
+        images[name] = Expression(e, coords)
     base = [c.substitute(images) for c in model.components]
 
     if mix_components:
@@ -167,11 +170,11 @@ def randomized_disguise(
                 break
         shift = rng.uniform(-1.0, 1.0, size=model.n)
         comps = []
-        for i in range(model.n):
-            e = constant(0, coords) + float(shift[i])
-            for j in range(model.n):
-                e = e + float(J[i, j]) * base[j]
-            comps.append(e)
+        for offset, row in zip(shift.tolist(), J.tolist()):
+            e = _add(Const(0), Const(offset))
+            for b, jij in zip(base, row):
+                e = _add(e, _mul(b.node, Const(jij)))
+            comps.append(Expression(e, coords))
     else:
         J = np.eye(model.n)
         shift = np.zeros(model.n)

@@ -251,7 +251,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_atoms_check(args) -> int:
-    if args.name:
+    if args.name is not None:
         entry = named_product(args.name)
         if isinstance(entry, dict):
             _emit({"name": args.name, "exception": entry, "seed": args.seed}, args.out)

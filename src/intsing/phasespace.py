@@ -23,7 +23,6 @@ from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .expr import Expression, JetStack, Tape, constant, parse
 
@@ -387,8 +386,12 @@ def flow_integrate(
     """Integrate the field with an adaptive Runge-Kutta scheme (DOP853).
 
     ``monitors`` maps labels to scalar fields whose drift along the
-    trajectory (|end - start|) is reported.
+    trajectory (|end - start|) is reported.  scipy's ODE solver is imported
+    here, on the first call, so a process that never integrates a flow (every
+    CLI command) does not load it.
     """
+    from scipy.integrate import solve_ivp
+
     p0 = p.coordinates if isinstance(p, PhasePoint) else np.asarray(p, dtype=float)
     tape = Tape(list(field))
 

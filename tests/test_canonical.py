@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intsing.canonical import (
@@ -14,7 +14,7 @@ from intsing.canonical import (
     verify_periodicity,
 )
 from intsing.classify import is_nondegenerate, rank_at
-from intsing.expr import parse
+from intsing.expr import constant, parse, symbol
 from intsing.groups import BUILTIN_GROUPS, cyclic, group_by_name, trivial
 from intsing.phasespace import check_commutation
 
@@ -96,6 +96,98 @@ def test_disguise_symplectic_matrix():
     d = randomized_disguise(build_canonical(CanonicalSpec(0, 0, 2, 0)), seed=2)
     O = symplectic_form_matrix(2)
     assert np.allclose(d.symplectic.T @ O @ d.symplectic, O, atol=1e-10)
+
+
+SPECS_UP_TO_4 = [
+    CanonicalSpec(r, ke, n - r - ke - 2 * kf, kf)
+    for n in range(1, 5)
+    for kf in range(n // 2 + 1)
+    for r in range(n - 2 * kf + 1)
+    for ke in range(n - 2 * kf - r + 1)
+]
+
+
+def _reference_symplectic(rng, n, shears):
+    """Product of shears, each block written through np.ix_ index lists."""
+    qs, ps = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
+    S = np.eye(2 * n)
+    for _ in range(shears):
+        B = rng.uniform(-1.0, 1.0, size=(n, n))
+        B = 0.5 * (B + B.T)
+        G = np.eye(2 * n)
+        if rng.integers(2) == 0:
+            G[np.ix_(qs, ps)] = B
+        else:
+            G[np.ix_(ps, qs)] = B
+        S = S @ G
+    return S
+
+
+def _reference_disguise(model, seed, mix_components, translate_regular, shears):
+    """randomized_disguise written with Expression's operators, term by term."""
+    rng = np.random.default_rng(seed)
+    n2, coords = model.dim, model.coords
+    S = _reference_symplectic(rng, model.n, shears) if shears > 0 else np.eye(n2)
+    Sinv = np.linalg.inv(S)
+    images = {}
+    for i, name in enumerate(coords):
+        e = constant(0, coords)
+        for j, cname in enumerate(coords):
+            if Sinv[i, j] != 0.0:
+                e = e + Sinv[i, j] * symbol(cname, coords)
+        images[name] = e
+    comps = [c.substitute(images) for c in model.components]
+    J, shift = np.eye(model.n), np.zeros(model.n)
+    if mix_components:
+        while True:
+            J = rng.uniform(-1.0, 1.0, size=(model.n, model.n))
+            if abs(np.linalg.det(J)) > 0.1:
+                break
+        shift = rng.uniform(-1.0, 1.0, size=model.n)
+        mixed = []
+        for i in range(model.n):
+            e = constant(0, coords) + float(shift[i])
+            for j in range(model.n):
+                e = e + float(J[i, j]) * comps[j]
+            mixed.append(e)
+        comps = mixed
+    q, r = np.zeros(n2), model.canonical_spec.r
+    if translate_regular and r > 0:
+        q[: 2 * r] = rng.uniform(-0.5, 0.5, size=2 * r)
+    return comps, S, J, shift, S @ q
+
+
+def _same_array(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _with_every_spec(test):
+    """The property run once on each spec as an explicit example, whatever the draws."""
+    for i, spec in enumerate(SPECS_UP_TO_4):
+        test = example(spec, i, i % 2 == 0, i % 3 == 0, (0, 3, 8)[i % 3])(test)
+    return test
+
+
+@_with_every_spec
+@given(
+    st.sampled_from(SPECS_UP_TO_4),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0, 3, 8]),
+)
+def test_disguise_trees_are_the_operator_built_trees(spec, seed, mix_components, translate_regular, shears):
+    """The node-level build gives the trees that Expression's operators give, and
+    the same symplectic matrix, mix, shift and point, bit for bit."""
+    model = build_canonical(spec)
+    d = randomized_disguise(model, seed, mix_components, translate_regular, shears)
+    comps, S, J, shift, point = _reference_disguise(model, seed, mix_components, translate_regular, shears)
+    assert len(d.model.components) == len(comps)
+    for mine, theirs in zip(d.model.components, comps):
+        assert mine._structure() == theirs._structure()
+        assert mine.to_source() == theirs.to_source()
+    assert _same_array(d.symplectic, S) and _same_array(d.mix, J)
+    assert _same_array(d.shift, shift) and _same_array(d.point.coordinates, point)
 
 
 def test_periodicity_elliptic():

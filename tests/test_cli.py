@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import intsing
 from intsing import bifurcation, cli, kovalevskaya
 from intsing.classify import DEFAULT_TOL
 from intsing.cli import main, resolve_model
@@ -634,6 +638,43 @@ def test_negative_seed_is_a_json_error(capsys):
     code, out = run_cli(["verify", "--model", "canonical:0,1,0,0", "--samples", "5", "--seed", "-1"], capsys)
     assert code == 1
     assert json.loads(out) == {"error": "--seed must be at least 0, got -1", "seed": -1}
+
+
+@pytest.mark.parametrize("name", ["", "nosuch"])
+def test_unknown_product_name_is_a_json_error(name, capsys):
+    code, out = run_cli(["atoms", "check", "--name", name], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"].startswith(f"unknown product {name!r}; known: ") and report["seed"] == 0
+
+
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+import numpy as np
+from intsing import cli
+from intsing.expr import parse
+from intsing.phasespace import PhasePoint, flow_integrate
+calls = [
+    ["verify", "--model", "kovalevskaya", "--g", "0.5", "--samples", "20"],
+    ["classify", "--model", "canonical:0,1,1,0", "--point", ""],
+    ["atoms", "check", "--name", "(B*C2)/Z2"],
+    ["trace", "--model", "canonical:1,0,1,0", "--resolution", "3"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(args) for args in calls]
+loaded = "scipy.integrate" in sys.modules
+rotation = [parse("-y", ("x", "y")), parse("x", ("x", "y"))]
+end = flow_integrate(rotation, PhasePoint([1.0, 0.0]), 2 * np.pi).end.coordinates
+print(json.dumps([codes, loaded, "scipy.integrate" in sys.modules, bool(np.allclose(end, [1.0, 0.0], atol=1e-9))]))
+"""
+
+
+def test_cli_commands_run_without_the_ode_solver():
+    """verify, classify, atoms check and trace leave scipy.integrate unimported in
+    a fresh interpreter; the first flow integration imports it and integrates."""
+    env = {**os.environ, "PYTHONPATH": str(Path(intsing.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == [[0, 0, 0, 0], False, True, True]
 
 
 @pytest.mark.parametrize("command", [["verify", "--model", "canonical:0,1,0,0"], ["atoms", "check", "--name", "C2"],
