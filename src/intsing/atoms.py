@@ -19,8 +19,10 @@ annulus factor can carry freeness via a nontrivial torus translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import product as iproduct
+from functools import cache, cached_property
+from itertools import count, product as iproduct
+from math import prod
+from operator import eq
 
 import numpy as np
 
@@ -95,22 +97,24 @@ class GroupAction:
 
     def validate(self, components: list[Atom]) -> None:
         g = self.group
+        table, gens = g.table, g.generators
         if len(self.perms) != len(components) or len(self.fiber_free) != len(components):
             raise AtomsError("one action entry per component required")
         for c, comp in enumerate(components):
-            if len(self.perms[c]) != g.order or len(self.fiber_free[c]) != g.order:
+            perms, free = self.perms[c], self.fiber_free[c]
+            if len(perms) != g.order or len(free) != g.order:
                 raise AtomsError(f"component {comp.name}: one permutation per group element")
             k = comp.singular_points
-            ident = tuple(range(k))
-            if self.perms[c][g.identity] != ident:
+            ident = list(range(k))
+            if perms[g.identity] != tuple(ident):
                 raise AtomsError(f"component {comp.name}: identity must act trivially")
-            if self.fiber_free[c][g.identity]:
+            if free[g.identity]:
                 raise AtomsError(f"component {comp.name}: identity cannot act freely")
             for a in g.elements():
-                pa = self.perms[c][a]
-                if sorted(pa) != list(range(k)):
+                pa = perms[a]
+                if sorted(pa) != ident:
                     raise AtomsError(f"component {comp.name}: entry for {g.labels[a]} is not a permutation")
-                if self.fiber_free[c][a] and k > 0 and not permutation_is_free(pa):
+                if free[a] and k > 0 and not permutation_is_free(pa):
                     raise AtomsError(
                         f"component {comp.name}: {g.labels[a]} declared free on the fiber "
                         "but fixes a singular point"
@@ -118,10 +122,11 @@ class GroupAction:
                 # The law on (element, generator) pairs implies it on all pairs
                 # when the table is associative: built-in tables are by
                 # construction, and group_from_dict checks a file's table.
-                for b in g.generators:
-                    ab = g.mul(a, b)
-                    composed = tuple(pa[self.perms[c][b][x]] for x in range(k))
-                    if composed != self.perms[c][ab]:
+                # An entry pb not yet checked is read at its first k places.
+                for b in gens:
+                    ab, pb = table[a][b], perms[b]
+                    composed = tuple(map(pa.__getitem__, pb)) if len(pb) == k else tuple(pa[pb[x]] for x in range(k))
+                    if composed != perms[ab]:
                         raise AtomsError(
                             f"component {comp.name}: action is not a homomorphism "
                             f"at ({g.labels[a]},{g.labels[b]})"
@@ -137,6 +142,9 @@ class AlmostDirectProduct:
     def __post_init__(self):
         self.action.validate(self.components)
 
+    # Criteria (iv) and (vi), found once, on first use (see cross_check_criteria).
+    criteria = cached_property(lambda self: _criteria_report(self))
+
     @property
     def group(self) -> FiniteGroup:
         return self.action.group
@@ -150,12 +158,8 @@ class AlmostDirectProduct:
         """Free iff every nonidentity element is free on some factor fiber."""
         g = self.group
         for a in g.elements():
-            if a == g.identity:
-                continue
-            if not any(self.action.fiber_free[c][a] for c in range(len(self.components))):
-                return False, (
-                    f"element {g.labels[a]} acts with fixed points on every component fiber"
-                )
+            if a != g.identity and not any(free[a] for free in self.action.fiber_free):
+                return False, f"element {g.labels[a]} acts with fixed points on every component fiber"
         return True, None
 
     # -- compact orbits / vertex tuples ---------------------------------------
@@ -164,23 +168,18 @@ class AlmostDirectProduct:
         sets = [range(c.singular_points) for c in self.components if c.kind != "regular"]
         return list(iproduct(*sets))
 
-    def _tuple_perms(self) -> list[dict]:
-        """Permutation of vertex tuples by each group element."""
-        idxs = self.nonregular_indices()
-        tuples = self.vertex_tuples()
-        pos = {t: i for i, t in enumerate(tuples)}
-        out = []
-        for a in self.group.elements():
-            mapping = tuple(
-                pos[tuple(self.action.perms[c][a][t[k]] for k, c in enumerate(idxs))]
-                for t in tuples
-            )
-            out.append(mapping)
-        return out
+    def fixed_tuples(self) -> list[int]:
+        """For each group element, the number of vertex tuples it fixes: the
+        product over the non-regular components of the points it fixes there."""
+        rows = [self.action.perms[c] for c in self.nonregular_indices()]
+        return [prod(sum(map(eq, row[a], count())) for row in rows) for a in self.group.elements()]
 
 
 def complexity(p: AlmostDirectProduct) -> int:
-    """Number of group orbits on the product of singular-point sets.
+    """Number of group orbits on the product of singular-point sets, by
+    Burnside's lemma: the mean over the group of the vertex tuples each
+    element fixes.  Exact because `validate` makes each component's map a
+    homomorphism, so the tuples carry a group action.
 
     Requires the certified-free action; under freeness on the vertex
     tuples this equals (product of counts) / |group|, which is the
@@ -189,15 +188,13 @@ def complexity(p: AlmostDirectProduct) -> int:
     free, witness = p.free_on_product()
     if not free:
         raise AtomsError(f"action is not free: {witness}")
-    tuples = p.vertex_tuples()
-    perms = p._tuple_perms()
-    return len(orbits([tuple(m) for m in perms], len(tuples)))
+    return sum(p.fixed_tuples()) // p.group.order
 
 
 def tuple_action_free(p: AlmostDirectProduct) -> bool:
-    perms = p._tuple_perms()
+    """No element but the identity fixes a vertex tuple."""
     e = p.group.identity
-    return all(permutation_is_free(m) for a, m in enumerate(perms) if a != e and len(m) > 0)
+    return not any(n for a, n in enumerate(p.fixed_tuples()) if a != e)
 
 
 def check_connectedness_vi(p: AlmostDirectProduct) -> tuple[bool, list[dict]]:
@@ -210,10 +207,7 @@ def check_connectedness_vi(p: AlmostDirectProduct) -> tuple[bool, list[dict]]:
         k = comp.singular_points
         if k == 0:
             continue
-        reached = {0}
-        for a in p.group.elements():
-            reached.add(p.action.perms[c][a][0])
-        transitive = len(reached) == k
+        transitive = len({perm[0] for perm in p.action.perms[c]}) == k
         witnesses.append({"component": comp.name, "index": c, "transitive": transitive})
         ok = ok and transitive
     return ok, witnesses
@@ -239,8 +233,7 @@ def build_Ki_sets(p: AlmostDirectProduct) -> list[KiSet]:
     out = []
     for c in p.nonregular_indices():
         comp = p.components[c]
-        perms = [p.action.perms[c][a] for a in p.group.elements()]
-        parts = orbits(perms, comp.singular_points)
+        parts = orbits(p.action.perms[c], comp.singular_points)
         out.append(KiSet(c, comp.name, parts, len(parts)))
     return out
 
@@ -255,7 +248,13 @@ class CrossCheckReport:
 
 
 def cross_check_criteria(p: AlmostDirectProduct) -> CrossCheckReport:
-    """Criteria (iv) and (vi) must agree on every product model."""
+    """Criteria (iv) and (vi) must agree on every product model.  The report
+    is found once per product and kept on it (do not mutate); a disagreement
+    is never kept, so it raises on every call."""
+    return p.criteria
+
+
+def _criteria_report(p: AlmostDirectProduct) -> CrossCheckReport:
     ki_sets = build_Ki_sets(p)
     iv = all(k.connected_components == 1 for k in ki_sets)  # (iv): every critical set K_i is connected
     vi, witnesses = check_connectedness_vi(p)
@@ -293,10 +292,7 @@ def make_action(
     ff = []
     for c in range(len(components)):
         given = fiber_free[c] if fiber_free is not None else None
-        if given is not None:
-            ff.append(list(given))
-        else:
-            ff.append([permutation_is_free(perms[c][a]) for a in group.elements()])
+        ff.append(list(given) if given is not None else [permutation_is_free(perms[c][a]) for a in group.elements()])
     return GroupAction(group, [list(map(tuple, ps)) for ps in perms], ff)
 
 
@@ -482,10 +478,10 @@ def product_to_dict(p: AlmostDirectProduct) -> dict:
         "group": group_to_dict(g),
         "action": [
             {
-                "perms": {g.labels[a]: list(p.action.perms[c][a]) for a in g.elements()},
-                "fiber_free": {g.labels[a]: p.action.fiber_free[c][a] for a in g.elements()},
+                "perms": dict(zip(g.labels, map(list, perms))),
+                "fiber_free": dict(zip(g.labels, free)),
             }
-            for c in range(len(p.components))
+            for perms, free in zip(p.action.perms, p.action.fiber_free)
         ],
     }
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from functools import cache
 
@@ -337,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="trace a bifurcation diagram")
     p.add_argument("--model", required=True)
     p.add_argument("--g", type=float, default=None)
-    p.add_argument("--box", default=None, help='scan box "lo:hi" or one pair per coordinate')
+    p.add_argument(
+        "--box", default=None, help='scan box "lo:hi" or one pair per coordinate, e.g. --box -1.6:1.6 or --box=-1.6:1.6'
+    )
     p.add_argument("--resolution", type=int, default=7)
     fixed = "; kovalevskaya follows its own recipe"
     p.add_argument("--step", type=float, default=None, help=f"default {TRACE_STEP}{fixed}")
@@ -374,8 +377,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_box(argv: list[str]) -> list[str]:
+    """argv with `--box -1.6:1.6` written `--box=-1.6:1.6`: argparse takes a
+    value that starts with '-' for an option, and a box's low end is often negative."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--box" and re.match(r"-(\.?\d|inf|nan)", arg, re.IGNORECASE):
+            out[-1] = f"--box={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_box(sys.argv[1:] if argv is None else list(argv)))
     try:
         _check_options(args)
         return args.func(args)

@@ -82,7 +82,7 @@ class Const(Node):
     __slots__ = ("value", "fvalue")
 
     def __init__(self, value: Number):
-        if isinstance(value, Fraction) and value.denominator == 1:
+        if type(value) is Fraction and value.denominator == 1:
             value = int(value)
         self.value = value
         self.fvalue = float(value)

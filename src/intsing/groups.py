@@ -9,7 +9,8 @@ groups are enumerated by extending every choice of generator images.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import permutations, product
+from itertools import count, permutations, product
+from operator import ne
 
 
 class FiniteGroup:
@@ -26,8 +27,9 @@ class FiniteGroup:
                 raise ValueError(f"element {self.labels[a]} has no inverse")
 
     def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(self.order)):
+        ident = list(range(self.order))
+        for e in ident:
+            if self.table[e] == ident and [row[e] for row in self.table] == ident:
                 return e
         raise ValueError("table has no identity element")
 
@@ -38,13 +40,12 @@ class FiniteGroup:
         return range(self.order)
 
     def check_associative(self) -> bool:
-        n = self.order
-        return all(
-            self.table[self.table[a][b]][c] == self.table[a][self.table[b][c]]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-        )
+        """Light's test: (x*g)*y = x*(g*y) for every generator g, one row per x.
+        The elements g that pass hold the identity and are closed under
+        products, and every element is a product e*s1*...*sm of generators, so
+        this decides associativity exactly."""
+        t = self.table
+        return all(t[t[x][g]] == list(map(t[x].__getitem__, t[g])) for g in self.generators for x in self.elements())
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -53,15 +54,15 @@ class FiniteGroup:
     def generators(self) -> tuple[int, ...]:
         """A generating set chosen greedily in element order: each generator
         is the first element outside the subgroup the earlier ones generate."""
-        gens, span = [], {self.identity}
+        gens, span = [], [self.identity]
         for x in self.elements():
             if x not in span:
                 gens.append(x)
-                while True:
-                    grown = span | {self.table[a][s] for a in span for s in gens}
-                    if grown == span:
-                        break
-                    span = grown
+                span = [self.identity]
+                for a in span:  # grows while it is walked
+                    for b in map(self.table[a].__getitem__, gens):
+                        if b not in span:
+                            span.append(b)
         return tuple(gens)
 
     def extend(self, images, k: int) -> list[tuple[int, ...]] | None:
@@ -175,7 +176,7 @@ def group_from_dict(d: dict) -> FiniteGroup:
         return group_by_name(d)
     labels = d["elements"]
     index = {lab: i for i, lab in enumerate(labels)}
-    table = [[index[c] for c in row] for row in d["table"]]
+    table = [list(map(index.__getitem__, row)) for row in d["table"]]
     g = FiniteGroup(labels, table, d.get("name", ""))
     if not g.check_associative():
         raise ValueError("multiplication table is not associative")
@@ -186,30 +187,25 @@ def group_to_dict(g: FiniteGroup) -> dict:
     return {
         "name": g.name,
         "elements": list(g.labels),
-        "table": [[g.labels[g.table[a][b]] for b in range(g.order)] for a in range(g.order)],
+        "table": [list(map(g.labels.__getitem__, row)) for row in g.table],
     }
 
 
 def permutation_is_free(perm: tuple[int, ...]) -> bool:
-    return all(perm[i] != i for i in range(len(perm))) if perm else False
+    return bool(perm) and all(map(ne, perm, count()))
 
 
 def orbits(perms: list[tuple[int, ...]], k: int) -> list[list[int]]:
     """Orbits of the group generated by the given permutations on {0..k-1}."""
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in perms:
-        for i in range(k):
-            a, b = find(i), find(p[i])
-            if a != b:
-                parent[a] = b
-    out: dict[int, list[int]] = {}
-    for i in range(k):
-        out.setdefault(find(i), []).append(i)
-    return sorted(out.values())
+    out, seen = [], set()
+    for x in range(k):
+        if x not in seen:
+            orbit = [x]
+            seen.add(x)
+            for y in orbit:  # grows while it is walked
+                for p in perms:
+                    if p[y] not in seen:
+                        seen.add(p[y])
+                        orbit.append(p[y])
+            out.append(sorted(orbit))
+    return out

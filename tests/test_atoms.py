@@ -24,6 +24,7 @@ from intsing.atoms import (
     exceptions_report,
     make_action,
     named_product,
+    named_products,
     product_from_dict,
     product_to_dict,
     random_product,
@@ -289,3 +290,194 @@ def test_criteria_agree_on_relabelled_tables(p):
     assert stability_verdict(p) == ("stable-analytic-strong-sense" if rep.iv else "criterion-not-satisfied")
     if tuple_action_free(p):
         assert complexity(p) * p.group.order == len(p.vertex_tuples())
+
+
+# Oracles: the enumerating algorithms that Burnside's count and Light's test
+# replaced in `atoms` and `groups`.
+
+
+def _union_find_orbits(perms, k):
+    """Orbits of the group generated by perms on range(k), by union-find."""
+    parent = list(range(k))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in perms:
+        for i in range(k):
+            a, b = find(i), find(p[i])
+            if a != b:
+                parent[a] = b
+    out = {}
+    for i in range(k):
+        out.setdefault(find(i), []).append(i)
+    return sorted(out.values())
+
+
+def _tuple_perms(p):
+    """The permutation of the vertex tuples by each group element, as positions."""
+    idxs = p.nonregular_indices()
+    tuples = p.vertex_tuples()
+    pos = {t: i for i, t in enumerate(tuples)}
+    return [
+        tuple(pos[tuple(p.action.perms[c][a][t[j]] for j, c in enumerate(idxs))] for t in tuples)
+        for a in p.group.elements()
+    ]
+
+
+def enumerated_orbit_count(p):
+    return len(_union_find_orbits(_tuple_perms(p), len(p.vertex_tuples())))
+
+
+def enumerated_tuple_action_free(p):
+    e = p.group.identity
+    return all(all(m[i] != i for i in range(len(m))) for a, m in enumerate(_tuple_perms(p)) if a != e and m)
+
+
+def brute_force_associative(table):
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]] for a in range(n) for b in range(n) for c in range(n))
+
+
+@st.composite
+def torus_free_products(draw):
+    """A relabelled product with a regular annulus (Wreg) appended, on which
+    each nonidentity element is drawn free or not: freeness carried by a torus
+    translation, as in "A*", so the vertex tuples may have fixed points while
+    the product action is free."""
+    p = draw(relabelled_products())
+    g = p.group
+    flags = [a != g.identity and draw(st.booleans()) for a in g.elements()]
+    comps = p.components + [atom("Wreg")]
+    perms = [list(ps) for ps in p.action.perms] + [[()] * g.order]
+    free = [list(f) for f in p.action.fiber_free] + [flags]
+    return AlmostDirectProduct(comps, GroupAction(g, perms, free), "torus")
+
+
+def _burnside_is_the_enumeration(p):
+    fixed = p.fixed_tuples()
+    assert sum(fixed) % p.group.order == 0
+    assert sum(fixed) // p.group.order == enumerated_orbit_count(p)
+    assert tuple_action_free(p) == enumerated_tuple_action_free(p)
+    if p.free_on_product()[0]:
+        assert complexity(p) == enumerated_orbit_count(p)
+    else:
+        with pytest.raises(AtomsError, match="not free"):
+            complexity(p)
+
+
+@given(relabelled_products())
+def test_burnside_count_is_the_orbit_enumeration_on_relabelled_tables(p):
+    _burnside_is_the_enumeration(p)
+
+
+@given(torus_free_products())
+def test_burnside_count_is_the_orbit_enumeration_on_non_free_tuple_actions(p):
+    _burnside_is_the_enumeration(p)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_burnside_count_is_the_orbit_enumeration_on_random_products(seed):
+    _burnside_is_the_enumeration(random_product(np.random.default_rng(seed)))
+
+
+def test_burnside_count_on_named_products():
+    for entry in named_products().values():
+        if not isinstance(entry, dict):
+            _burnside_is_the_enumeration(entry)
+
+
+def _complexity_one_is_connected(p):
+    if p.free_on_product()[0] and complexity(p) == 1:
+        report = cross_check_criteria(p)
+        assert report.iv and report.vi
+        assert stability_verdict(p) == "stable-analytic-strong-sense"
+
+
+@given(torus_free_products())
+def test_complexity_one_implies_connectedness(p):
+    """One orbit on the vertex tuples makes the group transitive on each
+    component's singular points: criterion (vi), and so (iv) and the verdict."""
+    _complexity_one_is_connected(p)
+
+
+def test_complexity_one_implies_connectedness_on_random_products():
+    rng = np.random.default_rng(7)
+    ones = 0
+    for _ in range(3000):
+        p = random_product(rng)
+        ones += p.free_on_product()[0] and complexity(p) == 1
+        _complexity_one_is_connected(p)
+    assert ones > 100
+
+
+def test_criteria_are_found_once_per_product(monkeypatch):
+    import intsing.atoms as atoms_module
+
+    calls = []
+    original = atoms_module.build_Ki_sets
+    monkeypatch.setattr(atoms_module, "build_Ki_sets", lambda p: calls.append(p) or original(p))
+    p = product_from_dict(product_to_dict(named_product("(C2*P4)/(Z2+Z2)")))
+    report = cross_check_criteria(p)
+    assert stability_verdict(p) == "stable-analytic-strong-sense"
+    assert cross_check_criteria(p) is report and len(calls) == 1
+
+
+def test_a_criteria_disagreement_raises_on_every_call(monkeypatch):
+    import intsing.atoms as atoms_module
+
+    original = atoms_module.check_connectedness_vi
+    monkeypatch.setattr(atoms_module, "check_connectedness_vi", lambda p: (not original(p)[0], original(p)[1]))
+    p = product_from_dict(product_to_dict(named_product("(B*C2)/Z2")))
+    for call in (cross_check_criteria, stability_verdict, cross_check_criteria):
+        with pytest.raises(AtomsError, match="criteria disagree"):
+            call(p)
+    monkeypatch.setattr(atoms_module, "check_connectedness_vi", original)
+    assert cross_check_criteria(p).iv is True
+
+
+@st.composite
+def tables_with_identity_and_inverses(draw):
+    """A built-in group's table with its elements reordered, and up to three
+    entries off the identity's row and column redrawn; a row left without the
+    identity gets it back at a drawn place off the identity's column.  So the
+    table keeps an identity and an inverse in each row, and most redrawn
+    tables are not associative.  Half the tables are then multiplied by Z2."""
+    base = groups.group_by_name(draw(st.sampled_from(sorted(groups.BUILTIN_GROUPS))))
+    order = draw(st.permutations(range(base.order)))
+    new = {a: i for i, a in enumerate(order)}
+    n, e = base.order, new[base.identity]
+    table = [[new[base.mul(a, b)] for b in order] for a in order]
+    cells = [(x, y) for x in range(n) for y in range(n) if e not in (x, y)]
+    if cells:
+        for (x, y), v in draw(st.lists(st.tuples(st.sampled_from(cells), st.integers(0, n - 1)), max_size=3)):
+            table[x][y] = v
+    for row in table:
+        if e not in row:
+            row[draw(st.sampled_from([y for y in range(n) if y != e]))] = e
+    if draw(st.booleans()):
+        # times Z2, listing (e, g) first: the first generator is then central
+        # and passes the test, and only a later generator can find a fault
+        pairs = [(e, 1)] + [(a, i) for a in range(n) for i in range(2) if (a, i) != (e, 1)]
+        index = {pair: k for k, pair in enumerate(pairs)}
+        table = [[index[table[a][b], (i + j) % 2] for b, j in pairs] for a, i in pairs]
+    return table
+
+
+@given(tables_with_identity_and_inverses())
+def test_light_test_is_the_brute_force_check(table):
+    g = groups.FiniteGroup([f"u{i}" for i in range(len(table))], table)
+    assert g.check_associative() == brute_force_associative(table)
+
+
+def test_light_test_rejects_a_latin_square_loop():
+    """The smallest non-associative loop, of order 5: every row and column a
+    permutation, an identity, and (1*2)*2 = 3*2 = 4 but 1*(2*2) = 1*0 = 1."""
+    table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    assert not groups.FiniteGroup(list("abcde"), table).check_associative()
+    doc = {"name": "loop", "elements": list("abcde"), "table": [["abcde"[v] for v in row] for row in table]}
+    with pytest.raises(ValueError, match="multiplication table is not associative"):
+        groups.group_from_dict(doc)

@@ -601,6 +601,8 @@ ARGUMENT_FAULTS = {
     "box-reversed": ["trace", "--model", "canonical:0,2,0,0", "--box", "1:-1"],
     "box-empty": ["trace", "--model", "canonical:1,0,1,0", "--box", "0:0"],
     "box-reversed-pair": ["trace", "--model", "canonical:1,0,1,0", "--box", "0:1,0:1,1:0,0:1"],
+    "box-negative-value": ["trace", "--model", "canonical:1,0,1,0", "--box", "-1:x"],
+    "box-negative-infinite": ["trace", "--model", "canonical:1,0,1,0", "--box", "-inf:1"],
     "resolution-negative": ["trace", "--model", "canonical:1,0,1,0", "--resolution", "-1"],
     "resolution-zero": ["trace", "--model", "canonical:1,0,1,0", "--resolution", "0"],
     "resolution-kovalevskaya": ["trace", "--model", "kovalevskaya", "--g", "0.5", "--resolution", "-2"],
@@ -632,6 +634,16 @@ def test_bad_argument_is_a_json_error(fault, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["error"] and report["seed"] == 0
+
+
+def test_a_negative_box_reads_the_same_split_or_joined(capsys):
+    """argparse takes `-1.6:1.6` for an option; after `--box` it is the box."""
+    base = ["trace", "--model", "canonical:1,0,1,0", "--resolution", "3"]
+    code, joined = run_cli(base + ["--box=-1.6:1.6"], capsys)
+    assert code == 0 and json.loads(joined)["arcs"]
+    assert run_cli(base + ["--box", "-1.6:1.6"], capsys) == (0, joined)
+    assert run_cli(["trace", "--box", "-1.6:1.6"] + base[1:], capsys) == (0, joined)
+    assert run_cli(base + ["--box", ",".join(["-1.6:1.6"] * 4)], capsys) == (0, joined)  # one pair per coordinate
 
 
 def test_negative_seed_is_a_json_error(capsys):
